@@ -15,8 +15,8 @@ from .fields import (CircularProfile, ConstantFieldTensor, FieldConfig, LinearPr
                      PlaneWaveProfile, PulseProfile, TabulatedProfile, ZeroProfile,
                      make_profile, total_field_tensor)
 from .green import (EvalContext, PropagatorValue, dirac_apply, green_function,
-                    green_function_zero_k, position_space_green, proper_time_integrand,
-                    spin_factor, zero_k_value_and_gradient)
+                    green_function_zero_k, position_space_green, spin_factor,
+                    zero_k_value_and_gradient)
 from .kernels import (TransverseEndpoints, cross_phase, longitudinal_phase,
                       schwinger_kernel, spin_determinant, volkov_kernel,
                       volkov_kernel_conj)
@@ -39,7 +39,7 @@ __all__ = [
     "convention_ledger", "cross_phase", "dirac_apply", "dot", "drift_path",
     "green_function", "green_function_zero_k", "longitudinal_phase", "make_profile",
     "phase_path", "position_space_green", "projector_minus", "projector_plus",
-    "proper_time_integrand", "schwinger_kernel", "slash", "spin_determinant",
+    "schwinger_kernel", "slash", "spin_determinant",
     "spin_factor", "spin_projection_constant", "tanh_projector_identity",
     "total_field_tensor", "volkov_kernel", "volkov_kernel_conj",
     "zero_k_value_and_gradient", "__version__",

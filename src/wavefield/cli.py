@@ -20,7 +20,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -36,13 +35,12 @@ from .fields import FieldConfig, ZeroProfile, make_profile
 from .green import EvalContext, dirac_apply, green_function, green_function_zero_k, spin_factor
 from .kernels import TransverseEndpoints, near_caustic, schwinger_kernel, volkov_kernel_full
 from .minkowski import IDENTITY4
-from .oracles import free_kernel, free_propagator
+from .oracles import free_kernel, free_propagator, zero_profile_green
 
 _COMMANDS = ("identities", "kernel", "K", "spinfactor", "gf", "gf-k0", "dirac",
              "verify", "limits")
 _SCHEMA_EXIT, _SINGULAR_EXIT, _QUADRATURE_EXIT, _VERIFY_EXIT = 2, 3, 4, 5
 _GRID_COMPONENTS = {"xb0": 0, "xb1": 1, "xb2": 2, "xb3": 3, "pL2": 2, "pL3": 3}
-_MAX_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,6 @@ class RunConfig:
     e0_max: float
     abs_tol: float
     rel_tol: float
-    y0: np.ndarray
     grid_param: str | None
     grid_values: tuple
     volkov_sign: int = DEFAULT_VOLKOV_SIGN
@@ -64,8 +61,7 @@ class RunConfig:
     def context(self) -> EvalContext:
         return EvalContext(m=self.m, x_a=self.x_a, x_b=self.x_b, pL=self.pL,
                            cfg=self.field_cfg, theta=self.theta, e0_max=self.e0_max,
-                           abs_tol=self.abs_tol, rel_tol=self.rel_tol, y0=self.y0,
-                           volkov_sign=self.volkov_sign)
+                           abs_tol=self.abs_tol, rel_tol=self.rel_tol, volkov_sign=self.volkov_sign)
 
     def normalized(self) -> dict:
         """Config as actually used, for the sidecar (defaults applied)."""
@@ -76,8 +72,7 @@ class RunConfig:
                                   **self.field_cfg.profile.params()}},
             "eval": {"m": self.m, "x_a": list(self.x_a), "x_b": list(self.x_b),
                      "pL": list(self.pL), "theta": self.theta, "e0_max": self.e0_max,
-                     "abs_tol": self.abs_tol, "rel_tol": self.rel_tol,
-                     "y0": list(self.y0)},
+                     "abs_tol": self.abs_tol, "rel_tol": self.rel_tol},
             "grid": None if self.grid_param is None
                     else {"param": self.grid_param, "values": list(self.grid_values)},
             "volkov_sign": self.volkov_sign,
@@ -195,7 +190,7 @@ def parse_config(text: str) -> RunConfig:
 
     eval_block = _expect_mapping(root["eval"], "eval")
     _reject_unknown(eval_block, {"m", "x_a", "x_b", "pL", "theta", "e0_max",
-                                 "abs_tol", "rel_tol", "y0"}, "eval")
+                                 "abs_tol", "rel_tol"}, "eval")
     m = _number(eval_block, "m", "eval")
     x_a = _vector4(eval_block, "x_a", "eval")
     x_b = _vector4(eval_block, "x_b", "eval")
@@ -204,7 +199,6 @@ def parse_config(text: str) -> RunConfig:
     e0_max = _number(eval_block, "e0_max", "eval", default=DEFAULT_E0_MAX)
     abs_tol = _number(eval_block, "abs_tol", "eval", default=DEFAULT_ABS_TOL)
     rel_tol = _number(eval_block, "rel_tol", "eval", default=DEFAULT_REL_TOL)
-    y0 = _vector4(eval_block, "y0", "eval", default=np.zeros(4))
     if not 0.0 < theta < math.pi / 2.0:
         raise RangeError(f"eval.theta must lie in (0, pi/2), got {theta!r}")
     if e0_max <= 0.0:
@@ -218,7 +212,7 @@ def parse_config(text: str) -> RunConfig:
 
     return RunConfig(field_cfg=FieldConfig(g=g, B=b, profile=profile, phi0=phi0),
                      m=m, x_a=x_a, x_b=x_b, pL=p_l, theta=theta, e0_max=e0_max,
-                     abs_tol=abs_tol, rel_tol=rel_tol, y0=y0,
+                     abs_tol=abs_tol, rel_tol=rel_tol,
                      grid_param=grid_param, grid_values=grid_values)
 
 
@@ -297,13 +291,6 @@ def _grid_contexts(rc: RunConfig):
     return pairs
 
 
-def _map_ordered(fn, items):
-    if len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(_MAX_WORKERS, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 def _require_grid(rc: RunConfig, command: str, param: str):
     if rc.grid_param is None:
         raise SchemaError("grid", f"command {command!r} needs a grid over {param!r}")
@@ -333,7 +320,7 @@ def _cmd_kernel(rc: RunConfig):
         value = schwinger_kernel(e0, ep, rc.field_cfg)
         return [e0, value.real, value.imag, near_caustic(e0, rc.field_cfg)]
 
-    rows = _map_ordered(one, list(rc.grid_values))
+    rows = [one(e0) for e0 in rc.grid_values]
     return ["e0", "kernel_re", "kernel_im", "near_singularity"], rows, None, 0
 
 
@@ -350,19 +337,15 @@ def _cmd_phase_integral(rc: RunConfig):
         return [phi, value.real, value.imag, conj_value.real, conj_value.imag,
                 diag.error_estimate + conj_diag.error_estimate, diag.nodes + conj_diag.nodes]
 
-    rows = _map_ordered(one, list(rc.grid_values))
+    rows = [one(phi) for phi in rc.grid_values]
     header = ["phi", "K_re", "K_im", "K_conj_re", "K_conj_im", "error_estimate", "nodes"]
     return header, rows, None, 0
 
 
 def _cmd_spinfactor(rc: RunConfig):
     _require_grid(rc, "spinfactor", "e0")
-    ctx = rc.context()
-
-    def one(e0):
-        return [e0] + _matrix_row(spin_factor(e0, ctx))
-
-    rows = _map_ordered(one, list(rc.grid_values))
+    factors = spin_factor(np.array(rc.grid_values), rc.context())
+    rows = [[e0] + _matrix_row(sf) for e0, sf in zip(rc.grid_values, factors)]
     return ["e0"] + _matrix_columns("sf"), rows, None, 0
 
 
@@ -374,7 +357,7 @@ def _propagator_rows(rc: RunConfig, evaluate):
         return ([grid_value] + _matrix_row(result.matrix)
                 + [diag.error_estimate, diag.nodes, diag.near_singularity])
 
-    rows = _map_ordered(one, _grid_contexts(rc))
+    rows = [one(pair) for pair in _grid_contexts(rc)]
     header = (["grid_value"] + _matrix_columns("g")
               + ["error_estimate", "nodes", "near_singularity"])
     return header, rows
@@ -391,10 +374,7 @@ def _cmd_gf_k0(rc: RunConfig):
 
 
 def _cmd_dirac(rc: RunConfig):
-    def one(pair):
-        return [pair[0]] + _matrix_row(dirac_apply(pair[1]))
-
-    rows = _map_ordered(one, _grid_contexts(rc))
+    rows = [[value] + _matrix_row(dirac_apply(ctx)) for value, ctx in _grid_contexts(rc)]
     return ["grid_value"] + _matrix_columns("s"), rows, None, 0
 
 
@@ -412,11 +392,9 @@ def _cmd_limits(rc: RunConfig):
     rows = []
 
     base = rc.context()
-    zero_cfg = FieldConfig(g=rc.field_cfg.g, B=rc.field_cfg.B, profile=ZeroProfile(),
-                           phi0=rc.field_cfg.phi0)
-    both = replace(base, cfg=zero_cfg)
-    dev_routes = float(np.max(np.abs(green_function(both).matrix
-                                     - green_function_zero_k(both).matrix)))
+    zero_k = green_function_zero_k(base).matrix
+    ref_routes = zero_profile_green(rc.x_a, rc.x_b, rc.pL, rc.m, rc.field_cfg.g * rc.field_cfg.B)
+    dev_routes = float(np.max(np.abs(zero_k - ref_routes)))
     rows.append(["zero-profile-route-equivalence", dev_routes, 1e-10, dev_routes <= 1e-10])
 
     free_ctx = replace(base, cfg=FieldConfig(g=1.0, B=1e-6, profile=ZeroProfile()),

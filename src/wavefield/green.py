@@ -1,15 +1,15 @@
 """Green-function assembly in the mixed (fixed longitudinal momentum,
 transverse position) representation.
 
-The value is a single proper-time integral along the rotated ray
-e0 = s exp(+i theta), s in (0, e0_max], theta in (0, pi/2):
+Along the rotated ray e0 = s exp(+i theta), s in (0, e0_max], theta in
+(0, pi/2), G is two scalar proper-time integrals times two fixed matrices:
 
-    G = int de0 (-i/2) * kernel(e0) * exp(long_phase + cross_phase) * spin_factor(e0)
+    G = I+ M+ + I- M-,   I+- = int de0 (-i/2) kernel(e0) exp(long + cross) exp(+-i e0 g B/2)
 
-where the transverse kernel carries its own magnetic phase, the longitudinal
-phase is i pL.dx^L + i (e0/2)(pL^2 - m^2), the cross phase is the
-e0-independent plane-wave/magnetic mixing exponent, and the spin factor are
-the projector braces dressed by the phase-integral kernels.
+where the transverse kernel carries its own magnetic phase, `long` is
+i pL.dx^L + i (e0/2)(pL^2 - m^2), `cross` is the e0-independent
+plane-wave/magnetic mixing exponent, and M+- are the projector braces dressed
+by the phase-integral kernels (P+- for a zero profile, the zero-k limit).
 
 Absolute convergence on the ray needs dot(pL, pL) > m^2 (the longitudinal
 phase decays at large s) and distinct transverse endpoints (the kernel decays
@@ -18,24 +18,20 @@ at small s); both are checked up front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .conventions import (DEFAULT_ABS_TOL, DEFAULT_CONTOUR_ANGLE, DEFAULT_E0_MAX,
                           DEFAULT_REL_TOL, DEFAULT_VOLKOV_SIGN)
 from .errors import ContourCaustic, QuadratureFailure, RangeError, StepCalibrationFailure
-from .fields import FieldConfig
+from .fields import FieldConfig, ZeroProfile
 from .kernels import (NEAR_CAUSTIC_THRESHOLD, KernelDiagnostics, TransverseEndpoints,
                       cross_phase, drift_at_phi, longitudinal_phase, schwinger_kernel,
                       volkov_kernel, volkov_kernel_conj)
 from .minkowski import (GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS, SLASH_EPS,
                         SLASH_EPS_CONJ, SLASH_K, WAVE_K, dot, transverse_project)
 from .quadrature import adaptive_quad
-
-#: The longitudinal fluctuation Gaussian is exactly unity (its linear source is
-#: a null vector), so it enters the assembly as a literal factor 1.
-LONGITUDINAL_FLUCTUATION_FACTOR = 1.0
 
 #: Minimum |sin(e0 g B / 2)| seen along the ray before declaring a caustic hit.
 CONTOUR_CAUSTIC_TOLERANCE = 1e-8
@@ -54,14 +50,11 @@ class EvalContext:
     e0_max: float = DEFAULT_E0_MAX
     abs_tol: float = DEFAULT_ABS_TOL
     rel_tol: float = DEFAULT_REL_TOL
-    y0: np.ndarray = field(default=None)
     volkov_sign: int = DEFAULT_VOLKOV_SIGN
 
     def __post_init__(self):
         for name in ("x_a", "x_b", "pL"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        y0 = np.zeros(4) if self.y0 is None else np.asarray(self.y0, dtype=float)
-        object.__setattr__(self, "y0", y0)
         if not 0.0 < self.theta < np.pi / 2.0:
             raise RangeError(f"contour angle must lie in (0, pi/2), got {self.theta!r}")
         if self.e0_max <= 0.0:
@@ -97,57 +90,56 @@ class PropagatorValue:
 
 @dataclass(frozen=True)
 class _Prepared:
-    """Per-context, e0-independent pieces of the integrand."""
+    """Per-context, e0-independent pieces of the integrand (weight is R)."""
 
     endpoints: TransverseEndpoints
     cross: complex
-    k_b: complex
-    k_a: complex
-    kstar_b: complex
-    kstar_a: complex
+    plus: np.ndarray
+    minus: np.ndarray
+    weight: np.ndarray
 
 
 def _prepare(ctx: EvalContext) -> _Prepared:
     cfg = ctx.cfg
-    y_a = np.asarray(ctx.y0, dtype=complex)
-    if cfg.profile.is_zero and not np.any(y_a):
-        y_b = y_a
-    else:
-        y_b = drift_at_phi(ctx.phi_b, y_a, cfg, ctx.pL, ctx.phi_a)
-    endpoints = TransverseEndpoints.from_vectors(transverse_project(ctx.x_a) - y_a,
+    y_b = drift_at_phi(ctx.phi_b, np.zeros(4, dtype=complex), cfg, ctx.pL, ctx.phi_a)
+    endpoints = TransverseEndpoints.from_vectors(transverse_project(ctx.x_a),
                                                  transverse_project(ctx.x_b) - y_b)
-    cross = cross_phase(cfg, ctx.pL, ctx.x_a, ctx.x_b, y0=ctx.y0,
-                        abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol)
+    cross = cross_phase(cfg, ctx.pL, ctx.x_a, ctx.x_b, abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol)
     kw = dict(pL=ctx.pL, cfg=cfg, phi0=ctx.phi0, sign=ctx.volkov_sign)
-    return _Prepared(
-        endpoints=endpoints, cross=cross,
-        k_b=volkov_kernel(ctx.phi_b, **kw), k_a=volkov_kernel(ctx.phi_a, **kw),
-        kstar_b=volkov_kernel_conj(ctx.phi_b, **kw), kstar_a=volkov_kernel_conj(ctx.phi_a, **kw))
+    plus = (IDENTITY4 - (SLASH_K @ SLASH_EPS_CONJ) * volkov_kernel(ctx.phi_b, **kw)) @ P_PLUS @ \
+           (IDENTITY4 + (SLASH_K @ SLASH_EPS) * volkov_kernel_conj(ctx.phi_a, **kw))
+    minus = (IDENTITY4 - (SLASH_K @ SLASH_EPS) * volkov_kernel_conj(ctx.phi_b, **kw)) @ P_MINUS @ \
+            (IDENTITY4 + (SLASH_K @ SLASH_EPS_CONJ) * volkov_kernel(ctx.phi_a, **kw))
+    weight = np.linalg.qr(np.stack([plus.ravel(), minus.ravel()], axis=1), mode="r")
+    return _Prepared(endpoints=endpoints, cross=cross, plus=plus, minus=minus, weight=weight)
 
 
-def _braces(e0: complex, cfg: FieldConfig, k_b, k_a, kstar_b, kstar_a) -> np.ndarray:
-    w = e0 * cfg.g * cfg.B / 2.0
-    plus = (IDENTITY4 - (SLASH_K @ SLASH_EPS_CONJ) * k_b) @ P_PLUS @ \
-           (IDENTITY4 + (SLASH_K @ SLASH_EPS) * kstar_a)
-    minus = (IDENTITY4 - (SLASH_K @ SLASH_EPS) * kstar_b) @ P_MINUS @ \
-            (IDENTITY4 + (SLASH_K @ SLASH_EPS_CONJ) * k_a)
-    return np.exp(1j * w) * plus + np.exp(-1j * w) * minus
+def _assemble(pre: _Prepared, weighted) -> np.ndarray:
+    """I+ M+ + I- M- from R (I+, I-) in the last axis of `weighted`."""
+    r = pre.weight
+    i_minus = weighted[..., 1] / r[1, 1]
+    i_plus = (weighted[..., 0] - r[0, 1] * i_minus) / r[0, 0]
+    return np.multiply.outer(i_plus, pre.plus) + np.multiply.outer(i_minus, pre.minus)
 
 
-def spin_factor(e0: complex, ctx: EvalContext) -> np.ndarray:
-    """Projector braces at one proper-time node, dressed by the phase integrals."""
+def spin_factor(e0, ctx: EvalContext) -> np.ndarray:
+    """Dressed projector braces exp(+i w) M+ + exp(-i w) M-, w = e0 g B / 2,
+    at one proper-time node or at each node of an array (set-up runs once)."""
     pre = _prepare(ctx)
-    return _braces(e0, ctx.cfg, pre.k_b, pre.k_a, pre.kstar_b, pre.kstar_a)
+    w = np.asarray(e0) * ctx.cfg.g * ctx.cfg.B / 2.0
+    return np.multiply.outer(np.exp(1j * w), pre.plus) + np.multiply.outer(np.exp(-1j * w), pre.minus)
 
 
-def proper_time_integrand(e0: complex, ctx: EvalContext, _pre: _Prepared | None = None) -> np.ndarray:
-    """Full matrix integrand at one proper-time node (deltas already consumed,
-    phi_a = dot(k, x_a), phi_b = dot(k, x_b))."""
-    pre = _prepare(ctx) if _pre is None else _pre
-    kernel = schwinger_kernel(e0, pre.endpoints, ctx.cfg)
-    phase = np.exp(longitudinal_phase(e0, ctx.x_a, ctx.x_b, ctx.pL, ctx.m) + pre.cross)
-    braces = _braces(e0, ctx.cfg, pre.k_b, pre.k_a, pre.kstar_b, pre.kstar_a)
-    return (-0.5j) * LONGITUDINAL_FLUCTUATION_FACTOR * kernel * phase * braces
+def _ray_node(ctx: EvalContext, pre: _Prepared):
+    """Node function e0 -> R (f e^{+iw}, f e^{-iw}), R the triangular QR factor of
+    [vec M+, vec M-]: its norm is the Frobenius norm of the matrix integrand, so
+    the stopping rule and the error estimate measure G itself."""
+    def node(e0):
+        f = -0.5j * schwinger_kernel(e0, pre.endpoints, ctx.cfg) \
+            * np.exp(longitudinal_phase(e0, ctx.x_a, ctx.x_b, ctx.pL, ctx.m) + pre.cross)
+        w = e0 * ctx.cfg.g * ctx.cfg.B / 2.0
+        return pre.weight @ np.array([f * np.exp(1j * w), f * np.exp(-1j * w)])
+    return node
 
 
 def _check_ray_domain(ctx: EvalContext, endpoints: TransverseEndpoints):
@@ -162,7 +154,7 @@ def _check_ray_domain(ctx: EvalContext, endpoints: TransverseEndpoints):
 
 
 def _integrate_ray(node, ctx: EvalContext):
-    """Integrate a matrix-valued node function along e0 = s exp(i theta)."""
+    """Integrate an array-valued node function along e0 = s exp(i theta)."""
     ray = np.exp(1j * ctx.theta)
     min_sin = [np.inf]
 
@@ -195,39 +187,34 @@ def green_function(ctx: EvalContext) -> PropagatorValue:
     """Mixed-representation Green function at fixed longitudinal momentum."""
     pre = _prepare(ctx)
     _check_ray_domain(ctx, pre.endpoints)
-    matrix, diag = _integrate_ray(lambda e0: proper_time_integrand(e0, ctx, _pre=pre), ctx)
-    return PropagatorValue(matrix=matrix, diagnostics=diag, contour_angle=ctx.theta)
+    weighted, diag = _integrate_ray(_ray_node(ctx, pre), ctx)
+    return PropagatorValue(matrix=_assemble(pre, weighted), diagnostics=diag,
+                           contour_angle=ctx.theta)
 
 
-def zero_k_integrand(e0: complex, ctx: EvalContext) -> np.ndarray:
-    """Integrand of the vanishing-wave-vector limit (profile ignored)."""
-    endpoints = TransverseEndpoints.from_vectors(transverse_project(ctx.x_a),
-                                                 transverse_project(ctx.x_b))
-    kernel = schwinger_kernel(e0, endpoints, ctx.cfg)
-    phase = np.exp(longitudinal_phase(e0, ctx.x_a, ctx.x_b, ctx.pL, ctx.m))
-    w = e0 * ctx.cfg.g * ctx.cfg.B / 2.0
-    return (-0.5j) * kernel * phase * (np.exp(1j * w) * P_PLUS + np.exp(-1j * w) * P_MINUS)
+def _without_profile(ctx: EvalContext) -> EvalContext:
+    return replace(ctx, cfg=replace(ctx.cfg, profile=ZeroProfile()))
 
 
 def green_function_zero_k(ctx: EvalContext) -> PropagatorValue:
-    """Green function in the vanishing-wave-vector limit (magnetic field only)."""
-    endpoints = TransverseEndpoints.from_vectors(transverse_project(ctx.x_a),
-                                                 transverse_project(ctx.x_b))
-    _check_ray_domain(ctx, endpoints)
-    matrix, diag = _integrate_ray(lambda e0: zero_k_integrand(e0, ctx), ctx)
-    return PropagatorValue(matrix=matrix, diagnostics=diag, contour_angle=ctx.theta)
+    """Vanishing-wave-vector limit (magnetic field only): `green_function`
+    with the profile set to zero."""
+    return green_function(_without_profile(ctx))
 
 
 def zero_k_value_and_gradient(ctx: EvalContext):
     """(G, [dG/dx_b^mu]) for the zero-wave-vector limit, by analytic
-    differentiation of the integrand (dual route to the finite differences)."""
-    endpoints = TransverseEndpoints.from_vectors(transverse_project(ctx.x_a),
-                                                 transverse_project(ctx.x_b))
+    differentiation of the integrand (dual route to the finite differences):
+    the transverse derivatives are extra scalar weights on the same nodes."""
+    ctx = _without_profile(ctx)
+    pre = _prepare(ctx)
+    endpoints = pre.endpoints
     _check_ray_domain(ctx, endpoints)
     gb = ctx.cfg.g * ctx.cfg.B
+    ray_node = _ray_node(ctx, pre)
 
     def node(e0):
-        base = zero_k_integrand(e0, ctx)
+        base = ray_node(e0)
         if gb == 0.0:
             c0 = -1j * (endpoints.xb1 - endpoints.xa1) / e0
             c1 = -1j * (endpoints.xb2 - endpoints.xa2) / e0
@@ -238,8 +225,8 @@ def zero_k_value_and_gradient(ctx: EvalContext):
             c1 = 0.5j * gb * (-endpoints.xa1 - cot * (endpoints.xb2 - endpoints.xa2))
         return np.stack([base, c0 * base, c1 * base])
 
-    stacked, _ = _integrate_ray(node, ctx)
-    value, d0, d1 = stacked[0], stacked[1], stacked[2]
+    weighted, _ = _integrate_ray(node, ctx)
+    value, d0, d1 = _assemble(pre, weighted)
     d2 = 1j * METRIC[2] * ctx.pL[2] * value
     d3 = 1j * METRIC[3] * ctx.pL[3] * value
     return value, [d0, d1, d2, d3]

@@ -169,16 +169,14 @@ def drift_at_phi(phi: float, y0: np.ndarray, cfg: FieldConfig, pL: np.ndarray,
 
 
 def cross_phase(cfg: FieldConfig, pL: np.ndarray, x_a: np.ndarray, x_b: np.ndarray,
-                y0: np.ndarray | None = None, abs_tol: float = 1e-10,
-                rel_tol: float = 1e-8) -> complex:
-    """Plane-wave/magnetic mixing exponent -i (g/2) (action integral + boundary term)."""
-    y0 = np.zeros(4, dtype=complex) if y0 is None else np.asarray(y0, dtype=complex)
+                abs_tol: float = 1e-10, rel_tol: float = 1e-8) -> complex:
+    """Mixing exponent -i (g/2) (action integral + boundary term), drift at rest at phi_a."""
+    if cfg.profile.is_zero:
+        return 0.0j
     phi_a = dot(WAVE_K, x_a).real
     phi_b = dot(WAVE_K, x_b).real
     tensor = cfg.tensor
-
-    if cfg.profile.is_zero and not np.any(y0):
-        return 0.0j
+    y_a = np.zeros(4, dtype=complex)
 
     kp = dot(WAVE_K, pL)
     if kp == 0:
@@ -189,14 +187,12 @@ def cross_phase(cfg: FieldConfig, pL: np.ndarray, x_a: np.ndarray, x_b: np.ndarr
         return rate * (cfg.profile.potential(phi) - tensor.apply(y))
 
     def action_density(phi):
-        y = drift_at_phi(phi, y0, cfg, pL, phi_a, abs_tol=abs_tol * 1e-2, rel_tol=rel_tol * 1e-2)
+        y = drift_at_phi(phi, y_a, cfg, pL, phi_a, abs_tol=abs_tol * 1e-2, rel_tol=rel_tol * 1e-2)
         return dot(cfg.profile.potential(phi), slope(phi, y))
 
     integral = adaptive_quad(action_density, phi_a, phi_b,
                              abs_tol=abs_tol, rel_tol=rel_tol).value
 
-    y_b = drift_at_phi(phi_b, y0, cfg, pL, phi_a, abs_tol=abs_tol * 1e-2, rel_tol=rel_tol * 1e-2)
-    x_t_a = transverse_project(x_a) - y0
-    x_t_b = transverse_project(x_b) - y_b
-    boundary = dot(x_t_b, tensor.apply(y_b)) - dot(x_t_a, tensor.apply(y0))
+    y_b = drift_at_phi(phi_b, y_a, cfg, pL, phi_a, abs_tol=abs_tol * 1e-2, rel_tol=rel_tol * 1e-2)
+    boundary = dot(transverse_project(x_b) - y_b, tensor.apply(y_b))
     return -0.5j * cfg.g * (integral + boundary)

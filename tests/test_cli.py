@@ -48,7 +48,6 @@ def test_parse_config_defaults():
     assert rc.theta == pytest.approx(math.pi / 4.0)
     assert rc.e0_max == 60.0
     assert rc.abs_tol == 1e-10 and rc.rel_tol == 1e-8
-    assert np.array_equal(rc.y0, np.zeros(4))
     assert rc.grid_param is None and rc.grid_values == ()
     assert rc.volkov_sign == +1
     assert rc.field_cfg.phi0 is None
@@ -65,6 +64,7 @@ def test_schema_error_paths():
         ({"field": dict(_field(), Bmax=2.0), "eval": _eval()}, "field.Bmax"),
         ({"field": {"g": 0.9, "B": 0.5}, "eval": _eval()}, "field.profile"),
         ({"field": _field(), "eval": _eval(x_a=[0.0, 0.0])}, "eval.x_a"),
+        ({"field": _field(), "eval": _eval(y0=[0.1, 0.2, 0.0, 0.0])}, "eval.y0"),
         (_config(grid={"param": "pL3", "values": [1.8, "two"]}), "grid.values[1]"),
         (_config(extra={}), "$.extra"),
         ({"eval": _eval()}, "field"),

@@ -3,10 +3,9 @@ import pytest
 
 from wavefield.errors import QuadratureFailure, RangeError, StepCalibrationFailure
 from wavefield.fields import CircularProfile, FieldConfig, ZeroProfile
-from wavefield.green import (LONGITUDINAL_FLUCTUATION_FACTOR, EvalContext,
-                             dirac_apply, green_function, green_function_zero_k,
-                             position_space_green, spin_factor,
-                             total_potential_lowered, zero_k_value_and_gradient)
+from wavefield.green import (EvalContext, dirac_apply, green_function, green_function_zero_k,
+                             position_space_green, spin_factor, total_potential_lowered,
+                             zero_k_value_and_gradient)
 from wavefield.minkowski import GAMMA, IDENTITY4, P_MINUS, P_PLUS, dot
 
 XA = np.array([0.1, -0.2, 0.3, 0.0])
@@ -20,10 +19,6 @@ def _ctx(cfg=ZCFG, **kw):
     base = dict(m=0.8, x_a=XA, x_b=XB, pL=PL, cfg=cfg)
     base.update(kw)
     return EvalContext(**base)
-
-
-def test_fluctuation_factor_is_unity():
-    assert LONGITUDINAL_FLUCTUATION_FACTOR == 1.0
 
 
 def test_context_validation():
@@ -58,6 +53,20 @@ def test_zero_profile_spin_factor_is_bare_projectors():
     assert np.array_equal(spin_factor(e0, ctx), expected)
     dressed = spin_factor(e0, _ctx(cfg=WCFG))
     assert not np.allclose(dressed, expected, atol=1e-6)
+
+
+def test_spin_factor_over_an_array_of_nodes():
+    ctx = _ctx(cfg=WCFG)
+    nodes = np.array([0.3, 0.7 + 0.2j, 2.0j])
+    stacked = spin_factor(nodes, ctx)
+    assert stacked.shape == (3, 4, 4)
+    for e0, factor in zip(nodes, stacked):
+        np.testing.assert_allclose(factor, spin_factor(e0, ctx), rtol=1e-15, atol=1e-15)
+
+
+def test_zero_k_limit_ignores_the_profile():
+    assert np.array_equal(green_function_zero_k(_ctx(cfg=WCFG)).matrix,
+                          green_function(_ctx(cfg=FieldConfig(g=WCFG.g, B=WCFG.B))).matrix)
 
 
 def test_zero_profile_routes_are_identical():

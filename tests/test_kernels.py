@@ -127,8 +127,6 @@ def test_cross_phase_zero_without_profile_and_drift():
     x_a = np.array([0.1, -0.2, 0.3, 0.0])
     x_b = np.array([0.6, 0.4, -0.1, 0.5])
     assert cross_phase(ZCFG, pL, x_a, x_b) == 0.0
-    seeded = cross_phase(ZCFG, pL, x_a, x_b, y0=np.array([0.2, 0.1, 0.0, 0.0]))
-    assert seeded != 0.0
 
 
 def test_cross_phase_pure_imaginary_for_real_data():

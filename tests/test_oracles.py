@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from wavefield.errors import ResonantDenominator
 from wavefield.fields import FieldConfig, ZeroProfile
 from wavefield.kernels import schwinger_kernel, TransverseEndpoints
+from wavefield.minkowski import IDENTITY4
 from wavefield.oracles import (SliceLattice, free_kernel, free_propagator,
                                richardson_extrapolate, sliced_kernel,
-                               volkov_kernel_closed_form)
+                               volkov_kernel_closed_form, zero_profile_green)
 
 XA = (0.2, -0.1)
 XB = (0.9, 0.4)
@@ -81,6 +83,42 @@ def test_free_propagator_values():
     assert 0 < abs(far) < abs(near)
     shifted = free_propagator([0, 0, 0, 0], [0.5, 0, 0.4, -0.1], pL, m=0.8)
     assert abs(shifted) == pytest.approx(abs(near), rel=1e-12)
+
+
+def _free_deviation(x_b, pL, m, b):
+    ref = free_propagator([0, 0, 0, 0], x_b, pL, m)
+    value = zero_profile_green([0, 0, 0, 0], x_b, pL, m, b)
+    return float(np.max(np.abs(value - ref * IDENTITY4))) / abs(ref)
+
+
+def test_zero_profile_oracle_reduces_to_free_propagator():
+    pL = np.array([0.0, 0.0, 0.2, 2.0])
+    for x_b in ([0.5, 0.0, 0.4, -0.1], [1.1, -0.7, 0.0, 0.3]):
+        assert _free_deviation(x_b, pL, 0.8, 0.0) < 1e-12
+        weak = _free_deviation(x_b, pL, 0.8, 1e-4)
+        assert weak < 1e-3
+        # the spin splitting exp(-+b tau/2) is first order in b
+        assert _free_deviation(x_b, pL, 0.8, 1e-6) < weak / 50.0
+
+
+def test_zero_profile_oracle_raises_no_runtime_warning():
+    m = 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for gap in (1.5, 4.0, 20.0):
+            pL = np.array([0.0, 0.0, 0.0, np.sqrt(gap + m * m)])
+            for separation in (0.3, 1.0, 5.0):
+                for b in (1e-4, 0.5, 5.0, 50.0, -3.0):
+                    value = zero_profile_green([0, 0, 0, 0], [separation, 0.0, 0.2, 0.1],
+                                               pL, m, b)
+                    assert np.all(np.isfinite(value))
+
+
+def test_zero_profile_oracle_domain_checks():
+    with pytest.raises(ValueError):
+        zero_profile_green([0, 0, 0, 0], [1, 0, 0, 0], [0.0, 0.0, 0.0, 1.0], m=2.0, b=0.5)
+    with pytest.raises(ValueError):
+        zero_profile_green([0.3, 0.2, 0, 0], [0.3, 0.2, 1, 1], [0.0, 0.0, 0.2, 2.0], m=0.8, b=0.5)
 
 
 def test_oracles_do_not_import_production_modules():
