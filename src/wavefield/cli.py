@@ -33,13 +33,20 @@ from .errors import (ContourCaustic, DivisionByZero, InvalidProfile, KernelSingu
                      WavefieldError)
 from .fields import FieldConfig, ZeroProfile, make_profile
 from .green import EvalContext, dirac_apply, green_function, green_function_zero_k, spin_factor
-from .kernels import TransverseEndpoints, near_caustic, schwinger_kernel, volkov_kernel_full
+from .kernels import TransverseEndpoints, near_caustic, phase_pass, schwinger_kernel
 from .minkowski import IDENTITY4
 from .oracles import free_kernel, free_propagator, zero_profile_green
 
 _COMMANDS = ("identities", "kernel", "K", "spinfactor", "gf", "gf-k0", "dirac",
              "verify", "limits")
 _SCHEMA_EXIT, _SINGULAR_EXIT, _QUADRATURE_EXIT, _VERIFY_EXIT = 2, 3, 4, 5
+_EXIT_CODES = (
+    ((SchemaError, RangeError, InvalidProfile), _SCHEMA_EXIT),
+    ((KernelSingularity, PoleError, DivisionByZero, ContourCaustic, ResonantQ,
+      ResonantDenominator, SingularForm), _SINGULAR_EXIT),
+    ((QuadratureFailure, StepCalibrationFailure), _QUADRATURE_EXIT),
+    ((WavefieldError,), _VERIFY_EXIT),
+)
 _GRID_COMPONENTS = {"xb0": 0, "xb1": 1, "xb2": 2, "xb3": 3, "pL2": 2, "pL3": 3}
 
 
@@ -93,17 +100,20 @@ def _reject_unknown(block: dict, allowed, path: str):
             raise SchemaError(f"{path}.{key}", "unknown field")
 
 
+def _finite(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(path, f"expected a number, got {type(value).__name__}")
+    if not math.isfinite(value):
+        raise RangeError(f"{path} must be finite, got {value!r}")
+    return float(value)
+
+
 def _number(block: dict, key: str, path: str, default=None) -> float:
     if key not in block:
         if default is None:
             raise SchemaError(f"{path}.{key}", "required field is missing")
         return float(default)
-    value = block[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}.{key}", f"expected a number, got {type(value).__name__}")
-    if not math.isfinite(value):
-        raise RangeError(f"{path}.{key} must be finite, got {value!r}")
-    return float(value)
+    return _finite(block[key], f"{path}.{key}")
 
 
 def _vector4(block: dict, key: str, path: str, default=None) -> np.ndarray:
@@ -114,14 +124,7 @@ def _vector4(block: dict, key: str, path: str, default=None) -> np.ndarray:
     value = block[key]
     if not isinstance(value, list) or len(value) != 4:
         raise SchemaError(f"{path}.{key}", "expected a list of 4 numbers")
-    out = []
-    for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise SchemaError(f"{path}.{key}[{i}]", "expected a number")
-        if not math.isfinite(item):
-            raise RangeError(f"{path}.{key}[{i}] must be finite, got {item!r}")
-        out.append(float(item))
-    return np.array(out)
+    return np.array([_finite(item, f"{path}.{key}[{i}]") for i, item in enumerate(value)])
 
 
 def _parse_profile(raw, path: str):
@@ -152,13 +155,7 @@ def _parse_grid(raw, path: str):
     values = block.get("values")
     if not isinstance(values, list) or not values:
         raise SchemaError(f"{path}.values", "expected a non-empty list of numbers")
-    out = []
-    for i, item in enumerate(values):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise SchemaError(f"{path}.values[{i}]", "expected a number")
-        if not math.isfinite(item):
-            raise RangeError(f"{path}.values[{i}] must be finite, got {item!r}")
-        out.append(float(item))
+    out = [_finite(item, f"{path}.values[{i}]") for i, item in enumerate(values)]
     diffs = np.diff(out)
     if len(out) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise RangeError(f"{path}.values must be strictly monotone")
@@ -278,16 +275,12 @@ def _grid_contexts(rc: RunConfig):
         raise SchemaError("grid.param",
                           f"expected one of {sorted(_GRID_COMPONENTS)}, got {rc.grid_param!r}")
     idx = _GRID_COMPONENTS[rc.grid_param]
+    name = "x_b" if rc.grid_param.startswith("xb") else "pL"
     pairs = []
     for value in rc.grid_values:
-        if rc.grid_param.startswith("xb"):
-            vec = np.array(base.x_b)
-            vec[idx] = value
-            pairs.append((value, replace(base, x_b=vec)))
-        else:
-            vec = np.array(base.pL)
-            vec[idx] = value
-            pairs.append((value, replace(base, pL=vec)))
+        vec = np.array(getattr(base, name))
+        vec[idx] = value
+        pairs.append((value, replace(base, **{name: vec})))
     return pairs
 
 
@@ -314,28 +307,21 @@ def _cmd_identities(rc: RunConfig):
 
 def _cmd_kernel(rc: RunConfig):
     _require_grid(rc, "kernel", "e0")
-    ep = TransverseEndpoints.from_vectors(rc.x_a, rc.x_b)
-
-    def one(e0):
-        value = schwinger_kernel(e0, ep, rc.field_cfg)
-        return [e0, value.real, value.imag, near_caustic(e0, rc.field_cfg)]
-
-    rows = [one(e0) for e0 in rc.grid_values]
+    values = schwinger_kernel(np.array(rc.grid_values),
+                              TransverseEndpoints.from_vectors(rc.x_a, rc.x_b), rc.field_cfg)
+    rows = [[e0, value.real, value.imag, near_caustic(e0, rc.field_cfg)]
+            for e0, value in zip(rc.grid_values, values)]
     return ["e0", "kernel_re", "kernel_im", "near_singularity"], rows, None, 0
 
 
 def _cmd_phase_integral(rc: RunConfig):
     _require_grid(rc, "K", "phi")
-    ctx = rc.context()
-    phi0 = ctx.phi0
+    phi0 = rc.context().phi0
 
     def one(phi):
-        value, diag = volkov_kernel_full(phi, rc.pL, rc.field_cfg, phi0,
-                                         sign=rc.volkov_sign)
-        conj_value, conj_diag = volkov_kernel_full(phi, rc.pL, rc.field_cfg, phi0,
-                                                   conjugated=True, sign=rc.volkov_sign)
-        return [phi, value.real, value.imag, conj_value.real, conj_value.imag,
-                diag.error_estimate + conj_diag.error_estimate, diag.nodes + conj_diag.nodes]
+        run = phase_pass(rc.field_cfg, rc.pL, phi, phi, phi0, sign=rc.volkov_sign)
+        return [phi, run.kernel_b.real, run.kernel_b.imag, run.kernel_conj_b.real,
+                run.kernel_conj_b.imag, run.error_estimate, run.nodes]
 
     rows = [one(phi) for phi in rc.grid_values]
     header = ["phi", "K_re", "K_im", "K_conj_re", "K_conj_im", "error_estimate", "nodes"]
@@ -349,7 +335,7 @@ def _cmd_spinfactor(rc: RunConfig):
     return ["e0"] + _matrix_columns("sf"), rows, None, 0
 
 
-def _propagator_rows(rc: RunConfig, evaluate):
+def _propagator_table(rc: RunConfig, evaluate):
     def one(pair):
         grid_value, ctx = pair
         result = evaluate(ctx)
@@ -360,16 +346,6 @@ def _propagator_rows(rc: RunConfig, evaluate):
     rows = [one(pair) for pair in _grid_contexts(rc)]
     header = (["grid_value"] + _matrix_columns("g")
               + ["error_estimate", "nodes", "near_singularity"])
-    return header, rows
-
-
-def _cmd_gf(rc: RunConfig):
-    header, rows = _propagator_rows(rc, green_function)
-    return header, rows, None, 0
-
-
-def _cmd_gf_k0(rc: RunConfig):
-    header, rows = _propagator_rows(rc, green_function_zero_k)
     return header, rows, None, 0
 
 
@@ -421,8 +397,8 @@ _HANDLERS = {
     "kernel": _cmd_kernel,
     "K": _cmd_phase_integral,
     "spinfactor": _cmd_spinfactor,
-    "gf": _cmd_gf,
-    "gf-k0": _cmd_gf_k0,
+    "gf": lambda rc: _propagator_table(rc, green_function),
+    "gf-k0": lambda rc: _propagator_table(rc, green_function_zero_k),
     "dirac": _cmd_dirac,
     "verify": _cmd_verify,
     "limits": _cmd_limits,
@@ -473,19 +449,9 @@ def main(argv=None) -> int:
         if args.profile_sign_toggle:
             rc = replace(rc, volkov_sign=-DEFAULT_VOLKOV_SIGN)
         status = run(args.command, rc, args.out)
-    except (SchemaError, RangeError, InvalidProfile) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _SCHEMA_EXIT
-    except (KernelSingularity, PoleError, DivisionByZero, ContourCaustic,
-            ResonantQ, ResonantDenominator, SingularForm) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _SINGULAR_EXIT
-    except (QuadratureFailure, StepCalibrationFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _QUADRATURE_EXIT
     except WavefieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _VERIFY_EXIT
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
     if status != 0:
         print(f"error: {args.command} reported failures (see {args.out})", file=sys.stderr)
     return status

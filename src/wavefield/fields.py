@@ -4,7 +4,7 @@ The constant part is f_mn = iB (eps_m eps*_n - eps_n eps*_m), stored
 index-lowered; as a map it rotates the transverse plane (f.eps = iB eps,
 f.eps* = -iB eps*, longitudinal vectors are annihilated). The plane-wave
 part is a transverse potential A^p(phi) sampled along the light-cone phase,
-expressed in the real polarization pair e1, e2.
+expressed in the real polarization pair e1, e2, at a phase or an array of them.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import InvalidProfile
+from .errors import InvalidProfile, RangeError
 from .minkowski import E1, E2, EPS, EPS_CONJ, METRIC, WAVE_K
 
 
@@ -38,19 +38,19 @@ class PlaneWaveProfile:
 
     kind = "abstract"
 
-    def components(self, phi: float) -> tuple[float, float]:
+    def components(self, phi):
         raise NotImplementedError
 
-    def slope_components(self, phi: float) -> tuple[float, float]:
+    def slope_components(self, phi):
         raise NotImplementedError
 
-    def potential(self, phi: float) -> np.ndarray:
+    def potential(self, phi) -> np.ndarray:
         a1, a2 = self.components(phi)
-        return a1 * E1 + a2 * E2
+        return np.multiply.outer(a1, E1) + np.multiply.outer(a2, E2)
 
-    def derivative(self, phi: float) -> np.ndarray:
+    def derivative(self, phi) -> np.ndarray:
         d1, d2 = self.slope_components(phi)
-        return d1 * E1 + d2 * E2
+        return np.multiply.outer(d1, E1) + np.multiply.outer(d2, E2)
 
     @property
     def is_zero(self) -> bool:
@@ -64,30 +64,22 @@ class ZeroProfile(PlaneWaveProfile):
     kind = "zero"
 
     def components(self, phi):
-        return 0.0, 0.0
+        return np.zeros(np.shape(phi)), np.zeros(np.shape(phi))
 
     def slope_components(self, phi):
-        return 0.0, 0.0
+        return self.components(phi)
 
     @property
     def is_zero(self):
         return True
 
 
-class LinearProfile(PlaneWaveProfile):
-    """A^p = a cos(nu phi) e1 (linear polarization)."""
-
-    kind = "linear"
+class _Carrier(PlaneWaveProfile):
+    """Profiles with an amplitude a and a carrier frequency nu."""
 
     def __init__(self, amplitude: float, frequency: float):
         self.amplitude = float(amplitude)
         self.frequency = float(frequency)
-
-    def components(self, phi):
-        return self.amplitude * np.cos(self.frequency * phi), 0.0
-
-    def slope_components(self, phi):
-        return -self.amplitude * self.frequency * np.sin(self.frequency * phi), 0.0
 
     @property
     def is_zero(self):
@@ -97,14 +89,22 @@ class LinearProfile(PlaneWaveProfile):
         return {"amplitude": self.amplitude, "frequency": self.frequency}
 
 
-class CircularProfile(PlaneWaveProfile):
+class LinearProfile(_Carrier):
+    """A^p = a cos(nu phi) e1 (linear polarization)."""
+
+    kind = "linear"
+
+    def components(self, phi):
+        return self.amplitude * np.cos(self.frequency * phi), 0.0
+
+    def slope_components(self, phi):
+        return -self.amplitude * self.frequency * np.sin(self.frequency * phi), 0.0
+
+
+class CircularProfile(_Carrier):
     """A^p = a (cos(nu phi) e1 + sin(nu phi) e2)."""
 
     kind = "circular"
-
-    def __init__(self, amplitude: float, frequency: float):
-        self.amplitude = float(amplitude)
-        self.frequency = float(frequency)
 
     def components(self, phi):
         c = self.frequency * phi
@@ -114,15 +114,8 @@ class CircularProfile(PlaneWaveProfile):
         c = self.frequency * phi
         return -self.amplitude * self.frequency * np.sin(c), self.amplitude * self.frequency * np.cos(c)
 
-    @property
-    def is_zero(self):
-        return self.amplitude == 0.0
 
-    def params(self):
-        return {"amplitude": self.amplitude, "frequency": self.frequency}
-
-
-class PulseProfile(PlaneWaveProfile):
+class PulseProfile(_Carrier):
     """Circular carrier under a Gaussian envelope exp(-phi^2 / (2 sigma^2))."""
 
     kind = "pulse"
@@ -130,8 +123,7 @@ class PulseProfile(PlaneWaveProfile):
     def __init__(self, amplitude: float, frequency: float, sigma: float):
         if sigma <= 0:
             raise InvalidProfile(f"pulse sigma must be positive, got {sigma!r}")
-        self.amplitude = float(amplitude)
-        self.frequency = float(frequency)
+        super().__init__(amplitude, frequency)
         self.sigma = float(sigma)
 
     def _envelope(self, phi):
@@ -149,16 +141,13 @@ class PulseProfile(PlaneWaveProfile):
         return env * (damp * np.cos(c) - self.frequency * np.sin(c)), \
                env * (damp * np.sin(c) + self.frequency * np.cos(c))
 
-    @property
-    def is_zero(self):
-        return self.amplitude == 0.0
-
     def params(self):
-        return {"amplitude": self.amplitude, "frequency": self.frequency, "sigma": self.sigma}
+        return {**super().params(), "sigma": self.sigma}
 
 
 class TabulatedProfile(PlaneWaveProfile):
-    """Cubic interpolation (natural end conditions) of sampled components."""
+    """Cubic interpolation (natural end conditions) of sampled components,
+    defined on the grid only: a phase outside it raises RangeError."""
 
     kind = "tabulated"
 
@@ -178,11 +167,17 @@ class TabulatedProfile(PlaneWaveProfile):
         self._d1 = self._s1.derivative()
         self._d2 = self._s2.derivative()
 
+    def _on_grid(self, first, second, phi):
+        if np.any(phi < self.phi_grid[0]) or np.any(phi > self.phi_grid[-1]):
+            raise RangeError(f"tabulated profile evaluated outside its grid "
+                             f"[{self.phi_grid[0]!r}, {self.phi_grid[-1]!r}]")
+        return first(phi), second(phi)
+
     def components(self, phi):
-        return float(self._s1(phi)), float(self._s2(phi))
+        return self._on_grid(self._s1, self._s2, phi)
 
     def slope_components(self, phi):
-        return float(self._d1(phi)), float(self._d2(phi))
+        return self._on_grid(self._d1, self._d2, phi)
 
     def params(self):
         return {"points": int(self.phi_grid.size),

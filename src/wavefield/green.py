@@ -26,9 +26,8 @@ from .conventions import (DEFAULT_ABS_TOL, DEFAULT_CONTOUR_ANGLE, DEFAULT_E0_MAX
                           DEFAULT_REL_TOL, DEFAULT_VOLKOV_SIGN)
 from .errors import ContourCaustic, QuadratureFailure, RangeError, StepCalibrationFailure
 from .fields import FieldConfig, ZeroProfile
-from .kernels import (NEAR_CAUSTIC_THRESHOLD, KernelDiagnostics, TransverseEndpoints,
-                      cross_phase, drift_at_phi, longitudinal_phase, schwinger_kernel,
-                      volkov_kernel, volkov_kernel_conj)
+from .kernels import (NEAR_CAUSTIC_THRESHOLD, SUB_TOLERANCE, KernelDiagnostics, PhasePass,
+                      TransverseEndpoints, longitudinal_phase, phase_pass, schwinger_kernel)
 from .minkowski import (GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS, SLASH_EPS,
                         SLASH_EPS_CONJ, SLASH_K, WAVE_K, dot, transverse_project)
 from .quadrature import adaptive_quad
@@ -97,21 +96,23 @@ class _Prepared:
     plus: np.ndarray
     minus: np.ndarray
     weight: np.ndarray
+    phase: PhasePass
 
 
 def _prepare(ctx: EvalContext) -> _Prepared:
+    """One phase pass: action at the context's tolerances, the rest at SUB_TOLERANCE of them."""
     cfg = ctx.cfg
-    y_b = drift_at_phi(ctx.phi_b, np.zeros(4, dtype=complex), cfg, ctx.pL, ctx.phi_a)
+    run = phase_pass(cfg, ctx.pL, ctx.phi_a, ctx.phi_b, ctx.phi0, sign=ctx.volkov_sign,
+                     abs_tol=ctx.abs_tol * SUB_TOLERANCE, rel_tol=ctx.rel_tol * SUB_TOLERANCE)
     endpoints = TransverseEndpoints.from_vectors(transverse_project(ctx.x_a),
-                                                 transverse_project(ctx.x_b) - y_b)
-    cross = cross_phase(cfg, ctx.pL, ctx.x_a, ctx.x_b, abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol)
-    kw = dict(pL=ctx.pL, cfg=cfg, phi0=ctx.phi0, sign=ctx.volkov_sign)
-    plus = (IDENTITY4 - (SLASH_K @ SLASH_EPS_CONJ) * volkov_kernel(ctx.phi_b, **kw)) @ P_PLUS @ \
-           (IDENTITY4 + (SLASH_K @ SLASH_EPS) * volkov_kernel_conj(ctx.phi_a, **kw))
-    minus = (IDENTITY4 - (SLASH_K @ SLASH_EPS) * volkov_kernel_conj(ctx.phi_b, **kw)) @ P_MINUS @ \
-            (IDENTITY4 + (SLASH_K @ SLASH_EPS_CONJ) * volkov_kernel(ctx.phi_a, **kw))
+                                                 transverse_project(ctx.x_b) - run.drift)
+    plus = (IDENTITY4 - (SLASH_K @ SLASH_EPS_CONJ) * run.kernel_b) @ P_PLUS @ \
+           (IDENTITY4 + (SLASH_K @ SLASH_EPS) * run.kernel_conj_a)
+    minus = (IDENTITY4 - (SLASH_K @ SLASH_EPS) * run.kernel_conj_b) @ P_MINUS @ \
+            (IDENTITY4 + (SLASH_K @ SLASH_EPS_CONJ) * run.kernel_a)
     weight = np.linalg.qr(np.stack([plus.ravel(), minus.ravel()], axis=1), mode="r")
-    return _Prepared(endpoints=endpoints, cross=cross, plus=plus, minus=minus, weight=weight)
+    return _Prepared(endpoints=endpoints, cross=run.cross_phase(cfg, ctx.x_b), plus=plus,
+                     minus=minus, weight=weight, phase=run)
 
 
 def _assemble(pre: _Prepared, weighted) -> np.ndarray:
@@ -131,14 +132,14 @@ def spin_factor(e0, ctx: EvalContext) -> np.ndarray:
 
 
 def _ray_node(ctx: EvalContext, pre: _Prepared):
-    """Node function e0 -> R (f e^{+iw}, f e^{-iw}), R the triangular QR factor of
-    [vec M+, vec M-]: its norm is the Frobenius norm of the matrix integrand, so
-    the stopping rule and the error estimate measure G itself."""
+    """Node function e0 -> R (f e^{+iw}, f e^{-iw}) on an array of nodes, R the triangular
+    QR factor of [vec M+, vec M-]: its norm is the Frobenius norm of the matrix
+    integrand, so the stopping rule and the error estimate measure G itself."""
     def node(e0):
         f = -0.5j * schwinger_kernel(e0, pre.endpoints, ctx.cfg) \
             * np.exp(longitudinal_phase(e0, ctx.x_a, ctx.x_b, ctx.pL, ctx.m) + pre.cross)
         w = e0 * ctx.cfg.g * ctx.cfg.B / 2.0
-        return pre.weight @ np.array([f * np.exp(1j * w), f * np.exp(-1j * w)])
+        return np.stack([f * np.exp(1j * w), f * np.exp(-1j * w)], axis=-1) @ pre.weight.T
     return node
 
 
@@ -153,22 +154,23 @@ def _check_ray_domain(ctx: EvalContext, endpoints: TransverseEndpoints):
             "coincident transverse endpoints: the short-time end of the ray is log-divergent")
 
 
-def _integrate_ray(node, ctx: EvalContext):
+def _integrate_ray(node, ctx: EvalContext, pre: _Prepared):
     """Integrate an array-valued node function along e0 = s exp(i theta)."""
     ray = np.exp(1j * ctx.theta)
-    min_sin = [np.inf]
+    min_sin = np.inf
 
     def f(s):
+        nonlocal min_sin
         e0 = s * ray
         half = e0 * ctx.cfg.g * ctx.cfg.B / 2.0
-        if abs(half) >= 1.0:
-            # sin also vanishes at the short-time end; only half near n pi,
-            # n >= 1, is a caustic
-            sin_mag = abs(np.sin(half))
-            if sin_mag < min_sin[0]:
-                min_sin[0] = sin_mag
-            if sin_mag < CONTOUR_CAUSTIC_TOLERANCE:
-                raise ContourCaustic(f"ray passed within {sin_mag!r} of a caustic at s={s!r}")
+        # sin also vanishes at the short-time end; only half near n pi,
+        # n >= 1, is a caustic
+        sin_mag = np.where(np.abs(half) >= 1.0, np.abs(np.sin(half)), np.inf)
+        least = int(np.argmin(sin_mag))
+        min_sin = min(min_sin, float(sin_mag[least]))
+        if sin_mag[least] < CONTOUR_CAUSTIC_TOLERANCE:
+            raise ContourCaustic(f"ray passed within {sin_mag[least]!r} of a caustic "
+                                 f"at s={s[least]!r}")
         return node(e0) * ray
 
     scale = min(1.0, ctx.e0_max / 10.0)
@@ -176,10 +178,13 @@ def _integrate_ray(node, ctx: EvalContext):
     result = adaptive_quad(f, 0.0, ctx.e0_max, abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol,
                            breakpoints=breaks)
     decay = np.sin(ctx.theta) * ctx.mass_gap / 2.0
-    tail = float(np.linalg.norm(node(ctx.e0_max * ray))) / decay
+    tail = float(np.linalg.norm(node(np.array([ctx.e0_max * ray]))[0])) / decay
     diag = KernelDiagnostics(error_estimate=result.error_estimate + tail,
                              nodes=result.nodes,
-                             near_singularity=bool(min_sin[0] < NEAR_CAUSTIC_THRESHOLD))
+                             near_singularity=bool(min_sin < NEAR_CAUSTIC_THRESHOLD),
+                             prepare_nodes=pre.phase.nodes,
+                             prepare_error=pre.phase.error_estimate,
+                             tail_bound=tail, min_sin=min_sin)
     return result.value, diag
 
 
@@ -187,7 +192,7 @@ def green_function(ctx: EvalContext) -> PropagatorValue:
     """Mixed-representation Green function at fixed longitudinal momentum."""
     pre = _prepare(ctx)
     _check_ray_domain(ctx, pre.endpoints)
-    weighted, diag = _integrate_ray(_ray_node(ctx, pre), ctx)
+    weighted, diag = _integrate_ray(_ray_node(ctx, pre), ctx, pre)
     return PropagatorValue(matrix=_assemble(pre, weighted), diagnostics=diag,
                            contour_angle=ctx.theta)
 
@@ -223,9 +228,9 @@ def zero_k_value_and_gradient(ctx: EvalContext):
             cot = np.cos(w) / np.sin(w)
             c0 = 0.5j * gb * (endpoints.xa2 - cot * (endpoints.xb1 - endpoints.xa1))
             c1 = 0.5j * gb * (-endpoints.xa1 - cot * (endpoints.xb2 - endpoints.xa2))
-        return np.stack([base, c0 * base, c1 * base])
+        return np.stack([base, c0[..., None] * base, c1[..., None] * base], axis=-2)
 
-    weighted, _ = _integrate_ray(node, ctx)
+    weighted, _ = _integrate_ray(node, ctx, pre)
     value, d0, d1 = _assemble(pre, weighted)
     d2 = 1j * METRIC[2] * ctx.pL[2] * value
     d3 = 1j * METRIC[3] * ctx.pL[3] * value

@@ -20,6 +20,10 @@ magnetic mixing action, an exponent contribution
 
 with the drift Y evaluated in the phi parameterization, where the proper-time
 scale drops out: dY/dphi = (g / dot(k, pL)) (A^p(phi) - f Y).
+
+All three are views on one pass along the phase (`phase_pass`): rot(phi - p) =
+rot(phi - phi_a) rot(phi_a - p) makes Y = rate rot(phi - phi_a) C(phi), with C
+two scalar cumulative integrals of rot(phi_a - p) A^p(p) in the eps/eps* basis.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ import numpy as np
 
 from .errors import DivisionByZero, KernelSingularity
 from .fields import FieldConfig
-from .minkowski import (EPS, EPS_CONJ, WAVE_K, dot, longitudinal_project,
+from .minkowski import (EPS, EPS_CONJ, METRIC, WAVE_K, dot, longitudinal_project,
                         transverse_project, transverse_spectral)
-from .quadrature import QuadratureResult, adaptive_quad
+from .quadrature import CUMULATIVE, XK, adaptive_quad
 
 #: |sin(e0 g B / 2)| below this raises KernelSingularity.
 CAUSTIC_TOLERANCE = 1e-10
@@ -57,34 +61,43 @@ class TransverseEndpoints:
 
 @dataclass(frozen=True)
 class KernelDiagnostics:
-    error_estimate: float
-    nodes: int
-    near_singularity: bool
+    error_estimate: float     # ray quadrature error plus tail_bound
+    nodes: int                # ray quadrature nodes
+    near_singularity: bool    # min_sin below NEAR_CAUSTIC_THRESHOLD
+    prepare_nodes: int        # nodes of the phase pass (cross phase, drift, K, K*)
+    prepare_error: float      # its error estimate
+    tail_bound: float         # |integrand(e0_max)| / decay rate, the truncated tail
+    min_sin: float            # smallest |sin(e0 g B / 2)| met on the ray away from e0 = 0
 
 
-def schwinger_kernel(e0: complex, ep: TransverseEndpoints, cfg: FieldConfig) -> complex:
-    """Transverse proper-time kernel of the constant magnetic background.
+def schwinger_kernel(e0, ep: TransverseEndpoints, cfg: FieldConfig):
+    """Transverse proper-time kernel of the constant magnetic background, at
+    one e0 (complex result) or at each of an array of them.
 
     Tends to [i/(2 pi e0)] exp(-i |DX|^2 / (2 e0)) as B -> 0; raises
     KernelSingularity on caustics (|sin(e0 g B / 2)| < 1e-10).
     """
-    if e0 == 0:
+    if np.any(np.asarray(e0) == 0):
         raise KernelSingularity("e0 = 0 is the short-time endpoint")
     half = e0 * cfg.g * cfg.B / 2.0
     s = np.sin(half)
     cross = ep.xb1 * ep.xa2 - ep.xb2 * ep.xa1
     dx2 = (ep.xb1 - ep.xa1) ** 2 + (ep.xb2 - ep.xa2) ** 2
-    if half == 0:
+    if not np.any(half):
         # B = 0: free transverse kernel (the limit the magnetic one tends to)
-        return complex(1j / (2.0 * np.pi * e0) * np.exp(-1j * dx2 / (2.0 * e0)))
-    # sin vanishes both at caustics (half near n pi, n >= 1) and at the
-    # harmless short-time end half -> 0, where the formula is still stable;
-    # only the former is an error.
-    if abs(s) < CAUSTIC_TOLERANCE and abs(half) >= 1.0:
-        raise KernelSingularity(f"caustic: |sin(e0 g B / 2)| = {float(abs(s)):.3e} at e0={e0!r}")
-    prefactor = 1j * cfg.g * cfg.B / (4.0 * np.pi * s)
-    exponent = 1j * (cfg.g * cfg.B / 2.0) * (cross - 0.5 * (np.cos(half) / s) * dx2)
-    return complex(prefactor * np.exp(exponent))
+        value = 1j / (2.0 * np.pi * e0) * np.exp(-1j * dx2 / (2.0 * e0))
+    else:
+        # sin vanishes both at caustics (half near n pi, n >= 1) and at the
+        # harmless short-time end half -> 0, where the formula is still
+        # stable; only the former is an error.
+        caustic = (np.abs(s) < CAUSTIC_TOLERANCE) & (np.abs(half) >= 1.0)
+        if np.any(caustic):
+            raise KernelSingularity(f"caustic: |sin(e0 g B / 2)| < {CAUSTIC_TOLERANCE:g} "
+                                    f"at e0={np.asarray(e0)[caustic]!r}")
+        prefactor = 1j * cfg.g * cfg.B / (4.0 * np.pi * s)
+        exponent = 1j * (cfg.g * cfg.B / 2.0) * (cross - 0.5 * (np.cos(half) / s) * dx2)
+        value = prefactor * np.exp(exponent)
+    return complex(value) if np.ndim(value) == 0 else value
 
 
 def near_caustic(e0: complex, cfg: FieldConfig, threshold: float = NEAR_CAUSTIC_THRESHOLD) -> bool:
@@ -97,39 +110,92 @@ def spin_determinant(e0: complex, cfg: FieldConfig) -> complex:
     return complex(np.cos(e0 * cfg.g * cfg.B / 2.0))
 
 
-def _volkov_quad(phi: float, pL: np.ndarray, cfg: FieldConfig, phi0: float,
-                 conjugated: bool, sign: int, abs_tol: float, rel_tol: float):
+#: The drift and phase-integral columns of `phase_pass` meet this share of
+#: the tolerances its action column meets.
+SUB_TOLERANCE = 1e-2
+
+
+@dataclass(frozen=True)
+class PhasePass:
+    """What the wave phase contributes between phi_a and phi_b (drift at rest
+    at phi_a), with the kernels K, K* integrated from phi0."""
+
+    action: complex           # int_{phi_a}^{phi_b} A^p . dY/dphi dphi
+    drift: np.ndarray         # Y(phi_b)
+    kernel_a: complex         # K(phi_a)
+    kernel_conj_a: complex    # K*(phi_a)
+    kernel_b: complex         # K(phi_b)
+    kernel_conj_b: complex    # K*(phi_b)
+    nodes: int
+    error_estimate: float
+
+    def cross_phase(self, cfg: FieldConfig, x_b: np.ndarray) -> complex:
+        """Mixing exponent -i (g/2) (action integral + boundary term) of a path ending at x_b."""
+        boundary = dot(transverse_project(x_b) - self.drift, cfg.tensor.apply(self.drift))
+        return -0.5j * cfg.g * (self.action + boundary)
+
+
+def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b: float, phi0: float,
+               sign: int = +1, abs_tol: float = 1e-12, rel_tol: float = 1e-10) -> PhasePass:
+    """One adaptive quadrature on the hull of (phi0, phi_a, phi_b), breakpoints at
+    the three, of five columns: C's two integrands and the action density with C
+    counted from the panel's left edge (all zero off [phi_a, phi_b]; the action
+    weighted by SUB_TOLERANCE), and K's and K*'s integrands. Cumulative sums of
+    the panel integrals supply C at the panel edges and so the rest."""
+    nothing = PhasePass(0.0j, np.zeros(4, dtype=complex), 0.0j, 0.0j, 0.0j, 0.0j, 0, 0.0)
     if cfg.profile.is_zero:
-        return 0.0j, QuadratureResult(0.0j, 0.0, 0)
+        return nothing
     kp = dot(WAVE_K, pL)
     if kp == 0:
         raise DivisionByZero("dot(k, pL) = 0 with a non-zero profile")
-    beta = cfg.g * cfg.B / kp
-    eps = EPS_CONJ if conjugated else EPS
-    orient = -1.0 if conjugated else 1.0
-    quad = adaptive_quad(
-        lambda p: np.exp(1j * orient * sign * beta * p) * dot(eps, cfg.profile.derivative(p)),
-        float(phi0), float(phi), abs_tol=abs_tol, rel_tol=rel_tol)
-    value = cfg.g / (2.0 * kp) * np.exp(1j * orient * beta * phi) * quad.value
-    return complex(value), quad
+    lo, hi = min(phi_a, phi_b), max(phi_a, phi_b)
+    start, stop = min(phi0, lo), max(phi0, hi)
+    if start == stop:
+        return nothing
+    rate, beta = cfg.g / kp, cfg.g * cfg.B / kp          # beta = rate B turns the drift
+
+    def columns(x):
+        # eps and eps* components pair with eps* and eps; x[7] is the panel midpoint
+        pot, slope = cfg.profile.potential(x), cfg.profile.derivative(x)
+        turn = float(lo < x[7] < hi) * np.exp(1j * beta * (x - phi_a))
+        drift = np.stack([turn * (pot @ (METRIC * EPS_CONJ)),
+                          turn.conj() * (pot @ (METRIC * EPS))], axis=1)
+        half = (x[-1] - x[0]) / (XK[-1] - XK[0])
+        c_eps, c_conj = half * (CUMULATIVE @ drift).T          # C - C(panel's left edge)
+        d_eps, d_conj = drift.T
+        action = rate * (2.0 * d_eps * d_conj + 1j * beta * (d_eps * c_conj - d_conj * c_eps))
+        return np.stack([d_eps, d_conj, np.exp(1j * sign * beta * x) * (slope @ (METRIC * EPS)),
+                         np.exp(-1j * sign * beta * x) * (slope @ (METRIC * EPS_CONJ)),
+                         SUB_TOLERANCE * action], axis=1)
+
+    quad = adaptive_quad(columns, start, stop, abs_tol=abs_tol, rel_tol=rel_tol,
+                         breakpoints=[phi0, phi_a, phi_b])
+    edges = [panel[0] for panel in quad.panels] + [stop]
+    values = np.array([panel[2] for panel in quad.panels])
+    cumulative = np.concatenate([np.zeros((1, 5)), np.cumsum(values, axis=0)])
+    at_a, at_b, at_0 = (cumulative[np.searchsorted(edges, phi)] for phi in (phi_a, phi_b, phi0))
+    # each panel's drift integrals times C at its left edge: the action's cross-panel part
+    c_eps, c_conj = (cumulative[:-1, :2] - at_a[:2]).T
+    area = np.sum(c_conj * values[:, 0] - c_eps * values[:, 1])
+    action = (at_b[4] - at_a[4]) / SUB_TOLERANCE + np.sign(phi_b - phi_a) * 1j * rate * beta * area
+    turn = np.exp(1j * beta * (phi_b - phi_a))
+    drift = rate * (EPS * (at_b[0] - at_a[0]) / turn + EPS_CONJ * turn * (at_b[1] - at_a[1]))
+    scale = cfg.g / (2.0 * kp)
+    kernels = [complex(scale * np.exp(orient * 1j * beta * phi) * (at[col] - at_0[col]))
+               for phi, at in ((phi_a, at_a), (phi_b, at_b)) for orient, col in ((1, 2), (-1, 3))]
+    return PhasePass(complex(action), drift, *kernels, quad.nodes, quad.error_estimate)
 
 
 def volkov_kernel(phi: float, pL: np.ndarray, cfg: FieldConfig, phi0: float,
                   sign: int = +1, abs_tol: float = 1e-12, rel_tol: float = 1e-10) -> complex:
     """Phase-integral dressing K(phi); identical zero for a zero profile."""
-    return _volkov_quad(phi, pL, cfg, phi0, False, sign, abs_tol, rel_tol)[0]
+    return phase_pass(cfg, pL, phi, phi, phi0, sign, abs_tol, rel_tol).kernel_b
 
 
 def volkov_kernel_conj(phi: float, pL: np.ndarray, cfg: FieldConfig, phi0: float,
                        sign: int = +1, abs_tol: float = 1e-12, rel_tol: float = 1e-10) -> complex:
     """Conjugate dressing K*(phi): eps -> eps*, exponentials sign-conjugated."""
-    return _volkov_quad(phi, pL, cfg, phi0, True, sign, abs_tol, rel_tol)[0]
-
-
-def volkov_kernel_full(phi, pL, cfg, phi0, conjugated=False, sign=+1,
-                       abs_tol=1e-12, rel_tol=1e-10):
-    """(value, QuadratureResult) variant for callers that report diagnostics."""
-    return _volkov_quad(phi, pL, cfg, phi0, conjugated, sign, abs_tol, rel_tol)
+    return phase_pass(cfg, pL, phi, phi, phi0, sign, abs_tol, rel_tol).kernel_conj_b
 
 
 def longitudinal_phase(e0: complex, x_a: np.ndarray, x_b: np.ndarray,
@@ -147,52 +213,20 @@ def drift_at_phi(phi: float, y0: np.ndarray, cfg: FieldConfig, pL: np.ndarray,
     representation, R = -(g / k.pL) f; independent of the proper-time scale.
     """
     y0 = np.asarray(y0, dtype=complex)
-    if cfg.profile.is_zero and not np.any(y0):
-        return np.zeros(4, dtype=complex)
+    forced = phase_pass(cfg, pL, phi_a, phi, phi_a, abs_tol=abs_tol, rel_tol=rel_tol).drift
+    if not np.any(y0):
+        return forced
     kp = dot(WAVE_K, pL)
     if kp == 0:
         raise DivisionByZero("dot(k, pL) = 0; drift is not defined in phi")
-    rate = cfg.g / kp
-    tensor = cfg.tensor
-
-    def rot(dphi):
-        # exp(R dphi) with R = -rate * f: eigenvalue exp(-i rate B dphi) on eps
-        return transverse_spectral(np.exp(-1j * rate * tensor.B * dphi),
-                                   np.exp(1j * rate * tensor.B * dphi), 1.0)
-
-    if cfg.profile.is_zero:
-        forced = np.zeros(4, dtype=complex)
-    else:
-        forced = adaptive_quad(lambda p: rot(phi - p) @ cfg.profile.potential(p),
-                               float(phi_a), float(phi), abs_tol=abs_tol, rel_tol=rel_tol).value
-    return rot(phi - phi_a) @ y0 + rate * forced
+    turn = np.exp(1j * cfg.g * cfg.B / kp * (phi - phi_a))
+    return transverse_spectral(1.0 / turn, turn, 1.0) @ y0 + forced
 
 
 def cross_phase(cfg: FieldConfig, pL: np.ndarray, x_a: np.ndarray, x_b: np.ndarray,
                 abs_tol: float = 1e-10, rel_tol: float = 1e-8) -> complex:
     """Mixing exponent -i (g/2) (action integral + boundary term), drift at rest at phi_a."""
-    if cfg.profile.is_zero:
-        return 0.0j
     phi_a = dot(WAVE_K, x_a).real
-    phi_b = dot(WAVE_K, x_b).real
-    tensor = cfg.tensor
-    y_a = np.zeros(4, dtype=complex)
-
-    kp = dot(WAVE_K, pL)
-    if kp == 0:
-        raise DivisionByZero("dot(k, pL) = 0; cross phase is not defined")
-    rate = cfg.g / kp
-
-    def slope(phi, y):
-        return rate * (cfg.profile.potential(phi) - tensor.apply(y))
-
-    def action_density(phi):
-        y = drift_at_phi(phi, y_a, cfg, pL, phi_a, abs_tol=abs_tol * 1e-2, rel_tol=rel_tol * 1e-2)
-        return dot(cfg.profile.potential(phi), slope(phi, y))
-
-    integral = adaptive_quad(action_density, phi_a, phi_b,
-                             abs_tol=abs_tol, rel_tol=rel_tol).value
-
-    y_b = drift_at_phi(phi_b, y_a, cfg, pL, phi_a, abs_tol=abs_tol * 1e-2, rel_tol=rel_tol * 1e-2)
-    boundary = dot(transverse_project(x_b) - y_b, tensor.apply(y_b))
-    return -0.5j * cfg.g * (integral + boundary)
+    return phase_pass(cfg, pL, phi_a, dot(WAVE_K, x_b).real, phi_a,
+                      abs_tol=abs_tol * SUB_TOLERANCE,
+                      rel_tol=rel_tol * SUB_TOLERANCE).cross_phase(cfg, x_b)

@@ -30,9 +30,6 @@ WAVE_K = np.array([0.0, 0.0, -1.0, -1.0], dtype=complex)
 E1 = ((EPS + EPS_CONJ) / SQRT2).real.astype(complex)
 E2 = ((EPS - EPS_CONJ) / (1j * SQRT2)).real.astype(complex)
 
-_TRANSVERSE = (0, 1)
-_LONGITUDINAL = (2, 3)
-
 
 def vector(c0=0.0, c1=0.0, c2=0.0, c3=0.0) -> np.ndarray:
     return np.array([c0, c1, c2, c3], dtype=complex)
@@ -112,9 +109,10 @@ P_EPS_CONJ = np.outer(EPS_CONJ, METRIC * EPS)
 P_LONG = np.eye(4, dtype=complex) - P_EPS - P_EPS_CONJ
 
 
-def transverse_spectral(c_eps: complex, c_eps_conj: complex, c_long: complex = 0.0) -> np.ndarray:
-    """Matrix acting as c_eps on eps, c_eps_conj on eps*, c_long longitudinally."""
-    return c_eps * P_EPS + c_eps_conj * P_EPS_CONJ + c_long * P_LONG
+def transverse_spectral(c_eps, c_eps_conj, c_long=0.0) -> np.ndarray:
+    """Matrix acting as c_eps on eps, c_eps_conj on eps*, c_long longitudinally (or a stack)."""
+    return (np.multiply.outer(c_eps, P_EPS) + np.multiply.outer(c_eps_conj, P_EPS_CONJ)
+            + np.multiply.outer(c_long, P_LONG))
 
 
 def tanh_projector_identity(alpha: complex) -> tuple[np.ndarray, np.ndarray]:

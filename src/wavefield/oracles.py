@@ -17,6 +17,10 @@ Gaussian on the rotated ray.
 `zero_profile_green` is Schwinger's closed-form constant-field propagator
 rotated onto the Euclidean proper-time axis e0 = i tau, where its integrand
 is real, positive and free of caustics, integrated by scipy's QUADPACK.
+
+`cross_phase_nested` is the mixing exponent as the literal double integral in
+real transverse coordinates: every node of the outer action integral solves
+for the drift by its own inner QUADPACK integrals.
 """
 
 from __future__ import annotations
@@ -179,3 +183,44 @@ def zero_profile_green(x_a, x_b, pL, m: float, b: float) -> np.ndarray:
     phase = np.exp(1j * (np.sum(METRIC[2:] * pL[2:] * (x_b - x_a)[2:])
                          + 0.5 * b * (x_b[0] * x_a[1] - x_b[1] * x_a[0])))
     return 0.5 * phase * (plus * P_PLUS + minus * P_MINUS)
+
+
+def cross_phase_nested(components, g: float, B: float, kp: float, phi_a: float, phi_b: float,
+                       xb, knots=()) -> complex:
+    """Mixing exponent -i (g/2) [int_{phi_a}^{phi_b} A . dY/dphi + (X_b - Y_b) . F Y_b].
+
+    Real transverse plane (metric +1, +1): A = components(phi) = (a1, a2),
+    F = B [[0, 1], [-1, 0]] and, with rate = g / kp, the drift at rest at phi_a
+    is Y(phi) = rate int_{phi_a}^{phi} exp(-rate F (phi - p)) A(p) dp, a
+    rotation by rate B (phi - p), computed afresh at every outer node.
+    xb holds the two transverse components of x_b; `knots` are phases where
+    the profile is not smooth (a tabulated grid), handed to QUADPACK as
+    break points.
+    """
+    from scipy.integrate import quad
+
+    rate = g / kp
+
+    def integrate(fn, lo, hi, args=()):
+        inside = [p for p in knots if min(lo, hi) < p < max(lo, hi)]
+        return quad(fn, lo, hi, args=args, epsabs=1e-13, epsrel=1e-12, limit=200,
+                    points=inside or None)[0]
+
+    def drift(phi):
+        def forced(p, row):
+            angle = rate * B * (phi - p)
+            a1, a2 = (float(v) for v in components(p))
+            if row == 0:
+                return rate * (math.cos(angle) * a1 - math.sin(angle) * a2)
+            return rate * (math.sin(angle) * a1 + math.cos(angle) * a2)
+
+        return [integrate(forced, phi_a, phi, (row,)) for row in (0, 1)]
+
+    def density(phi):
+        a1, a2 = (float(v) for v in components(phi))
+        y1, y2 = drift(phi)
+        return rate * (a1 * (a1 - B * y2) + a2 * (a2 + B * y1))
+
+    y1, y2 = drift(phi_b)
+    boundary = (float(xb[0]) - y1) * B * y2 - (float(xb[1]) - y2) * B * y1
+    return -0.5j * g * (integrate(density, phi_a, phi_b) + boundary)

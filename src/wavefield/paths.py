@@ -57,22 +57,26 @@ class PathContext:
     rel_tol: float = 1e-10
 
 
-def exp_magnetic(tau: float, e0: complex, cfg: FieldConfig) -> np.ndarray:
-    """exp(Q tau) with Q = e0 g f; a rotation of the transverse plane."""
+def exp_magnetic(tau, e0: complex, cfg: FieldConfig) -> np.ndarray:
+    """exp(Q tau) with Q = e0 g f; a rotation of the transverse plane (stacked for arrays)."""
     w = e0 * cfg.g * cfg.B
     return transverse_spectral(np.exp(1j * w * tau), np.exp(-1j * w * tau), 1.0)
 
 
+def _pulled_back(field, tau: float, ctx: PathContext) -> np.ndarray:
+    """int_0^tau exp(-Q s) field(phi(s)) ds for a profile's potential or derivative."""
+    if ctx.cfg.profile.is_zero:
+        return np.zeros(4, dtype=complex)
+    return adaptive_quad(
+        lambda s: (exp_magnetic(-s, ctx.e0, ctx.cfg) @ field(ctx.phi.at(s))[..., None])[..., 0],
+        0.0, float(tau), abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol).value
+
+
 def drift_path(tau: float, y0: np.ndarray, ctx: PathContext) -> np.ndarray:
     """Transverse drift Y(tau) = exp(Q tau) [Y0 - e0 g int_0^tau exp(-Q s) A^p(phi(s)) ds]."""
-    y0 = np.asarray(y0, dtype=complex)
-    if ctx.cfg.profile.is_zero:
-        forced = np.zeros(4, dtype=complex)
-    else:
-        forced = adaptive_quad(
-            lambda s: exp_magnetic(-s, ctx.e0, ctx.cfg) @ ctx.cfg.profile.potential(ctx.phi.at(s)),
-            0.0, float(tau), abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol).value
-    return exp_magnetic(tau, ctx.e0, ctx.cfg) @ (y0 - ctx.e0 * ctx.cfg.g * forced)
+    forced = _pulled_back(ctx.cfg.profile.potential, tau, ctx)
+    return exp_magnetic(tau, ctx.e0, ctx.cfg) @ (np.asarray(y0, dtype=complex)
+                                                 - ctx.e0 * ctx.cfg.g * forced)
 
 
 @dataclass(frozen=True)
@@ -86,15 +90,6 @@ class SpinCoefficientMap:
 
     gamma_coeff: np.ndarray
     eta_coeff: np.ndarray
-
-
-def _slope_moment(tau: float, ctx: PathContext) -> np.ndarray:
-    """J(tau) = int_0^tau exp(-Q s) A'^p(phi(s)) ds."""
-    if ctx.cfg.profile.is_zero:
-        return np.zeros(4, dtype=complex)
-    return adaptive_quad(
-        lambda s: exp_magnetic(-s, ctx.e0, ctx.cfg) @ ctx.cfg.profile.derivative(ctx.phi.at(s)),
-        0.0, float(tau), abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol).value
 
 
 def classical_spin_path(tau: float, ctx: PathContext) -> SpinCoefficientMap:
@@ -114,8 +109,9 @@ def classical_spin_path(tau: float, ctx: PathContext) -> SpinCoefficientMap:
     gamma_coeff = expq_tau @ half_inv
 
     ew = transverse_spectral(np.exp(1j * w), np.exp(-1j * w))
-    j_full = _slope_moment(1.0, ctx)
-    j_tau = _slope_moment(tau, ctx)
+    # J(tau) = int_0^tau exp(-Q s) A'^p(phi(s)) ds
+    j_full = _pulled_back(ctx.cfg.profile.derivative, 1.0, ctx)
+    j_tau = _pulled_back(ctx.cfg.profile.derivative, tau, ctx)
     eta_coeff = ctx.e0 * ctx.cfg.g * (expq_tau @ (ew @ half_inv @ j_full - j_tau))
     return SpinCoefficientMap(gamma_coeff=gamma_coeff, eta_coeff=eta_coeff)
 

@@ -39,11 +39,18 @@ _G_IDX = np.array([1, 3, 5, 7, 9, 11, 13])                       # Gauss subset 
 WG = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 
+#: For a panel of half-width `half`, half * CUMULATIVE @ f(nodes) integrates the
+#: degree-14 interpolant of f from the panel's left edge to each of its nodes.
+_LEG = np.polynomial.legendre
+CUMULATIVE = _LEG.legval(XK, _LEG.legint(np.linalg.inv(_LEG.legvander(XK, 14)), lbnd=-1.0)).T
+
+
 @dataclass(frozen=True)
 class QuadratureResult:
     value: object            # complex scalar or ndarray, matching the integrand
     error_estimate: float
     nodes: int
+    panels: tuple = ()       # (left, right, value) per panel, ascending, never sign-flipped
 
 
 def _norm(v) -> float:
@@ -53,8 +60,7 @@ def _norm(v) -> float:
 def _panel(f, a: float, b: float):
     """One K15/G7 evaluation on [a, b]: (kronrod, |kronrod - gauss|)."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    vals = [np.asarray(f(mid + half * x), dtype=complex) for x in XK]
-    stack = np.stack(vals)
+    stack = np.asarray(f(mid + half * XK), dtype=complex)
     if not np.all(np.isfinite(stack)):
         raise QuadratureFailure(f"non-finite integrand value on panel [{a!r}, {b!r}]")
     tail = (1,) * (stack.ndim - 1)
@@ -67,12 +73,13 @@ def adaptive_quad(f, a: float, b: float, abs_tol: float = 1e-10, rel_tol: float 
                   node_cap: int = NODE_CAP, breakpoints=None) -> QuadratureResult:
     """Integrate f over [a, b] to max(abs_tol, rel_tol*|result|).
 
-    f maps a real point to a complex scalar or ndarray. `breakpoints` seeds
-    the initial subdivision (useful when the integrand has a known boundary
-    layer). Raises QuadratureFailure past `node_cap` integrand evaluations.
+    f maps the array of a panel's 15 nodes to their values, stacked on axis 0
+    (complex scalars or ndarrays). `breakpoints` seeds the initial subdivision
+    (useful when the integrand has a known boundary layer). Raises
+    QuadratureFailure past `node_cap` integrand evaluations.
     """
     if a == b:
-        probe = np.asarray(f(a), dtype=complex)
+        probe = np.asarray(f(np.array([a])), dtype=complex)[0]
         return QuadratureResult(probe * 0.0 if probe.ndim else 0.0j, 0.0, 1)
     sign = 1.0
     if b < a:
@@ -83,34 +90,32 @@ def adaptive_quad(f, a: float, b: float, abs_tol: float = 1e-10, rel_tol: float 
         edges += [p for p in sorted(breakpoints) if a < p < b]
     edges.append(b)
 
-    heap = []
-    counter = 0
-    nodes = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        kron, err = _panel(f, lo, hi)
-        nodes += 15
-        heapq.heappush(heap, (-err, counter, lo, hi, kron))
-        counter += 1
-
+    heap, nodes, err_sum, value_sum = [], 0, 0.0, 0.0
+    pending = list(zip(edges[:-1], edges[1:]))
     while True:
-        total_err = -sum(item[0] for item in heap)
-        pieces = sorted(heap, key=lambda item: item[2])
-        total = _kahan_sum([item[4] for item in pieces])
-        if total_err <= max(abs_tol, rel_tol * _norm(total)):
-            if np.ndim(total) == 0:
-                return QuadratureResult(sign * complex(total), total_err, nodes)
-            return QuadratureResult(sign * total, total_err, nodes)
+        for lo, hi in pending:
+            kron, err = _panel(f, lo, hi)
+            nodes += 15
+            err_sum += err
+            value_sum = value_sum + kron
+            heapq.heappush(heap, (-err, nodes, lo, hi, kron))
+        # running sums decide when to stop; the result is summed afresh below
+        if err_sum <= max(abs_tol, rel_tol * _norm(value_sum)):
+            break
         if nodes + 30 > node_cap:
             raise QuadratureFailure(
-                f"node budget {node_cap} exhausted (error estimate {total_err:.3e})",
-                error_estimate=total_err, nodes=nodes)
-        _, _, lo, hi, _ = heapq.heappop(heap)
+                f"node budget {node_cap} exhausted (error estimate {err_sum:.3e})",
+                error_estimate=err_sum, nodes=nodes)
+        neg_err, _, lo, hi, kron = heapq.heappop(heap)
+        err_sum += neg_err
+        value_sum = value_sum - kron
         mid = 0.5 * (lo + hi)
-        for seg in ((lo, mid), (mid, hi)):
-            kron, err = _panel(f, *seg)
-            nodes += 15
-            heapq.heappush(heap, (-err, counter, seg[0], seg[1], kron))
-            counter += 1
+        pending = ((lo, mid), (mid, hi))
+
+    pieces = sorted(heap, key=lambda item: item[2])
+    return QuadratureResult(sign * _kahan_sum([item[4] for item in pieces]),
+                            -sum(item[0] for item in heap), nodes,
+                            tuple((item[2], item[3], item[4]) for item in pieces))
 
 
 def _kahan_sum(values):

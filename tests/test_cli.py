@@ -1,11 +1,13 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wavefield.cli import main, parse_config
+from wavefield.cli import (_matrix_columns, _matrix_row, main, parse_config, render_csv,
+                          render_sidecar)
 from wavefield.errors import RangeError, SchemaError
 from wavefield.fields import CircularProfile, FieldConfig
 from wavefield.green import EvalContext, green_function
@@ -222,3 +224,43 @@ def test_dirac_command_single_point(tmp_path):
     values = [float(v) for k, v in row.items() if k != "grid_value"]
     assert len(values) == 32
     assert all(math.isfinite(v) for v in values)
+
+
+def test_tabulated_profile_outside_its_grid_exits_2(tmp_path):
+    # a Gaussian tabulated on [-2, 2]; phi_b = x_b2 - x_b3 = 10 lies beyond it,
+    # where the spline used to extrapolate to a1 = -142.8
+    grid = [-2.0 + 0.25 * i for i in range(17)]
+    profile = {"kind": "tabulated", "phi": grid,
+               "a1": [math.exp(-p * p) for p in grid], "a2": [0.0] * len(grid)}
+    inside = _config(field=_field(profile))
+    status, _ = _invoke(tmp_path, "gf", inside, name="inside.csv")
+    assert status == 0
+    outside = _config(field=_field(profile), eval=_eval(x_b=[0.6, 0.4, 10.0, 0.0]))
+    status, out = _invoke(tmp_path, "gf", outside, name="outside.csv")
+    assert status == 2
+    assert not out.exists()
+
+
+def test_gf_outputs_carry_only_the_frozen_columns(tmp_path):
+    # the extra diagnostics (phase-pass nodes and error, tail bound, min |sin|)
+    # stay in the library: the CSV and the sidecar are exactly what the frozen
+    # columns and the config give
+    grid = {"param": "xb3", "values": [0.5, 2.0]}
+    rc = parse_config(json.dumps(_config(grid=grid)))
+    status, out = _invoke(tmp_path, "gf", _config(grid=grid))
+    assert status == 0
+    rows = []
+    for value in grid["values"]:
+        x_b = np.array([0.6, 0.4, -0.1, value])
+        result = green_function(replace(rc.context(), x_b=x_b))
+        diag = result.diagnostics
+        assert diag.prepare_nodes > 0 and diag.tail_bound > 0.0
+        rows.append([value] + _matrix_row(result.matrix)
+                    + [diag.error_estimate, diag.nodes, diag.near_singularity])
+    header = (["grid_value"] + _matrix_columns("g")
+              + ["error_estimate", "nodes", "near_singularity"])
+    assert out.read_bytes() == render_csv(header, rows)
+    sidecar = open(str(out) + ".json", "rb").read()
+    assert sidecar == render_sidecar("gf", rc, len(rows))
+    for name in ("prepare_nodes", "prepare_error", "tail_bound", "min_sin"):
+        assert name.encode() not in sidecar

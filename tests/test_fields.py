@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wavefield.errors import InvalidProfile
+from wavefield.errors import InvalidProfile, RangeError
 from wavefield.fields import (CircularProfile, ConstantFieldTensor, FieldConfig,
                               LinearProfile, PulseProfile, TabulatedProfile, ZeroProfile,
                               make_profile, total_field_tensor)
@@ -101,3 +101,28 @@ def test_zero_profile_flag_feeds_short_circuits():
     assert ZeroProfile().is_zero
     assert not CircularProfile(amplitude=0.1, frequency=1.0).is_zero
     assert LinearProfile(amplitude=0.0, frequency=1.0).is_zero
+
+
+def test_profiles_evaluate_arrays_of_phases():
+    grid = np.linspace(-2.0, 2.0, 41)
+    phis = np.array([-1.3, 0.0, 0.37, 1.9])
+    for p in (ZeroProfile(), LinearProfile(amplitude=0.5, frequency=1.2),
+              CircularProfile(amplitude=0.4, frequency=1.1),
+              PulseProfile(amplitude=0.4, frequency=1.1, sigma=1.5),
+              TabulatedProfile(phi_grid=grid, a1=np.sin(grid), a2=np.cos(grid))):
+        stacked, slopes = p.potential(phis), p.derivative(phis)
+        assert stacked.shape == slopes.shape == (4, 4)
+        for phi, value, slope in zip(phis, stacked, slopes):
+            np.testing.assert_array_equal(value, p.potential(phi))
+            np.testing.assert_array_equal(slope, p.derivative(phi))
+
+
+def test_tabulated_profile_refuses_to_extrapolate():
+    grid = np.linspace(-2.0, 2.0, 17)
+    p = TabulatedProfile(phi_grid=grid, a1=np.exp(-grid**2), a2=np.zeros(grid.size))
+    p.potential(2.0)
+    p.derivative(np.array([-2.0, 0.0, 2.0]))
+    with pytest.raises(RangeError):
+        p.potential(10.0)                   # the spline would give a1 = -142.8 here
+    with pytest.raises(RangeError):
+        p.derivative(np.array([0.0, -2.5]))

@@ -6,6 +6,7 @@ from wavefield.fields import CircularProfile, FieldConfig, ZeroProfile
 from wavefield.green import (EvalContext, dirac_apply, green_function, green_function_zero_k,
                              position_space_green, spin_factor, total_potential_lowered,
                              zero_k_value_and_gradient)
+from wavefield.kernels import NEAR_CAUSTIC_THRESHOLD
 from wavefield.minkowski import GAMMA, IDENTITY4, P_MINUS, P_PLUS, dot
 
 XA = np.array([0.1, -0.2, 0.3, 0.0])
@@ -162,3 +163,19 @@ def test_position_space_transform_smoke():
     assert box.shape == (4, 4)
     assert np.all(np.isfinite(box))
     assert np.linalg.norm(box) > 0.0
+
+
+def test_diagnostics_keep_the_tail_apart_and_count_the_phase_pass():
+    value = green_function(_ctx(cfg=WCFG))
+    diag = value.diagnostics
+    assert diag.prepare_nodes > 0 and 0.0 < diag.prepare_error < 1e-11
+    assert 0.0 < diag.tail_bound < diag.error_estimate
+    # |e0 g B / 2| exceeds 1 on most of the ray; off the real axis |sin| stays large
+    assert 1.0 < diag.min_sin < np.inf
+    assert diag.near_singularity == (diag.min_sin < NEAR_CAUSTIC_THRESHOLD)
+    # close to the real axis the ray runs past the caustic at e0 g B / 2 = pi
+    grazing = green_function(_ctx(theta=0.02)).diagnostics
+    assert grazing.min_sin < 0.1 < diag.min_sin
+    bare = green_function(_ctx(cfg=FieldConfig(g=1.0, B=0.0))).diagnostics
+    assert bare.prepare_nodes == 0 and bare.prepare_error == 0.0
+    assert bare.min_sin == np.inf and not bare.near_singularity

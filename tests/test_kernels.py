@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from wavefield.errors import DivisionByZero, KernelSingularity
-from wavefield.fields import CircularProfile, FieldConfig, ZeroProfile
+from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, PulseProfile,
+                              TabulatedProfile, ZeroProfile)
 from wavefield.kernels import (NEAR_CAUSTIC_THRESHOLD, TransverseEndpoints, cross_phase,
-                               longitudinal_phase, near_caustic, schwinger_kernel,
-                               spin_determinant, volkov_kernel, volkov_kernel_conj,
-                               volkov_kernel_full)
+                               drift_at_phi, longitudinal_phase, near_caustic, phase_pass,
+                               schwinger_kernel, spin_determinant, volkov_kernel,
+                               volkov_kernel_conj)
 from wavefield.minkowski import WAVE_K, dot
-from wavefield.oracles import free_kernel, volkov_kernel_closed_form
+from wavefield.oracles import cross_phase_nested, free_kernel, volkov_kernel_closed_form
 
 EP = TransverseEndpoints(xa1=0.2, xa2=-0.1, xb1=0.9, xb2=0.4)
 ZCFG = FieldConfig(g=1.0, B=0.6, profile=ZeroProfile())
@@ -67,8 +68,8 @@ def test_spin_determinant_value():
 def test_volkov_zero_profile_is_exact_zero():
     pL = np.array([0.0, 0.0, 0.1, 2.0])
     assert volkov_kernel(0.7, pL, ZCFG, phi0=-0.2) == 0.0
-    value, diag = volkov_kernel_full(0.7, pL, ZCFG, phi0=-0.2)
-    assert value == 0.0 and diag.nodes == 0
+    run = phase_pass(ZCFG, pL, 0.7, 0.7, phi0=-0.2)
+    assert run.kernel_b == 0.0 and run.kernel_conj_b == 0.0 and run.nodes == 0
 
 
 def test_volkov_against_circular_closed_form():
@@ -138,3 +139,44 @@ def test_cross_phase_pure_imaginary_for_real_data():
     value = cross_phase(cfg, pL, x_a, x_b)
     assert abs(value.real) < 1e-12
     assert abs(value.imag) > 1e-6
+
+
+_GRID = np.linspace(-1.0, 3.0, 9)
+
+
+@pytest.mark.parametrize("profile, span", [
+    (CircularProfile(amplitude=0.4, frequency=1.1), 0.9),
+    (CircularProfile(amplitude=0.4, frequency=1.1), -9.0),
+    (LinearProfile(amplitude=0.6, frequency=0.9), 6.0),
+    (PulseProfile(amplitude=0.4, frequency=1.1, sigma=1.5), 9.0),
+    (PulseProfile(amplitude=0.4, frequency=1.1, sigma=1.5), -9.0),
+    (TabulatedProfile(_GRID, np.exp(-_GRID ** 2 / 4.0), 0.3 * np.sin(_GRID)), 3.0),
+], ids=["circular", "circular-back-9", "linear-6", "pulse-9", "pulse-back-9", "tabulated-3"])
+def test_cross_phase_matches_nested_oracle(profile, span):
+    # the one pass (cumulative sums on one panel set) against the literal
+    # double integral, where every outer node re-solves the drift
+    g, b = 0.9, 0.5
+    pL = np.array([0.0, 0.0, 0.2, 2.0])
+    x_a = np.array([0.1, -0.2, -0.5 + (3.0 if span < 0 else 0.0), 0.0])
+    x_b = np.array([0.6, 0.4, x_a[2] + span, 0.0])
+    phi_a, phi_b = dot(WAVE_K, x_a).real, dot(WAVE_K, x_b).real
+    assert phi_b - phi_a == pytest.approx(span)
+    cfg = FieldConfig(g=g, B=b, profile=profile)
+    knots = _GRID if isinstance(profile, TabulatedProfile) else ()
+    ref = cross_phase_nested(profile.components, g, b, dot(WAVE_K, pL).real, phi_a, phi_b,
+                             x_b[:2], knots=knots)
+    assert abs(cross_phase(cfg, pL, x_a, x_b) - ref) <= 1e-12
+
+
+def test_phase_pass_kernels_equal_the_single_kernel_views():
+    cfg = FieldConfig(g=0.9, B=0.5, profile=PulseProfile(amplitude=0.4, frequency=1.1, sigma=1.5))
+    pL = np.array([0.0, 0.0, 0.2, 2.0])
+    run = phase_pass(cfg, pL, -2.0, 3.5, 0.4)
+    for phi, k, kc in ((-2.0, run.kernel_a, run.kernel_conj_a),
+                       (3.5, run.kernel_b, run.kernel_conj_b)):
+        assert k == pytest.approx(volkov_kernel(phi, pL, cfg, 0.4), abs=1e-13)
+        assert kc == pytest.approx(volkov_kernel_conj(phi, pL, cfg, 0.4), abs=1e-13)
+    y0 = np.zeros(4, dtype=complex)
+    assert np.max(np.abs(run.drift - drift_at_phi(3.5, y0, cfg, pL, -2.0))) < 1e-13
+    assert run.nodes % 15 == 0 and run.nodes > 0
+    assert 0.0 < run.error_estimate < 1e-11

@@ -22,7 +22,9 @@ def test_oscillatory_scalar():
 
 def test_matrix_valued_integrand():
     def f(t):
-        return np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]], dtype=complex)
+        # one 2x2 matrix per node, stacked on axis 0
+        return np.stack([np.stack([np.cos(t), np.sin(t)], axis=-1),
+                         np.stack([-np.sin(t), np.cos(t)], axis=-1)], axis=1).astype(complex)
 
     res = adaptive_quad(f, 0.0, np.pi / 2, abs_tol=1e-13, rel_tol=1e-13)
     want = np.array([[1.0, 1.0], [-1.0, 1.0]])
@@ -45,7 +47,7 @@ def test_degenerate_interval():
 
 def test_breakpoints_seed_subdivision():
     # a jump the panels would otherwise have to chase by bisection
-    f = lambda x: 1.0 if x < 0.37 else 0.25
+    f = lambda x: np.where(x < 0.37, 1.0, 0.25)
     seeded = adaptive_quad(f, 0.0, 1.0, breakpoints=[0.37], abs_tol=1e-12, rel_tol=1e-12)
     plain = adaptive_quad(f, 0.0, 1.0, abs_tol=1e-12, rel_tol=1e-12)
     exact = 0.37 * 1.0 + 0.63 * 0.25
@@ -74,3 +76,25 @@ def test_bit_determinism():
     assert a.value == b.value
     assert a.error_estimate == b.error_estimate
     assert a.nodes == b.nodes
+
+
+def test_integrand_is_called_once_per_panel():
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return np.exp(1j * 9.0 * x) / (1.0 + x * x)
+
+    res = adaptive_quad(f, 0.0, 4.0, abs_tol=1e-12, rel_tol=1e-12, breakpoints=[1.0])
+    assert res.nodes > 30
+    assert calls == [(15,)] * (res.nodes // 15)
+    assert len(res.panels) == len(calls) - (len(calls) - 2) // 2
+
+
+def test_panels_tile_the_interval_left_to_right():
+    res = adaptive_quad(lambda x: np.exp(1j * 9.0 * x), 2.0, -1.0, breakpoints=[0.5])
+    lefts = [p[0] for p in res.panels]
+    rights = [p[1] for p in res.panels]
+    assert lefts[0] == -1.0 and rights[-1] == 2.0 and 0.5 in lefts
+    assert lefts[1:] == rights[:-1]
+    assert sum(p[2] for p in res.panels) == pytest.approx(-res.value, abs=1e-14)
