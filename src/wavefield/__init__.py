@@ -17,12 +17,10 @@ from .fields import (CircularProfile, ConstantFieldTensor, FieldConfig, LinearPr
 from .green import (EvalContext, PropagatorValue, dirac_apply, green_function,
                     green_function_zero_k, position_space_green, spin_factor,
                     zero_k_value_and_gradient)
-from .kernels import (TransverseEndpoints, cross_phase, longitudinal_phase,
-                      schwinger_kernel, spin_determinant, volkov_kernel,
-                      volkov_kernel_conj)
+from .kernels import (TransverseEndpoints, longitudinal_phase, schwinger_kernel,
+                      spin_determinant)
 from .minkowski import (EPS, EPS_CONJ, GAMMA, METRIC, P_MINUS, P_PLUS, WAVE_K, dot,
                         projector_minus, projector_plus, slash, tanh_projector_identity)
-from .paths import classical_spin_path, drift_path, phase_path, spin_projection_constant
 from .quadrature import QuadratureResult, adaptive_quad
 
 __version__ = "0.1.0"
@@ -35,12 +33,9 @@ __all__ = [
     "QuadratureFailure", "QuadratureResult", "RangeError", "ResonantDenominator",
     "ResonantQ", "SchemaError", "SingularForm", "StepCalibrationFailure",
     "TabulatedProfile", "TransverseEndpoints", "VerificationFailure", "WAVE_K",
-    "WavefieldError", "ZeroProfile", "adaptive_quad", "classical_spin_path",
-    "convention_ledger", "cross_phase", "dirac_apply", "dot", "drift_path",
-    "green_function", "green_function_zero_k", "longitudinal_phase", "make_profile",
-    "phase_path", "position_space_green", "projector_minus", "projector_plus",
-    "schwinger_kernel", "slash", "spin_determinant",
-    "spin_factor", "spin_projection_constant", "tanh_projector_identity",
-    "total_field_tensor", "volkov_kernel", "volkov_kernel_conj",
-    "zero_k_value_and_gradient", "__version__",
+    "WavefieldError", "ZeroProfile", "adaptive_quad", "convention_ledger", "dirac_apply",
+    "dot", "green_function", "green_function_zero_k", "longitudinal_phase", "make_profile",
+    "position_space_green", "projector_minus", "projector_plus", "schwinger_kernel",
+    "slash", "spin_determinant", "spin_factor", "tanh_projector_identity",
+    "total_field_tensor", "zero_k_value_and_gradient", "__version__",
 ]

@@ -25,17 +25,14 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__
-from .conventions import (DEFAULT_ABS_TOL, DEFAULT_CONTOUR_ANGLE, DEFAULT_E0_MAX,
-                          DEFAULT_REL_TOL, DEFAULT_VOLKOV_SIGN, convention_ledger)
+from .conventions import DEFAULT_VOLKOV_SIGN, convention_ledger
 from .errors import (ContourCaustic, DivisionByZero, InvalidProfile, KernelSingularity,
                      PoleError, QuadratureFailure, RangeError, ResonantDenominator,
                      ResonantQ, SchemaError, SingularForm, StepCalibrationFailure,
                      WavefieldError)
-from .fields import FieldConfig, ZeroProfile, make_profile
+from .fields import FieldConfig, make_profile
 from .green import EvalContext, dirac_apply, green_function, green_function_zero_k, spin_factor
 from .kernels import TransverseEndpoints, near_caustic, phase_pass, schwinger_kernel
-from .minkowski import IDENTITY4
-from .oracles import free_kernel, free_propagator, zero_profile_green
 
 _COMMANDS = ("identities", "kernel", "K", "spinfactor", "gf", "gf-k0", "dirac",
              "verify", "limits")
@@ -52,37 +49,22 @@ _GRID_COMPONENTS = {"xb0": 0, "xb1": 1, "xb2": 2, "xb3": 3, "pL2": 2, "pL3": 3}
 
 @dataclass(frozen=True)
 class RunConfig:
-    field_cfg: FieldConfig
-    m: float
-    x_a: np.ndarray
-    x_b: np.ndarray
-    pL: np.ndarray
-    theta: float
-    e0_max: float
-    abs_tol: float
-    rel_tol: float
+    ctx: EvalContext
     grid_param: str | None
     grid_values: tuple
-    volkov_sign: int = DEFAULT_VOLKOV_SIGN
-
-    def context(self) -> EvalContext:
-        return EvalContext(m=self.m, x_a=self.x_a, x_b=self.x_b, pL=self.pL,
-                           cfg=self.field_cfg, theta=self.theta, e0_max=self.e0_max,
-                           abs_tol=self.abs_tol, rel_tol=self.rel_tol, volkov_sign=self.volkov_sign)
 
     def normalized(self) -> dict:
         """Config as actually used, for the sidecar (defaults applied)."""
+        ctx, cfg = self.ctx, self.ctx.cfg
         return {
-            "field": {"g": self.field_cfg.g, "B": self.field_cfg.B,
-                      "phi0": self.field_cfg.phi0,
-                      "profile": {"kind": self.field_cfg.profile.kind,
-                                  **self.field_cfg.profile.params()}},
-            "eval": {"m": self.m, "x_a": list(self.x_a), "x_b": list(self.x_b),
-                     "pL": list(self.pL), "theta": self.theta, "e0_max": self.e0_max,
-                     "abs_tol": self.abs_tol, "rel_tol": self.rel_tol},
+            "field": {"g": cfg.g, "B": cfg.B, "phi0": cfg.phi0,
+                      "profile": {"kind": cfg.profile.kind, **cfg.profile.params()}},
+            "eval": {"m": ctx.m, "x_a": list(ctx.x_a), "x_b": list(ctx.x_b),
+                     "pL": list(ctx.pL), "theta": ctx.theta, "e0_max": ctx.e0_max,
+                     "abs_tol": ctx.abs_tol, "rel_tol": ctx.rel_tol},
             "grid": None if self.grid_param is None
                     else {"param": self.grid_param, "values": list(self.grid_values)},
-            "volkov_sign": self.volkov_sign,
+            "volkov_sign": ctx.volkov_sign,
         }
 
 
@@ -108,19 +90,15 @@ def _finite(value, path: str) -> float:
     return float(value)
 
 
-def _number(block: dict, key: str, path: str, default=None) -> float:
+def _number(block: dict, key: str, path: str) -> float:
     if key not in block:
-        if default is None:
-            raise SchemaError(f"{path}.{key}", "required field is missing")
-        return float(default)
+        raise SchemaError(f"{path}.{key}", "required field is missing")
     return _finite(block[key], f"{path}.{key}")
 
 
-def _vector4(block: dict, key: str, path: str, default=None) -> np.ndarray:
+def _vector4(block: dict, key: str, path: str) -> np.ndarray:
     if key not in block:
-        if default is None:
-            raise SchemaError(f"{path}.{key}", "required field is missing")
-        return np.asarray(default, dtype=float)
+        raise SchemaError(f"{path}.{key}", "required field is missing")
     value = block[key]
     if not isinstance(value, list) or len(value) != 4:
         raise SchemaError(f"{path}.{key}", "expected a list of 4 numbers")
@@ -181,36 +159,23 @@ def parse_config(text: str) -> RunConfig:
     if "profile" not in field_block:
         raise SchemaError("field.profile", "required field is missing")
     profile = _parse_profile(field_block["profile"], "field.profile")
-    phi0 = None
-    if "phi0" in field_block:
-        phi0 = _number(field_block, "phi0", "field")
+    phi0 = _number(field_block, "phi0", "field") if "phi0" in field_block else None
 
     eval_block = _expect_mapping(root["eval"], "eval")
-    _reject_unknown(eval_block, {"m", "x_a", "x_b", "pL", "theta", "e0_max",
-                                 "abs_tol", "rel_tol"}, "eval")
-    m = _number(eval_block, "m", "eval")
-    x_a = _vector4(eval_block, "x_a", "eval")
-    x_b = _vector4(eval_block, "x_b", "eval")
-    p_l = _vector4(eval_block, "pL", "eval")
-    theta = _number(eval_block, "theta", "eval", default=DEFAULT_CONTOUR_ANGLE)
-    e0_max = _number(eval_block, "e0_max", "eval", default=DEFAULT_E0_MAX)
-    abs_tol = _number(eval_block, "abs_tol", "eval", default=DEFAULT_ABS_TOL)
-    rel_tol = _number(eval_block, "rel_tol", "eval", default=DEFAULT_REL_TOL)
-    if not 0.0 < theta < math.pi / 2.0:
-        raise RangeError(f"eval.theta must lie in (0, pi/2), got {theta!r}")
-    if e0_max <= 0.0:
-        raise RangeError(f"eval.e0_max must be positive, got {e0_max!r}")
-    if abs_tol <= 0.0 or rel_tol <= 0.0:
-        raise RangeError("eval.abs_tol and eval.rel_tol must be positive")
+    optional = ("theta", "e0_max", "abs_tol", "rel_tol")     # EvalContext defaults the rest
+    _reject_unknown(eval_block, {"m", "x_a", "x_b", "pL", *optional}, "eval")
+    settings = {key: _finite(eval_block[key], f"eval.{key}")
+                for key in optional if key in eval_block}
+    ctx = EvalContext(m=_number(eval_block, "m", "eval"),
+                      x_a=_vector4(eval_block, "x_a", "eval"),
+                      x_b=_vector4(eval_block, "x_b", "eval"),
+                      pL=_vector4(eval_block, "pL", "eval"),
+                      cfg=FieldConfig(g=g, B=b, profile=profile, phi0=phi0), **settings)
 
     grid_param, grid_values = None, ()
     if "grid" in root and root["grid"] is not None:
         grid_param, grid_values = _parse_grid(root["grid"], "grid")
-
-    return RunConfig(field_cfg=FieldConfig(g=g, B=b, profile=profile, phi0=phi0),
-                     m=m, x_a=x_a, x_b=x_b, pL=p_l, theta=theta, e0_max=e0_max,
-                     abs_tol=abs_tol, rel_tol=rel_tol,
-                     grid_param=grid_param, grid_values=grid_values)
+    return RunConfig(ctx=ctx, grid_param=grid_param, grid_values=grid_values)
 
 
 # -- output helpers -------------------------------------------------------
@@ -235,14 +200,11 @@ def render_csv(header: list, rows: list) -> bytes:
 
 
 def render_sidecar(command: str, rc: RunConfig, n_rows: int, extra: dict | None = None) -> bytes:
-    ctx_phi0 = rc.field_cfg.phi0
-    if ctx_phi0 is None:
-        ctx_phi0 = float(rc.context().phi_a)
     payload = {
         "command": command,
         "package_version": __version__,
         "config": rc.normalized(),
-        "ledger": convention_ledger(rc.theta, ctx_phi0, rc.volkov_sign),
+        "ledger": convention_ledger(rc.ctx.theta, rc.ctx.phi0, rc.ctx.volkov_sign),
         "rows": n_rows,
     }
     if extra:
@@ -268,7 +230,7 @@ def _matrix_row(matrix: np.ndarray) -> list:
 
 def _grid_contexts(rc: RunConfig):
     """(grid value, context) pairs for the point-evaluation commands."""
-    base = rc.context()
+    base = rc.ctx
     if rc.grid_param is None:
         return [(0.0, base)]
     if rc.grid_param not in _GRID_COMPONENTS:
@@ -294,32 +256,40 @@ def _require_grid(rc: RunConfig, command: str, param: str):
 
 # -- command bodies -------------------------------------------------------
 
+_CHECK_HEADER = ["criterion", "name", "max_deviation", "tolerance", "passed"]
+
+
+def _check_rows(results, header=_CHECK_HEADER):
+    """(header, one row of the header's CheckResult fields per result, all passed)."""
+    rows = [[getattr(r, field) for field in header] for r in results]
+    return header, rows, all(r.passed for r in results)
+
+
 def _cmd_identities(rc: RunConfig):
     from . import verification
-    results = (verification.check_ledger_consistency()
-               + verification.check_clifford_algebra()
-               + verification.check_basis_identities()
-               + verification.check_planewave_contraction())
-    header = ["criterion", "name", "max_deviation", "tolerance", "passed"]
-    rows = [[r.criterion, r.name, r.max_deviation, r.tolerance, r.passed] for r in results]
-    return header, rows, {"all_passed": all(r.passed for r in results)}, 0
+    header, rows, all_passed = _check_rows(verification.check_ledger_consistency()
+                                           + verification.check_clifford_algebra()
+                                           + verification.check_basis_identities()
+                                           + verification.check_planewave_contraction())
+    return header, rows, {"all_passed": all_passed}, 0
 
 
 def _cmd_kernel(rc: RunConfig):
     _require_grid(rc, "kernel", "e0")
+    ctx = rc.ctx
     values = schwinger_kernel(np.array(rc.grid_values),
-                              TransverseEndpoints.from_vectors(rc.x_a, rc.x_b), rc.field_cfg)
-    rows = [[e0, value.real, value.imag, near_caustic(e0, rc.field_cfg)]
+                              TransverseEndpoints.from_vectors(ctx.x_a, ctx.x_b), ctx.cfg)
+    rows = [[e0, value.real, value.imag, near_caustic(e0, ctx.cfg)]
             for e0, value in zip(rc.grid_values, values)]
     return ["e0", "kernel_re", "kernel_im", "near_singularity"], rows, None, 0
 
 
 def _cmd_phase_integral(rc: RunConfig):
     _require_grid(rc, "K", "phi")
-    phi0 = rc.context().phi0
+    ctx = rc.ctx
 
     def one(phi):
-        run = phase_pass(rc.field_cfg, rc.pL, phi, phi, phi0, sign=rc.volkov_sign)
+        run = phase_pass(ctx.cfg, ctx.pL, phi, phi, ctx.phi0, sign=ctx.volkov_sign)
         return [phi, run.kernel_b.real, run.kernel_b.imag, run.kernel_conj_b.real,
                 run.kernel_conj_b.imag, run.error_estimate, run.nodes]
 
@@ -330,7 +300,7 @@ def _cmd_phase_integral(rc: RunConfig):
 
 def _cmd_spinfactor(rc: RunConfig):
     _require_grid(rc, "spinfactor", "e0")
-    factors = spin_factor(np.array(rc.grid_values), rc.context())
+    factors = spin_factor(np.array(rc.grid_values), rc.ctx)
     rows = [[e0] + _matrix_row(sf) for e0, sf in zip(rc.grid_values, factors)]
     return ["e0"] + _matrix_columns("sf"), rows, None, 0
 
@@ -357,38 +327,19 @@ def _cmd_dirac(rc: RunConfig):
 def _cmd_verify(rc: RunConfig):
     from . import verification
     results = verification.run_all()
-    header = ["criterion", "name", "max_deviation", "tolerance", "passed"]
-    rows = [[r.criterion, r.name, r.max_deviation, r.tolerance, r.passed] for r in results]
-    all_passed = all(r.passed for r in results)
+    header, rows, all_passed = _check_rows(results)
     extra = {"all_passed": all_passed, "report": [asdict(r) for r in results]}
     return header, rows, extra, (0 if all_passed else _VERIFY_EXIT)
 
 
 def _cmd_limits(rc: RunConfig):
-    rows = []
-
-    base = rc.context()
-    zero_k = green_function_zero_k(base).matrix
-    ref_routes = zero_profile_green(rc.x_a, rc.x_b, rc.pL, rc.m, rc.field_cfg.g * rc.field_cfg.B)
-    dev_routes = float(np.max(np.abs(zero_k - ref_routes)))
-    rows.append(["zero-profile-route-equivalence", dev_routes, 1e-10, dev_routes <= 1e-10])
-
-    free_ctx = replace(base, cfg=FieldConfig(g=1.0, B=1e-6, profile=ZeroProfile()),
-                       e0_max=max(rc.e0_max, 80.0))
-    ref = free_propagator(rc.x_a, rc.x_b, rc.pL, rc.m)
-    dev_free = float(np.max(np.abs(green_function(free_ctx).matrix - ref * IDENTITY4)) / abs(ref))
-    rows.append(["free-field-reduction", dev_free, 1e-5, dev_free <= 1e-5])
-
-    small = FieldConfig(g=1.0, B=1e-4, profile=ZeroProfile())
-    ep = TransverseEndpoints(xa1=0.4, xa2=0.0, xb1=1.2, xb2=0.0)
-    dev_kernel = 0.0
-    for e0 in (0.4, 0.9, 1.4):
-        ref_k = free_kernel(e0, np.array([0.4, 0.0]), np.array([1.2, 0.0]))
-        dev_kernel = max(dev_kernel, abs(schwinger_kernel(e0, ep, small) - ref_k) / abs(ref_k))
-    rows.append(["small-field-free-kernel-limit", dev_kernel, 1e-6, dev_kernel <= 1e-6])
-
-    header = ["name", "max_deviation", "tolerance", "passed"]
-    all_passed = all(bool(r[3]) for r in rows)
+    from . import verification
+    xa, xb = np.array([0.4, 0.0]), np.array([1.2, 0.0])
+    header, rows, all_passed = _check_rows([
+        verification.zero_profile_limit([rc.ctx]),
+        verification.free_field_limit([rc.ctx]),
+        verification.weak_field_kernel_limit((e0, 1.0, xa, xb) for e0 in (0.4, 0.9, 1.4)),
+    ], _CHECK_HEADER[1:])
     return header, rows, {"all_passed": all_passed}, (0 if all_passed else _VERIFY_EXIT)
 
 
@@ -443,11 +394,9 @@ def main(argv=None) -> int:
     try:
         rc = parse_config(text)
         if args.angle is not None:
-            if not 0.0 < args.angle < math.pi / 2.0:
-                raise RangeError(f"--angle must lie in (0, pi/2), got {args.angle!r}")
-            rc = replace(rc, theta=float(args.angle))
+            rc = replace(rc, ctx=replace(rc.ctx, theta=args.angle))
         if args.profile_sign_toggle:
-            rc = replace(rc, volkov_sign=-DEFAULT_VOLKOV_SIGN)
+            rc = replace(rc, ctx=replace(rc.ctx, volkov_sign=-DEFAULT_VOLKOV_SIGN))
         status = run(args.command, rc, args.out)
     except WavefieldError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,10 +54,17 @@ class EvalContext:
     def __post_init__(self):
         for name in ("x_a", "x_b", "pL"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise RangeError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not np.isfinite(self.m):
+            raise RangeError(f"m must be finite, got {self.m!r}")
         if not 0.0 < self.theta < np.pi / 2.0:
             raise RangeError(f"contour angle must lie in (0, pi/2), got {self.theta!r}")
-        if self.e0_max <= 0.0:
-            raise RangeError(f"e0_max must be positive, got {self.e0_max!r}")
+        if not 0.0 < self.e0_max < np.inf:
+            raise RangeError(f"e0_max must be positive and finite, got {self.e0_max!r}")
+        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
+            raise RangeError(f"abs_tol and rel_tol must be positive, "
+                             f"got {self.abs_tol!r} and {self.rel_tol!r}")
         if self.pL[0] != 0.0 or self.pL[1] != 0.0:
             raise RangeError(f"pL must be longitudinal (transverse slots zero), got {self.pL!r}")
         if self.volkov_sign not in (+1, -1):

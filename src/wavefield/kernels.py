@@ -5,25 +5,30 @@
     [i g B / (4 pi sin(e0 g B / 2))]
       * exp{ i (g B / 2) [ (Xb1 Xa2 - Xb2 Xa1) - (1/2) cot(e0 g B / 2) |DX|^2 ] }
 
-with caustics at e0 g B in 2 pi Z. `volkov_kernel` is the plane-wave
-phase-integral dressing
+with caustics at e0 g B in 2 pi Z. Everything the wave phase contributes
+comes from one pass along it, `phase_pass`, whose `PhasePass` holds:
+
+* `kernel_a`, `kernel_b` (and `kernel_conj_a`, `kernel_conj_b`): the
+  phase-integral dressing at phi_a and phi_b, as printed,
 
     K(phi) = [g / (2 dot(k, pL))] exp(i beta phi)
              * int_{phi0}^{phi} exp(i beta phi') dot(eps, A'^p(phi')) dphi',
     beta = g B / dot(k, pL),
 
-as printed, with a sign toggle that flips the integrand exponential only
-(`sign=-1`) for sensitivity studies. `cross_phase` is the plane-wave /
-magnetic mixing action, an exponent contribution
+  with a sign toggle that flips the integrand exponential only (`sign=-1`)
+  for sensitivity studies; K* is the same with eps -> eps* and both
+  exponentials sign-conjugated;
+* `drift`: the transverse drift Y(phi_b), at rest at phi_a, in the phi
+  parameterization, where the proper-time scale drops out:
+  dY/dphi = (g / dot(k, pL)) (A^p(phi) - f Y);
+* `action`: int_{phi_a}^{phi_b} A^p . dY/dphi, which `PhasePass.cross_phase`
+  turns into the plane-wave / magnetic mixing exponent
 
-    -i (g/2) [ int_{phi_a}^{phi_b} A^p . dY/dphi  +  X^T . f Y^T |_{phi_a}^{phi_b} ],
+    -i (g/2) [ action  +  X^T . f Y^T |_{phi_a}^{phi_b} ].
 
-with the drift Y evaluated in the phi parameterization, where the proper-time
-scale drops out: dY/dphi = (g / dot(k, pL)) (A^p(phi) - f Y).
-
-All three are views on one pass along the phase (`phase_pass`): rot(phi - p) =
-rot(phi - phi_a) rot(phi_a - p) makes Y = rate rot(phi - phi_a) C(phi), with C
-two scalar cumulative integrals of rot(phi_a - p) A^p(p) in the eps/eps* basis.
+rot(phi - p) = rot(phi - phi_a) rot(phi_a - p) makes Y = rate rot(phi - phi_a) C(phi),
+with C two scalar cumulative integrals of rot(phi_a - p) A^p(p) in the eps/eps*
+basis, so one panel set and its cumulative sums give all of these.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import numpy as np
 from .errors import DivisionByZero, KernelSingularity
 from .fields import FieldConfig
 from .minkowski import (EPS, EPS_CONJ, METRIC, WAVE_K, dot, longitudinal_project,
-                        transverse_project, transverse_spectral)
+                        transverse_project)
 from .quadrature import CUMULATIVE, XK, adaptive_quad
 
 #: |sin(e0 g B / 2)| below this raises KernelSingularity.
@@ -186,47 +191,8 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b: float, phi
     return PhasePass(complex(action), drift, *kernels, quad.nodes, quad.error_estimate)
 
 
-def volkov_kernel(phi: float, pL: np.ndarray, cfg: FieldConfig, phi0: float,
-                  sign: int = +1, abs_tol: float = 1e-12, rel_tol: float = 1e-10) -> complex:
-    """Phase-integral dressing K(phi); identical zero for a zero profile."""
-    return phase_pass(cfg, pL, phi, phi, phi0, sign, abs_tol, rel_tol).kernel_b
-
-
-def volkov_kernel_conj(phi: float, pL: np.ndarray, cfg: FieldConfig, phi0: float,
-                       sign: int = +1, abs_tol: float = 1e-12, rel_tol: float = 1e-10) -> complex:
-    """Conjugate dressing K*(phi): eps -> eps*, exponentials sign-conjugated."""
-    return phase_pass(cfg, pL, phi, phi, phi0, sign, abs_tol, rel_tol).kernel_conj_b
-
-
 def longitudinal_phase(e0: complex, x_a: np.ndarray, x_b: np.ndarray,
                        pL: np.ndarray, m: float) -> complex:
     """Exponent i dot(pL, dx^L) + i (e0/2) (dot(pL, pL) - m^2)."""
     dxl = longitudinal_project(np.asarray(x_b, dtype=complex) - np.asarray(x_a, dtype=complex))
     return 1j * dot(pL, dxl) + 0.5j * e0 * (dot(pL, pL) - m * m)
-
-
-def drift_at_phi(phi: float, y0: np.ndarray, cfg: FieldConfig, pL: np.ndarray,
-                 phi_a: float, abs_tol: float = 1e-12, rel_tol: float = 1e-10) -> np.ndarray:
-    """Transverse drift Y(phi) in the phase parameterization, Y(phi_a) = y0.
-
-    Solves (k.pL) dY/dphi + g f Y - g A^p(phi) = 0 by the exponential-of-R
-    representation, R = -(g / k.pL) f; independent of the proper-time scale.
-    """
-    y0 = np.asarray(y0, dtype=complex)
-    forced = phase_pass(cfg, pL, phi_a, phi, phi_a, abs_tol=abs_tol, rel_tol=rel_tol).drift
-    if not np.any(y0):
-        return forced
-    kp = dot(WAVE_K, pL)
-    if kp == 0:
-        raise DivisionByZero("dot(k, pL) = 0; drift is not defined in phi")
-    turn = np.exp(1j * cfg.g * cfg.B / kp * (phi - phi_a))
-    return transverse_spectral(1.0 / turn, turn, 1.0) @ y0 + forced
-
-
-def cross_phase(cfg: FieldConfig, pL: np.ndarray, x_a: np.ndarray, x_b: np.ndarray,
-                abs_tol: float = 1e-10, rel_tol: float = 1e-8) -> complex:
-    """Mixing exponent -i (g/2) (action integral + boundary term), drift at rest at phi_a."""
-    phi_a = dot(WAVE_K, x_a).real
-    return phase_pass(cfg, pL, phi_a, dot(WAVE_K, x_b).real, phi_a,
-                      abs_tol=abs_tol * SUB_TOLERANCE,
-                      rel_tol=rel_tol * SUB_TOLERANCE).cross_phase(cfg, x_b)

@@ -42,10 +42,6 @@ def make_phi_path(e0: complex, pL: np.ndarray, phi_a: float) -> PhiPath:
     return PhiPath(float(phi_a), -e0 * dot(WAVE_K, pL))
 
 
-def phase_path(tau: float, e0: complex, pL: np.ndarray, phi_a: float) -> complex:
-    return make_phi_path(e0, pL, phi_a).at(tau)
-
-
 @dataclass(frozen=True)
 class PathContext:
     """Inputs shared by the drift and spin-path evaluations."""

@@ -21,9 +21,9 @@ from .conventions import (CSV_SCHEMA_VERSION, DEFAULT_CONTOUR_ANGLE, DEFAULT_VOL
                           METRIC_DIAG, convention_ledger)
 from .fields import (CircularProfile, ConstantFieldTensor, FieldConfig, LinearProfile,
                      PulseProfile, TabulatedProfile, ZeroProfile, total_field_tensor)
-from .green import (EvalContext, dirac_apply, green_function, total_potential_lowered,
-                    zero_k_value_and_gradient)
-from .kernels import TransverseEndpoints, schwinger_kernel, spin_determinant, volkov_kernel, volkov_kernel_conj
+from .green import (EvalContext, dirac_apply, green_function, green_function_zero_k,
+                    total_potential_lowered, zero_k_value_and_gradient)
+from .kernels import TransverseEndpoints, phase_pass, schwinger_kernel, spin_determinant
 from .minkowski import (EPS, EPS_CONJ, GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS, WAVE_K,
                         dot, tanh_projector_identity, transverse_spectral)
 from .oracles import (SliceLattice, free_kernel, free_propagator, richardson_extrapolate,
@@ -203,22 +203,13 @@ def check_sliced_oracle_agreement() -> list[CheckResult]:
         dev_rel = max(dev_rel, abs(limit - exact) / abs(exact))
         worst_order = min(worst_order, order)
 
-    dev_free = 0.0
-    for _ in range(3):
-        e0 = rng.uniform(0.3, 1.5)
-        g = rng.uniform(0.5, 1.5)
-        # both endpoints on the 1-axis: the gauge (rotation) phase of the
-        # magnetic kernel vanishes and the genuine B -> 0 limit is exposed
-        xa = np.array([rng.uniform(0.2, 0.6), 0.0])
-        xb = np.array([rng.uniform(0.9, 1.5), 0.0])
-        cfg = FieldConfig(g=g, B=1e-4, profile=ZeroProfile())
-        ep = TransverseEndpoints(xa1=xa[0], xa2=xa[1], xb1=xb[0], xb2=xb[1])
-        ref = free_kernel(e0, xa, xb)
-        dev_free = max(dev_free, abs(schwinger_kernel(e0, ep, cfg) - ref) / abs(ref))
+    # both endpoints on the 1-axis (see weak_field_kernel_limit)
+    cases = ((rng.uniform(0.3, 1.5), rng.uniform(0.5, 1.5), np.array([rng.uniform(0.2, 0.6), 0.0]),
+              np.array([rng.uniform(0.9, 1.5), 0.0])) for _ in range(3))
     return [
         _result(5, "time-sliced-kernel-agreement", dev_rel, 1e-3,
                 f"Richardson over N=8..64, observed order >= {worst_order:.2f}"),
-        _result(5, "small-field-free-kernel-limit", dev_free, 1e-6, "B = 1e-4, radial separation"),
+        weak_field_kernel_limit(cases, "B = 1e-4, radial separation"),
     ]
 
 
@@ -280,19 +271,57 @@ def check_phase_integral_oracles() -> list[CheckResult]:
             cfg = FieldConfig(g=g, B=b, profile=CircularProfile(amplitude=a, frequency=nu))
             ref = volkov_kernel_closed_form(
                 "circular_profile", dict(g=g, kp=kp, phi0=phi0, beta=beta, a=a, nu=nu), phi)
-        value = volkov_kernel(phi, pl, cfg, phi0)
-        dev = max(dev, abs(value - ref))
-        dev_conj = max(dev_conj,
-                       abs(volkov_kernel_conj(phi, pl, cfg, phi0) - np.conj(value)))
+        run = phase_pass(cfg, pl, phi, phi, phi0)
+        dev = max(dev, abs(run.kernel_b - ref))
+        dev_conj = max(dev_conj, abs(run.kernel_conj_b - np.conj(run.kernel_b)))
 
     zero_cfg = FieldConfig(g=1.0, B=0.5, profile=ZeroProfile())
-    zero_val = volkov_kernel(0.7, np.array([0.0, 0.0, 0.1, 2.0]), zero_cfg, -0.3)
+    zero_val = phase_pass(zero_cfg, np.array([0.0, 0.0, 0.1, 2.0]), 0.7, 0.7, -0.3).kernel_b
     return [
         _result(7, "phase-integral-closed-forms", dev, 1e-8, "50 random draws, 3 profile kinds"),
         _result(7, "phase-integral-conjugate-symmetry", dev_conj, 1e-12,
                 "real parameters: conjugated kernel equals the conjugate"),
         _result(7, "phase-integral-zero-profile-exact", abs(zero_val), 0.0),
     ]
+
+
+# -- limits: criteria 5, 8 and 10, and the `limits` command ---------------
+
+#: Zero profile with B small enough for the free propagator to be the reference.
+FREE_FIELD = FieldConfig(g=1.0, B=1e-6, profile=ZeroProfile())
+
+
+def weak_field_kernel_limit(cases, detail: str = "") -> CheckResult:
+    """Magnetic kernel at B = 1e-4 against the free kernel over (e0, g, xa, xb)
+    cases; with both endpoints on the 1-axis the gauge (rotation) phase of the
+    magnetic kernel vanishes and the genuine B -> 0 limit is exposed."""
+    dev = 0.0
+    for e0, g, xa, xb in cases:
+        ep = TransverseEndpoints(xa1=xa[0], xa2=xa[1], xb1=xb[0], xb2=xb[1])
+        ref = free_kernel(e0, xa, xb)
+        cfg = FieldConfig(g=g, B=1e-4, profile=ZeroProfile())
+        dev = max(dev, abs(schwinger_kernel(e0, ep, cfg) - ref) / abs(ref))
+    return _result(5, "small-field-free-kernel-limit", dev, 1e-6, detail)
+
+
+def zero_profile_limit(contexts, detail: str = "") -> CheckResult:
+    """Each context's zero-profile Green function against Schwinger's closed form."""
+    dev = 0.0
+    for ctx in contexts:
+        ref = zero_profile_green(ctx.x_a, ctx.x_b, ctx.pL, ctx.m, ctx.cfg.g * ctx.cfg.B)
+        dev = max(dev, _maxabs(green_function_zero_k(ctx).matrix - ref))
+    return _result(8, "zero-profile-route-equivalence", dev, 1e-10, detail)
+
+
+def free_field_limit(contexts, detail: str = "") -> CheckResult:
+    """Each context's endpoints and momentum in FREE_FIELD (ray to e0 >= 80)
+    against the scalar free propagator times the identity."""
+    dev = 0.0
+    for ctx in contexts:
+        ctx = replace(ctx, cfg=FREE_FIELD, e0_max=max(ctx.e0_max, 80.0))
+        ref = free_propagator(ctx.x_a, ctx.x_b, ctx.pL, ctx.m)
+        dev = max(dev, _maxabs(green_function(ctx).matrix - ref * IDENTITY4) / abs(ref))
+    return _result(10, "free-field-reduction", dev, 1e-5, detail)
 
 
 # -- criteria 8-10: random evaluation contexts ---------------------------
@@ -311,14 +340,11 @@ def _random_context(rng, cfg: FieldConfig, e0_max: float = 60.0) -> EvalContext:
 
 def check_zero_wave_vector_equivalence() -> list[CheckResult]:
     rng = np.random.default_rng(108)
-    dev = 0.0
-    for _ in range(10):
-        cfg = FieldConfig(g=rng.uniform(0.4, 1.2), B=rng.uniform(0.3, 1.0), profile=ZeroProfile())
-        ctx = _random_context(rng, cfg)
-        ref = zero_profile_green(ctx.x_a, ctx.x_b, ctx.pL, ctx.m, cfg.g * cfg.B)
-        dev = max(dev, _maxabs(green_function(ctx).matrix - ref))
-    return [_result(8, "zero-profile-route-equivalence", dev, 1e-10,
-                    "10 random contexts, entrywise, vs the Euclidean-axis oracle")]
+    contexts = (_random_context(rng, FieldConfig(g=rng.uniform(0.4, 1.2), B=rng.uniform(0.3, 1.0),
+                                                 profile=ZeroProfile()))
+                for _ in range(10))
+    return [zero_profile_limit(contexts,
+                               "10 random contexts, entrywise, vs the Euclidean-axis oracle")]
 
 
 def check_contour_invariance() -> list[CheckResult]:
@@ -343,14 +369,9 @@ def check_contour_invariance() -> list[CheckResult]:
 
 def check_free_field_reduction() -> list[CheckResult]:
     rng = np.random.default_rng(110)
-    dev = 0.0
-    for _ in range(3):
-        cfg = FieldConfig(g=1.0, B=1e-6, profile=ZeroProfile())
-        ctx = _random_context(rng, cfg, e0_max=80.0)
-        ref = free_propagator(ctx.x_a, ctx.x_b, ctx.pL, ctx.m)
-        dev = max(dev, _maxabs(green_function(ctx).matrix - ref * IDENTITY4) / abs(ref))
-    return [_result(10, "free-field-reduction", dev, 1e-5,
-                    "B = 1e-6, zero profile, vs scalar free propagator times identity")]
+    contexts = (_random_context(rng, FREE_FIELD, e0_max=80.0) for _ in range(3))
+    return [free_field_limit(contexts,
+                             "B = 1e-6, zero profile, vs scalar free propagator times identity")]
 
 
 # -- criterion 11 --------------------------------------------------------

@@ -47,18 +47,18 @@ def _rows(out_path):
 
 def test_parse_config_defaults():
     rc = parse_config(json.dumps(_config()))
-    assert rc.theta == pytest.approx(math.pi / 4.0)
-    assert rc.e0_max == 60.0
-    assert rc.abs_tol == 1e-10 and rc.rel_tol == 1e-8
+    assert rc.ctx.theta == pytest.approx(math.pi / 4.0)
+    assert rc.ctx.e0_max == 60.0
+    assert rc.ctx.abs_tol == 1e-10 and rc.ctx.rel_tol == 1e-8
     assert rc.grid_param is None and rc.grid_values == ()
-    assert rc.volkov_sign == +1
-    assert rc.field_cfg.phi0 is None
-    assert isinstance(rc.field_cfg.profile, CircularProfile)
+    assert rc.ctx.volkov_sign == +1
+    assert rc.ctx.cfg.phi0 is None
+    assert isinstance(rc.ctx.cfg.profile, CircularProfile)
 
 
 def test_parse_config_profile_as_plain_string():
     rc = parse_config(json.dumps({"field": _field(profile="zero"), "eval": _eval()}))
-    assert rc.field_cfg.profile.is_zero
+    assert rc.ctx.cfg.profile.is_zero
 
 
 def test_schema_error_paths():
@@ -162,6 +162,13 @@ def test_angle_override_lands_in_sidecar(tmp_path):
     assert "timestamp" not in json.dumps(sidecar).lower()
 
 
+def test_angle_outside_the_contour_range_exits_2(tmp_path):
+    for angle in ("2.0", "0", "nan"):
+        status, out = _invoke(tmp_path, "gf", _config(), "--angle", angle)
+        assert status == 2
+        assert not out.exists()
+
+
 def test_sign_toggle_lands_in_sidecar_and_changes_values(tmp_path):
     status, plain = _invoke(tmp_path, "gf", _config(), name="plain.csv")
     status2, toggled = _invoke(tmp_path, "gf", _config(), "--profile-sign-toggle",
@@ -252,7 +259,7 @@ def test_gf_outputs_carry_only_the_frozen_columns(tmp_path):
     rows = []
     for value in grid["values"]:
         x_b = np.array([0.6, 0.4, -0.1, value])
-        result = green_function(replace(rc.context(), x_b=x_b))
+        result = green_function(replace(rc.ctx, x_b=x_b))
         diag = result.diagnostics
         assert diag.prepare_nodes > 0 and diag.tail_bound > 0.0
         rows.append([value] + _matrix_row(result.matrix)

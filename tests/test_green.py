@@ -33,6 +33,16 @@ def test_context_validation():
         _ctx(pL=np.array([0.1, 0.0, 0.2, 2.0]))
     with pytest.raises(RangeError):
         _ctx(volkov_sign=0)
+    # non-finite inputs and non-positive tolerances are out of range too,
+    # not a quadrature failure after the whole node budget
+    nan_b = XB.copy()
+    nan_b[1] = np.nan
+    for bad in (dict(m=np.nan), dict(m=np.inf), dict(x_a=np.full(4, np.inf)), dict(x_b=nan_b),
+                dict(pL=np.array([0.0, 0.0, np.nan, 2.0])), dict(e0_max=np.nan),
+                dict(e0_max=np.inf), dict(abs_tol=0.0, rel_tol=0.0), dict(abs_tol=-1.0),
+                dict(rel_tol=np.nan)):
+        with pytest.raises(RangeError):
+            _ctx(**bad)
 
 
 def test_ray_domain_checks():

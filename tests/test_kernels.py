@@ -4,15 +4,25 @@ import pytest
 from wavefield.errors import DivisionByZero, KernelSingularity
 from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, PulseProfile,
                               TabulatedProfile, ZeroProfile)
-from wavefield.kernels import (NEAR_CAUSTIC_THRESHOLD, TransverseEndpoints, cross_phase,
-                               drift_at_phi, longitudinal_phase, near_caustic, phase_pass,
-                               schwinger_kernel, spin_determinant, volkov_kernel,
-                               volkov_kernel_conj)
+from wavefield.kernels import (NEAR_CAUSTIC_THRESHOLD, TransverseEndpoints, longitudinal_phase,
+                               near_caustic, phase_pass, schwinger_kernel, spin_determinant)
 from wavefield.minkowski import WAVE_K, dot
 from wavefield.oracles import cross_phase_nested, free_kernel, volkov_kernel_closed_form
 
 EP = TransverseEndpoints(xa1=0.2, xa2=-0.1, xb1=0.9, xb2=0.4)
 ZCFG = FieldConfig(g=1.0, B=0.6, profile=ZeroProfile())
+
+
+def _kernels(phi, pL, cfg, phi0, sign=+1):
+    """K(phi) and K*(phi) from a pass that starts and ends at phi."""
+    run = phase_pass(cfg, pL, phi, phi, phi0, sign=sign)
+    return run.kernel_b, run.kernel_conj_b
+
+
+def _cross_phase(cfg, pL, x_a, x_b):
+    """Mixing exponent of a path from x_a to x_b, drift at rest at phi_a."""
+    phi_a = dot(WAVE_K, x_a).real
+    return phase_pass(cfg, pL, phi_a, dot(WAVE_K, x_b).real, phi_a).cross_phase(cfg, x_b)
 
 
 def test_kernel_free_limit_small_field():
@@ -67,7 +77,6 @@ def test_spin_determinant_value():
 
 def test_volkov_zero_profile_is_exact_zero():
     pL = np.array([0.0, 0.0, 0.1, 2.0])
-    assert volkov_kernel(0.7, pL, ZCFG, phi0=-0.2) == 0.0
     run = phase_pass(ZCFG, pL, 0.7, 0.7, phi0=-0.2)
     assert run.kernel_b == 0.0 and run.kernel_conj_b == 0.0 and run.nodes == 0
 
@@ -80,14 +89,13 @@ def test_volkov_against_circular_closed_form():
     params = dict(g=g, kp=kp, phi0=-0.4, beta=g * b / kp, a=a, nu=nu)
     for phi in (-0.1, 0.5, 1.8):
         ref = volkov_kernel_closed_form("circular_profile", params, phi)
-        assert volkov_kernel(phi, pL, cfg, phi0=-0.4) == pytest.approx(ref, abs=1e-12)
+        assert _kernels(phi, pL, cfg, -0.4)[0] == pytest.approx(ref, abs=1e-12)
 
 
 def test_volkov_conjugate_is_conjugate_for_real_data():
     cfg = FieldConfig(g=0.9, B=0.5, profile=CircularProfile(amplitude=0.6, frequency=1.3))
     pL = np.array([0.0, 0.0, 0.2, 2.0])
-    k = volkov_kernel(0.8, pL, cfg, phi0=-0.4)
-    kc = volkov_kernel_conj(0.8, pL, cfg, phi0=-0.4)
+    k, kc = _kernels(0.8, pL, cfg, -0.4)
     assert kc == pytest.approx(np.conj(k), abs=1e-13)
 
 
@@ -97,17 +105,17 @@ def test_volkov_sign_toggle_flips_integrand_only():
     kp = dot(WAVE_K, pL).real
     cfg = FieldConfig(g=g, B=b, profile=CircularProfile(amplitude=a, frequency=nu))
     params = dict(g=g, kp=kp, phi0=-0.4, beta=g * b / kp, a=a, nu=nu, sign=-1)
-    flipped = volkov_kernel(0.8, pL, cfg, phi0=-0.4, sign=-1)
+    flipped = _kernels(0.8, pL, cfg, -0.4, sign=-1)[0]
     assert flipped == pytest.approx(volkov_kernel_closed_form("circular_profile", params, 0.8),
                                     abs=1e-12)
-    assert flipped != pytest.approx(volkov_kernel(0.8, pL, cfg, phi0=-0.4), abs=1e-6)
+    assert flipped != pytest.approx(_kernels(0.8, pL, cfg, -0.4)[0], abs=1e-6)
 
 
 def test_volkov_needs_longitudinal_momentum():
     cfg = FieldConfig(g=0.9, B=0.5, profile=CircularProfile(amplitude=0.6, frequency=1.3))
     degenerate = np.array([0.0, 0.0, 1.0, 1.0])   # dot(k, pL) = 0
     with pytest.raises(DivisionByZero):
-        volkov_kernel(0.8, degenerate, cfg, phi0=0.0)
+        phase_pass(cfg, degenerate, 0.8, 0.8, 0.0)
 
 
 def test_longitudinal_phase_decays_on_upper_ray():
@@ -127,7 +135,7 @@ def test_cross_phase_zero_without_profile_and_drift():
     pL = np.array([0.0, 0.0, 0.2, 2.0])
     x_a = np.array([0.1, -0.2, 0.3, 0.0])
     x_b = np.array([0.6, 0.4, -0.1, 0.5])
-    assert cross_phase(ZCFG, pL, x_a, x_b) == 0.0
+    assert _cross_phase(ZCFG, pL, x_a, x_b) == 0.0
 
 
 def test_cross_phase_pure_imaginary_for_real_data():
@@ -136,7 +144,7 @@ def test_cross_phase_pure_imaginary_for_real_data():
     pL = np.array([0.0, 0.0, 0.2, 2.0])
     x_a = np.array([0.1, -0.2, 0.3, 0.0])
     x_b = np.array([0.6, 0.4, -0.1, 0.5])
-    value = cross_phase(cfg, pL, x_a, x_b)
+    value = _cross_phase(cfg, pL, x_a, x_b)
     assert abs(value.real) < 1e-12
     assert abs(value.imag) > 1e-6
 
@@ -165,7 +173,7 @@ def test_cross_phase_matches_nested_oracle(profile, span):
     knots = _GRID if isinstance(profile, TabulatedProfile) else ()
     ref = cross_phase_nested(profile.components, g, b, dot(WAVE_K, pL).real, phi_a, phi_b,
                              x_b[:2], knots=knots)
-    assert abs(cross_phase(cfg, pL, x_a, x_b) - ref) <= 1e-12
+    assert abs(_cross_phase(cfg, pL, x_a, x_b) - ref) <= 1e-12
 
 
 def test_phase_pass_kernels_equal_the_single_kernel_views():
@@ -174,9 +182,11 @@ def test_phase_pass_kernels_equal_the_single_kernel_views():
     run = phase_pass(cfg, pL, -2.0, 3.5, 0.4)
     for phi, k, kc in ((-2.0, run.kernel_a, run.kernel_conj_a),
                        (3.5, run.kernel_b, run.kernel_conj_b)):
-        assert k == pytest.approx(volkov_kernel(phi, pL, cfg, 0.4), abs=1e-13)
-        assert kc == pytest.approx(volkov_kernel_conj(phi, pL, cfg, 0.4), abs=1e-13)
-    y0 = np.zeros(4, dtype=complex)
-    assert np.max(np.abs(run.drift - drift_at_phi(3.5, y0, cfg, pL, -2.0))) < 1e-13
+        single_k, single_kc = _kernels(phi, pL, cfg, 0.4)
+        assert k == pytest.approx(single_k, abs=1e-13)
+        assert kc == pytest.approx(single_kc, abs=1e-13)
+    # the drift does not depend on phi0: a pass starting at phi_a gives it too
+    drift = phase_pass(cfg, pL, -2.0, 3.5, -2.0).drift
+    assert np.max(np.abs(run.drift - drift)) < 1e-13
     assert run.nodes % 15 == 0 and run.nodes > 0
     assert 0.0 < run.error_estimate < 1e-11
