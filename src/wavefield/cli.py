@@ -271,7 +271,7 @@ def _cmd_identities(rc: RunConfig):
                                            + verification.check_clifford_algebra()
                                            + verification.check_basis_identities()
                                            + verification.check_planewave_contraction())
-    return header, rows, {"all_passed": all_passed}, 0
+    return header, rows, {"all_passed": all_passed}, (0 if all_passed else _VERIFY_EXIT)
 
 
 def _cmd_kernel(rc: RunConfig):
@@ -400,6 +400,9 @@ def main(argv=None) -> int:
         status = run(args.command, rc, args.out)
     except WavefieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, QuadratureFailure) and exc.nodes is not None:
+            print(f"error: quadrature stopped after {exc.nodes} nodes with error estimate "
+                  f"{exc.error_estimate!r}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
     if status != 0:
         print(f"error: {args.command} reported failures (see {args.out})", file=sys.stderr)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InvalidProfile, RangeError
 from .minkowski import E1, E2, EPS, EPS_CONJ, METRIC, WAVE_K
@@ -162,6 +161,9 @@ class TabulatedProfile(PlaneWaveProfile):
         if a1.shape != grid.shape or a2.shape != grid.shape:
             raise InvalidProfile("tabulated component arrays must match the phi grid")
         self.phi_grid = grid
+        # imported here: scipy.interpolate costs about 50 MB and 0.5 s at import,
+        # which only tabulated profiles need
+        from scipy.interpolate import CubicSpline
         self._s1 = CubicSpline(grid, a1, bc_type="natural")
         self._s2 = CubicSpline(grid, a2, bc_type="natural")
         self._d1 = self._s1.derivative()
@@ -218,6 +220,11 @@ class FieldConfig:
     B: float
     profile: PlaneWaveProfile = field(default_factory=ZeroProfile)
     phi0: float | None = None
+
+    def __post_init__(self):
+        for name in ("g", "B") if self.phi0 is None else ("g", "B", "phi0"):
+            if not np.isfinite(getattr(self, name)):
+                raise RangeError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     @property
     def tensor(self) -> ConstantFieldTensor:

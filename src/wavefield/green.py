@@ -11,6 +11,11 @@ i pL.dx^L + i (e0/2)(pL^2 - m^2), `cross` is the e0-independent
 plane-wave/magnetic mixing exponent, and M+- are the projector braces dressed
 by the phase-integral kernels (P+- for a zero profile, the zero-k limit).
 
+Far endpoints x_b that share the rest of a context share one ray: only the
+kernel's endpoints, the constant exponent and the braces differ between them,
+so one adaptive quadrature integrates all of them (`dirac_apply` sends its 33
+stencil points at once; `green_function` is the case of one).
+
 Absolute convergence on the ray needs dot(pL, pL) > m^2 (the longitudinal
 phase decays at large s) and distinct transverse endpoints (the kernel decays
 at small s); both are checked up front.
@@ -26,7 +31,7 @@ from .conventions import (DEFAULT_ABS_TOL, DEFAULT_CONTOUR_ANGLE, DEFAULT_E0_MAX
                           DEFAULT_REL_TOL, DEFAULT_VOLKOV_SIGN)
 from .errors import ContourCaustic, QuadratureFailure, RangeError, StepCalibrationFailure
 from .fields import FieldConfig, ZeroProfile
-from .kernels import (NEAR_CAUSTIC_THRESHOLD, SUB_TOLERANCE, KernelDiagnostics, PhasePass,
+from .kernels import (NEAR_CAUSTIC_THRESHOLD, SUB_TOLERANCE, KernelDiagnostics,
                       TransverseEndpoints, longitudinal_phase, phase_pass, schwinger_kernel)
 from .minkowski import (GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS, SLASH_EPS,
                         SLASH_EPS_CONJ, SLASH_K, WAVE_K, dot, transverse_project)
@@ -96,57 +101,80 @@ class PropagatorValue:
 
 @dataclass(frozen=True)
 class _Prepared:
-    """Per-context, e0-independent pieces of the integrand (weight is R)."""
+    """The e0-independent pieces of the integrand at n far endpoints that share
+    the rest of one context: per endpoint the transverse endpoints, the
+    constant exponent, the braces M+- and R (`weight`); `passes` holds one
+    phase pass per distinct phi_b."""
 
     endpoints: TransverseEndpoints
-    cross: complex
-    plus: np.ndarray
-    minus: np.ndarray
-    weight: np.ndarray
-    phase: PhasePass
+    constant: np.ndarray      # (n,) e0-independent exponent i pL.dx^L + cross
+    plus: np.ndarray          # (n, 4, 4)
+    minus: np.ndarray         # (n, 4, 4)
+    weight: np.ndarray        # (n, 2, 2)
+    passes: tuple
 
 
-def _prepare(ctx: EvalContext) -> _Prepared:
-    """One phase pass: action at the context's tolerances, the rest at SUB_TOLERANCE of them."""
-    cfg = ctx.cfg
-    run = phase_pass(cfg, ctx.pL, ctx.phi_a, ctx.phi_b, ctx.phi0, sign=ctx.volkov_sign,
-                     abs_tol=ctx.abs_tol * SUB_TOLERANCE, rel_tol=ctx.rel_tol * SUB_TOLERANCE)
-    endpoints = TransverseEndpoints.from_vectors(transverse_project(ctx.x_a),
-                                                 transverse_project(ctx.x_b) - run.drift)
-    plus = (IDENTITY4 - (SLASH_K @ SLASH_EPS_CONJ) * run.kernel_b) @ P_PLUS @ \
-           (IDENTITY4 + (SLASH_K @ SLASH_EPS) * run.kernel_conj_a)
-    minus = (IDENTITY4 - (SLASH_K @ SLASH_EPS) * run.kernel_conj_b) @ P_MINUS @ \
+def _prepare(ctx: EvalContext, points) -> _Prepared:
+    """One phase pass and one set of braces per distinct phi_b of the far
+    endpoints `points` (shape (n, 4)), the action at the context's tolerances
+    and the rest at SUB_TOLERANCE of them; endpoints and constant exponent per
+    point."""
+    points = np.asarray(points, dtype=float).reshape(-1, 4)
+    phis = dot(WAVE_K, points).real
+    passes = {phi: phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, phi, ctx.phi0, sign=ctx.volkov_sign,
+                              abs_tol=ctx.abs_tol * SUB_TOLERANCE,
+                              rel_tol=ctx.rel_tol * SUB_TOLERANCE)
+              for phi in dict.fromkeys(phis.tolist())}
+    plus, minus = np.empty((2, len(points), 4, 4), dtype=complex)
+    drift = np.empty((len(points), 4), dtype=complex)
+    cross = np.empty(len(points), dtype=complex)
+    for phi, run in passes.items():
+        mine = phis == phi
+        plus[mine] = (IDENTITY4 - (SLASH_K @ SLASH_EPS_CONJ) * run.kernel_b) @ P_PLUS @ \
+            (IDENTITY4 + (SLASH_K @ SLASH_EPS) * run.kernel_conj_a)
+        minus[mine] = (IDENTITY4 - (SLASH_K @ SLASH_EPS) * run.kernel_conj_b) @ P_MINUS @ \
             (IDENTITY4 + (SLASH_K @ SLASH_EPS_CONJ) * run.kernel_a)
-    weight = np.linalg.qr(np.stack([plus.ravel(), minus.ravel()], axis=1), mode="r")
-    return _Prepared(endpoints=endpoints, cross=run.cross_phase(cfg, ctx.x_b), plus=plus,
-                     minus=minus, weight=weight, phase=run)
+        drift[mine] = run.drift
+        cross[mine] = run.cross_phase(ctx.cfg, points[mine])
+    weight = np.linalg.qr(np.stack([plus.reshape(-1, 16), minus.reshape(-1, 16)], axis=-1),
+                          mode="r")
+    far = transverse_project(points) - drift
+    x_a = transverse_project(ctx.x_a)
+    endpoints = TransverseEndpoints(complex(x_a[0]), complex(x_a[1]), far[:, 0], far[:, 1])
+    constant = longitudinal_phase(0.0, ctx.x_a, points, ctx.pL, ctx.m) + cross
+    return _Prepared(endpoints=endpoints, constant=constant, plus=plus, minus=minus,
+                     weight=weight, passes=tuple(passes.values()))
 
 
 def _assemble(pre: _Prepared, weighted) -> np.ndarray:
-    """I+ M+ + I- M- from R (I+, I-) in the last axis of `weighted`."""
+    """I+ M+ + I- M- per point, from R (I+, I-) in the last axis of `weighted` (..., n, 2)."""
     r = pre.weight
-    i_minus = weighted[..., 1] / r[1, 1]
-    i_plus = (weighted[..., 0] - r[0, 1] * i_minus) / r[0, 0]
-    return np.multiply.outer(i_plus, pre.plus) + np.multiply.outer(i_minus, pre.minus)
+    i_minus = weighted[..., 1] / r[:, 1, 1]
+    i_plus = (weighted[..., 0] - r[:, 0, 1] * i_minus) / r[:, 0, 0]
+    return i_plus[..., None, None] * pre.plus + i_minus[..., None, None] * pre.minus
 
 
 def spin_factor(e0, ctx: EvalContext) -> np.ndarray:
     """Dressed projector braces exp(+i w) M+ + exp(-i w) M-, w = e0 g B / 2,
     at one proper-time node or at each node of an array (set-up runs once)."""
-    pre = _prepare(ctx)
+    pre = _prepare(ctx, ctx.x_b)
     w = np.asarray(e0) * ctx.cfg.g * ctx.cfg.B / 2.0
-    return np.multiply.outer(np.exp(1j * w), pre.plus) + np.multiply.outer(np.exp(-1j * w), pre.minus)
+    return np.multiply.outer(np.exp(1j * w), pre.plus[0]) \
+        + np.multiply.outer(np.exp(-1j * w), pre.minus[0])
 
 
 def _ray_node(ctx: EvalContext, pre: _Prepared):
-    """Node function e0 -> R (f e^{+iw}, f e^{-iw}) on an array of nodes, R the triangular
-    QR factor of [vec M+, vec M-]: its norm is the Frobenius norm of the matrix
-    integrand, so the stopping rule and the error estimate measure G itself."""
+    """Node function e0 -> R (f e^{+iw}, f e^{-iw}) per far endpoint, on a column
+    of nodes (shape (m, 1)) giving shape (m, n, 2). R is the triangular QR factor
+    of [vec M+, vec M-]: its norm is the Frobenius norm of the matrix integrand,
+    so the stopping rule and the error estimate measure the G themselves."""
+    rate = 0.5j * ctx.mass_gap          # the e0-dependent part of the longitudinal phase
+
     def node(e0):
-        f = -0.5j * schwinger_kernel(e0, pre.endpoints, ctx.cfg) \
-            * np.exp(longitudinal_phase(e0, ctx.x_a, ctx.x_b, ctx.pL, ctx.m) + pre.cross)
+        f = -0.5j * schwinger_kernel(e0, pre.endpoints, ctx.cfg) * np.exp(rate * e0 + pre.constant)
         w = e0 * ctx.cfg.g * ctx.cfg.B / 2.0
-        return np.stack([f * np.exp(1j * w), f * np.exp(-1j * w)], axis=-1) @ pre.weight.T
+        both = np.stack([f * np.exp(1j * w), f * np.exp(-1j * w)], axis=-1)
+        return (pre.weight @ both[..., None])[..., 0]
     return node
 
 
@@ -156,13 +184,14 @@ def _check_ray_domain(ctx: EvalContext, endpoints: TransverseEndpoints):
             f"proper-time tail does not decay on the rotated ray: need dot(pL, pL) > m^2 "
             f"(gap {ctx.mass_gap!r})")
     dx2 = abs((endpoints.xb1 - endpoints.xa1) ** 2 + (endpoints.xb2 - endpoints.xa2) ** 2)
-    if dx2 == 0.0:
+    if np.any(dx2 == 0.0):
         raise QuadratureFailure(
             "coincident transverse endpoints: the short-time end of the ray is log-divergent")
 
 
 def _integrate_ray(node, ctx: EvalContext, pre: _Prepared):
-    """Integrate an array-valued node function along e0 = s exp(i theta)."""
+    """Integrate a node function along e0 = s exp(i theta), all far endpoints on
+    one panel set: the stopping rule sees the joint norm sqrt(sum |G_n|^2)."""
     ray = np.exp(1j * ctx.theta)
     min_sin = np.inf
 
@@ -178,30 +207,36 @@ def _integrate_ray(node, ctx: EvalContext, pre: _Prepared):
         if sin_mag[least] < CONTOUR_CAUSTIC_TOLERANCE:
             raise ContourCaustic(f"ray passed within {sin_mag[least]!r} of a caustic "
                                  f"at s={s[least]!r}")
-        return node(e0) * ray
+        return node(e0[:, None]) * ray
 
     scale = min(1.0, ctx.e0_max / 10.0)
     breaks = [b * scale for b in (0.02, 0.1, 0.5, 2.5)] + [ctx.e0_max / 2.0]
     result = adaptive_quad(f, 0.0, ctx.e0_max, abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol,
                            breakpoints=breaks)
     decay = np.sin(ctx.theta) * ctx.mass_gap / 2.0
-    tail = float(np.linalg.norm(node(np.array([ctx.e0_max * ray]))[0])) / decay
+    tail = float(np.linalg.norm(node(np.array([[ctx.e0_max * ray]]))[0])) / decay
     diag = KernelDiagnostics(error_estimate=result.error_estimate + tail,
                              nodes=result.nodes,
                              near_singularity=bool(min_sin < NEAR_CAUSTIC_THRESHOLD),
-                             prepare_nodes=pre.phase.nodes,
-                             prepare_error=pre.phase.error_estimate,
+                             prepare_nodes=sum(run.nodes for run in pre.passes),
+                             prepare_error=max(run.error_estimate for run in pre.passes),
                              tail_bound=tail, min_sin=min_sin)
     return result.value, diag
 
 
-def green_function(ctx: EvalContext) -> PropagatorValue:
-    """Mixed-representation Green function at fixed longitudinal momentum."""
-    pre = _prepare(ctx)
+def _green_batch(ctx: EvalContext, points):
+    """(G at each far endpoint of `points`, shape (n, 4, 4), joint diagnostics):
+    the context with x_b replaced, all points integrated on one shared ray."""
+    pre = _prepare(ctx, points)
     _check_ray_domain(ctx, pre.endpoints)
     weighted, diag = _integrate_ray(_ray_node(ctx, pre), ctx, pre)
-    return PropagatorValue(matrix=_assemble(pre, weighted), diagnostics=diag,
-                           contour_angle=ctx.theta)
+    return _assemble(pre, weighted), diag
+
+
+def green_function(ctx: EvalContext) -> PropagatorValue:
+    """Mixed-representation Green function at fixed longitudinal momentum."""
+    matrices, diag = _green_batch(ctx, ctx.x_b)
+    return PropagatorValue(matrix=matrices[0], diagnostics=diag, contour_angle=ctx.theta)
 
 
 def _without_profile(ctx: EvalContext) -> EvalContext:
@@ -219,7 +254,7 @@ def zero_k_value_and_gradient(ctx: EvalContext):
     differentiation of the integrand (dual route to the finite differences):
     the transverse derivatives are extra scalar weights on the same nodes."""
     ctx = _without_profile(ctx)
-    pre = _prepare(ctx)
+    pre = _prepare(ctx, ctx.x_b)
     endpoints = pre.endpoints
     _check_ray_domain(ctx, endpoints)
     gb = ctx.cfg.g * ctx.cfg.B
@@ -235,10 +270,10 @@ def zero_k_value_and_gradient(ctx: EvalContext):
             cot = np.cos(w) / np.sin(w)
             c0 = 0.5j * gb * (endpoints.xa2 - cot * (endpoints.xb1 - endpoints.xa1))
             c1 = 0.5j * gb * (-endpoints.xa1 - cot * (endpoints.xb2 - endpoints.xa2))
-        return np.stack([base, c0[..., None] * base, c1[..., None] * base], axis=-2)
+        return np.stack([base, c0[..., None] * base, c1[..., None] * base], axis=-3)
 
     weighted, _ = _integrate_ray(node, ctx, pre)
-    value, d0, d1 = _assemble(pre, weighted)
+    value, d0, d1 = _assemble(pre, weighted)[:, 0]
     d2 = 1j * METRIC[2] * ctx.pL[2] * value
     d3 = 1j * METRIC[3] * ctx.pL[3] * value
     return value, [d0, d1, d2, d3]
@@ -256,25 +291,31 @@ def dirac_apply(ctx: EvalContext, evaluator=None, step: float = 0.02) -> np.ndar
 
     Derivatives are 4th-order central differences; each direction is
     calibrated by comparing steps h and h/2 (StepCalibrationFailure when the
-    two disagree by more than 10%). `evaluator` maps x_b to a 4x4 matrix and
-    defaults to the full Green-function evaluation.
+    two disagree by more than 10%). `evaluator` maps an (n, 4) array of far
+    endpoints to the (n, 4, 4) array of matrices there; it is called once,
+    with x_b and its 32 stencil neighbours. By default it is the Green
+    function at all 33 on one shared ray, so their quadrature errors are
+    common-mode and cancel in the differences.
     """
     if evaluator is None:
-        def evaluator(x):
-            return green_function(replace(ctx, x_b=x)).matrix
+        def evaluator(points):
+            return _green_batch(ctx, points)[0]
 
-    def stencil(mu, h):
-        shift = np.zeros(4)
-        shift[mu] = h
-        return (-evaluator(ctx.x_b + 2 * shift) + 8 * evaluator(ctx.x_b + shift)
-                - 8 * evaluator(ctx.x_b - shift) + evaluator(ctx.x_b - 2 * shift)) / (12 * h)
+    steps = (step, step / 2.0)
+    points = [ctx.x_b] + [ctx.x_b + (k * h) * unit for unit in np.eye(4) for h in steps
+                          for k in (2, 1, -1, -2)]
+    values = np.asarray(evaluator(np.array(points)), dtype=complex)
+    base = values[0]
+    # per direction and step: G at x_b + (2, 1, -1, -2) h e_mu
+    shifted = values[1:].reshape(4, 2, 4, 4, 4)
 
-    base = np.asarray(evaluator(ctx.x_b), dtype=complex)
+    def stencil(f, h):
+        return (-f[0] + 8 * f[1] - 8 * f[2] + f[3]) / (12 * h)
+
     a_low = total_potential_lowered(ctx, ctx.x_b)
     out = ctx.m * base
     for mu in range(4):
-        coarse = stencil(mu, step)
-        fine = stencil(mu, step / 2.0)
+        coarse, fine = (stencil(f, h) for f, h in zip(shifted[mu], steps))
         scale = max(float(np.linalg.norm(fine)), 1e-300)
         if float(np.linalg.norm(coarse - fine)) > 0.1 * scale:
             raise StepCalibrationFailure(

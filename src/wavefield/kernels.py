@@ -39,8 +39,7 @@ import numpy as np
 
 from .errors import DivisionByZero, KernelSingularity
 from .fields import FieldConfig
-from .minkowski import (EPS, EPS_CONJ, METRIC, WAVE_K, dot, longitudinal_project,
-                        transverse_project)
+from .minkowski import EPS, EPS_CONJ, METRIC, WAVE_K, dot, transverse_project
 from .quadrature import CUMULATIVE, XK, adaptive_quad
 
 #: |sin(e0 g B / 2)| below this raises KernelSingularity.
@@ -52,7 +51,8 @@ NEAR_CAUSTIC_THRESHOLD = 0.05
 
 @dataclass(frozen=True)
 class TransverseEndpoints:
-    """Transverse-plane worldline endpoints (slot-0 and slot-1 components)."""
+    """Transverse-plane worldline endpoints (slot-0 and slot-1 components);
+    xb1 and xb2 may be arrays, one entry per far endpoint."""
 
     xa1: complex
     xa2: complex
@@ -77,7 +77,8 @@ class KernelDiagnostics:
 
 def schwinger_kernel(e0, ep: TransverseEndpoints, cfg: FieldConfig):
     """Transverse proper-time kernel of the constant magnetic background, at
-    one e0 (complex result) or at each of an array of them.
+    one e0 (complex result) or at each of an array of them, broadcast against
+    array endpoints.
 
     Tends to [i/(2 pi e0)] exp(-i |DX|^2 / (2 e0)) as B -> 0; raises
     KernelSingularity on caustics (|sin(e0 g B / 2)| < 1e-10).
@@ -135,7 +136,8 @@ class PhasePass:
     error_estimate: float
 
     def cross_phase(self, cfg: FieldConfig, x_b: np.ndarray) -> complex:
-        """Mixing exponent -i (g/2) (action integral + boundary term) of a path ending at x_b."""
+        """Mixing exponent -i (g/2) (action integral + boundary term) of a path
+        ending at x_b, or of each path ending at a row of a stack of them."""
         boundary = dot(transverse_project(x_b) - self.drift, cfg.tensor.apply(self.drift))
         return -0.5j * cfg.g * (self.action + boundary)
 
@@ -191,8 +193,9 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b: float, phi
     return PhasePass(complex(action), drift, *kernels, quad.nodes, quad.error_estimate)
 
 
-def longitudinal_phase(e0: complex, x_a: np.ndarray, x_b: np.ndarray,
-                       pL: np.ndarray, m: float) -> complex:
-    """Exponent i dot(pL, dx^L) + i (e0/2) (dot(pL, pL) - m^2)."""
-    dxl = longitudinal_project(np.asarray(x_b, dtype=complex) - np.asarray(x_a, dtype=complex))
+def longitudinal_phase(e0, x_a: np.ndarray, x_b: np.ndarray, pL: np.ndarray, m: float):
+    """Exponent i dot(pL, dx^L) + i (e0/2) (dot(pL, pL) - m^2). x_b may be a
+    stack of endpoints, shape (n, 4), against whose last axis e0 broadcasts."""
+    dxl = np.asarray(x_b, dtype=complex) - np.asarray(x_a, dtype=complex)
+    dxl[..., :2] = 0.0
     return 1j * dot(pL, dxl) + 0.5j * e0 * (dot(pL, pL) - m * m)

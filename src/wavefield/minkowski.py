@@ -35,14 +35,18 @@ def vector(c0=0.0, c1=0.0, c2=0.0, c3=0.0) -> np.ndarray:
     return np.array([c0, c1, c2, c3], dtype=complex)
 
 
-def dot(u: np.ndarray, v: np.ndarray) -> complex:
-    """Bilinear metric product sum_m g_mm u_m v_m (never sesquilinear)."""
-    return complex(np.sum(METRIC * np.asarray(u) * np.asarray(v)))
+def dot(u: np.ndarray, v: np.ndarray):
+    """Bilinear metric product sum_m g_mm u_m v_m (never sesquilinear), over the
+    last axis: a complex number for two vectors, an array for stacks of them."""
+    value = np.sum(METRIC * np.asarray(u) * np.asarray(v), axis=-1)
+    return complex(value) if np.ndim(value) == 0 else value
 
 
 def transverse_project(x: np.ndarray) -> np.ndarray:
-    """eps * dot(eps*, x) + eps* * dot(eps, x); zeroes the longitudinal slots."""
-    return EPS * dot(EPS_CONJ, x) + EPS_CONJ * dot(EPS, x)
+    """eps * dot(eps*, x) + eps* * dot(eps, x); zeroes the longitudinal slots
+    (of each row of a stack)."""
+    return EPS * np.asarray(dot(EPS_CONJ, x))[..., None] \
+        + EPS_CONJ * np.asarray(dot(EPS, x))[..., None]
 
 
 def longitudinal_project(x: np.ndarray) -> np.ndarray:

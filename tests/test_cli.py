@@ -1,16 +1,21 @@
 import csv
+import functools
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from wavefield import green, verification
 from wavefield.cli import (_matrix_columns, _matrix_row, main, parse_config, render_csv,
                           render_sidecar)
 from wavefield.errors import RangeError, SchemaError
 from wavefield.fields import CircularProfile, FieldConfig
 from wavefield.green import EvalContext, green_function
+from wavefield.quadrature import adaptive_quad
+from wavefield.verification import CheckResult
 
 
 def _field(profile=None):
@@ -137,6 +142,38 @@ def test_exit_code_quadrature(tmp_path):
     cfg["eval"] = _eval(m=2.0, pL=[0.0, 0.0, 0.0, 1.0])
     status, _ = _invoke(tmp_path, "gf", cfg)
     assert status == 4
+
+
+def test_quadrature_failure_reports_its_nodes_and_error(tmp_path, monkeypatch, capsys):
+    # a node budget too small for the ray: the failure carries both figures
+    monkeypatch.setattr(green, "adaptive_quad", functools.partial(adaptive_quad, node_cap=60))
+    status, out = _invoke(tmp_path, "gf", _config())
+    assert status == 4
+    assert not out.exists()
+    detail = re.search(r"after (\d+) nodes with error estimate (\S+)", capsys.readouterr().err)
+    assert int(detail.group(1)) >= 60
+    assert float(detail.group(2)) > 0.0
+
+
+def test_non_finite_field_values_exit_2(tmp_path):
+    for key in ("g", "B", "phi0"):
+        cfg = _config()
+        cfg["field"][key] = float("nan")
+        status, out = _invoke(tmp_path, "gf", cfg, name=f"{key}.csv")
+        assert status == 2
+        assert not out.exists()
+
+
+def test_identities_exit_5_when_a_check_fails(tmp_path, monkeypatch):
+    def failing():
+        return [CheckResult(criterion=1, name="clifford-algebra", max_deviation=1.0,
+                            tolerance=1e-14, passed=False)]
+
+    monkeypatch.setattr(verification, "check_clifford_algebra", failing)
+    status, out = _invoke(tmp_path, "identities", _config())
+    assert status == 5
+    sidecar = json.loads(open(str(out) + ".json").read())
+    assert sidecar["all_passed"] is False
 
 
 def test_kernel_requires_matching_grid(tmp_path):

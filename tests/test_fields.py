@@ -126,3 +126,11 @@ def test_tabulated_profile_refuses_to_extrapolate():
         p.potential(10.0)                   # the spline would give a1 = -142.8 here
     with pytest.raises(RangeError):
         p.derivative(np.array([0.0, -2.5]))
+
+
+def test_field_config_rejects_non_finite_values():
+    for bad in (dict(g=np.nan), dict(g=np.inf), dict(B=np.nan), dict(B=-np.inf),
+                dict(phi0=np.nan), dict(phi0=np.inf)):
+        with pytest.raises(RangeError):
+            FieldConfig(**{"g": 0.9, "B": 0.5, **bad})
+    assert FieldConfig(g=0.9, B=0.5, phi0=None).phi0 is None

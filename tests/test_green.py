@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from wavefield import green
 from wavefield.errors import QuadratureFailure, RangeError, StepCalibrationFailure
-from wavefield.fields import CircularProfile, FieldConfig, ZeroProfile
+from wavefield.fields import CircularProfile, FieldConfig, PulseProfile, ZeroProfile
 from wavefield.green import (EvalContext, dirac_apply, green_function, green_function_zero_k,
                              position_space_green, spin_factor, total_potential_lowered,
                              zero_k_value_and_gradient)
-from wavefield.kernels import NEAR_CAUSTIC_THRESHOLD
+from wavefield.kernels import NEAR_CAUSTIC_THRESHOLD, phase_pass
 from wavefield.minkowski import GAMMA, IDENTITY4, P_MINUS, P_PLUS, dot
+from wavefield.quadrature import adaptive_quad
 
 XA = np.array([0.1, -0.2, 0.3, 0.0])
 XB = np.array([0.6, 0.4, -0.1, 0.5])
@@ -144,9 +148,9 @@ def test_zero_k_gradient_matches_finite_differences():
 def test_dirac_step_calibration_guard():
     ctx = _ctx()
 
-    def kinked(x):
-        t = x[0] - XB[0]
-        return (t * t * np.sign(t)) * IDENTITY4
+    def kinked(points):
+        t = points[:, 0] - XB[0]
+        return (t * t * np.sign(t))[:, None, None] * IDENTITY4
 
     with pytest.raises(StepCalibrationFailure):
         dirac_apply(ctx, evaluator=kinked)
@@ -156,11 +160,11 @@ def test_dirac_assembly_on_smooth_evaluator():
     ctx = _ctx(cfg=WCFG)
     c = np.array([0.3, -0.2, 0.1, -0.1])
 
-    def smooth(x):
-        return np.exp(float(c @ x)) * IDENTITY4
+    def smooth(points):
+        return np.exp(points @ c)[:, None, None] * IDENTITY4
 
     out = dirac_apply(ctx, evaluator=smooth)
-    f = smooth(XB)
+    f = smooth(XB[None])[0]
     a_low = total_potential_lowered(ctx, XB)
     expected = ctx.m * f + sum(1j * GAMMA[mu] @ ((c[mu] - WCFG.g * a_low[mu]) * f)
                                for mu in range(4))
@@ -189,3 +193,48 @@ def test_diagnostics_keep_the_tail_apart_and_count_the_phase_pass():
     bare = green_function(_ctx(cfg=FieldConfig(g=1.0, B=0.0))).diagnostics
     assert bare.prepare_nodes == 0 and bare.prepare_error == 0.0
     assert bare.min_sin == np.inf and not bare.near_singularity
+
+
+def _per_point(ctx):
+    """The per-point route: one green_function call per far endpoint."""
+    def evaluate(points):
+        return np.stack([green_function(replace(ctx, x_b=x)).matrix for x in points])
+    return evaluate
+
+
+@pytest.mark.parametrize("cfg, x_b", [
+    (WCFG, XB),
+    (FieldConfig(g=0.9, B=0.5, profile=PulseProfile(amplitude=0.4, frequency=1.1, sigma=1.5)),
+     np.array([0.6, 0.4, -0.1, 5.4])),
+])
+def test_dirac_shared_ray_matches_the_per_point_route(cfg, x_b):
+    ctx = _ctx(cfg=cfg, x_b=x_b)
+    shared = dirac_apply(ctx)
+    per_point = dirac_apply(ctx, evaluator=_per_point(ctx))
+    bound = max(ctx.abs_tol, ctx.rel_tol * np.linalg.norm(per_point))
+    assert np.linalg.norm(shared - per_point) <= bound
+
+
+def test_dirac_integrates_one_ray_with_one_phase_pass_per_phi_b(monkeypatch):
+    calls = {"ray": 0, "pass": [], "gf": 0}
+
+    def ray(*args, **kwargs):
+        calls["ray"] += 1
+        return adaptive_quad(*args, **kwargs)
+
+    def one_pass(cfg, pL, phi_a, phi_b, phi0, **kwargs):
+        calls["pass"].append(phi_b)
+        return phase_pass(cfg, pL, phi_a, phi_b, phi0, **kwargs)
+
+    def no_gf(ctx):
+        calls["gf"] += 1
+        return green_function(ctx)
+
+    monkeypatch.setattr(green, "adaptive_quad", ray)
+    monkeypatch.setattr(green, "phase_pass", one_pass)
+    monkeypatch.setattr(green, "green_function", no_gf)
+    dirac_apply(_ctx(cfg=WCFG))
+    assert calls["ray"] == 1
+    assert calls["gf"] == 0
+    # shifts in x0 and x1 keep phi_b; x2 and x3 shifts give the same 6 offsets
+    assert len(calls["pass"]) == len(set(calls["pass"])) <= 13

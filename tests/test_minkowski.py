@@ -41,6 +41,13 @@ def test_projection_split():
         assert t[2] == 0.0 and t[3] == 0.0
 
 
+def test_stacks_give_the_row_by_row_values_exactly():
+    rng = np.random.default_rng(5)
+    xs = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+    assert np.array_equal(dot(WAVE_K, xs), [dot(WAVE_K, x) for x in xs])
+    assert np.array_equal(transverse_project(xs), [transverse_project(x) for x in xs])
+
+
 def test_clifford_relation_all_pairs():
     for mu in range(4):
         for nu in range(4):
