@@ -1,13 +1,13 @@
 """Exact Dirac Green function in a plane-wave plus constant-magnetic background.
 
 Mixed representation: fixed longitudinal momentum, transverse position. The
-value is a single proper-time integral of closed-form factors along a ray
-rotated into the upper half plane; every factor has an independent
+value is a single proper-time integral of closed-form factors along the
+Euclidean axis, taken to infinity; every factor has an independent
 brute-force check in `wavefield.oracles` / `wavefield.verification`.
 """
 
 from .conventions import convention_ledger
-from .errors import (ContourCaustic, DivisionByZero, InvalidProfile, KernelSingularity,
+from .errors import (DivisionByZero, InvalidProfile, KernelSingularity,
                      PoleError, QuadratureFailure, RangeError, ResonantDenominator,
                      ResonantQ, SchemaError, SingularForm, StepCalibrationFailure,
                      VerificationFailure, WavefieldError)
@@ -26,7 +26,7 @@ from .quadrature import QuadratureResult, adaptive_quad
 __version__ = "0.1.0"
 
 __all__ = [
-    "CircularProfile", "ConstantFieldTensor", "ContourCaustic", "DivisionByZero",
+    "CircularProfile", "ConstantFieldTensor", "DivisionByZero",
     "EPS", "EPS_CONJ", "EvalContext", "FieldConfig", "GAMMA", "InvalidProfile",
     "KernelSingularity", "LinearProfile", "METRIC", "P_MINUS", "P_PLUS",
     "PlaneWaveProfile", "PoleError", "PropagatorValue", "PulseProfile",

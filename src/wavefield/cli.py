@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .conventions import DEFAULT_VOLKOV_SIGN, convention_ledger
-from .errors import (ContourCaustic, DivisionByZero, InvalidProfile, KernelSingularity,
+from .errors import (DivisionByZero, InvalidProfile, KernelSingularity,
                      PoleError, QuadratureFailure, RangeError, ResonantDenominator,
                      ResonantQ, SchemaError, SingularForm, StepCalibrationFailure,
                      WavefieldError)
@@ -39,8 +39,8 @@ _COMMANDS = ("identities", "kernel", "K", "spinfactor", "gf", "gf-k0", "dirac",
 _SCHEMA_EXIT, _SINGULAR_EXIT, _QUADRATURE_EXIT, _VERIFY_EXIT = 2, 3, 4, 5
 _EXIT_CODES = (
     ((SchemaError, RangeError, InvalidProfile), _SCHEMA_EXIT),
-    ((KernelSingularity, PoleError, DivisionByZero, ContourCaustic, ResonantQ,
-      ResonantDenominator, SingularForm), _SINGULAR_EXIT),
+    ((KernelSingularity, PoleError, DivisionByZero, ResonantQ, ResonantDenominator,
+      SingularForm), _SINGULAR_EXIT),
     ((QuadratureFailure, StepCalibrationFailure), _QUADRATURE_EXIT),
     ((WavefieldError,), _VERIFY_EXIT),
 )
@@ -60,7 +60,7 @@ class RunConfig:
             "field": {"g": cfg.g, "B": cfg.B, "phi0": cfg.phi0,
                       "profile": {"kind": cfg.profile.kind, **cfg.profile.params()}},
             "eval": {"m": ctx.m, "x_a": list(ctx.x_a), "x_b": list(ctx.x_b),
-                     "pL": list(ctx.pL), "theta": ctx.theta, "e0_max": ctx.e0_max,
+                     "pL": list(ctx.pL), "theta": ctx.theta,
                      "abs_tol": ctx.abs_tol, "rel_tol": ctx.rel_tol},
             "grid": None if self.grid_param is None
                     else {"param": self.grid_param, "values": list(self.grid_values)},
@@ -162,7 +162,7 @@ def parse_config(text: str) -> RunConfig:
     phi0 = _number(field_block, "phi0", "field") if "phi0" in field_block else None
 
     eval_block = _expect_mapping(root["eval"], "eval")
-    optional = ("theta", "e0_max", "abs_tol", "rel_tol")     # EvalContext defaults the rest
+    optional = ("theta", "abs_tol", "rel_tol")     # EvalContext defaults the rest
     _reject_unknown(eval_block, {"m", "x_a", "x_b", "pL", *optional}, "eval")
     settings = {key: _finite(eval_block[key], f"eval.{key}")
                 for key in optional if key in eval_block}
@@ -310,8 +310,8 @@ def _propagator_table(rc: RunConfig, evaluate):
         grid_value, ctx = pair
         result = evaluate(ctx)
         diag = result.diagnostics
-        return ([grid_value] + _matrix_row(result.matrix)
-                + [diag.error_estimate, diag.nodes, diag.near_singularity])
+        # the ray meets no caustic off the real axis; the frozen column stays
+        return [grid_value] + _matrix_row(result.matrix) + [diag.error_estimate, diag.nodes, 0]
 
     rows = [one(pair) for pair in _grid_contexts(rc)]
     header = (["grid_value"] + _matrix_columns("g")

@@ -12,11 +12,8 @@ CSV_SCHEMA_VERSION = 1
 #: Diagonal of the fixed metric, in slot order (two transverse, two longitudinal).
 METRIC_DIAG = (1.0, 1.0, -1.0, 1.0)
 
-#: Default rotation angle of the proper-time ray e0 = s*exp(+i*theta).
-DEFAULT_CONTOUR_ANGLE = math.pi / 4
-
-#: Default truncation of the proper-time ray.
-DEFAULT_E0_MAX = 60.0
+#: Default rotation angle of the proper-time ray e0 = s*exp(+i*theta): the Euclidean axis.
+DEFAULT_CONTOUR_ANGLE = math.pi / 2
 
 #: Default adaptive-quadrature tolerances and node budget.
 DEFAULT_ABS_TOL = 1e-10
@@ -33,11 +30,11 @@ def convention_ledger(contour_angle=DEFAULT_CONTOUR_ANGLE, phi0=None, volkov_sig
     return {
         "csv_schema_version": CSV_SCHEMA_VERSION,
         "metric_diag": list(METRIC_DIAG),
-        "contour_rotation": "e0 = s*exp(+i*theta), theta in (0, pi/2)",
+        "contour_rotation": "e0 = s*exp(+i*theta), s in [0, inf), theta in (0, pi/2]",
         "contour_angle": contour_angle,
         "phi0_policy": "field.phi0 if set, else dot(k, x_a)",
         "phi0": phi0,
         "normalization": "-i/2 per proper-time node; (2pi)^-2 reserved for the position-space transform",
         "volkov_sign": volkov_sign,
-        "convergence_domain": "dot(pL, pL) > m^2 on the rotated ray",
+        "convergence_domain": "dot(pL, pL) > m^2, the ray integrated to infinity",
     }

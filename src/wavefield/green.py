@@ -1,8 +1,9 @@
 """Green-function assembly in the mixed (fixed longitudinal momentum,
 transverse position) representation.
 
-Along the rotated ray e0 = s exp(+i theta), s in (0, e0_max], theta in
-(0, pi/2), G is two scalar proper-time integrals times two fixed matrices:
+Along the ray e0 = s exp(+i theta), s in [0, inf), theta in (0, pi/2] (by
+default pi/2: the Euclidean axis, where the integrand is real, positive and
+free of caustics), G is two scalar integrals times two fixed matrices:
 
     G = I+ M+ + I- M-,   I+- = int de0 (-i/2) kernel(e0) exp(long + cross) exp(+-i e0 g B/2)
 
@@ -16,9 +17,9 @@ kernel's endpoints, the constant exponent and the braces differ between them,
 so one adaptive quadrature integrates all of them (`dirac_apply` sends its 33
 stencil points at once; `green_function` is the case of one).
 
-Absolute convergence on the ray needs dot(pL, pL) > m^2 (the longitudinal
-phase decays at large s) and distinct transverse endpoints (the kernel decays
-at small s); both are checked up front.
+Absolute convergence needs dot(pL, pL) > m^2 (the longitudinal phase decays
+at large s) and distinct transverse endpoints (the kernel decays at small s);
+both are checked up front.
 """
 
 from __future__ import annotations
@@ -27,18 +28,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conventions import (DEFAULT_ABS_TOL, DEFAULT_CONTOUR_ANGLE, DEFAULT_E0_MAX,
-                          DEFAULT_REL_TOL, DEFAULT_VOLKOV_SIGN)
-from .errors import ContourCaustic, QuadratureFailure, RangeError, StepCalibrationFailure
+from .conventions import (DEFAULT_ABS_TOL, DEFAULT_CONTOUR_ANGLE, DEFAULT_REL_TOL,
+                          DEFAULT_VOLKOV_SIGN)
+from .errors import QuadratureFailure, RangeError, StepCalibrationFailure
 from .fields import FieldConfig, ZeroProfile
-from .kernels import (NEAR_CAUSTIC_THRESHOLD, SUB_TOLERANCE, KernelDiagnostics,
-                      TransverseEndpoints, longitudinal_phase, phase_pass, schwinger_kernel)
+from .kernels import (SUB_TOLERANCE, KernelDiagnostics, TransverseEndpoints, folded_kernel,
+                      landau_factors, longitudinal_phase, phase_pass)
 from .minkowski import (GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS, SLASH_EPS,
                         SLASH_EPS_CONJ, SLASH_K, WAVE_K, dot, transverse_project)
 from .quadrature import adaptive_quad
-
-#: Minimum |sin(e0 g B / 2)| seen along the ray before declaring a caustic hit.
-CONTOUR_CAUSTIC_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,6 @@ class EvalContext:
     pL: np.ndarray
     cfg: FieldConfig
     theta: float = DEFAULT_CONTOUR_ANGLE
-    e0_max: float = DEFAULT_E0_MAX
     abs_tol: float = DEFAULT_ABS_TOL
     rel_tol: float = DEFAULT_REL_TOL
     volkov_sign: int = DEFAULT_VOLKOV_SIGN
@@ -63,10 +60,8 @@ class EvalContext:
                 raise RangeError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not np.isfinite(self.m):
             raise RangeError(f"m must be finite, got {self.m!r}")
-        if not 0.0 < self.theta < np.pi / 2.0:
-            raise RangeError(f"contour angle must lie in (0, pi/2), got {self.theta!r}")
-        if not 0.0 < self.e0_max < np.inf:
-            raise RangeError(f"e0_max must be positive and finite, got {self.e0_max!r}")
+        if not 0.0 < self.theta <= np.pi / 2.0:
+            raise RangeError(f"contour angle must lie in (0, pi/2], got {self.theta!r}")
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise RangeError(f"abs_tol and rel_tol must be positive, "
                              f"got {self.abs_tol!r} and {self.rel_tol!r}")
@@ -136,8 +131,12 @@ def _prepare(ctx: EvalContext, points) -> _Prepared:
             (IDENTITY4 + (SLASH_K @ SLASH_EPS_CONJ) * run.kernel_a)
         drift[mine] = run.drift
         cross[mine] = run.cross_phase(ctx.cfg, points[mine])
-    weight = np.linalg.qr(np.stack([plus.reshape(-1, 16), minus.reshape(-1, 16)], axis=-1),
-                          mode="r")
+    # R of [vec M+, vec M-] = QR by Gram-Schmidt: LAPACK's QR keeps 0.6 MB of pages resident
+    a, b = plus.reshape(-1, 16), minus.reshape(-1, 16)
+    r00 = np.linalg.norm(a, axis=1)
+    r01 = np.sum(a.conj() * b, axis=1) / r00
+    r11 = np.linalg.norm(b - (r01 / r00)[:, None] * a, axis=1)
+    weight = np.moveaxis(np.array([[r00, r01], [0.0 * r01, r11]]), -1, 0)
     far = transverse_project(points) - drift
     x_a = transverse_project(ctx.x_a)
     endpoints = TransverseEndpoints(complex(x_a[0]), complex(x_a[1]), far[:, 0], far[:, 1])
@@ -165,15 +164,17 @@ def spin_factor(e0, ctx: EvalContext) -> np.ndarray:
 
 def _ray_node(ctx: EvalContext, pre: _Prepared):
     """Node function e0 -> R (f e^{+iw}, f e^{-iw}) per far endpoint, on a column
-    of nodes (shape (m, 1)) giving shape (m, n, 2). R is the triangular QR factor
+    of nodes (shape (m, 1)) giving shape (m, n, 2); f e^{+-iw} is k q or k (see
+    `folded_kernel`) times (-i/2) exp(long + cross). R is the triangular QR factor
     of [vec M+, vec M-]: its norm is the Frobenius norm of the matrix integrand,
     so the stopping rule and the error estimate measure the G themselves."""
     rate = 0.5j * ctx.mass_gap          # the e0-dependent part of the longitudinal phase
+    b = ctx.cfg.g * ctx.cfg.B
 
     def node(e0):
-        f = -0.5j * schwinger_kernel(e0, pre.endpoints, ctx.cfg) * np.exp(rate * e0 + pre.constant)
-        w = e0 * ctx.cfg.g * ctx.cfg.B / 2.0
-        both = np.stack([f * np.exp(1j * w), f * np.exp(-1j * w)], axis=-1)
+        k, q = folded_kernel(e0, pre.endpoints, b)
+        f = -0.5j * k * np.exp(rate * e0 + pre.constant)
+        both = np.stack([f * q, f] if b > 0.0 else [f, f * q], axis=-1)
         return (pre.weight @ both[..., None])[..., 0]
     return node
 
@@ -181,7 +182,7 @@ def _ray_node(ctx: EvalContext, pre: _Prepared):
 def _check_ray_domain(ctx: EvalContext, endpoints: TransverseEndpoints):
     if ctx.mass_gap <= 0.0:
         raise QuadratureFailure(
-            f"proper-time tail does not decay on the rotated ray: need dot(pL, pL) > m^2 "
+            f"proper-time integrand does not decay at large s: need dot(pL, pL) > m^2 "
             f"(gap {ctx.mass_gap!r})")
     dx2 = abs((endpoints.xb1 - endpoints.xa1) ** 2 + (endpoints.xb2 - endpoints.xa2) ** 2)
     if np.any(dx2 == 0.0):
@@ -190,37 +191,24 @@ def _check_ray_domain(ctx: EvalContext, endpoints: TransverseEndpoints):
 
 
 def _integrate_ray(node, ctx: EvalContext, pre: _Prepared):
-    """Integrate a node function along e0 = s exp(i theta), all far endpoints on
-    one panel set: the stopping rule sees the joint norm sqrt(sum |G_n|^2)."""
+    """Integrate a node function along e0 = s exp(i theta), s = L u / (1 - u) for
+    u in [0, 1), L = 2 / (gap sin theta), over which the longitudinal phase decays
+    by 1/e; all far endpoints on one panel set (joint norm sqrt(sum |G_n|^2))."""
     ray = np.exp(1j * ctx.theta)
-    min_sin = np.inf
+    scale = 2.0 / (ctx.mass_gap * np.sin(ctx.theta))
 
-    def f(s):
-        nonlocal min_sin
-        e0 = s * ray
-        half = e0 * ctx.cfg.g * ctx.cfg.B / 2.0
-        # sin also vanishes at the short-time end; only half near n pi,
-        # n >= 1, is a caustic
-        sin_mag = np.where(np.abs(half) >= 1.0, np.abs(np.sin(half)), np.inf)
-        least = int(np.argmin(sin_mag))
-        min_sin = min(min_sin, float(sin_mag[least]))
-        if sin_mag[least] < CONTOUR_CAUSTIC_TOLERANCE:
-            raise ContourCaustic(f"ray passed within {sin_mag[least]!r} of a caustic "
-                                 f"at s={s[least]!r}")
-        return node(e0[:, None]) * ray
+    def f(u):
+        values = node((scale * u / (1.0 - u) * ray)[:, None])
+        jacobian = ray * scale / (1.0 - u) ** 2
+        return values * jacobian.reshape((-1,) + (1,) * (values.ndim - 1))
 
-    scale = min(1.0, ctx.e0_max / 10.0)
-    breaks = [b * scale for b in (0.02, 0.1, 0.5, 2.5)] + [ctx.e0_max / 2.0]
-    result = adaptive_quad(f, 0.0, ctx.e0_max, abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol,
+    # the short-time boundary layer of the kernel, at fixed s
+    breaks = [s / (s + scale) for s in (0.02, 0.1, 0.5, 2.5)]
+    result = adaptive_quad(f, 0.0, 1.0, abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol,
                            breakpoints=breaks)
-    decay = np.sin(ctx.theta) * ctx.mass_gap / 2.0
-    tail = float(np.linalg.norm(node(np.array([[ctx.e0_max * ray]]))[0])) / decay
-    diag = KernelDiagnostics(error_estimate=result.error_estimate + tail,
-                             nodes=result.nodes,
-                             near_singularity=bool(min_sin < NEAR_CAUSTIC_THRESHOLD),
+    diag = KernelDiagnostics(error_estimate=result.error_estimate, nodes=result.nodes,
                              prepare_nodes=sum(run.nodes for run in pre.passes),
-                             prepare_error=max(run.error_estimate for run in pre.passes),
-                             tail_bound=tail, min_sin=min_sin)
+                             prepare_error=max(run.error_estimate for run in pre.passes))
     return result.value, diag
 
 
@@ -257,19 +245,16 @@ def zero_k_value_and_gradient(ctx: EvalContext):
     pre = _prepare(ctx, ctx.x_b)
     endpoints = pre.endpoints
     _check_ray_domain(ctx, endpoints)
-    gb = ctx.cfg.g * ctx.cfg.B
+    b = ctx.cfg.g * ctx.cfg.B
     ray_node = _ray_node(ctx, pre)
 
     def node(e0):
         base = ray_node(e0)
-        if gb == 0.0:
-            c0 = -1j * (endpoints.xb1 - endpoints.xa1) / e0
-            c1 = -1j * (endpoints.xb2 - endpoints.xa2) / e0
-        else:
-            w = e0 * gb / 2.0
-            cot = np.cos(w) / np.sin(w)
-            c0 = 0.5j * gb * (endpoints.xa2 - cot * (endpoints.xb1 - endpoints.xa1))
-            c1 = 0.5j * gb * (-endpoints.xa1 - cot * (endpoints.xb2 - endpoints.xa2))
+        # d/dx_b of the kernel exponent i (b/2)(xb1 xa2 - xb2 xa1) - (h/4)(1 + q)|DX|^2
+        h, q = landau_factors(e0, b)
+        spread = 0.5 * h * (1.0 + q)
+        c0 = 0.5j * b * endpoints.xa2 - spread * (endpoints.xb1 - endpoints.xa1)
+        c1 = -0.5j * b * endpoints.xa1 - spread * (endpoints.xb2 - endpoints.xa2)
         return np.stack([base, c0[..., None] * base, c1[..., None] * base], axis=-3)
 
     weighted, _ = _integrate_ray(node, ctx, pre)

@@ -5,8 +5,9 @@
     [i g B / (4 pi sin(e0 g B / 2))]
       * exp{ i (g B / 2) [ (Xb1 Xa2 - Xb2 Xa1) - (1/2) cot(e0 g B / 2) |DX|^2 ] }
 
-with caustics at e0 g B in 2 pi Z. Everything the wave phase contributes
-comes from one pass along it, `phase_pass`, whose `PhasePass` holds:
+with caustics at e0 g B in 2 pi Z, written through `landau_factors`.
+Everything the wave phase contributes comes from one pass along it,
+`phase_pass`, whose `PhasePass` holds:
 
 * `kernel_a`, `kernel_b` (and `kernel_conj_a`, `kernel_conj_b`): the
   phase-integral dressing at phi_a and phi_b, as printed,
@@ -45,7 +46,7 @@ from .quadrature import CUMULATIVE, XK, adaptive_quad
 #: |sin(e0 g B / 2)| below this raises KernelSingularity.
 CAUSTIC_TOLERANCE = 1e-10
 
-#: |sin(e0 g B / 2)| below this sets the advisory near-caustic flag.
+#: |sin(e0 g B / 2)| below this sets the near-caustic flag of the `kernel` command.
 NEAR_CAUSTIC_THRESHOLD = 0.05
 
 
@@ -66,13 +67,44 @@ class TransverseEndpoints:
 
 @dataclass(frozen=True)
 class KernelDiagnostics:
-    error_estimate: float     # ray quadrature error plus tail_bound
-    nodes: int                # ray quadrature nodes
-    near_singularity: bool    # min_sin below NEAR_CAUSTIC_THRESHOLD
+    error_estimate: float     # proper-time quadrature error estimate
+    nodes: int                # proper-time quadrature nodes
     prepare_nodes: int        # nodes of the phase pass (cross phase, drift, K, K*)
     prepare_error: float      # its error estimate
-    tail_bound: float         # |integrand(e0_max)| / decay rate, the truncated tail
-    min_sin: float            # smallest |sin(e0 g B / 2)| met on the ray away from e0 = 0
+
+
+def landau_factors(e0, b: float):
+    """(h, q) at one proper time e0 or at an array of them, b = g B: q = exp(i |b| e0)
+    and h = |b| / (1 - q), or its limit i / e0 at b = 0 (where q = 1). Then
+
+        i b / (4 pi sin(e0 b / 2)) = h q^{1/2} / (2 pi),   (b/2) cot(e0 b / 2) = -(i/2) h (1 + q),
+
+    and |q| <= 1 on the upper half plane, so nothing overflows however far out
+    e0 lies. Raises KernelSingularity at e0 = 0 and on caustics: |sin(e0 b / 2)|
+    = |1 - q| / (2 |q|^{1/2}) < 1e-10 away from the short-time end (|e0 b / 2| >= 1).
+    """
+    if np.any(np.asarray(e0) == 0):
+        raise KernelSingularity("e0 = 0 is the short-time endpoint")
+    if b == 0.0:
+        return 1j / e0, 1.0
+    z = 1j * abs(b) * e0
+    q = np.exp(z)
+    one_minus_q = -np.expm1(z)
+    caustic = (np.abs(one_minus_q) < 2.0 * CAUSTIC_TOLERANCE * np.sqrt(np.abs(q))) \
+        & (np.abs(z) >= 2.0)
+    if np.any(caustic):
+        raise KernelSingularity(f"caustic: |sin(e0 g B / 2)| < {CAUSTIC_TOLERANCE:g} "
+                                f"at e0={np.asarray(e0)[caustic]!r}")
+    return abs(b) / one_minus_q, q
+
+
+def folded_kernel(e0, ep: TransverseEndpoints, b: float):
+    """(k, q): the transverse kernel is k q^{1/2}, q = exp(i |b| e0), b = g B, so a
+    caller's factor exp(+-i e0 b / 2) makes it k q or k, and nothing overflows."""
+    h, q = landau_factors(e0, b)
+    cross = ep.xb1 * ep.xa2 - ep.xb2 * ep.xa1
+    dx2 = (ep.xb1 - ep.xa1) ** 2 + (ep.xb2 - ep.xa2) ** 2
+    return h / (2.0 * np.pi) * np.exp(0.5j * b * cross - 0.25 * h * (1.0 + q) * dx2), q
 
 
 def schwinger_kernel(e0, ep: TransverseEndpoints, cfg: FieldConfig):
@@ -80,29 +112,11 @@ def schwinger_kernel(e0, ep: TransverseEndpoints, cfg: FieldConfig):
     one e0 (complex result) or at each of an array of them, broadcast against
     array endpoints.
 
-    Tends to [i/(2 pi e0)] exp(-i |DX|^2 / (2 e0)) as B -> 0; raises
-    KernelSingularity on caustics (|sin(e0 g B / 2)| < 1e-10).
+    Tends to [i/(2 pi e0)] exp(-i |DX|^2 / (2 e0)) as B -> 0 (and is that at
+    B = 0); raises KernelSingularity on caustics (|sin(e0 g B / 2)| < 1e-10).
     """
-    if np.any(np.asarray(e0) == 0):
-        raise KernelSingularity("e0 = 0 is the short-time endpoint")
-    half = e0 * cfg.g * cfg.B / 2.0
-    s = np.sin(half)
-    cross = ep.xb1 * ep.xa2 - ep.xb2 * ep.xa1
-    dx2 = (ep.xb1 - ep.xa1) ** 2 + (ep.xb2 - ep.xa2) ** 2
-    if not np.any(half):
-        # B = 0: free transverse kernel (the limit the magnetic one tends to)
-        value = 1j / (2.0 * np.pi * e0) * np.exp(-1j * dx2 / (2.0 * e0))
-    else:
-        # sin vanishes both at caustics (half near n pi, n >= 1) and at the
-        # harmless short-time end half -> 0, where the formula is still
-        # stable; only the former is an error.
-        caustic = (np.abs(s) < CAUSTIC_TOLERANCE) & (np.abs(half) >= 1.0)
-        if np.any(caustic):
-            raise KernelSingularity(f"caustic: |sin(e0 g B / 2)| < {CAUSTIC_TOLERANCE:g} "
-                                    f"at e0={np.asarray(e0)[caustic]!r}")
-        prefactor = 1j * cfg.g * cfg.B / (4.0 * np.pi * s)
-        exponent = 1j * (cfg.g * cfg.B / 2.0) * (cross - 0.5 * (np.cos(half) / s) * dx2)
-        value = prefactor * np.exp(exponent)
+    k, _ = folded_kernel(e0, ep, cfg.g * cfg.B)
+    value = k * np.exp(0.5j * abs(cfg.g * cfg.B) * e0)
     return complex(value) if np.ndim(value) == 0 else value
 
 

@@ -18,9 +18,13 @@ Gaussian on the rotated ray.
 rotated onto the Euclidean proper-time axis e0 = i tau, where its integrand
 is real, positive and free of caustics, integrated by scipy's QUADPACK.
 
+`landau_green` is the same proper-time integral in closed form: at the
+drift-shifted far endpoint it is the constant-field (Landau) propagator,
+Gamma(nu) e^{-X/2} U(nu, 1, X), evaluated by mpmath at 30 digits.
+
 `cross_phase_nested` is the mixing exponent as the literal double integral in
 real transverse coordinates: every node of the outer action integral solves
-for the drift by its own inner QUADPACK integrals.
+for the drift (`drift_nested`) by its own inner QUADPACK integrals.
 """
 
 from __future__ import annotations
@@ -185,6 +189,73 @@ def zero_profile_green(x_a, x_b, pL, m: float, b: float) -> np.ndarray:
     return 0.5 * phase * (plus * P_PLUS + minus * P_MINUS)
 
 
+def landau_green(x_a, x_b, pL, m: float, b: float, drift=(0.0, 0.0), cross: complex = 0.0,
+                 plus=P_PLUS, minus=P_MINUS) -> np.ndarray:
+    """The proper-time integral in closed form (Schwinger; the Landau-level sum
+    of Gusynin, Miransky and Shovkovy, Nucl. Phys. B 462, 249 (1996)):
+
+        G = (1/2) exp(i pL.dx^L + cross + i (b/2) chi) (J+ M+ + J- M-),
+        J_s = Gamma(nu_s) e^{-X/2} U(nu_s, 1, X) / (2 pi),
+        nu_s = gap / (2|b|) + (1 + s sgn b) / 2,   X = |b| rho^2 / 2,
+
+    and J = K0(sqrt(gap rho^2)) / pi at b = 0. Here b = g B, gap = pL^2 - m^2,
+    rho and chi = Xb1 Xa2 - Xb2 Xa1 are taken at the far endpoint shifted by
+    the drift, X_b = x_b^T - Y, `cross` is the plane-wave / magnetic mixing
+    exponent and M+- the dressed braces (P+- for a zero profile). mpmath is
+    imported here, at 30 digits: scipy's hyperu loses digits at large nu.
+    """
+    import mpmath
+
+    x_a, x_b, pL = (np.asarray(v, dtype=float) for v in (x_a, x_b, pL))
+    far = x_b[:2] - np.asarray(drift, dtype=float)
+    gap = float(np.sum(METRIC * pL * pL)) - m * m
+    rho2 = float((far[0] - x_a[0]) ** 2 + (far[1] - x_a[1]) ** 2)
+    if gap <= 0 or rho2 == 0.0:
+        raise ValueError(f"oracle needs gap > 0 and |DX| > 0, got gap {gap!r}, |DX|^2 {rho2!r}")
+    with mpmath.workdps(30):
+        if b == 0.0:
+            j_plus = j_minus = float(mpmath.besselk(0, mpmath.sqrt(gap * rho2)) / mpmath.pi)
+        else:
+            x = mpmath.mpf(abs(b)) * rho2 / 2
+
+            def j(s):
+                nu = mpmath.mpf(gap) / (2 * abs(b)) + mpmath.mpf(1 + s * np.sign(b)) / 2
+                return float(mpmath.gamma(nu) * mpmath.exp(-x / 2) * mpmath.hyperu(nu, 1, x)
+                             / (2 * mpmath.pi))
+
+            j_plus, j_minus = j(+1), j(-1)
+    chi = far[0] * x_a[1] - far[1] * x_a[0]
+    phase = np.exp(1j * np.sum(METRIC[2:] * pL[2:] * (x_b - x_a)[2:]) + cross + 0.5j * b * chi)
+    return 0.5 * phase * (j_plus * np.asarray(plus) + j_minus * np.asarray(minus))
+
+
+def drift_nested(components, g: float, B: float, kp: float, phi_a: float, phi: float,
+                 knots=()) -> tuple:
+    """Transverse drift (Y1, Y2) at phi, at rest at phi_a, in the real
+    transverse plane: Y(phi) = rate int_{phi_a}^{phi} exp(-rate F (phi - p)) A(p) dp
+    with rate = g / kp, A = components(p) and F = B [[0, 1], [-1, 0]], a
+    rotation by rate B (phi - p), by two QUADPACK integrals. `knots` are phases
+    where the profile is not smooth, handed to QUADPACK as break points."""
+    rate = g / kp
+
+    def forced(p, row):
+        angle = rate * B * (phi - p)
+        a1, a2 = (float(v) for v in components(p))
+        if row == 0:
+            return rate * (math.cos(angle) * a1 - math.sin(angle) * a2)
+        return rate * (math.sin(angle) * a1 + math.cos(angle) * a2)
+
+    return tuple(_quad(forced, phi_a, phi, knots, (row,)) for row in (0, 1))
+
+
+def _quad(fn, lo, hi, knots=(), args=()):
+    from scipy.integrate import quad
+
+    inside = [p for p in knots if min(lo, hi) < p < max(lo, hi)]
+    return quad(fn, lo, hi, args=args, epsabs=1e-13, epsrel=1e-12, limit=200,
+                points=inside or None)[0]
+
+
 def cross_phase_nested(components, g: float, B: float, kp: float, phi_a: float, phi_b: float,
                        xb, knots=()) -> complex:
     """Mixing exponent -i (g/2) [int_{phi_a}^{phi_b} A . dY/dphi + (X_b - Y_b) . F Y_b].
@@ -197,30 +268,13 @@ def cross_phase_nested(components, g: float, B: float, kp: float, phi_a: float, 
     the profile is not smooth (a tabulated grid), handed to QUADPACK as
     break points.
     """
-    from scipy.integrate import quad
-
     rate = g / kp
-
-    def integrate(fn, lo, hi, args=()):
-        inside = [p for p in knots if min(lo, hi) < p < max(lo, hi)]
-        return quad(fn, lo, hi, args=args, epsabs=1e-13, epsrel=1e-12, limit=200,
-                    points=inside or None)[0]
-
-    def drift(phi):
-        def forced(p, row):
-            angle = rate * B * (phi - p)
-            a1, a2 = (float(v) for v in components(p))
-            if row == 0:
-                return rate * (math.cos(angle) * a1 - math.sin(angle) * a2)
-            return rate * (math.sin(angle) * a1 + math.cos(angle) * a2)
-
-        return [integrate(forced, phi_a, phi, (row,)) for row in (0, 1)]
 
     def density(phi):
         a1, a2 = (float(v) for v in components(phi))
-        y1, y2 = drift(phi)
+        y1, y2 = drift_nested(components, g, B, kp, phi_a, phi, knots)
         return rate * (a1 * (a1 - B * y2) + a2 * (a2 + B * y1))
 
-    y1, y2 = drift(phi_b)
+    y1, y2 = drift_nested(components, g, B, kp, phi_a, phi_b, knots)
     boundary = (float(xb[0]) - y1) * B * y2 - (float(xb[1]) - y2) * B * y1
-    return -0.5j * g * (integrate(density, phi_a, phi_b) + boundary)
+    return -0.5j * g * (_quad(density, phi_a, phi_b, knots) + boundary)

@@ -40,9 +40,14 @@ WG = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 
 #: For a panel of half-width `half`, half * CUMULATIVE @ f(nodes) integrates the
-#: degree-14 interpolant of f from the panel's left edge to each of its nodes.
-_LEG = np.polynomial.legendre
-CUMULATIVE = _LEG.legval(XK, _LEG.legint(np.linalg.inv(_LEG.legvander(XK, 14)), lbnd=-1.0)).T
+#: degree-14 interpolant of f from the panel's left edge to each of its nodes: entry
+#: (i, j) is the K15 rule (exact to degree 22) on [-1, XK[i]] for node j's Lagrange
+#: polynomial (numpy.polynomial or LAPACK here would stay resident in every process).
+_HALF = (XK + 1.0) / 2.0
+_DIFF = (-1.0 + _HALF[:, None] * (XK + 1.0))[..., None] - XK      # [i, K15 node, k]
+CUMULATIVE = _HALF[:, None] * np.einsum("m,imj->ij", WK, np.stack(
+    [np.prod(np.delete(_DIFF, j, axis=-1), axis=-1) / np.prod(np.delete(XK[j] - XK, j))
+     for j in range(15)], axis=-1))
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,17 @@ import csv
 import functools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavefield
 from wavefield import green, verification
 from wavefield.cli import (_matrix_columns, _matrix_row, main, parse_config, render_csv,
                           render_sidecar)
@@ -52,8 +57,7 @@ def _rows(out_path):
 
 def test_parse_config_defaults():
     rc = parse_config(json.dumps(_config()))
-    assert rc.ctx.theta == pytest.approx(math.pi / 4.0)
-    assert rc.ctx.e0_max == 60.0
+    assert rc.ctx.theta == math.pi / 2.0
     assert rc.ctx.abs_tol == 1e-10 and rc.ctx.rel_tol == 1e-8
     assert rc.grid_param is None and rc.grid_values == ()
     assert rc.ctx.volkov_sign == +1
@@ -72,6 +76,7 @@ def test_schema_error_paths():
         ({"field": {"g": 0.9, "B": 0.5}, "eval": _eval()}, "field.profile"),
         ({"field": _field(), "eval": _eval(x_a=[0.0, 0.0])}, "eval.x_a"),
         ({"field": _field(), "eval": _eval(y0=[0.1, 0.2, 0.0, 0.0])}, "eval.y0"),
+        ({"field": _field(), "eval": _eval(e0_max=60.0)}, "eval.e0_max"),
         (_config(grid={"param": "pL3", "values": [1.8, "two"]}), "grid.values[1]"),
         (_config(extra={}), "$.extra"),
         ({"eval": _eval()}, "field"),
@@ -286,9 +291,9 @@ def test_tabulated_profile_outside_its_grid_exits_2(tmp_path):
 
 
 def test_gf_outputs_carry_only_the_frozen_columns(tmp_path):
-    # the extra diagnostics (phase-pass nodes and error, tail bound, min |sin|)
-    # stay in the library: the CSV and the sidecar are exactly what the frozen
-    # columns and the config give
+    # the extra diagnostics (phase-pass nodes and error) stay in the library:
+    # the CSV and the sidecar are exactly what the frozen columns and the
+    # config give, and the ray meets no caustic, so near_singularity reads 0
     grid = {"param": "xb3", "values": [0.5, 2.0]}
     rc = parse_config(json.dumps(_config(grid=grid)))
     status, out = _invoke(tmp_path, "gf", _config(grid=grid))
@@ -298,13 +303,26 @@ def test_gf_outputs_carry_only_the_frozen_columns(tmp_path):
         x_b = np.array([0.6, 0.4, -0.1, value])
         result = green_function(replace(rc.ctx, x_b=x_b))
         diag = result.diagnostics
-        assert diag.prepare_nodes > 0 and diag.tail_bound > 0.0
-        rows.append([value] + _matrix_row(result.matrix)
-                    + [diag.error_estimate, diag.nodes, diag.near_singularity])
+        assert diag.prepare_nodes > 0
+        rows.append([value] + _matrix_row(result.matrix) + [diag.error_estimate, diag.nodes, 0])
     header = (["grid_value"] + _matrix_columns("g")
               + ["error_estimate", "nodes", "near_singularity"])
     assert out.read_bytes() == render_csv(header, rows)
     sidecar = open(str(out) + ".json", "rb").read()
     assert sidecar == render_sidecar("gf", rc, len(rows))
-    for name in ("prepare_nodes", "prepare_error", "tail_bound", "min_sin"):
+    for name in ("prepare_nodes", "prepare_error", "e0_max"):
         assert name.encode() not in sidecar
+
+
+def test_verify_does_not_import_mpmath(tmp_path):
+    # mpmath serves only the closed-form oracle of the tests; loading it in
+    # `verify` would cost memory on every run
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(_config()))
+    code = ("import sys; from wavefield import cli; "
+            "status = cli.main(['verify', '--config', sys.argv[1], '--out', sys.argv[2]]); "
+            "print(status, 'mpmath' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(wavefield.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code, str(cfg_path), str(tmp_path / "out.csv")],
+                          capture_output=True, text=True, env=env, timeout=300, check=True)
+    assert done.stdout.split() == ["0", "False"]

@@ -8,7 +8,7 @@ from wavefield.errors import ResonantDenominator
 from wavefield.fields import FieldConfig, ZeroProfile
 from wavefield.kernels import schwinger_kernel, TransverseEndpoints
 from wavefield.minkowski import IDENTITY4
-from wavefield.oracles import (SliceLattice, free_kernel, free_propagator,
+from wavefield.oracles import (SliceLattice, free_kernel, free_propagator, landau_green,
                                richardson_extrapolate, sliced_kernel,
                                volkov_kernel_closed_form, zero_profile_green)
 
@@ -115,10 +115,21 @@ def test_zero_profile_oracle_raises_no_runtime_warning():
 
 
 def test_zero_profile_oracle_domain_checks():
-    with pytest.raises(ValueError):
-        zero_profile_green([0, 0, 0, 0], [1, 0, 0, 0], [0.0, 0.0, 0.0, 1.0], m=2.0, b=0.5)
-    with pytest.raises(ValueError):
-        zero_profile_green([0.3, 0.2, 0, 0], [0.3, 0.2, 1, 1], [0.0, 0.0, 0.2, 2.0], m=0.8, b=0.5)
+    for oracle in (zero_profile_green, landau_green):
+        with pytest.raises(ValueError):
+            oracle([0, 0, 0, 0], [1, 0, 0, 0], [0.0, 0.0, 0.0, 1.0], m=2.0, b=0.5)
+        with pytest.raises(ValueError):
+            oracle([0.3, 0.2, 0, 0], [0.3, 0.2, 1, 1], [0.0, 0.0, 0.2, 2.0], m=0.8, b=0.5)
+
+
+def test_landau_form_matches_the_euclidean_axis_integral():
+    # the U-function closed form against QUADPACK on the same integral
+    pL = np.array([0.0, 0.0, 0.2, 2.0])
+    for b in (0.6, -0.4, 0.0, 5.0):
+        for x_b in ([0.5, 0.0, 0.4, -0.1], [1.1, -0.7, 0.0, 0.3]):
+            ref = zero_profile_green([0.1, -0.2, 0.3, 0.0], x_b, pL, 0.8, b)
+            value = landau_green([0.1, -0.2, 0.3, 0.0], x_b, pL, 0.8, b)
+            assert np.max(np.abs(value - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_oracles_do_not_import_production_modules():

@@ -1,12 +1,14 @@
 """Property-based checks over random admissible inputs.
 
 The one pass along the wave phase (cross phase, K and K* from one panel set)
-is compared with the independent oracles, and the panel-at-once quadrature
-with a per-point transcription of the classic adaptive K15/G7 loop.
+is compared with the independent oracles, the panel-at-once quadrature
+with a per-point transcription of the classic adaptive K15/G7 loop, and the
+Green function at any contour angle with the one on the Euclidean axis.
 Examples are derandomized so that every run draws the same cases.
 """
 
 import heapq
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wavefield.fields import CircularProfile, FieldConfig, PulseProfile
+from wavefield.green import EvalContext, green_function
 from wavefield.kernels import phase_pass
 from wavefield.minkowski import WAVE_K, dot
 from wavefield.oracles import cross_phase_nested, volkov_kernel_closed_form
@@ -41,6 +44,17 @@ def _contexts(draw, kind):
     phi0 = draw(st.floats(-3.0, 3.0))
     sign = draw(st.sampled_from([1, -1]))
     return FieldConfig(g=g, B=b, profile=profile), pL, x_a, x_b, phi0, sign
+
+
+@st.composite
+def _eval_contexts(draw):
+    """Admissible evaluation contexts: circular or pulse waves, B of both
+    signs, gap >= 1.09 and transverse separation >= 0.3."""
+    cfg, pL, x_a, x_b, _, sign = draw(_contexts(draw(st.sampled_from(["circular", "pulse"]))))
+    assume(np.hypot(*(x_b[:2] - x_a[:2])) >= 0.3)
+    cfg = replace(cfg, B=cfg.B * draw(st.sampled_from([1.0, -1.0])))
+    return EvalContext(m=draw(st.floats(0.5, 1.0)), x_a=x_a, x_b=x_b, pL=pL, cfg=cfg,
+                       volkov_sign=sign)
 
 
 def _cross_phase(cfg, pL, x_a, x_b):
@@ -131,3 +145,21 @@ def test_panel_at_once_quadrature_matches_per_point_evaluation(terms, a, length,
     # |kronrod - gauss| cancels ~10 digits, so last-bit differences between
     # scalar and array evaluation of the integrand show at ~1e-7 there
     assert res.error_estimate == pytest.approx(error, rel=1e-6)
+
+
+@settings(max_examples=15, **_SETTINGS)
+@given(_eval_contexts(), st.floats(0.3, np.pi / 2.0))
+def test_green_function_does_not_depend_on_the_contour_angle(ctx, theta):
+    euclidean = green_function(ctx).matrix
+    rotated = green_function(replace(ctx, theta=theta)).matrix
+    # each side meets max(abs_tol, rel_tol |G|)
+    bound = 2.0 * max(ctx.abs_tol, ctx.rel_tol * np.linalg.norm(euclidean))
+    assert np.linalg.norm(rotated - euclidean) <= bound
+
+
+@settings(max_examples=10, **_SETTINGS)
+@given(_eval_contexts())
+def test_green_function_is_bit_identical_across_evaluations(ctx):
+    first, second = green_function(ctx), green_function(ctx)
+    assert first.matrix.tobytes() == second.matrix.tobytes()
+    assert first.diagnostics == second.diagnostics
