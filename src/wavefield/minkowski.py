@@ -49,12 +49,6 @@ def transverse_project(x: np.ndarray) -> np.ndarray:
         + EPS_CONJ * np.asarray(dot(EPS, x))[..., None]
 
 
-def longitudinal_project(x: np.ndarray) -> np.ndarray:
-    out = np.zeros(4, dtype=complex)
-    out[2], out[3] = x[2], x[3]
-    return out
-
-
 # --- gamma matrices -------------------------------------------------------
 #
 # Built from the standard Dirac representation gt^0..gt^3 (metric +,-,-,-)

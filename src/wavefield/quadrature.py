@@ -81,7 +81,8 @@ def adaptive_quad(f, a: float, b: float, abs_tol: float = 1e-10, rel_tol: float 
     f maps the array of a panel's 15 nodes to their values, stacked on axis 0
     (complex scalars or ndarrays). `breakpoints` seeds the initial subdivision
     (useful when the integrand has a known boundary layer). Raises
-    QuadratureFailure past `node_cap` integrand evaluations.
+    QuadratureFailure, with the nodes used and the error so far, where the
+    next panel would take it past `node_cap` integrand evaluations.
     """
     if a == b:
         probe = np.asarray(f(np.array([a])), dtype=complex)[0]
@@ -96,9 +97,17 @@ def adaptive_quad(f, a: float, b: float, abs_tol: float = 1e-10, rel_tol: float 
     edges.append(b)
 
     heap, nodes, err_sum, value_sum = [], 0, 0.0, 0.0
+
+    def exhausted():
+        return QuadratureFailure(
+            f"node budget {node_cap} exhausted (error estimate {err_sum:.3e})",
+            error_estimate=err_sum, nodes=nodes)
+
     pending = list(zip(edges[:-1], edges[1:]))
     while True:
         for lo, hi in pending:
+            if nodes + 15 > node_cap:            # breakpoints may seed more than the cap
+                raise exhausted()
             kron, err = _panel(f, lo, hi)
             nodes += 15
             err_sum += err
@@ -107,10 +116,8 @@ def adaptive_quad(f, a: float, b: float, abs_tol: float = 1e-10, rel_tol: float 
         # running sums decide when to stop; the result is summed afresh below
         if err_sum <= max(abs_tol, rel_tol * _norm(value_sum)):
             break
-        if nodes + 30 > node_cap:
-            raise QuadratureFailure(
-                f"node budget {node_cap} exhausted (error estimate {err_sum:.3e})",
-                error_estimate=err_sum, nodes=nodes)
+        if nodes + 30 > node_cap:                # a bisection needs both halves
+            raise exhausted()
         neg_err, _, lo, hi, kron = heapq.heappop(heap)
         err_sum += neg_err
         value_sum = value_sum - kron

@@ -3,9 +3,11 @@
 Every closed-form building block is re-derived here through an independent
 route (direct matrix algebra, brute-force lattice sums, antiderivative
 oracles, finite differences, contour re-evaluation at a second angle) and
-compared
-at a fixed tolerance. `run_all` is what the `verify` CLI command executes;
-each check also has a focused unit test.
+compared at a fixed tolerance. The classical spin path (criterion 4) has no
+production route: `oracles.classical_spin_path` is checked against the spin
+equations by central differences and against its boundary conditions.
+`run_all` is what the `verify` CLI command executes; each check also has a
+focused unit test.
 
 All random draws use fixed seeds so the suite is deterministic run to run.
 """
@@ -26,9 +28,9 @@ from .green import (EvalContext, dirac_apply, green_function, green_function_zer
 from .kernels import TransverseEndpoints, phase_pass, schwinger_kernel, spin_determinant
 from .minkowski import (EPS, EPS_CONJ, GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS, WAVE_K,
                         dot, tanh_projector_identity, transverse_spectral)
-from .oracles import (SliceLattice, free_kernel, free_propagator, richardson_extrapolate,
-                      sliced_kernel, volkov_kernel_closed_form, zero_profile_green)
-from .paths import PathContext, classical_spin_path, make_phi_path, spin_projection_constant
+from .oracles import (SliceLattice, classical_spin_path, free_kernel, free_propagator,
+                      richardson_extrapolate, sliced_kernel, spin_projection_constant,
+                      volkov_kernel_closed_form, zero_profile_green)
 
 _EPS64 = float(np.finfo(float).eps)
 
@@ -137,6 +139,7 @@ def check_planewave_contraction() -> list[CheckResult]:
 def check_classical_path_equations() -> list[CheckResult]:
     rng = np.random.default_rng(104)
     step = 1e-4
+    taus = np.linspace(0.05, 0.95, 20)
     dev_el = 0.0
     dev_boundary = 0.0
     transverse_id = transverse_spectral(1.0, 1.0, 0.0)
@@ -147,29 +150,25 @@ def check_classical_path_equations() -> list[CheckResult]:
         cfg = FieldConfig(g=g, B=b, profile=CircularProfile(
             amplitude=rng.uniform(0.2, 0.8), frequency=rng.uniform(0.6, 1.8)))
         pl = np.array([0.0, 0.0, rng.uniform(-0.3, 0.3), rng.uniform(1.5, 2.5)])
-        phi = make_phi_path(e0, pl, phi_a=rng.uniform(-1.0, 1.0))
-        ctx = PathContext(e0=e0, cfg=cfg, phi=phi)
+        phi_a = rng.uniform(-1.0, 1.0)
+        slope = -e0 * dot(WAVE_K, pl)
         q = e0 * g * cfg.tensor.mixed.astype(complex)
 
-        for tau in np.linspace(0.05, 0.95, 20):
-            lo = classical_spin_path(tau - step, ctx)
-            mid = classical_spin_path(tau, ctx)
-            hi = classical_spin_path(tau + step, ctx)
-            fd_m = (hi.gamma_coeff - lo.gamma_coeff) / (2.0 * step)
-            fd_v = (hi.eta_coeff - lo.eta_coeff) / (2.0 * step)
-            slope = np.asarray(cfg.profile.derivative(phi.at(tau)), dtype=complex)
-            dev_el = max(dev_el,
-                         _maxabs(fd_m - q @ mid.gamma_coeff),
-                         _maxabs(fd_v - (q @ mid.eta_coeff - e0 * g * slope)))
-
-        start = classical_spin_path(0.0, ctx)
-        end = classical_spin_path(1.0, ctx)
+        gamma, eta = classical_spin_path(np.concatenate([taus - step, taus, taus + step,
+                                                         [0.0, 1.0]]),
+                                         e0, g, b, phi_a, slope, cfg.profile.slope_components)
+        lo, mid, hi = (slice(i * taus.size, (i + 1) * taus.size) for i in range(3))
+        fd_m = (gamma[hi] - gamma[lo]) / (2.0 * step)
+        fd_v = (eta[hi] - eta[lo]) / (2.0 * step)
+        a_prime = np.asarray(cfg.profile.derivative(phi_a + slope * taus), dtype=complex)
+        dev_el = max(dev_el,
+                     _maxabs(fd_m - q @ gamma[mid]),
+                     _maxabs(fd_v - (eta[mid] @ q.T - e0 * g * a_prime)))
         dev_boundary = max(dev_boundary,
-                           _maxabs(end.gamma_coeff + start.gamma_coeff - transverse_id),
-                           _maxabs(end.eta_coeff + start.eta_coeff))
+                           _maxabs(gamma[-1] + gamma[-2] - transverse_id),
+                           _maxabs(eta[-1] + eta[-2]))
 
-    eta = spin_projection_constant(np.array([0.0, 0.0, 1.0, 0.0]))
-    dev_eta = abs(eta - 0.5)
+    dev_eta = abs(spin_projection_constant(np.array([0.0, 0.0, 1.0, 0.0])) - 0.5)
     return [
         _result(4, "spin-path-equation-residual", dev_el, 1e-6,
                 "central differences, step 1e-4, 20 interior points, 3 setups"),

@@ -156,7 +156,7 @@ def test_quadrature_failure_reports_its_nodes_and_error(tmp_path, monkeypatch, c
     assert status == 4
     assert not out.exists()
     detail = re.search(r"after (\d+) nodes with error estimate (\S+)", capsys.readouterr().err)
-    assert int(detail.group(1)) >= 60
+    assert 0 < int(detail.group(1)) <= 60
     assert float(detail.group(2)) > 0.0
 
 
@@ -326,3 +326,19 @@ def test_verify_does_not_import_mpmath(tmp_path):
     done = subprocess.run([sys.executable, "-c", code, str(cfg_path), str(tmp_path / "out.csv")],
                           capture_output=True, text=True, env=env, timeout=300, check=True)
     assert done.stdout.split() == ["0", "False"]
+
+
+def test_gf_and_dirac_do_not_import_scipy(tmp_path):
+    # scipy serves the oracles, `verify` and tabulated profiles; `gf` and
+    # `dirac` on an analytic profile start faster and smaller without it
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(_config()))
+    code = ("import sys; from wavefield import cli; "
+            "status = cli.main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]]); "
+            "print(status, any(name.split('.')[0] == 'scipy' for name in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(wavefield.__file__).resolve().parents[1])}
+    for command in ("gf", "dirac"):
+        done = subprocess.run([sys.executable, "-c", code, command, str(cfg_path),
+                               str(tmp_path / f"{command}.csv")],
+                              capture_output=True, text=True, env=env, timeout=300, check=True)
+        assert done.stdout.split() == ["0", "False"], command

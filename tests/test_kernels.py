@@ -6,8 +6,9 @@ from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, Pulse
                               TabulatedProfile, ZeroProfile)
 from wavefield.kernels import (NEAR_CAUSTIC_THRESHOLD, TransverseEndpoints, longitudinal_phase,
                                near_caustic, phase_pass, schwinger_kernel, spin_determinant)
-from wavefield.minkowski import WAVE_K, dot
-from wavefield.oracles import cross_phase_nested, free_kernel, volkov_kernel_closed_form
+from wavefield.minkowski import WAVE_K, dot, transverse_spectral
+from wavefield.oracles import (cross_phase_nested, drift_nested, free_kernel,
+                               volkov_kernel_closed_form)
 
 EP = TransverseEndpoints(xa1=0.2, xa2=-0.1, xb1=0.9, xb2=0.4)
 ZCFG = FieldConfig(g=1.0, B=0.6, profile=ZeroProfile())
@@ -190,3 +191,66 @@ def test_phase_pass_kernels_equal_the_single_kernel_views():
     assert np.max(np.abs(run.drift - drift)) < 1e-13
     assert run.nodes % 15 == 0 and run.nodes > 0
     assert 0.0 < run.error_estimate < 1e-11
+
+
+def _circular_drift_oracle(phi, phi_a, u_a, g, B, kp, a, nu):
+    """u(phi) = Y0 + i Y1 for dY/dphi = (g/kp)(A - fY), A circular.
+
+    In the complex coordinate the generator acts as -iB, so
+    u' = rho*a*e^{i nu phi} + i rho B u with rho = g/kp.
+    """
+    rho = g / kp
+    if abs(nu - rho * B) < 1e-12:
+        raise ValueError("resonant oracle parameters")
+    hom = np.exp(1j * rho * B * (phi - phi_a)) * u_a
+    freq = nu - rho * B
+    part = rho * a * np.exp(1j * rho * B * phi) * (
+        np.exp(1j * freq * phi) - np.exp(1j * freq * phi_a)) / (1j * freq)
+    return hom + part
+
+
+def _drift_at_phi(phi, y0, cfg, pL, phi_a):
+    """Y(phi) with Y(phi_a) = y0: the phase pass's drift (at rest at phi_a)
+    plus the homogeneous rotation of y0."""
+    turn = np.exp(1j * cfg.g * cfg.B / dot(WAVE_K, pL) * (phi - phi_a))
+    forced = phase_pass(cfg, pL, phi_a, phi, phi_a).drift
+    return transverse_spectral(1.0 / turn, turn, 1.0) @ y0 + forced
+
+
+def test_drift_against_circular_oracle():
+    g, B, a, nu = 0.9, 0.6, 0.5, 1.4
+    pL = np.array([0.0, 0.0, 0.2, 2.0])
+    kp = dot(WAVE_K, pL).real
+    cfg = FieldConfig(g=g, B=B, profile=CircularProfile(amplitude=a, frequency=nu))
+    phi_a = -0.3
+    y0 = np.array([0.2, -0.1, 0.0, 0.0], dtype=complex)
+    for phi in (0.1, 0.9, 2.0):
+        y = _drift_at_phi(phi, y0, cfg, pL, phi_a)
+        u = _circular_drift_oracle(phi, phi_a, y0[0] + 1j * y0[1], g, B, kp, a, nu)
+        assert y[0] + 1j * y[1] == pytest.approx(u, abs=1e-11)
+        assert abs(y[2]) < 1e-14 and abs(y[3]) < 1e-14
+
+
+def test_drift_initial_condition():
+    cfg = FieldConfig(g=0.9, B=0.6, profile=CircularProfile(amplitude=0.5, frequency=1.4))
+    pL = np.array([0.0, 0.0, 0.2, 2.0])
+    y0 = np.array([0.3, 0.1, 0.0, 0.0], dtype=complex)
+    y = _drift_at_phi(-0.3, y0, cfg, pL, phi_a=-0.3)
+    assert np.allclose(y, y0, atol=1e-14)
+
+
+def test_drift_parameterizations_agree():
+    # the phase pass's drift (eps/eps* basis, cumulative sums on one panel set)
+    # against the real-plane drift by two QUADPACK integrals per end phase
+    g, phi_a = 1.1, 0.2
+    pL = np.array([0.0, 0.0, -0.1, 1.8])
+    kp = dot(WAVE_K, pL).real
+    for profile in (CircularProfile(amplitude=0.4, frequency=0.9),
+                    PulseProfile(amplitude=0.4, frequency=1.1, sigma=1.5)):
+        for B in (0.5, -0.7, 0.0):
+            cfg = FieldConfig(g=g, B=B, profile=profile)
+            for phi in (-0.9, 0.5325, 0.998, 1.53):
+                drift = phase_pass(cfg, pL, phi_a, phi, phi_a).drift
+                ref = drift_nested(profile.components, g, B, kp, phi_a, phi)
+                assert np.max(np.abs(drift[:2] - ref)) < 1e-10
+                assert drift[2] == 0.0 and drift[3] == 0.0

@@ -3,7 +3,9 @@
 The one pass along the wave phase (cross phase, K and K* from one panel set)
 is compared with the independent oracles, the panel-at-once quadrature
 with a per-point transcription of the classic adaptive K15/G7 loop, and the
-Green function at any contour angle with the one on the Euclidean axis.
+Green function at any contour angle with the one on the Euclidean axis. A
+transverse translation of both endpoints changes the Schwinger kernel and the
+zero-profile Green function by the gauge phase alone.
 Examples are derandomized so that every run draws the same cases.
 """
 
@@ -15,9 +17,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wavefield.fields import CircularProfile, FieldConfig, PulseProfile
+from wavefield.fields import CircularProfile, FieldConfig, PulseProfile, ZeroProfile
 from wavefield.green import EvalContext, green_function
-from wavefield.kernels import phase_pass
+from wavefield.kernels import TransverseEndpoints, phase_pass, schwinger_kernel
 from wavefield.minkowski import WAVE_K, dot
 from wavefield.oracles import cross_phase_nested, volkov_kernel_closed_form
 from wavefield.quadrature import WG, WK, XK, _G_IDX, adaptive_quad
@@ -163,3 +165,43 @@ def test_green_function_is_bit_identical_across_evaluations(ctx):
     first, second = green_function(ctx), green_function(ctx)
     assert first.matrix.tobytes() == second.matrix.tobytes()
     assert first.diagnostics == second.diagnostics
+
+
+@st.composite
+def _translations(draw):
+    """A zero-profile context with b = g B of either sign or 0, and a
+    transverse shift c."""
+    ctx = draw(_eval_contexts())
+    cfg = FieldConfig(g=ctx.cfg.g, B=ctx.cfg.B * draw(st.sampled_from([1.0, 0.0])),
+                      profile=ZeroProfile())
+    shift = np.array([draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)), 0.0, 0.0])
+    return replace(ctx, cfg=cfg), shift
+
+
+def _gauge_phase(ctx, shift):
+    """exp(i (b/2)(c2 D1 - c1 D2)), D = x_b - x_a: what translating both
+    endpoints by c does to the cross term xb1 xa2 - xb2 xa1."""
+    d = ctx.x_b - ctx.x_a
+    return np.exp(0.5j * ctx.cfg.g * ctx.cfg.B * (shift[1] * d[0] - shift[0] * d[1]))
+
+
+@settings(max_examples=20, **_SETTINGS)
+@given(_translations(), st.floats(0.1, 3.0), st.floats(0.3, np.pi / 2.0))
+def test_schwinger_kernel_picks_up_the_gauge_phase_under_translation(case, s, theta):
+    ctx, shift = case
+    e0 = s * np.exp(1j * theta)
+    moved = replace(ctx, x_a=ctx.x_a + shift, x_b=ctx.x_b + shift)
+    kernel, kernel_moved = (schwinger_kernel(e0, TransverseEndpoints.from_vectors(c.x_a, c.x_b),
+                                             c.cfg) for c in (ctx, moved))
+    assert abs(kernel_moved - kernel * _gauge_phase(ctx, shift)) <= 1e-13 * abs(kernel)
+
+
+@settings(max_examples=10, **_SETTINGS)
+@given(_translations())
+def test_zero_profile_green_function_picks_up_the_gauge_phase_under_translation(case):
+    ctx, shift = case
+    value = green_function(ctx)
+    moved = green_function(replace(ctx, x_a=ctx.x_a + shift, x_b=ctx.x_b + shift))
+    assert moved.diagnostics.nodes == value.diagnostics.nodes
+    deviation = np.linalg.norm(moved.matrix - value.matrix * _gauge_phase(ctx, shift))
+    assert deviation <= 1e-13 * np.linalg.norm(value.matrix)

@@ -63,6 +63,23 @@ def test_node_cap_raises():
                       abs_tol=1e-14, rel_tol=1e-14, node_cap=600)
 
 
+def test_node_cap_holds_when_the_breakpoint_panels_alone_exceed_it():
+    # seven seeded panels need 105 nodes; a cap of 50 admits three of them
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.exp(1j * 9.0 * x)
+
+    knots = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    with pytest.raises(QuadratureFailure) as failure:
+        adaptive_quad(f, 0.0, 7.0, breakpoints=knots, node_cap=50)
+    assert sum(calls) == failure.value.nodes == 45
+    assert failure.value.error_estimate > 1e-10      # the three panels' own estimates
+    # a cap that fits the seeded panels exactly lets a smooth integrand through
+    assert adaptive_quad(np.cos, 0.0, 7.0, breakpoints=knots, node_cap=105).nodes == 105
+
+
 def test_nonfinite_integrand_raises():
     # the midpoint of [0, 1] is a K15 node, so the pole is actually sampled
     with np.errstate(divide="ignore"), pytest.raises(QuadratureFailure):
