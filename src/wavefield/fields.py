@@ -145,8 +145,9 @@ class PulseProfile(_Carrier):
 
 
 class TabulatedProfile(PlaneWaveProfile):
-    """Cubic interpolation (natural end conditions) of sampled components,
-    defined on the grid only: a phase outside it raises RangeError."""
+    """Natural cubic spline through sampled components: one spline over the
+    stacked (a1, a2) and its derivative, defined on the grid only (a phase
+    outside it raises RangeError)."""
 
     kind = "tabulated"
 
@@ -164,22 +165,21 @@ class TabulatedProfile(PlaneWaveProfile):
         # imported here: scipy.interpolate costs about 50 MB and 0.5 s at import,
         # which only tabulated profiles need
         from scipy.interpolate import CubicSpline
-        self._s1 = CubicSpline(grid, a1, bc_type="natural")
-        self._s2 = CubicSpline(grid, a2, bc_type="natural")
-        self._d1 = self._s1.derivative()
-        self._d2 = self._s2.derivative()
+        self._spline = CubicSpline(grid, np.stack([a1, a2], axis=-1), bc_type="natural")
+        self._slope = self._spline.derivative()
 
-    def _on_grid(self, first, second, phi):
+    def _on_grid(self, spline, phi):
         if np.any(phi < self.phi_grid[0]) or np.any(phi > self.phi_grid[-1]):
             raise RangeError(f"tabulated profile evaluated outside its grid "
                              f"[{self.phi_grid[0]!r}, {self.phi_grid[-1]!r}]")
-        return first(phi), second(phi)
+        values = spline(phi)
+        return values[..., 0], values[..., 1]
 
     def components(self, phi):
-        return self._on_grid(self._s1, self._s2, phi)
+        return self._on_grid(self._spline, phi)
 
     def slope_components(self, phi):
-        return self._on_grid(self._d1, self._d2, phi)
+        return self._on_grid(self._slope, phi)
 
     def params(self):
         return {"points": int(self.phi_grid.size),

@@ -109,6 +109,10 @@ class _Prepared:
     passes: tuple
 
 
+#: Phases of far endpoints closer than this times their largest coordinate are one phase.
+_ROUNDINGS = 8.0 * np.finfo(float).eps
+
+
 def _prepare(ctx: EvalContext, points) -> _Prepared:
     """One phase pass and one set of braces per distinct phi_b of the far
     endpoints `points` (shape (n, 4)), the action at the context's tolerances
@@ -116,15 +120,21 @@ def _prepare(ctx: EvalContext, points) -> _Prepared:
     point."""
     points = np.asarray(points, dtype=float).reshape(-1, 4)
     phis = dot(WAVE_K, points).real
-    passes = {phi: phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, phi, ctx.phi0, sign=ctx.volkov_sign,
-                              abs_tol=ctx.abs_tol * SUB_TOLERANCE,
-                              rel_tol=ctx.rel_tol * SUB_TOLERANCE)
-              for phi in dict.fromkeys(phis.tolist())}
+    # a point shares the pass of the first point whose phase lies within a few
+    # roundings of the coordinates: the stencil's (x2 + h) - x3 and x2 - (x3 - h)
+    # need not round to the same float
+    tie = _ROUNDINGS * abs(points).max()
+    first = (abs(phis[:, None] - phis) <= tie).argmax(axis=1)
     plus, minus = np.empty((2, len(points), 4, 4), dtype=complex)
     drift = np.empty((len(points), 4), dtype=complex)
     cross = np.empty(len(points), dtype=complex)
-    for phi, run in passes.items():
-        mine = phis == phi
+    passes = []
+    for j in dict.fromkeys(first.tolist()):
+        mine = first == j
+        run = phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, float(phis[j]), ctx.phi0,
+                         sign=ctx.volkov_sign, abs_tol=ctx.abs_tol * SUB_TOLERANCE,
+                         rel_tol=ctx.rel_tol * SUB_TOLERANCE)
+        passes.append(run)
         plus[mine] = (IDENTITY4 - (SLASH_K @ SLASH_EPS_CONJ) * run.kernel_b) @ P_PLUS @ \
             (IDENTITY4 + (SLASH_K @ SLASH_EPS) * run.kernel_conj_a)
         minus[mine] = (IDENTITY4 - (SLASH_K @ SLASH_EPS) * run.kernel_conj_b) @ P_MINUS @ \
@@ -142,7 +152,7 @@ def _prepare(ctx: EvalContext, points) -> _Prepared:
     endpoints = TransverseEndpoints(complex(x_a[0]), complex(x_a[1]), far[:, 0], far[:, 1])
     constant = longitudinal_phase(0.0, ctx.x_a, points, ctx.pL, ctx.m) + cross
     return _Prepared(endpoints=endpoints, constant=constant, plus=plus, minus=minus,
-                     weight=weight, passes=tuple(passes.values()))
+                     weight=weight, passes=tuple(passes))
 
 
 def _assemble(pre: _Prepared, weighted) -> np.ndarray:

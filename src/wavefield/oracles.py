@@ -11,9 +11,13 @@ worldline action
 
 (midpoint rule for the magnetic term, D = 1/N), with one free-kernel
 normalization factor i/(2 pi e0 D) per link, and evaluates the interior
-Gaussian exactly. The square-root branch is taken per eigenvalue (principal),
-which reproduces the Fresnel phases at real e0 and the absolutely convergent
-Gaussian on the rotated ray.
+Gaussian exactly. Every 2x2 block of its matrix A is a polynomial in sigma_y,
+so on sigma_y's eigenvectors A splits into an (N-1) tridiagonal T and its
+transpose. T and T^T share their spectrum, each eigenvalue of T is a double
+eigenvalue of A, and the Gaussian's det(A)^(-1/2) = prod_A lam^(-1/2) is
+prod_T lam^(-1) = 1/det T exactly: the two copies of an eigenvalue take the
+same principal root, so the branch choice cancels in pairs, at real e0 (the
+Fresnel phases) as on the rotated ray. The interior solve runs on T alone.
 
 `zero_profile_green` is Schwinger's closed-form constant-field propagator
 rotated onto the Euclidean proper-time axis e0 = i tau, where its integrand
@@ -69,31 +73,32 @@ def sliced_kernel(lat: SliceLattice) -> complex:
     delta = 1.0 / n
     kappa = 1.0 / (lat.e0 * delta)
     mu = lat.g * lat.B / 2.0
-    dim = 2 * (n - 1)
 
-    # exponent = -(1/2) u^T A u + b^T u + c over the interior sites
-    link = np.array([[1j * kappa, -1j * mu], [1j * mu, 1j * kappa]])
-    A = np.zeros((dim, dim), dtype=complex)
-    for j in range(n - 1):
-        A[2 * j:2 * j + 2, 2 * j:2 * j + 2] = 2j * kappa * np.eye(2)
-        if j + 1 < n - 1:
-            A[2 * j:2 * j + 2, 2 * j + 2:2 * j + 4] = -link
-            A[2 * j + 2:2 * j + 4, 2 * j:2 * j + 2] = -link.T
+    # exponent = -(1/2) u^T A u + b^T u + c over the N-1 interior sites, two
+    # components each; A has blocks 2i kappa on its diagonal, -(i kappa + mu sigma_y)
+    # above it and -(i kappa - mu sigma_y) below. On sigma_y's eigenvectors
+    # (1, +-i)/sqrt2 it splits into T (sigma_y = +1) and T^T (sigma_y = -1), and
+    # b into the components b_+ and b_-.
+    off = np.full(n - 2, 1j * kappa)
+    t = np.diag(np.full(n - 1, 2j * kappa)) - np.diag(off + mu, 1) - np.diag(off - mu, -1)
 
     xa = np.asarray(lat.xa, dtype=complex)
     xb = np.asarray(lat.xb, dtype=complex)
-    b = np.zeros(dim, dtype=complex)
-    b[0:2] = 1j * kappa * xa + 1j * mu * np.array([xa[1], -xa[0]])
-    b[dim - 2:dim] += 1j * kappa * xb + 1j * mu * np.array([-xb[1], xb[0]])
+    b = np.zeros((n - 1, 2), dtype=complex)
+    b[0] = 1j * kappa * xa + 1j * mu * np.array([xa[1], -xa[0]])
+    b[-1] += 1j * kappa * xb + 1j * mu * np.array([-xb[1], xb[0]])
     c = -0.5j * kappa * (xa @ xa + xb @ xb)
+    b_plus, b_minus = (b[:, 0] - 1j * b[:, 1]) / _SQRT2, (b[:, 0] + 1j * b[:, 1]) / _SQRT2
 
-    lam = np.linalg.eigvals(A)
+    lam = np.linalg.eigvals(t)
     if np.min(np.abs(lam)) < 1e-12 * np.max(np.abs(lam)):
         raise SingularForm(f"discrete Gaussian singular at e0={lat.e0!r}, N={n}")
-    root = np.prod(np.power(lam, -0.5))
-    sol = np.linalg.solve(A, b)
+    # A has each eigenvalue of T twice, so prod_A lam^(-1/2) = prod_T lam^(-1);
+    # and (1/2) b^T A^(-1) b = (1/2)(b_-^T T^(-1) b_+ + b_+^T T^(-T) b_-) = b_-^T T^(-1) b_+
+    root = np.prod(1.0 / lam)
+    exponent = b_minus @ np.linalg.solve(t, b_plus) + c
     prefactor = (1j / (2.0 * np.pi * lat.e0 * delta)) ** n * (2.0 * np.pi) ** (n - 1)
-    return complex(prefactor * root * np.exp(0.5 * (b @ sol) + c))
+    return complex(prefactor * root * np.exp(exponent))
 
 
 def free_kernel(e0: complex, xa, xb) -> complex:

@@ -128,6 +128,25 @@ def test_tabulated_profile_refuses_to_extrapolate():
         p.derivative(np.array([0.0, -2.5]))
 
 
+def test_tabulated_stacked_spline_matches_per_component_splines():
+    from scipy.interpolate import CubicSpline
+
+    grid = np.linspace(-2.0, 2.0, 17) + 0.03 * np.sin(np.arange(17))
+    a1, a2 = np.exp(-grid**2) * np.cos(2.0 * grid), 0.4 * np.sin(1.3 * grid) + 0.1 * grid
+    p = TabulatedProfile(phi_grid=grid, a1=a1, a2=a2)
+    phi = np.concatenate([grid, np.linspace(grid[0], grid[-1], 301)])
+    for mine, refs in ((p.components, [CubicSpline(grid, a, bc_type="natural") for a in (a1, a2)]),
+                       (p.slope_components,
+                        [CubicSpline(grid, a, bc_type="natural").derivative() for a in (a1, a2)])):
+        for value, ref in zip(mine(phi), refs):
+            assert np.max(np.abs(value - ref(phi))) <= 1e-15
+        for value, ref in zip(mine(0.37), refs):
+            assert np.shape(value) == () and abs(value - ref(0.37)) <= 1e-15
+        for outside in (grid[0] - 1e-9, np.array([0.0, grid[-1] + 0.5])):
+            with pytest.raises(RangeError):
+                mine(outside)
+
+
 def test_field_config_rejects_non_finite_values():
     for bad in (dict(g=np.nan), dict(g=np.inf), dict(B=np.nan), dict(B=-np.inf),
                 dict(phi0=np.nan), dict(phi0=np.inf)):

@@ -219,3 +219,21 @@ def test_dirac_integrates_one_ray_with_one_phase_pass_per_phi_b(monkeypatch):
     assert calls["gf"] == 0
     # shifts in x0 and x1 keep phi_b; x2 and x3 shifts give the same 6 offsets
     assert len(calls["pass"]) == len(set(calls["pass"])) <= 13
+
+
+def test_dirac_runs_one_phase_pass_per_stencil_phase(monkeypatch):
+    # jittered README points: (x2 + h) - x3 and x2 - (x3 - h) round apart at some
+    # of them, yet the stencil has 7 distinct phases (phi_b and 6 offsets)
+    phases = []
+
+    def one_pass(cfg, pL, phi_a, phi_b, phi0, **kwargs):
+        phases.append(phi_b)
+        return phase_pass(cfg, pL, phi_a, phi_b, phi0, **kwargs)
+
+    monkeypatch.setattr(green, "phase_pass", one_pass)
+    rng = np.random.default_rng(8)
+    for _ in range(6):
+        phases.clear()
+        x_b = np.round(XB + rng.uniform(-0.2, 0.2, 4) * [1.0, 1.0, 0.25, 0.25], 6)
+        dirac_apply(_ctx(cfg=WCFG, x_b=x_b))
+        assert len(phases) == 7

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from wavefield.errors import ResonantDenominator, ResonantQ
+from wavefield.errors import ResonantDenominator, ResonantQ, SingularForm
 from wavefield.fields import CircularProfile, FieldConfig, PulseProfile, ZeroProfile
 from wavefield.kernels import schwinger_kernel, TransverseEndpoints
 from wavefield.minkowski import IDENTITY4, WAVE_K, dot, transverse_spectral
@@ -41,6 +41,63 @@ def test_sliced_kernel_converges_to_magnetic_kernel():
     limit, order = richardson_extrapolate(ns, vals)
     assert 0.7 < order < 1.3          # midpoint coupling of the magnetic term
     assert abs(limit - target) < 1e-3
+
+
+def _dense_sliced_kernel(lat):
+    """The lattice Gaussian over all 2(N-1) interior coordinates at once: a dense
+    eigen-decomposition for the determinant, with the principal square-root
+    branch per eigenvalue, and a dense solve (reference for `sliced_kernel`)."""
+    n = lat.n_slices
+    delta = 1.0 / n
+    kappa = 1.0 / (lat.e0 * delta)
+    mu = lat.g * lat.B / 2.0
+    dim = 2 * (n - 1)
+    link = np.array([[1j * kappa, -1j * mu], [1j * mu, 1j * kappa]])
+    A = np.zeros((dim, dim), dtype=complex)
+    for j in range(n - 1):
+        A[2 * j:2 * j + 2, 2 * j:2 * j + 2] = 2j * kappa * np.eye(2)
+        if j + 1 < n - 1:
+            A[2 * j:2 * j + 2, 2 * j + 2:2 * j + 4] = -link
+            A[2 * j + 2:2 * j + 4, 2 * j:2 * j + 2] = -link.T
+    xa = np.asarray(lat.xa, dtype=complex)
+    xb = np.asarray(lat.xb, dtype=complex)
+    b = np.zeros(dim, dtype=complex)
+    b[0:2] = 1j * kappa * xa + 1j * mu * np.array([xa[1], -xa[0]])
+    b[dim - 2:dim] += 1j * kappa * xb + 1j * mu * np.array([-xb[1], xb[0]])
+    c = -0.5j * kappa * (xa @ xa + xb @ xb)
+    lam = np.linalg.eigvals(A)
+    if np.min(np.abs(lam)) < 1e-12 * np.max(np.abs(lam)):
+        raise SingularForm(f"discrete Gaussian singular at e0={lat.e0!r}, N={n}")
+    root = np.prod(np.power(lam, -0.5))
+    sol = np.linalg.solve(A, b)
+    prefactor = (1j / (2.0 * np.pi * lat.e0 * delta)) ** n * (2.0 * np.pi) ** (n - 1)
+    return complex(prefactor * root * np.exp(0.5 * (b @ sol) + c))
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_paired_lattice_gaussian_matches_the_dense_route(n):
+    # real and rotated e0 (up to the Euclidean axis), B of both signs and zero
+    rng = np.random.default_rng(n)
+    for B in (0.7, -0.5, 0.0):
+        for angle in (0.0, np.pi / 6, np.pi / 3, np.pi / 2):
+            e0 = rng.uniform(0.3, 1.2) * np.exp(1j * angle)
+            lat = SliceLattice(n_slices=n, e0=e0, g=rng.uniform(0.5, 1.5), B=B,
+                               xa=rng.uniform(-1.0, 1.0, 2), xb=rng.uniform(-1.0, 1.0, 2))
+            ref = _dense_sliced_kernel(lat)
+            assert abs(sliced_kernel(lat) - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_singular_form_guard_raises_at_the_lattice_caustic(n):
+    # the discrete form is singular at e0 = N tan(pi/N) / (g B/2); e0 g B -> 2 pi as N -> inf
+    g, B = 1.0, 0.6
+    caustic = n * np.tan(np.pi / n) / (g * B / 2.0)
+    for kernel in (sliced_kernel, _dense_sliced_kernel):
+        with pytest.raises(SingularForm):
+            kernel(SliceLattice(n_slices=n, e0=caustic, g=g, B=B, xa=XA, xb=XB))
+        for moved in (0.99 * caustic, 1.01 * caustic):
+            value = kernel(SliceLattice(n_slices=n, e0=moved, g=g, B=B, xa=XA, xb=XB))
+            assert np.isfinite(abs(value))
 
 
 def test_richardson_recovers_exact_first_order_limit():

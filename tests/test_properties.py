@@ -89,6 +89,10 @@ def test_one_pass_matches_oracles_for_circular_waves(context):
         assert abs(k_conj - np.conj(ref)) <= 1e-11
 
 
+# Its draws depend on which modules are loaded first, and one draw of the full
+# suite makes the nested oracle's QUADPACK warn of bad integrand behaviour (see the
+# FOUND line on this test in CHANGES.md); the warning stays visible, not an error.
+@pytest.mark.filterwarnings("default::scipy.integrate.IntegrationWarning")
 @settings(max_examples=10, **_SETTINGS)
 @given(_contexts("pulse"))
 def test_one_pass_matches_the_nested_oracle_for_pulses(context):
