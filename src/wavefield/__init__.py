@@ -10,17 +10,15 @@ from .conventions import convention_ledger
 from .errors import (DivisionByZero, InvalidProfile, KernelSingularity,
                      PoleError, QuadratureFailure, RangeError, ResonantDenominator,
                      ResonantQ, SchemaError, SingularForm, StepCalibrationFailure,
-                     VerificationFailure, WavefieldError)
+                     WavefieldError)
 from .fields import (CircularProfile, ConstantFieldTensor, FieldConfig, LinearProfile,
                      PlaneWaveProfile, PulseProfile, TabulatedProfile, ZeroProfile,
                      make_profile, total_field_tensor)
 from .green import (EvalContext, PropagatorValue, dirac_apply, green_function,
-                    green_function_zero_k, position_space_green, spin_factor,
-                    zero_k_value_and_gradient)
-from .kernels import (TransverseEndpoints, longitudinal_phase, schwinger_kernel,
-                      spin_determinant)
-from .minkowski import (EPS, EPS_CONJ, GAMMA, METRIC, P_MINUS, P_PLUS, WAVE_K, dot,
-                        projector_minus, projector_plus, slash, tanh_projector_identity)
+                    green_function_zero_k, spin_factor, zero_k_value_and_gradient)
+from .kernels import schwinger_kernel, spin_determinant
+from .minkowski import (EPS, EPS_CONJ, GAMMA, METRIC, P_MINUS, P_PLUS, WAVE_K, dot, slash,
+                        tanh_projector_identity)
 from .quadrature import QuadratureResult, adaptive_quad
 
 __version__ = "0.1.0"
@@ -32,10 +30,8 @@ __all__ = [
     "PlaneWaveProfile", "PoleError", "PropagatorValue", "PulseProfile",
     "QuadratureFailure", "QuadratureResult", "RangeError", "ResonantDenominator",
     "ResonantQ", "SchemaError", "SingularForm", "StepCalibrationFailure",
-    "TabulatedProfile", "TransverseEndpoints", "VerificationFailure", "WAVE_K",
-    "WavefieldError", "ZeroProfile", "adaptive_quad", "convention_ledger", "dirac_apply",
-    "dot", "green_function", "green_function_zero_k", "longitudinal_phase", "make_profile",
-    "position_space_green", "projector_minus", "projector_plus", "schwinger_kernel",
-    "slash", "spin_determinant", "spin_factor", "tanh_projector_identity",
-    "total_field_tensor", "zero_k_value_and_gradient", "__version__",
+    "TabulatedProfile", "WAVE_K", "WavefieldError", "ZeroProfile", "adaptive_quad",
+    "convention_ledger", "dirac_apply", "dot", "green_function", "green_function_zero_k",
+    "make_profile", "schwinger_kernel", "slash", "spin_determinant", "spin_factor",
+    "tanh_projector_identity", "total_field_tensor", "zero_k_value_and_gradient", "__version__",
 ]

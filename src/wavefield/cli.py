@@ -32,7 +32,7 @@ from .errors import (DivisionByZero, InvalidProfile, KernelSingularity,
                      WavefieldError)
 from .fields import FieldConfig, make_profile
 from .green import EvalContext, dirac_apply, green_function, green_function_zero_k, spin_factor
-from .kernels import TransverseEndpoints, near_caustic, phase_pass, schwinger_kernel
+from .kernels import near_caustic, phase_pass, schwinger_kernel
 
 _COMMANDS = ("identities", "kernel", "K", "spinfactor", "gf", "gf-k0", "dirac",
              "verify", "limits")
@@ -277,8 +277,7 @@ def _cmd_identities(rc: RunConfig):
 def _cmd_kernel(rc: RunConfig):
     _require_grid(rc, "kernel", "e0")
     ctx = rc.ctx
-    values = schwinger_kernel(np.array(rc.grid_values),
-                              TransverseEndpoints.from_vectors(ctx.x_a, ctx.x_b), ctx.cfg)
+    values = schwinger_kernel(np.array(rc.grid_values), ctx.x_a, ctx.x_b, ctx.cfg)
     rows = [[e0, value.real, value.imag, near_caustic(e0, ctx.cfg)]
             for e0, value in zip(rc.grid_values, values)]
     return ["e0", "kernel_re", "kernel_im", "near_singularity"], rows, None, 0

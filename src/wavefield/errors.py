@@ -2,7 +2,7 @@
 
 Exit-code mapping used by the CLI: configuration problems -> 2,
 numeric singularities -> 3, quadrature/calibration failures -> 4,
-verification failures -> 5.
+failed verification checks -> 5 (from the command's status, not an exception).
 """
 
 
@@ -61,7 +61,3 @@ class StepCalibrationFailure(WavefieldError):
 
 class SingularForm(WavefieldError):
     """Time-sliced Gaussian form is singular (caustic hit at finite N)."""
-
-
-class VerificationFailure(WavefieldError):
-    """One or more verification checks failed."""

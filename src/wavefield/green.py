@@ -5,15 +5,18 @@ Along the ray e0 = s exp(+i theta), s in [0, inf), theta in (0, pi/2] (by
 default pi/2: the Euclidean axis, where the integrand is real, positive and
 free of caustics), G is two scalar integrals times two fixed matrices:
 
-    G = I+ M+ + I- M-,   I+- = int de0 (-i/2) kernel(e0) exp(long + cross) exp(+-i e0 g B/2)
+    G = I+ M+ + I- M-,
+    I+- = int de0 (-i/2) kernel(e0, rho^2) exp(i (e0/2)(pL^2 - m^2) + constant) exp(+-i e0 g B/2)
 
-where the transverse kernel carries its own magnetic phase, `long` is
-i pL.dx^L + i (e0/2)(pL^2 - m^2), `cross` is the e0-independent
-plane-wave/magnetic mixing exponent, and M+- are the projector braces dressed
+where the transverse kernel is a Gaussian in rho^2, the squared transverse
+distance from x_a to the drift-shifted endpoint x_b - Y, and `constant` is the
+e0-independent exponent of the classical action: i pL.dx^L, the
+plane-wave/magnetic mixing exponent `cross` and the magnetic gauge phase
+i (g B/2)(X1 xa2 - X2 xa1) at X = x_b - Y. M+- are the projector braces dressed
 by the phase-integral kernels (P+- for a zero profile, the zero-k limit).
 
-Far endpoints x_b that share the rest of a context share one ray: only the
-kernel's endpoints, the constant exponent and the braces differ between them,
+Far endpoints x_b that share the rest of a context share one ray: only rho^2,
+the constant exponent and the braces differ between them,
 so one adaptive quadrature integrates all of them (`dirac_apply` sends its 33
 stencil points at once; `green_function` is the case of one).
 
@@ -32,10 +35,9 @@ from .conventions import (DEFAULT_ABS_TOL, DEFAULT_CONTOUR_ANGLE, DEFAULT_REL_TO
                           DEFAULT_VOLKOV_SIGN)
 from .errors import QuadratureFailure, RangeError, StepCalibrationFailure
 from .fields import FieldConfig, ZeroProfile
-from .kernels import (SUB_TOLERANCE, KernelDiagnostics, TransverseEndpoints, folded_kernel,
-                      landau_factors, longitudinal_phase, phase_pass)
+from .kernels import SUB_TOLERANCE, KernelDiagnostics, folded_kernel, landau_factors, phase_pass
 from .minkowski import (GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS, SLASH_EPS,
-                        SLASH_EPS_CONJ, SLASH_K, WAVE_K, dot, transverse_project)
+                        SLASH_EPS_CONJ, SLASH_K, WAVE_K, dot)
 from .quadrature import adaptive_quad
 
 
@@ -97,12 +99,11 @@ class PropagatorValue:
 @dataclass(frozen=True)
 class _Prepared:
     """The e0-independent pieces of the integrand at n far endpoints that share
-    the rest of one context: per endpoint the transverse endpoints, the
-    constant exponent, the braces M+- and R (`weight`); `passes` holds one
-    phase pass per distinct phi_b."""
+    the rest of one context: per endpoint rho^2, the constant exponent, the
+    braces M+- and R (`weight`); `passes` holds one phase pass per distinct phi_b."""
 
-    endpoints: TransverseEndpoints
-    constant: np.ndarray      # (n,) e0-independent exponent i pL.dx^L + cross
+    rho2: np.ndarray          # (n,) squared transverse distance, drift-shifted
+    constant: np.ndarray      # (n,) i pL.dx^L + cross + magnetic gauge phase
     plus: np.ndarray          # (n, 4, 4)
     minus: np.ndarray         # (n, 4, 4)
     weight: np.ndarray        # (n, 2, 2)
@@ -116,7 +117,7 @@ _ROUNDINGS = 8.0 * np.finfo(float).eps
 def _prepare(ctx: EvalContext, points) -> _Prepared:
     """One phase pass and one set of braces per distinct phi_b of the far
     endpoints `points` (shape (n, 4)), the action at the context's tolerances
-    and the rest at SUB_TOLERANCE of them; endpoints and constant exponent per
+    and the rest at SUB_TOLERANCE of them; rho^2 and constant exponent per
     point."""
     points = np.asarray(points, dtype=float).reshape(-1, 4)
     phis = dot(WAVE_K, points).real
@@ -147,11 +148,13 @@ def _prepare(ctx: EvalContext, points) -> _Prepared:
     r01 = np.sum(a.conj() * b, axis=1) / r00
     r11 = np.linalg.norm(b - (r01 / r00)[:, None] * a, axis=1)
     weight = np.moveaxis(np.array([[r00, r01], [0.0 * r01, r11]]), -1, 0)
-    far = transverse_project(points) - drift
-    x_a = transverse_project(ctx.x_a)
-    endpoints = TransverseEndpoints(complex(x_a[0]), complex(x_a[1]), far[:, 0], far[:, 1])
-    constant = longitudinal_phase(0.0, ctx.x_a, points, ctx.pL, ctx.m) + cross
-    return _Prepared(endpoints=endpoints, constant=constant, plus=plus, minus=minus,
+    far = points[:, :2] - drift[:, :2]
+    x_a = ctx.x_a[:2]
+    rho2 = (far[:, 0] - x_a[0]) ** 2 + (far[:, 1] - x_a[1]) ** 2
+    gauge = 0.5j * ctx.cfg.g * ctx.cfg.B * (far[:, 0] * x_a[1] - far[:, 1] * x_a[0])
+    # pL has no transverse slots (EvalContext), so this is i pL.dx^L
+    constant = 1j * dot(ctx.pL, points - ctx.x_a) + cross + gauge
+    return _Prepared(rho2=rho2, constant=constant, plus=plus, minus=minus,
                      weight=weight, passes=tuple(passes))
 
 
@@ -175,27 +178,27 @@ def spin_factor(e0, ctx: EvalContext) -> np.ndarray:
 def _ray_node(ctx: EvalContext, pre: _Prepared):
     """Node function e0 -> R (f e^{+iw}, f e^{-iw}) per far endpoint, on a column
     of nodes (shape (m, 1)) giving shape (m, n, 2); f e^{+-iw} is k q or k (see
-    `folded_kernel`) times (-i/2) exp(long + cross). R is the triangular QR factor
-    of [vec M+, vec M-]: its norm is the Frobenius norm of the matrix integrand,
-    so the stopping rule and the error estimate measure the G themselves."""
+    `folded_kernel`) times (-i/2) exp(i (e0/2) gap + constant). R is the
+    triangular QR factor of [vec M+, vec M-]: its norm is the Frobenius norm of
+    the matrix integrand, so the stopping rule and the error estimate measure
+    the G themselves."""
     rate = 0.5j * ctx.mass_gap          # the e0-dependent part of the longitudinal phase
     b = ctx.cfg.g * ctx.cfg.B
 
     def node(e0):
-        k, q = folded_kernel(e0, pre.endpoints, b)
+        k, q = folded_kernel(e0, pre.rho2, b)
         f = -0.5j * k * np.exp(rate * e0 + pre.constant)
         both = np.stack([f * q, f] if b > 0.0 else [f, f * q], axis=-1)
         return (pre.weight @ both[..., None])[..., 0]
     return node
 
 
-def _check_ray_domain(ctx: EvalContext, endpoints: TransverseEndpoints):
+def _check_ray_domain(ctx: EvalContext, rho2: np.ndarray):
     if ctx.mass_gap <= 0.0:
         raise QuadratureFailure(
             f"proper-time integrand does not decay at large s: need dot(pL, pL) > m^2 "
             f"(gap {ctx.mass_gap!r})")
-    dx2 = abs((endpoints.xb1 - endpoints.xa1) ** 2 + (endpoints.xb2 - endpoints.xa2) ** 2)
-    if np.any(dx2 == 0.0):
+    if np.any(rho2 == 0.0):
         raise QuadratureFailure(
             "coincident transverse endpoints: the short-time end of the ray is log-divergent")
 
@@ -226,7 +229,7 @@ def _green_batch(ctx: EvalContext, points):
     """(G at each far endpoint of `points`, shape (n, 4, 4), joint diagnostics):
     the context with x_b replaced, all points integrated on one shared ray."""
     pre = _prepare(ctx, points)
-    _check_ray_domain(ctx, pre.endpoints)
+    _check_ray_domain(ctx, pre.rho2)
     weighted, diag = _integrate_ray(_ray_node(ctx, pre), ctx, pre)
     return _assemble(pre, weighted), diag
 
@@ -253,18 +256,19 @@ def zero_k_value_and_gradient(ctx: EvalContext):
     the transverse derivatives are extra scalar weights on the same nodes."""
     ctx = _without_profile(ctx)
     pre = _prepare(ctx, ctx.x_b)
-    endpoints = pre.endpoints
-    _check_ray_domain(ctx, endpoints)
+    _check_ray_domain(ctx, pre.rho2)
     b = ctx.cfg.g * ctx.cfg.B
     ray_node = _ray_node(ctx, pre)
+    x_a = ctx.x_a[:2]
+    dx = ctx.x_b[:2] - x_a
 
     def node(e0):
         base = ray_node(e0)
-        # d/dx_b of the kernel exponent i (b/2)(xb1 xa2 - xb2 xa1) - (h/4)(1 + q)|DX|^2
+        # d/dx_b of the exponent i (b/2)(xb1 xa2 - xb2 xa1) - (h/4)(1 + q)|DX|^2
         h, q = landau_factors(e0, b)
         spread = 0.5 * h * (1.0 + q)
-        c0 = 0.5j * b * endpoints.xa2 - spread * (endpoints.xb1 - endpoints.xa1)
-        c1 = -0.5j * b * endpoints.xa1 - spread * (endpoints.xb2 - endpoints.xa2)
+        c0 = 0.5j * b * x_a[1] - spread * dx[0]
+        c1 = -0.5j * b * x_a[0] - spread * dx[1]
         return np.stack([base, c0[..., None] * base, c1[..., None] * base], axis=-3)
 
     weighted, _ = _integrate_ray(node, ctx, pre)
@@ -281,7 +285,11 @@ def total_potential_lowered(ctx: EvalContext, x: np.ndarray) -> np.ndarray:
         + METRIC * ctx.cfg.profile.potential(phi)
 
 
-def dirac_apply(ctx: EvalContext, evaluator=None, step: float = 0.02) -> np.ndarray:
+#: Coarse finite-difference step of `dirac_apply`; the fine step is its half.
+DIRAC_STEP = 0.02
+
+
+def dirac_apply(ctx: EvalContext, evaluator=None) -> np.ndarray:
     """Apply the gauged Dirac operator (i gamma^mu (d_mu - g A_mu) + m) in x_b.
 
     Derivatives are 4th-order central differences; each direction is
@@ -296,7 +304,7 @@ def dirac_apply(ctx: EvalContext, evaluator=None, step: float = 0.02) -> np.ndar
         def evaluator(points):
             return _green_batch(ctx, points)[0]
 
-    steps = (step, step / 2.0)
+    steps = (DIRAC_STEP, DIRAC_STEP / 2.0)
     points = [ctx.x_b] + [ctx.x_b + (k * h) * unit for unit in np.eye(4) for h in steps
                           for k in (2, 1, -1, -2)]
     values = np.asarray(evaluator(np.array(points)), dtype=complex)
@@ -314,25 +322,7 @@ def dirac_apply(ctx: EvalContext, evaluator=None, step: float = 0.02) -> np.ndar
         scale = max(float(np.linalg.norm(fine)), 1e-300)
         if float(np.linalg.norm(coarse - fine)) > 0.1 * scale:
             raise StepCalibrationFailure(
-                f"direction {mu}: steps {step} and {step / 2} disagree beyond 10%")
+                f"direction {mu}: steps {steps[0]} and {steps[1]} disagree beyond 10%")
         out = out + 1j * GAMMA[mu] @ (fine - ctx.cfg.g * a_low[mu] * base)
     return out
 
-
-def position_space_green(ctx: EvalContext, p2_values, p3_values) -> np.ndarray:
-    """Optional transform back to position space over a truncated momentum box.
-
-    Trapezoidal (2 pi)^-2 sum of the fixed-pL values over the grid; the
-    truncation error is O(max boundary magnitude * box perimeter), not
-    controlled adaptively. Every grid point must satisfy dot(pL, pL) > m^2.
-    Smoke-level utility; the supported representation is fixed-pL.
-    """
-    p2_values = np.asarray(p2_values, dtype=float)
-    p3_values = np.asarray(p3_values, dtype=float)
-    samples = np.empty((p2_values.size, p3_values.size, 4, 4), dtype=complex)
-    for i, p2 in enumerate(p2_values):
-        for j, p3 in enumerate(p3_values):
-            point = replace(ctx, pL=np.array([0.0, 0.0, p2, p3]))
-            samples[i, j] = green_function(point).matrix
-    inner = np.trapezoid(samples, p3_values, axis=1)
-    return np.trapezoid(inner, p2_values, axis=0) / (2.0 * np.pi) ** 2

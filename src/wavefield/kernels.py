@@ -5,7 +5,9 @@
     [i g B / (4 pi sin(e0 g B / 2))]
       * exp{ i (g B / 2) [ (Xb1 Xa2 - Xb2 Xa1) - (1/2) cot(e0 g B / 2) |DX|^2 ] }
 
-with caustics at e0 g B in 2 pi Z, written through `landau_factors`.
+with caustics at e0 g B in 2 pi Z, written through `landau_factors`. Its
+e0-dependent part, `folded_kernel`, sees the endpoints only through
+rho^2 = |DX|^2; the gauge phase i (g B / 2)(Xb1 Xa2 - Xb2 Xa1) is a constant.
 Everything the wave phase contributes comes from one pass along it,
 `phase_pass`, whose `PhasePass` holds:
 
@@ -40,7 +42,7 @@ import numpy as np
 
 from .errors import DivisionByZero, KernelSingularity
 from .fields import FieldConfig
-from .minkowski import EPS, EPS_CONJ, METRIC, WAVE_K, dot, transverse_project
+from .minkowski import EPS, EPS_CONJ, METRIC, WAVE_K, dot
 from .quadrature import CUMULATIVE, XK, adaptive_quad
 
 #: |sin(e0 g B / 2)| below this raises KernelSingularity.
@@ -48,21 +50,6 @@ CAUSTIC_TOLERANCE = 1e-10
 
 #: |sin(e0 g B / 2)| below this sets the near-caustic flag of the `kernel` command.
 NEAR_CAUSTIC_THRESHOLD = 0.05
-
-
-@dataclass(frozen=True)
-class TransverseEndpoints:
-    """Transverse-plane worldline endpoints (slot-0 and slot-1 components);
-    xb1 and xb2 may be arrays, one entry per far endpoint."""
-
-    xa1: complex
-    xa2: complex
-    xb1: complex
-    xb2: complex
-
-    @classmethod
-    def from_vectors(cls, x_a: np.ndarray, x_b: np.ndarray) -> "TransverseEndpoints":
-        return cls(complex(x_a[0]), complex(x_a[1]), complex(x_b[0]), complex(x_b[1]))
 
 
 @dataclass(frozen=True)
@@ -98,31 +85,33 @@ def landau_factors(e0, b: float):
     return abs(b) / one_minus_q, q
 
 
-def folded_kernel(e0, ep: TransverseEndpoints, b: float):
-    """(k, q): the transverse kernel is k q^{1/2}, q = exp(i |b| e0), b = g B, so a
-    caller's factor exp(+-i e0 b / 2) makes it k q or k, and nothing overflows."""
+def folded_kernel(e0, rho2, b: float):
+    """(k, q): the transverse kernel without its gauge phase is k q^{1/2},
+    q = exp(i |b| e0), b = g B, with rho2 the squared transverse distance of the
+    endpoints; a caller's factor exp(+-i e0 b / 2) makes it k q or k, and
+    nothing overflows."""
     h, q = landau_factors(e0, b)
-    cross = ep.xb1 * ep.xa2 - ep.xb2 * ep.xa1
-    dx2 = (ep.xb1 - ep.xa1) ** 2 + (ep.xb2 - ep.xa2) ** 2
-    return h / (2.0 * np.pi) * np.exp(0.5j * b * cross - 0.25 * h * (1.0 + q) * dx2), q
+    return h / (2.0 * np.pi) * np.exp(-0.25 * h * (1.0 + q) * rho2), q
 
 
-def schwinger_kernel(e0, ep: TransverseEndpoints, cfg: FieldConfig):
-    """Transverse proper-time kernel of the constant magnetic background, at
-    one e0 (complex result) or at each of an array of them, broadcast against
-    array endpoints.
+def schwinger_kernel(e0, x_a: np.ndarray, x_b: np.ndarray, cfg: FieldConfig):
+    """Transverse proper-time kernel of the constant magnetic background
+    between the transverse slots (0 and 1) of the endpoints x_a and x_b, at one
+    e0 (complex result) or at each of an array of them.
 
     Tends to [i/(2 pi e0)] exp(-i |DX|^2 / (2 e0)) as B -> 0 (and is that at
     B = 0); raises KernelSingularity on caustics (|sin(e0 g B / 2)| < 1e-10).
     """
-    k, _ = folded_kernel(e0, ep, cfg.g * cfg.B)
-    value = k * np.exp(0.5j * abs(cfg.g * cfg.B) * e0)
+    b = cfg.g * cfg.B
+    rho2 = (x_b[0] - x_a[0]) ** 2 + (x_b[1] - x_a[1]) ** 2
+    k, _ = folded_kernel(e0, rho2, b)
+    value = k * np.exp(0.5j * b * (x_b[0] * x_a[1] - x_b[1] * x_a[0]) + 0.5j * abs(b) * e0)
     return complex(value) if np.ndim(value) == 0 else value
 
 
-def near_caustic(e0: complex, cfg: FieldConfig, threshold: float = NEAR_CAUSTIC_THRESHOLD) -> bool:
+def near_caustic(e0: complex, cfg: FieldConfig) -> bool:
     half = e0 * cfg.g * cfg.B / 2.0
-    return bool(abs(half) >= 1.0 and abs(np.sin(half)) < threshold)
+    return bool(abs(half) >= 1.0 and abs(np.sin(half)) < NEAR_CAUSTIC_THRESHOLD)
 
 
 def spin_determinant(e0: complex, cfg: FieldConfig) -> complex:
@@ -152,7 +141,8 @@ class PhasePass:
     def cross_phase(self, cfg: FieldConfig, x_b: np.ndarray) -> complex:
         """Mixing exponent -i (g/2) (action integral + boundary term) of a path
         ending at x_b, or of each path ending at a row of a stack of them."""
-        boundary = dot(transverse_project(x_b) - self.drift, cfg.tensor.apply(self.drift))
+        # f Y has no longitudinal slots, so x_b's drop out
+        boundary = dot(x_b - self.drift, cfg.tensor.apply(self.drift))
         return -0.5j * cfg.g * (self.action + boundary)
 
 
@@ -206,10 +196,3 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b: float, phi
                for phi, at in ((phi_a, at_a), (phi_b, at_b)) for orient, col in ((1, 2), (-1, 3))]
     return PhasePass(complex(action), drift, *kernels, quad.nodes, quad.error_estimate)
 
-
-def longitudinal_phase(e0, x_a: np.ndarray, x_b: np.ndarray, pL: np.ndarray, m: float):
-    """Exponent i dot(pL, dx^L) + i (e0/2) (dot(pL, pL) - m^2). x_b may be a
-    stack of endpoints, shape (n, 4), against whose last axis e0 broadcasts."""
-    dxl = np.asarray(x_b, dtype=complex) - np.asarray(x_a, dtype=complex)
-    dxl[..., :2] = 0.0
-    return 1j * dot(pL, dxl) + 0.5j * e0 * (dot(pL, pL) - m * m)

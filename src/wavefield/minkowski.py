@@ -31,22 +31,11 @@ E1 = ((EPS + EPS_CONJ) / SQRT2).real.astype(complex)
 E2 = ((EPS - EPS_CONJ) / (1j * SQRT2)).real.astype(complex)
 
 
-def vector(c0=0.0, c1=0.0, c2=0.0, c3=0.0) -> np.ndarray:
-    return np.array([c0, c1, c2, c3], dtype=complex)
-
-
 def dot(u: np.ndarray, v: np.ndarray):
     """Bilinear metric product sum_m g_mm u_m v_m (never sesquilinear), over the
     last axis: a complex number for two vectors, an array for stacks of them."""
     value = np.sum(METRIC * np.asarray(u) * np.asarray(v), axis=-1)
     return complex(value) if np.ndim(value) == 0 else value
-
-
-def transverse_project(x: np.ndarray) -> np.ndarray:
-    """eps * dot(eps*, x) + eps* * dot(eps, x); zeroes the longitudinal slots
-    (of each row of a stack)."""
-    return EPS * np.asarray(dot(EPS_CONJ, x))[..., None] \
-        + EPS_CONJ * np.asarray(dot(EPS, x))[..., None]
 
 
 # --- gamma matrices -------------------------------------------------------
@@ -66,12 +55,8 @@ _GT0 = np.block([[_I2, np.zeros((2, 2))], [np.zeros((2, 2)), -_I2]])
 _GT = [np.block([[np.zeros((2, 2)), s], [-s, np.zeros((2, 2))]]) for s in _SIG]
 
 
-def build_gamma() -> np.ndarray:
-    """Return the (4, 4, 4) array gamma[mu] realizing the fixed metric."""
-    return np.stack([1j * _GT[0], 1j * _GT[1], 1j * _GT0, 1j * _GT[2]])
-
-
-GAMMA = build_gamma()
+#: The (4, 4, 4) array gamma[mu] realizing the fixed metric.
+GAMMA = np.stack([1j * _GT[0], 1j * _GT[1], 1j * _GT0, 1j * _GT[2]])
 
 IDENTITY4 = np.eye(4, dtype=complex)
 
@@ -86,18 +71,10 @@ SLASH_EPS_CONJ = slash(EPS_CONJ)
 SLASH_K = slash(WAVE_K)
 
 
-def projector_plus() -> np.ndarray:
-    """P_+ = slash(eps) slash(eps*) / 2; rank-2 idempotent."""
-    return SLASH_EPS @ SLASH_EPS_CONJ / 2.0
-
-
-def projector_minus() -> np.ndarray:
-    """P_- = slash(eps*) slash(eps) / 2; complements P_+ to the identity."""
-    return SLASH_EPS_CONJ @ SLASH_EPS / 2.0
-
-
-P_PLUS = projector_plus()
-P_MINUS = projector_minus()
+#: Rank-2 idempotents P_+ = slash(eps) slash(eps*) / 2 and
+#: P_- = slash(eps*) slash(eps) / 2; P_- complements P_+ to the identity.
+P_PLUS = SLASH_EPS @ SLASH_EPS_CONJ / 2.0
+P_MINUS = SLASH_EPS_CONJ @ SLASH_EPS / 2.0
 
 
 #: Projectors onto the eps / eps* directions and the longitudinal plane

@@ -25,7 +25,7 @@ from .fields import (CircularProfile, ConstantFieldTensor, FieldConfig, LinearPr
                      PulseProfile, TabulatedProfile, ZeroProfile, total_field_tensor)
 from .green import (EvalContext, dirac_apply, green_function, green_function_zero_k,
                     total_potential_lowered, zero_k_value_and_gradient)
-from .kernels import TransverseEndpoints, phase_pass, schwinger_kernel, spin_determinant
+from .kernels import phase_pass, schwinger_kernel, spin_determinant
 from .minkowski import (EPS, EPS_CONJ, GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS, WAVE_K,
                         dot, tanh_projector_identity, transverse_spectral)
 from .oracles import (SliceLattice, classical_spin_path, free_kernel, free_propagator,
@@ -193,8 +193,7 @@ def check_sliced_oracle_agreement() -> list[CheckResult]:
         while float(np.hypot(*(xb - xa))) < 0.3:
             xb = rng.uniform(-1.0, 1.0, 2)
         cfg = FieldConfig(g=g, B=b, profile=ZeroProfile())
-        ep = TransverseEndpoints(xa1=xa[0], xa2=xa[1], xb1=xb[0], xb2=xb[1])
-        exact = schwinger_kernel(e0, ep, cfg)
+        exact = schwinger_kernel(e0, xa, xb, cfg)
         ns = [8, 16, 32, 64]
         values = [sliced_kernel(SliceLattice(n_slices=n, e0=e0, g=g, B=b, xa=xa, xb=xb))
                   for n in ns]
@@ -296,10 +295,9 @@ def weak_field_kernel_limit(cases, detail: str = "") -> CheckResult:
     magnetic kernel vanishes and the genuine B -> 0 limit is exposed."""
     dev = 0.0
     for e0, g, xa, xb in cases:
-        ep = TransverseEndpoints(xa1=xa[0], xa2=xa[1], xb1=xb[0], xb2=xb[1])
         ref = free_kernel(e0, xa, xb)
         cfg = FieldConfig(g=g, B=1e-4, profile=ZeroProfile())
-        dev = max(dev, abs(schwinger_kernel(e0, ep, cfg) - ref) / abs(ref))
+        dev = max(dev, abs(schwinger_kernel(e0, xa, xb, cfg) - ref) / abs(ref))
     return _result(5, "small-field-free-kernel-limit", dev, 1e-6, detail)
 
 

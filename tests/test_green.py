@@ -7,8 +7,7 @@ from wavefield import green
 from wavefield.errors import QuadratureFailure, RangeError, StepCalibrationFailure
 from wavefield.fields import CircularProfile, FieldConfig, PulseProfile, ZeroProfile
 from wavefield.green import (EvalContext, dirac_apply, green_function, green_function_zero_k,
-                             position_space_green, spin_factor, total_potential_lowered,
-                             zero_k_value_and_gradient)
+                             spin_factor, total_potential_lowered, zero_k_value_and_gradient)
 from wavefield.kernels import phase_pass
 from wavefield.minkowski import GAMMA, IDENTITY4, P_MINUS, P_PLUS, dot
 from wavefield.quadrature import adaptive_quad
@@ -158,14 +157,6 @@ def test_dirac_assembly_on_smooth_evaluator():
     expected = ctx.m * f + sum(1j * GAMMA[mu] @ ((c[mu] - WCFG.g * a_low[mu]) * f)
                                for mu in range(4))
     np.testing.assert_allclose(out, expected, rtol=1e-8, atol=1e-12)
-
-
-def test_position_space_transform_smoke():
-    ctx = _ctx(cfg=ZCFG)
-    box = position_space_green(ctx, np.linspace(-0.2, 0.2, 3), np.linspace(1.8, 2.2, 3))
-    assert box.shape == (4, 4)
-    assert np.all(np.isfinite(box))
-    assert np.linalg.norm(box) > 0.0
 
 
 def test_diagnostics_count_the_phase_pass():

@@ -5,8 +5,7 @@ from wavefield.errors import PoleError
 from wavefield.minkowski import (EPS, EPS_CONJ, GAMMA, IDENTITY4, METRIC, P_EPS,
                                  P_EPS_CONJ, P_LONG, P_MINUS, P_PLUS, SLASH_EPS,
                                  SLASH_EPS_CONJ, SLASH_K, WAVE_K, dot, slash,
-                                 tanh_projector_identity, transverse_project,
-                                 transverse_spectral, vector)
+                                 tanh_projector_identity, transverse_spectral)
 
 EPS64 = np.finfo(float).eps
 
@@ -26,26 +25,14 @@ def test_normalization_within_rounding():
 
 
 def test_dot_is_bilinear_not_sesquilinear():
-    u = vector(1.0, 2.0j, 0.5, -1.0)
+    u = np.array([1.0, 2.0j, 0.5, -1.0], dtype=complex)
     assert dot(1j * u, u) == pytest.approx(1j * dot(u, u))
-
-
-def test_projection_split():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        x = rng.normal(size=4) + 1j * rng.normal(size=4)
-        t = transverse_project(x)
-        rest = x - t
-        assert abs(rest[0]) < 1e-14 and abs(rest[1]) < 1e-14
-        assert abs(dot(WAVE_K, t)) < 1e-14
-        assert t[2] == 0.0 and t[3] == 0.0
 
 
 def test_stacks_give_the_row_by_row_values_exactly():
     rng = np.random.default_rng(5)
     xs = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
     assert np.array_equal(dot(WAVE_K, xs), [dot(WAVE_K, x) for x in xs])
-    assert np.array_equal(transverse_project(xs), [transverse_project(x) for x in xs])
 
 
 def test_clifford_relation_all_pairs():
@@ -100,7 +87,7 @@ def test_transverse_spectral_projectors():
     # spectral assembly reproduces a plain rotation on the transverse plane
     w = 0.8
     rot = transverse_spectral(np.exp(1j * w), np.exp(-1j * w), 1.0)
-    x = vector(1.0, 0.0, 0.3, -0.2)
+    x = np.array([1.0, 0.0, 0.3, -0.2], dtype=complex)
     out = rot @ x
     assert out[0] == pytest.approx(np.cos(w), abs=1e-14)
     assert out[1] == pytest.approx(-np.sin(w), abs=1e-14)

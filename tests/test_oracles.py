@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from wavefield.errors import ResonantDenominator, ResonantQ, SingularForm
 from wavefield.fields import CircularProfile, FieldConfig, PulseProfile, ZeroProfile
-from wavefield.kernels import schwinger_kernel, TransverseEndpoints
+from wavefield.kernels import schwinger_kernel
 from wavefield.minkowski import IDENTITY4, WAVE_K, dot, transverse_spectral
 from wavefield.oracles import (SliceLattice, classical_spin_path, free_kernel, free_propagator,
                                landau_green, richardson_extrapolate, sliced_kernel,
@@ -32,7 +32,7 @@ def test_sliced_free_field_composes_exactly():
 def test_sliced_kernel_converges_to_magnetic_kernel():
     e0 = 0.7 * np.exp(1j * np.pi / 4)
     cfg = FieldConfig(g=1.0, B=0.6, profile=ZeroProfile())
-    target = schwinger_kernel(e0, TransverseEndpoints(*XA, *XB), cfg)
+    target = schwinger_kernel(e0, XA, XB, cfg)
     ns = [8, 16, 32]
     vals = [sliced_kernel(SliceLattice(n_slices=n, e0=e0, g=1.0, B=0.6, xa=XA, xb=XB))
             for n in ns]

@@ -5,7 +5,8 @@ is compared with the independent oracles, the panel-at-once quadrature
 with a per-point transcription of the classic adaptive K15/G7 loop, and the
 Green function at any contour angle with the one on the Euclidean axis. A
 transverse translation of both endpoints changes the Schwinger kernel and the
-zero-profile Green function by the gauge phase alone.
+zero-profile Green function by the gauge phase alone, and so does a rotation
+of x_b's transverse part about x_a's.
 Examples are derandomized so that every run draws the same cases.
 """
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from wavefield.fields import CircularProfile, FieldConfig, PulseProfile, ZeroProfile
 from wavefield.green import EvalContext, green_function
-from wavefield.kernels import TransverseEndpoints, phase_pass, schwinger_kernel
+from wavefield.kernels import phase_pass, schwinger_kernel
 from wavefield.minkowski import WAVE_K, dot
 from wavefield.oracles import cross_phase_nested, volkov_kernel_closed_form
 from wavefield.quadrature import WG, WK, XK, _G_IDX, adaptive_quad
@@ -195,8 +196,7 @@ def test_schwinger_kernel_picks_up_the_gauge_phase_under_translation(case, s, th
     ctx, shift = case
     e0 = s * np.exp(1j * theta)
     moved = replace(ctx, x_a=ctx.x_a + shift, x_b=ctx.x_b + shift)
-    kernel, kernel_moved = (schwinger_kernel(e0, TransverseEndpoints.from_vectors(c.x_a, c.x_b),
-                                             c.cfg) for c in (ctx, moved))
+    kernel, kernel_moved = (schwinger_kernel(e0, c.x_a, c.x_b, c.cfg) for c in (ctx, moved))
     assert abs(kernel_moved - kernel * _gauge_phase(ctx, shift)) <= 1e-13 * abs(kernel)
 
 
@@ -209,3 +209,30 @@ def test_zero_profile_green_function_picks_up_the_gauge_phase_under_translation(
     assert moved.diagnostics.nodes == value.diagnostics.nodes
     deviation = np.linalg.norm(moved.matrix - value.matrix * _gauge_phase(ctx, shift))
     assert deviation <= 1e-13 * np.linalg.norm(value.matrix)
+
+
+@st.composite
+def _rotations(draw):
+    """A zero-profile context with B of either sign, and an angle."""
+    ctx = draw(_eval_contexts())
+    cfg = FieldConfig(g=ctx.cfg.g, B=ctx.cfg.B, profile=ZeroProfile())
+    return replace(ctx, cfg=cfg), draw(st.floats(0.0, 2.0 * np.pi))
+
+
+def _chi(x_a, x_b):
+    return x_b[0] * x_a[1] - x_b[1] * x_a[0]
+
+
+@settings(max_examples=30, **_SETTINGS)
+@given(_rotations())
+def test_zero_profile_green_function_picks_up_the_gauge_phase_under_rotation(case):
+    # rho^2 is unchanged, so only the gauge phase exp(i (g B/2) chi) moves
+    ctx, angle = case
+    c, s = np.cos(angle), np.sin(angle)
+    d = ctx.x_b[:2] - ctx.x_a[:2]
+    x_b = ctx.x_b.copy()
+    x_b[:2] = ctx.x_a[:2] + np.array([c * d[0] - s * d[1], s * d[0] + c * d[1]])
+    phase = np.exp(0.5j * ctx.cfg.g * ctx.cfg.B * (_chi(ctx.x_a, x_b) - _chi(ctx.x_a, ctx.x_b)))
+    value = green_function(ctx).matrix
+    moved = green_function(replace(ctx, x_b=x_b)).matrix
+    assert np.linalg.norm(moved - value * phase) <= 1e-13 * np.linalg.norm(value)
