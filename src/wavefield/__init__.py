@@ -15,7 +15,7 @@ from .fields import (CircularProfile, ConstantFieldTensor, FieldConfig, LinearPr
                      PlaneWaveProfile, PulseProfile, TabulatedProfile, ZeroProfile,
                      make_profile, total_field_tensor)
 from .green import (EvalContext, PropagatorValue, dirac_apply, green_function,
-                    green_function_zero_k, spin_factor, zero_k_value_and_gradient)
+                    green_function_zero_k, spin_factor)
 from .kernels import schwinger_kernel, spin_determinant
 from .minkowski import (EPS, EPS_CONJ, GAMMA, METRIC, P_MINUS, P_PLUS, WAVE_K, dot, slash,
                         tanh_projector_identity)
@@ -33,5 +33,5 @@ __all__ = [
     "TabulatedProfile", "WAVE_K", "WavefieldError", "ZeroProfile", "adaptive_quad",
     "convention_ledger", "dirac_apply", "dot", "green_function", "green_function_zero_k",
     "make_profile", "schwinger_kernel", "slash", "spin_determinant", "spin_factor",
-    "tanh_projector_identity", "total_field_tensor", "zero_k_value_and_gradient", "__version__",
+    "tanh_projector_identity", "total_field_tensor", "__version__",
 ]

@@ -73,12 +73,25 @@ class ZeroProfile(PlaneWaveProfile):
         return True
 
 
+def _real(name: str, value, ndim: int = 0) -> np.ndarray:
+    """`value` as a float array of `ndim` axes; InvalidProfile unless it holds
+    finite real numbers only (no strings, booleans, None, NaN or infinity)."""
+    try:
+        array = np.asarray(value)
+    except ValueError:          # ragged nesting
+        array = np.asarray(None)
+    if array.ndim != ndim or array.dtype.kind not in "iuf" or not np.all(np.isfinite(array)):
+        what = "a finite real number" if ndim == 0 else "a list of finite real numbers"
+        raise InvalidProfile(f"profile {name} must be {what}, got {value!r}")
+    return array.astype(float)
+
+
 class _Carrier(PlaneWaveProfile):
     """Profiles with an amplitude a and a carrier frequency nu."""
 
     def __init__(self, amplitude: float, frequency: float):
-        self.amplitude = float(amplitude)
-        self.frequency = float(frequency)
+        self.amplitude = float(_real("amplitude", amplitude))
+        self.frequency = float(_real("frequency", frequency))
 
     @property
     def is_zero(self):
@@ -120,10 +133,11 @@ class PulseProfile(_Carrier):
     kind = "pulse"
 
     def __init__(self, amplitude: float, frequency: float, sigma: float):
+        sigma = float(_real("sigma", sigma))
         if sigma <= 0:
             raise InvalidProfile(f"pulse sigma must be positive, got {sigma!r}")
         super().__init__(amplitude, frequency)
-        self.sigma = float(sigma)
+        self.sigma = sigma
 
     def _envelope(self, phi):
         return np.exp(-phi * phi / (2.0 * self.sigma ** 2))
@@ -152,13 +166,12 @@ class TabulatedProfile(PlaneWaveProfile):
     kind = "tabulated"
 
     def __init__(self, phi_grid, a1, a2):
-        grid = np.asarray(phi_grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 4:
+        grid, a1, a2 = (_real(name, v, ndim=1) for name, v in (("phi", phi_grid), ("a1", a1),
+                                                                 ("a2", a2)))
+        if grid.size < 4:
             raise InvalidProfile("tabulated profile needs at least 4 grid points")
         if not np.all(np.diff(grid) > 0):
             raise InvalidProfile("tabulated phi grid must be strictly increasing")
-        a1 = np.asarray(a1, dtype=float)
-        a2 = np.asarray(a2, dtype=float)
         if a1.shape != grid.shape or a2.shape != grid.shape:
             raise InvalidProfile("tabulated component arrays must match the phi grid")
         self.phi_grid = grid

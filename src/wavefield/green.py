@@ -35,7 +35,7 @@ from .conventions import (DEFAULT_ABS_TOL, DEFAULT_CONTOUR_ANGLE, DEFAULT_REL_TO
                           DEFAULT_VOLKOV_SIGN)
 from .errors import QuadratureFailure, RangeError, StepCalibrationFailure
 from .fields import FieldConfig, ZeroProfile
-from .kernels import SUB_TOLERANCE, KernelDiagnostics, folded_kernel, landau_factors, phase_pass
+from .kernels import SUB_TOLERANCE, KernelDiagnostics, folded_kernel, phase_pass
 from .minkowski import (GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS, SLASH_EPS,
                         SLASH_EPS_CONJ, SLASH_K, WAVE_K, dot)
 from .quadrature import adaptive_quad
@@ -93,7 +93,6 @@ class EvalContext:
 class PropagatorValue:
     matrix: np.ndarray
     diagnostics: KernelDiagnostics
-    contour_angle: float
 
 
 @dataclass(frozen=True)
@@ -158,14 +157,6 @@ def _prepare(ctx: EvalContext, points) -> _Prepared:
                      weight=weight, passes=tuple(passes))
 
 
-def _assemble(pre: _Prepared, weighted) -> np.ndarray:
-    """I+ M+ + I- M- per point, from R (I+, I-) in the last axis of `weighted` (..., n, 2)."""
-    r = pre.weight
-    i_minus = weighted[..., 1] / r[:, 1, 1]
-    i_plus = (weighted[..., 0] - r[:, 0, 1] * i_minus) / r[:, 0, 0]
-    return i_plus[..., None, None] * pre.plus + i_minus[..., None, None] * pre.minus
-
-
 def spin_factor(e0, ctx: EvalContext) -> np.ndarray:
     """Dressed projector braces exp(+i w) M+ + exp(-i w) M-, w = e0 g B / 2,
     at one proper-time node or at each node of an array (set-up runs once)."""
@@ -175,107 +166,58 @@ def spin_factor(e0, ctx: EvalContext) -> np.ndarray:
         + np.multiply.outer(np.exp(-1j * w), pre.minus[0])
 
 
-def _ray_node(ctx: EvalContext, pre: _Prepared):
-    """Node function e0 -> R (f e^{+iw}, f e^{-iw}) per far endpoint, on a column
-    of nodes (shape (m, 1)) giving shape (m, n, 2); f e^{+-iw} is k q or k (see
-    `folded_kernel`) times (-i/2) exp(i (e0/2) gap + constant). R is the
-    triangular QR factor of [vec M+, vec M-]: its norm is the Frobenius norm of
-    the matrix integrand, so the stopping rule and the error estimate measure
-    the G themselves."""
-    rate = 0.5j * ctx.mass_gap          # the e0-dependent part of the longitudinal phase
-    b = ctx.cfg.g * ctx.cfg.B
-
-    def node(e0):
-        k, q = folded_kernel(e0, pre.rho2, b)
-        f = -0.5j * k * np.exp(rate * e0 + pre.constant)
-        both = np.stack([f * q, f] if b > 0.0 else [f, f * q], axis=-1)
-        return (pre.weight @ both[..., None])[..., 0]
-    return node
-
-
-def _check_ray_domain(ctx: EvalContext, rho2: np.ndarray):
+def _green_batch(ctx: EvalContext, points):
+    """(G at each far endpoint of `points`, shape (n, 4, 4), joint diagnostics):
+    the context with x_b replaced, all points on one panel set of the ray
+    e0 = s exp(i theta), s = L u / (1 - u), u in [0, 1), L = 2 / (gap sin theta).
+    Per endpoint the integrand is R (f e^{+iw}, f e^{-iw}), f e^{+-iw} = k q or k
+    (`folded_kernel`) times (-i/2) exp(i (e0/2) gap + constant); R, the QR factor
+    of [vec M+, vec M-], makes its norm that of G (jointly sqrt(sum |G_n|^2))."""
+    pre = _prepare(ctx, points)
     if ctx.mass_gap <= 0.0:
         raise QuadratureFailure(
             f"proper-time integrand does not decay at large s: need dot(pL, pL) > m^2 "
             f"(gap {ctx.mass_gap!r})")
-    if np.any(rho2 == 0.0):
+    if np.any(pre.rho2 == 0.0):
         raise QuadratureFailure(
             "coincident transverse endpoints: the short-time end of the ray is log-divergent")
-
-
-def _integrate_ray(node, ctx: EvalContext, pre: _Prepared):
-    """Integrate a node function along e0 = s exp(i theta), s = L u / (1 - u) for
-    u in [0, 1), L = 2 / (gap sin theta), over which the longitudinal phase decays
-    by 1/e; all far endpoints on one panel set (joint norm sqrt(sum |G_n|^2))."""
+    rate = 0.5j * ctx.mass_gap          # the e0-dependent part of the longitudinal phase
+    b = ctx.cfg.g * ctx.cfg.B
     ray = np.exp(1j * ctx.theta)
     scale = 2.0 / (ctx.mass_gap * np.sin(ctx.theta))
 
-    def f(u):
-        values = node((scale * u / (1.0 - u) * ray)[:, None])
+    def integrand(u):
+        e0 = (scale * u / (1.0 - u) * ray)[:, None]
+        k, q = folded_kernel(e0, pre.rho2, b)
+        f = -0.5j * k * np.exp(rate * e0 + pre.constant)
+        both = np.stack([f * q, f] if b > 0.0 else [f, f * q], axis=-1)
         jacobian = ray * scale / (1.0 - u) ** 2
-        return values * jacobian.reshape((-1,) + (1,) * (values.ndim - 1))
+        return (pre.weight @ both[..., None])[..., 0] * jacobian[:, None, None]
 
     # the short-time boundary layer of the kernel, at fixed s
     breaks = [s / (s + scale) for s in (0.02, 0.1, 0.5, 2.5)]
-    result = adaptive_quad(f, 0.0, 1.0, abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol,
+    result = adaptive_quad(integrand, 0.0, 1.0, abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol,
                            breakpoints=breaks)
     diag = KernelDiagnostics(error_estimate=result.error_estimate, nodes=result.nodes,
                              prepare_nodes=sum(run.nodes for run in pre.passes),
                              prepare_error=max(run.error_estimate for run in pre.passes))
-    return result.value, diag
-
-
-def _green_batch(ctx: EvalContext, points):
-    """(G at each far endpoint of `points`, shape (n, 4, 4), joint diagnostics):
-    the context with x_b replaced, all points integrated on one shared ray."""
-    pre = _prepare(ctx, points)
-    _check_ray_domain(ctx, pre.rho2)
-    weighted, diag = _integrate_ray(_ray_node(ctx, pre), ctx, pre)
-    return _assemble(pre, weighted), diag
+    # I+ M+ + I- M- per point, from R (I+, I-)
+    r, weighted = pre.weight, result.value
+    i_minus = weighted[:, 1] / r[:, 1, 1]
+    i_plus = (weighted[:, 0] - r[:, 0, 1] * i_minus) / r[:, 0, 0]
+    return i_plus[:, None, None] * pre.plus + i_minus[:, None, None] * pre.minus, diag
 
 
 def green_function(ctx: EvalContext) -> PropagatorValue:
     """Mixed-representation Green function at fixed longitudinal momentum."""
     matrices, diag = _green_batch(ctx, ctx.x_b)
-    return PropagatorValue(matrix=matrices[0], diagnostics=diag, contour_angle=ctx.theta)
-
-
-def _without_profile(ctx: EvalContext) -> EvalContext:
-    return replace(ctx, cfg=replace(ctx.cfg, profile=ZeroProfile()))
+    return PropagatorValue(matrix=matrices[0], diagnostics=diag)
 
 
 def green_function_zero_k(ctx: EvalContext) -> PropagatorValue:
     """Vanishing-wave-vector limit (magnetic field only): `green_function`
     with the profile set to zero."""
-    return green_function(_without_profile(ctx))
-
-
-def zero_k_value_and_gradient(ctx: EvalContext):
-    """(G, [dG/dx_b^mu]) for the zero-wave-vector limit, by analytic
-    differentiation of the integrand (dual route to the finite differences):
-    the transverse derivatives are extra scalar weights on the same nodes."""
-    ctx = _without_profile(ctx)
-    pre = _prepare(ctx, ctx.x_b)
-    _check_ray_domain(ctx, pre.rho2)
-    b = ctx.cfg.g * ctx.cfg.B
-    ray_node = _ray_node(ctx, pre)
-    x_a = ctx.x_a[:2]
-    dx = ctx.x_b[:2] - x_a
-
-    def node(e0):
-        base = ray_node(e0)
-        # d/dx_b of the exponent i (b/2)(xb1 xa2 - xb2 xa1) - (h/4)(1 + q)|DX|^2
-        h, q = landau_factors(e0, b)
-        spread = 0.5 * h * (1.0 + q)
-        c0 = 0.5j * b * x_a[1] - spread * dx[0]
-        c1 = -0.5j * b * x_a[0] - spread * dx[1]
-        return np.stack([base, c0[..., None] * base, c1[..., None] * base], axis=-3)
-
-    weighted, _ = _integrate_ray(node, ctx, pre)
-    value, d0, d1 = _assemble(pre, weighted)[:, 0]
-    d2 = 1j * METRIC[2] * ctx.pL[2] * value
-    d3 = 1j * METRIC[3] * ctx.pL[3] * value
-    return value, [d0, d1, d2, d3]
+    return green_function(replace(ctx, cfg=replace(ctx.cfg, profile=ZeroProfile())))
 
 
 def total_potential_lowered(ctx: EvalContext, x: np.ndarray) -> np.ndarray:

@@ -61,9 +61,9 @@ GAMMA = np.stack([1j * _GT[0], 1j * _GT[1], 1j * _GT0, 1j * _GT[2]])
 IDENTITY4 = np.eye(4, dtype=complex)
 
 
-def slash(v: np.ndarray, gamma: np.ndarray = GAMMA) -> np.ndarray:
+def slash(v: np.ndarray) -> np.ndarray:
     """Contraction sum_m gamma^m g_mm v^m for a contravariant four-vector v."""
-    return np.einsum("mij,m->ij", gamma, METRIC * np.asarray(v, dtype=complex))
+    return np.einsum("mij,m->ij", GAMMA, METRIC * np.asarray(v, dtype=complex))
 
 
 SLASH_EPS = slash(EPS)

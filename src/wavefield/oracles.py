@@ -20,8 +20,10 @@ same principal root, so the branch choice cancels in pairs, at real e0 (the
 Fresnel phases) as on the rotated ray. The interior solve runs on T alone.
 
 `zero_profile_green` is Schwinger's closed-form constant-field propagator
-rotated onto the Euclidean proper-time axis e0 = i tau, where its integrand
-is real, positive and free of caustics, integrated by scipy's QUADPACK.
+(Phys. Rev. 82, 664 (1951)) rotated onto the Euclidean proper-time axis
+e0 = i tau, where its integrand is real, positive and free of caustics,
+integrated by scipy's QUADPACK; `zero_profile_gradient` adds its four x_b
+derivatives, for the transverse slots by one more weight per projector sign.
 
 `landau_green` is the same proper-time integral in closed form: at the
 drift-shifted far endpoint it is the constant-field (Landau) propagator,
@@ -168,6 +170,39 @@ def free_propagator(x_a, x_b, pL, m: float) -> complex:
     return complex(np.exp(1j * phase) * k0(rho * np.sqrt(gap)) / (2.0 * np.pi))
 
 
+def _euclidean_axis(x_a, x_b, pL, m: float, b: float):
+    """(integral, braces, dx) of `zero_profile_green`: integral(damped, spread) is
+    its weight integrated over tau by QUADPACK, times q = exp(-|b| tau) if
+    `damped` and times (b/2) coth(b tau/2) if `spread`; braces(I+, I-) is
+    (1/2) phase (I+ P+ + I- P-); dx = x_b - x_a."""
+    from scipy.integrate import quad
+
+    x_a, x_b, pL = (np.asarray(v, dtype=float) for v in (x_a, x_b, pL))
+    gap = float(np.sum(METRIC * pL * pL)) - m * m
+    dx = x_b - x_a
+    rho2 = float(dx[0] ** 2 + dx[1] ** 2)
+    if gap <= 0 or rho2 == 0.0:
+        raise ValueError(f"oracle needs gap > 0 and |DX| > 0, got gap {gap!r}, |DX|^2 {rho2!r}")
+
+    def weight(tau, damped, spread):
+        x = abs(b) * tau
+        q = math.exp(-x)
+        h = x / -math.expm1(-x) if x > 0.0 else 1.0     # x / (1 - q)
+        w = h / (2.0 * math.pi * tau) * math.exp(-h * (1.0 + q) * rho2 / (4.0 * tau)
+                                                  - 0.5 * tau * gap)
+        if spread:
+            w *= h * (1.0 + q) / (2.0 * tau)
+        return w * q if damped else w
+
+    def integral(damped, spread):
+        return quad(weight, 0.0, math.inf, args=(damped, spread), epsabs=0.0, epsrel=1e-13,
+                    limit=200)[0]
+
+    phase = np.exp(1j * (np.sum(METRIC[2:] * pL[2:] * dx[2:])
+                         + 0.5 * b * (x_b[0] * x_a[1] - x_b[1] * x_a[0])))
+    return integral, lambda plus, minus: 0.5 * phase * (plus * P_PLUS + minus * P_MINUS), dx
+
+
 def zero_profile_green(x_a, x_b, pL, m: float, b: float) -> np.ndarray:
     """Constant-field (zero-profile) Green function on the Euclidean axis e0 = i tau.
 
@@ -177,27 +212,22 @@ def zero_profile_green(x_a, x_b, pL, m: float, b: float) -> np.ndarray:
     with sinh and coth written through q = exp(-|b| tau) so that nothing
     overflows at large tau (b = 0 is the free limit).
     """
-    from scipy.integrate import quad
+    integral, braces, _ = _euclidean_axis(x_a, x_b, pL, m, b)
+    return braces(*(integral(damped, False) for damped in (b > 0.0, b < 0.0)))
 
-    x_a, x_b, pL = (np.asarray(v, dtype=float) for v in (x_a, x_b, pL))
-    gap = float(np.sum(METRIC * pL * pL)) - m * m
-    rho2 = float((x_b[0] - x_a[0]) ** 2 + (x_b[1] - x_a[1]) ** 2)
-    if gap <= 0 or rho2 == 0.0:
-        raise ValueError(f"oracle needs gap > 0 and |DX| > 0, got gap {gap!r}, |DX|^2 {rho2!r}")
 
-    def weight(tau, damped):
-        x = abs(b) * tau
-        q = math.exp(-x)
-        h = x / -math.expm1(-x) if x > 0.0 else 1.0     # x / (1 - q)
-        w = h / (2.0 * math.pi * tau) * math.exp(-h * (1.0 + q) * rho2 / (4.0 * tau)
-                                                  - 0.5 * tau * gap)
-        return w * q if damped else w
-
-    plus, minus = (quad(weight, 0.0, math.inf, args=(damped,), epsabs=0.0, epsrel=1e-13,
-                        limit=200)[0] for damped in (b > 0.0, b < 0.0))
-    phase = np.exp(1j * (np.sum(METRIC[2:] * pL[2:] * (x_b - x_a)[2:])
-                         + 0.5 * b * (x_b[0] * x_a[1] - x_b[1] * x_a[0])))
-    return 0.5 * phase * (plus * P_PLUS + minus * P_MINUS)
+def zero_profile_gradient(x_a, x_b, pL, m: float, b: float) -> tuple:
+    """(G, [dG/dx_b^mu]) of `zero_profile_green`, differentiated under the
+    integral: d/dxb1 of i (b/2) xb1 xa2 - (b/4) coth(b tau/2) |DX|^2 is
+    i (b/2) xa2 - (b/2) coth(b tau/2) DX1 (slot 2 likewise), one more weight per
+    projector sign; a longitudinal slot mu gives i g_mumu pL^mu G."""
+    integral, braces, dx = _euclidean_axis(x_a, x_b, pL, m, b)
+    plain, spread = (np.array([integral(damped, s) for damped in (b > 0.0, b < 0.0)])
+                     for s in (False, True))
+    gauge = 0.5j * b * np.array([x_a[1], -x_a[0]])
+    value = braces(*plain)
+    return value, ([braces(*(gauge[mu] * plain - dx[mu] * spread)) for mu in (0, 1)]
+                   + [1j * METRIC[mu] * pL[mu] * value for mu in (2, 3)])
 
 
 def landau_green(x_a, x_b, pL, m: float, b: float, drift=(0.0, 0.0), cross: complex = 0.0,
@@ -259,9 +289,21 @@ def drift_nested(components, g: float, B: float, kp: float, phi_a: float, phi: f
     return tuple(_quad(forced, phi_a, phi, knots, (row,)) for row in (0, 1))
 
 
+#: Spans narrower than this times max(1, |lo|, |hi|) take a fixed Gauss-Legendre
+#: rule: on spans a few hundred ulps wide QUADPACK's roundoff test reports
+#: "extremely bad integrand behavior", while the rule is exact to rounding there.
+_NARROW = 1e-8
+_NARROW_ORDER = 8
+
+
 def _quad(fn, lo, hi, knots=(), args=()):
     from scipy.integrate import quad
 
+    if abs(hi - lo) <= _NARROW * max(1.0, abs(lo), abs(hi)):
+        # a tabulated profile's knots only break its third derivative: no split needed
+        x, w = roots_legendre(_NARROW_ORDER)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        return half * sum(wi * fn(mid + half * xi, *args) for xi, wi in zip(x, w))
     inside = [p for p in knots if min(lo, hi) < p < max(lo, hi)]
     return quad(fn, lo, hi, args=args, epsabs=1e-13, epsrel=1e-12, limit=200,
                 points=inside or None)[0]

@@ -3,9 +3,13 @@
 Every closed-form building block is re-derived here through an independent
 route (direct matrix algebra, brute-force lattice sums, antiderivative
 oracles, finite differences, contour re-evaluation at a second angle) and
-compared at a fixed tolerance. The classical spin path (criterion 4) has no
-production route: `oracles.classical_spin_path` is checked against the spin
-equations by central differences and against its boundary conditions.
+compared at a fixed tolerance. Criterion 11 applies the Dirac operator two
+ways at zero profile: `dirac_apply` differences the production G, and the
+analytic side takes G and its x_b gradient from `oracles.zero_profile_gradient`,
+which integrates Schwinger's closed form on the Euclidean axis by QUADPACK and
+shares no code with the production ray. The classical spin path (criterion 4)
+has no production route: `oracles.classical_spin_path` is checked against the
+spin equations by central differences and against its boundary conditions.
 `run_all` is what the `verify` CLI command executes; each check also has a
 focused unit test.
 
@@ -24,13 +28,13 @@ from .conventions import (CSV_SCHEMA_VERSION, DEFAULT_CONTOUR_ANGLE, DEFAULT_VOL
 from .fields import (CircularProfile, ConstantFieldTensor, FieldConfig, LinearProfile,
                      PulseProfile, TabulatedProfile, ZeroProfile, total_field_tensor)
 from .green import (EvalContext, dirac_apply, green_function, green_function_zero_k,
-                    total_potential_lowered, zero_k_value_and_gradient)
+                    total_potential_lowered)
 from .kernels import phase_pass, schwinger_kernel, spin_determinant
 from .minkowski import (EPS, EPS_CONJ, GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS, WAVE_K,
                         dot, tanh_projector_identity, transverse_spectral)
 from .oracles import (SliceLattice, classical_spin_path, free_kernel, free_propagator,
                       richardson_extrapolate, sliced_kernel, spin_projection_constant,
-                      volkov_kernel_closed_form, zero_profile_green)
+                      volkov_kernel_closed_form, zero_profile_gradient, zero_profile_green)
 
 _EPS64 = float(np.finfo(float).eps)
 
@@ -373,7 +377,7 @@ def check_free_field_reduction() -> list[CheckResult]:
 # -- criterion 11 --------------------------------------------------------
 
 def _analytic_dirac(ctx: EvalContext):
-    value, grads = zero_k_value_and_gradient(ctx)
+    value, grads = zero_profile_gradient(ctx.x_a, ctx.x_b, ctx.pL, ctx.m, ctx.cfg.g * ctx.cfg.B)
     a_low = total_potential_lowered(ctx, ctx.x_b)
     out = ctx.m * value
     for mu in range(4):
@@ -479,10 +483,5 @@ _CHECKS = (
 )
 
 
-def run_all(include_determinism: bool = True) -> list[CheckResult]:
-    results: list[CheckResult] = []
-    for fn in _CHECKS:
-        if fn is check_determinism and not include_determinism:
-            continue
-        results.extend(fn())
-    return results
+def run_all() -> list[CheckResult]:
+    return [result for fn in _CHECKS for result in fn()]

@@ -2,7 +2,8 @@
 
 Each test runs the corresponding check from `wavefield.verification` at its
 stated tolerance and prints one PASS/FAIL line per check (visible with
-`pytest -s` or in the captured output of a failure). The final test also
+`pytest -s` or in the captured output of a failure). Criterion 11 also has a
+mutation test: with the production kernel scaled by 1.01 it must fail. The final test also
 exercises the `verify` command end to end, twice, and byte-compares its
 outputs.
 """
@@ -11,7 +12,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from wavefield import verification
+from wavefield import green, verification
 from wavefield.cli import main
 
 
@@ -72,6 +73,19 @@ def test_criterion_10_free_field_reduction():
 
 def test_criterion_11_derivative_consistency():
     _report(verification.check_derivative_consistency())
+
+
+def test_criterion_11_fails_on_a_scaled_production_kernel(monkeypatch):
+    # the analytic side comes from the oracles, so a 1 % error in the ray's
+    # kernel shows on both rows instead of cancelling
+    kernel = green.folded_kernel
+
+    def scaled(e0, rho2, b):
+        k, q = kernel(e0, rho2, b)
+        return 1.01 * k, q
+
+    monkeypatch.setattr(green, "folded_kernel", scaled)
+    assert not any(r.passed for r in verification.check_derivative_consistency())
 
 
 def test_criterion_12_bitwise_deterministic_outputs():

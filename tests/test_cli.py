@@ -169,6 +169,29 @@ def test_non_finite_field_values_exit_2(tmp_path):
         assert not out.exists()
 
 
+_GRID = [-2.0 + 0.25 * i for i in range(17)]
+
+
+def _tabulated(**overrides):
+    profile = {"kind": "tabulated", "phi": list(_GRID),
+               "a1": [math.exp(-p * p) for p in _GRID], "a2": [0.0] * len(_GRID)}
+    profile.update(overrides)
+    return profile
+
+
+@pytest.mark.parametrize("profile", [
+    {"kind": "circular", "amplitude": "strong", "frequency": 1.1},
+    _tabulated(phi=["start"] + _GRID[1:]),
+    _tabulated(a1=[float("nan")] + [0.0] * (len(_GRID) - 1)),
+    {"kind": "pulse", "amplitude": 0.4, "frequency": 1.1, "sigma": float("nan")},
+    {"kind": "circular", "amplitude": float("inf"), "frequency": 1.1},
+], ids=["text-amplitude", "text-in-phi", "nan-in-a1", "nan-sigma", "infinite-amplitude"])
+def test_malformed_profile_parameters_exit_2(tmp_path, profile):
+    status, out = _invoke(tmp_path, "gf", _config(field=_field(profile)))
+    assert status == 2
+    assert not out.exists()
+
+
 def test_identities_exit_5_when_a_check_fails(tmp_path, monkeypatch):
     def failing():
         return [CheckResult(criterion=1, name="clifford-algebra", max_deviation=1.0,
@@ -278,9 +301,7 @@ def test_dirac_command_single_point(tmp_path):
 def test_tabulated_profile_outside_its_grid_exits_2(tmp_path):
     # a Gaussian tabulated on [-2, 2]; phi_b = x_b2 - x_b3 = 10 lies beyond it,
     # where the spline used to extrapolate to a1 = -142.8
-    grid = [-2.0 + 0.25 * i for i in range(17)]
-    profile = {"kind": "tabulated", "phi": grid,
-               "a1": [math.exp(-p * p) for p in grid], "a2": [0.0] * len(grid)}
+    profile = _tabulated()
     inside = _config(field=_field(profile))
     status, _ = _invoke(tmp_path, "gf", inside, name="inside.csv")
     assert status == 0

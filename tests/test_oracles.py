@@ -9,11 +9,13 @@ from scipy.linalg import expm
 
 from wavefield.errors import ResonantDenominator, ResonantQ, SingularForm
 from wavefield.fields import CircularProfile, FieldConfig, PulseProfile, ZeroProfile
+from wavefield.green import EvalContext, green_function_zero_k
 from wavefield.kernels import schwinger_kernel
 from wavefield.minkowski import IDENTITY4, WAVE_K, dot, transverse_spectral
-from wavefield.oracles import (SliceLattice, classical_spin_path, free_kernel, free_propagator,
-                               landau_green, richardson_extrapolate, sliced_kernel,
-                               spin_projection_constant, volkov_kernel_closed_form,
+from wavefield.oracles import (SliceLattice, classical_spin_path, drift_nested, free_kernel,
+                               free_propagator, landau_green, richardson_extrapolate,
+                               sliced_kernel, spin_projection_constant,
+                               volkov_kernel_closed_form, zero_profile_gradient,
                                zero_profile_green)
 
 XA = (0.2, -0.1)
@@ -191,6 +193,36 @@ def test_landau_form_matches_the_euclidean_axis_integral():
             ref = zero_profile_green([0.1, -0.2, 0.3, 0.0], x_b, pL, 0.8, b)
             value = landau_green([0.1, -0.2, 0.3, 0.0], x_b, pL, 0.8, b)
             assert np.max(np.abs(value - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_zero_profile_gradient_matches_finite_differences():
+    # against 4th-order central differences of the production zero-profile G
+    x_a, x_b = np.array([0.1, -0.2, 0.3, 0.0]), np.array([0.6, 0.4, -0.1, 0.5])
+    pL, m, h = np.array([0.0, 0.0, 0.2, 2.0]), 0.8, 1e-3
+    for b in (0.0, 0.7, -0.4):
+        value, grads = zero_profile_gradient(x_a, x_b, pL, m, b)
+        assert np.array_equal(value, zero_profile_green(x_a, x_b, pL, m, b))
+
+        def production(shift):
+            return green_function_zero_k(EvalContext(m=m, x_a=x_a, x_b=x_b + shift, pL=pL,
+                                                     cfg=FieldConfig(g=1.0, B=b))).matrix
+
+        for mu, unit in enumerate(np.eye(4)):
+            fd = (-production(2 * h * unit) + 8 * production(h * unit)
+                  - 8 * production(-h * unit) + production(-2 * h * unit)) / (12 * h)
+            assert np.linalg.norm(grads[mu] - fd) <= 1e-8 * np.linalg.norm(fd)
+
+
+def test_nested_drift_on_a_span_of_a_few_hundred_ulps():
+    # an outer node of the nested cross phase 1e-13 from phi_a, where QUADPACK's
+    # roundoff test reports extremely bad integrand behaviour
+    profile = PulseProfile(amplitude=0.4, frequency=1.3, sigma=1.5)
+    lo, hi = -2.9999999999999996, -2.9999999999998996
+    g, B, kp = 1.0, 1.0, 2.0
+    drift = drift_nested(profile.components, g, B, kp, lo, hi)
+    # the forcing barely turns over the span: (g / kp) A at the midpoint times the width
+    mid = np.array(profile.components(0.5 * (lo + hi)), dtype=float)
+    np.testing.assert_allclose(drift, g / kp * (hi - lo) * mid, rtol=1e-9)
 
 
 def test_oracles_do_not_import_production_modules():
