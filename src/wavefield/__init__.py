@@ -11,7 +11,7 @@ from .errors import (DivisionByZero, InvalidProfile, KernelSingularity,
                      PoleError, QuadratureFailure, RangeError, ResonantDenominator,
                      ResonantQ, SchemaError, SingularForm, StepCalibrationFailure,
                      WavefieldError)
-from .fields import (CircularProfile, ConstantFieldTensor, FieldConfig, LinearProfile,
+from .fields import (CircularProfile, FieldConfig, LinearProfile,
                      PlaneWaveProfile, PulseProfile, TabulatedProfile, ZeroProfile,
                      make_profile, total_field_tensor)
 from .green import (EvalContext, PropagatorValue, dirac_apply, green_function,
@@ -24,10 +24,9 @@ from .quadrature import QuadratureResult, adaptive_quad
 __version__ = "0.1.0"
 
 __all__ = [
-    "CircularProfile", "ConstantFieldTensor", "DivisionByZero",
-    "EPS", "EPS_CONJ", "EvalContext", "FieldConfig", "GAMMA", "InvalidProfile",
-    "KernelSingularity", "LinearProfile", "METRIC", "P_MINUS", "P_PLUS",
-    "PlaneWaveProfile", "PoleError", "PropagatorValue", "PulseProfile",
+    "CircularProfile", "DivisionByZero", "EPS", "EPS_CONJ", "EvalContext", "FieldConfig",
+    "GAMMA", "InvalidProfile", "KernelSingularity", "LinearProfile", "METRIC", "P_MINUS",
+    "P_PLUS", "PlaneWaveProfile", "PoleError", "PropagatorValue", "PulseProfile",
     "QuadratureFailure", "QuadratureResult", "RangeError", "ResonantDenominator",
     "ResonantQ", "SchemaError", "SingularForm", "StepCalibrationFailure",
     "TabulatedProfile", "WAVE_K", "WavefieldError", "ZeroProfile", "adaptive_quad",

@@ -1,8 +1,7 @@
-"""Background field data: constant magnetic tensor and plane-wave profiles.
+"""Background field data: the constant field strength B and plane-wave profiles.
 
-The constant part is f_mn = iB (eps_m eps*_n - eps_n eps*_m), stored
-index-lowered; as a map it rotates the transverse plane (f.eps = iB eps,
-f.eps* = -iB eps*, longitudinal vectors are annihilated). The plane-wave
+The constant part is the number B: its tensor f_mn = iB (eps_m eps*_n - eps_n eps*_m)
+is B times the fixed generator `minkowski.UNIT_FIELD`. The plane-wave
 part is a transverse potential A^p(phi) sampled along the light-cone phase,
 expressed in the real polarization pair e1, e2, at a phase or an array of them.
 """
@@ -14,22 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidProfile, RangeError
-from .minkowski import E1, E2, EPS, EPS_CONJ, METRIC, WAVE_K
-
-
-class ConstantFieldTensor:
-    """f_mn = iB (eps_m eps*_n - eps_n eps*_m), plus its mixed-index action."""
-
-    def __init__(self, B: float):
-        self.B = float(B)
-        eps_low = METRIC * EPS
-        epss_low = METRIC * EPS_CONJ
-        self.lowered = 1j * self.B * (np.outer(eps_low, epss_low) - np.outer(epss_low, eps_low))
-        # (f x)^m = g^{ma} f_an x^n; real rotation generator on the transverse plane
-        self.mixed = (METRIC[:, None] * self.lowered).real.astype(float)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.mixed @ np.asarray(x, dtype=complex)
+from .minkowski import E1, E2, METRIC, UNIT_FIELD, WAVE_K
 
 
 class PlaneWaveProfile:
@@ -73,25 +57,28 @@ class ZeroProfile(PlaneWaveProfile):
         return True
 
 
-def _real(name: str, value, ndim: int = 0) -> np.ndarray:
-    """`value` as a float array of `ndim` axes; InvalidProfile unless it holds
-    finite real numbers only (no strings, booleans, None, NaN or infinity)."""
+def _real(name: str, value, shape=(), error=InvalidProfile):
+    """`value` as a float, or as a float array of `shape` (None: any length on
+    that axis); `error` unless it holds finite real numbers only (no strings,
+    booleans, None, NaN or infinity)."""
     try:
         array = np.asarray(value)
     except ValueError:          # ragged nesting
         array = np.asarray(None)
-    if array.ndim != ndim or array.dtype.kind not in "iuf" or not np.all(np.isfinite(array)):
-        what = "a finite real number" if ndim == 0 else "a list of finite real numbers"
-        raise InvalidProfile(f"profile {name} must be {what}, got {value!r}")
-    return array.astype(float)
+    if array.dtype.kind not in "iuf" or array.ndim != len(shape) \
+            or (None not in shape and array.shape != shape) or not np.isfinite(array).all():
+        what = "a finite real number" if not shape else \
+            f"a list of {'' if shape[0] is None else f'{shape[0]} '}finite real numbers"
+        raise error(f"{name} must be {what}, got {value!r}")
+    return array.astype(float) if shape else float(array)
 
 
 class _Carrier(PlaneWaveProfile):
     """Profiles with an amplitude a and a carrier frequency nu."""
 
     def __init__(self, amplitude: float, frequency: float):
-        self.amplitude = float(_real("amplitude", amplitude))
-        self.frequency = float(_real("frequency", frequency))
+        self.amplitude = _real("profile amplitude", amplitude)
+        self.frequency = _real("profile frequency", frequency)
 
     @property
     def is_zero(self):
@@ -133,7 +120,7 @@ class PulseProfile(_Carrier):
     kind = "pulse"
 
     def __init__(self, amplitude: float, frequency: float, sigma: float):
-        sigma = float(_real("sigma", sigma))
+        sigma = _real("profile sigma", sigma)
         if sigma <= 0:
             raise InvalidProfile(f"pulse sigma must be positive, got {sigma!r}")
         super().__init__(amplitude, frequency)
@@ -166,8 +153,8 @@ class TabulatedProfile(PlaneWaveProfile):
     kind = "tabulated"
 
     def __init__(self, phi_grid, a1, a2):
-        grid, a1, a2 = (_real(name, v, ndim=1) for name, v in (("phi", phi_grid), ("a1", a1),
-                                                                 ("a2", a2)))
+        grid, a1, a2 = (_real(f"profile {name}", v, shape=(None,))
+                        for name, v in (("phi", phi_grid), ("a1", a1), ("a2", a2)))
         if grid.size < 4:
             raise InvalidProfile("tabulated profile needs at least 4 grid points")
         if not np.all(np.diff(grid) > 0):
@@ -236,16 +223,11 @@ class FieldConfig:
 
     def __post_init__(self):
         for name in ("g", "B") if self.phi0 is None else ("g", "B", "phi0"):
-            if not np.isfinite(getattr(self, name)):
-                raise RangeError(f"{name} must be finite, got {getattr(self, name)!r}")
-
-    @property
-    def tensor(self) -> ConstantFieldTensor:
-        return ConstantFieldTensor(self.B)
+            object.__setattr__(self, name, _real(name, getattr(self, name), error=RangeError))
 
 
 def total_field_tensor(cfg: FieldConfig, phi: float) -> np.ndarray:
     """Lowered F_mn(phi) = f_mn + k_m A'_n(phi) - k_n A'_m(phi)."""
     k_low = METRIC * WAVE_K
     slope_low = METRIC * cfg.profile.derivative(phi)
-    return cfg.tensor.lowered + np.outer(k_low, slope_low) - np.outer(slope_low, k_low)
+    return cfg.B * UNIT_FIELD + np.outer(k_low, slope_low) - np.outer(slope_low, k_low)

@@ -9,11 +9,14 @@ free of caustics), G is two scalar integrals times two fixed matrices:
     I+- = int de0 (-i/2) kernel(e0, rho^2) exp(i (e0/2)(pL^2 - m^2) + constant) exp(+-i e0 g B/2)
 
 where the transverse kernel is a Gaussian in rho^2, the squared transverse
-distance from x_a to the drift-shifted endpoint x_b - Y, and `constant` is the
-e0-independent exponent of the classical action: i pL.dx^L, the
-plane-wave/magnetic mixing exponent `cross` and the magnetic gauge phase
-i (g B/2)(X1 xa2 - X2 xa1) at X = x_b - Y. M+- are the projector braces dressed
-by the phase-integral kernels (P+- for a zero profile, the zero-k limit).
+distance from x_a to the drift-shifted endpoint X = x_b - Y, and `constant` is
+the e0-independent exponent of the classical action,
+
+    i pL.dx^L - i (g/2) action + i (g B/2) [X1 (xa2 - Y2) - X2 (xa1 - Y1)],
+
+the last term being the boundary term of the action and the magnetic gauge
+phase in one. M+- are the projector braces dressed by the phase-integral
+kernels (P+- for a zero profile, the zero-k limit).
 
 Far endpoints x_b that share the rest of a context share one ray: only rho^2,
 the constant exponent and the braces differ between them,
@@ -34,10 +37,10 @@ import numpy as np
 from .conventions import (DEFAULT_ABS_TOL, DEFAULT_CONTOUR_ANGLE, DEFAULT_REL_TOL,
                           DEFAULT_VOLKOV_SIGN)
 from .errors import QuadratureFailure, RangeError, StepCalibrationFailure
-from .fields import FieldConfig, ZeroProfile
+from .fields import FieldConfig, ZeroProfile, _real
 from .kernels import SUB_TOLERANCE, KernelDiagnostics, folded_kernel, phase_pass
 from .minkowski import (GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS, SLASH_EPS,
-                        SLASH_EPS_CONJ, SLASH_K, WAVE_K, dot)
+                        SLASH_EPS_CONJ, SLASH_K, UNIT_FIELD, WAVE_K, dot)
 from .quadrature import adaptive_quad
 
 
@@ -56,12 +59,11 @@ class EvalContext:
     volkov_sign: int = DEFAULT_VOLKOV_SIGN
 
     def __post_init__(self):
-        for name in ("x_a", "x_b", "pL"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise RangeError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not np.isfinite(self.m):
-            raise RangeError(f"m must be finite, got {self.m!r}")
+        for name, shape in (("m", ()), ("x_a", (4,)), ("x_b", (4,)), ("pL", (4,)),
+                            ("theta", ()), ("abs_tol", ()), ("rel_tol", ())):
+            object.__setattr__(self, name, _real(name, getattr(self, name), shape, RangeError))
+        if not isinstance(self.cfg, FieldConfig):
+            raise RangeError(f"cfg must be a FieldConfig, got {self.cfg!r}")
         if not 0.0 < self.theta <= np.pi / 2.0:
             raise RangeError(f"contour angle must lie in (0, pi/2], got {self.theta!r}")
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
@@ -69,8 +71,9 @@ class EvalContext:
                              f"got {self.abs_tol!r} and {self.rel_tol!r}")
         if self.pL[0] != 0.0 or self.pL[1] != 0.0:
             raise RangeError(f"pL must be longitudinal (transverse slots zero), got {self.pL!r}")
-        if self.volkov_sign not in (+1, -1):
-            raise RangeError(f"volkov_sign must be +1 or -1, got {self.volkov_sign!r}")
+        # an int, not a bool or a float: the sidecar prints it
+        if type(self.volkov_sign) is not int or self.volkov_sign not in (+1, -1):
+            raise RangeError(f"volkov_sign must be the integer +1 or -1, got {self.volkov_sign!r}")
 
     @property
     def phi_a(self) -> float:
@@ -102,7 +105,7 @@ class _Prepared:
     braces M+- and R (`weight`); `passes` holds one phase pass per distinct phi_b."""
 
     rho2: np.ndarray          # (n,) squared transverse distance, drift-shifted
-    constant: np.ndarray      # (n,) i pL.dx^L + cross + magnetic gauge phase
+    constant: np.ndarray      # (n,) e0-independent exponent of the classical action
     plus: np.ndarray          # (n, 4, 4)
     minus: np.ndarray         # (n, 4, 4)
     weight: np.ndarray        # (n, 2, 2)
@@ -127,7 +130,7 @@ def _prepare(ctx: EvalContext, points) -> _Prepared:
     first = (abs(phis[:, None] - phis) <= tie).argmax(axis=1)
     plus, minus = np.empty((2, len(points), 4, 4), dtype=complex)
     drift = np.empty((len(points), 4), dtype=complex)
-    cross = np.empty(len(points), dtype=complex)
+    action = np.empty(len(points), dtype=complex)
     passes = []
     for j in dict.fromkeys(first.tolist()):
         mine = first == j
@@ -140,7 +143,7 @@ def _prepare(ctx: EvalContext, points) -> _Prepared:
         minus[mine] = (IDENTITY4 - (SLASH_K @ SLASH_EPS) * run.kernel_conj_b) @ P_MINUS @ \
             (IDENTITY4 + (SLASH_K @ SLASH_EPS_CONJ) * run.kernel_a)
         drift[mine] = run.drift
-        cross[mine] = run.cross_phase(ctx.cfg, points[mine])
+        action[mine] = run.action
     # R of [vec M+, vec M-] = QR by Gram-Schmidt: LAPACK's QR keeps 0.6 MB of pages resident
     a, b = plus.reshape(-1, 16), minus.reshape(-1, 16)
     r00 = np.linalg.norm(a, axis=1)
@@ -148,11 +151,12 @@ def _prepare(ctx: EvalContext, points) -> _Prepared:
     r11 = np.linalg.norm(b - (r01 / r00)[:, None] * a, axis=1)
     weight = np.moveaxis(np.array([[r00, r01], [0.0 * r01, r11]]), -1, 0)
     far = points[:, :2] - drift[:, :2]
-    x_a = ctx.x_a[:2]
-    rho2 = (far[:, 0] - x_a[0]) ** 2 + (far[:, 1] - x_a[1]) ** 2
-    gauge = 0.5j * ctx.cfg.g * ctx.cfg.B * (far[:, 0] * x_a[1] - far[:, 1] * x_a[0])
-    # pL has no transverse slots (EvalContext), so this is i pL.dx^L
-    constant = 1j * dot(ctx.pL, points - ctx.x_a) + cross + gauge
+    near = ctx.x_a[:2] - drift[:, :2]
+    rho2 = (far[:, 0] - ctx.x_a[0]) ** 2 + (far[:, 1] - ctx.x_a[1]) ** 2
+    # pL has no transverse slots (EvalContext), so the first term is i pL.dx^L;
+    # the last is the action's boundary term and the magnetic gauge phase in one
+    constant = 1j * dot(ctx.pL, points - ctx.x_a) - 0.5j * ctx.cfg.g * action \
+        + 0.5j * ctx.cfg.g * ctx.cfg.B * (far[:, 0] * near[:, 1] - far[:, 1] * near[:, 0])
     return _Prepared(rho2=rho2, constant=constant, plus=plus, minus=minus,
                      weight=weight, passes=tuple(passes))
 
@@ -223,7 +227,7 @@ def green_function_zero_k(ctx: EvalContext) -> PropagatorValue:
 def total_potential_lowered(ctx: EvalContext, x: np.ndarray) -> np.ndarray:
     """Lowered components of the total potential A_mu at the point x."""
     phi = dot(WAVE_K, x).real
-    return 0.5 * (ctx.cfg.tensor.lowered @ np.asarray(x, dtype=complex)) \
+    return 0.5 * ((ctx.cfg.B * UNIT_FIELD) @ np.asarray(x, dtype=complex)) \
         + METRIC * ctx.cfg.profile.potential(phi)
 
 

@@ -9,7 +9,7 @@ with caustics at e0 g B in 2 pi Z, written through `landau_factors`. Its
 e0-dependent part, `folded_kernel`, sees the endpoints only through
 rho^2 = |DX|^2; the gauge phase i (g B / 2)(Xb1 Xa2 - Xb2 Xa1) is a constant.
 Everything the wave phase contributes comes from one pass along it,
-`phase_pass`, whose `PhasePass` holds:
+`phase_pass`, whose `PhasePass` is a plain record of:
 
 * `kernel_a`, `kernel_b` (and `kernel_conj_a`, `kernel_conj_b`): the
   phase-integral dressing at phi_a and phi_b, as printed,
@@ -24,10 +24,9 @@ Everything the wave phase contributes comes from one pass along it,
 * `drift`: the transverse drift Y(phi_b), at rest at phi_a, in the phi
   parameterization, where the proper-time scale drops out:
   dY/dphi = (g / dot(k, pL)) (A^p(phi) - f Y);
-* `action`: int_{phi_a}^{phi_b} A^p . dY/dphi, which `PhasePass.cross_phase`
-  turns into the plane-wave / magnetic mixing exponent
-
-    -i (g/2) [ action  +  X^T . f Y^T |_{phi_a}^{phi_b} ].
+* `action`: int_{phi_a}^{phi_b} A^p . dY/dphi, which enters the
+  e0-independent exponent as -i (g/2) action; `green._prepare` adds the
+  boundary term and the gauge phase at X = x_b - Y in one expression.
 
 rot(phi - p) = rot(phi - phi_a) rot(phi_a - p) makes Y = rate rot(phi - phi_a) C(phi),
 with C two scalar cumulative integrals of rot(phi_a - p) A^p(p) in the eps/eps*
@@ -56,7 +55,7 @@ NEAR_CAUSTIC_THRESHOLD = 0.05
 class KernelDiagnostics:
     error_estimate: float     # proper-time quadrature error estimate
     nodes: int                # proper-time quadrature nodes
-    prepare_nodes: int        # nodes of the phase pass (cross phase, drift, K, K*)
+    prepare_nodes: int        # nodes of the phase pass (action, drift, K, K*)
     prepare_error: float      # its error estimate
 
 
@@ -137,13 +136,6 @@ class PhasePass:
     kernel_conj_b: complex    # K*(phi_b)
     nodes: int
     error_estimate: float
-
-    def cross_phase(self, cfg: FieldConfig, x_b: np.ndarray) -> complex:
-        """Mixing exponent -i (g/2) (action integral + boundary term) of a path
-        ending at x_b, or of each path ending at a row of a stack of them."""
-        # f Y has no longitudinal slots, so x_b's drop out
-        boundary = dot(x_b - self.drift, cfg.tensor.apply(self.drift))
-        return -0.5j * cfg.g * (self.action + boundary)
 
 
 def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b: float, phi0: float,

@@ -30,6 +30,14 @@ WAVE_K = np.array([0.0, 0.0, -1.0, -1.0], dtype=complex)
 E1 = ((EPS + EPS_CONJ) / SQRT2).real.astype(complex)
 E2 = ((EPS - EPS_CONJ) / (1j * SQRT2)).real.astype(complex)
 
+#: The constant magnetic field is B times this generator: the lowered tensor
+#: f_mn = i (eps_m eps*_n - eps_n eps*_m) at B = 1, and its real mixed-index
+#: map (f x)^m = g^{ma} f_an x^n, which rotates the transverse plane (f.eps = i eps,
+#: f.eps* = -i eps*) and annihilates longitudinal vectors.
+UNIT_FIELD = 1j * (np.outer(METRIC * EPS, METRIC * EPS_CONJ)
+                   - np.outer(METRIC * EPS_CONJ, METRIC * EPS))
+UNIT_FIELD_MIXED = (METRIC[:, None] * UNIT_FIELD).real
+
 
 def dot(u: np.ndarray, v: np.ndarray):
     """Bilinear metric product sum_m g_mm u_m v_m (never sesquilinear), over the

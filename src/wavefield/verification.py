@@ -10,8 +10,13 @@ which integrates Schwinger's closed form on the Euclidean axis by QUADPACK and
 shares no code with the production ray. The classical spin path (criterion 4)
 has no production route: `oracles.classical_spin_path` is checked against the
 spin equations by central differences and against its boundary conditions.
-`run_all` is what the `verify` CLI command executes; each check also has a
-focused unit test.
+Criterion 7's `classical-action-exponent` row takes the e0-independent
+exponent that `green._prepare` forms in one expression and rebuilds it from
+`oracles.cross_phase_nested` and the gauge phase at `oracles.drift_nested`'s
+endpoint. The limit checks that `limits` shares evaluate production first, so
+a point outside the domain raises the production error (exit 4), not an
+oracle's. `run_all` is what the `verify` CLI command executes; each check
+also has a focused unit test.
 
 All random draws use fixed seeds so the suite is deterministic run to run.
 """
@@ -25,16 +30,18 @@ import numpy as np
 
 from .conventions import (CSV_SCHEMA_VERSION, DEFAULT_CONTOUR_ANGLE, DEFAULT_VOLKOV_SIGN,
                           METRIC_DIAG, convention_ledger)
-from .fields import (CircularProfile, ConstantFieldTensor, FieldConfig, LinearProfile,
-                     PulseProfile, TabulatedProfile, ZeroProfile, total_field_tensor)
-from .green import (EvalContext, dirac_apply, green_function, green_function_zero_k,
-                    total_potential_lowered)
+from .fields import (CircularProfile, FieldConfig, LinearProfile, PulseProfile,
+                     TabulatedProfile, ZeroProfile, total_field_tensor)
+from .green import (EvalContext, _prepare, dirac_apply, green_function,
+                    green_function_zero_k, total_potential_lowered)
 from .kernels import phase_pass, schwinger_kernel, spin_determinant
-from .minkowski import (EPS, EPS_CONJ, GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS, WAVE_K,
-                        dot, tanh_projector_identity, transverse_spectral)
-from .oracles import (SliceLattice, classical_spin_path, free_kernel, free_propagator,
-                      richardson_extrapolate, sliced_kernel, spin_projection_constant,
-                      volkov_kernel_closed_form, zero_profile_gradient, zero_profile_green)
+from .minkowski import (EPS, EPS_CONJ, GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS,
+                        UNIT_FIELD_MIXED, WAVE_K, dot, tanh_projector_identity,
+                        transverse_spectral)
+from .oracles import (SliceLattice, classical_spin_path, cross_phase_nested, drift_nested,
+                      free_kernel, free_propagator, richardson_extrapolate, sliced_kernel,
+                      spin_projection_constant, volkov_kernel_closed_form,
+                      zero_profile_gradient, zero_profile_green)
 
 _EPS64 = float(np.finfo(float).eps)
 
@@ -99,10 +106,9 @@ def check_basis_identities() -> list[CheckResult]:
     dev_eig = 0.0
     for _ in range(10):
         b = rng.uniform(-2.0, 2.0)
-        tensor = ConstantFieldTensor(B=b)
         dev_eig = max(dev_eig,
-                      _maxabs(tensor.apply(EPS) - 1j * b * EPS),
-                      _maxabs(tensor.apply(EPS_CONJ) + 1j * b * EPS_CONJ))
+                      _maxabs(b * UNIT_FIELD_MIXED @ EPS - 1j * b * EPS),
+                      _maxabs(b * UNIT_FIELD_MIXED @ EPS_CONJ + 1j * b * EPS_CONJ))
     return [
         _result(2, "null-contractions-exact", dev_null, 0.0,
                 "eps.eps, k.k, k.eps, k.eps* are identically zero in floats"),
@@ -156,7 +162,7 @@ def check_classical_path_equations() -> list[CheckResult]:
         pl = np.array([0.0, 0.0, rng.uniform(-0.3, 0.3), rng.uniform(1.5, 2.5)])
         phi_a = rng.uniform(-1.0, 1.0)
         slope = -e0 * dot(WAVE_K, pl)
-        q = e0 * g * cfg.tensor.mixed.astype(complex)
+        q = e0 * g * (b * UNIT_FIELD_MIXED)
 
         gamma, eta = classical_spin_path(np.concatenate([taus - step, taus, taus + step,
                                                          [0.0, 1.0]]),
@@ -225,7 +231,7 @@ def check_spin_determinant() -> list[CheckResult]:
         b = rng.uniform(0.3, 1.2)
         bound = 0.9 * np.pi / (g * b)
         e0 = rng.uniform(0.1, min(bound, 3.0)) * np.exp(1j * rng.uniform(0.0, np.pi / 3.0))
-        half_q = (e0 * g / 2.0) * ConstantFieldTensor(B=b).mixed.astype(complex)
+        half_q = (e0 * g / 2.0) * (b * UNIT_FIELD_MIXED)
         det = np.prod(np.cosh(np.linalg.eigvals(half_q)))
         dev = max(dev, abs(np.sqrt(det) - spin_determinant(e0, FieldConfig(g=g, B=b))))
     return [_result(6, "spin-determinant-vs-eigenvalues", dev, 1e-12,
@@ -287,6 +293,29 @@ def check_phase_integral_oracles() -> list[CheckResult]:
     ]
 
 
+def check_classical_action_exponent() -> list[CheckResult]:
+    """The e0-independent exponent, formed in one expression by `green._prepare`,
+    against its terms from the oracles: i pL.dx^L, the nested mixing exponent
+    and the magnetic gauge phase at the nested drift."""
+    rng = np.random.default_rng(113)
+    dev = 0.0
+    for make in (CircularProfile, lambda a, nu: PulseProfile(a, nu, sigma=1.5), LinearProfile):
+        for sign in (1.0, -1.0):
+            profile = make(rng.uniform(0.2, 0.8), rng.uniform(0.6, 1.8))
+            cfg = FieldConfig(g=rng.uniform(0.5, 1.5), B=sign * rng.uniform(0.3, 1.0),
+                              profile=profile)
+            ctx = _random_context(rng, cfg)
+            wave = (profile.components, cfg.g, cfg.B, dot(WAVE_K, ctx.pL).real, ctx.phi_a,
+                    ctx.phi_b)
+            y1, y2 = drift_nested(*wave)
+            x_a, x_b = ctx.x_a, ctx.x_b
+            gauge = 0.5j * cfg.g * cfg.B * ((x_b[0] - y1) * x_a[1] - (x_b[1] - y2) * x_a[0])
+            ref = 1j * dot(ctx.pL, x_b - x_a) + cross_phase_nested(*wave, x_b[:2]) + gauge
+            dev = max(dev, abs(_prepare(ctx, x_b).constant[0] - ref))
+    return [_result(7, "classical-action-exponent", dev, 1e-10,
+                    "6 contexts (circular, pulse, linear; B of both signs) vs nested oracles")]
+
+
 # -- limits: criteria 5, 8 and 10, and the `limits` command ---------------
 
 #: Zero profile with B small enough for the free propagator to be the reference.
@@ -309,8 +338,10 @@ def zero_profile_limit(contexts, detail: str = "") -> CheckResult:
     """Each context's zero-profile Green function against Schwinger's closed form."""
     dev = 0.0
     for ctx in contexts:
+        # production first: it raises the documented error outside the domain
+        value = green_function_zero_k(ctx).matrix
         ref = zero_profile_green(ctx.x_a, ctx.x_b, ctx.pL, ctx.m, ctx.cfg.g * ctx.cfg.B)
-        dev = max(dev, _maxabs(green_function_zero_k(ctx).matrix - ref))
+        dev = max(dev, _maxabs(value - ref))
     return _result(8, "zero-profile-route-equivalence", dev, 1e-10, detail)
 
 
@@ -320,8 +351,9 @@ def free_field_limit(contexts, detail: str = "") -> CheckResult:
     dev = 0.0
     for ctx in contexts:
         ctx = replace(ctx, cfg=FREE_FIELD)
+        value = green_function(ctx).matrix
         ref = free_propagator(ctx.x_a, ctx.x_b, ctx.pL, ctx.m)
-        dev = max(dev, _maxabs(green_function(ctx).matrix - ref * IDENTITY4) / abs(ref))
+        dev = max(dev, _maxabs(value - ref * IDENTITY4) / abs(ref))
     return _result(10, "free-field-reduction", dev, 1e-5, detail)
 
 
@@ -475,6 +507,7 @@ _CHECKS = (
     check_sliced_oracle_agreement,
     check_spin_determinant,
     check_phase_integral_oracles,
+    check_classical_action_exponent,
     check_zero_wave_vector_equivalence,
     check_contour_invariance,
     check_free_field_reduction,

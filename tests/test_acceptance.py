@@ -2,14 +2,16 @@
 
 Each test runs the corresponding check from `wavefield.verification` at its
 stated tolerance and prints one PASS/FAIL line per check (visible with
-`pytest -s` or in the captured output of a failure). Criterion 11 also has a
-mutation test: with the production kernel scaled by 1.01 it must fail. The final test also
+`pytest -s` or in the captured output of a failure). Criteria 7 and 11 also
+have mutation tests: with the phase pass's action or the production kernel
+scaled by 1.01 their rows must fail. The final test also
 exercises the `verify` command end to end, twice, and byte-compares its
 outputs.
 """
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from wavefield import green, verification
@@ -57,6 +59,23 @@ def test_criterion_06_spin_determinant():
 
 def test_criterion_07_phase_integral_oracles():
     _report(verification.check_phase_integral_oracles())
+
+
+def test_criterion_07_classical_action_exponent():
+    _report(verification.check_classical_action_exponent())
+
+
+def test_criterion_07_fails_on_a_scaled_action(monkeypatch):
+    # the oracle side re-solves the action by nested quadrature, so a 1 % error
+    # in the phase pass's action shows in the exponent
+    phase_pass = green.phase_pass
+
+    def scaled(*args, **kwargs):
+        run = phase_pass(*args, **kwargs)
+        return replace(run, action=1.01 * run.action)
+
+    monkeypatch.setattr(green, "phase_pass", scaled)
+    assert not any(r.passed for r in verification.check_classical_action_exponent())
 
 
 def test_criterion_08_zero_wave_vector_equivalence():

@@ -289,6 +289,20 @@ def test_limits_command(tmp_path):
                      "small-field-free-kernel-limit"]
 
 
+@pytest.mark.parametrize("overrides", [dict(m=2.0, pL=[0.0, 0.0, 0.0, 1.0]),
+                                       dict(x_b=[0.1, -0.2, 0.5, 0.1])],
+                         ids=["below-threshold", "coincident-transverse-endpoints"])
+def test_limits_outside_the_domain_exits_4(tmp_path, overrides):
+    # the production route runs before the oracles, so the documented
+    # quadrature failure comes first, not the oracle's ValueError traceback
+    cfg = _config(eval=_eval(**overrides))
+    status, out = _invoke(tmp_path, "limits", cfg)
+    assert status == 4
+    assert not out.exists()
+    # the same points fail the same way through gf-k0, the route limits checks
+    assert _invoke(tmp_path, "gf-k0", cfg, name="k0.csv")[0] == 4
+
+
 def test_dirac_command_single_point(tmp_path):
     status, out = _invoke(tmp_path, "dirac", _config())
     assert status == 0

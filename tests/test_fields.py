@@ -2,21 +2,21 @@ import numpy as np
 import pytest
 
 from wavefield.errors import InvalidProfile, RangeError
-from wavefield.fields import (CircularProfile, ConstantFieldTensor, FieldConfig,
-                              LinearProfile, PulseProfile, TabulatedProfile, ZeroProfile,
-                              make_profile, total_field_tensor)
-from wavefield.minkowski import EPS, EPS_CONJ, METRIC, WAVE_K, dot
+from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, PulseProfile,
+                              TabulatedProfile, ZeroProfile, make_profile, total_field_tensor)
+from wavefield.minkowski import (EPS, EPS_CONJ, METRIC, UNIT_FIELD, UNIT_FIELD_MIXED, WAVE_K,
+                                 dot)
 
 
 def test_constant_tensor_eigenstructure():
-    t = ConstantFieldTensor(B=0.8)
-    assert np.allclose(t.apply(EPS), 0.8j * EPS, atol=1e-14)
-    assert np.allclose(t.apply(EPS_CONJ), -0.8j * EPS_CONJ, atol=1e-14)
+    # the field at B = 0.8 is 0.8 times the generator
+    mixed, lowered = 0.8 * UNIT_FIELD_MIXED, 0.8 * UNIT_FIELD
+    assert np.allclose(mixed @ EPS, 0.8j * EPS, atol=1e-14)
+    assert np.allclose(mixed @ EPS_CONJ, -0.8j * EPS_CONJ, atol=1e-14)
     # mixed form is the real transverse rotation generator
-    assert t.mixed.dtype == np.float64
-    assert np.allclose(t.mixed[:2, :2], [[0.0, 0.8], [-0.8, 0.0]])
-    assert np.max(np.abs(t.mixed[2:, :])) == 0.0
-    lowered = t.lowered
+    assert mixed.dtype == np.float64
+    assert np.allclose(mixed[:2, :2], [[0.0, 0.8], [-0.8, 0.0]])
+    assert np.max(np.abs(mixed[2:, :])) == 0.0
     assert np.max(np.abs(lowered + lowered.T)) < 1e-14
 
 
@@ -24,7 +24,7 @@ def test_total_field_tensor_antisymmetry_and_split():
     cfg = FieldConfig(g=1.0, B=0.5, profile=CircularProfile(amplitude=0.4, frequency=1.2))
     f = total_field_tensor(cfg, phi=0.7)
     assert np.max(np.abs(f + f.T)) < 1e-14
-    wave_part = f - cfg.tensor.lowered
+    wave_part = f - cfg.B * UNIT_FIELD
     k_low = METRIC * WAVE_K
     slope_low = METRIC * cfg.profile.derivative(0.7)
     assert np.allclose(wave_part, np.outer(k_low, slope_low) - np.outer(slope_low, k_low),
@@ -153,3 +153,11 @@ def test_field_config_rejects_non_finite_values():
         with pytest.raises(RangeError):
             FieldConfig(**{"g": 0.9, "B": 0.5, **bad})
     assert FieldConfig(g=0.9, B=0.5, phi0=None).phi0 is None
+
+
+@pytest.mark.parametrize("bad", [dict(g="0.9"), dict(B=None), dict(phi0=True)],
+                         ids=["text-g", "none-B", "boolean-phi0"])
+def test_field_config_rejects_values_that_are_not_real_numbers(bad):
+    # a RangeError, as from the CLI, rather than a numpy TypeError or a silent 1.0
+    with pytest.raises(RangeError):
+        FieldConfig(**{"g": 0.9, "B": 0.5, **bad})

@@ -46,6 +46,18 @@ def test_context_validation():
             _ctx(**bad)
 
 
+@pytest.mark.parametrize("bad", [
+    dict(m="0.8"), dict(m=True), dict(volkov_sign=True), dict(volkov_sign=1.0),
+    dict(x_a=XA[:2]), dict(x_b=np.append(XB, 0.0)), dict(rel_tol=np.inf), dict(cfg=None),
+], ids=["text-m", "boolean-m", "boolean-volkov-sign", "float-volkov-sign", "x_a-of-length-2",
+        "x_b-of-length-5", "infinite-rel-tol", "no-cfg"])
+def test_context_rejects_inputs_that_are_not_its_numbers(bad):
+    # past the constructor, green_function would fail with a broadcast or
+    # reshape ValueError, or at rel_tol = inf stop after a few ray nodes
+    with pytest.raises(RangeError):
+        _ctx(**bad)
+
+
 def test_ray_domain_checks():
     with pytest.raises(QuadratureFailure):
         green_function(_ctx(pL=np.array([0.0, 0.0, 0.0, 1.0]), m=2.0))

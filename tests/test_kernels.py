@@ -6,7 +6,7 @@ from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, Pulse
                               TabulatedProfile, ZeroProfile)
 from wavefield.kernels import (NEAR_CAUSTIC_THRESHOLD, near_caustic, phase_pass, schwinger_kernel,
                                spin_determinant)
-from wavefield.minkowski import WAVE_K, dot, transverse_spectral
+from wavefield.minkowski import UNIT_FIELD_MIXED, WAVE_K, dot, transverse_spectral
 from wavefield.oracles import (cross_phase_nested, drift_nested, free_kernel,
                                volkov_kernel_closed_form)
 
@@ -21,9 +21,12 @@ def _kernels(phi, pL, cfg, phi0, sign=+1):
 
 
 def _cross_phase(cfg, pL, x_a, x_b):
-    """Mixing exponent of a path from x_a to x_b, drift at rest at phi_a."""
+    """Mixing exponent -i (g/2) (action + boundary term) of a path from x_a to
+    x_b, drift Y at rest at phi_a; the boundary term is (x_b - Y).f Y."""
     phi_a = dot(WAVE_K, x_a).real
-    return phase_pass(cfg, pL, phi_a, dot(WAVE_K, x_b).real, phi_a).cross_phase(cfg, x_b)
+    run = phase_pass(cfg, pL, phi_a, dot(WAVE_K, x_b).real, phi_a)
+    boundary = dot(x_b - run.drift, cfg.B * UNIT_FIELD_MIXED @ run.drift)
+    return -0.5j * cfg.g * (run.action + boundary)
 
 
 def test_kernel_free_limit_small_field():

@@ -11,7 +11,8 @@ from wavefield.errors import ResonantDenominator, ResonantQ, SingularForm
 from wavefield.fields import CircularProfile, FieldConfig, PulseProfile, ZeroProfile
 from wavefield.green import EvalContext, green_function_zero_k
 from wavefield.kernels import schwinger_kernel
-from wavefield.minkowski import IDENTITY4, WAVE_K, dot, transverse_spectral
+from wavefield.minkowski import (IDENTITY4, UNIT_FIELD_MIXED, WAVE_K, dot,
+                                 transverse_spectral)
 from wavefield.oracles import (SliceLattice, classical_spin_path, drift_nested, free_kernel,
                                free_propagator, landau_green, richardson_extrapolate,
                                sliced_kernel, spin_projection_constant,
@@ -270,7 +271,7 @@ def test_spin_path_matches_quadpack(profile):
     # the Gauss-Legendre rule against QUADPACK, component by component, with
     # exp(Q tau) taken by scipy's expm of the field tensor
     cfg, e0, phi_a, slope = _spin_path_setup(profile)
-    q = e0 * cfg.g * cfg.tensor.mixed.astype(complex)
+    q = e0 * cfg.g * cfg.B * UNIT_FIELD_MIXED
     transverse = np.diag([1.0, 1.0, 0.0, 0.0])
 
     def pulled_back(tau):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from wavefield.fields import CircularProfile, FieldConfig, PulseProfile, ZeroProfile
 from wavefield.green import EvalContext, green_function
 from wavefield.kernels import phase_pass, schwinger_kernel
-from wavefield.minkowski import WAVE_K, dot
+from wavefield.minkowski import UNIT_FIELD_MIXED, WAVE_K, dot
 from wavefield.oracles import cross_phase_nested, volkov_kernel_closed_form
 from wavefield.quadrature import WG, WK, XK, _G_IDX, adaptive_quad
 
@@ -61,8 +61,12 @@ def _eval_contexts(draw):
 
 
 def _cross_phase(cfg, pL, x_a, x_b):
+    """Mixing exponent -i (g/2) (action + boundary term) of a path from x_a to
+    x_b, drift Y at rest at phi_a; the boundary term is (x_b - Y).f Y."""
     phi_a = dot(WAVE_K, x_a).real
-    return phase_pass(cfg, pL, phi_a, dot(WAVE_K, x_b).real, phi_a).cross_phase(cfg, x_b)
+    run = phase_pass(cfg, pL, phi_a, dot(WAVE_K, x_b).real, phi_a)
+    boundary = dot(x_b - run.drift, cfg.B * UNIT_FIELD_MIXED @ run.drift)
+    return -0.5j * cfg.g * (run.action + boundary)
 
 
 def _nested(cfg, pL, x_a, x_b):
