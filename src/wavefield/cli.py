@@ -32,7 +32,7 @@ from .errors import (DivisionByZero, InvalidProfile, KernelSingularity,
                      WavefieldError)
 from .fields import FieldConfig, make_profile
 from .green import EvalContext, dirac_apply, green_function, green_function_zero_k, spin_factor
-from .kernels import near_caustic, phase_pass, schwinger_kernel
+from .kernels import SUB_TOLERANCE, near_caustic, phase_pass, schwinger_kernel
 
 _COMMANDS = ("identities", "kernel", "K", "spinfactor", "gf", "gf-k0", "dirac",
              "verify", "limits")
@@ -288,9 +288,10 @@ def _cmd_phase_integral(rc: RunConfig):
     ctx = rc.ctx
 
     def one(phi):
-        run = phase_pass(ctx.cfg, ctx.pL, phi, phi, ctx.phi0, sign=ctx.volkov_sign)
-        return [phi, run.kernel_b.real, run.kernel_b.imag, run.kernel_conj_b.real,
-                run.kernel_conj_b.imag, run.error_estimate, run.nodes]
+        run = phase_pass(ctx.cfg, ctx.pL, phi, phi, ctx.phi0, sign=ctx.volkov_sign,
+                         abs_tol=ctx.abs_tol * SUB_TOLERANCE, rel_tol=ctx.rel_tol * SUB_TOLERANCE)
+        k, k_conj = run.kernel_b, run.kernel_b.conjugate()
+        return [phi, k.real, k.imag, k_conj.real, k_conj.imag, run.error_estimate, run.nodes]
 
     rows = [one(phi) for phi in rc.grid_values]
     header = ["phi", "K_re", "K_im", "K_conj_re", "K_conj_im", "error_estimate", "nodes"]

@@ -129,8 +129,8 @@ def _prepare(ctx: EvalContext, points) -> _Prepared:
     tie = _ROUNDINGS * abs(points).max()
     first = (abs(phis[:, None] - phis) <= tie).argmax(axis=1)
     plus, minus = np.empty((2, len(points), 4, 4), dtype=complex)
-    drift = np.empty((len(points), 4), dtype=complex)
-    action = np.empty(len(points), dtype=complex)
+    drift = np.empty((len(points), 2))
+    action = np.empty(len(points))
     passes = []
     for j in dict.fromkeys(first.tolist()):
         mine = first == j
@@ -139,8 +139,8 @@ def _prepare(ctx: EvalContext, points) -> _Prepared:
                          rel_tol=ctx.rel_tol * SUB_TOLERANCE)
         passes.append(run)
         plus[mine] = (IDENTITY4 - (SLASH_K @ SLASH_EPS_CONJ) * run.kernel_b) @ P_PLUS @ \
-            (IDENTITY4 + (SLASH_K @ SLASH_EPS) * run.kernel_conj_a)
-        minus[mine] = (IDENTITY4 - (SLASH_K @ SLASH_EPS) * run.kernel_conj_b) @ P_MINUS @ \
+            (IDENTITY4 + (SLASH_K @ SLASH_EPS) * run.kernel_a.conjugate())
+        minus[mine] = (IDENTITY4 - (SLASH_K @ SLASH_EPS) * run.kernel_b.conjugate()) @ P_MINUS @ \
             (IDENTITY4 + (SLASH_K @ SLASH_EPS_CONJ) * run.kernel_a)
         drift[mine] = run.drift
         action[mine] = run.action
@@ -150,8 +150,7 @@ def _prepare(ctx: EvalContext, points) -> _Prepared:
     r01 = np.sum(a.conj() * b, axis=1) / r00
     r11 = np.linalg.norm(b - (r01 / r00)[:, None] * a, axis=1)
     weight = np.moveaxis(np.array([[r00, r01], [0.0 * r01, r11]]), -1, 0)
-    far = points[:, :2] - drift[:, :2]
-    near = ctx.x_a[:2] - drift[:, :2]
+    far, near = points[:, :2] - drift, ctx.x_a[:2] - drift
     rho2 = (far[:, 0] - ctx.x_a[0]) ** 2 + (far[:, 1] - ctx.x_a[1]) ** 2
     # pL has no transverse slots (EvalContext), so the first term is i pL.dx^L;
     # the last is the action's boundary term and the magnetic gauge phase in one

@@ -11,26 +11,30 @@ rho^2 = |DX|^2; the gauge phase i (g B / 2)(Xb1 Xa2 - Xb2 Xa1) is a constant.
 Everything the wave phase contributes comes from one pass along it,
 `phase_pass`, whose `PhasePass` is a plain record of:
 
-* `kernel_a`, `kernel_b` (and `kernel_conj_a`, `kernel_conj_b`): the
-  phase-integral dressing at phi_a and phi_b, as printed,
+* `kernel_a`, `kernel_b`: the phase-integral dressing at phi_a and phi_b,
+  as printed,
 
     K(phi) = [g / (2 dot(k, pL))] exp(i beta phi)
              * int_{phi0}^{phi} exp(i beta phi') dot(eps, A'^p(phi')) dphi',
     beta = g B / dot(k, pL),
 
   with a sign toggle that flips the integrand exponential only (`sign=-1`)
-  for sensitivity studies; K* is the same with eps -> eps* and both
-  exponentials sign-conjugated;
-* `drift`: the transverse drift Y(phi_b), at rest at phi_a, in the phi
-  parameterization, where the proper-time scale drops out:
+  for sensitivity studies; K*, the same with eps -> eps* and both
+  exponentials sign-conjugated, is the complex conjugate of K for the real
+  profiles here, so callers take it as `.conjugate()`;
+* `drift`: the real transverse drift (Y1, Y2) at phi_b, at rest at phi_a, in
+  the phi parameterization, where the proper-time scale drops out:
   dY/dphi = (g / dot(k, pL)) (A^p(phi) - f Y);
-* `action`: int_{phi_a}^{phi_b} A^p . dY/dphi, which enters the
+* `action`: the real int_{phi_a}^{phi_b} A^p . dY/dphi, which enters the
   e0-independent exponent as -i (g/2) action; `green._prepare` adds the
   boundary term and the gauge phase at X = x_b - Y in one expression.
 
 rot(phi - p) = rot(phi - phi_a) rot(phi_a - p) makes Y = rate rot(phi - phi_a) C(phi),
-with C two scalar cumulative integrals of rot(phi_a - p) A^p(p) in the eps/eps*
-basis, so one panel set and its cumulative sums give all of these.
+with C the integral from phi_a of d, the eps component of rot(phi_a - p) A^p(p)
+(its eps* component is conj(d)). With w = C(phi_b) exp(-i beta (phi_b - phi_a)),
+Y = sqrt2 rate (Re w, -Im w), and the action density is
+2 rate (|d|^2 - beta Im(d conj(C))), so one panel set and its cumulative sums
+give all of these.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import numpy as np
 
 from .errors import DivisionByZero, KernelSingularity
 from .fields import FieldConfig
-from .minkowski import EPS, EPS_CONJ, METRIC, WAVE_K, dot
+from .minkowski import SQRT2, WAVE_K, dot
 from .quadrature import CUMULATIVE, XK, adaptive_quad
 
 #: |sin(e0 g B / 2)| below this raises KernelSingularity.
@@ -55,7 +59,7 @@ NEAR_CAUSTIC_THRESHOLD = 0.05
 class KernelDiagnostics:
     error_estimate: float     # proper-time quadrature error estimate
     nodes: int                # proper-time quadrature nodes
-    prepare_nodes: int        # nodes of the phase pass (action, drift, K, K*)
+    prepare_nodes: int        # nodes of the phase pass (action, drift, K)
     prepare_error: float      # its error estimate
 
 
@@ -126,14 +130,12 @@ SUB_TOLERANCE = 1e-2
 @dataclass(frozen=True)
 class PhasePass:
     """What the wave phase contributes between phi_a and phi_b (drift at rest
-    at phi_a), with the kernels K, K* integrated from phi0."""
+    at phi_a), with the kernel K integrated from phi0; K* is its conjugate."""
 
-    action: complex           # int_{phi_a}^{phi_b} A^p . dY/dphi dphi
-    drift: np.ndarray         # Y(phi_b)
+    action: float             # int_{phi_a}^{phi_b} A^p . dY/dphi dphi
+    drift: np.ndarray         # (Y1, Y2) at phi_b
     kernel_a: complex         # K(phi_a)
-    kernel_conj_a: complex    # K*(phi_a)
     kernel_b: complex         # K(phi_b)
-    kernel_conj_b: complex    # K*(phi_b)
     nodes: int
     error_estimate: float
 
@@ -141,14 +143,14 @@ class PhasePass:
 def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b: float, phi0: float,
                sign: int = +1, abs_tol: float = 1e-12, rel_tol: float = 1e-10) -> PhasePass:
     """One adaptive quadrature on the hull of (phi0, phi_a, phi_b), breakpoints at
-    the three, of five columns: C's two integrands and the action density with C
-    counted from the panel's left edge (all zero off [phi_a, phi_b]; the action
-    weighted by SUB_TOLERANCE), and K's and K*'s integrands. Cumulative sums of
-    the panel integrals supply C at the panel edges and so the rest."""
-    nothing = PhasePass(0.0j, np.zeros(4, dtype=complex), 0.0j, 0.0j, 0.0j, 0.0j, 0, 0.0)
+    the three, of three columns: C's integrand d, K's integrand and the real
+    action density with C counted from the panel's left edge (d and the action
+    zero off [phi_a, phi_b]; the action weighted by SUB_TOLERANCE). Cumulative
+    sums of the panel integrals supply C at the panel edges and so the rest."""
+    nothing = PhasePass(0.0, np.zeros(2), 0.0j, 0.0j, 0, 0.0)
     if cfg.profile.is_zero:
         return nothing
-    kp = dot(WAVE_K, pL)
+    kp = dot(WAVE_K, pL).real
     if kp == 0:
         raise DivisionByZero("dot(k, pL) = 0 with a non-zero profile")
     lo, hi = min(phi_a, phi_b), max(phi_a, phi_b)
@@ -158,33 +160,28 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b: float, phi
     rate, beta = cfg.g / kp, cfg.g * cfg.B / kp          # beta = rate B turns the drift
 
     def columns(x):
-        # eps and eps* components pair with eps* and eps; x[7] is the panel midpoint
-        pot, slope = cfg.profile.potential(x), cfg.profile.derivative(x)
-        turn = float(lo < x[7] < hi) * np.exp(1j * beta * (x - phi_a))
-        drift = np.stack([turn * (pot @ (METRIC * EPS_CONJ)),
-                          turn.conj() * (pot @ (METRIC * EPS))], axis=1)
+        # d: the eps component of rot(phi_a - x) A^p(x); x[7] is the panel midpoint
+        (a1, a2), (s1, s2) = cfg.profile.components(x), cfg.profile.slope_components(x)
+        d = float(lo < x[7] < hi) * np.exp(1j * beta * (x - phi_a)) * (a1 - 1j * a2) / SQRT2
         half = (x[-1] - x[0]) / (XK[-1] - XK[0])
-        c_eps, c_conj = half * (CUMULATIVE @ drift).T          # C - C(panel's left edge)
-        d_eps, d_conj = drift.T
-        action = rate * (2.0 * d_eps * d_conj + 1j * beta * (d_eps * c_conj - d_conj * c_eps))
-        return np.stack([d_eps, d_conj, np.exp(1j * sign * beta * x) * (slope @ (METRIC * EPS)),
-                         np.exp(-1j * sign * beta * x) * (slope @ (METRIC * EPS_CONJ)),
+        c = half * (CUMULATIVE @ d)                          # C - C(panel's left edge)
+        action = 2.0 * rate * (abs(d) ** 2 - beta * (d * c.conj()).imag)
+        return np.stack([d, np.exp(1j * sign * beta * x) * (s1 + 1j * s2) / SQRT2,
                          SUB_TOLERANCE * action], axis=1)
 
     quad = adaptive_quad(columns, start, stop, abs_tol=abs_tol, rel_tol=rel_tol,
                          breakpoints=[phi0, phi_a, phi_b])
     edges = [panel[0] for panel in quad.panels] + [stop]
     values = np.array([panel[2] for panel in quad.panels])
-    cumulative = np.concatenate([np.zeros((1, 5)), np.cumsum(values, axis=0)])
+    cumulative = np.concatenate([np.zeros((1, 3)), np.cumsum(values, axis=0)])
     at_a, at_b, at_0 = (cumulative[np.searchsorted(edges, phi)] for phi in (phi_a, phi_b, phi0))
-    # each panel's drift integrals times C at its left edge: the action's cross-panel part
-    c_eps, c_conj = (cumulative[:-1, :2] - at_a[:2]).T
-    area = np.sum(c_conj * values[:, 0] - c_eps * values[:, 1])
-    action = (at_b[4] - at_a[4]) / SUB_TOLERANCE + np.sign(phi_b - phi_a) * 1j * rate * beta * area
-    turn = np.exp(1j * beta * (phi_b - phi_a))
-    drift = rate * (EPS * (at_b[0] - at_a[0]) / turn + EPS_CONJ * turn * (at_b[1] - at_a[1]))
+    # each panel's integral of d times conj(C) at its left edge: the action's cross-panel part
+    area = np.sum((values[:, 0] * (cumulative[:-1, 0] - at_a[0]).conj()).imag)
+    action = (at_b[2] - at_a[2]).real / SUB_TOLERANCE \
+        - 2.0 * np.sign(phi_b - phi_a) * rate * beta * area
+    w = (at_b[0] - at_a[0]) * np.exp(-1j * beta * (phi_b - phi_a))
     scale = cfg.g / (2.0 * kp)
-    kernels = [complex(scale * np.exp(orient * 1j * beta * phi) * (at[col] - at_0[col]))
-               for phi, at in ((phi_a, at_a), (phi_b, at_b)) for orient, col in ((1, 2), (-1, 3))]
-    return PhasePass(complex(action), drift, *kernels, quad.nodes, quad.error_estimate)
-
+    kernels = [complex(scale * np.exp(1j * beta * phi) * (at[1] - at_0[1]))
+               for phi, at in ((phi_a, at_a), (phi_b, at_b))]
+    return PhasePass(float(action), SQRT2 * rate * np.array([w.real, -w.imag]), *kernels,
+                     quad.nodes, quad.error_estimate)

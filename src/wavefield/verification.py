@@ -13,9 +13,11 @@ spin equations by central differences and against its boundary conditions.
 Criterion 7's `classical-action-exponent` row takes the e0-independent
 exponent that `green._prepare` forms in one expression and rebuilds it from
 `oracles.cross_phase_nested` and the gauge phase at `oracles.drift_nested`'s
-endpoint. The limit checks that `limits` shares evaluate production first, so
-a point outside the domain raises the production error (exit 4), not an
-oracle's. `run_all` is what the `verify` CLI command executes; each check
+endpoint, and its `dressed-braces-closed-form` row builds the braces M+- that
+`green._prepare` forms from the printed formula, with K from
+`oracles.volkov_kernel_closed_form` and K* its conjugate. The limit checks
+that `limits` shares evaluate production first, so a point outside the domain
+raises the production error (exit 4), not an oracle's. `run_all` is what the `verify` CLI command executes; each check
 also has a focused unit test.
 
 All random draws use fixed seeds so the suite is deterministic run to run.
@@ -35,9 +37,9 @@ from .fields import (CircularProfile, FieldConfig, LinearProfile, PulseProfile,
 from .green import (EvalContext, _prepare, dirac_apply, green_function,
                     green_function_zero_k, total_potential_lowered)
 from .kernels import phase_pass, schwinger_kernel, spin_determinant
-from .minkowski import (EPS, EPS_CONJ, GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS,
-                        UNIT_FIELD_MIXED, WAVE_K, dot, tanh_projector_identity,
-                        transverse_spectral)
+from .minkowski import (EPS, EPS_CONJ, GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS, SLASH_EPS,
+                        SLASH_EPS_CONJ, SLASH_K, UNIT_FIELD_MIXED, WAVE_K, dot,
+                        tanh_projector_identity, transverse_spectral)
 from .oracles import (SliceLattice, classical_spin_path, cross_phase_nested, drift_nested,
                       free_kernel, free_propagator, richardson_extrapolate, sliced_kernel,
                       spin_projection_constant, volkov_kernel_closed_form,
@@ -240,10 +242,38 @@ def check_spin_determinant() -> list[CheckResult]:
 
 # -- criterion 7 ---------------------------------------------------------
 
+def _dressed_braces_deviation() -> float:
+    """Largest entry difference of `_prepare`'s braces M+- from the printed
+    formula, with K from the circular closed form and K* its conjugate, over 10
+    circular contexts (B and volkov_sign of both signs, phi0 away from phi_a)."""
+    rng = np.random.default_rng(114)
+    dev = 0.0
+    for i in range(10):
+        g, a = rng.uniform(0.5, 1.5), rng.uniform(0.2, 1.0)
+        b = rng.uniform(0.3, 1.0) * (1 if i % 2 else -1)
+        ctx = _random_context(rng, FieldConfig(g=g, B=b))
+        sign, kp = 1 if i % 4 < 2 else -1, dot(WAVE_K, ctx.pL).real
+        nu = rng.uniform(0.6, 2.0)
+        while abs(sign * g * b / kp + nu) < 0.05:
+            nu = rng.uniform(0.6, 2.0)
+        phi0 = ctx.phi_a + rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
+        ctx = replace(ctx, volkov_sign=sign, cfg=FieldConfig(
+            g=g, B=b, profile=CircularProfile(amplitude=a, frequency=nu), phi0=phi0))
+        params = dict(g=g, kp=kp, phi0=phi0, beta=g * b / kp, a=a, nu=nu, sign=sign)
+        k_a, k_b = (volkov_kernel_closed_form("circular_profile", params, phi)
+                    for phi in (ctx.phi_a, ctx.phi_b))
+        plus = (IDENTITY4 - SLASH_K @ SLASH_EPS_CONJ * k_b) @ P_PLUS \
+            @ (IDENTITY4 + SLASH_K @ SLASH_EPS * np.conj(k_a))
+        minus = (IDENTITY4 - SLASH_K @ SLASH_EPS * np.conj(k_b)) @ P_MINUS \
+            @ (IDENTITY4 + SLASH_K @ SLASH_EPS_CONJ * k_a)
+        pre = _prepare(ctx, ctx.x_b)
+        dev = max(dev, _maxabs(pre.plus[0] - plus), _maxabs(pre.minus[0] - minus))
+    return dev
+
+
 def check_phase_integral_oracles() -> list[CheckResult]:
     rng = np.random.default_rng(107)
     dev = 0.0
-    dev_conj = 0.0
     for i in range(50):
         g = rng.uniform(0.5, 1.5)
         pl = np.array([0.0, 0.0, rng.uniform(-0.4, 0.4),
@@ -281,14 +311,13 @@ def check_phase_integral_oracles() -> list[CheckResult]:
                 "circular_profile", dict(g=g, kp=kp, phi0=phi0, beta=beta, a=a, nu=nu), phi)
         run = phase_pass(cfg, pl, phi, phi, phi0)
         dev = max(dev, abs(run.kernel_b - ref))
-        dev_conj = max(dev_conj, abs(run.kernel_conj_b - np.conj(run.kernel_b)))
 
     zero_cfg = FieldConfig(g=1.0, B=0.5, profile=ZeroProfile())
     zero_val = phase_pass(zero_cfg, np.array([0.0, 0.0, 0.1, 2.0]), 0.7, 0.7, -0.3).kernel_b
     return [
         _result(7, "phase-integral-closed-forms", dev, 1e-8, "50 random draws, 3 profile kinds"),
-        _result(7, "phase-integral-conjugate-symmetry", dev_conj, 1e-12,
-                "real parameters: conjugated kernel equals the conjugate"),
+        _result(7, "dressed-braces-closed-form", _dressed_braces_deviation(), 1e-12,
+                "10 circular contexts (B, volkov_sign of both signs) vs the printed M+-"),
         _result(7, "phase-integral-zero-profile-exact", abs(zero_val), 0.0),
     ]
 

@@ -4,7 +4,8 @@ Each test runs the corresponding check from `wavefield.verification` at its
 stated tolerance and prints one PASS/FAIL line per check (visible with
 `pytest -s` or in the captured output of a failure). Criteria 7 and 11 also
 have mutation tests: with the phase pass's action or the production kernel
-scaled by 1.01 their rows must fail. The final test also
+scaled by 1.01, or with K(phi_a) conjugated in the braces, their rows must
+fail. The final test also
 exercises the `verify` command end to end, twice, and byte-compares its
 outputs.
 """
@@ -76,6 +77,21 @@ def test_criterion_07_fails_on_a_scaled_action(monkeypatch):
 
     monkeypatch.setattr(green, "phase_pass", scaled)
     assert not any(r.passed for r in verification.check_classical_action_exponent())
+
+
+def test_criterion_07_fails_on_a_conjugated_kernel(monkeypatch):
+    # the oracle side builds M+- from the closed-form K, so a brace that takes
+    # K(phi_a) where it needs K*(phi_a) shows in the dressed-braces row
+    phase_pass = green.phase_pass
+
+    def conjugated(*args, **kwargs):
+        run = phase_pass(*args, **kwargs)
+        return replace(run, kernel_a=run.kernel_a.conjugate())
+
+    monkeypatch.setattr(green, "phase_pass", conjugated)
+    rows = [r for r in verification.check_phase_integral_oracles()
+            if r.name == "dressed-braces-closed-form"]
+    assert len(rows) == 1 and not rows[0].passed
 
 
 def test_criterion_08_zero_wave_vector_equivalence():

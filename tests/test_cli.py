@@ -268,7 +268,21 @@ def test_phase_integral_conjugate_columns(tmp_path):
     for row in _rows(out):
         k = complex(float(row["K_re"]), float(row["K_im"]))
         kc = complex(float(row["K_conj_re"]), float(row["K_conj_im"]))
-        assert kc == pytest.approx(np.conj(k), abs=1e-12)
+        assert kc == np.conj(k)       # real profiles: K* is the conjugate of K
+
+
+def test_phase_integral_meets_the_config_tolerances(tmp_path):
+    # a pulse seen from phi0 = -6 to phi = 6: the pass meets 1e-2 of the
+    # config's tolerances, so looser ones take fewer nodes
+    field = _field({"kind": "pulse", "amplitude": 0.4, "frequency": 1.1, "sigma": 1.5})
+    grid = {"param": "phi", "values": [6.0]}
+    nodes = []
+    for ev in (_eval(), _eval(abs_tol=1e-4, rel_tol=1e-3)):
+        cfg = _config(field={**field, "phi0": -6.0}, eval=ev, grid=grid)
+        status, out = _invoke(tmp_path, "K", cfg)
+        assert status == 0
+        nodes.append(int(_rows(out)[0]["nodes"]))
+    assert nodes[1] < nodes[0]
 
 
 def test_identities_command(tmp_path):

@@ -6,7 +6,7 @@ from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, Pulse
                               TabulatedProfile, ZeroProfile)
 from wavefield.kernels import (NEAR_CAUSTIC_THRESHOLD, near_caustic, phase_pass, schwinger_kernel,
                                spin_determinant)
-from wavefield.minkowski import UNIT_FIELD_MIXED, WAVE_K, dot, transverse_spectral
+from wavefield.minkowski import WAVE_K, dot
 from wavefield.oracles import (cross_phase_nested, drift_nested, free_kernel,
                                volkov_kernel_closed_form)
 
@@ -14,19 +14,18 @@ XA, XB = np.array([0.2, -0.1]), np.array([0.9, 0.4])
 ZCFG = FieldConfig(g=1.0, B=0.6, profile=ZeroProfile())
 
 
-def _kernels(phi, pL, cfg, phi0, sign=+1):
-    """K(phi) and K*(phi) from a pass that starts and ends at phi."""
-    run = phase_pass(cfg, pL, phi, phi, phi0, sign=sign)
-    return run.kernel_b, run.kernel_conj_b
+def _kernel(phi, pL, cfg, phi0, sign=+1):
+    """K(phi) from a pass that starts and ends at phi."""
+    return phase_pass(cfg, pL, phi, phi, phi0, sign=sign).kernel_b
 
 
 def _cross_phase(cfg, pL, x_a, x_b):
     """Mixing exponent -i (g/2) (action + boundary term) of a path from x_a to
-    x_b, drift Y at rest at phi_a; the boundary term is (x_b - Y).f Y."""
+    x_b, drift Y at rest at phi_a; the boundary term is B (X1 Y2 - X2 Y1), X = x_b - Y."""
     phi_a = dot(WAVE_K, x_a).real
     run = phase_pass(cfg, pL, phi_a, dot(WAVE_K, x_b).real, phi_a)
-    boundary = dot(x_b - run.drift, cfg.B * UNIT_FIELD_MIXED @ run.drift)
-    return -0.5j * cfg.g * (run.action + boundary)
+    (y1, y2), (x1, x2) = run.drift, x_b[:2] - run.drift
+    return -0.5j * cfg.g * (run.action + cfg.B * (x1 * y2 - x2 * y1))
 
 
 def test_kernel_free_limit_small_field():
@@ -82,7 +81,8 @@ def test_spin_determinant_value():
 def test_volkov_zero_profile_is_exact_zero():
     pL = np.array([0.0, 0.0, 0.1, 2.0])
     run = phase_pass(ZCFG, pL, 0.7, 0.7, phi0=-0.2)
-    assert run.kernel_b == 0.0 and run.kernel_conj_b == 0.0 and run.nodes == 0
+    assert run.kernel_a == 0.0 and run.kernel_b == 0.0 and run.nodes == 0
+    assert run.action == 0.0 and run.drift.shape == (2,) and not run.drift.any()
 
 
 def test_volkov_against_circular_closed_form():
@@ -93,14 +93,7 @@ def test_volkov_against_circular_closed_form():
     params = dict(g=g, kp=kp, phi0=-0.4, beta=g * b / kp, a=a, nu=nu)
     for phi in (-0.1, 0.5, 1.8):
         ref = volkov_kernel_closed_form("circular_profile", params, phi)
-        assert _kernels(phi, pL, cfg, -0.4)[0] == pytest.approx(ref, abs=1e-12)
-
-
-def test_volkov_conjugate_is_conjugate_for_real_data():
-    cfg = FieldConfig(g=0.9, B=0.5, profile=CircularProfile(amplitude=0.6, frequency=1.3))
-    pL = np.array([0.0, 0.0, 0.2, 2.0])
-    k, kc = _kernels(0.8, pL, cfg, -0.4)
-    assert kc == pytest.approx(np.conj(k), abs=1e-13)
+        assert _kernel(phi, pL, cfg, -0.4) == pytest.approx(ref, abs=1e-12)
 
 
 def test_volkov_sign_toggle_flips_integrand_only():
@@ -109,10 +102,10 @@ def test_volkov_sign_toggle_flips_integrand_only():
     kp = dot(WAVE_K, pL).real
     cfg = FieldConfig(g=g, B=b, profile=CircularProfile(amplitude=a, frequency=nu))
     params = dict(g=g, kp=kp, phi0=-0.4, beta=g * b / kp, a=a, nu=nu, sign=-1)
-    flipped = _kernels(0.8, pL, cfg, -0.4, sign=-1)[0]
+    flipped = _kernel(0.8, pL, cfg, -0.4, sign=-1)
     assert flipped == pytest.approx(volkov_kernel_closed_form("circular_profile", params, 0.8),
                                     abs=1e-12)
-    assert flipped != pytest.approx(_kernels(0.8, pL, cfg, -0.4)[0], abs=1e-6)
+    assert flipped != pytest.approx(_kernel(0.8, pL, cfg, -0.4), abs=1e-6)
 
 
 def test_volkov_needs_longitudinal_momentum():
@@ -171,11 +164,8 @@ def test_phase_pass_kernels_equal_the_single_kernel_views():
     cfg = FieldConfig(g=0.9, B=0.5, profile=PulseProfile(amplitude=0.4, frequency=1.1, sigma=1.5))
     pL = np.array([0.0, 0.0, 0.2, 2.0])
     run = phase_pass(cfg, pL, -2.0, 3.5, 0.4)
-    for phi, k, kc in ((-2.0, run.kernel_a, run.kernel_conj_a),
-                       (3.5, run.kernel_b, run.kernel_conj_b)):
-        single_k, single_kc = _kernels(phi, pL, cfg, 0.4)
-        assert k == pytest.approx(single_k, abs=1e-13)
-        assert kc == pytest.approx(single_kc, abs=1e-13)
+    for phi, k in ((-2.0, run.kernel_a), (3.5, run.kernel_b)):
+        assert k == pytest.approx(_kernel(phi, pL, cfg, 0.4), abs=1e-13)
     # the drift does not depend on phi0: a pass starting at phi_a gives it too
     drift = phase_pass(cfg, pL, -2.0, 3.5, -2.0).drift
     assert np.max(np.abs(run.drift - drift)) < 1e-13
@@ -201,10 +191,11 @@ def _circular_drift_oracle(phi, phi_a, u_a, g, B, kp, a, nu):
 
 def _drift_at_phi(phi, y0, cfg, pL, phi_a):
     """Y(phi) with Y(phi_a) = y0: the phase pass's drift (at rest at phi_a)
-    plus the homogeneous rotation of y0."""
-    turn = np.exp(1j * cfg.g * cfg.B / dot(WAVE_K, pL) * (phi - phi_a))
+    plus the homogeneous rotation of y0 by the angle (g B / k.pL)(phi - phi_a)."""
+    angle = cfg.g * cfg.B / dot(WAVE_K, pL).real * (phi - phi_a)
+    c, s = np.cos(angle), np.sin(angle)
     forced = phase_pass(cfg, pL, phi_a, phi, phi_a).drift
-    return transverse_spectral(1.0 / turn, turn, 1.0) @ y0 + forced
+    return np.array([[c, -s], [s, c]]) @ y0 + forced
 
 
 def test_drift_against_circular_oracle():
@@ -213,24 +204,23 @@ def test_drift_against_circular_oracle():
     kp = dot(WAVE_K, pL).real
     cfg = FieldConfig(g=g, B=B, profile=CircularProfile(amplitude=a, frequency=nu))
     phi_a = -0.3
-    y0 = np.array([0.2, -0.1, 0.0, 0.0], dtype=complex)
+    y0 = np.array([0.2, -0.1])
     for phi in (0.1, 0.9, 2.0):
         y = _drift_at_phi(phi, y0, cfg, pL, phi_a)
         u = _circular_drift_oracle(phi, phi_a, y0[0] + 1j * y0[1], g, B, kp, a, nu)
         assert y[0] + 1j * y[1] == pytest.approx(u, abs=1e-11)
-        assert abs(y[2]) < 1e-14 and abs(y[3]) < 1e-14
 
 
 def test_drift_initial_condition():
     cfg = FieldConfig(g=0.9, B=0.6, profile=CircularProfile(amplitude=0.5, frequency=1.4))
     pL = np.array([0.0, 0.0, 0.2, 2.0])
-    y0 = np.array([0.3, 0.1, 0.0, 0.0], dtype=complex)
+    y0 = np.array([0.3, 0.1])
     y = _drift_at_phi(-0.3, y0, cfg, pL, phi_a=-0.3)
     assert np.allclose(y, y0, atol=1e-14)
 
 
 def test_drift_parameterizations_agree():
-    # the phase pass's drift (eps/eps* basis, cumulative sums on one panel set)
+    # the phase pass's drift (eps basis, cumulative sums on one panel set)
     # against the real-plane drift by two QUADPACK integrals per end phase
     g, phi_a = 1.1, 0.2
     pL = np.array([0.0, 0.0, -0.1, 1.8])
@@ -242,5 +232,5 @@ def test_drift_parameterizations_agree():
             for phi in (-0.9, 0.5325, 0.998, 1.53):
                 drift = phase_pass(cfg, pL, phi_a, phi, phi_a).drift
                 ref = drift_nested(profile.components, g, B, kp, phi_a, phi)
-                assert np.max(np.abs(drift[:2] - ref)) < 1e-10
-                assert drift[2] == 0.0 and drift[3] == 0.0
+                assert drift.shape == (2,) and drift.dtype == float
+                assert np.max(np.abs(drift - ref)) < 1e-10
