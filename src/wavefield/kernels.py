@@ -39,6 +39,9 @@ give all of these.
 
 from __future__ import annotations
 
+import cmath
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,7 +153,7 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b: float, phi
     nothing = PhasePass(0.0, np.zeros(2), 0.0j, 0.0j, 0, 0.0)
     if cfg.profile.is_zero:
         return nothing
-    kp = dot(WAVE_K, pL).real
+    kp = float(dot(WAVE_K, pL).real)
     if kp == 0:
         raise DivisionByZero("dot(k, pL) = 0 with a non-zero profile")
     lo, hi = min(phi_a, phi_b), max(phi_a, phi_b)
@@ -171,17 +174,21 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b: float, phi
 
     quad = adaptive_quad(columns, start, stop, abs_tol=abs_tol, rel_tol=rel_tol,
                          breakpoints=[phi0, phi_a, phi_b])
+    # a handful of panels: the bookkeeping runs on Python scalars
     edges = [panel[0] for panel in quad.panels] + [stop]
-    values = np.array([panel[2] for panel in quad.panels])
-    cumulative = np.concatenate([np.zeros((1, 3)), np.cumsum(values, axis=0)])
-    at_a, at_b, at_0 = (cumulative[np.searchsorted(edges, phi)] for phi in (phi_a, phi_b, phi0))
+    values = [panel[2].tolist() for panel in quad.panels]
+    cumulative = [[0j, 0j, 0j]]
+    for value in values:
+        cumulative.append([c + v for c, v in zip(cumulative[-1], value)])
+    at_a, at_b, at_0 = (cumulative[bisect_left(edges, phi)] for phi in (phi_a, phi_b, phi0))
     # each panel's integral of d times conj(C) at its left edge: the action's cross-panel part
-    area = np.sum((values[:, 0] * (cumulative[:-1, 0] - at_a[0]).conj()).imag)
+    area = sum((value[0] * (c[0] - at_a[0]).conjugate()).imag
+               for value, c in zip(values, cumulative))
     action = (at_b[2] - at_a[2]).real / SUB_TOLERANCE \
-        - 2.0 * np.sign(phi_b - phi_a) * rate * beta * area
-    w = (at_b[0] - at_a[0]) * np.exp(-1j * beta * (phi_b - phi_a))
+        - math.copysign(2.0, phi_b - phi_a) * rate * beta * area
+    w = (at_b[0] - at_a[0]) * cmath.exp(-1j * beta * (phi_b - phi_a))
     scale = cfg.g / (2.0 * kp)
-    kernels = [complex(scale * np.exp(1j * beta * phi) * (at[1] - at_0[1]))
+    kernels = [scale * cmath.exp(1j * beta * phi) * (at[1] - at_0[1])
                for phi, at in ((phi_a, at_a), (phi_b, at_b))]
-    return PhasePass(float(action), SQRT2 * rate * np.array([w.real, -w.imag]), *kernels,
+    return PhasePass(action, SQRT2 * rate * np.array([w.real, -w.imag]), *kernels,
                      quad.nodes, quad.error_estimate)

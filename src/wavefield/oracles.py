@@ -17,7 +17,16 @@ transpose. T and T^T share their spectrum, each eigenvalue of T is a double
 eigenvalue of A, and the Gaussian's det(A)^(-1/2) = prod_A lam^(-1/2) is
 prod_T lam^(-1) = 1/det T exactly: the two copies of an eigenvalue take the
 same principal root, so the branch choice cancels in pairs, at real e0 (the
-Fresnel phases) as on the rotated ray. The interior solve runs on T alone.
+Fresnel phases) as on the rotated ray. T is tridiagonal Toeplitz, with 2i kappa
+on its diagonal, -(i kappa + mu) above it and -(i kappa - mu) below (kappa =
+N/e0, mu = g B/2), so its spectrum is known in closed form:
+
+    lambda_k = 2i kappa - 2 sqrt((i kappa + mu)(i kappa - mu)) cos(k pi / N),
+    k = 1 ... N-1
+
+(the eigenvectors are sines, scaled geometrically by the ratio of the two
+off-diagonals). The cosines come in +- pairs, so the branch of the square root
+does not matter. The interior solve runs on T alone.
 
 `zero_profile_green` is Schwinger's closed-form constant-field propagator
 (Phys. Rev. 82, 664 (1951)) rotated onto the Euclidean proper-time axis
@@ -69,6 +78,13 @@ class SliceLattice:
             raise ValueError(f"need at least 2 slices, got {self.n_slices}")
 
 
+def _interior_spectrum(n: int, kappa: complex, mu: float) -> np.ndarray:
+    """The N-1 eigenvalues of the tridiagonal Toeplitz block T of `sliced_kernel`,
+    in closed form (module docstring): no eigensolver."""
+    root = np.sqrt((1j * kappa + mu) * (1j * kappa - mu))
+    return 2j * kappa - 2.0 * root * np.cos(np.arange(1, n) * (np.pi / n))
+
+
 def sliced_kernel(lat: SliceLattice) -> complex:
     """Discretized transverse path integral on the lattice, evaluated exactly."""
     n = lat.n_slices
@@ -92,7 +108,7 @@ def sliced_kernel(lat: SliceLattice) -> complex:
     c = -0.5j * kappa * (xa @ xa + xb @ xb)
     b_plus, b_minus = (b[:, 0] - 1j * b[:, 1]) / _SQRT2, (b[:, 0] + 1j * b[:, 1]) / _SQRT2
 
-    lam = np.linalg.eigvals(t)
+    lam = _interior_spectrum(n, kappa, mu)
     if np.min(np.abs(lam)) < 1e-12 * np.max(np.abs(lam)):
         raise SingularForm(f"discrete Gaussian singular at e0={lat.e0!r}, N={n}")
     # A has each eigenvalue of T twice, so prod_A lam^(-1/2) = prod_T lam^(-1);

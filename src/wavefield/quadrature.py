@@ -12,6 +12,7 @@ by left endpoint with compensated summation.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,12 @@ WK = np.concatenate([_WK_HALF[:-1], _WK_HALF[::-1]])
 _G_IDX = np.array([1, 3, 5, 7, 9, 11, 13])                       # Gauss subset inside XK
 WG = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
+#: Row 0 is the K15 rule, row 1 the K15 rule minus the G7 rule (zero off the
+#: Gauss subset): one product with a panel's stacked values gives both.
+_WG_FULL = np.zeros(15)
+_WG_FULL[_G_IDX] = WG
+_PANEL_WEIGHTS = np.stack([WK, WK - _WG_FULL])
+
 
 #: For a panel of half-width `half`, half * CUMULATIVE @ f(nodes) integrates the
 #: degree-14 interpolant of f from the panel's left edge to each of its nodes: entry
@@ -59,19 +66,23 @@ class QuadratureResult:
 
 
 def _norm(v) -> float:
-    return float(np.linalg.norm(np.ravel(np.asarray(v))))
+    """Euclidean norm of a real or complex scalar or array (np.linalg.norm's
+    value, without its dispatch)."""
+    flat = np.ascontiguousarray(v).reshape(-1)
+    if flat.dtype.kind == "c":
+        flat = flat.view(np.float64)
+    return math.sqrt(flat @ flat)
 
 
 def _panel(f, a: float, b: float):
     """One K15/G7 evaluation on [a, b]: (kronrod, |kronrod - gauss|)."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     stack = np.asarray(f(mid + half * XK), dtype=complex)
-    if not np.all(np.isfinite(stack)):
+    if not np.isfinite(stack).all():
         raise QuadratureFailure(f"non-finite integrand value on panel [{a!r}, {b!r}]")
-    tail = (1,) * (stack.ndim - 1)
-    kron = half * np.sum(WK.reshape((15,) + tail) * stack, axis=0)
-    gauss = half * np.sum(WG.reshape((7,) + tail) * stack[_G_IDX], axis=0)
-    return kron, _norm(kron - gauss)
+    # complex values as interleaved (re, im) floats: one real product for both rows
+    sums = half * (_PANEL_WEIGHTS @ np.ascontiguousarray(stack.reshape(15, -1)).view(np.float64))
+    return sums[0].view(complex).reshape(stack.shape[1:])[()], _norm(sums[1])
 
 
 def adaptive_quad(f, a: float, b: float, abs_tol: float = 1e-10, rel_tol: float = 1e-8,

@@ -7,15 +7,22 @@ have mutation tests: with the phase pass's action or the production kernel
 scaled by 1.01, or with K(phi_a) conjugated in the braces, their rows must
 fail. The final test also
 exercises the `verify` command end to end, twice, and byte-compares its
-outputs.
+outputs. Criterion 12 has a mutation test too: a seeded check whose second
+report differs must fail `check-suite-determinism`, both inside `run_all` (which
+hands criterion 12 the table's own reports) and called alone. `run_all` is
+also run with every check behind a nameless wrapper, as a tracer installs
+them, and its work is counted: criterion 12 re-runs each seeded check once.
 """
 
 import json
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
-from wavefield import green, verification
+import pytest
+
+from wavefield import green, kernels, verification
 from wavefield.cli import main
 
 
@@ -146,3 +153,72 @@ def test_criterion_12_bitwise_deterministic_outputs():
     print(f"ACCEPTANCE 12 verify-cli-byte-identical: {'PASS' if identical else 'FAIL'} "
           f"dev={0.0 if identical else 1.0:.3e} tol=0.000e+00")
     assert identical
+
+
+def _wrap_checks(monkeypatch, wrap):
+    """Replace every `_CHECKS` entry and its module global with wrap(check),
+    as a tracer does."""
+    wrapped = {fn: wrap(fn) for fn in verification._CHECKS}
+    for fn, wrapper in wrapped.items():
+        monkeypatch.setattr(verification, fn.__name__, wrapper)
+    monkeypatch.setattr(verification, "_CHECKS", tuple(wrapped.values()))
+    return wrapped
+
+
+def _nameless(fn, calls):
+    """A `*args, **kwargs` wrapper with the same name for every check, counting calls."""
+    def wrapper(*args, **kwargs):
+        calls[fn.__name__] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("route", ["run_all", "check_determinism"])
+def test_criterion_12_fails_when_a_seeded_check_changes_between_runs(monkeypatch, route):
+    # with the table's reports handed in, the row must still compare two runs
+    calls = []
+
+    def wrap(fn):
+        if fn is not verification.check_spin_determinant:
+            return fn
+
+        def drifting():
+            calls.append(fn)
+            report = fn()
+            if len(calls) == 2:
+                report = [replace(r, max_deviation=2.0 * r.max_deviation + 1e-16) for r in report]
+            return report
+
+        return drifting
+
+    _wrap_checks(monkeypatch, wrap)
+    results = verification.run_all() if route == "run_all" else verification.check_determinism()
+    rows = [r for r in results if r.name == "check-suite-determinism"]
+    assert len(calls) == 2
+    assert len(rows) == 1 and rows[0].max_deviation == 1.0 and not rows[0].passed
+
+
+def test_run_all_behind_nameless_wrappers_gives_the_same_table(monkeypatch):
+    plain = [(r.name, r.passed) for r in verification.run_all()]
+    calls = Counter()
+    _wrap_checks(monkeypatch, lambda fn: _nameless(fn, calls))
+    assert [(r.name, r.passed) for r in verification.run_all()] == plain
+    assert len(plain) == 26 and all(passed for _, passed in plain)
+
+
+def test_run_all_runs_each_seeded_check_twice_and_the_rest_once(monkeypatch):
+    calls, quadratures = Counter(), Counter()
+    checks = _wrap_checks(monkeypatch, lambda fn: _nameless(fn, calls))
+    for module in (kernels, green):
+        monkeypatch.setattr(module, "adaptive_quad",
+                            _nameless(module.adaptive_quad, quadratures))
+    verification.run_all()
+    seeded = {"check_clifford_algebra", "check_basis_identities", "check_planewave_contraction",
+              "check_spin_determinant", "check_phase_integral_oracles"}
+    # criterion 12 runs the `identities` command twice, and it calls these four
+    identities = {"check_ledger_consistency", "check_clifford_algebra", "check_basis_identities",
+                  "check_planewave_contraction"}
+    assert calls == {fn.__name__: 1 + (fn.__name__ in seeded) + 2 * (fn.__name__ in identities)
+                     for fn in checks}
+    assert quadratures["adaptive_quad"] <= 175

@@ -13,9 +13,9 @@ from wavefield.green import EvalContext, green_function_zero_k
 from wavefield.kernels import schwinger_kernel
 from wavefield.minkowski import (IDENTITY4, UNIT_FIELD_MIXED, WAVE_K, dot,
                                  transverse_spectral)
-from wavefield.oracles import (SliceLattice, classical_spin_path, drift_nested, free_kernel,
-                               free_propagator, landau_green, richardson_extrapolate,
-                               sliced_kernel, spin_projection_constant,
+from wavefield.oracles import (SliceLattice, _interior_spectrum, classical_spin_path,
+                               drift_nested, free_kernel, free_propagator, landau_green,
+                               richardson_extrapolate, sliced_kernel, spin_projection_constant,
                                volkov_kernel_closed_form, zero_profile_gradient,
                                zero_profile_green)
 
@@ -88,6 +88,23 @@ def test_paired_lattice_gaussian_matches_the_dense_route(n):
                                xa=rng.uniform(-1.0, 1.0, 2), xb=rng.uniform(-1.0, 1.0, 2))
             ref = _dense_sliced_kernel(lat)
             assert abs(sliced_kernel(lat) - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_closed_form_lattice_spectrum_matches_the_eigensolver(n):
+    # real and complex e0, B of both signs: the determinant and the guard's ratio
+    rng = np.random.default_rng(100 + n)
+    for B in (0.7, -0.5):
+        for angle in (0.0, np.pi / 5, np.pi / 2):
+            e0 = rng.uniform(0.3, 1.2) * np.exp(1j * angle)
+            kappa, mu = n / e0, rng.uniform(0.5, 1.5) * B / 2.0
+            off = np.full(n - 2, 1j * kappa)
+            t = np.diag(np.full(n - 1, 2j * kappa)) - np.diag(off + mu, 1) - np.diag(off - mu, -1)
+            dense, closed = np.linalg.eigvals(t), _interior_spectrum(n, kappa, mu)
+            assert closed.shape == (n - 1,)
+            assert abs(np.prod(closed) - np.prod(dense)) <= 1e-12 * abs(np.prod(dense))
+            ratio = np.min(np.abs(dense)) / np.max(np.abs(dense))
+            assert abs(np.min(np.abs(closed)) / np.max(np.abs(closed)) - ratio) <= 1e-12 * ratio
 
 
 @pytest.mark.parametrize("n", [8, 16])

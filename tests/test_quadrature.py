@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wavefield.errors import QuadratureFailure
-from wavefield.quadrature import adaptive_quad
+from wavefield.quadrature import WG, WK, XK, _G_IDX, _panel, adaptive_quad
 
 
 def test_polynomial_is_exact():
@@ -115,3 +115,47 @@ def test_panels_tile_the_interval_left_to_right():
     assert lefts[0] == -1.0 and rights[-1] == 2.0 and 0.5 in lefts
     assert lefts[1:] == rights[:-1]
     assert sum(p[2] for p in res.panels) == pytest.approx(-res.value, abs=1e-14)
+
+
+def _separate_sums(f, a, b):
+    """K15 and G7 summed separately, then differenced (reference for `_panel`),
+    and the norm of the K15 sum of |f|, the scale of the sums' rounding."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    stack = np.asarray(f(mid + half * XK), dtype=complex)
+    tail = (1,) * (stack.ndim - 1)
+    kron = half * np.sum(WK.reshape((15,) + tail) * stack, axis=0)
+    gauss = half * np.sum(WG.reshape((7,) + tail) * stack[_G_IDX], axis=0)
+    magnitude = half * np.sum(WK.reshape((15,) + tail) * np.abs(stack), axis=0)
+    return kron, float(np.linalg.norm(np.ravel(kron - gauss))), np.linalg.norm(magnitude)
+
+
+_SHAPED_INTEGRANDS = {
+    "scalar": lambda x: np.exp(1j * 7.0 * x) / (1.0 + x * x),
+    "n-by-2": lambda x: np.stack([np.exp(1j * np.outer(x, [1.0, 3.0, 5.0])),
+                                  np.cos(np.outer(x, [2.0, 4.0, 6.0])) + 0j], axis=-1),
+    "4x4": lambda x: np.exp(1j * np.multiply.outer(x, np.arange(16.0).reshape(4, 4) / 3.0)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPED_INTEGRANDS))
+def test_panel_matches_separate_kronrod_and_gauss_sums(shape):
+    # relative to the size of the terms summed: oscillating panels cancel
+    f = _SHAPED_INTEGRANDS[shape]
+    for a, b in ((0.0, 0.4), (-1.0, 1.0), (2.5, 4.0), (2.5, 9.0)):
+        kron, err = _panel(f, a, b)
+        ref_kron, ref_err, magnitude = _separate_sums(f, a, b)
+        assert np.shape(kron) == np.shape(ref_kron)
+        assert np.linalg.norm(np.ravel(kron - ref_kron)) <= 1e-15 * magnitude
+        assert abs(err - ref_err) <= 1e-15 * magnitude
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_panel_raises_on_one_non_finite_node(bad):
+    for node in range(15):
+        def f(x, node=node):
+            values = np.exp(1j * x)[:, None] * np.ones(2)
+            values[node, 1] = bad
+            return values
+
+        with pytest.raises(QuadratureFailure):
+            _panel(f, 0.0, 1.0)
