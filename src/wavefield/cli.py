@@ -376,10 +376,14 @@ def run(command: str, rc: RunConfig, out_path: str) -> int:
     header, rows, extra, status = _HANDLERS[command](rc)
     csv_bytes = render_csv(header, rows)
     sidecar = render_sidecar(command, rc, len(rows), extra)
-    with open(out_path, "wb") as fh:
-        fh.write(csv_bytes)
-    with open(out_path + ".json", "wb") as fh:
-        fh.write(sidecar)
+    try:
+        with open(out_path, "wb") as fh:
+            fh.write(csv_bytes)
+        with open(out_path + ".json", "wb") as fh:
+            fh.write(sidecar)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return _SCHEMA_EXIT
     return status
 
 
@@ -404,7 +408,7 @@ def main(argv=None) -> int:
             print(f"error: quadrature stopped after {exc.nodes} nodes with error estimate "
                   f"{exc.error_estimate!r}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
-    if status != 0:
+    if status == _VERIFY_EXIT:
         print(f"error: {args.command} reported failures (see {args.out})", file=sys.stderr)
     return status
 

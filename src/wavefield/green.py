@@ -18,10 +18,11 @@ the last term being the boundary term of the action and the magnetic gauge
 phase in one. M+- are the projector braces dressed by the phase-integral
 kernels (P+- for a zero profile, the zero-k limit).
 
-Far endpoints x_b that share the rest of a context share one ray: only rho^2,
-the constant exponent and the braces differ between them,
-so one adaptive quadrature integrates all of them (`dirac_apply` sends its 33
-stencil points at once; `green_function` is the case of one).
+Far endpoints x_b that share the rest of a context share one phase pass over
+all their phases phi_b and one ray: only rho^2, the constant exponent and the
+braces differ between them, so one adaptive quadrature integrates all of them
+(`dirac_apply` sends its 33 stencil points at once; `green_function` is the
+case of one).
 
 Absolute convergence needs dot(pL, pL) > m^2 (the longitudinal phase decays
 at large s) and distinct transverse endpoints (the kernel decays at small s);
@@ -38,7 +39,7 @@ from .conventions import (DEFAULT_ABS_TOL, DEFAULT_CONTOUR_ANGLE, DEFAULT_REL_TO
                           DEFAULT_VOLKOV_SIGN)
 from .errors import QuadratureFailure, RangeError, StepCalibrationFailure
 from .fields import FieldConfig, ZeroProfile, _real
-from .kernels import SUB_TOLERANCE, KernelDiagnostics, folded_kernel, phase_pass
+from .kernels import SUB_TOLERANCE, KernelDiagnostics, PhasePass, folded_kernel, phase_pass
 from .minkowski import (GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS, SLASH_EPS,
                         SLASH_EPS_CONJ, SLASH_K, UNIT_FIELD, WAVE_K, dot)
 from .quadrature import adaptive_quad
@@ -102,62 +103,42 @@ class PropagatorValue:
 class _Prepared:
     """The e0-independent pieces of the integrand at n far endpoints that share
     the rest of one context: per endpoint rho^2, the constant exponent, the
-    braces M+- and R (`weight`); `passes` holds one phase pass per distinct phi_b."""
+    braces M+- and R (`weight`); `run` is the one phase pass that serves them all."""
 
     rho2: np.ndarray          # (n,) squared transverse distance, drift-shifted
     constant: np.ndarray      # (n,) e0-independent exponent of the classical action
     plus: np.ndarray          # (n, 4, 4)
     minus: np.ndarray         # (n, 4, 4)
     weight: np.ndarray        # (n, 2, 2)
-    passes: tuple
-
-
-#: Phases of far endpoints closer than this times their largest coordinate are one phase.
-_ROUNDINGS = 8.0 * np.finfo(float).eps
+    run: PhasePass
 
 
 def _prepare(ctx: EvalContext, points) -> _Prepared:
-    """One phase pass and one set of braces per distinct phi_b of the far
-    endpoints `points` (shape (n, 4)), the action at the context's tolerances
-    and the rest at SUB_TOLERANCE of them; rho^2 and constant exponent per
-    point."""
+    """One phase pass over the phases phi_b of all far endpoints `points`
+    (shape (n, 4)), the action at the context's tolerances and the rest at
+    SUB_TOLERANCE of them; braces, rho^2 and constant exponent per point."""
     points = np.asarray(points, dtype=float).reshape(-1, 4)
-    phis = dot(WAVE_K, points).real
-    # a point shares the pass of the first point whose phase lies within a few
-    # roundings of the coordinates: the stencil's (x2 + h) - x3 and x2 - (x3 - h)
-    # need not round to the same float
-    tie = _ROUNDINGS * abs(points).max()
-    first = (abs(phis[:, None] - phis) <= tie).argmax(axis=1)
-    plus, minus = np.empty((2, len(points), 4, 4), dtype=complex)
-    drift = np.empty((len(points), 2))
-    action = np.empty(len(points))
-    passes = []
-    for j in dict.fromkeys(first.tolist()):
-        mine = first == j
-        run = phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, float(phis[j]), ctx.phi0,
-                         sign=ctx.volkov_sign, abs_tol=ctx.abs_tol * SUB_TOLERANCE,
-                         rel_tol=ctx.rel_tol * SUB_TOLERANCE)
-        passes.append(run)
-        plus[mine] = (IDENTITY4 - (SLASH_K @ SLASH_EPS_CONJ) * run.kernel_b) @ P_PLUS @ \
-            (IDENTITY4 + (SLASH_K @ SLASH_EPS) * run.kernel_a.conjugate())
-        minus[mine] = (IDENTITY4 - (SLASH_K @ SLASH_EPS) * run.kernel_b.conjugate()) @ P_MINUS @ \
-            (IDENTITY4 + (SLASH_K @ SLASH_EPS_CONJ) * run.kernel_a)
-        drift[mine] = run.drift
-        action[mine] = run.action
+    run = phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, dot(WAVE_K, points).real, ctx.phi0,
+                     sign=ctx.volkov_sign, abs_tol=ctx.abs_tol * SUB_TOLERANCE,
+                     rel_tol=ctx.rel_tol * SUB_TOLERANCE)
+    plus = (IDENTITY4 - np.multiply.outer(run.kernel_b, SLASH_K @ SLASH_EPS_CONJ)) @ P_PLUS @ \
+        (IDENTITY4 + (SLASH_K @ SLASH_EPS) * run.kernel_a.conjugate())
+    minus = (IDENTITY4 - np.multiply.outer(run.kernel_b.conjugate(), SLASH_K @ SLASH_EPS)) \
+        @ P_MINUS @ (IDENTITY4 + (SLASH_K @ SLASH_EPS_CONJ) * run.kernel_a)
     # R of [vec M+, vec M-] = QR by Gram-Schmidt: LAPACK's QR keeps 0.6 MB of pages resident
     a, b = plus.reshape(-1, 16), minus.reshape(-1, 16)
     r00 = np.linalg.norm(a, axis=1)
     r01 = np.sum(a.conj() * b, axis=1) / r00
     r11 = np.linalg.norm(b - (r01 / r00)[:, None] * a, axis=1)
     weight = np.moveaxis(np.array([[r00, r01], [0.0 * r01, r11]]), -1, 0)
-    far, near = points[:, :2] - drift, ctx.x_a[:2] - drift
+    far, near = points[:, :2] - run.drift, ctx.x_a[:2] - run.drift
     rho2 = (far[:, 0] - ctx.x_a[0]) ** 2 + (far[:, 1] - ctx.x_a[1]) ** 2
     # pL has no transverse slots (EvalContext), so the first term is i pL.dx^L;
     # the last is the action's boundary term and the magnetic gauge phase in one
-    constant = 1j * dot(ctx.pL, points - ctx.x_a) - 0.5j * ctx.cfg.g * action \
+    constant = 1j * dot(ctx.pL, points - ctx.x_a) - 0.5j * ctx.cfg.g * run.action \
         + 0.5j * ctx.cfg.g * ctx.cfg.B * (far[:, 0] * near[:, 1] - far[:, 1] * near[:, 0])
     return _Prepared(rho2=rho2, constant=constant, plus=plus, minus=minus,
-                     weight=weight, passes=tuple(passes))
+                     weight=weight, run=run)
 
 
 def spin_factor(e0, ctx: EvalContext) -> np.ndarray:
@@ -202,8 +183,7 @@ def _green_batch(ctx: EvalContext, points):
     result = adaptive_quad(integrand, 0.0, 1.0, abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol,
                            breakpoints=breaks)
     diag = KernelDiagnostics(error_estimate=result.error_estimate, nodes=result.nodes,
-                             prepare_nodes=sum(run.nodes for run in pre.passes),
-                             prepare_error=max(run.error_estimate for run in pre.passes))
+                             prepare_nodes=pre.run.nodes, prepare_error=pre.run.error_estimate)
     # I+ M+ + I- M- per point, from R (I+, I-)
     r, weighted = pre.weight, result.value
     i_minus = weighted[:, 1] / r[:, 1, 1]

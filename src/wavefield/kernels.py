@@ -9,7 +9,8 @@ with caustics at e0 g B in 2 pi Z, written through `landau_factors`. Its
 e0-dependent part, `folded_kernel`, sees the endpoints only through
 rho^2 = |DX|^2; the gauge phase i (g B / 2)(Xb1 Xa2 - Xb2 Xa1) is a constant.
 Everything the wave phase contributes comes from one pass along it,
-`phase_pass`, whose `PhasePass` is a plain record of:
+`phase_pass`, to one phi_b or to an array of them, whose `PhasePass` is a
+plain record of:
 
 * `kernel_a`, `kernel_b`: the phase-integral dressing at phi_a and phi_b,
   as printed,
@@ -33,14 +34,13 @@ rot(phi - p) = rot(phi - phi_a) rot(phi_a - p) makes Y = rate rot(phi - phi_a) C
 with C the integral from phi_a of d, the eps component of rot(phi_a - p) A^p(p)
 (its eps* component is conj(d)). With w = C(phi_b) exp(-i beta (phi_b - phi_a)),
 Y = sqrt2 rate (Re w, -Im w), and the action density is
-2 rate (|d|^2 - beta Im(d conj(C))), so one panel set and its cumulative sums
-give all of these.
+2 rate (|d|^2 - beta Im(d conj(C))), so one panel set and its cumulative sums,
+read at the panel edge of each phi_b, give all of these for every endpoint.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -132,31 +132,36 @@ SUB_TOLERANCE = 1e-2
 
 @dataclass(frozen=True)
 class PhasePass:
-    """What the wave phase contributes between phi_a and phi_b (drift at rest
-    at phi_a), with the kernel K integrated from phi0; K* is its conjugate."""
+    """What the wave phase contributes between phi_a and each phi_b (drift at
+    rest at phi_a), with the kernel K integrated from phi0; K* is its conjugate.
+    `action`, `drift` (on its last axis) and `kernel_b` take the shape of phi_b."""
 
-    action: float             # int_{phi_a}^{phi_b} A^p . dY/dphi dphi
-    drift: np.ndarray         # (Y1, Y2) at phi_b
-    kernel_a: complex         # K(phi_a)
-    kernel_b: complex         # K(phi_b)
+    action: float | np.ndarray        # int_{phi_a}^{phi_b} A^p . dY/dphi dphi
+    drift: np.ndarray                 # (Y1, Y2) at phi_b
+    kernel_a: complex                 # K(phi_a)
+    kernel_b: complex | np.ndarray    # K(phi_b)
     nodes: int
     error_estimate: float
 
 
-def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b: float, phi0: float,
+def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, phi0: float,
                sign: int = +1, abs_tol: float = 1e-12, rel_tol: float = 1e-10) -> PhasePass:
-    """One adaptive quadrature on the hull of (phi0, phi_a, phi_b), breakpoints at
-    the three, of three columns: C's integrand d, K's integrand and the real
-    action density with C counted from the panel's left edge (d and the action
-    zero off [phi_a, phi_b]; the action weighted by SUB_TOLERANCE). Cumulative
-    sums of the panel integrals supply C at the panel edges and so the rest."""
-    nothing = PhasePass(0.0, np.zeros(2), 0.0j, 0.0j, 0, 0.0)
+    """One adaptive quadrature on the hull of phi0, phi_a and every phi_b (one
+    phase or an array of them), breakpoints at each, of three columns: C's
+    integrand d, K's integrand and the real action density with C counted from
+    the panel's left edge (d and the action zero off the hull of phi_a and the
+    phi_b; the action weighted by SUB_TOLERANCE). Cumulative sums of the panel
+    integrals supply C at the panel edges and so the rest."""
+    phi_b = np.asarray(phi_b)
+    shape, ends = phi_b.shape, phi_b.ravel().tolist()
+    nothing = PhasePass(np.zeros(shape)[()], np.zeros(shape + (2,)), 0j,
+                        np.zeros(shape, complex)[()], 0, 0.0)
     if cfg.profile.is_zero:
         return nothing
     kp = float(dot(WAVE_K, pL).real)
     if kp == 0:
         raise DivisionByZero("dot(k, pL) = 0 with a non-zero profile")
-    lo, hi = min(phi_a, phi_b), max(phi_a, phi_b)
+    lo, hi = min(phi_a, *ends), max(phi_a, *ends)
     start, stop = min(phi0, lo), max(phi0, hi)
     if start == stop:
         return nothing
@@ -173,22 +178,30 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b: float, phi
                          SUB_TOLERANCE * action], axis=1)
 
     quad = adaptive_quad(columns, start, stop, abs_tol=abs_tol, rel_tol=rel_tol,
-                         breakpoints=[phi0, phi_a, phi_b])
-    # a handful of panels: the bookkeeping runs on Python scalars
+                         breakpoints=[phi0, phi_a, *ends])
+    # a handful of panels and endpoints: the bookkeeping runs on Python scalars
     edges = [panel[0] for panel in quad.panels] + [stop]
     values = [panel[2].tolist() for panel in quad.panels]
     cumulative = [[0j, 0j, 0j]]
     for value in values:
         cumulative.append([c + v for c, v in zip(cumulative[-1], value)])
-    at_a, at_b, at_0 = (cumulative[bisect_left(edges, phi)] for phi in (phi_a, phi_b, phi0))
-    # each panel's integral of d times conj(C) at its left edge: the action's cross-panel part
-    area = sum((value[0] * (c[0] - at_a[0]).conjugate()).imag
-               for value, c in zip(values, cumulative))
-    action = (at_b[2] - at_a[2]).real / SUB_TOLERANCE \
-        - math.copysign(2.0, phi_b - phi_a) * rate * beta * area
-    w = (at_b[0] - at_a[0]) * cmath.exp(-1j * beta * (phi_b - phi_a))
-    scale = cfg.g / (2.0 * kp)
-    kernels = [scale * cmath.exp(1j * beta * phi) * (at[1] - at_0[1])
-               for phi, at in ((phi_a, at_a), (phi_b, at_b))]
-    return PhasePass(action, SQRT2 * rate * np.array([w.real, -w.imag]), *kernels,
-                     quad.nodes, quad.error_estimate)
+    ia = bisect_left(edges, phi_a)
+    at_a, at_0 = cumulative[ia], cumulative[bisect_left(edges, phi0)]
+    # the action's cross-panel part: a running sum of each panel's integral of d
+    # times conj(C) at its left edge
+    area = [0.0]
+    for value, c in zip(values, cumulative):
+        area.append(area[-1] + (value[0] * (c[0] - at_a[0]).conjugate()).imag)
+    scale, turn = cfg.g / (2.0 * kp), SQRT2 * rate
+    kernel_a = scale * cmath.exp(1j * beta * phi_a) * (at_a[1] - at_0[1])
+    actions, drifts, kernels = [], [], []
+    for phi in ends:
+        ib = bisect_left(edges, phi)
+        at_b = cumulative[ib]
+        actions.append((at_b[2] - at_a[2]).real / SUB_TOLERANCE
+                       - 2.0 * rate * beta * (area[ib] - area[ia]))
+        w = (at_b[0] - at_a[0]) * cmath.exp(-1j * beta * (phi - phi_a))
+        drifts.append((turn * w.real, turn * -w.imag))
+        kernels.append(scale * cmath.exp(1j * beta * phi) * (at_b[1] - at_0[1]))
+    return PhasePass(np.array(actions).reshape(shape)[()], np.array(drifts).reshape(shape + (2,)),
+                     kernel_a, np.array(kernels).reshape(shape)[()], quad.nodes, quad.error_estimate)

@@ -91,7 +91,7 @@ def adaptive_quad(f, a: float, b: float, abs_tol: float = 1e-10, rel_tol: float 
 
     f maps the array of a panel's 15 nodes to their values, stacked on axis 0
     (complex scalars or ndarrays). `breakpoints` seeds the initial subdivision
-    (useful when the integrand has a known boundary layer). Raises
+    (useful when the integrand has a known boundary layer; repeats count once). Raises
     QuadratureFailure, with the nodes used and the error so far, where the
     next panel would take it past `node_cap` integrand evaluations.
     """
@@ -104,7 +104,7 @@ def adaptive_quad(f, a: float, b: float, abs_tol: float = 1e-10, rel_tol: float 
 
     edges = [a]
     if breakpoints:
-        edges += [p for p in sorted(breakpoints) if a < p < b]
+        edges += [p for p in sorted(set(breakpoints)) if a < p < b]
     edges.append(b)
 
     heap, nodes, err_sum, value_sum = [], 0, 0.0, 0.0

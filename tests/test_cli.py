@@ -135,6 +135,15 @@ def test_exit_code_schema(tmp_path):
     assert not out.exists()
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_config()))
+    out = tmp_path / "missing" / "out.csv"
+    assert main(["gf", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and err.count("error:") == 1
+
+
 def test_exit_code_singularity(tmp_path):
     cfg = _config(grid={"param": "e0", "values": [3.141592653589793]})
     cfg["field"] = {"g": 1.0, "B": 2.0, "profile": "zero"}

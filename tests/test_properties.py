@@ -1,9 +1,10 @@
 """Property-based checks over random admissible inputs.
 
 The one pass along the wave phase (cross phase, K and K* from one panel set)
-is compared with the independent oracles, the panel-at-once quadrature
-with a per-point transcription of the classic adaptive K15/G7 loop, and the
-Green function at any contour angle with the one on the Euclidean axis. A
+is compared with the independent oracles and, over many far phases at once,
+with one pass per phase; the panel-at-once quadrature with a per-point
+transcription of the classic adaptive K15/G7 loop; and the Green function at
+any contour angle with the one on the Euclidean axis. A
 transverse translation of both endpoints changes the Schwinger kernel and the
 zero-profile Green function by the gauge phase alone, and so does a rotation
 of x_b's transverse part about x_a's.
@@ -96,6 +97,35 @@ def test_one_pass_matches_oracles_for_circular_waves(context):
 def test_one_pass_matches_the_nested_oracle_for_pulses(context):
     cfg, pL, x_a, x_b, _, _ = context
     assert abs(_cross_phase(cfg, pL, x_a, x_b) - _nested(cfg, pL, x_a, x_b)) <= 1e-12
+
+
+@st.composite
+def _endpoint_phases(draw):
+    """A context, phases phi_b on both sides of phi_a with two of them one ulp
+    apart, and phi0 at least 0.5 away from phi_a."""
+    cfg, pL, x_a, _, _, sign = draw(_contexts(draw(st.sampled_from(["circular", "pulse"]))))
+    phi_a = dot(WAVE_K, x_a).real
+    phis = [phi_a + draw(st.floats(-5.0, -0.1)), phi_a + draw(st.floats(0.1, 5.0))]
+    phis += [np.nextafter(phis[draw(st.sampled_from([0, 1]))], np.inf)]
+    phis += draw(st.lists(st.floats(-5.0, 5.0).map(lambda v: phi_a + v), max_size=3))
+    phi0 = phi_a + draw(st.floats(0.5, 3.0)) * draw(st.sampled_from([1.0, -1.0]))
+    return cfg, pL, phi_a, np.array(phis), phi0, sign
+
+
+@settings(max_examples=20, **_SETTINGS)
+@given(_endpoint_phases())
+def test_one_pass_over_many_endpoints_matches_one_pass_per_endpoint(case):
+    cfg, pL, phi_a, phis, phi0, sign = case
+    tols = dict(abs_tol=1e-12, rel_tol=1e-10)
+    multi = phase_pass(cfg, pL, phi_a, phis, phi0, sign=sign, **tols)
+    assert multi.action.shape == multi.kernel_b.shape == phis.shape
+    assert multi.drift.shape == phis.shape + (2,)
+    for i, phi_b in enumerate(phis):
+        one = phase_pass(cfg, pL, phi_a, float(phi_b), phi0, sign=sign, **tols)
+        assert abs(multi.kernel_a - one.kernel_a) <= max(1e-12, 1e-10 * abs(one.kernel_a))
+        for field in ("action", "drift", "kernel_b"):
+            got, want = getattr(multi, field)[i], getattr(one, field)
+            assert np.linalg.norm(got - want) <= max(1e-12, 1e-10 * np.linalg.norm(want))
 
 
 def _per_point_quad(f, a, b, abs_tol, rel_tol):

@@ -57,6 +57,15 @@ def test_breakpoints_seed_subdivision():
     assert plain.nodes > 100
 
 
+def test_repeated_breakpoints_count_once():
+    # callers may pass one breakpoint per endpoint, with repeats; a repeat must
+    # not seed a zero-width panel of 15 nodes
+    runs = [adaptive_quad(np.cos, 0.0, 1.0, breakpoints=[0.5] * k) for k in (1, 2, 3)]
+    assert [run.nodes for run in runs] == [30, 30, 30]
+    assert [run.panels for run in runs[1:]] == [runs[0].panels] * 2
+    assert runs[0].value == pytest.approx(np.sin(1.0), abs=1e-15)
+
+
 def test_node_cap_raises():
     with pytest.raises(QuadratureFailure):
         adaptive_quad(lambda x: np.sin(1.0 / x) / x, 1e-9, 1.0,
