@@ -200,9 +200,9 @@ def test_dirac_shared_ray_matches_the_per_point_route(cfg, x_b):
     assert np.linalg.norm(shared - per_point) <= bound
 
 
-def test_dirac_integrates_one_ray_with_one_phase_pass(monkeypatch):
-    # at the README point and at jittered ones, where (x2 + h) - x3 and
-    # x2 - (x3 - h) round to different phases, one pass serves all 33 points
+def _count_dirac_work(monkeypatch):
+    # counts the ray integrations, the phase passes (by the shape of phi_b and
+    # its number of distinct phases) and any per-point green_function calls
     calls, distinct = {}, []
 
     def ray(*args, **kwargs):
@@ -221,12 +221,30 @@ def test_dirac_integrates_one_ray_with_one_phase_pass(monkeypatch):
     monkeypatch.setattr(green, "adaptive_quad", ray)
     monkeypatch.setattr(green, "phase_pass", one_pass)
     monkeypatch.setattr(green, "green_function", no_gf)
-    rng = np.random.default_rng(8)
-    jittered = [np.round(XB + rng.uniform(-0.2, 0.2, 4) * [1.0, 1.0, 0.25, 0.25], 6)
-                for _ in range(6)]
-    for x_b in [XB] + jittered:
+
+    def run(x_b):
         calls.update({"ray": 0, "pass": [], "gf": 0})
         dirac_apply(_ctx(cfg=WCFG, x_b=x_b))
-        assert calls == {"ray": 1, "pass": [(33,)], "gf": 0}
-    # the stencil has 7 phases in exact arithmetic (phi_b and 6 offsets)
+        return calls
+
+    return run, distinct
+
+
+def test_dirac_integrates_one_ray_with_one_phase_pass_per_phi_b(monkeypatch):
+    # every phi_b of the 33-point stencil is read from the same single pass;
+    # the stencil has 7 phases (phi_b and 6 offsets)
+    run, distinct = _count_dirac_work(monkeypatch)
+    assert run(XB) == {"ray": 1, "pass": [(33,)], "gf": 0}
+    assert distinct == [7]
+
+
+def test_dirac_runs_one_phase_pass_per_stencil_phase(monkeypatch):
+    # jittered README points: (x2 + h) - x3 and x2 - (x3 - h) round apart at
+    # some of them, yet one pass still serves all 33 points
+    run, distinct = _count_dirac_work(monkeypatch)
+    rng = np.random.default_rng(8)
+    for _ in range(6):
+        x_b = np.round(XB + rng.uniform(-0.2, 0.2, 4) * [1.0, 1.0, 0.25, 0.25], 6)
+        assert run(x_b) == {"ray": 1, "pass": [(33,)], "gf": 0}
+    # 7 phases in exact arithmetic; rounding splits some of them
     assert min(distinct) == 7 and max(distinct) > 7
