@@ -32,7 +32,7 @@ from .errors import (DivisionByZero, InvalidProfile, KernelSingularity,
                      WavefieldError)
 from .fields import FieldConfig, make_profile
 from .green import EvalContext, dirac_apply, green_function, green_function_zero_k, spin_factor
-from .kernels import SUB_TOLERANCE, near_caustic, phase_pass, schwinger_kernel
+from .kernels import near_caustic, phase_pass, schwinger_kernel
 
 _COMMANDS = ("identities", "kernel", "K", "spinfactor", "gf", "gf-k0", "dirac",
              "verify", "limits")
@@ -289,7 +289,7 @@ def _cmd_phase_integral(rc: RunConfig):
 
     def one(phi):
         run = phase_pass(ctx.cfg, ctx.pL, phi, phi, ctx.phi0, sign=ctx.volkov_sign,
-                         abs_tol=ctx.abs_tol * SUB_TOLERANCE, rel_tol=ctx.rel_tol * SUB_TOLERANCE)
+                         abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol)
         k, k_conj = run.kernel_b, run.kernel_b.conjugate()
         return [phi, k.real, k.imag, k_conj.real, k_conj.imag, run.error_estimate, run.nodes]
 

@@ -21,12 +21,12 @@ kernels (P+- for a zero profile, the zero-k limit).
 Far endpoints x_b that share the rest of a context share one phase pass over
 all their phases phi_b and one ray: only rho^2, the constant exponent and the
 braces differ between them, so one adaptive quadrature integrates all of them
-(`dirac_apply` sends its 33 stencil points at once; `green_function` is the
+(`dirac_apply` sends its 25 stencil points at once; `green_function` is the
 case of one).
 
 Absolute convergence needs dot(pL, pL) > m^2 (the longitudinal phase decays
 at large s) and distinct transverse endpoints (the kernel decays at small s);
-both are checked up front.
+both are checked before the ray, and the first before the phase pass.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .conventions import (DEFAULT_ABS_TOL, DEFAULT_CONTOUR_ANGLE, DEFAULT_REL_TO
                           DEFAULT_VOLKOV_SIGN)
 from .errors import QuadratureFailure, RangeError, StepCalibrationFailure
 from .fields import FieldConfig, ZeroProfile, _real
-from .kernels import SUB_TOLERANCE, KernelDiagnostics, PhasePass, folded_kernel, phase_pass
+from .kernels import KernelDiagnostics, PhasePass, folded_kernel, phase_pass
 from .minkowski import (GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS, SLASH_EPS,
                         SLASH_EPS_CONJ, SLASH_K, UNIT_FIELD, WAVE_K, dot)
 from .quadrature import adaptive_quad
@@ -115,12 +115,11 @@ class _Prepared:
 
 def _prepare(ctx: EvalContext, points) -> _Prepared:
     """One phase pass over the phases phi_b of all far endpoints `points`
-    (shape (n, 4)), the action at the context's tolerances and the rest at
-    SUB_TOLERANCE of them; braces, rho^2 and constant exponent per point."""
+    (shape (n, 4)) at the context's tolerances, which the pass splits between
+    its columns; braces, rho^2 and constant exponent per point."""
     points = np.asarray(points, dtype=float).reshape(-1, 4)
     run = phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, dot(WAVE_K, points).real, ctx.phi0,
-                     sign=ctx.volkov_sign, abs_tol=ctx.abs_tol * SUB_TOLERANCE,
-                     rel_tol=ctx.rel_tol * SUB_TOLERANCE)
+                     sign=ctx.volkov_sign, abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol)
     plus = (IDENTITY4 - np.multiply.outer(run.kernel_b, SLASH_K @ SLASH_EPS_CONJ)) @ P_PLUS @ \
         (IDENTITY4 + (SLASH_K @ SLASH_EPS) * run.kernel_a.conjugate())
     minus = (IDENTITY4 - np.multiply.outer(run.kernel_b.conjugate(), SLASH_K @ SLASH_EPS)) \
@@ -157,11 +156,11 @@ def _green_batch(ctx: EvalContext, points):
     Per endpoint the integrand is R (f e^{+iw}, f e^{-iw}), f e^{+-iw} = k q or k
     (`folded_kernel`) times (-i/2) exp(i (e0/2) gap + constant); R, the QR factor
     of [vec M+, vec M-], makes its norm that of G (jointly sqrt(sum |G_n|^2))."""
-    pre = _prepare(ctx, points)
     if ctx.mass_gap <= 0.0:
         raise QuadratureFailure(
             f"proper-time integrand does not decay at large s: need dot(pL, pL) > m^2 "
             f"(gap {ctx.mass_gap!r})")
+    pre = _prepare(ctx, points)
     if np.any(pre.rho2 == 0.0):
         raise QuadratureFailure(
             "coincident transverse endpoints: the short-time end of the ray is log-divergent")
@@ -210,7 +209,8 @@ def total_potential_lowered(ctx: EvalContext, x: np.ndarray) -> np.ndarray:
         + METRIC * ctx.cfg.profile.potential(phi)
 
 
-#: Coarse finite-difference step of `dirac_apply`; the fine step is its half.
+#: Coarse finite-difference step of `dirac_apply`; the fine step is its half, so
+#: the coarse stencil's inner points are the fine stencil's outer ones.
 DIRAC_STEP = 0.02
 
 
@@ -221,8 +221,8 @@ def dirac_apply(ctx: EvalContext, evaluator=None) -> np.ndarray:
     calibrated by comparing steps h and h/2 (StepCalibrationFailure when the
     two disagree by more than 10%). `evaluator` maps an (n, 4) array of far
     endpoints to the (n, 4, 4) array of matrices there; it is called once,
-    with x_b and its 32 stencil neighbours. By default it is the Green
-    function at all 33 on one shared ray, so their quadrature errors are
+    with x_b and its 24 distinct stencil neighbours. By default it is the Green
+    function at all 25 on one shared ray, so their quadrature errors are
     common-mode and cancel in the differences.
     """
     if evaluator is None:
@@ -230,12 +230,13 @@ def dirac_apply(ctx: EvalContext, evaluator=None) -> np.ndarray:
             return _green_batch(ctx, points)[0]
 
     steps = (DIRAC_STEP, DIRAC_STEP / 2.0)
-    points = [ctx.x_b] + [ctx.x_b + (k * h) * unit for unit in np.eye(4) for h in steps
-                          for k in (2, 1, -1, -2)]
+    points = [ctx.x_b] + [ctx.x_b + (k * steps[1]) * unit for unit in np.eye(4)
+                          for k in (4, 2, 1, -1, -2, -4)]
     values = np.asarray(evaluator(np.array(points)), dtype=complex)
     base = values[0]
-    # per direction and step: G at x_b + (2, 1, -1, -2) h e_mu
-    shifted = values[1:].reshape(4, 2, 4, 4, 4)
+    # per direction: G at x_b + (4, 2, 1, -1, -2, -4) h e_mu, h the fine step;
+    # the coarse stencil (2, 1, -1, -2) 2h is entries 0, 1, 4, 5, the fine one 1 to 4
+    shifted = values[1:].reshape(4, 6, 4, 4)
 
     def stencil(f, h):
         return (-f[0] + 8 * f[1] - 8 * f[2] + f[3]) / (12 * h)
@@ -243,7 +244,8 @@ def dirac_apply(ctx: EvalContext, evaluator=None) -> np.ndarray:
     a_low = total_potential_lowered(ctx, ctx.x_b)
     out = ctx.m * base
     for mu in range(4):
-        coarse, fine = (stencil(f, h) for f, h in zip(shifted[mu], steps))
+        f = shifted[mu]
+        coarse, fine = stencil(f[[0, 1, 4, 5]], steps[0]), stencil(f[1:5], steps[1])
         scale = max(float(np.linalg.norm(fine)), 1e-300)
         if float(np.linalg.norm(coarse - fine)) > 0.1 * scale:
             raise StepCalibrationFailure(

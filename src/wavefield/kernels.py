@@ -5,8 +5,8 @@
     [i g B / (4 pi sin(e0 g B / 2))]
       * exp{ i (g B / 2) [ (Xb1 Xa2 - Xb2 Xa1) - (1/2) cot(e0 g B / 2) |DX|^2 ] }
 
-with caustics at e0 g B in 2 pi Z, written through `landau_factors`. Its
-e0-dependent part, `folded_kernel`, sees the endpoints only through
+with caustics at e0 g B in 2 pi Z. Its e0-dependent part, `folded_kernel`,
+written through q = exp(i |g B| e0), sees the endpoints only through
 rho^2 = |DX|^2; the gauge phase i (g B / 2)(Xb1 Xa2 - Xb2 Xa1) is a constant.
 Everything the wave phase contributes comes from one pass along it,
 `phase_pass`, to one phi_b or to an array of them, whose `PhasePass` is a
@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conventions import DEFAULT_ABS_TOL, DEFAULT_REL_TOL
 from .errors import DivisionByZero, KernelSingularity
 from .fields import FieldConfig
 from .minkowski import SQRT2, WAVE_K, dot
@@ -66,37 +67,33 @@ class KernelDiagnostics:
     prepare_error: float      # its error estimate
 
 
-def landau_factors(e0, b: float):
-    """(h, q) at one proper time e0 or at an array of them, b = g B: q = exp(i |b| e0)
-    and h = |b| / (1 - q), or its limit i / e0 at b = 0 (where q = 1). Then
+def folded_kernel(e0, rho2, b: float):
+    """(k, q) at one proper time e0 or at an array of them, b = g B: the transverse
+    kernel without its gauge phase is k q^{1/2}, q = exp(i |b| e0), with rho2 the
+    squared transverse distance of the endpoints; a caller's factor exp(+-i e0 b / 2)
+    makes it k q or k. With h = |b| / (1 - q), or its limit i / e0 at b = 0 (where q = 1),
 
         i b / (4 pi sin(e0 b / 2)) = h q^{1/2} / (2 pi),   (b/2) cot(e0 b / 2) = -(i/2) h (1 + q),
 
-    and |q| <= 1 on the upper half plane, so nothing overflows however far out
-    e0 lies. Raises KernelSingularity at e0 = 0 and on caustics: |sin(e0 b / 2)|
-    = |1 - q| / (2 |q|^{1/2}) < 1e-10 away from the short-time end (|e0 b / 2| >= 1).
+    so k = h / (2 pi) exp(-(h/4)(1 + q) rho2), and |q| <= 1 on the upper half plane:
+    nothing overflows however far out e0 lies. Raises KernelSingularity at e0 = 0
+    and on caustics: |sin(e0 b / 2)| = |1 - q| / (2 |q|^{1/2}) < 1e-10 away from the
+    short-time end (|e0 b / 2| >= 1).
     """
     if np.any(np.asarray(e0) == 0):
         raise KernelSingularity("e0 = 0 is the short-time endpoint")
     if b == 0.0:
-        return 1j / e0, 1.0
-    z = 1j * abs(b) * e0
-    q = np.exp(z)
-    one_minus_q = -np.expm1(z)
-    caustic = (np.abs(one_minus_q) < 2.0 * CAUSTIC_TOLERANCE * np.sqrt(np.abs(q))) \
-        & (np.abs(z) >= 2.0)
-    if np.any(caustic):
-        raise KernelSingularity(f"caustic: |sin(e0 g B / 2)| < {CAUSTIC_TOLERANCE:g} "
-                                f"at e0={np.asarray(e0)[caustic]!r}")
-    return abs(b) / one_minus_q, q
-
-
-def folded_kernel(e0, rho2, b: float):
-    """(k, q): the transverse kernel without its gauge phase is k q^{1/2},
-    q = exp(i |b| e0), b = g B, with rho2 the squared transverse distance of the
-    endpoints; a caller's factor exp(+-i e0 b / 2) makes it k q or k, and
-    nothing overflows."""
-    h, q = landau_factors(e0, b)
+        h, q = 1j / e0, 1.0
+    else:
+        z = 1j * abs(b) * e0
+        q = np.exp(z)
+        one_minus_q = -np.expm1(z)
+        caustic = (np.abs(one_minus_q) < 2.0 * CAUSTIC_TOLERANCE * np.sqrt(np.abs(q))) \
+            & (np.abs(z) >= 2.0)
+        if np.any(caustic):
+            raise KernelSingularity(f"caustic: |sin(e0 g B / 2)| < {CAUSTIC_TOLERANCE:g} "
+                                    f"at e0={np.asarray(e0)[caustic]!r}")
+        h = abs(b) / one_minus_q
     return h / (2.0 * np.pi) * np.exp(-0.25 * h * (1.0 + q) * rho2), q
 
 
@@ -127,7 +124,7 @@ def spin_determinant(e0: complex, cfg: FieldConfig) -> complex:
 
 #: The drift and phase-integral columns of `phase_pass` meet this share of
 #: the tolerances its action column meets.
-SUB_TOLERANCE = 1e-2
+_SUB_TOLERANCE = 1e-2
 
 
 @dataclass(frozen=True)
@@ -145,13 +142,16 @@ class PhasePass:
 
 
 def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, phi0: float,
-               sign: int = +1, abs_tol: float = 1e-12, rel_tol: float = 1e-10) -> PhasePass:
+               sign: int = +1, abs_tol: float = DEFAULT_ABS_TOL,
+               rel_tol: float = DEFAULT_REL_TOL) -> PhasePass:
     """One adaptive quadrature on the hull of phi0, phi_a and every phi_b (one
     phase or an array of them), breakpoints at each, of three columns: C's
     integrand d, K's integrand and the real action density with C counted from
     the panel's left edge (d and the action zero off the hull of phi_a and the
-    phi_b; the action weighted by SUB_TOLERANCE). Cumulative sums of the panel
-    integrals supply C at the panel edges and so the rest."""
+    phi_b). Cumulative sums of the panel integrals supply C at the panel edges
+    and so the rest. abs_tol and rel_tol are the evaluation's: the action meets
+    them and the drift and K meet _SUB_TOLERANCE of them, as the quadrature runs
+    at that share with the action column weighted by it."""
     phi_b = np.asarray(phi_b)
     shape, ends = phi_b.shape, phi_b.ravel().tolist()
     nothing = PhasePass(np.zeros(shape)[()], np.zeros(shape + (2,)), 0j,
@@ -175,10 +175,10 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, phi0: floa
         c = half * (CUMULATIVE @ d)                          # C - C(panel's left edge)
         action = 2.0 * rate * (abs(d) ** 2 - beta * (d * c.conj()).imag)
         return np.stack([d, np.exp(1j * sign * beta * x) * (s1 + 1j * s2) / SQRT2,
-                         SUB_TOLERANCE * action], axis=1)
+                         _SUB_TOLERANCE * action], axis=1)
 
-    quad = adaptive_quad(columns, start, stop, abs_tol=abs_tol, rel_tol=rel_tol,
-                         breakpoints=[phi0, phi_a, *ends])
+    quad = adaptive_quad(columns, start, stop, abs_tol=abs_tol * _SUB_TOLERANCE,
+                         rel_tol=rel_tol * _SUB_TOLERANCE, breakpoints=[phi0, phi_a, *ends])
     # a handful of panels and endpoints: the bookkeeping runs on Python scalars
     edges = [panel[0] for panel in quad.panels] + [stop]
     values = [panel[2].tolist() for panel in quad.panels]
@@ -198,7 +198,7 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, phi0: floa
     for phi in ends:
         ib = bisect_left(edges, phi)
         at_b = cumulative[ib]
-        actions.append((at_b[2] - at_a[2]).real / SUB_TOLERANCE
+        actions.append((at_b[2] - at_a[2]).real / _SUB_TOLERANCE
                        - 2.0 * rate * beta * (area[ib] - area[ia]))
         w = (at_b[0] - at_a[0]) * cmath.exp(-1j * beta * (phi - phi_a))
         drifts.append((turn * w.real, turn * -w.imag))

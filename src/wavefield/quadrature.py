@@ -95,9 +95,6 @@ def adaptive_quad(f, a: float, b: float, abs_tol: float = 1e-10, rel_tol: float 
     QuadratureFailure, with the nodes used and the error so far, where the
     next panel would take it past `node_cap` integrand evaluations.
     """
-    if a == b:
-        probe = np.asarray(f(np.array([a])), dtype=complex)[0]
-        return QuadratureResult(probe * 0.0 if probe.ndim else 0.0j, 0.0, 1)
     sign = 1.0
     if b < a:
         a, b, sign = b, a, -1.0
@@ -137,7 +134,7 @@ def adaptive_quad(f, a: float, b: float, abs_tol: float = 1e-10, rel_tol: float 
 
     pieces = sorted(heap, key=lambda item: item[2])
     return QuadratureResult(sign * _kahan_sum([item[4] for item in pieces]),
-                            -sum(item[0] for item in heap), nodes,
+                            sum(-item[0] for item in heap), nodes,
                             tuple((item[2], item[3], item[4]) for item in pieces))
 
 

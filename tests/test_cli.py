@@ -118,7 +118,7 @@ def test_gf_byte_determinism(tmp_path):
     status2, out2 = _invoke(tmp_path, "gf", _config(grid=grid), name="b.csv")
     assert status1 == status2 == 0
     assert out1.read_bytes() == out2.read_bytes()
-    assert open(str(out1) + ".json", "rb").read() == open(str(out2) + ".json", "rb").read()
+    assert Path(str(out1) + ".json").read_bytes() == Path(str(out2) + ".json").read_bytes()
 
 
 def test_zero_profile_routes_give_identical_csv(tmp_path):
@@ -209,7 +209,7 @@ def test_identities_exit_5_when_a_check_fails(tmp_path, monkeypatch):
     monkeypatch.setattr(verification, "check_clifford_algebra", failing)
     status, out = _invoke(tmp_path, "identities", _config())
     assert status == 5
-    sidecar = json.loads(open(str(out) + ".json").read())
+    sidecar = json.loads(Path(str(out) + ".json").read_text())
     assert sidecar["all_passed"] is False
 
 
@@ -229,7 +229,7 @@ def test_unknown_grid_param_rejected(tmp_path):
 def test_angle_override_lands_in_sidecar(tmp_path):
     status, out = _invoke(tmp_path, "gf", _config(), "--angle", "0.9")
     assert status == 0
-    sidecar = json.loads(open(str(out) + ".json").read())
+    sidecar = json.loads(Path(str(out) + ".json").read_text())
     assert sidecar["ledger"]["contour_angle"] == 0.9
     assert sidecar["config"]["eval"]["theta"] == 0.9
     assert sidecar["rows"] == 1
@@ -248,7 +248,7 @@ def test_sign_toggle_lands_in_sidecar_and_changes_values(tmp_path):
     status2, toggled = _invoke(tmp_path, "gf", _config(), "--profile-sign-toggle",
                                name="toggled.csv")
     assert status == status2 == 0
-    sidecar = json.loads(open(str(toggled) + ".json").read())
+    sidecar = json.loads(Path(str(toggled) + ".json").read_text())
     assert sidecar["ledger"]["volkov_sign"] == -1
     assert sidecar["config"]["volkov_sign"] == -1
     assert plain.read_bytes() != toggled.read_bytes()
@@ -297,7 +297,7 @@ def test_phase_integral_meets_the_config_tolerances(tmp_path):
 def test_identities_command(tmp_path):
     status, out = _invoke(tmp_path, "identities", _config())
     assert status == 0
-    sidecar = json.loads(open(str(out) + ".json").read())
+    sidecar = json.loads(Path(str(out) + ".json").read_text())
     assert sidecar["all_passed"] is True
     assert all(row["passed"] == "1" for row in _rows(out))
 
@@ -305,7 +305,7 @@ def test_identities_command(tmp_path):
 def test_limits_command(tmp_path):
     status, out = _invoke(tmp_path, "limits", _config())
     assert status == 0
-    sidecar = json.loads(open(str(out) + ".json").read())
+    sidecar = json.loads(Path(str(out) + ".json").read_text())
     assert sidecar["all_passed"] is True
     names = [row["name"] for row in _rows(out)]
     assert names == ["zero-profile-route-equivalence", "free-field-reduction",
@@ -366,7 +366,7 @@ def test_gf_outputs_carry_only_the_frozen_columns(tmp_path):
     header = (["grid_value"] + _matrix_columns("g")
               + ["error_estimate", "nodes", "near_singularity"])
     assert out.read_bytes() == render_csv(header, rows)
-    sidecar = open(str(out) + ".json", "rb").read()
+    sidecar = Path(str(out) + ".json").read_bytes()
     assert sidecar == render_sidecar("gf", rc, len(rows))
     for name in ("prepare_nodes", "prepare_error", "e0_max"):
         assert name.encode() not in sidecar

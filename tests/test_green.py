@@ -69,6 +69,22 @@ def test_ray_domain_checks():
         green_function_zero_k(_ctx(x_b=same_t))
 
 
+def test_mass_gap_is_checked_before_the_phase_pass(monkeypatch):
+    # gap = 0.04 - 0.49 - 0.64 < 0 at the README field: no pass is made
+    passes = []
+
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return phase_pass(*args, **kwargs)
+
+    monkeypatch.setattr(green, "phase_pass", counted)
+    ctx = _ctx(cfg=WCFG, pL=np.array([0.0, 0.0, 0.2, 0.7]))
+    assert ctx.mass_gap <= 0.0
+    with pytest.raises(QuadratureFailure):
+        green_function(ctx)
+    assert passes == []
+
+
 def test_zero_profile_spin_factor_is_bare_projectors():
     ctx = _ctx()
     e0 = 0.7 + 0.2j
@@ -231,20 +247,20 @@ def _count_dirac_work(monkeypatch):
 
 
 def test_dirac_integrates_one_ray_with_one_phase_pass_per_phi_b(monkeypatch):
-    # every phi_b of the 33-point stencil is read from the same single pass;
+    # every phi_b of the 25-point stencil is read from the same single pass;
     # the stencil has 7 phases (phi_b and 6 offsets)
     run, distinct = _count_dirac_work(monkeypatch)
-    assert run(XB) == {"ray": 1, "pass": [(33,)], "gf": 0}
+    assert run(XB) == {"ray": 1, "pass": [(25,)], "gf": 0}
     assert distinct == [7]
 
 
 def test_dirac_runs_one_phase_pass_per_stencil_phase(monkeypatch):
     # jittered README points: (x2 + h) - x3 and x2 - (x3 - h) round apart at
-    # some of them, yet one pass still serves all 33 points
+    # some of them, yet one pass still serves all 25 points
     run, distinct = _count_dirac_work(monkeypatch)
     rng = np.random.default_rng(8)
     for _ in range(6):
         x_b = np.round(XB + rng.uniform(-0.2, 0.2, 4) * [1.0, 1.0, 0.25, 0.25], 6)
-        assert run(x_b) == {"ray": 1, "pass": [(33,)], "gf": 0}
+        assert run(x_b) == {"ray": 1, "pass": [(25,)], "gf": 0}
     # 7 phases in exact arithmetic; rounding splits some of them
     assert min(distinct) == 7 and max(distinct) > 7

@@ -1,6 +1,7 @@
-"""The public names: everything `wavefield.__all__` lists exists, and every
-name the README's "Library" section mentions exists in the package, so the
-docs cannot keep naming a function that was deleted."""
+"""The public names: everything `wavefield.__all__` lists exists and is
+mentioned in the README's "Library" section, and every name that section
+mentions exists in the package, so the docs cannot keep naming a function that
+was deleted and the package root cannot export one the docs leave out."""
 
 import dataclasses
 import importlib
@@ -59,6 +60,15 @@ def _resolves(name: str, modules: dict, members: set) -> bool:
 def test_every_name_in_all_resolves():
     missing = [name for name in wavefield.__all__ if not hasattr(wavefield, name)]
     assert missing == []
+
+
+def test_all_holds_only_names_the_library_section_mentions():
+    section = _library_section()
+    words = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`\n]+)`", section))))
+    for names in re.findall(r"from wavefield import ([\w, ]+)", section):
+        words.update(name.strip() for name in names.split(","))
+    undocumented = [name for name in wavefield.__all__ if name != "__version__" and name not in words]
+    assert undocumented == []
 
 
 def test_readme_library_section_names_only_existing_code():

@@ -39,10 +39,18 @@ def test_reversed_interval_flips_sign():
 
 
 def test_degenerate_interval():
-    res = adaptive_quad(lambda x: x**2, 0.7, 0.7)
+    # one zero-width panel: f still receives the 15 nodes it is promised
+    shapes = []
+
+    def f(x):
+        shapes.append(x.shape)
+        return x**2
+
+    res = adaptive_quad(f, 0.7, 0.7)
     assert res.value == 0.0
-    assert res.error_estimate == 0.0
-    assert res.nodes == 1          # a single shape/finiteness probe
+    assert res.error_estimate == 0.0 and not np.signbit(res.error_estimate)
+    assert res.nodes == 15
+    assert shapes == [(15,)]
 
 
 def test_breakpoints_seed_subdivision():
