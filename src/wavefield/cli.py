@@ -28,19 +28,16 @@ from . import __version__
 from .conventions import DEFAULT_VOLKOV_SIGN, convention_ledger
 from .errors import (DivisionByZero, InvalidProfile, KernelSingularity,
                      PoleError, QuadratureFailure, RangeError, ResonantDenominator,
-                     ResonantQ, SchemaError, SingularForm, StepCalibrationFailure,
-                     WavefieldError)
+                     SchemaError, SingularForm, StepCalibrationFailure, WavefieldError)
 from .fields import FieldConfig, make_profile
 from .green import EvalContext, dirac_apply, green_function, green_function_zero_k, spin_factor
 from .kernels import near_caustic, phase_pass, schwinger_kernel
 
-_COMMANDS = ("identities", "kernel", "K", "spinfactor", "gf", "gf-k0", "dirac",
-             "verify", "limits")
 _SCHEMA_EXIT, _SINGULAR_EXIT, _QUADRATURE_EXIT, _VERIFY_EXIT = 2, 3, 4, 5
 _EXIT_CODES = (
     ((SchemaError, RangeError, InvalidProfile), _SCHEMA_EXIT),
-    ((KernelSingularity, PoleError, DivisionByZero, ResonantQ, ResonantDenominator,
-      SingularForm), _SINGULAR_EXIT),
+    ((KernelSingularity, PoleError, DivisionByZero, ResonantDenominator, SingularForm),
+     _SINGULAR_EXIT),
     ((QuadratureFailure, StepCalibrationFailure), _QUADRATURE_EXIT),
     ((WavefieldError,), _VERIFY_EXIT),
 )
@@ -362,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavefield",
         description="Dirac Green function in a plane-wave plus constant-magnetic background")
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", required=True, help="CSV output path (JSON sidecar at <out>.json)")
     parser.add_argument("--angle", type=float, default=None,

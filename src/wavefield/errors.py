@@ -38,10 +38,6 @@ class KernelSingularity(WavefieldError):
     """Proper-time kernel evaluated on (or too close to) a caustic."""
 
 
-class ResonantQ(WavefieldError):
-    """1 + exp(Q) is not invertible on the transverse subspace."""
-
-
 class ResonantDenominator(WavefieldError):
     """Closed-form phase-integral denominator vanished (resonant profile)."""
 

@@ -214,25 +214,20 @@ def total_potential_lowered(ctx: EvalContext, x: np.ndarray) -> np.ndarray:
 DIRAC_STEP = 0.02
 
 
-def dirac_apply(ctx: EvalContext, evaluator=None) -> np.ndarray:
+def dirac_apply(ctx: EvalContext) -> np.ndarray:
     """Apply the gauged Dirac operator (i gamma^mu (d_mu - g A_mu) + m) in x_b.
 
     Derivatives are 4th-order central differences; each direction is
     calibrated by comparing steps h and h/2 (StepCalibrationFailure when the
-    two disagree by more than 10%). `evaluator` maps an (n, 4) array of far
-    endpoints to the (n, 4, 4) array of matrices there; it is called once,
-    with x_b and its 24 distinct stencil neighbours. By default it is the Green
-    function at all 25 on one shared ray, so their quadrature errors are
-    common-mode and cancel in the differences.
+    two disagree by more than 10%). The Green function at x_b and its 24
+    distinct stencil neighbours comes from one `_green_batch` call, on one
+    shared ray, so their quadrature errors are common-mode and cancel in the
+    differences.
     """
-    if evaluator is None:
-        def evaluator(points):
-            return _green_batch(ctx, points)[0]
-
     steps = (DIRAC_STEP, DIRAC_STEP / 2.0)
     points = [ctx.x_b] + [ctx.x_b + (k * steps[1]) * unit for unit in np.eye(4)
                           for k in (4, 2, 1, -1, -2, -4)]
-    values = np.asarray(evaluator(np.array(points)), dtype=complex)
+    values = _green_batch(ctx, np.array(points))[0]
     base = values[0]
     # per direction: G at x_b + (4, 2, 1, -1, -2, -4) h e_mu, h the fine step;
     # the coarse stencil (2, 1, -1, -2) 2h is entries 0, 1, 4, 5, the fine one 1 to 4

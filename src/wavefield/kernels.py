@@ -41,6 +41,7 @@ read at the panel edge of each phi_b, give all of these for every endpoint.
 from __future__ import annotations
 
 import cmath
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -154,6 +155,14 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, phi0: floa
     at that share with the action column weighted by it."""
     phi_b = np.asarray(phi_b)
     shape, ends = phi_b.shape, phi_b.ravel().tolist()
+    # phases a few roundings apart, as (x2 + h) - x3 and x2 - (x3 - h) in a
+    # dirac stencil, share one breakpoint and are read at it
+    merged, edge = {}, None
+    for phi in sorted(set(ends)):
+        if edge is None or phi - edge > 4.0 * math.ulp(edge):
+            edge = phi
+        merged[phi] = edge
+    ends = [merged[phi] for phi in ends]
     nothing = PhasePass(np.zeros(shape)[()], np.zeros(shape + (2,)), 0j,
                         np.zeros(shape, complex)[()], 0, 0.0)
     if cfg.profile.is_zero:

@@ -85,19 +85,6 @@ P_PLUS = SLASH_EPS @ SLASH_EPS_CONJ / 2.0
 P_MINUS = SLASH_EPS_CONJ @ SLASH_EPS / 2.0
 
 
-#: Projectors onto the eps / eps* directions and the longitudinal plane
-#: (acting on contravariant components, bilinear pairing).
-P_EPS = np.outer(EPS, METRIC * EPS_CONJ)
-P_EPS_CONJ = np.outer(EPS_CONJ, METRIC * EPS)
-P_LONG = np.eye(4, dtype=complex) - P_EPS - P_EPS_CONJ
-
-
-def transverse_spectral(c_eps, c_eps_conj, c_long=0.0) -> np.ndarray:
-    """Matrix acting as c_eps on eps, c_eps_conj on eps*, c_long longitudinally (or a stack)."""
-    return (np.multiply.outer(c_eps, P_EPS) + np.multiply.outer(c_eps_conj, P_EPS_CONJ)
-            + np.multiply.outer(c_long, P_LONG))
-
-
 def tanh_projector_identity(alpha: complex) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the hyperbolic resummation of the transverse projectors.
 

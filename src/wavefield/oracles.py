@@ -41,10 +41,6 @@ Gamma(nu) e^{-X/2} U(nu, 1, X), evaluated by mpmath at 30 digits.
 `cross_phase_nested` is the mixing exponent as the literal double integral in
 real transverse coordinates: every node of the outer action integral solves
 for the drift (`drift_nested`) by its own inner QUADPACK integrals.
-
-`classical_spin_path` is the boundary-value solution of the transverse spin
-equations along the phase line, as coefficient maps of the boundary data,
-with its one integral by a fixed Gauss-Legendre rule.
 """
 
 from __future__ import annotations
@@ -55,9 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import k0, roots_legendre
 
-from .errors import ResonantDenominator, ResonantQ, SingularForm
-from .minkowski import (EPS, EPS_CONJ, METRIC, P_MINUS, P_PLUS, WAVE_K, dot,
-                        transverse_spectral)
+from .errors import ResonantDenominator, SingularForm
+from .minkowski import METRIC, P_MINUS, P_PLUS
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -348,48 +343,3 @@ def cross_phase_nested(components, g: float, B: float, kp: float, phi_a: float, 
     boundary = (float(xb[0]) - y1) * B * y2 - (float(xb[1]) - y2) * B * y1
     return -0.5j * g * (_quad(density, phi_a, phi_b, knots) + boundary)
 
-
-#: Gauss-Legendre order of the pulled-back integral in `classical_spin_path`.
-SPIN_PATH_ORDER = 48
-
-
-def classical_spin_path(taus, e0: complex, g: float, B: float, phi_a: float, slope: complex,
-                        derivative) -> tuple:
-    """Coefficient maps (gamma, eta) of the transverse classical spin path at
-    each proper time in `taus`, shapes (n, 4, 4) and (n, 4): the path is
-    gamma @ Gamma^T + eta * eta_k for the transverse boundary combination
-    Gamma^T and the conserved projection eta_k. With Q = e0 g f, which acts as
-    exp(+-i w tau) on eps / eps*, w = e0 g B, and the phase line
-    phi(s) = phi_a + slope s,
-
-        gamma(tau) = exp(Q tau) (1 + exp(Q))^{-1}   (transverse plane),
-        eta(tau) = e0 g exp(Q tau) [exp(Q) (1 + exp(Q))^{-1} J(1) - J(tau)],
-        J(tau) = int_0^tau exp(-Q s) A'(phi(s)) ds,
-
-    J by a SPIN_PATH_ORDER-point Gauss-Legendre rule on each [0, tau].
-    `derivative` maps an array of phases to the two transverse components
-    (d1, d2) of A' there, like `components` in `drift_nested`. Raises
-    ResonantQ where 1 + exp(Q) is singular on the transverse plane, cos(w/2) = 0.
-    """
-    w = e0 * g * B
-    if abs(np.cos(w / 2.0)) < 1e-10:
-        raise ResonantQ(f"1 + exp(Q) singular on the transverse plane (e0 g B = {w!r})")
-    ends = np.append(np.asarray(taus, dtype=float), 1.0)          # J(1) rides along
-    x, weights = roots_legendre(SPIN_PATH_ORDER)
-    s = np.multiply.outer(ends / 2.0, x + 1.0)
-    d1, d2 = derivative(phi_a + slope * s)
-    # exp(-Q s) turns the eps / eps* components of A', (d1 -+ i d2)/sqrt2, by exp(-+i w s)
-    j_eps, j_conj = ((np.exp(-1j * sign * w * s) * (d1 - 1j * sign * d2) / _SQRT2) @ weights
-                     * ends / 2.0 for sign in (1, -1))
-    turn = np.exp(1j * w * ends[:-1])
-    inv_eps, inv_conj = 1.0 / (1.0 + np.exp(1j * w)), 1.0 / (1.0 + np.exp(-1j * w))
-    # exp(Q) (1 + exp(Q))^{-1} = (1 + exp(-Q))^{-1}: the two eigenvalues swap
-    eta = e0 * g * (np.multiply.outer(turn * (inv_conj * j_eps[-1] - j_eps[:-1]), EPS)
-                    + np.multiply.outer((inv_eps * j_conj[-1] - j_conj[:-1]) / turn, EPS_CONJ))
-    return transverse_spectral(turn * inv_eps, inv_conj / turn), eta
-
-
-def spin_projection_constant(gamma_boundary) -> complex:
-    """Conserved projection dot(k, Gamma) / 2 of the boundary spin vector; k has
-    no transverse slots, so only the longitudinal part of Gamma enters."""
-    return dot(WAVE_K, gamma_boundary) / 2.0

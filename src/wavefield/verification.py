@@ -7,17 +7,17 @@ compared at a fixed tolerance. Criterion 11 applies the Dirac operator two
 ways at zero profile: `dirac_apply` differences the production G, and the
 analytic side takes G and its x_b gradient from `oracles.zero_profile_gradient`,
 which integrates Schwinger's closed form on the Euclidean axis by QUADPACK and
-shares no code with the production ray. The classical spin path (criterion 4)
-has no production route: `oracles.classical_spin_path` is checked against the
-spin equations by central differences and against its boundary conditions.
-Criterion 7's `classical-action-exponent` row takes the e0-independent
-exponent that `green._prepare` forms in one expression and rebuilds it from
+shares no code with the production ray. Criterion 7's
+`classical-action-exponent` row takes the e0-independent exponent that
+`green._prepare` forms in one expression and rebuilds it from
 `oracles.cross_phase_nested` and the gauge phase at `oracles.drift_nested`'s
 endpoint, and its `dressed-braces-closed-form` row builds the braces M+- that
 `green._prepare` forms from the printed formula, with K from
-`oracles.volkov_kernel_closed_form` and K* its conjugate. The limit checks
-that `limits` shares evaluate production first, so a point outside the domain
-raises the production error (exit 4), not an oracle's. `run_all` is what the
+`oracles.volkov_kernel_closed_form` and K* its conjugate. Criterion 4 (the
+classical spin path) is retired: no output uses the path, so its rows checked
+an oracle against its own equations only. The limit checks that `limits`
+shares evaluate production first, so a point outside the domain raises the
+production error (exit 4), not an oracle's. `run_all` is what the
 `verify` CLI command executes; each check also has a focused unit test.
 Criterion 12 byte-compares two runs of the `gf` and `identities` commands, and
 compares the seeded checks' reports (criteria 1, 2, 3 and 6, and criterion 7's
@@ -44,11 +44,10 @@ from .green import (EvalContext, _prepare, dirac_apply, green_function,
 from .kernels import phase_pass, schwinger_kernel, spin_determinant
 from .minkowski import (EPS, EPS_CONJ, GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS, SLASH_EPS,
                         SLASH_EPS_CONJ, SLASH_K, UNIT_FIELD_MIXED, WAVE_K, dot,
-                        tanh_projector_identity, transverse_spectral)
-from .oracles import (SliceLattice, classical_spin_path, cross_phase_nested, drift_nested,
-                      free_kernel, free_propagator, richardson_extrapolate, sliced_kernel,
-                      spin_projection_constant, volkov_kernel_closed_form,
-                      zero_profile_gradient, zero_profile_green)
+                        tanh_projector_identity)
+from .oracles import (SliceLattice, cross_phase_nested, drift_nested, free_kernel,
+                      free_propagator, richardson_extrapolate, sliced_kernel,
+                      volkov_kernel_closed_form, zero_profile_gradient, zero_profile_green)
 
 _EPS64 = float(np.finfo(float).eps)
 
@@ -149,50 +148,6 @@ def check_planewave_contraction() -> list[CheckResult]:
         dev = max(dev, abs(lhs - rhs))
     return [_result(3, "plane-wave-tensor-contraction", dev, 1e-12,
                     "20 random antisymmetric contractions")]
-
-
-# -- criterion 4 ---------------------------------------------------------
-
-def check_classical_path_equations() -> list[CheckResult]:
-    rng = np.random.default_rng(104)
-    step = 1e-4
-    taus = np.linspace(0.05, 0.95, 20)
-    dev_el = 0.0
-    dev_boundary = 0.0
-    transverse_id = transverse_spectral(1.0, 1.0, 0.0)
-    for _ in range(3):
-        g = rng.uniform(0.5, 1.5)
-        b = rng.uniform(0.3, 1.0)
-        e0 = rng.uniform(0.5, 1.5)
-        cfg = FieldConfig(g=g, B=b, profile=CircularProfile(
-            amplitude=rng.uniform(0.2, 0.8), frequency=rng.uniform(0.6, 1.8)))
-        pl = np.array([0.0, 0.0, rng.uniform(-0.3, 0.3), rng.uniform(1.5, 2.5)])
-        phi_a = rng.uniform(-1.0, 1.0)
-        slope = -e0 * dot(WAVE_K, pl)
-        q = e0 * g * (b * UNIT_FIELD_MIXED)
-
-        gamma, eta = classical_spin_path(np.concatenate([taus - step, taus, taus + step,
-                                                         [0.0, 1.0]]),
-                                         e0, g, b, phi_a, slope, cfg.profile.slope_components)
-        lo, mid, hi = (slice(i * taus.size, (i + 1) * taus.size) for i in range(3))
-        fd_m = (gamma[hi] - gamma[lo]) / (2.0 * step)
-        fd_v = (eta[hi] - eta[lo]) / (2.0 * step)
-        a_prime = np.asarray(cfg.profile.derivative(phi_a + slope * taus), dtype=complex)
-        dev_el = max(dev_el,
-                     _maxabs(fd_m - q @ gamma[mid]),
-                     _maxabs(fd_v - (eta[mid] @ q.T - e0 * g * a_prime)))
-        dev_boundary = max(dev_boundary,
-                           _maxabs(gamma[-1] + gamma[-2] - transverse_id),
-                           _maxabs(eta[-1] + eta[-2]))
-
-    dev_eta = abs(spin_projection_constant(np.array([0.0, 0.0, 1.0, 0.0])) - 0.5)
-    return [
-        _result(4, "spin-path-equation-residual", dev_el, 1e-6,
-                "central differences, step 1e-4, 20 interior points, 3 setups"),
-        _result(4, "spin-path-boundary-conditions", dev_boundary, 1e-10),
-        _result(4, "spin-projection-constant-exact", dev_eta, 0.0,
-                "k-projection of the longitudinal boundary value is exactly +1/2"),
-    ]
 
 
 # -- criterion 5 ---------------------------------------------------------
@@ -544,7 +499,6 @@ _CHECKS = (
     check_clifford_algebra,
     check_basis_identities,
     check_planewave_contraction,
-    check_classical_path_equations,
     check_sliced_oracle_agreement,
     check_spin_determinant,
     check_phase_integral_oracles,

@@ -2,10 +2,11 @@
 
 Each test runs the corresponding check from `wavefield.verification` at its
 stated tolerance and prints one PASS/FAIL line per check (visible with
-`pytest -s` or in the captured output of a failure). Criteria 7 and 11 also
-have mutation tests: with the phase pass's action or the production kernel
-scaled by 1.01, or with K(phi_a) conjugated in the braces, their rows must
-fail. The final test also
+`pytest -s` or in the captured output of a failure). Criterion 4 (the
+classical spin path) is retired, and the other criteria keep their numbers.
+A mutation table patches one physics defect per entry into `green` and
+requires exactly the listed rows of the checks that hold them to fail;
+`pytest -s` prints the rows each mutation fails. The criterion-12 test also
 exercises the `verify` command end to end, twice, and byte-compares its
 outputs. Criterion 12 has a mutation test too: a seeded check whose second
 report differs must fail `check-suite-determinism`, both inside `run_all` (which
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from wavefield import green, kernels, verification
+from wavefield import green, kernels, minkowski, verification
 from wavefield.cli import main
 
 
@@ -53,10 +54,6 @@ def test_criterion_03_plane_wave_tensor_contraction():
     _report(verification.check_planewave_contraction())
 
 
-def test_criterion_04_classical_path_equations():
-    _report(verification.check_classical_path_equations())
-
-
 def test_criterion_05_time_sliced_kernel_oracle():
     _report(verification.check_sliced_oracle_agreement())
 
@@ -71,34 +68,6 @@ def test_criterion_07_phase_integral_oracles():
 
 def test_criterion_07_classical_action_exponent():
     _report(verification.check_classical_action_exponent())
-
-
-def test_criterion_07_fails_on_a_scaled_action(monkeypatch):
-    # the oracle side re-solves the action by nested quadrature, so a 1 % error
-    # in the phase pass's action shows in the exponent
-    phase_pass = green.phase_pass
-
-    def scaled(*args, **kwargs):
-        run = phase_pass(*args, **kwargs)
-        return replace(run, action=1.01 * run.action)
-
-    monkeypatch.setattr(green, "phase_pass", scaled)
-    assert not any(r.passed for r in verification.check_classical_action_exponent())
-
-
-def test_criterion_07_fails_on_a_conjugated_kernel(monkeypatch):
-    # the oracle side builds M+- from the closed-form K, so a brace that takes
-    # K(phi_a) where it needs K*(phi_a) shows in the dressed-braces row
-    phase_pass = green.phase_pass
-
-    def conjugated(*args, **kwargs):
-        run = phase_pass(*args, **kwargs)
-        return replace(run, kernel_a=run.kernel_a.conjugate())
-
-    monkeypatch.setattr(green, "phase_pass", conjugated)
-    rows = [r for r in verification.check_phase_integral_oracles()
-            if r.name == "dressed-braces-closed-form"]
-    assert len(rows) == 1 and not rows[0].passed
 
 
 def test_criterion_08_zero_wave_vector_equivalence():
@@ -117,9 +86,28 @@ def test_criterion_11_derivative_consistency():
     _report(verification.check_derivative_consistency())
 
 
-def test_criterion_11_fails_on_a_scaled_production_kernel(monkeypatch):
-    # the analytic side comes from the oracles, so a 1 % error in the ray's
-    # kernel shows on both rows instead of cancelling
+# -- mutation table ---------------------------------------------------------
+
+def _on_pass(change):
+    """Mutation: `green.phase_pass` with `change` applied to its result, so the
+    oracles' own phase passes (through `verification.phase_pass`) stay intact."""
+    def mutate(monkeypatch):
+        phase_pass = green.phase_pass
+        monkeypatch.setattr(green, "phase_pass", lambda *args, **kwargs: change(
+            phase_pass(*args, **kwargs)))
+    return mutate
+
+
+def _flip_volkov_sign(monkeypatch):
+    phase_pass = green.phase_pass
+
+    def flipped(*args, sign, **kwargs):
+        return phase_pass(*args, sign=-sign, **kwargs)
+
+    monkeypatch.setattr(green, "phase_pass", flipped)
+
+
+def _scale_folded_kernel(monkeypatch):
     kernel = green.folded_kernel
 
     def scaled(e0, rho2, b):
@@ -127,7 +115,59 @@ def test_criterion_11_fails_on_a_scaled_production_kernel(monkeypatch):
         return 1.01 * k, q
 
     monkeypatch.setattr(green, "folded_kernel", scaled)
-    assert not any(r.passed for r in verification.check_derivative_consistency())
+
+
+def _swap_projectors(monkeypatch):
+    monkeypatch.setattr(green, "P_PLUS", minkowski.P_MINUS)
+    monkeypatch.setattr(green, "P_MINUS", minkowski.P_PLUS)
+
+
+def _drop_gauge_term(monkeypatch):
+    # `dirac_apply`'s binding only; criterion 11's analytic side keeps its own
+    potential = green.total_potential_lowered
+    monkeypatch.setattr(green, "total_potential_lowered", lambda ctx, x: 0.0 * potential(ctx, x))
+
+
+#: Each mutation of production with the verify rows it must fail, and no others
+#: among the checks that hold them. The oracle sides re-solve the action by
+#: nested quadrature, build M+- from the closed-form K (for both volkov_sign
+#: values, so flipping the sign inside G alone shows) and take G's gradient
+#: from Schwinger's closed form, so a 1 % kernel error shows instead of cancelling.
+_MUTATIONS = {
+    "action-scaled": (_on_pass(lambda run: replace(run, action=1.01 * run.action)),
+                      {"classical-action-exponent"}),
+    "kernel-a-conjugated": (_on_pass(lambda run: replace(run, kernel_a=run.kernel_a.conjugate())),
+                            {"dressed-braces-closed-form"}),
+    "folded-kernel-scaled": (_scale_folded_kernel,
+                             {"derivative-consistency-free",
+                              "derivative-consistency-constant-field"}),
+    "volkov-sign-flipped-in-g": (_flip_volkov_sign, {"dressed-braces-closed-form"}),
+    "projectors-swapped": (_swap_projectors,
+                           {"dressed-braces-closed-form", "zero-profile-route-equivalence",
+                            "derivative-consistency-constant-field"}),
+    "dirac-gauge-term-dropped": (_drop_gauge_term, {"derivative-consistency-constant-field"}),
+    "drift-sign-flipped": (_on_pass(lambda run: replace(run, drift=-run.drift)),
+                           {"classical-action-exponent"}),
+}
+
+#: The check that holds each row a mutation names.
+_ROW_CHECKS = {
+    "classical-action-exponent": verification.check_classical_action_exponent,
+    "dressed-braces-closed-form": verification.check_phase_integral_oracles,
+    "zero-profile-route-equivalence": verification.check_zero_wave_vector_equivalence,
+    "derivative-consistency-free": verification.check_derivative_consistency,
+    "derivative-consistency-constant-field": verification.check_derivative_consistency,
+}
+
+
+@pytest.mark.parametrize("mutation", _MUTATIONS)
+def test_mutation_fails_exactly_its_rows(monkeypatch, mutation):
+    mutate, rows = _MUTATIONS[mutation]
+    checks = dict.fromkeys(_ROW_CHECKS[row] for row in sorted(rows))
+    mutate(monkeypatch)
+    failed = {r.name for check in checks for r in check() if not r.passed}
+    print(f"MUTATION {mutation}: fails {', '.join(sorted(failed)) or 'no row'}")
+    assert failed == rows
 
 
 def test_criterion_12_bitwise_deterministic_outputs():
@@ -204,7 +244,7 @@ def test_run_all_behind_nameless_wrappers_gives_the_same_table(monkeypatch):
     calls = Counter()
     _wrap_checks(monkeypatch, lambda fn: _nameless(fn, calls))
     assert [(r.name, r.passed) for r in verification.run_all()] == plain
-    assert len(plain) == 26 and all(passed for _, passed in plain)
+    assert len(plain) == 23 and all(passed for _, passed in plain)
 
 
 def test_run_all_runs_each_seeded_check_twice_and_the_rest_once(monkeypatch):

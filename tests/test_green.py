@@ -162,25 +162,30 @@ def test_phase_origin_drops_out_without_a_constant_field(profile):
         assert np.linalg.norm(value - values[0]) <= 1e-13 * np.linalg.norm(values[0])
 
 
-def test_dirac_step_calibration_guard():
-    ctx = _ctx()
+def _batch_of(values):
+    """A `_green_batch` stand-in that returns values(points) at the far endpoints."""
+    return lambda ctx, points: (values(points), None)
 
+
+def test_dirac_step_calibration_guard(monkeypatch):
     def kinked(points):
         t = points[:, 0] - XB[0]
         return (t * t * np.sign(t))[:, None, None] * IDENTITY4
 
+    monkeypatch.setattr(green, "_green_batch", _batch_of(kinked))
     with pytest.raises(StepCalibrationFailure):
-        dirac_apply(ctx, evaluator=kinked)
+        dirac_apply(_ctx())
 
 
-def test_dirac_assembly_on_smooth_evaluator():
+def test_dirac_assembly_on_smooth_evaluator(monkeypatch):
     ctx = _ctx(cfg=WCFG)
     c = np.array([0.3, -0.2, 0.1, -0.1])
 
     def smooth(points):
         return np.exp(points @ c)[:, None, None] * IDENTITY4
 
-    out = dirac_apply(ctx, evaluator=smooth)
+    monkeypatch.setattr(green, "_green_batch", _batch_of(smooth))
+    out = dirac_apply(ctx)
     f = smooth(XB[None])[0]
     a_low = total_potential_lowered(ctx, XB)
     expected = ctx.m * f + sum(1j * GAMMA[mu] @ ((c[mu] - WCFG.g * a_low[mu]) * f)
@@ -196,10 +201,11 @@ def test_diagnostics_count_the_phase_pass():
     assert bare.prepare_nodes == 0 and bare.prepare_error == 0.0
 
 
-def _per_point(ctx):
-    """The per-point route: one green_function call per far endpoint."""
-    def evaluate(points):
-        return np.stack([green_function(replace(ctx, x_b=x)).matrix for x in points])
+def _per_point(batch):
+    """The per-point route: one ray per far endpoint, as `green_function`
+    integrates it, from the unpatched `batch`."""
+    def evaluate(ctx, points):
+        return np.stack([batch(replace(ctx, x_b=x), x)[0][0] for x in points]), None
     return evaluate
 
 
@@ -208,18 +214,19 @@ def _per_point(ctx):
     (FieldConfig(g=0.9, B=0.5, profile=PulseProfile(amplitude=0.4, frequency=1.1, sigma=1.5)),
      np.array([0.6, 0.4, -0.1, 5.4])),
 ])
-def test_dirac_shared_ray_matches_the_per_point_route(cfg, x_b):
+def test_dirac_shared_ray_matches_the_per_point_route(monkeypatch, cfg, x_b):
     ctx = _ctx(cfg=cfg, x_b=x_b)
     shared = dirac_apply(ctx)
-    per_point = dirac_apply(ctx, evaluator=_per_point(ctx))
+    monkeypatch.setattr(green, "_green_batch", _per_point(green._green_batch))
+    per_point = dirac_apply(ctx)
     bound = max(ctx.abs_tol, ctx.rel_tol * np.linalg.norm(per_point))
     assert np.linalg.norm(shared - per_point) <= bound
 
 
 def _count_dirac_work(monkeypatch):
-    # counts the ray integrations, the phase passes (by the shape of phi_b and
-    # its number of distinct phases) and any per-point green_function calls
-    calls, distinct = {}, []
+    # counts the ray integrations, the phase passes (by the shape of phi_b, its
+    # number of distinct phases and its nodes) and any per-point green_function calls
+    calls, distinct, nodes = {}, [], []
 
     def ray(*args, **kwargs):
         calls["ray"] += 1
@@ -228,7 +235,9 @@ def _count_dirac_work(monkeypatch):
     def one_pass(cfg, pL, phi_a, phi_b, phi0, **kwargs):
         calls["pass"].append(np.shape(phi_b))
         distinct.append(len(set(phi_b.tolist())))
-        return phase_pass(cfg, pL, phi_a, phi_b, phi0, **kwargs)
+        run = phase_pass(cfg, pL, phi_a, phi_b, phi0, **kwargs)
+        nodes.append(run.nodes)
+        return run
 
     def no_gf(ctx):
         calls["gf"] += 1
@@ -243,24 +252,26 @@ def _count_dirac_work(monkeypatch):
         dirac_apply(_ctx(cfg=WCFG, x_b=x_b))
         return calls
 
-    return run, distinct
+    return run, distinct, nodes
 
 
 def test_dirac_integrates_one_ray_with_one_phase_pass_per_phi_b(monkeypatch):
     # every phi_b of the 25-point stencil is read from the same single pass;
     # the stencil has 7 phases (phi_b and 6 offsets)
-    run, distinct = _count_dirac_work(monkeypatch)
+    run, distinct, _ = _count_dirac_work(monkeypatch)
     assert run(XB) == {"ray": 1, "pass": [(25,)], "gf": 0}
     assert distinct == [7]
 
 
 def test_dirac_runs_one_phase_pass_per_stencil_phase(monkeypatch):
     # jittered README points: (x2 + h) - x3 and x2 - (x3 - h) round apart at
-    # some of them, yet one pass still serves all 25 points
-    run, distinct = _count_dirac_work(monkeypatch)
+    # some of them, yet one pass still serves all 25 points, and phases one
+    # rounding apart share a breakpoint, so no pass pays for an extra panel
+    run, distinct, nodes = _count_dirac_work(monkeypatch)
     rng = np.random.default_rng(8)
     for _ in range(6):
         x_b = np.round(XB + rng.uniform(-0.2, 0.2, 4) * [1.0, 1.0, 0.25, 0.25], 6)
         assert run(x_b) == {"ray": 1, "pass": [(25,)], "gf": 0}
     # 7 phases in exact arithmetic; rounding splits some of them
     assert min(distinct) == 7 and max(distinct) > 7
+    assert len(set(nodes)) == 1, nodes

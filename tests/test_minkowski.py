@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from wavefield.errors import PoleError
-from wavefield.minkowski import (EPS, EPS_CONJ, GAMMA, IDENTITY4, METRIC, P_EPS,
-                                 P_EPS_CONJ, P_LONG, P_MINUS, P_PLUS, SLASH_EPS,
-                                 SLASH_EPS_CONJ, SLASH_K, WAVE_K, dot, slash,
-                                 tanh_projector_identity, transverse_spectral)
+from wavefield.minkowski import (EPS, EPS_CONJ, GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS,
+                                 SLASH_EPS, SLASH_EPS_CONJ, SLASH_K, WAVE_K, dot, slash,
+                                 tanh_projector_identity)
 
 EPS64 = np.finfo(float).eps
 
@@ -77,18 +76,3 @@ def test_tanh_projector_identity_random_arguments():
 def test_tanh_projector_identity_pole():
     with pytest.raises(PoleError):
         tanh_projector_identity(1j * np.pi)
-
-
-def test_transverse_spectral_projectors():
-    assert np.allclose(P_EPS @ EPS, EPS, atol=1e-14)
-    assert np.max(np.abs(P_EPS @ EPS_CONJ)) < 1e-14
-    assert np.allclose(P_EPS_CONJ @ EPS_CONJ, EPS_CONJ, atol=1e-14)
-    assert np.allclose(P_EPS + P_EPS_CONJ + P_LONG, IDENTITY4, atol=1e-14)
-    # spectral assembly reproduces a plain rotation on the transverse plane
-    w = 0.8
-    rot = transverse_spectral(np.exp(1j * w), np.exp(-1j * w), 1.0)
-    x = np.array([1.0, 0.0, 0.3, -0.2], dtype=complex)
-    out = rot @ x
-    assert out[0] == pytest.approx(np.cos(w), abs=1e-14)
-    assert out[1] == pytest.approx(-np.sin(w), abs=1e-14)
-    assert out[2] == pytest.approx(0.3) and out[3] == pytest.approx(-0.2)

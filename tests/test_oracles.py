@@ -4,19 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.linalg import expm
 
-from wavefield.errors import ResonantDenominator, ResonantQ, SingularForm
-from wavefield.fields import CircularProfile, FieldConfig, PulseProfile, ZeroProfile
+from wavefield.errors import ResonantDenominator, SingularForm
+from wavefield.fields import FieldConfig, PulseProfile, ZeroProfile
 from wavefield.green import EvalContext, green_function_zero_k
 from wavefield.kernels import schwinger_kernel
-from wavefield.minkowski import (IDENTITY4, UNIT_FIELD_MIXED, WAVE_K, dot,
-                                 transverse_spectral)
-from wavefield.oracles import (SliceLattice, _interior_spectrum, classical_spin_path,
-                               drift_nested, free_kernel, free_propagator, landau_green,
-                               richardson_extrapolate, sliced_kernel, spin_projection_constant,
-                               volkov_kernel_closed_form, zero_profile_gradient,
+from wavefield.minkowski import IDENTITY4
+from wavefield.oracles import (SliceLattice, _interior_spectrum, drift_nested, free_kernel,
+                               free_propagator, landau_green, richardson_extrapolate,
+                               sliced_kernel, volkov_kernel_closed_form, zero_profile_gradient,
                                zero_profile_green)
 
 XA = (0.2, -0.1)
@@ -256,61 +252,3 @@ def test_oracles_do_not_import_production_modules():
             absolute += [alias.name for alias in node.names]
     assert relative == {"errors", "minkowski"}
     assert not [name for name in absolute if name.split(".")[0] == "wavefield"]
-
-
-def _spin_path_setup(profile):
-    cfg = FieldConfig(g=1.0, B=0.8, profile=profile)
-    e0, phi_a = 0.9, 0.1
-    slope = -e0 * dot(WAVE_K, np.array([0.0, 0.0, 0.2, 2.1]))
-    return cfg, e0, phi_a, slope
-
-
-def test_spin_path_boundary_identities():
-    cfg, e0, phi_a, slope = _spin_path_setup(CircularProfile(amplitude=0.3, frequency=1.2))
-    gamma, eta = classical_spin_path([0.0, 1.0], e0, cfg.g, cfg.B, phi_a, slope,
-                                     cfg.profile.slope_components)
-    transverse_id = transverse_spectral(1.0, 1.0, 0.0)
-    assert np.max(np.abs(gamma[0] + gamma[1] - transverse_id)) < 1e-10
-    assert np.max(np.abs(eta[0] + eta[1])) < 1e-10
-
-
-def test_spin_path_resonance_guard():
-    # e0 g B = pi puts 1 + e^{Q} on its kernel
-    with pytest.raises(ResonantQ):
-        classical_spin_path([0.5], np.pi, 1.0, 1.0, 0.0, -np.pi * 2.0,
-                            ZeroProfile().slope_components)
-
-
-@pytest.mark.parametrize("profile", [CircularProfile(amplitude=0.3, frequency=1.2),
-                                     PulseProfile(amplitude=0.5, frequency=1.3, sigma=0.7)],
-                         ids=["circular", "pulse"])
-def test_spin_path_matches_quadpack(profile):
-    # the Gauss-Legendre rule against QUADPACK, component by component, with
-    # exp(Q tau) taken by scipy's expm of the field tensor
-    cfg, e0, phi_a, slope = _spin_path_setup(profile)
-    q = e0 * cfg.g * cfg.B * UNIT_FIELD_MIXED
-    transverse = np.diag([1.0, 1.0, 0.0, 0.0])
-
-    def pulled_back(tau):
-        def component(s, i):
-            return (expm(-q * s) @ profile.derivative(phi_a + slope * s))[i]
-        return np.array([quad(component, 0.0, tau, args=(i,), complex_func=True,
-                              epsabs=1e-14, epsrel=1e-13, limit=200)[0] for i in range(4)])
-
-    taus = np.array([0.0, 0.3, 0.77, 1.0])
-    gamma, eta = classical_spin_path(taus, e0, cfg.g, cfg.B, phi_a, slope,
-                                     profile.slope_components)
-    half_inv = transverse @ np.linalg.inv(IDENTITY4 + expm(q))
-    j_full = pulled_back(1.0)
-    for tau, gamma_tau, eta_tau in zip(taus, gamma, eta):
-        turn = expm(q * tau)
-        ref = e0 * cfg.g * turn @ (expm(q) @ half_inv @ j_full - pulled_back(tau))
-        assert np.max(np.abs(gamma_tau - turn @ half_inv)) < 1e-13
-        assert np.max(np.abs(eta_tau - ref)) < 1e-13
-
-
-def test_spin_projection_constant_exact():
-    assert spin_projection_constant(np.array([0.0, 0.0, 1.0, 0.0])) == 0.5
-    assert spin_projection_constant(np.array([0.0, 0.0, 0.0, 1.0])) == -0.5
-    # transverse boundary data carries no longitudinal projection
-    assert spin_projection_constant(np.array([1.0, 1.0, 0.0, 0.0])) == 0.0
