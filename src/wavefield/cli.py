@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .conventions import DEFAULT_VOLKOV_SIGN, convention_ledger
 from .errors import (DivisionByZero, InvalidProfile, KernelSingularity,
-                     PoleError, QuadratureFailure, RangeError, ResonantDenominator,
+                     QuadratureFailure, RangeError, ResonantDenominator,
                      SchemaError, SingularForm, StepCalibrationFailure, WavefieldError)
 from .fields import FieldConfig, make_profile
 from .green import EvalContext, dirac_apply, green_function, green_function_zero_k, spin_factor
@@ -36,8 +36,7 @@ from .kernels import near_caustic, phase_pass, schwinger_kernel
 _SCHEMA_EXIT, _SINGULAR_EXIT, _QUADRATURE_EXIT, _VERIFY_EXIT = 2, 3, 4, 5
 _EXIT_CODES = (
     ((SchemaError, RangeError, InvalidProfile), _SCHEMA_EXIT),
-    ((KernelSingularity, PoleError, DivisionByZero, ResonantDenominator, SingularForm),
-     _SINGULAR_EXIT),
+    ((KernelSingularity, DivisionByZero, ResonantDenominator, SingularForm), _SINGULAR_EXIT),
     ((QuadratureFailure, StepCalibrationFailure), _QUADRATURE_EXIT),
     ((WavefieldError,), _VERIFY_EXIT),
 )
@@ -266,8 +265,7 @@ def _cmd_identities(rc: RunConfig):
     from . import verification
     header, rows, all_passed = _check_rows(verification.check_ledger_consistency()
                                            + verification.check_clifford_algebra()
-                                           + verification.check_basis_identities()
-                                           + verification.check_planewave_contraction())
+                                           + verification.check_basis_identities())
     return header, rows, {"all_passed": all_passed}, (0 if all_passed else _VERIFY_EXIT)
 
 

@@ -1,7 +1,8 @@
 """Exception types raised by the numerical layers.
 
 Exit-code mapping used by the CLI: configuration problems -> 2,
-numeric singularities -> 3, quadrature/calibration failures -> 4,
+numeric singularities -> 3 (caustic, vanishing light-cone or resonant
+denominator, singular time-sliced form), quadrature/calibration failures -> 4,
 failed verification checks -> 5 (from the command's status, not an exception).
 """
 
@@ -20,10 +21,6 @@ class SchemaError(WavefieldError):
 
 class RangeError(WavefieldError):
     """Config value is syntactically fine but out of the accepted range."""
-
-
-class PoleError(WavefieldError):
-    """Hyperbolic-identity argument sits on a pole of tanh/cosh."""
 
 
 class InvalidProfile(WavefieldError):

@@ -2,8 +2,10 @@
 
 The constant part is the number B: its tensor f_mn = iB (eps_m eps*_n - eps_n eps*_m)
 is B times the fixed generator `minkowski.UNIT_FIELD`. The plane-wave
-part is a transverse potential A^p(phi) sampled along the light-cone phase,
-expressed in the real polarization pair e1, e2, at a phase or an array of them.
+part is a transverse potential A^p(phi) = a1 e1 + a2 e2 along the light-cone
+phase, in the real polarization pair e1, e2 (slots 0 and 1): a profile gives
+the two components and their slopes, each shaped like phi, at a phase or an
+array of them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidProfile, RangeError
-from .minkowski import E1, E2, METRIC, UNIT_FIELD, WAVE_K
 
 
 class PlaneWaveProfile:
@@ -26,14 +27,6 @@ class PlaneWaveProfile:
 
     def slope_components(self, phi):
         raise NotImplementedError
-
-    def potential(self, phi) -> np.ndarray:
-        a1, a2 = self.components(phi)
-        return np.multiply.outer(a1, E1) + np.multiply.outer(a2, E2)
-
-    def derivative(self, phi) -> np.ndarray:
-        d1, d2 = self.slope_components(phi)
-        return np.multiply.outer(d1, E1) + np.multiply.outer(d2, E2)
 
     @property
     def is_zero(self) -> bool:
@@ -94,10 +87,10 @@ class LinearProfile(_Carrier):
     kind = "linear"
 
     def components(self, phi):
-        return self.amplitude * np.cos(self.frequency * phi), 0.0
+        return self.amplitude * np.cos(self.frequency * phi), np.zeros(np.shape(phi))
 
     def slope_components(self, phi):
-        return -self.amplitude * self.frequency * np.sin(self.frequency * phi), 0.0
+        return -self.amplitude * self.frequency * np.sin(self.frequency * phi), np.zeros(np.shape(phi))
 
 
 class CircularProfile(_Carrier):
@@ -224,10 +217,6 @@ class FieldConfig:
     def __post_init__(self):
         for name in ("g", "B") if self.phi0 is None else ("g", "B", "phi0"):
             object.__setattr__(self, name, _real(name, getattr(self, name), error=RangeError))
+        if not isinstance(self.profile, PlaneWaveProfile):
+            raise RangeError(f"profile must be a PlaneWaveProfile, got {self.profile!r}")
 
-
-def total_field_tensor(cfg: FieldConfig, phi: float) -> np.ndarray:
-    """Lowered F_mn(phi) = f_mn + k_m A'_n(phi) - k_n A'_m(phi)."""
-    k_low = METRIC * WAVE_K
-    slope_low = METRIC * cfg.profile.derivative(phi)
-    return cfg.B * UNIT_FIELD + np.outer(k_low, slope_low) - np.outer(slope_low, k_low)

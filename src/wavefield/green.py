@@ -40,7 +40,7 @@ from .conventions import (DEFAULT_ABS_TOL, DEFAULT_CONTOUR_ANGLE, DEFAULT_REL_TO
 from .errors import QuadratureFailure, RangeError, StepCalibrationFailure
 from .fields import FieldConfig, ZeroProfile, _real
 from .kernels import KernelDiagnostics, PhasePass, folded_kernel, phase_pass
-from .minkowski import (GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS, SLASH_EPS,
+from .minkowski import (GAMMA, IDENTITY4, P_MINUS, P_PLUS, SLASH_EPS,
                         SLASH_EPS_CONJ, SLASH_K, UNIT_FIELD, WAVE_K, dot)
 from .quadrature import adaptive_quad
 
@@ -129,7 +129,7 @@ def _prepare(ctx: EvalContext, points) -> _Prepared:
     r00 = np.linalg.norm(a, axis=1)
     r01 = np.sum(a.conj() * b, axis=1) / r00
     r11 = np.linalg.norm(b - (r01 / r00)[:, None] * a, axis=1)
-    weight = np.moveaxis(np.array([[r00, r01], [0.0 * r01, r11]]), -1, 0)
+    weight = np.moveaxis(np.array([[r00, r01], [np.zeros_like(r01), r11]]), -1, 0)
     far, near = points[:, :2] - run.drift, ctx.x_a[:2] - run.drift
     rho2 = (far[:, 0] - ctx.x_a[0]) ** 2 + (far[:, 1] - ctx.x_a[1]) ** 2
     # pL has no transverse slots (EvalContext), so the first term is i pL.dx^L;
@@ -203,10 +203,11 @@ def green_function_zero_k(ctx: EvalContext) -> PropagatorValue:
 
 
 def total_potential_lowered(ctx: EvalContext, x: np.ndarray) -> np.ndarray:
-    """Lowered components of the total potential A_mu at the point x."""
-    phi = dot(WAVE_K, x).real
+    """Lowered components of the total potential A_mu at the point x: the
+    plane-wave part lowers to (a1, a2, 0, 0), its slots being transverse."""
+    a1, a2 = ctx.cfg.profile.components(dot(WAVE_K, x).real)
     return 0.5 * ((ctx.cfg.B * UNIT_FIELD) @ np.asarray(x, dtype=complex)) \
-        + METRIC * ctx.cfg.profile.potential(phi)
+        + np.array([a1, a2, 0.0, 0.0])
 
 
 #: Coarse finite-difference step of `dirac_apply`; the fine step is its half, so

@@ -118,11 +118,6 @@ def near_caustic(e0: complex, cfg: FieldConfig) -> bool:
     return bool(abs(half) >= 1.0 and abs(np.sin(half)) < NEAR_CAUSTIC_THRESHOLD)
 
 
-def spin_determinant(e0: complex, cfg: FieldConfig) -> complex:
-    """Fluctuation determinant of the spin sector, cos(e0 g B / 2)."""
-    return complex(np.cos(e0 * cfg.g * cfg.B / 2.0))
-
-
 #: The drift and phase-integral columns of `phase_pass` meet this share of
 #: the tolerances its action column meets.
 _SUB_TOLERANCE = 1e-2

@@ -1,4 +1,5 @@
-"""Light-cone basis, bilinear metric products and the Clifford algebra.
+"""Light-cone basis, bilinear metric products, the Clifford algebra and the
+transverse-helicity projectors P+- that the braces M+- dress.
 
 Conventions (frozen, see `conventions.py`):
 
@@ -16,8 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PoleError
-
 METRIC = np.array([1.0, 1.0, -1.0, 1.0])
 
 SQRT2 = np.sqrt(2.0)
@@ -25,10 +24,6 @@ SQRT2 = np.sqrt(2.0)
 EPS = np.array([1.0, 1.0j, 0.0, 0.0]) / SQRT2
 EPS_CONJ = np.array([1.0, -1.0j, 0.0, 0.0]) / SQRT2
 WAVE_K = np.array([0.0, 0.0, -1.0, -1.0], dtype=complex)
-
-#: Real transverse polarization pair, e1 = (eps+eps*)/sqrt2, e2 = (eps-eps*)/(i sqrt2).
-E1 = ((EPS + EPS_CONJ) / SQRT2).real.astype(complex)
-E2 = ((EPS - EPS_CONJ) / (1j * SQRT2)).real.astype(complex)
 
 #: The constant magnetic field is B times this generator: the lowered tensor
 #: f_mn = i (eps_m eps*_n - eps_n eps*_m) at B = 1, and its real mixed-index
@@ -83,21 +78,3 @@ SLASH_K = slash(WAVE_K)
 #: P_- = slash(eps*) slash(eps) / 2; P_- complements P_+ to the identity.
 P_PLUS = SLASH_EPS @ SLASH_EPS_CONJ / 2.0
 P_MINUS = SLASH_EPS_CONJ @ SLASH_EPS / 2.0
-
-
-def tanh_projector_identity(alpha: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the hyperbolic resummation of the transverse projectors.
-
-    Left:  I - (1/2) tanh(alpha/2) (slash(eps) slash(eps*) - slash(eps*) slash(eps))
-    Right: exp(-alpha/2) weights on P_+ plus exp(+alpha/2) weights on P_-,
-           normalized by 2 cosh(alpha/2).
-
-    Raises PoleError on the poles of tanh (cosh(alpha/2) ~ 0).
-    """
-    half = complex(alpha) / 2.0
-    denom = np.cosh(half)
-    if abs(denom) < 1e-12:
-        raise PoleError(f"cosh(alpha/2) vanishes at alpha={alpha!r}")
-    lhs = IDENTITY4 - 0.5 * np.tanh(half) * (SLASH_EPS @ SLASH_EPS_CONJ - SLASH_EPS_CONJ @ SLASH_EPS)
-    rhs = (np.exp(-half) * (SLASH_EPS @ SLASH_EPS_CONJ) + np.exp(half) * (SLASH_EPS_CONJ @ SLASH_EPS)) / (2.0 * denom)
-    return lhs, rhs

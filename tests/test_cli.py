@@ -299,7 +299,13 @@ def test_identities_command(tmp_path):
     assert status == 0
     sidecar = json.loads(Path(str(out) + ".json").read_text())
     assert sidecar["all_passed"] is True
-    assert all(row["passed"] == "1" for row in _rows(out))
+    rows = _rows(out)
+    assert all(row["passed"] == "1" for row in rows)
+    # a row removed or renamed edits this pin
+    assert [row["name"] for row in rows] == [
+        "convention-ledger-consistency", "clifford-anticommutators", "projector-completeness",
+        "projector-idempotence-orthogonality", "null-contractions-exact",
+        "normalization-within-rounding", "field-tensor-eigenvectors"]
 
 
 def test_limits_command(tmp_path):

@@ -3,9 +3,9 @@ import pytest
 
 from wavefield.errors import InvalidProfile, RangeError
 from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, PulseProfile,
-                              TabulatedProfile, ZeroProfile, make_profile, total_field_tensor)
-from wavefield.minkowski import (EPS, EPS_CONJ, METRIC, UNIT_FIELD, UNIT_FIELD_MIXED, WAVE_K,
-                                 dot)
+                              TabulatedProfile, ZeroProfile, make_profile)
+from wavefield.green import EvalContext, total_potential_lowered
+from wavefield.minkowski import EPS, EPS_CONJ, METRIC, UNIT_FIELD, UNIT_FIELD_MIXED, WAVE_K, dot
 
 
 def test_constant_tensor_eigenstructure():
@@ -20,18 +20,9 @@ def test_constant_tensor_eigenstructure():
     assert np.max(np.abs(lowered + lowered.T)) < 1e-14
 
 
-def test_total_field_tensor_antisymmetry_and_split():
-    cfg = FieldConfig(g=1.0, B=0.5, profile=CircularProfile(amplitude=0.4, frequency=1.2))
-    f = total_field_tensor(cfg, phi=0.7)
-    assert np.max(np.abs(f + f.T)) < 1e-14
-    wave_part = f - cfg.B * UNIT_FIELD
-    k_low = METRIC * WAVE_K
-    slope_low = METRIC * cfg.profile.derivative(0.7)
-    assert np.allclose(wave_part, np.outer(k_low, slope_low) - np.outer(slope_low, k_low),
-                       atol=1e-14)
-
-
 def test_profiles_are_transverse():
+    # the lowered potential of `dirac`'s gauge term: the profile's components
+    # fill the transverse slots and nothing else
     profiles = [
         LinearProfile(amplitude=0.5, frequency=1.3),
         CircularProfile(amplitude=0.5, frequency=1.3),
@@ -39,9 +30,15 @@ def test_profiles_are_transverse():
     ]
     for p in profiles:
         for phi in (-1.4, 0.0, 2.2):
-            a = p.potential(phi)
-            assert a[2] == 0.0 and a[3] == 0.0
-            assert abs(dot(WAVE_K, a)) == 0.0
+            x = np.array([0.3, -0.2, phi, 0.0])            # dot(k, x) = x2 - x3
+            for b in (0.7, 0.0):
+                ctx = EvalContext(m=0.8, x_a=np.zeros(4), x_b=x, pL=np.array([0.0, 0.0, 0.2, 2.0]),
+                                  cfg=FieldConfig(g=1.0, B=b, profile=p))
+                a = total_potential_lowered(ctx, x)
+                assert a[2] == 0.0 and a[3] == 0.0
+                assert abs(dot(WAVE_K, METRIC * a)) == 0.0
+            # at B = 0, the profile's components themselves
+            assert (a[0], a[1]) == p.components(phi)
 
 
 def test_circular_profile_lightcone_slope():
@@ -50,13 +47,14 @@ def test_circular_profile_lightcone_slope():
     p = CircularProfile(amplitude=a, frequency=nu)
     for phi in (-0.8, 0.3, 1.7):
         want = 1j * a * nu / np.sqrt(2.0) * np.exp(1j * nu * phi)
-        assert dot(EPS, p.derivative(phi)) == pytest.approx(want, abs=1e-14)
+        s1, s2 = p.slope_components(phi)
+        assert (s1 + 1j * s2) / np.sqrt(2.0) == pytest.approx(want, abs=1e-14)
 
 
 def test_pulse_envelope_decay():
     p = PulseProfile(amplitude=1.0, frequency=2.0, sigma=0.5)
-    assert np.linalg.norm(p.potential(0.0)) > 0.5
-    assert np.linalg.norm(p.potential(5.0)) < 1e-8
+    assert np.hypot(*p.components(0.0)) > 0.5
+    assert np.hypot(*p.components(5.0)) < 1e-8
 
 
 def test_pulse_needs_positive_width():
@@ -69,10 +67,10 @@ def test_tabulated_profile_matches_samples_and_slope():
     a1 = np.sin(1.5 * grid)
     a2 = 0.3 * grid**2
     p = TabulatedProfile(phi_grid=grid, a1=a1, a2=a2)
-    v = p.potential(0.37)
+    v = p.components(0.37)
     assert v[0] == pytest.approx(np.sin(1.5 * 0.37), abs=2e-4)
     assert v[1] == pytest.approx(0.3 * 0.37**2, abs=2e-4)
-    d = p.derivative(0.37)
+    d = p.slope_components(0.37)
     assert d[0] == pytest.approx(1.5 * np.cos(1.5 * 0.37), abs=2e-3)
 
 
@@ -110,22 +108,22 @@ def test_profiles_evaluate_arrays_of_phases():
               CircularProfile(amplitude=0.4, frequency=1.1),
               PulseProfile(amplitude=0.4, frequency=1.1, sigma=1.5),
               TabulatedProfile(phi_grid=grid, a1=np.sin(grid), a2=np.cos(grid))):
-        stacked, slopes = p.potential(phis), p.derivative(phis)
-        assert stacked.shape == slopes.shape == (4, 4)
-        for phi, value, slope in zip(phis, stacked, slopes):
-            np.testing.assert_array_equal(value, p.potential(phi))
-            np.testing.assert_array_equal(slope, p.derivative(phi))
+        for evaluate in (p.components, p.slope_components):
+            stacked = evaluate(phis)
+            assert [np.shape(c) for c in stacked] == [phis.shape] * 2, (p.kind, evaluate)
+            for i, phi in enumerate(phis):
+                np.testing.assert_array_equal(np.array(stacked)[:, i], np.array(evaluate(phi)))
 
 
 def test_tabulated_profile_refuses_to_extrapolate():
     grid = np.linspace(-2.0, 2.0, 17)
     p = TabulatedProfile(phi_grid=grid, a1=np.exp(-grid**2), a2=np.zeros(grid.size))
-    p.potential(2.0)
-    p.derivative(np.array([-2.0, 0.0, 2.0]))
+    p.components(2.0)
+    p.slope_components(np.array([-2.0, 0.0, 2.0]))
     with pytest.raises(RangeError):
-        p.potential(10.0)                   # the spline would give a1 = -142.8 here
+        p.components(10.0)                  # the spline would give a1 = -142.8 here
     with pytest.raises(RangeError):
-        p.derivative(np.array([0.0, -2.5]))
+        p.slope_components(np.array([0.0, -2.5]))
 
 
 def test_tabulated_stacked_spline_matches_per_component_splines():
@@ -161,3 +159,10 @@ def test_field_config_rejects_values_that_are_not_real_numbers(bad):
     # a RangeError, as from the CLI, rather than a numpy TypeError or a silent 1.0
     with pytest.raises(RangeError):
         FieldConfig(**{"g": 0.9, "B": 0.5, **bad})
+
+
+@pytest.mark.parametrize("profile", ["circular", None, 3.0], ids=["kind-name", "none", "number"])
+def test_field_config_rejects_a_profile_that_is_not_a_profile(profile):
+    # a RangeError when the config is built, not an AttributeError inside green_function
+    with pytest.raises(RangeError):
+        FieldConfig(g=0.9, B=0.5, profile=profile)

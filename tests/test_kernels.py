@@ -4,8 +4,7 @@ import pytest
 from wavefield.errors import DivisionByZero, KernelSingularity
 from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, PulseProfile,
                               TabulatedProfile, ZeroProfile)
-from wavefield.kernels import (NEAR_CAUSTIC_THRESHOLD, near_caustic, phase_pass, schwinger_kernel,
-                               spin_determinant)
+from wavefield.kernels import NEAR_CAUSTIC_THRESHOLD, near_caustic, phase_pass, schwinger_kernel
 from wavefield.minkowski import WAVE_K, dot
 from wavefield.oracles import (cross_phase_nested, drift_nested, free_kernel,
                                volkov_kernel_closed_form)
@@ -72,10 +71,6 @@ def test_kernel_on_rotated_ray_decays_at_origin():
         assert np.isfinite(abs(value))
     tiny = abs(schwinger_kernel(1e-3 * np.exp(1j * np.pi / 4), XA, XB, ZCFG))
     assert tiny < 1e-30
-
-
-def test_spin_determinant_value():
-    assert spin_determinant(1.2, ZCFG) == pytest.approx(np.cos(1.2 * 0.6 / 2.0))
 
 
 def test_volkov_zero_profile_is_exact_zero():

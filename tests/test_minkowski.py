@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from wavefield.errors import PoleError
 from wavefield.minkowski import (EPS, EPS_CONJ, GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS,
-                                 SLASH_EPS, SLASH_EPS_CONJ, SLASH_K, WAVE_K, dot, slash,
-                                 tanh_projector_identity)
+                                 SLASH_EPS, SLASH_EPS_CONJ, SLASH_K, WAVE_K, dot, slash)
 
 EPS64 = np.finfo(float).eps
 
@@ -63,16 +61,3 @@ def test_projector_algebra():
     assert np.max(np.abs(P_MINUS @ SLASH_EPS)) < 1e-14
     assert np.max(np.abs(SLASH_EPS_CONJ @ P_MINUS)) < 1e-14
     assert np.max(np.abs(P_PLUS @ SLASH_EPS - SLASH_EPS)) < 1e-14
-
-
-def test_tanh_projector_identity_random_arguments():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        alpha = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
-        lhs, rhs = tanh_projector_identity(alpha)
-        assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-
-def test_tanh_projector_identity_pole():
-    with pytest.raises(PoleError):
-        tanh_projector_identity(1j * np.pi)

@@ -1,7 +1,8 @@
 """The public names: everything `wavefield.__all__` lists exists and is
-mentioned in the README's "Library" section, and every name that section
-mentions exists in the package, so the docs cannot keep naming a function that
-was deleted and the package root cannot export one the docs leave out."""
+mentioned in the README's "Library" section, every name that section
+mentions exists in the package, and every `<module>.<name>` the whole README
+cites resolves, so the docs cannot keep naming a function that was deleted and
+the package root cannot export one the docs leave out."""
 
 import dataclasses
 import importlib
@@ -91,3 +92,16 @@ def test_readme_library_section_names_only_existing_code():
     assert "kernels.phase_pass" in mentioned and "PhasePass" in mentioned
     missing += [name for name in mentioned if not _resolves(name, modules, members)]
     assert missing == []
+
+
+def test_every_module_member_the_readme_cites_resolves():
+    modules = _modules()
+    cited = set()
+    for token in re.findall(r"`([^`\n]+)`", README.read_text()):
+        match = _NAME.match(token)
+        parts = match.group(1).removeprefix("wavefield.").split(".") if match else []
+        if len(parts) > 1 and parts[0] in modules:
+            cited.add(".".join(parts))
+    # cited outside the Library section too
+    assert {"kernels.phase_pass", "oracles.landau_green", "verification.check_determinism"} <= cited
+    assert [name for name in sorted(cited) if not _resolves(name, modules, set())] == []
