@@ -53,7 +53,7 @@ class RunConfig:
         """Config as actually used, for the sidecar (defaults applied)."""
         ctx, cfg = self.ctx, self.ctx.cfg
         return {
-            "field": {"g": cfg.g, "B": cfg.B, "phi0": cfg.phi0,
+            "field": {"g": cfg.g, "B": cfg.B,
                       "profile": {"kind": cfg.profile.kind, **cfg.profile.params()}},
             "eval": {"m": ctx.m, "x_a": list(ctx.x_a), "x_b": list(ctx.x_b),
                      "pL": list(ctx.pL), "theta": ctx.theta,
@@ -149,13 +149,12 @@ def parse_config(text: str) -> RunConfig:
         raise SchemaError("eval", "required block is missing")
 
     field_block = _expect_mapping(root["field"], "field")
-    _reject_unknown(field_block, {"g", "B", "profile", "phi0"}, "field")
+    _reject_unknown(field_block, {"g", "B", "profile"}, "field")
     g = _number(field_block, "g", "field")
     b = _number(field_block, "B", "field")
     if "profile" not in field_block:
         raise SchemaError("field.profile", "required field is missing")
     profile = _parse_profile(field_block["profile"], "field.profile")
-    phi0 = _number(field_block, "phi0", "field") if "phi0" in field_block else None
 
     eval_block = _expect_mapping(root["eval"], "eval")
     optional = ("theta", "abs_tol", "rel_tol")     # EvalContext defaults the rest
@@ -166,7 +165,7 @@ def parse_config(text: str) -> RunConfig:
                       x_a=_vector4(eval_block, "x_a", "eval"),
                       x_b=_vector4(eval_block, "x_b", "eval"),
                       pL=_vector4(eval_block, "pL", "eval"),
-                      cfg=FieldConfig(g=g, B=b, profile=profile, phi0=phi0), **settings)
+                      cfg=FieldConfig(g=g, B=b, profile=profile), **settings)
 
     grid_param, grid_values = None, ()
     if "grid" in root and root["grid"] is not None:
@@ -200,7 +199,7 @@ def render_sidecar(command: str, rc: RunConfig, n_rows: int, extra: dict | None 
         "command": command,
         "package_version": __version__,
         "config": rc.normalized(),
-        "ledger": convention_ledger(rc.ctx.theta, rc.ctx.phi0, rc.ctx.volkov_sign),
+        "ledger": convention_ledger(rc.ctx.theta, rc.ctx.volkov_sign),
         "rows": n_rows,
     }
     if extra:
@@ -283,7 +282,8 @@ def _cmd_phase_integral(rc: RunConfig):
     ctx = rc.ctx
 
     def one(phi):
-        run = phase_pass(ctx.cfg, ctx.pL, phi, phi, ctx.phi0, sign=ctx.volkov_sign,
+        # one pass per phase, so each row carries its own nodes and error
+        run = phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, phi, sign=ctx.volkov_sign,
                          abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol)
         k, k_conj = run.kernel_b, run.kernel_b.conjugate()
         return [phi, k.real, k.imag, k_conj.real, k_conj.imag, run.error_estimate, run.nodes]

@@ -7,7 +7,7 @@ silently from the code.
 
 import math
 
-CSV_SCHEMA_VERSION = 1
+CSV_SCHEMA_VERSION = 2
 
 #: Diagonal of the fixed metric, in slot order (two transverse, two longitudinal).
 METRIC_DIAG = (1.0, 1.0, -1.0, 1.0)
@@ -25,15 +25,14 @@ NODE_CAP = 100_000
 DEFAULT_VOLKOV_SIGN = +1
 
 
-def convention_ledger(contour_angle=DEFAULT_CONTOUR_ANGLE, phi0=None, volkov_sign=DEFAULT_VOLKOV_SIGN):
+def convention_ledger(contour_angle=DEFAULT_CONTOUR_ANGLE, volkov_sign=DEFAULT_VOLKOV_SIGN):
     """Dict embedded in output sidecars and the verification report."""
     return {
         "csv_schema_version": CSV_SCHEMA_VERSION,
         "metric_diag": list(METRIC_DIAG),
         "contour_rotation": "e0 = s*exp(+i*theta), s in [0, inf), theta in (0, pi/2]",
         "contour_angle": contour_angle,
-        "phi0_policy": "field.phi0 if set, else dot(k, x_a)",
-        "phi0": phi0,
+        "phi0_policy": "dot(k, x_a)",
         "normalization": "-i/2 per proper-time node; (2pi)^-2 reserved for the position-space transform",
         "volkov_sign": volkov_sign,
         "convergence_domain": "dot(pL, pL) > m^2, the ray integrated to infinity",

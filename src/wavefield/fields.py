@@ -207,15 +207,14 @@ def make_profile(kind: str, **params) -> PlaneWaveProfile:
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Coupling g, constant-field strength B, plane-wave profile, phase origin."""
+    """Coupling g, constant-field strength B and plane-wave profile."""
 
     g: float
     B: float
     profile: PlaneWaveProfile = field(default_factory=ZeroProfile)
-    phi0: float | None = None
 
     def __post_init__(self):
-        for name in ("g", "B") if self.phi0 is None else ("g", "B", "phi0"):
+        for name in ("g", "B"):
             object.__setattr__(self, name, _real(name, getattr(self, name), error=RangeError))
         if not isinstance(self.profile, PlaneWaveProfile):
             raise RangeError(f"profile must be a PlaneWaveProfile, got {self.profile!r}")

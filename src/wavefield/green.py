@@ -16,7 +16,9 @@ the e0-independent exponent of the classical action,
 
 the last term being the boundary term of the action and the magnetic gauge
 phase in one. M+- are the projector braces dressed by the phase-integral
-kernels (P+- for a zero profile, the zero-k limit).
+kernel K, integrated from phi_a: K(phi_a) = 0 makes each brace's right-hand
+factor the identity, so M+- = (1 - kslash epsslash^(*) K^(*)(phi_b)) P+- (P+-
+for a zero profile, the zero-k limit).
 
 Far endpoints x_b that share the rest of a context share one phase pass over
 all their phases phi_b and one ray: only rho^2, the constant exponent and the
@@ -85,10 +87,6 @@ class EvalContext:
         return dot(WAVE_K, self.x_b).real
 
     @property
-    def phi0(self) -> float:
-        return self.phi_a if self.cfg.phi0 is None else self.cfg.phi0
-
-    @property
     def mass_gap(self) -> float:
         return dot(self.pL, self.pL).real - self.m ** 2
 
@@ -118,12 +116,11 @@ def _prepare(ctx: EvalContext, points) -> _Prepared:
     (shape (n, 4)) at the context's tolerances, which the pass splits between
     its columns; braces, rho^2 and constant exponent per point."""
     points = np.asarray(points, dtype=float).reshape(-1, 4)
-    run = phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, dot(WAVE_K, points).real, ctx.phi0,
+    run = phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, dot(WAVE_K, points).real,
                      sign=ctx.volkov_sign, abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol)
-    plus = (IDENTITY4 - np.multiply.outer(run.kernel_b, SLASH_K @ SLASH_EPS_CONJ)) @ P_PLUS @ \
-        (IDENTITY4 + (SLASH_K @ SLASH_EPS) * run.kernel_a.conjugate())
+    plus = (IDENTITY4 - np.multiply.outer(run.kernel_b, SLASH_K @ SLASH_EPS_CONJ)) @ P_PLUS
     minus = (IDENTITY4 - np.multiply.outer(run.kernel_b.conjugate(), SLASH_K @ SLASH_EPS)) \
-        @ P_MINUS @ (IDENTITY4 + (SLASH_K @ SLASH_EPS_CONJ) * run.kernel_a)
+        @ P_MINUS
     # R of [vec M+, vec M-] = QR by Gram-Schmidt: LAPACK's QR keeps 0.6 MB of pages resident
     a, b = plus.reshape(-1, 16), minus.reshape(-1, 16)
     r00 = np.linalg.norm(a, axis=1)

@@ -12,17 +12,18 @@ Everything the wave phase contributes comes from one pass along it,
 `phase_pass`, to one phi_b or to an array of them, whose `PhasePass` is a
 plain record of:
 
-* `kernel_a`, `kernel_b`: the phase-integral dressing at phi_a and phi_b,
-  as printed,
+* `kernel_b`: the phase-integral dressing at phi_b, as printed, integrated
+  from phi_a,
 
     K(phi) = [g / (2 dot(k, pL))] exp(i beta phi)
-             * int_{phi0}^{phi} exp(i beta phi') dot(eps, A'^p(phi')) dphi',
+             * int_{phi_a}^{phi} exp(i beta phi') dot(eps, A'^p(phi')) dphi',
     beta = g B / dot(k, pL),
 
-  with a sign toggle that flips the integrand exponential only (`sign=-1`)
-  for sensitivity studies; K*, the same with eps -> eps* and both
-  exponentials sign-conjugated, is the complex conjugate of K for the real
-  profiles here, so callers take it as `.conjugate()`;
+  so K(phi_a) = 0 and G sees the profile between phi_a and phi_b only; a
+  sign toggle flips the integrand exponential only (`sign=-1`) for
+  sensitivity studies; K*, the same with eps -> eps* and both exponentials
+  sign-conjugated, is the complex conjugate of K for the real profiles here,
+  so callers take it as `.conjugate()`;
 * `drift`: the real transverse drift (Y1, Y2) at phi_b, at rest at phi_a, in
   the phi parameterization, where the proper-time scale drops out:
   dY/dphi = (g / dot(k, pL)) (A^p(phi) - f Y);
@@ -125,29 +126,27 @@ _SUB_TOLERANCE = 1e-2
 
 @dataclass(frozen=True)
 class PhasePass:
-    """What the wave phase contributes between phi_a and each phi_b (drift at
-    rest at phi_a), with the kernel K integrated from phi0; K* is its conjugate.
+    """What the wave phase contributes between phi_a and each phi_b: the drift
+    at rest at phi_a and the kernel K integrated from phi_a; K* is its conjugate.
     `action`, `drift` (on its last axis) and `kernel_b` take the shape of phi_b."""
 
     action: float | np.ndarray        # int_{phi_a}^{phi_b} A^p . dY/dphi dphi
     drift: np.ndarray                 # (Y1, Y2) at phi_b
-    kernel_a: complex                 # K(phi_a)
     kernel_b: complex | np.ndarray    # K(phi_b)
     nodes: int
     error_estimate: float
 
 
-def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, phi0: float,
-               sign: int = +1, abs_tol: float = DEFAULT_ABS_TOL,
-               rel_tol: float = DEFAULT_REL_TOL) -> PhasePass:
-    """One adaptive quadrature on the hull of phi0, phi_a and every phi_b (one
-    phase or an array of them), breakpoints at each, of three columns: C's
-    integrand d, K's integrand and the real action density with C counted from
-    the panel's left edge (d and the action zero off the hull of phi_a and the
-    phi_b). Cumulative sums of the panel integrals supply C at the panel edges
-    and so the rest. abs_tol and rel_tol are the evaluation's: the action meets
-    them and the drift and K meet _SUB_TOLERANCE of them, as the quadrature runs
-    at that share with the action column weighted by it."""
+def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, sign: int = +1,
+               abs_tol: float = DEFAULT_ABS_TOL, rel_tol: float = DEFAULT_REL_TOL) -> PhasePass:
+    """One adaptive quadrature on the hull of phi_a and every phi_b (one phase
+    or an array of them), breakpoints at each, of three columns: C's integrand
+    d, K's integrand and the real action density with C counted from the
+    panel's left edge. Cumulative sums of the panel integrals supply C and K at
+    the panel edges and so the rest; nothing outside the hull is sampled.
+    abs_tol and rel_tol are the evaluation's: the action meets them and the
+    drift and K meet _SUB_TOLERANCE of them, as the quadrature runs at that
+    share with the action column weighted by it."""
     phi_b = np.asarray(phi_b)
     shape, ends = phi_b.shape, phi_b.ravel().tolist()
     # phases a few roundings apart, as (x2 + h) - x3 and x2 - (x3 - h) in a
@@ -158,23 +157,22 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, phi0: floa
             edge = phi
         merged[phi] = edge
     ends = [merged[phi] for phi in ends]
-    nothing = PhasePass(np.zeros(shape)[()], np.zeros(shape + (2,)), 0j,
+    nothing = PhasePass(np.zeros(shape)[()], np.zeros(shape + (2,)),
                         np.zeros(shape, complex)[()], 0, 0.0)
     if cfg.profile.is_zero:
         return nothing
     kp = float(dot(WAVE_K, pL).real)
     if kp == 0:
         raise DivisionByZero("dot(k, pL) = 0 with a non-zero profile")
-    lo, hi = min(phi_a, *ends), max(phi_a, *ends)
-    start, stop = min(phi0, lo), max(phi0, hi)
+    start, stop = min(phi_a, *ends), max(phi_a, *ends)
     if start == stop:
         return nothing
     rate, beta = cfg.g / kp, cfg.g * cfg.B / kp          # beta = rate B turns the drift
 
     def columns(x):
-        # d: the eps component of rot(phi_a - x) A^p(x); x[7] is the panel midpoint
+        # d: the eps component of rot(phi_a - x) A^p(x)
         (a1, a2), (s1, s2) = cfg.profile.components(x), cfg.profile.slope_components(x)
-        d = float(lo < x[7] < hi) * np.exp(1j * beta * (x - phi_a)) * (a1 - 1j * a2) / SQRT2
+        d = np.exp(1j * beta * (x - phi_a)) * (a1 - 1j * a2) / SQRT2
         half = (x[-1] - x[0]) / (XK[-1] - XK[0])
         c = half * (CUMULATIVE @ d)                          # C - C(panel's left edge)
         action = 2.0 * rate * (abs(d) ** 2 - beta * (d * c.conj()).imag)
@@ -182,7 +180,7 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, phi0: floa
                          _SUB_TOLERANCE * action], axis=1)
 
     quad = adaptive_quad(columns, start, stop, abs_tol=abs_tol * _SUB_TOLERANCE,
-                         rel_tol=rel_tol * _SUB_TOLERANCE, breakpoints=[phi0, phi_a, *ends])
+                         rel_tol=rel_tol * _SUB_TOLERANCE, breakpoints=[phi_a, *ends])
     # a handful of panels and endpoints: the bookkeeping runs on Python scalars
     edges = [panel[0] for panel in quad.panels] + [stop]
     values = [panel[2].tolist() for panel in quad.panels]
@@ -190,14 +188,13 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, phi0: floa
     for value in values:
         cumulative.append([c + v for c, v in zip(cumulative[-1], value)])
     ia = bisect_left(edges, phi_a)
-    at_a, at_0 = cumulative[ia], cumulative[bisect_left(edges, phi0)]
+    at_a = cumulative[ia]
     # the action's cross-panel part: a running sum of each panel's integral of d
     # times conj(C) at its left edge
     area = [0.0]
     for value, c in zip(values, cumulative):
         area.append(area[-1] + (value[0] * (c[0] - at_a[0]).conjugate()).imag)
     scale, turn = cfg.g / (2.0 * kp), SQRT2 * rate
-    kernel_a = scale * cmath.exp(1j * beta * phi_a) * (at_a[1] - at_0[1])
     actions, drifts, kernels = [], [], []
     for phi in ends:
         ib = bisect_left(edges, phi)
@@ -206,6 +203,6 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, phi0: floa
                        - 2.0 * rate * beta * (area[ib] - area[ia]))
         w = (at_b[0] - at_a[0]) * cmath.exp(-1j * beta * (phi - phi_a))
         drifts.append((turn * w.real, turn * -w.imag))
-        kernels.append(scale * cmath.exp(1j * beta * phi) * (at_b[1] - at_0[1]))
+        kernels.append(scale * cmath.exp(1j * beta * phi) * (at_b[1] - at_a[1]))
     return PhasePass(np.array(actions).reshape(shape)[()], np.array(drifts).reshape(shape + (2,)),
-                     kernel_a, np.array(kernels).reshape(shape)[()], quad.nodes, quad.error_estimate)
+                     np.array(kernels).reshape(shape)[()], quad.nodes, quad.error_estimate)

@@ -13,11 +13,11 @@ shares no code with the production ray. Criterion 7's
 `oracles.cross_phase_nested` and the gauge phase at `oracles.drift_nested`'s
 endpoint, and its `dressed-braces-closed-form` row builds the braces M+- that
 `green._prepare` forms from the printed formula, with K from
-`oracles.volkov_kernel_closed_form` and K* its conjugate. Criteria 3, 4 and
-6 (the plane-wave field tensor, the classical spin path and the spin-sector
-fluctuation determinant) are retired, as is criterion 1's tanh resummation of
-the projectors: no output uses those pieces, so their rows checked a function
-against its own ingredients only. The other criteria keep their numbers.
+`oracles.volkov_kernel_closed_form` integrated from phi_a and K* its
+conjugate. Its `phase-locality` row adds bumps to the profile outside
+[phi_a, phi_b] and requires G unchanged: k.p is conserved, so the wave phase
+runs from phi_a to phi_b along the classical path and G sees the profile
+there only. Criterion numbers have gaps.
 The limit checks that `limits` shares evaluate production first, so a point
 outside the domain raises the production error (exit 4), not an oracle's. `run_all` is what the
 `verify` CLI command executes; each check also has a focused unit test.
@@ -39,8 +39,8 @@ import numpy as np
 
 from .conventions import (CSV_SCHEMA_VERSION, DEFAULT_CONTOUR_ANGLE, DEFAULT_VOLKOV_SIGN,
                           METRIC_DIAG, convention_ledger)
-from .fields import (CircularProfile, FieldConfig, LinearProfile, PulseProfile,
-                     TabulatedProfile, ZeroProfile)
+from .fields import (CircularProfile, FieldConfig, LinearProfile, PlaneWaveProfile,
+                     PulseProfile, TabulatedProfile, ZeroProfile)
 from .green import (EvalContext, _prepare, dirac_apply, green_function,
                     green_function_zero_k, total_potential_lowered)
 from .kernels import phase_pass, schwinger_kernel
@@ -154,8 +154,9 @@ def check_sliced_oracle_agreement() -> list[CheckResult]:
 
 def _dressed_braces_deviation() -> float:
     """Largest entry difference of `_prepare`'s braces M+- from the printed
-    formula, with K from the circular closed form and K* its conjugate, over 10
-    circular contexts (B and volkov_sign of both signs, phi0 away from phi_a)."""
+    formula, both factors of each brace, with K from the circular closed form
+    integrated from phi_a and K* its conjugate, over 10 circular contexts (B and
+    volkov_sign of both signs)."""
     rng = np.random.default_rng(114)
     dev = 0.0
     for i in range(10):
@@ -166,10 +167,9 @@ def _dressed_braces_deviation() -> float:
         nu = rng.uniform(0.6, 2.0)
         while abs(sign * g * b / kp + nu) < 0.05:
             nu = rng.uniform(0.6, 2.0)
-        phi0 = ctx.phi_a + rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
         ctx = replace(ctx, volkov_sign=sign, cfg=FieldConfig(
-            g=g, B=b, profile=CircularProfile(amplitude=a, frequency=nu), phi0=phi0))
-        params = dict(g=g, kp=kp, phi0=phi0, beta=g * b / kp, a=a, nu=nu, sign=sign)
+            g=g, B=b, profile=CircularProfile(amplitude=a, frequency=nu)))
+        params = dict(g=g, kp=kp, phi0=ctx.phi_a, beta=g * b / kp, a=a, nu=nu, sign=sign)
         k_a, k_b = (volkov_kernel_closed_form("circular_profile", params, phi)
                     for phi in (ctx.phi_a, ctx.phi_b))
         plus = (IDENTITY4 - SLASH_K @ SLASH_EPS_CONJ * k_b) @ P_PLUS \
@@ -189,14 +189,14 @@ def check_phase_integral_oracles() -> list[CheckResult]:
         pl = np.array([0.0, 0.0, rng.uniform(-0.4, 0.4),
                        rng.uniform(1.2, 2.5) * (1 if i % 2 else -1)])
         kp = dot(WAVE_K, pl).real
-        phi0 = rng.uniform(-1.0, 1.0)
+        phi_a = rng.uniform(-1.0, 1.0)
         phi = rng.uniform(-1.0, 1.0)
         kind = i % 3
         if kind == 0:
             a, nu = rng.uniform(0.2, 1.0), rng.uniform(0.5, 2.0)
             cfg = FieldConfig(g=g, B=0.0, profile=CircularProfile(amplitude=a, frequency=nu))
             ref = volkov_kernel_closed_form(
-                "B_zero", dict(g=g, kp=kp, phi0=phi0, a=a, nu=nu), phi)
+                "B_zero", dict(g=g, kp=kp, phi0=phi_a, a=a, nu=nu), phi)
         elif kind == 1:
             # constant-slope potential realized as a tabulated profile through
             # collinear samples (the natural spline reproduces a line exactly)
@@ -204,12 +204,12 @@ def check_phase_integral_oracles() -> list[CheckResult]:
             offset = rng.uniform(-0.5, 0.5)
             b = rng.uniform(0.3, 1.0)
             beta = g * b / kp
-            grid = np.linspace(min(phi0, phi) - 0.5, max(phi0, phi) + 0.5, 9)
+            grid = np.linspace(min(phi_a, phi) - 0.5, max(phi_a, phi) + 0.5, 9)
             cfg = FieldConfig(g=g, B=b, profile=TabulatedProfile(
                 phi_grid=grid, a1=offset + slope * grid, a2=np.zeros(grid.size)))
             ref = volkov_kernel_closed_form(
                 "constant_slope",
-                dict(g=g, kp=kp, phi0=phi0, beta=beta, c=complex(slope / np.sqrt(2.0))), phi)
+                dict(g=g, kp=kp, phi0=phi_a, beta=beta, c=complex(slope / np.sqrt(2.0))), phi)
         else:
             a, nu = rng.uniform(0.2, 1.0), rng.uniform(0.6, 2.0)
             b = rng.uniform(0.3, 1.0)
@@ -218,12 +218,11 @@ def check_phase_integral_oracles() -> list[CheckResult]:
                 nu = rng.uniform(0.6, 2.0)
             cfg = FieldConfig(g=g, B=b, profile=CircularProfile(amplitude=a, frequency=nu))
             ref = volkov_kernel_closed_form(
-                "circular_profile", dict(g=g, kp=kp, phi0=phi0, beta=beta, a=a, nu=nu), phi)
-        run = phase_pass(cfg, pl, phi, phi, phi0)
-        dev = max(dev, abs(run.kernel_b - ref))
+                "circular_profile", dict(g=g, kp=kp, phi0=phi_a, beta=beta, a=a, nu=nu), phi)
+        dev = max(dev, abs(phase_pass(cfg, pl, phi_a, phi).kernel_b - ref))
 
     zero_cfg = FieldConfig(g=1.0, B=0.5, profile=ZeroProfile())
-    zero_val = phase_pass(zero_cfg, np.array([0.0, 0.0, 0.1, 2.0]), 0.7, 0.7, -0.3).kernel_b
+    zero_val = phase_pass(zero_cfg, np.array([0.0, 0.0, 0.1, 2.0]), -0.3, 0.7).kernel_b
     return [
         _result(7, "phase-integral-closed-forms", dev, 1e-8, "50 random draws, 3 profile kinds"),
         _result(7, "dressed-braces-closed-form", _dressed_braces_deviation(), 1e-12,
@@ -253,6 +252,57 @@ def check_classical_action_exponent() -> list[CheckResult]:
             dev = max(dev, abs(_prepare(ctx, x_b).constant[0] - ref))
     return [_result(7, "classical-action-exponent", dev, 1e-10,
                     "6 contexts (circular, pulse, linear; B of both signs) vs nested oracles")]
+
+
+class _Bumped(PlaneWaveProfile):
+    """`base` plus, on its first component, a bump (1 - t^2)^3 for |t| < 1 at
+    each centre c, t = (phi - c) / width, and nothing elsewhere."""
+
+    def __init__(self, base: PlaneWaveProfile, centres, width: float):
+        self.base, self.centres, self.width = base, centres, width
+
+    def _bumps(self, phi):
+        value, slope = 0.0, 0.0
+        for centre in self.centres:
+            t = (np.asarray(phi) - centre) / self.width
+            inside = np.abs(t) < 1.0
+            value = value + np.where(inside, (1.0 - t * t) ** 3, 0.0)
+            slope = slope + np.where(inside, -6.0 * t * (1.0 - t * t) ** 2 / self.width, 0.0)
+        return value, slope
+
+    def components(self, phi):
+        a1, a2 = self.base.components(phi)
+        return a1 + self._bumps(phi)[0], a2
+
+    def slope_components(self, phi):
+        s1, s2 = self.base.slope_components(phi)
+        return s1 + self._bumps(phi)[1], s2
+
+
+def _bumped_outside(ctx: EvalContext, gap: float, width: float) -> EvalContext:
+    """`ctx` with two bumps of half-width `width` added to its profile, one
+    `gap` below the phase interval [phi_a, phi_b] and one `gap` above it."""
+    lo, hi = sorted((ctx.phi_a, ctx.phi_b))
+    profile = _Bumped(ctx.cfg.profile, (lo - gap - width, hi + gap + width), width)
+    return replace(ctx, cfg=replace(ctx.cfg, profile=profile))
+
+
+def check_phase_locality() -> list[CheckResult]:
+    """k.p is conserved, so the wave phase runs from phi_a to phi_b along the
+    classical path: G must not see the profile outside [phi_a, phi_b]. Bumps
+    below and above the interval leave G unchanged to max(abs_tol, rel_tol |G|)."""
+    rng = np.random.default_rng(115)
+    dev = 0.0
+    for profile, sign in ((CircularProfile(0.4, 1.1), 1.0), (PulseProfile(0.5, 1.3, sigma=1.0), -1.0)):
+        ctx = _random_context(rng, FieldConfig(g=rng.uniform(0.5, 1.5),
+                                               B=sign * rng.uniform(0.3, 1.0), profile=profile))
+        value = green_function(ctx).matrix
+        bumped = green_function(_bumped_outside(ctx, 0.5, 1.0)).matrix
+        bound = max(ctx.abs_tol, ctx.rel_tol * float(np.linalg.norm(value)))
+        dev = max(dev, float(np.linalg.norm(bumped - value)) / bound)
+    return [_result(7, "phase-locality", dev, 1.0,
+                    "circular with B > 0 and pulse with B < 0, bumps below and above "
+                    "[phi_a, phi_b]; |dG| over max(abs_tol, rel_tol |G|)")]
 
 
 # -- limits: criteria 5, 8 and 10, and the `limits` command ---------------
@@ -433,7 +483,7 @@ def check_determinism(first=None) -> list[CheckResult]:
 # -- ledger consistency (runs with `verify` alongside the numbered checks) --
 
 def check_ledger_consistency() -> list[CheckResult]:
-    ledger = convention_ledger(DEFAULT_CONTOUR_ANGLE, None, DEFAULT_VOLKOV_SIGN)
+    ledger = convention_ledger(DEFAULT_CONTOUR_ANGLE, DEFAULT_VOLKOV_SIGN)
     ok = (tuple(ledger["metric_diag"]) == tuple(METRIC_DIAG)
           and tuple(METRIC_DIAG) == tuple(float(v) for v in METRIC)
           and ledger["csv_schema_version"] == CSV_SCHEMA_VERSION
@@ -450,6 +500,7 @@ _CHECKS = (
     check_sliced_oracle_agreement,
     check_phase_integral_oracles,
     check_classical_action_exponent,
+    check_phase_locality,
     check_zero_wave_vector_equivalence,
     check_contour_invariance,
     check_free_field_reduction,

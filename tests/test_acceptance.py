@@ -2,9 +2,8 @@
 
 Each test runs the corresponding check from `wavefield.verification` at its
 stated tolerance and prints one PASS/FAIL line per check (visible with
-`pytest -s` or in the captured output of a failure). Criteria 3, 4 and 6 are
-retired, and the other criteria keep their numbers.
-A mutation table patches one physics defect per entry into `green` and
+`pytest -s` or in the captured output of a failure). Criterion numbers have
+gaps. A mutation table patches one physics defect per entry into `green` and
 requires exactly the listed rows of the checks that hold them to fail;
 `pytest -s` prints the rows each mutation fails. The criterion-12 test also
 exercises the `verify` command end to end, twice, and byte-compares its
@@ -62,6 +61,10 @@ def test_criterion_07_classical_action_exponent():
     _report(verification.check_classical_action_exponent())
 
 
+def test_criterion_07_phase_locality():
+    _report(verification.check_phase_locality())
+
+
 def test_criterion_08_zero_wave_vector_equivalence():
     _report(verification.check_zero_wave_vector_equivalence())
 
@@ -99,6 +102,21 @@ def _flip_volkov_sign(monkeypatch):
     monkeypatch.setattr(green, "phase_pass", flipped)
 
 
+#: A phase below every endpoint phase of the checks, which all lie in [-2, 2].
+_PINNED_PHASE = -10.0
+
+
+def _k_from_pinned_phase(monkeypatch):
+    # K integrated from a fixed phase instead of phi_a, as a pinned origin did
+    phase_pass = green.phase_pass
+
+    def pinned(cfg, pL, phi_a, phi_b, **kwargs):
+        run = phase_pass(cfg, pL, phi_a, phi_b, **kwargs)
+        return replace(run, kernel_b=phase_pass(cfg, pL, _PINNED_PHASE, phi_b, **kwargs).kernel_b)
+
+    monkeypatch.setattr(green, "phase_pass", pinned)
+
+
 def _scale_folded_kernel(monkeypatch):
     kernel = green.folded_kernel
 
@@ -128,8 +146,8 @@ def _drop_gauge_term(monkeypatch):
 _MUTATIONS = {
     "action-scaled": (_on_pass(lambda run: replace(run, action=1.01 * run.action)),
                       {"classical-action-exponent"}),
-    "kernel-a-conjugated": (_on_pass(lambda run: replace(run, kernel_a=run.kernel_a.conjugate())),
-                            {"dressed-braces-closed-form"}),
+    "k-from-pinned-phase": (_k_from_pinned_phase,
+                            {"dressed-braces-closed-form", "phase-locality"}),
     "folded-kernel-scaled": (_scale_folded_kernel,
                              {"derivative-consistency-free",
                               "derivative-consistency-constant-field"}),
@@ -146,6 +164,7 @@ _MUTATIONS = {
 _ROW_CHECKS = {
     "classical-action-exponent": verification.check_classical_action_exponent,
     "dressed-braces-closed-form": verification.check_phase_integral_oracles,
+    "phase-locality": verification.check_phase_locality,
     "zero-profile-route-equivalence": verification.check_zero_wave_vector_equivalence,
     "derivative-consistency-free": verification.check_derivative_consistency,
     "derivative-consistency-constant-field": verification.check_derivative_consistency,
@@ -244,7 +263,7 @@ def test_run_all_behind_nameless_wrappers_gives_the_same_table(monkeypatch):
         "null-contractions-exact", "normalization-within-rounding", "field-tensor-eigenvectors",
         "time-sliced-kernel-agreement", "small-field-free-kernel-limit",
         "phase-integral-closed-forms", "dressed-braces-closed-form",
-        "phase-integral-zero-profile-exact", "classical-action-exponent",
+        "phase-integral-zero-profile-exact", "classical-action-exponent", "phase-locality",
         "zero-profile-route-equivalence", "contour-angle-invariance", "free-field-reduction",
         "derivative-consistency-free", "derivative-consistency-constant-field",
         "cli-output-bit-determinism", "check-suite-determinism",
@@ -263,4 +282,5 @@ def test_run_all_runs_each_seeded_check_twice_and_the_rest_once(monkeypatch):
     identities = {"check_ledger_consistency", "check_clifford_algebra", "check_basis_identities"}
     assert calls == {fn.__name__: 1 + (fn.__name__ in seeded) + 2 * (fn.__name__ in identities)
                      for fn in checks}
-    assert quadratures["adaptive_quad"] <= 175
+    # phase-locality adds 4 green_function calls, a phase pass and a ray each
+    assert quadratures["adaptive_quad"] <= 175 + 8

@@ -61,7 +61,6 @@ def test_parse_config_defaults():
     assert rc.ctx.abs_tol == 1e-10 and rc.ctx.rel_tol == 1e-8
     assert rc.grid_param is None and rc.grid_values == ()
     assert rc.ctx.volkov_sign == +1
-    assert rc.ctx.cfg.phi0 is None
     assert isinstance(rc.ctx.cfg.profile, CircularProfile)
 
 
@@ -135,6 +134,14 @@ def test_exit_code_schema(tmp_path):
     assert not out.exists()
 
 
+def test_phase_origin_is_not_a_config_field(tmp_path, capsys):
+    # the phase integrals start at dot(k, x_a); a pinned origin is an unknown field
+    status, out = _invoke(tmp_path, "gf", _config(field=dict(_field(), phi0=0.0)))
+    assert status == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: field.phi0: unknown field\n"
+
+
 def test_unwritable_output_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(_config()))
@@ -170,7 +177,7 @@ def test_quadrature_failure_reports_its_nodes_and_error(tmp_path, monkeypatch, c
 
 
 def test_non_finite_field_values_exit_2(tmp_path):
-    for key in ("g", "B", "phi0"):
+    for key in ("g", "B"):
         cfg = _config()
         cfg["field"][key] = float("nan")
         status, out = _invoke(tmp_path, "gf", cfg, name=f"{key}.csv")
@@ -281,13 +288,14 @@ def test_phase_integral_conjugate_columns(tmp_path):
 
 
 def test_phase_integral_meets_the_config_tolerances(tmp_path):
-    # a pulse seen from phi0 = -6 to phi = 6: the pass meets 1e-2 of the
+    # a pulse seen from phi_a = -6 to phi = 6: the pass meets 1e-2 of the
     # config's tolerances, so looser ones take fewer nodes
     field = _field({"kind": "pulse", "amplitude": 0.4, "frequency": 1.1, "sigma": 1.5})
     grid = {"param": "phi", "values": [6.0]}
+    x_a = [0.1, -0.2, -6.0, 0.0]
     nodes = []
-    for ev in (_eval(), _eval(abs_tol=1e-4, rel_tol=1e-3)):
-        cfg = _config(field={**field, "phi0": -6.0}, eval=ev, grid=grid)
+    for ev in (_eval(x_a=x_a), _eval(x_a=x_a, abs_tol=1e-4, rel_tol=1e-3)):
+        cfg = _config(field=field, eval=ev, grid=grid)
         status, out = _invoke(tmp_path, "K", cfg)
         assert status == 0
         nodes.append(int(_rows(out)[0]["nodes"]))

@@ -30,7 +30,7 @@ def _closed_form(ctx: EvalContext) -> np.ndarray:
     kp = dot(WAVE_K, ctx.pL).real
     phi_a, phi_b = ctx.phi_a, ctx.phi_b
     wave = (cfg.profile.components, cfg.g, cfg.B, kp, phi_a, phi_b)
-    params = dict(g=cfg.g, kp=kp, phi0=ctx.phi0, beta=b / kp, a=cfg.profile.amplitude,
+    params = dict(g=cfg.g, kp=kp, phi0=phi_a, beta=b / kp, a=cfg.profile.amplitude,
                   nu=cfg.profile.frequency, sign=ctx.volkov_sign)
     k_a, k_b = (volkov_kernel_closed_form("circular_profile", params, phi)
                 for phi in (phi_a, phi_b))

@@ -5,7 +5,7 @@ import pytest
 
 from wavefield import green
 from wavefield.errors import QuadratureFailure, RangeError, StepCalibrationFailure
-from wavefield.fields import CircularProfile, FieldConfig, LinearProfile, PulseProfile, ZeroProfile
+from wavefield.fields import CircularProfile, FieldConfig, PulseProfile, ZeroProfile
 from wavefield.green import (EvalContext, dirac_apply, green_function, green_function_zero_k,
                              spin_factor, total_potential_lowered)
 from wavefield.kernels import phase_pass
@@ -147,21 +147,6 @@ def test_sign_toggle_matters_only_with_a_profile():
                           green_function(_ctx(volkov_sign=-1)).matrix)
 
 
-@pytest.mark.parametrize("profile", [
-    CircularProfile(amplitude=0.4, frequency=1.1),
-    PulseProfile(amplitude=0.4, frequency=1.1, sigma=1.5),
-    LinearProfile(amplitude=0.4, frequency=1.1),
-], ids=["circular", "pulse", "linear"])
-def test_phase_origin_drops_out_without_a_constant_field(profile):
-    # at B = 0, I+ = I- and M+ + M- = 1 - (K_b - K_a) k.eps* - conj(K_b - K_a) k.eps,
-    # so moving phi0 (which shifts K_a and K_b alike) leaves G unchanged;
-    # conjugating the wrong end of a brace breaks this by several percent
-    values = [green_function(_ctx(cfg=FieldConfig(g=0.9, B=0.0, profile=profile, phi0=phi0)))
-              .matrix for phi0 in (0.0, -1.3, 2.1)]
-    for value in values[1:]:
-        assert np.linalg.norm(value - values[0]) <= 1e-13 * np.linalg.norm(values[0])
-
-
 def _batch_of(values):
     """A `_green_batch` stand-in that returns values(points) at the far endpoints."""
     return lambda ctx, points: (values(points), None)
@@ -232,10 +217,10 @@ def _count_dirac_work(monkeypatch):
         calls["ray"] += 1
         return adaptive_quad(*args, **kwargs)
 
-    def one_pass(cfg, pL, phi_a, phi_b, phi0, **kwargs):
+    def one_pass(cfg, pL, phi_a, phi_b, **kwargs):
         calls["pass"].append(np.shape(phi_b))
         distinct.append(len(set(phi_b.tolist())))
-        run = phase_pass(cfg, pL, phi_a, phi_b, phi0, **kwargs)
+        run = phase_pass(cfg, pL, phi_a, phi_b, **kwargs)
         nodes.append(run.nodes)
         return run
 

@@ -24,22 +24,22 @@ PL = np.array([0.0, 0.0, 0.2, 2.0])
 PINNED = {
     # the README example
     "readme-circular": dict(
-        amplitude=0.4, phi0=None, nodes=135, error_estimate=7.649361785746241e-10,
+        amplitude=0.4, nodes=135, error_estimate=7.649361785746241e-10,
         matrix=[
         [complex(0.02110050654637035, 0.0356826818971647), complex(0.004278225215217923, -0.0026615695619842013), complex(0.0, 0.0), complex(0.004278225215217923, -0.0026615695619842013)],
         [complex(0.003492060828353149, -0.0019603151789366956), complex(0.026548134792022917, 0.04489506669733282), complex(-0.003492060828353149, 0.0019603151789366956), complex(0.0, 0.0)],
         [complex(0.0, 0.0), complex(0.004278225215217923, -0.0026615695619842013), complex(0.02110050654637035, 0.0356826818971647), complex(0.004278225215217923, -0.0026615695619842013)],
         [complex(-0.003492060828353149, 0.0019603151789366956), complex(0.0, 0.0), complex(0.003492060828353149, -0.0019603151789366956), complex(0.026548134792022917, 0.04489506669733282)],
         ]),
-    # |K(phi_a)| = 0.61: M+- are neither unit-norm nor orthogonal, so the
-    # stopping rule sees the norm of G only through the R weighting
+    # |K(phi_b)| = 0.68: M+- are far from the bare projectors, so the stopping
+    # rule sees the norm of G only through the R weighting
     "dressed-circular": dict(
-        amplitude=4.0, phi0=-0.5, nodes=105, error_estimate=2.6962661717739786e-10,
+        amplitude=4.0, nodes=105, error_estimate=2.766857104805731e-10,
         matrix=[
-        [complex(-0.0019729467789247734, -0.007723289489635032), complex(-0.008154532563405235, 0.0005312352818220285), complex(-2.6193233189330142e-20, -1.0229901022574011e-20), complex(-0.008154532563405235, 0.0005312352818220285)],
-        [complex(-0.010133066071259333, 0.0045553396648594395), complex(-0.002937273124179206, -0.011498237504675074), complex(0.010133066071259333, -0.0045553396648594395), complex(-1.2142676283222689e-20, 1.4467669391317387e-20)],
-        [complex(2.6193233189330142e-20, 1.0229901022574011e-20), complex(-0.008154532563405235, 0.0005312352818220285), complex(-0.0019729467789247734, -0.007723289489635032), complex(-0.008154532563405235, 0.0005312352818220285)],
-        [complex(0.010133066071259333, -0.0045553396648594395), complex(1.2142676283222689e-20, -1.4467669391317387e-20), complex(-0.010133066071259333, 0.0045553396648594395), complex(-0.002937273124179206, -0.011498237504675074)],
+        [complex(-0.001972946778924777, -0.007723289489635022), complex(-0.011041054939439411, 0.0030866940277293857), complex(0.0, -0.0), complex(-0.011041054939439411, 0.0030866940277293857)],
+        [complex(-0.007501962915382242, 0.0017375964167060324), complex(-0.00293727312417921, -0.011498237504675064), complex(0.007501962915382242, -0.0017375964167060324), complex(0.0, -0.0)],
+        [complex(0.0, -0.0), complex(-0.011041054939439411, 0.0030866940277293857), complex(-0.001972946778924777, -0.007723289489635022), complex(-0.011041054939439411, 0.0030866940277293857)],
+        [complex(0.007501962915382242, -0.0017375964167060324), complex(0.0, -0.0), complex(-0.007501962915382242, 0.0017375964167060324), complex(-0.00293727312417921, -0.011498237504675064)],
         ]),
 }
 
@@ -47,7 +47,7 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_green_function_matches_pinned_values(name):
     pin = PINNED[name]
-    cfg = FieldConfig(g=0.9, B=0.5, phi0=pin["phi0"],
+    cfg = FieldConfig(g=0.9, B=0.5,
                       profile=CircularProfile(amplitude=pin["amplitude"], frequency=1.1))
     value = green_function(EvalContext(m=0.8, x_a=XA, x_b=XB, pL=PL, cfg=cfg))
     expected = np.array(pin["matrix"])

@@ -2,9 +2,11 @@
 
 The one pass along the wave phase (cross phase, K and K* from one panel set)
 is compared with the independent oracles and, over many far phases at once,
-with one pass per phase; the panel-at-once quadrature with a per-point
-transcription of the classic adaptive K15/G7 loop; and the Green function at
-any contour angle with the one on the Euclidean axis. A
+with one pass per phase; the Green function with bumps added to the profile
+outside [phi_a, phi_b] with the one without them; the panel-at-once
+quadrature with a per-point transcription of the classic adaptive K15/G7
+loop; and the Green function at any contour angle with the one on the
+Euclidean axis. A
 transverse translation of both endpoints changes the Schwinger kernel and the
 zero-profile Green function by the gauge phase alone, and so does a rotation
 of x_b's transverse part about x_a's.
@@ -19,12 +21,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wavefield.fields import CircularProfile, FieldConfig, PulseProfile, ZeroProfile
+from wavefield.fields import CircularProfile, FieldConfig, LinearProfile, PulseProfile, ZeroProfile
 from wavefield.green import EvalContext, green_function
 from wavefield.kernels import phase_pass, schwinger_kernel
 from wavefield.minkowski import WAVE_K, dot
 from wavefield.oracles import cross_phase_nested, volkov_kernel_closed_form
 from wavefield.quadrature import WG, WK, XK, _G_IDX, adaptive_quad
+from wavefield.verification import _bumped_outside
 
 _SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
@@ -37,6 +40,8 @@ def _contexts(draw, kind):
     frequency = draw(st.floats(0.5, 2.0))
     if kind == "pulse":
         profile = PulseProfile(amplitude, frequency, draw(st.floats(0.8, 2.0)))
+    elif kind == "linear":
+        profile = LinearProfile(amplitude, frequency)
     else:
         profile = CircularProfile(amplitude, frequency)
     p3 = draw(st.floats(1.5, 2.5)) * draw(st.sampled_from([1.0, -1.0]))
@@ -51,10 +56,10 @@ def _contexts(draw, kind):
 
 
 @st.composite
-def _eval_contexts(draw):
-    """Admissible evaluation contexts: circular or pulse waves, B of both
+def _eval_contexts(draw, kinds=("circular", "pulse")):
+    """Admissible evaluation contexts: waves of the given kinds, B of both
     signs, gap >= 1.09 and transverse separation >= 0.3."""
-    cfg, pL, x_a, x_b, _, sign = draw(_contexts(draw(st.sampled_from(["circular", "pulse"]))))
+    cfg, pL, x_a, x_b, _, sign = draw(_contexts(draw(st.sampled_from(kinds))))
     assume(np.hypot(*(x_b[:2] - x_a[:2])) >= 0.3)
     cfg = replace(cfg, B=cfg.B * draw(st.sampled_from([1.0, -1.0])))
     return EvalContext(m=draw(st.floats(0.5, 1.0)), x_a=x_a, x_b=x_b, pL=pL, cfg=cfg,
@@ -65,7 +70,7 @@ def _cross_phase(cfg, pL, x_a, x_b):
     """Mixing exponent -i (g/2) (action + boundary term) of a path from x_a to
     x_b, drift Y at rest at phi_a; the boundary term is B (X1 Y2 - X2 Y1), X = x_b - Y."""
     phi_a = dot(WAVE_K, x_a).real
-    run = phase_pass(cfg, pL, phi_a, dot(WAVE_K, x_b).real, phi_a)
+    run = phase_pass(cfg, pL, phi_a, dot(WAVE_K, x_b).real)
     (y1, y2), (x1, x2) = run.drift, x_b[:2] - run.drift
     return -0.5j * cfg.g * (run.action + cfg.B * (x1 * y2 - x2 * y1))
 
@@ -86,9 +91,9 @@ def test_one_pass_matches_oracles_for_circular_waves(context):
     assert abs(_cross_phase(cfg, pL, x_a, x_b) - _nested(cfg, pL, x_a, x_b)) <= 1e-12
 
     phi_a, phi_b = dot(WAVE_K, x_a).real, dot(WAVE_K, x_b).real
-    run = phase_pass(cfg, pL, phi_a, phi_b, phi0, sign=sign)
     params = dict(g=cfg.g, kp=kp, phi0=phi0, beta=beta, a=a, nu=nu, sign=sign)
-    for phi, k in ((phi_a, run.kernel_a), (phi_b, run.kernel_b)):
+    for phi in (phi_a, phi_b):
+        k = phase_pass(cfg, pL, phi0, phi, sign=sign).kernel_b
         assert abs(k - volkov_kernel_closed_form("circular_profile", params, phi)) <= 1e-11
 
 
@@ -101,31 +106,48 @@ def test_one_pass_matches_the_nested_oracle_for_pulses(context):
 
 @st.composite
 def _endpoint_phases(draw):
-    """A context, phases phi_b on both sides of phi_a with two of them one ulp
-    apart, and phi0 at least 0.5 away from phi_a."""
+    """A context and phases phi_b on both sides of phi_a, two of them one ulp
+    apart."""
     cfg, pL, x_a, _, _, sign = draw(_contexts(draw(st.sampled_from(["circular", "pulse"]))))
     phi_a = dot(WAVE_K, x_a).real
     phis = [phi_a + draw(st.floats(-5.0, -0.1)), phi_a + draw(st.floats(0.1, 5.0))]
     phis += [np.nextafter(phis[draw(st.sampled_from([0, 1]))], np.inf)]
     phis += draw(st.lists(st.floats(-5.0, 5.0).map(lambda v: phi_a + v), max_size=3))
-    phi0 = phi_a + draw(st.floats(0.5, 3.0)) * draw(st.sampled_from([1.0, -1.0]))
-    return cfg, pL, phi_a, np.array(phis), phi0, sign
+    return cfg, pL, phi_a, np.array(phis), sign
 
 
 @settings(max_examples=20, **_SETTINGS)
 @given(_endpoint_phases())
 def test_one_pass_over_many_endpoints_matches_one_pass_per_endpoint(case):
-    cfg, pL, phi_a, phis, phi0, sign = case
+    cfg, pL, phi_a, phis, sign = case
     tols = dict(abs_tol=1e-10, rel_tol=1e-8)
-    multi = phase_pass(cfg, pL, phi_a, phis, phi0, sign=sign, **tols)
+    multi = phase_pass(cfg, pL, phi_a, phis, sign=sign, **tols)
     assert multi.action.shape == multi.kernel_b.shape == phis.shape
     assert multi.drift.shape == phis.shape + (2,)
     for i, phi_b in enumerate(phis):
-        one = phase_pass(cfg, pL, phi_a, float(phi_b), phi0, sign=sign, **tols)
-        assert abs(multi.kernel_a - one.kernel_a) <= max(1e-12, 1e-10 * abs(one.kernel_a))
+        one = phase_pass(cfg, pL, phi_a, float(phi_b), sign=sign, **tols)
         for field in ("action", "drift", "kernel_b"):
             got, want = getattr(multi, field)[i], getattr(one, field)
             assert np.linalg.norm(got - want) <= max(1e-12, 1e-10 * np.linalg.norm(want))
+
+
+@st.composite
+def _bumped_contexts(draw):
+    """An admissible context with a circular, pulse or linear wave and B of
+    either sign, and the same context with bumps added to its profile outside
+    [phi_a, phi_b]."""
+    ctx = draw(_eval_contexts(("circular", "pulse", "linear")))
+    return ctx, _bumped_outside(ctx, draw(st.floats(0.1, 3.0)), draw(st.floats(0.2, 2.0)))
+
+
+@settings(max_examples=15, **_SETTINGS)
+@given(_bumped_contexts())
+def test_green_function_does_not_see_the_profile_outside_the_phase_interval(case):
+    # the phase pass never samples the profile outside the hull of phi_a and phi_b
+    ctx, bumped = case
+    value, moved = green_function(ctx), green_function(bumped)
+    assert moved.matrix.tobytes() == value.matrix.tobytes()
+    assert moved.diagnostics == value.diagnostics
 
 
 def _per_point_quad(f, a, b, abs_tol, rel_tol):
