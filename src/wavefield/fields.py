@@ -141,7 +141,8 @@ class PulseProfile(_Carrier):
 class TabulatedProfile(PlaneWaveProfile):
     """Natural cubic spline through sampled components: one spline over the
     stacked (a1, a2) and its derivative, defined on the grid only (a phase
-    outside it raises RangeError)."""
+    outside it raises RangeError). Built here with numpy: scipy.interpolate
+    would cost about 50 MB and 0.5 s at import for a tridiagonal solve."""
 
     kind = "tabulated"
 
@@ -155,28 +156,53 @@ class TabulatedProfile(PlaneWaveProfile):
         if a1.shape != grid.shape or a2.shape != grid.shape:
             raise InvalidProfile("tabulated component arrays must match the phi grid")
         self.phi_grid = grid
-        # imported here: scipy.interpolate costs about 50 MB and 0.5 s at import,
-        # which only tabulated profiles need
-        from scipy.interpolate import CubicSpline
-        self._spline = CubicSpline(grid, np.stack([a1, a2], axis=-1), bc_type="natural")
-        self._slope = self._spline.derivative()
+        y = np.stack([a1, a2], axis=-1)
+        curvature, h = _natural_curvature(grid, y), np.diff(grid)[:, None]
+        # on interval i the spline is c0 + d (c1 + d (c2 + d c3)), d = phi - phi_i
+        self._cubic = np.stack([
+            y[:-1], np.diff(y, axis=0) / h - h * (2.0 * curvature[:-1] + curvature[1:]) / 6.0,
+            curvature[:-1] / 2.0, np.diff(curvature, axis=0) / (6.0 * h)])
 
-    def _on_grid(self, spline, phi):
-        if np.any(phi < self.phi_grid[0]) or np.any(phi > self.phi_grid[-1]):
+    def _on_grid(self, phi, slope: bool):
+        if np.min(phi) < self.phi_grid[0] or np.max(phi) > self.phi_grid[-1]:
             raise RangeError(f"tabulated profile evaluated outside its grid "
                              f"[{self.phi_grid[0]!r}, {self.phi_grid[-1]!r}]")
-        values = spline(phi)
+        i = np.searchsorted(self.phi_grid[1:-1], phi, side="right")     # the interval of phi
+        d = (phi - self.phi_grid[i])[..., None]
+        c0, c1, c2, c3 = self._cubic[:, i]
+        values = c1 + d * (2.0 * c2 + d * 3.0 * c3) if slope else c0 + d * (c1 + d * (c2 + d * c3))
         return values[..., 0], values[..., 1]
 
     def components(self, phi):
-        return self._on_grid(self._spline, phi)
+        return self._on_grid(phi, slope=False)
 
     def slope_components(self, phi):
-        return self._on_grid(self._slope, phi)
+        return self._on_grid(phi, slope=True)
 
     def params(self):
         return {"points": int(self.phi_grid.size),
                 "phi_min": float(self.phi_grid[0]), "phi_max": float(self.phi_grid[-1])}
+
+
+def _natural_curvature(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Second derivatives M of the natural cubic spline through (grid, values),
+    one column per component, M = 0 at both ends: the interior rows
+    h_{i-1} M_{i-1} + 2 (h_{i-1} + h_i) M_i + h_i M_{i+1} = 6 (s_i - s_{i-1}),
+    s_i the secant slopes, by one forward sweep and back substitution
+    (diagonally dominant, so no pivoting)."""
+    h = np.diff(grid)
+    secant = np.diff(values, axis=0) / h[:, None]
+    rhs = 6.0 * np.diff(secant, axis=0)
+    diagonal = 2.0 * (h[:-1] + h[1:])
+    for k in range(1, diagonal.size):
+        ratio = h[k] / diagonal[k - 1]
+        diagonal[k] -= ratio * h[k]
+        rhs[k] -= ratio * rhs[k - 1]
+    curvature = np.zeros_like(values)
+    curvature[-2] = rhs[-1] / diagonal[-1]
+    for k in range(diagonal.size - 2, -1, -1):
+        curvature[k + 1] = (rhs[k] - h[k + 1] * curvature[k + 2]) / diagonal[k]
+    return curvature
 
 
 _PROFILE_KINDS = {

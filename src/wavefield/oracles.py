@@ -31,8 +31,9 @@ does not matter. The interior solve runs on T alone.
 `zero_profile_green` is Schwinger's closed-form constant-field propagator
 (Phys. Rev. 82, 664 (1951)) rotated onto the Euclidean proper-time axis
 e0 = i tau, where its integrand is real, positive and free of caustics,
-integrated by scipy's QUADPACK; `zero_profile_gradient` adds its four x_b
-derivatives, for the transverse slots by one more weight per projector sign.
+integrated by an exp-sinh rule (below); `zero_profile_gradient` adds its four
+x_b derivatives, for the transverse slots by one more weight per projector sign.
+`free_propagator`'s K0 is the trapezoid sum of int_0^inf exp(-z cosh t) dt.
 
 `landau_green` is the same proper-time integral in closed form: at the
 drift-shifted far endpoint it is the constant-field (Landau) propagator,
@@ -40,7 +41,15 @@ Gamma(nu) e^{-X/2} U(nu, 1, X), evaluated by mpmath at 30 digits.
 
 `cross_phase_nested` is the mixing exponent as the literal double integral in
 real transverse coordinates: every node of the outer action integral solves
-for the drift (`drift_nested`) by its own inner QUADPACK integrals.
+for the drift (`drift_nested`) by its own inner integrals, all nodes of a level
+at once as one 2-D array.
+
+The integrals are double-exponential (Takahasi-Mori) rules written here and
+vectorized over their nodes: tanh-sinh on finite pieces, split at a profile's
+knots, and exp-sinh on [0, inf) scaled to the saddle of the Euclidean weight.
+The trapezoid step in the map variable halves until two levels agree to the
+requested tolerance, or the rule raises QuadratureFailure. No scipy: the oracles
+cost `verify` no import beyond numpy.
 """
 
 from __future__ import annotations
@@ -49,9 +58,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import k0, roots_legendre
 
-from .errors import ResonantDenominator, SingularForm
+from .errors import QuadratureFailure, ResonantDenominator, SingularForm
 from .minkowski import METRIC, P_MINUS, P_PLUS
 
 _SQRT2 = np.sqrt(2.0)
@@ -178,40 +186,51 @@ def free_propagator(x_a, x_b, pL, m: float) -> complex:
         raise ValueError("free propagator closed form needs distinct transverse endpoints")
     dx = x_b - x_a
     phase = np.sum(METRIC[2:] * pL[2:] * dx[2:])
-    return complex(np.exp(1j * phase) * k0(rho * np.sqrt(gap)) / (2.0 * np.pi))
+    return complex(np.exp(1j * phase) * _k0(rho * np.sqrt(gap)) / (2.0 * np.pi))
+
+
+def _k0(z: float) -> float:
+    """K0(z) = int_0^inf exp(-z cosh t) dt, z > 0, by the trapezoid rule, which
+    converges geometrically for this even, entire integrand: the step resolves
+    its width 1/sqrt(z) near t = 0, and the sum stops where z (cosh t - 1),
+    written 2 z sinh^2(t/2), passes 40."""
+    step = 0.125 / max(1.0, math.sqrt(z))
+    t = step * np.arange(math.ceil(math.acosh(1.0 + 40.0 / z) / step) + 1)
+    terms = np.exp(-2.0 * z * np.sinh(0.5 * t) ** 2)
+    return math.exp(-z) * step * (float(np.sum(terms)) - 0.5)
 
 
 def _euclidean_axis(x_a, x_b, pL, m: float, b: float):
-    """(integral, braces, dx) of `zero_profile_green`: integral(damped, spread) is
-    its weight integrated over tau by QUADPACK, times q = exp(-|b| tau) if
-    `damped` and times (b/2) coth(b tau/2) if `spread`; braces(I+, I-) is
-    (1/2) phase (I+ P+ + I- P-); dx = x_b - x_a."""
-    from scipy.integrate import quad
-
+    """(integrals, braces, dx) of `zero_profile_green`: integrals(spread) is its
+    weight integrated over tau by an exp-sinh rule, one entry per projector
+    sign (+, -), the entry of sign(b) times q = exp(-|b| tau), and both times
+    (b/2) coth(b tau/2) if `spread`; braces(I+, I-) is
+    (1/2) phase (I+ P+ + I- P-); dx = x_b - x_a. The rule is scaled to the
+    saddle sqrt(rho^2 / (2 gap)) of the free weight's exponent."""
     x_a, x_b, pL = (np.asarray(v, dtype=float) for v in (x_a, x_b, pL))
     gap = float(np.sum(METRIC * pL * pL)) - m * m
     dx = x_b - x_a
     rho2 = float(dx[0] ** 2 + dx[1] ** 2)
     if gap <= 0 or rho2 == 0.0:
         raise ValueError(f"oracle needs gap > 0 and |DX| > 0, got gap {gap!r}, |DX|^2 {rho2!r}")
+    damped = np.array([[b > 0.0], [b < 0.0]])
 
-    def weight(tau, damped, spread):
+    def weights(tau, spread):
         x = abs(b) * tau
-        q = math.exp(-x)
-        h = x / -math.expm1(-x) if x > 0.0 else 1.0     # x / (1 - q)
-        w = h / (2.0 * math.pi * tau) * math.exp(-h * (1.0 + q) * rho2 / (4.0 * tau)
-                                                  - 0.5 * tau * gap)
+        q = np.exp(-x)
+        h = np.divide(x, -np.expm1(-x), out=np.ones_like(x), where=x > 0.0)   # x / (1 - q)
+        w = h / (2.0 * np.pi * tau) * np.exp(-h * (1.0 + q) * rho2 / (4.0 * tau) - 0.5 * tau * gap)
         if spread:
-            w *= h * (1.0 + q) / (2.0 * tau)
-        return w * q if damped else w
+            w = w * h * (1.0 + q) / (2.0 * tau)
+        return np.where(damped, w * q, w)
 
-    def integral(damped, spread):
-        return quad(weight, 0.0, math.inf, args=(damped, spread), epsabs=0.0, epsrel=1e-13,
-                    limit=200)[0]
+    def integrals(spread):
+        return _double_exponential(lambda tau: weights(tau, spread),
+                                   _exp_sinh(math.sqrt(rho2 / (2.0 * gap))), 0.0, 1e-13)
 
     phase = np.exp(1j * (np.sum(METRIC[2:] * pL[2:] * dx[2:])
                          + 0.5 * b * (x_b[0] * x_a[1] - x_b[1] * x_a[0])))
-    return integral, lambda plus, minus: 0.5 * phase * (plus * P_PLUS + minus * P_MINUS), dx
+    return integrals, lambda plus, minus: 0.5 * phase * (plus * P_PLUS + minus * P_MINUS), dx
 
 
 def zero_profile_green(x_a, x_b, pL, m: float, b: float) -> np.ndarray:
@@ -223,8 +242,8 @@ def zero_profile_green(x_a, x_b, pL, m: float, b: float) -> np.ndarray:
     with sinh and coth written through q = exp(-|b| tau) so that nothing
     overflows at large tau (b = 0 is the free limit).
     """
-    integral, braces, _ = _euclidean_axis(x_a, x_b, pL, m, b)
-    return braces(*(integral(damped, False) for damped in (b > 0.0, b < 0.0)))
+    integrals, braces, _ = _euclidean_axis(x_a, x_b, pL, m, b)
+    return braces(*integrals(False))
 
 
 def zero_profile_gradient(x_a, x_b, pL, m: float, b: float) -> tuple:
@@ -232,9 +251,8 @@ def zero_profile_gradient(x_a, x_b, pL, m: float, b: float) -> tuple:
     integral: d/dxb1 of i (b/2) xb1 xa2 - (b/4) coth(b tau/2) |DX|^2 is
     i (b/2) xa2 - (b/2) coth(b tau/2) DX1 (slot 2 likewise), one more weight per
     projector sign; a longitudinal slot mu gives i g_mumu pL^mu G."""
-    integral, braces, dx = _euclidean_axis(x_a, x_b, pL, m, b)
-    plain, spread = (np.array([integral(damped, s) for damped in (b > 0.0, b < 0.0)])
-                     for s in (False, True))
+    integrals, braces, dx = _euclidean_axis(x_a, x_b, pL, m, b)
+    plain, spread = integrals(False), integrals(True)
     gauge = 0.5j * b * np.array([x_a[1], -x_a[0]])
     value = braces(*plain)
     return value, ([braces(*(gauge[mu] * plain - dx[mu] * spread)) for mu in (0, 1)]
@@ -286,38 +304,23 @@ def drift_nested(components, g: float, B: float, kp: float, phi_a: float, phi: f
     """Transverse drift (Y1, Y2) at phi, at rest at phi_a, in the real
     transverse plane: Y(phi) = rate int_{phi_a}^{phi} exp(-rate F (phi - p)) A(p) dp
     with rate = g / kp, A = components(p) and F = B [[0, 1], [-1, 0]], a
-    rotation by rate B (phi - p), by two QUADPACK integrals. `knots` are phases
-    where the profile is not smooth, handed to QUADPACK as break points."""
-    rate = g / kp
-
-    def forced(p, row):
-        angle = rate * B * (phi - p)
-        a1, a2 = (float(v) for v in components(p))
-        if row == 0:
-            return rate * (math.cos(angle) * a1 - math.sin(angle) * a2)
-        return rate * (math.sin(angle) * a1 + math.cos(angle) * a2)
-
-    return tuple(_quad(forced, phi_a, phi, knots, (row,)) for row in (0, 1))
+    rotation by rate B (phi - p), by a tanh-sinh rule. `knots` are phases where
+    the profile is not smooth: the rule runs on each piece between them."""
+    return tuple(float(y) for y in _drift(components, g / kp, B, phi_a, phi, knots))
 
 
-#: Spans narrower than this times max(1, |lo|, |hi|) take a fixed Gauss-Legendre
-#: rule: on spans a few hundred ulps wide QUADPACK's roundoff test reports
-#: "extremely bad integrand behavior", while the rule is exact to rounding there.
-_NARROW = 1e-8
-_NARROW_ORDER = 8
+def _drift(components, rate: float, B: float, phi_a: float, phi, knots) -> np.ndarray:
+    """`drift_nested` at every phase of the array phi at once, shape
+    (2, *phi.shape): one 2-D array of inner nodes per piece."""
+    ends = np.asarray(phi, dtype=float)[..., None]
 
+    def forced(p):
+        angle = rate * B * (ends - p)
+        a1, a2 = components(p)
+        cos, sin = np.cos(angle), np.sin(angle)
+        return rate * np.stack([cos * a1 - sin * a2, sin * a1 + cos * a2])
 
-def _quad(fn, lo, hi, knots=(), args=()):
-    from scipy.integrate import quad
-
-    if abs(hi - lo) <= _NARROW * max(1.0, abs(lo), abs(hi)):
-        # a tabulated profile's knots only break its third derivative: no split needed
-        x, w = roots_legendre(_NARROW_ORDER)
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        return half * sum(wi * fn(mid + half * xi, *args) for xi, wi in zip(x, w))
-    inside = [p for p in knots if min(lo, hi) < p < max(lo, hi)]
-    return quad(fn, lo, hi, args=args, epsabs=1e-13, epsrel=1e-12, limit=200,
-                points=inside or None)[0]
+    return _piecewise(forced, phi_a, ends, knots)
 
 
 def cross_phase_nested(components, g: float, B: float, kp: float, phi_a: float, phi_b: float,
@@ -327,19 +330,86 @@ def cross_phase_nested(components, g: float, B: float, kp: float, phi_a: float, 
     Real transverse plane (metric +1, +1): A = components(phi) = (a1, a2),
     F = B [[0, 1], [-1, 0]] and, with rate = g / kp, the drift at rest at phi_a
     is Y(phi) = rate int_{phi_a}^{phi} exp(-rate F (phi - p)) A(p) dp, a
-    rotation by rate B (phi - p), computed afresh at every outer node.
+    rotation by rate B (phi - p), computed afresh at every outer node: the
+    inner rule runs at all outer nodes of a level as one 2-D array.
     xb holds the two transverse components of x_b; `knots` are phases where
-    the profile is not smooth (a tabulated grid), handed to QUADPACK as
-    break points.
+    the profile is not smooth (a tabulated grid), where both rules split.
     """
     rate = g / kp
 
     def density(phi):
-        a1, a2 = (float(v) for v in components(phi))
-        y1, y2 = drift_nested(components, g, B, kp, phi_a, phi, knots)
+        a1, a2 = components(phi)
+        y1, y2 = _drift(components, rate, B, phi_a, phi, knots)
         return rate * (a1 * (a1 - B * y2) + a2 * (a2 + B * y1))
 
     y1, y2 = drift_nested(components, g, B, kp, phi_a, phi_b, knots)
     boundary = (float(xb[0]) - y1) * B * y2 - (float(xb[1]) - y2) * B * y1
-    return -0.5j * g * (_quad(density, phi_a, phi_b, knots) + boundary)
+    return -0.5j * g * (float(_piecewise(density, phi_a, phi_b, knots)) + boundary)
 
+
+def _piecewise(fn, start: float, ends, knots):
+    """int_start^end fn for every entry of `ends` (all on one side of `start`),
+    by a tanh-sinh rule on each piece between the knots in between, to the
+    accuracy the nested oracles ask (abs 1e-13, rel 1e-12). A knot past an
+    end clips onto it and leaves that end an empty piece."""
+    ends = np.asarray(ends, dtype=float)
+    low, high = np.minimum(start, ends), np.maximum(start, ends)
+    inside = sorted((k for k in knots if low.min() < k < high.max()), key=lambda k: abs(k - start))
+    points = [np.full_like(ends, start)] + [np.clip(k, low, high) for k in inside] + [ends]
+    return sum(_double_exponential(fn, _tanh_sinh(lo, hi), 1e-13, 1e-12)
+               for lo, hi in zip(points[:-1], points[1:]))
+
+
+#: Double-exponential rules sum over t in [-_DE_SPAN, _DE_SPAN], where a
+#: tanh-sinh weight has fallen below 1e-22 of the span and an exp-sinh node
+#: spans scale * exp(-+26); the step halves from 1/2 for at most _DE_LEVELS levels.
+_DE_SPAN = 3.5
+_DE_LEVELS = 10
+
+
+def _double_exponential(fn, nodes, epsabs: float, epsrel: float):
+    """Trapezoid sum over t of fn(x(t)) x'(t) for a double-exponential map
+    `nodes(t) -> (x, x')`. The step halves, each level adding the odd
+    multiples of the new step, until two levels agree within
+    max(epsabs, epsrel |sum|) at every entry; QuadratureFailure if they never
+    do. fn may return any leading shape: its last axis runs over the nodes."""
+
+    def level_sum(t):
+        x, jacobian = nodes(t)
+        return np.sum(fn(x) * jacobian, axis=-1)
+
+    steps = round(2 * _DE_SPAN)             # half-steps of the first level
+    total = 0.5 * level_sum(0.5 * np.arange(-steps, steps + 1))
+    for level in range(1, _DE_LEVELS):
+        step, steps = 0.5 ** (level + 1), 2 * steps
+        refined = 0.5 * total + step * level_sum(step * np.arange(1 - steps, steps, 2))
+        change = np.abs(refined - total)
+        if np.all(change <= np.maximum(epsabs, epsrel * np.abs(refined))):
+            return refined
+        total = refined
+    raise QuadratureFailure(f"double-exponential rule did not converge in {_DE_LEVELS} levels",
+                            error_estimate=float(np.max(change)))
+
+
+def _tanh_sinh(lo, hi):
+    """Nodes x(t) = mid + half tanh(u), u = (pi/2) sinh t, from lo to hi (arrays
+    broadcast), written through c = 1 - tanh|u| from the nearer end so that
+    nodes crowding an end keep their digits; sech^2 u = c (2 - c)."""
+    half = 0.5 * (hi - lo)
+
+    def nodes(t):
+        c = 2.0 / (1.0 + np.exp(np.pi * np.abs(np.sinh(t))))
+        x = np.where(t < 0.0, lo + half * c, hi - half * c)
+        return x, half * (0.5 * np.pi) * np.cosh(t) * c * (2.0 - c)
+
+    return nodes
+
+
+def _exp_sinh(scale: float):
+    """Nodes x(t) = scale exp((pi/2) sinh t) on [0, inf)."""
+
+    def nodes(t):
+        x = scale * np.exp(0.5 * np.pi * np.sinh(t))
+        return x, x * (0.5 * np.pi) * np.cosh(t)
+
+    return nodes

@@ -6,8 +6,8 @@ oracles, finite differences, contour re-evaluation at a second angle) and
 compared at a fixed tolerance. Criterion 11 applies the Dirac operator two
 ways at zero profile: `dirac_apply` differences the production G, and the
 analytic side takes G and its x_b gradient from `oracles.zero_profile_gradient`,
-which integrates Schwinger's closed form on the Euclidean axis by QUADPACK and
-shares no code with the production ray. Criterion 7's
+which integrates Schwinger's closed form on the Euclidean axis by an exp-sinh
+rule and shares no code with the production ray. Criterion 7's
 `classical-action-exponent` row takes the e0-independent exponent that
 `green._prepare` forms in one expression and rebuilds it from
 `oracles.cross_phase_nested` and the gauge phase at `oracles.drift_nested`'s

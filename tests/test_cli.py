@@ -401,16 +401,19 @@ def test_verify_does_not_import_mpmath(tmp_path):
 
 
 def test_gf_and_dirac_do_not_import_scipy(tmp_path):
-    # scipy serves the oracles, `verify` and tabulated profiles; `gf` and
-    # `dirac` on an analytic profile start faster and smaller without it
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(_config()))
+    # the runtime needs numpy only: the oracles behind `verify` and `limits`
+    # and the spline of tabulated profiles are written in-repo, and every
+    # command starts faster and smaller without scipy
     code = ("import sys; from wavefield import cli; "
             "status = cli.main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]]); "
             "print(status, any(name.split('.')[0] == 'scipy' for name in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(Path(wavefield.__file__).resolve().parents[1])}
-    for command in ("gf", "dirac"):
+    runs = [("gf", _config()), ("dirac", _config()), ("verify", _config()),
+            ("limits", _config()), ("gf", _config(field=_field(_tabulated())))]
+    for index, (command, cfg) in enumerate(runs):
+        cfg_path = tmp_path / f"run{index}.json"
+        cfg_path.write_text(json.dumps(cfg))
         done = subprocess.run([sys.executable, "-c", code, command, str(cfg_path),
-                               str(tmp_path / f"{command}.csv")],
+                               str(tmp_path / f"out{index}.csv")],
                               capture_output=True, text=True, env=env, timeout=300, check=True)
-        assert done.stdout.split() == ["0", "False"], command
+        assert done.stdout.split() == ["0", "False"], (command, cfg["field"]["profile"]["kind"])

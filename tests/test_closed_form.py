@@ -2,7 +2,7 @@
 oracle, `oracles.landau_green`, within max(abs_tol, rel_tol |G|).
 
 For a wave the oracle takes the drift, the cross phase and the kernels K, K*
-from `oracles` (the nested QUADPACK drift and action, and the circular
+from `oracles` (the nested double-exponential drift and action, and the circular
 profile's antiderivative), never from `phase_pass`, and builds the braces
 M+- here from the printed formula.
 """

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavefield.errors import InvalidProfile, RangeError
 from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, PulseProfile,
@@ -141,6 +143,41 @@ def test_tabulated_stacked_spline_matches_per_component_splines():
         for value, ref in zip(mine(0.37), refs):
             assert np.shape(value) == () and abs(value - ref(0.37)) <= 1e-15
         for outside in (grid[0] - 1e-9, np.array([0.0, grid[-1] + 0.5])):
+            with pytest.raises(RangeError):
+                mine(outside)
+
+
+@st.composite
+def _tabulated_samples(draw):
+    """A strictly increasing grid of 4-40 points, neighbouring gaps within a
+    factor 10 of each other, and two components of random sign and size."""
+    n = draw(st.integers(4, 40))
+    unit = draw(st.floats(0.01, 10.0))
+    gaps = unit * np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n - 1, max_size=n - 1)))
+    grid = draw(st.floats(-5.0, 5.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    size = draw(st.floats(1e-3, 1e3))
+    values = size * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n,
+                                           max_size=2 * n))).reshape(2, n)
+    return grid, values, draw(st.floats(1e-9, 10.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_tabulated_samples())
+def test_tabulated_spline_matches_scipy_on_random_grids(sample):
+    # the in-repo natural spline against scipy's: both round differently, by up
+    # to about 1e-14 max|a| on rough data (each is that far from the exact spline)
+    from scipy.interpolate import CubicSpline
+
+    grid, values, beyond = sample
+    p = TabulatedProfile(phi_grid=grid, a1=values[0], a2=values[1])
+    ref = CubicSpline(grid, values.T, bc_type="natural")
+    phi = np.concatenate([grid, np.linspace(grid[0], grid[-1], 97)])
+    scale = np.max(np.abs(values))
+    for mine, spline, bound in ((p.components, ref, 2e-14 * scale),
+                                (p.slope_components, ref.derivative(),
+                                 1e-14 * scale / np.min(np.diff(grid)))):
+        assert np.max(np.abs(np.array(mine(phi)).T - spline(phi))) <= bound
+        for outside in (grid[0] - beyond, grid[-1] + beyond):
             with pytest.raises(RangeError):
                 mine(outside)
 

@@ -213,7 +213,7 @@ def test_drift_initial_condition():
 
 def test_drift_parameterizations_agree():
     # the phase pass's drift (eps basis, cumulative sums on one panel set)
-    # against the real-plane drift by two QUADPACK integrals per end phase
+    # against the real-plane drift by the tanh-sinh rule at each end phase
     g, phi_a = 1.1, 0.2
     pL = np.array([0.0, 0.0, -0.1, 1.8])
     kp = dot(WAVE_K, pL).real

@@ -5,15 +5,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavefield.errors import ResonantDenominator, SingularForm
-from wavefield.fields import FieldConfig, PulseProfile, ZeroProfile
+from wavefield.errors import QuadratureFailure, ResonantDenominator, SingularForm
+from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, PulseProfile,
+                              TabulatedProfile, ZeroProfile)
 from wavefield.green import EvalContext, green_function_zero_k
 from wavefield.kernels import schwinger_kernel
-from wavefield.minkowski import IDENTITY4
-from wavefield.oracles import (SliceLattice, _interior_spectrum, drift_nested, free_kernel,
-                               free_propagator, landau_green, richardson_extrapolate,
-                               sliced_kernel, volkov_kernel_closed_form, zero_profile_gradient,
-                               zero_profile_green)
+from wavefield.minkowski import IDENTITY4, METRIC, P_MINUS, P_PLUS
+from wavefield.oracles import (SliceLattice, _interior_spectrum, _k0, cross_phase_nested,
+                               drift_nested, free_kernel, free_propagator, landau_green,
+                               richardson_extrapolate, sliced_kernel, volkov_kernel_closed_form,
+                               zero_profile_gradient, zero_profile_green)
 
 XA = (0.2, -0.1)
 XB = (0.9, 0.4)
@@ -200,7 +201,7 @@ def test_zero_profile_oracle_domain_checks():
 
 
 def test_landau_form_matches_the_euclidean_axis_integral():
-    # the U-function closed form against QUADPACK on the same integral
+    # the U-function closed form against the exp-sinh rule on the same integral
     pL = np.array([0.0, 0.0, 0.2, 2.0])
     for b in (0.6, -0.4, 0.0, 5.0):
         for x_b in ([0.5, 0.0, 0.4, -0.1], [1.1, -0.7, 0.0, 0.3]):
@@ -237,6 +238,127 @@ def test_nested_drift_on_a_span_of_a_few_hundred_ulps():
     # the forcing barely turns over the span: (g / kp) A at the midpoint times the width
     mid = np.array(profile.components(0.5 * (lo + hi)), dtype=float)
     np.testing.assert_allclose(drift, g / kp * (hi - lo) * mid, rtol=1e-9)
+
+
+def test_k0_matches_scipy():
+    from scipy.special import k0
+
+    for z in np.geomspace(1e-3, 60.0, 400):
+        assert abs(_k0(z) - k0(z)) <= 1e-14 * k0(z), z
+
+
+def _quadpack_zero_profile(x_a, x_b, pL, m, b):
+    """`zero_profile_gradient` with every tau integral by QUADPACK: the weight
+    h/(2 pi tau) exp(-h (1+q) rho^2/(4 tau) - tau gap/2), h = |b| tau/(1 - q),
+    q = exp(-|b| tau), times q for the projector sign of b, and for the
+    transverse slots once more times h (1+q)/(2 tau)."""
+    from scipy.integrate import quad
+
+    dx = x_b - x_a
+    gap, rho2 = float(np.sum(METRIC * pL * pL)) - m * m, dx[0] ** 2 + dx[1] ** 2
+
+    def weight(tau, damped, spread):
+        x = abs(b) * tau
+        q = np.exp(-x)
+        h = x / -np.expm1(-x) if x > 0.0 else 1.0
+        w = h / (2 * np.pi * tau) * np.exp(-h * (1 + q) * rho2 / (4 * tau) - tau * gap / 2)
+        return w * (h * (1 + q) / (2 * tau) if spread else 1.0) * (q if damped else 1.0)
+
+    plain, spread = (np.array([quad(weight, 0.0, np.inf, args=(damped, s), epsabs=0.0,
+                                    epsrel=1e-13, limit=200)[0]
+                               for damped in (b > 0.0, b < 0.0)]) for s in (False, True))
+    phase = np.exp(1j * (np.sum(METRIC[2:] * pL[2:] * dx[2:])
+                         + 0.5 * b * (x_b[0] * x_a[1] - x_b[1] * x_a[0])))
+
+    def braces(i_plus, i_minus):
+        return 0.5 * phase * (i_plus * P_PLUS + i_minus * P_MINUS)
+
+    gauge = 0.5j * b * np.array([x_a[1], -x_a[0]])
+    value = braces(*plain)
+    return value, [braces(*(gauge[mu] * plain - dx[mu] * spread)) for mu in (0, 1)]
+
+
+def test_zero_profile_oracles_match_quadpack():
+    # the exp-sinh rule against QUADPACK on the same weights: gap 0.05-6, b = 0
+    # or |b| 0.05-2 of both signs
+    rng = np.random.default_rng(17)
+    m = 0.8
+    for draw in range(60):
+        gap = rng.uniform(0.05, 6.0)
+        pL = np.array([0.0, 0.0, 0.3, np.sqrt(gap + m * m + 0.09)])
+        b = 0.0 if draw % 4 == 0 else rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 2.0)
+        x_a, x_b = rng.uniform(-1.0, 1.0, 4), rng.uniform(-1.0, 1.0, 4)
+        ref, ref_grads = _quadpack_zero_profile(x_a, x_b, pL, m, b)
+        value, grads = zero_profile_gradient(x_a, x_b, pL, m, b)
+        assert np.array_equal(value, zero_profile_green(x_a, x_b, pL, m, b))
+        for mine, quadpack in zip([value] + grads[:2], [ref] + ref_grads):
+            scale = np.max(np.abs(quadpack))
+            assert np.max(np.abs(mine - quadpack)) <= 1e-13 * scale, (gap, b)
+
+
+_KNOTS = np.linspace(-1.0, 3.0, 9)
+_TABLE = np.stack([np.exp(-_KNOTS ** 2 / 4.0), 0.3 * np.sin(_KNOTS)], axis=-1)
+
+
+def _quadpack_nested(components, g, B, kp, phi_a, phi_b, xb, knots):
+    """(drift, cross phase) as the literal nested double integral by QUADPACK."""
+    from scipy.integrate import quad
+
+    rate = g / kp
+
+    def integral(fn, lo, hi):
+        inside = [k for k in knots if min(lo, hi) < k < max(lo, hi)]
+        return quad(fn, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200, points=inside or None)[0]
+
+    def drift(phi):
+        def forced(p, row):
+            angle = rate * B * (phi - p)
+            a1, a2 = (float(v) for v in components(p))
+            return rate * (np.cos(angle) * a1 - np.sin(angle) * a2 if row == 0
+                           else np.sin(angle) * a1 + np.cos(angle) * a2)
+
+        return [integral(lambda p: forced(p, row), phi_a, phi) for row in (0, 1)]
+
+    def density(phi):
+        a1, a2 = (float(v) for v in components(phi))
+        y1, y2 = drift(phi)
+        return rate * (a1 * (a1 - B * y2) + a2 * (a2 + B * y1))
+
+    y1, y2 = drift(phi_b)
+    boundary = (xb[0] - y1) * B * y2 - (xb[1] - y2) * B * y1
+    return (y1, y2), -0.5j * g * (integral(density, phi_a, phi_b) + boundary)
+
+
+@pytest.mark.parametrize("profile, knots, spans", [
+    (CircularProfile(amplitude=0.5, frequency=1.4), (), [(-0.9, 2.9), (2.8, -3.1)]),
+    (PulseProfile(amplitude=0.4, frequency=1.1, sigma=1.5), (), [(-4.0, 4.5), (3.0, -2.2)]),
+    (LinearProfile(amplitude=0.6, frequency=0.8), (), [(0.2, 5.3), (1.0, -1.5)]),
+    (TabulatedProfile(_KNOTS, *_TABLE.T), _KNOTS,
+     [(-0.7, 2.9), (2.6, 0.3)]),
+], ids=["circular", "pulse", "linear", "tabulated"])
+def test_nested_oracles_match_nested_quadpack(profile, knots, spans):
+    # the reference reads a tabulated profile through scipy's spline, which
+    # agrees with the in-repo one to rounding and is faster per scalar call
+    from scipy.interpolate import CubicSpline
+
+    components = CubicSpline(_KNOTS, _TABLE, bc_type="natural") if len(knots) \
+        else profile.components
+    g, kp, xb = 0.9, 1.8, (0.6, 0.4)
+    for phi_a, phi_b in spans:
+        for B in (0.5, -0.7, 0.0):
+            wave = (profile.components, g, B, kp, phi_a, phi_b)
+            drift, cross = _quadpack_nested(components, *wave[1:], xb, knots)
+            assert np.max(np.abs(np.array(drift_nested(*wave, knots)) - drift)) <= 1e-12
+            assert abs(cross_phase_nested(*wave, xb, knots) - cross) <= 1e-12
+
+
+def test_nested_rule_raises_when_its_levels_never_agree():
+    # a forcing far too fast for the finest tanh-sinh step on the span
+    def components(phi):
+        return np.sin(1e5 * phi), np.zeros(np.shape(phi))
+
+    with pytest.raises(QuadratureFailure):
+        drift_nested(components, 1.0, 0.5, 2.0, 0.0, 1.0)
 
 
 def test_oracles_do_not_import_production_modules():
