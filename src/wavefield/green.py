@@ -101,13 +101,14 @@ class PropagatorValue:
 class _Prepared:
     """The e0-independent pieces of the integrand at n far endpoints that share
     the rest of one context: per endpoint rho^2, the constant exponent, the
-    braces M+- and R (`weight`); `run` is the one phase pass that serves them all."""
+    braces M+- and their Frobenius norms (`weight`); `run` is the one phase
+    pass that serves them all."""
 
     rho2: np.ndarray          # (n,) squared transverse distance, drift-shifted
     constant: np.ndarray      # (n,) e0-independent exponent of the classical action
     plus: np.ndarray          # (n, 4, 4)
     minus: np.ndarray         # (n, 4, 4)
-    weight: np.ndarray        # (n, 2, 2)
+    weight: np.ndarray        # (n, 2): |M+|, |M-|
     run: PhasePass
 
 
@@ -121,12 +122,9 @@ def _prepare(ctx: EvalContext, points) -> _Prepared:
     plus = (IDENTITY4 - np.multiply.outer(run.kernel_b, SLASH_K @ SLASH_EPS_CONJ)) @ P_PLUS
     minus = (IDENTITY4 - np.multiply.outer(run.kernel_b.conjugate(), SLASH_K @ SLASH_EPS)) \
         @ P_MINUS
-    # R of [vec M+, vec M-] = QR by Gram-Schmidt: LAPACK's QR keeps 0.6 MB of pages resident
-    a, b = plus.reshape(-1, 16), minus.reshape(-1, 16)
-    r00 = np.linalg.norm(a, axis=1)
-    r01 = np.sum(a.conj() * b, axis=1) / r00
-    r11 = np.linalg.norm(b - (r01 / r00)[:, None] * a, axis=1)
-    weight = np.moveaxis(np.array([[r00, r01], [np.zeros_like(r01), r11]]), -1, 0)
+    # P+ fills columns 0 and 2 only and P- columns 1 and 3, so M+ and M- are
+    # orthogonal and |I+ M+ + I- M-| = |(|M+| I+, |M-| I-)|
+    weight = np.stack([np.linalg.norm(plus, axis=(1, 2)), np.linalg.norm(minus, axis=(1, 2))], -1)
     far, near = points[:, :2] - run.drift, ctx.x_a[:2] - run.drift
     rho2 = (far[:, 0] - ctx.x_a[0]) ** 2 + (far[:, 1] - ctx.x_a[1]) ** 2
     # pL has no transverse slots (EvalContext), so the first term is i pL.dx^L;
@@ -150,9 +148,9 @@ def _green_batch(ctx: EvalContext, points):
     """(G at each far endpoint of `points`, shape (n, 4, 4), joint diagnostics):
     the context with x_b replaced, all points on one panel set of the ray
     e0 = s exp(i theta), s = L u / (1 - u), u in [0, 1), L = 2 / (gap sin theta).
-    Per endpoint the integrand is R (f e^{+iw}, f e^{-iw}), f e^{+-iw} = k q or k
-    (`folded_kernel`) times (-i/2) exp(i (e0/2) gap + constant); R, the QR factor
-    of [vec M+, vec M-], makes its norm that of G (jointly sqrt(sum |G_n|^2))."""
+    Per endpoint the integrand is (|M+| f e^{+iw}, |M-| f e^{-iw}), f e^{+-iw} =
+    k q or k (`folded_kernel`) times (-i/2) exp(i (e0/2) gap + constant); M+ and
+    M- fill disjoint columns, so its norm is that of G (jointly sqrt(sum |G_n|^2))."""
     if ctx.mass_gap <= 0.0:
         raise QuadratureFailure(
             f"proper-time integrand does not decay at large s: need dot(pL, pL) > m^2 "
@@ -172,7 +170,7 @@ def _green_batch(ctx: EvalContext, points):
         f = -0.5j * k * np.exp(rate * e0 + pre.constant)
         both = np.stack([f * q, f] if b > 0.0 else [f, f * q], axis=-1)
         jacobian = ray * scale / (1.0 - u) ** 2
-        return (pre.weight @ both[..., None])[..., 0] * jacobian[:, None, None]
+        return both * pre.weight * jacobian[:, None, None]
 
     # the short-time boundary layer of the kernel, at fixed s
     breaks = [s / (s + scale) for s in (0.02, 0.1, 0.5, 2.5)]
@@ -180,10 +178,7 @@ def _green_batch(ctx: EvalContext, points):
                            breakpoints=breaks)
     diag = KernelDiagnostics(error_estimate=result.error_estimate, nodes=result.nodes,
                              prepare_nodes=pre.run.nodes, prepare_error=pre.run.error_estimate)
-    # I+ M+ + I- M- per point, from R (I+, I-)
-    r, weighted = pre.weight, result.value
-    i_minus = weighted[:, 1] / r[:, 1, 1]
-    i_plus = (weighted[:, 0] - r[:, 0, 1] * i_minus) / r[:, 0, 0]
+    i_plus, i_minus = (result.value / pre.weight).T
     return i_plus[:, None, None] * pre.plus + i_minus[:, None, None] * pre.minus, diag
 
 

@@ -8,7 +8,7 @@ from wavefield.errors import QuadratureFailure, RangeError, StepCalibrationFailu
 from wavefield.fields import CircularProfile, FieldConfig, PulseProfile, ZeroProfile
 from wavefield.green import (EvalContext, dirac_apply, green_function, green_function_zero_k,
                              spin_factor, total_potential_lowered)
-from wavefield.kernels import phase_pass
+from wavefield.kernels import PhasePass, phase_pass
 from wavefield.minkowski import GAMMA, IDENTITY4, P_MINUS, P_PLUS, dot
 from wavefield.quadrature import adaptive_quad
 
@@ -184,6 +184,22 @@ def test_diagnostics_count_the_phase_pass():
     assert diag.prepare_nodes > 0 and 0.0 < diag.prepare_error < 1e-11
     bare = green_function(_ctx(cfg=FieldConfig(g=1.0, B=0.0))).diagnostics
     assert bare.prepare_nodes == 0 and bare.prepare_error == 0.0
+
+
+def test_ray_weight_is_the_norm_of_each_brace(monkeypatch):
+    # whatever K is, M+ fills columns 0 and 2 and M- columns 1 and 3, so the
+    # ray's weighted pair (|M+| I+, |M-| I-) has the Frobenius norm of G
+    rng = np.random.default_rng(20)
+    kernel = rng.normal(size=40) * 3.0 + 1j * rng.normal(size=40) * 3.0
+    run = PhasePass(np.zeros(40), np.zeros((40, 2)), kernel, 0, 0.0)
+    monkeypatch.setattr(green, "phase_pass", lambda *args, **kwargs: run)
+    pre = green._prepare(_ctx(cfg=WCFG), np.tile(XB, (40, 1)))
+    assert pre.weight.shape == (40, 2)
+    assert not np.any(pre.plus[:, :, [1, 3]]) and not np.any(pre.minus[:, :, [0, 2]])
+    for i_pair, plus, minus, weight in zip(rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2)),
+                                           pre.plus, pre.minus, pre.weight):
+        g = i_pair[0] * plus + i_pair[1] * minus
+        assert np.linalg.norm(weight * i_pair) == pytest.approx(np.linalg.norm(g), rel=1e-14)
 
 
 def _per_point(batch):
