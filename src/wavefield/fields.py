@@ -4,8 +4,8 @@ The constant part is the number B: its tensor f_mn = iB (eps_m eps*_n - eps_n ep
 is B times the fixed generator `minkowski.UNIT_FIELD`. The plane-wave
 part is a transverse potential A^p(phi) = a1 e1 + a2 e2 along the light-cone
 phase, in the real polarization pair e1, e2 (slots 0 and 1): a profile gives
-the two components and their slopes, each shaped like phi, at a phase or an
-array of them.
+its two components, each shaped like phi, at a phase or an array of them, and
+nothing else (the phase pass integrates K by parts, so no slope is needed).
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ class PlaneWaveProfile:
     def components(self, phi):
         raise NotImplementedError
 
-    def slope_components(self, phi):
-        raise NotImplementedError
-
     @property
     def is_zero(self) -> bool:
         return False
@@ -41,9 +38,6 @@ class ZeroProfile(PlaneWaveProfile):
 
     def components(self, phi):
         return np.zeros(np.shape(phi)), np.zeros(np.shape(phi))
-
-    def slope_components(self, phi):
-        return self.components(phi)
 
     @property
     def is_zero(self):
@@ -89,9 +83,6 @@ class LinearProfile(_Carrier):
     def components(self, phi):
         return self.amplitude * np.cos(self.frequency * phi), np.zeros(np.shape(phi))
 
-    def slope_components(self, phi):
-        return -self.amplitude * self.frequency * np.sin(self.frequency * phi), np.zeros(np.shape(phi))
-
 
 class CircularProfile(_Carrier):
     """A^p = a (cos(nu phi) e1 + sin(nu phi) e2)."""
@@ -101,10 +92,6 @@ class CircularProfile(_Carrier):
     def components(self, phi):
         c = self.frequency * phi
         return self.amplitude * np.cos(c), self.amplitude * np.sin(c)
-
-    def slope_components(self, phi):
-        c = self.frequency * phi
-        return -self.amplitude * self.frequency * np.sin(c), self.amplitude * self.frequency * np.cos(c)
 
 
 class PulseProfile(_Carrier):
@@ -127,21 +114,14 @@ class PulseProfile(_Carrier):
         env = self.amplitude * self._envelope(phi)
         return env * np.cos(c), env * np.sin(c)
 
-    def slope_components(self, phi):
-        c = self.frequency * phi
-        env = self.amplitude * self._envelope(phi)
-        damp = -phi / self.sigma ** 2
-        return env * (damp * np.cos(c) - self.frequency * np.sin(c)), \
-               env * (damp * np.sin(c) + self.frequency * np.cos(c))
-
     def params(self):
         return {**super().params(), "sigma": self.sigma}
 
 
 class TabulatedProfile(PlaneWaveProfile):
     """Natural cubic spline through sampled components: one spline over the
-    stacked (a1, a2) and its derivative, defined on the grid only (a phase
-    outside it raises RangeError). Built here with numpy: scipy.interpolate
+    stacked (a1, a2), defined on the grid only (a phase outside it raises
+    RangeError). Built here with numpy: scipy.interpolate
     would cost about 50 MB and 0.5 s at import for a tridiagonal solve."""
 
     kind = "tabulated"
@@ -163,21 +143,15 @@ class TabulatedProfile(PlaneWaveProfile):
             y[:-1], np.diff(y, axis=0) / h - h * (2.0 * curvature[:-1] + curvature[1:]) / 6.0,
             curvature[:-1] / 2.0, np.diff(curvature, axis=0) / (6.0 * h)])
 
-    def _on_grid(self, phi, slope: bool):
+    def components(self, phi):
         if np.min(phi) < self.phi_grid[0] or np.max(phi) > self.phi_grid[-1]:
             raise RangeError(f"tabulated profile evaluated outside its grid "
-                             f"[{self.phi_grid[0]!r}, {self.phi_grid[-1]!r}]")
+                             f"[{float(self.phi_grid[0])!r}, {float(self.phi_grid[-1])!r}]")
         i = np.searchsorted(self.phi_grid[1:-1], phi, side="right")     # the interval of phi
         d = (phi - self.phi_grid[i])[..., None]
         c0, c1, c2, c3 = self._cubic[:, i]
-        values = c1 + d * (2.0 * c2 + d * 3.0 * c3) if slope else c0 + d * (c1 + d * (c2 + d * c3))
+        values = c0 + d * (c1 + d * (c2 + d * c3))
         return values[..., 0], values[..., 1]
-
-    def components(self, phi):
-        return self._on_grid(phi, slope=False)
-
-    def slope_components(self, phi):
-        return self._on_grid(phi, slope=True)
 
     def params(self):
         return {"points": int(self.phi_grid.size),

@@ -115,7 +115,7 @@ class _Prepared:
 def _prepare(ctx: EvalContext, points) -> _Prepared:
     """One phase pass over the phases phi_b of all far endpoints `points`
     (shape (n, 4)) at the context's tolerances, which the pass splits between
-    its columns; braces, rho^2 and constant exponent per point."""
+    its columns; braces and their norms, rho^2 and constant exponent per point."""
     points = np.asarray(points, dtype=float).reshape(-1, 4)
     run = phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, dot(WAVE_K, points).real,
                      sign=ctx.volkov_sign, abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol)

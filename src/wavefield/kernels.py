@@ -21,9 +21,18 @@ plain record of:
 
   so K(phi_a) = 0 and G sees the profile between phi_a and phi_b only; a
   sign toggle flips the integrand exponential only (`sign=-1`) for
-  sensitivity studies; K*, the same with eps -> eps* and both exponentials
-  sign-conjugated, is the complex conjugate of K for the real profiles here,
-  so callers take it as `.conjugate()`;
+  sensitivity studies. It is integrated by parts, which is exact and needs
+  the potential only, never its slope: with s = sign and
+  a(phi) = dot(eps, A^p(phi)) = (a1 + i a2) / sqrt2,
+
+    K(phi) = [g / (2 dot(k, pL))] exp(i beta phi)
+             * { exp(i s beta phi) a(phi) - exp(i s beta phi_a) a(phi_a)
+                 - i s int_{phi_a}^{phi} beta exp(i s beta phi') a(phi') dphi' },
+
+  whose integrand vanishes at B = 0, where K is the boundary term alone.
+  K*, the same with eps -> eps* and both exponentials sign-conjugated, is
+  the complex conjugate of K for the real profiles here, so callers take it
+  as `.conjugate()`;
 * `drift`: the real transverse drift (Y1, Y2) at phi_b, at rest at phi_a, in
   the phi parameterization, where the proper-time scale drops out:
   dY/dphi = (g / dot(k, pL)) (A^p(phi) - f Y);
@@ -128,7 +137,8 @@ _SUB_TOLERANCE = 1e-2
 class PhasePass:
     """What the wave phase contributes between phi_a and each phi_b: the drift
     at rest at phi_a and the kernel K integrated from phi_a; K* is its conjugate.
-    `action`, `drift` (on its last axis) and `kernel_b` take the shape of phi_b."""
+    `action`, `drift` (on its last axis) and `kernel_b` take the shape of phi_b;
+    `nodes` and `error_estimate` are the whole pass's, all columns together."""
 
     action: float | np.ndarray        # int_{phi_a}^{phi_b} A^p . dY/dphi dphi
     drift: np.ndarray                 # (Y1, Y2) at phi_b
@@ -141,9 +151,12 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, sign: int 
                abs_tol: float = DEFAULT_ABS_TOL, rel_tol: float = DEFAULT_REL_TOL) -> PhasePass:
     """One adaptive quadrature on the hull of phi_a and every phi_b (one phase
     or an array of them), breakpoints at each, of three columns: C's integrand
-    d, K's integrand and the real action density with C counted from the
-    panel's left edge. Cumulative sums of the panel integrals supply C and K at
-    the panel edges and so the rest; nothing outside the hull is sampled.
+    d, the integrand of K by parts, beta exp(i sign beta x) dot(eps, A^p(x)),
+    and the real action density with C counted from the panel's left edge.
+    Cumulative sums of the panel integrals supply C and K at the panel edges
+    and so the rest; K adds its boundary term, from one read of the profile at
+    phi_a and every phi_b, which raises RangeError for a tabulated profile
+    whose grid does not hold them all. Nothing outside the hull is sampled.
     abs_tol and rel_tol are the evaluation's: the action meets them and the
     drift and K meet _SUB_TOLERANCE of them, as the quadrature runs at that
     share with the action column weighted by it."""
@@ -168,15 +181,19 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, sign: int 
     if start == stop:
         return nothing
     rate, beta = cfg.g / kp, cfg.g * cfg.B / kp          # beta = rate B turns the drift
+    # K's boundary term e^{i sign beta phi} dot(eps, A^p(phi)) at phi_a and at each phi_b
+    phases = np.array([phi_a, *ends])
+    a1, a2 = cfg.profile.components(phases)
+    boundary = (np.exp(1j * sign * beta * phases) * (a1 + 1j * a2) / SQRT2).tolist()
 
     def columns(x):
         # d: the eps component of rot(phi_a - x) A^p(x)
-        (a1, a2), (s1, s2) = cfg.profile.components(x), cfg.profile.slope_components(x)
+        a1, a2 = cfg.profile.components(x)
         d = np.exp(1j * beta * (x - phi_a)) * (a1 - 1j * a2) / SQRT2
         half = (x[-1] - x[0]) / (XK[-1] - XK[0])
         c = half * (CUMULATIVE @ d)                          # C - C(panel's left edge)
         action = 2.0 * rate * (abs(d) ** 2 - beta * (d * c.conj()).imag)
-        return np.stack([d, np.exp(1j * sign * beta * x) * (s1 + 1j * s2) / SQRT2,
+        return np.stack([d, beta * np.exp(1j * sign * beta * x) * (a1 + 1j * a2) / SQRT2,
                          _SUB_TOLERANCE * action], axis=1)
 
     quad = adaptive_quad(columns, start, stop, abs_tol=abs_tol * _SUB_TOLERANCE,
@@ -196,13 +213,14 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, sign: int 
         area.append(area[-1] + (value[0] * (c[0] - at_a[0]).conjugate()).imag)
     scale, turn = cfg.g / (2.0 * kp), SQRT2 * rate
     actions, drifts, kernels = [], [], []
-    for phi in ends:
+    for phi, at_phi in zip(ends, boundary[1:]):
         ib = bisect_left(edges, phi)
         at_b = cumulative[ib]
         actions.append((at_b[2] - at_a[2]).real / _SUB_TOLERANCE
                        - 2.0 * rate * beta * (area[ib] - area[ia]))
         w = (at_b[0] - at_a[0]) * cmath.exp(-1j * beta * (phi - phi_a))
         drifts.append((turn * w.real, turn * -w.imag))
-        kernels.append(scale * cmath.exp(1j * beta * phi) * (at_b[1] - at_a[1]))
+        kernels.append(scale * cmath.exp(1j * beta * phi)
+                       * (at_phi - boundary[0] - 1j * sign * (at_b[1] - at_a[1])))
     return PhasePass(np.array(actions).reshape(shape)[()], np.array(drifts).reshape(shape + (2,)),
                      np.array(kernels).reshape(shape)[()], quad.nodes, quad.error_estimate)

@@ -362,6 +362,20 @@ def test_tabulated_profile_outside_its_grid_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_tabulated_endpoint_just_past_the_grid_exits_2(tmp_path):
+    # phi_a = 0, phi_b = 1.001 on a grid over [-1, 1]: the quadrature nodes all
+    # lie inside it, the endpoint does not
+    grid = [-1.0 + 0.25 * i for i in range(9)]
+    profile = _tabulated(phi=grid, a1=[math.exp(-p * p) for p in grid], a2=[0.0] * len(grid))
+    x_a = [0.1, -0.2, 0.3, 0.3]
+    inside = _config(field=_field(profile), eval=_eval(x_a=x_a, x_b=[0.6, 0.4, 1.0, 0.0]))
+    status, _ = _invoke(tmp_path, "gf", inside, name="inside.csv")
+    assert status == 0
+    outside = _config(field=_field(profile), eval=_eval(x_a=x_a, x_b=[0.6, 0.4, 1.001, 0.0]))
+    status, out = _invoke(tmp_path, "gf", outside, name="outside.csv")
+    assert status == 2
+    assert not out.exists()
+
 def test_gf_outputs_carry_only_the_frozen_columns(tmp_path):
     # the extra diagnostics (phase-pass nodes and error) stay in the library:
     # the CSV and the sidecar are exactly what the frozen columns and the

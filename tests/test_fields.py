@@ -44,13 +44,14 @@ def test_profiles_are_transverse():
 
 
 def test_circular_profile_lightcone_slope():
-    # dot(eps, A') = (i a nu / sqrt 2) e^{i nu phi} is the working identity
+    # dot(eps, A) = (a / sqrt 2) e^{i nu phi} is the working identity: K is
+    # integrated by parts, so the potential enters, not its slope
     a, nu = 0.7, 1.9
     p = CircularProfile(amplitude=a, frequency=nu)
     for phi in (-0.8, 0.3, 1.7):
-        want = 1j * a * nu / np.sqrt(2.0) * np.exp(1j * nu * phi)
-        s1, s2 = p.slope_components(phi)
-        assert (s1 + 1j * s2) / np.sqrt(2.0) == pytest.approx(want, abs=1e-14)
+        want = a / np.sqrt(2.0) * np.exp(1j * nu * phi)
+        a1, a2 = p.components(phi)
+        assert (a1 + 1j * a2) / np.sqrt(2.0) == pytest.approx(want, abs=1e-14)
 
 
 def test_pulse_envelope_decay():
@@ -72,8 +73,6 @@ def test_tabulated_profile_matches_samples_and_slope():
     v = p.components(0.37)
     assert v[0] == pytest.approx(np.sin(1.5 * 0.37), abs=2e-4)
     assert v[1] == pytest.approx(0.3 * 0.37**2, abs=2e-4)
-    d = p.slope_components(0.37)
-    assert d[0] == pytest.approx(1.5 * np.cos(1.5 * 0.37), abs=2e-3)
 
 
 def test_tabulated_profile_validation():
@@ -110,22 +109,18 @@ def test_profiles_evaluate_arrays_of_phases():
               CircularProfile(amplitude=0.4, frequency=1.1),
               PulseProfile(amplitude=0.4, frequency=1.1, sigma=1.5),
               TabulatedProfile(phi_grid=grid, a1=np.sin(grid), a2=np.cos(grid))):
-        for evaluate in (p.components, p.slope_components):
-            stacked = evaluate(phis)
-            assert [np.shape(c) for c in stacked] == [phis.shape] * 2, (p.kind, evaluate)
-            for i, phi in enumerate(phis):
-                np.testing.assert_array_equal(np.array(stacked)[:, i], np.array(evaluate(phi)))
+        stacked = p.components(phis)
+        assert [np.shape(c) for c in stacked] == [phis.shape] * 2, p.kind
+        for i, phi in enumerate(phis):
+            np.testing.assert_array_equal(np.array(stacked)[:, i], np.array(p.components(phi)))
 
 
 def test_tabulated_profile_refuses_to_extrapolate():
     grid = np.linspace(-2.0, 2.0, 17)
     p = TabulatedProfile(phi_grid=grid, a1=np.exp(-grid**2), a2=np.zeros(grid.size))
     p.components(2.0)
-    p.slope_components(np.array([-2.0, 0.0, 2.0]))
     with pytest.raises(RangeError):
         p.components(10.0)                  # the spline would give a1 = -142.8 here
-    with pytest.raises(RangeError):
-        p.slope_components(np.array([0.0, -2.5]))
 
 
 def test_tabulated_stacked_spline_matches_per_component_splines():
@@ -135,16 +130,14 @@ def test_tabulated_stacked_spline_matches_per_component_splines():
     a1, a2 = np.exp(-grid**2) * np.cos(2.0 * grid), 0.4 * np.sin(1.3 * grid) + 0.1 * grid
     p = TabulatedProfile(phi_grid=grid, a1=a1, a2=a2)
     phi = np.concatenate([grid, np.linspace(grid[0], grid[-1], 301)])
-    for mine, refs in ((p.components, [CubicSpline(grid, a, bc_type="natural") for a in (a1, a2)]),
-                       (p.slope_components,
-                        [CubicSpline(grid, a, bc_type="natural").derivative() for a in (a1, a2)])):
-        for value, ref in zip(mine(phi), refs):
-            assert np.max(np.abs(value - ref(phi))) <= 1e-15
-        for value, ref in zip(mine(0.37), refs):
-            assert np.shape(value) == () and abs(value - ref(0.37)) <= 1e-15
-        for outside in (grid[0] - 1e-9, np.array([0.0, grid[-1] + 0.5])):
-            with pytest.raises(RangeError):
-                mine(outside)
+    refs = [CubicSpline(grid, a, bc_type="natural") for a in (a1, a2)]
+    for value, ref in zip(p.components(phi), refs):
+        assert np.max(np.abs(value - ref(phi))) <= 1e-15
+    for value, ref in zip(p.components(0.37), refs):
+        assert np.shape(value) == () and abs(value - ref(0.37)) <= 1e-15
+    for outside in (grid[0] - 1e-9, np.array([0.0, grid[-1] + 0.5])):
+        with pytest.raises(RangeError):
+            p.components(outside)
 
 
 @st.composite
@@ -172,14 +165,10 @@ def test_tabulated_spline_matches_scipy_on_random_grids(sample):
     p = TabulatedProfile(phi_grid=grid, a1=values[0], a2=values[1])
     ref = CubicSpline(grid, values.T, bc_type="natural")
     phi = np.concatenate([grid, np.linspace(grid[0], grid[-1], 97)])
-    scale = np.max(np.abs(values))
-    for mine, spline, bound in ((p.components, ref, 2e-14 * scale),
-                                (p.slope_components, ref.derivative(),
-                                 1e-14 * scale / np.min(np.diff(grid)))):
-        assert np.max(np.abs(np.array(mine(phi)).T - spline(phi))) <= bound
-        for outside in (grid[0] - beyond, grid[-1] + beyond):
-            with pytest.raises(RangeError):
-                mine(outside)
+    assert np.max(np.abs(np.array(p.components(phi)).T - ref(phi))) <= 2e-14 * np.max(np.abs(values))
+    for outside in (grid[0] - beyond, grid[-1] + beyond):
+        with pytest.raises(RangeError):
+            p.components(outside)
 
 
 def test_field_config_rejects_non_finite_values():

@@ -5,7 +5,8 @@ import pytest
 
 from wavefield import green
 from wavefield.errors import QuadratureFailure, RangeError, StepCalibrationFailure
-from wavefield.fields import CircularProfile, FieldConfig, PulseProfile, ZeroProfile
+from wavefield.fields import (CircularProfile, FieldConfig, PlaneWaveProfile, PulseProfile,
+                              TabulatedProfile, ZeroProfile)
 from wavefield.green import (EvalContext, dirac_apply, green_function, green_function_zero_k,
                              spin_factor, total_potential_lowered)
 from wavefield.kernels import PhasePass, phase_pass
@@ -185,6 +186,31 @@ def test_diagnostics_count_the_phase_pass():
     bare = green_function(_ctx(cfg=FieldConfig(g=1.0, B=0.0))).diagnostics
     assert bare.prepare_nodes == 0 and bare.prepare_error == 0.0
 
+
+class _PotentialOnly(PlaneWaveProfile):
+    """A profile that gives its two components and nothing more."""
+
+    def components(self, phi):
+        return 0.4 * np.cos(1.1 * phi), 0.4 * np.sin(1.1 * phi)
+
+
+def test_a_profile_is_its_two_components():
+    # the phase pass integrates K by parts: no slope of A^p is ever asked for
+    cfg = FieldConfig(g=WCFG.g, B=WCFG.B, profile=_PotentialOnly())
+    run, ref = phase_pass(cfg, PL, 0.3, -0.6), phase_pass(WCFG, PL, 0.3, -0.6)
+    assert run.kernel_b == ref.kernel_b and run.action == ref.action
+    assert np.array_equal(green_function(_ctx(cfg=cfg)).matrix, green_function(_ctx(cfg=WCFG)).matrix)
+
+
+def test_tabulated_endpoint_just_past_the_grid_raises():
+    # phi_a = 0 and phi_b = 1.001 on a grid over [-1, 1]: every quadrature node
+    # lies inside the grid, but K's boundary term reads the profile at phi_b
+    grid = np.linspace(-1.0, 1.0, 9)
+    cfg = FieldConfig(g=0.9, B=0.5, profile=TabulatedProfile(grid, np.exp(-grid ** 2), 0.0 * grid))
+    x_a = np.array([0.1, -0.2, 0.3, 0.3])
+    green_function(_ctx(cfg=cfg, x_a=x_a, x_b=np.array([0.6, 0.4, 1.0, 0.0])))
+    with pytest.raises(RangeError, match=r"\[-1\.0, 1\.0\]"):
+        green_function(_ctx(cfg=cfg, x_a=x_a, x_b=np.array([0.6, 0.4, 1.001, 0.0])))
 
 def test_ray_weight_is_the_norm_of_each_brace(monkeypatch):
     # whatever K is, M+ fills columns 0 and 2 and M- columns 1 and 3, so the
