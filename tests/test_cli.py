@@ -376,6 +376,7 @@ def test_tabulated_endpoint_just_past_the_grid_exits_2(tmp_path):
     assert status == 2
     assert not out.exists()
 
+
 def test_gf_outputs_carry_only_the_frozen_columns(tmp_path):
     # the extra diagnostics (phase-pass nodes and error) stay in the library:
     # the CSV and the sidecar are exactly what the frozen columns and the

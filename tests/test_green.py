@@ -212,6 +212,7 @@ def test_tabulated_endpoint_just_past_the_grid_raises():
     with pytest.raises(RangeError, match=r"\[-1\.0, 1\.0\]"):
         green_function(_ctx(cfg=cfg, x_a=x_a, x_b=np.array([0.6, 0.4, 1.001, 0.0])))
 
+
 def test_ray_weight_is_the_norm_of_each_brace(monkeypatch):
     # whatever K is, M+ fills columns 0 and 2 and M- columns 1 and 3, so the
     # ray's weighted pair (|M+| I+, |M-| I-) has the Frobenius norm of G
