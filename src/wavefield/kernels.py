@@ -153,10 +153,10 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, sign: int 
     or an array of them), breakpoints at each, of three columns: C's integrand
     d, the integrand of K by parts, beta exp(i sign beta x) dot(eps, A^p(x)),
     and the real action density with C counted from the panel's left edge.
-    Cumulative sums of the panel integrals supply C and K at the panel edges
-    and so the rest; K adds its boundary term, from one read of the profile at
-    phi_a and every phi_b, which raises RangeError for a tabulated profile
-    whose grid does not hold them all. Nothing outside the hull is sampled.
+    The quadrature's running sums of the panel integrals give C and K at the
+    panel edges and so the rest; K adds its boundary term, from one read of the
+    profile at phi_a and every phi_b, which raises RangeError for a tabulated
+    profile whose grid does not hold them all. Nothing outside the hull is sampled.
     abs_tol and rel_tol are the evaluation's: the action meets them and the
     drift and K meet _SUB_TOLERANCE of them, as the quadrature runs at that
     share with the action column weighted by it."""
@@ -201,9 +201,7 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, sign: int 
     # a handful of panels and endpoints: the bookkeeping runs on Python scalars
     edges = [panel[0] for panel in quad.panels] + [stop]
     values = [panel[2].tolist() for panel in quad.panels]
-    cumulative = [[0j, 0j, 0j]]
-    for value in values:
-        cumulative.append([c + v for c, v in zip(cumulative[-1], value)])
+    cumulative = [c.tolist() for c in quad.cumulative]
     ia = bisect_left(edges, phi_a)
     at_a = cumulative[ia]
     # the action's cross-panel part: a running sum of each panel's integral of d

@@ -5,8 +5,9 @@ here need complex/matrix integrands, a hard node budget with structured failure,
 and deterministic node accounting for bit-identical reruns.
 
 Determinism: the subdivision order is a pure function of the inputs (heap ties
-broken by insertion counter) and the final accumulation runs over panels sorted
-by left endpoint with compensated summation.
+broken by insertion counter), and the result is one plain running sum over the
+panels sorted by left endpoint. The panel order, not compensation, fixes the
+bits; the phase pass reads the same running sums at its panel edges.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conventions import NODE_CAP
+from .conventions import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, NODE_CAP
 from .errors import QuadratureFailure
 
 # Kronrod-15 abscissae (positive half) and weights; Gauss-7 weights on the
@@ -63,6 +64,7 @@ class QuadratureResult:
     error_estimate: float
     nodes: int
     panels: tuple = ()       # (left, right, value) per panel, ascending, never sign-flipped
+    cumulative: tuple = ()   # 0, then the running sum of the panel values; never sign-flipped
 
 
 def _norm(v) -> float:
@@ -85,8 +87,9 @@ def _panel(f, a: float, b: float):
     return sums[0].view(complex).reshape(stack.shape[1:])[()], _norm(sums[1])
 
 
-def adaptive_quad(f, a: float, b: float, abs_tol: float = 1e-10, rel_tol: float = 1e-8,
-                  node_cap: int = NODE_CAP, breakpoints=None) -> QuadratureResult:
+def adaptive_quad(f, a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL,
+                  rel_tol: float = DEFAULT_REL_TOL, node_cap: int = NODE_CAP,
+                  breakpoints=None) -> QuadratureResult:
     """Integrate f over [a, b] to max(abs_tol, rel_tol*|result|).
 
     f maps the array of a panel's 15 nodes to their values, stacked on axis 0
@@ -133,19 +136,9 @@ def adaptive_quad(f, a: float, b: float, abs_tol: float = 1e-10, rel_tol: float 
         pending = ((lo, mid), (mid, hi))
 
     pieces = sorted(heap, key=lambda item: item[2])
-    return QuadratureResult(sign * _kahan_sum([item[4] for item in pieces]),
-                            sum(-item[0] for item in heap), nodes,
-                            tuple((item[2], item[3], item[4]) for item in pieces))
-
-
-def _kahan_sum(values):
-    total = np.zeros_like(np.asarray(values[0], dtype=complex))
-    comp = np.zeros_like(total)
-    for v in values:
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    if total.ndim == 0:
-        return complex(total)
-    return total
+    cumulative = [np.zeros_like(pieces[0][4])]
+    for item in pieces:
+        cumulative.append(cumulative[-1] + item[4])
+    return QuadratureResult(sign * cumulative[-1], sum(-item[0] for item in heap), nodes,
+                            tuple((item[2], item[3], item[4]) for item in pieces),
+                            tuple(cumulative))

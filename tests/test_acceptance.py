@@ -83,13 +83,18 @@ def test_criterion_11_derivative_consistency():
 
 # -- mutation table ---------------------------------------------------------
 
-def _on_pass(change):
-    """Mutation: `green.phase_pass` with `change` applied to its result, so the
-    oracles' own phase passes (through `verification.phase_pass`) stay intact."""
+def _scale_pass(field, factor):
+    """Mutation: one `PhasePass` field of `green.phase_pass`'s result times
+    `factor`, so the oracles' own phase passes (through `verification.phase_pass`)
+    stay intact."""
     def mutate(monkeypatch):
         phase_pass = green.phase_pass
-        monkeypatch.setattr(green, "phase_pass", lambda *args, **kwargs: change(
-            phase_pass(*args, **kwargs)))
+
+        def scaled(*args, **kwargs):
+            run = phase_pass(*args, **kwargs)
+            return replace(run, **{field: factor * getattr(run, field)})
+
+        monkeypatch.setattr(green, "phase_pass", scaled)
     return mutate
 
 
@@ -117,14 +122,16 @@ def _k_from_pinned_phase(monkeypatch):
     monkeypatch.setattr(green, "phase_pass", pinned)
 
 
-def _scale_folded_kernel(monkeypatch):
-    kernel = green.folded_kernel
+def _scale_folded_kernel(factor):
+    def mutate(monkeypatch):
+        kernel = green.folded_kernel
 
-    def scaled(e0, rho2, b):
-        k, q = kernel(e0, rho2, b)
-        return 1.01 * k, q
+        def scaled(e0, rho2, b):
+            k, q = kernel(e0, rho2, b)
+            return factor * k, q
 
-    monkeypatch.setattr(green, "folded_kernel", scaled)
+        monkeypatch.setattr(green, "folded_kernel", scaled)
+    return mutate
 
 
 def _swap_projectors(monkeypatch):
@@ -143,12 +150,12 @@ def _drop_gauge_term(monkeypatch):
 #: nested quadrature, build M+- from the closed-form K (for both volkov_sign
 #: values, so flipping the sign inside G alone shows) and take G's gradient
 #: from Schwinger's closed form, so a 1 % kernel error shows instead of cancelling.
+#: A 1e-6 scaling of each layer (ray kernel, K, drift, action) is caught by one row.
 _MUTATIONS = {
-    "action-scaled": (_on_pass(lambda run: replace(run, action=1.01 * run.action)),
-                      {"classical-action-exponent"}),
+    "action-scaled": (_scale_pass("action", 1.01), {"classical-action-exponent"}),
     "k-from-pinned-phase": (_k_from_pinned_phase,
                             {"dressed-braces-closed-form", "phase-locality"}),
-    "folded-kernel-scaled": (_scale_folded_kernel,
+    "folded-kernel-scaled": (_scale_folded_kernel(1.01),
                              {"derivative-consistency-free",
                               "derivative-consistency-constant-field"}),
     "volkov-sign-flipped-in-g": (_flip_volkov_sign, {"dressed-braces-closed-form"}),
@@ -156,8 +163,12 @@ _MUTATIONS = {
                            {"dressed-braces-closed-form", "zero-profile-route-equivalence",
                             "derivative-consistency-constant-field"}),
     "dirac-gauge-term-dropped": (_drop_gauge_term, {"derivative-consistency-constant-field"}),
-    "drift-sign-flipped": (_on_pass(lambda run: replace(run, drift=-run.drift)),
-                           {"classical-action-exponent"}),
+    "drift-sign-flipped": (_scale_pass("drift", -1.0), {"classical-action-exponent"}),
+    "ray-kernel-scaled-1e-6": (_scale_folded_kernel(1.0 + 1e-6),
+                               {"zero-profile-route-equivalence"}),
+    "k-scaled-1e-6": (_scale_pass("kernel_b", 1.0 + 1e-6), {"dressed-braces-closed-form"}),
+    "drift-scaled-1e-6": (_scale_pass("drift", 1.0 + 1e-6), {"classical-action-exponent"}),
+    "action-scaled-1e-6": (_scale_pass("action", 1.0 + 1e-6), {"classical-action-exponent"}),
 }
 
 #: The check that holds each row a mutation names.

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
 
@@ -425,10 +426,19 @@ def test_gf_and_dirac_do_not_import_scipy(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(wavefield.__file__).resolve().parents[1])}
     runs = [("gf", _config()), ("dirac", _config()), ("verify", _config()),
             ("limits", _config()), ("gf", _config(field=_field(_tabulated())))]
-    for index, (command, cfg) in enumerate(runs):
-        cfg_path = tmp_path / f"run{index}.json"
-        cfg_path.write_text(json.dumps(cfg))
-        done = subprocess.run([sys.executable, "-c", code, command, str(cfg_path),
-                               str(tmp_path / f"out{index}.csv")],
-                              capture_output=True, text=True, env=env, timeout=300, check=True)
-        assert done.stdout.split() == ["0", "False"], (command, cfg["field"]["profile"]["kind"])
+    with ExitStack() as stack:
+        # all five interpreters run at once; each is then waited on in turn
+        procs = []
+        for index, (command, cfg) in enumerate(runs):
+            cfg_path = tmp_path / f"run{index}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            proc = stack.enter_context(subprocess.Popen(
+                [sys.executable, "-c", code, command, str(cfg_path),
+                 str(tmp_path / f"out{index}.csv")],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env))
+            stack.callback(proc.kill)            # a child still running on the way out
+            procs.append(proc)
+        for proc, (command, cfg) in zip(procs, runs):
+            stdout, stderr = proc.communicate(timeout=300)
+            assert proc.returncode == 0, (command, stderr)
+            assert stdout.split() == ["0", "False"], (command, cfg["field"]["profile"]["kind"])

@@ -32,7 +32,7 @@ PINNED = {
         [complex(-0.003492060828353149, 0.0019603151789366956), complex(0.0, 0.0), complex(0.003492060828353149, -0.0019603151789366956), complex(0.026548134792022917, 0.04489506669733282)],
         ]),
     # |K(phi_b)| = 0.68: M+- are far from the bare projectors, so the stopping
-    # rule sees the norm of G only through the R weighting
+    # rule sees the norm of G only through the brace-norm weighting
     "dressed-circular": dict(
         amplitude=4.0, nodes=105, error_estimate=2.766857104805731e-10,
         matrix=[

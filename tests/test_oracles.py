@@ -229,8 +229,9 @@ def test_zero_profile_gradient_matches_finite_differences():
 
 
 def test_nested_drift_on_a_span_of_a_few_hundred_ulps():
-    # an outer node of the nested cross phase 1e-13 from phi_a, where QUADPACK's
-    # roundoff test reports extremely bad integrand behaviour
+    # an outer node of the nested cross phase 1e-13 from phi_a: the tanh-sinh
+    # nodes fall on a few hundred floats, and the rule must still converge
+    # (no QuadratureFailure) to the forcing times the width
     profile = PulseProfile(amplitude=0.4, frequency=1.3, sigma=1.5)
     lo, hi = -2.9999999999999996, -2.9999999999998996
     g, B, kp = 1.0, 1.0, 2.0

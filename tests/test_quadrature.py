@@ -126,12 +126,20 @@ def test_integrand_is_called_once_per_panel():
 
 
 def test_panels_tile_the_interval_left_to_right():
-    res = adaptive_quad(lambda x: np.exp(1j * 9.0 * x), 2.0, -1.0, breakpoints=[0.5])
-    lefts = [p[0] for p in res.panels]
-    rights = [p[1] for p in res.panels]
-    assert lefts[0] == -1.0 and rights[-1] == 2.0 and 0.5 in lefts
-    assert lefts[1:] == rights[:-1]
-    assert sum(p[2] for p in res.panels) == pytest.approx(-res.value, abs=1e-14)
+    # the running sums are formed left to right and, like the panels, never
+    # sign-flipped: the reversed interval's value is minus the last of them
+    for f in (lambda x: np.exp(1j * 9.0 * x), _SHAPED_INTEGRANDS["4x4"]):
+        res = adaptive_quad(f, 2.0, -1.0, breakpoints=[0.5])
+        lefts = [p[0] for p in res.panels]
+        rights = [p[1] for p in res.panels]
+        assert lefts[0] == -1.0 and rights[-1] == 2.0 and 0.5 in lefts
+        assert lefts[1:] == rights[:-1]
+        assert len(res.cumulative) == len(res.panels) + 1
+        assert np.all(res.cumulative[0] == 0)
+        for i, panel in enumerate(res.panels):
+            assert np.array_equal(res.cumulative[i + 1], res.cumulative[i] + panel[2])
+        assert np.array_equal(res.value, -res.cumulative[-1])
+        assert np.shape(res.value) == np.shape(f(np.zeros(1))[0])
 
 
 def _separate_sums(f, a, b):
