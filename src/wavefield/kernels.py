@@ -187,11 +187,13 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, sign: int 
     boundary = (np.exp(1j * sign * beta * phases) * (a1 + 1j * a2) / SQRT2).tolist()
 
     def columns(x):
+        # x holds a round's panels, 15 Kronrod nodes each;
         # d: the eps component of rot(phi_a - x) A^p(x)
         a1, a2 = cfg.profile.components(x)
         d = np.exp(1j * beta * (x - phi_a)) * (a1 - 1j * a2) / SQRT2
-        half = (x[-1] - x[0]) / (XK[-1] - XK[0])
-        c = half * (CUMULATIVE @ d)                          # C - C(panel's left edge)
+        # C - C(panel's left edge), one CUMULATIVE product per panel
+        c = np.concatenate([(nodes[-1] - nodes[0]) / (XK[-1] - XK[0]) * (CUMULATIVE @ block)
+                            for nodes, block in zip(x.reshape(-1, 15), d.reshape(-1, 15))])
         action = 2.0 * rate * (abs(d) ** 2 - beta * (d * c.conj()).imag)
         return np.stack([d, beta * np.exp(1j * sign * beta * x) * (a1 + 1j * a2) / SQRT2,
                          _SUB_TOLERANCE * action], axis=1)

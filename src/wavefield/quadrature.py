@@ -4,10 +4,17 @@ Written in-repo rather than wrapping scipy.integrate.quad because the contracts
 here need complex/matrix integrands, a hard node budget with structured failure,
 and deterministic node accounting for bit-identical reruns.
 
+Rounds: the integrand is called once per subdivision round, on the 15 Kronrod
+nodes of every panel of the round joined panel after panel: first the seeded
+panels, then the halves of every panel that round bisects. Each panel's rule is
+still its own product, so a panel's value has the bits of that panel
+evaluated alone.
+
 Determinism: the subdivision order is a pure function of the inputs (heap ties
-broken by insertion counter), and the result is one plain running sum over the
-panels sorted by left endpoint. The panel order, not compensation, fixes the
-bits; the phase pass reads the same running sums at its panel edges.
+broken by insertion counter), and the value and the error estimate are plain
+running sums over the panels sorted by left endpoint. The panel order, not
+compensation, fixes the bits; the phase pass reads the same running sums at
+its panel edges.
 """
 
 from __future__ import annotations
@@ -76,15 +83,29 @@ def _norm(v) -> float:
     return math.sqrt(flat @ flat)
 
 
+def _panels(f, intervals):
+    """K15/G7 evaluations on each (a, b) of `intervals` from one call of f on all
+    their nodes, joined panel after panel: [(kronrod, |kronrod - gauss|)] in order.
+    Each panel's weights product is its own, so its value has the bits of the
+    panel evaluated alone."""
+    mids = np.array([0.5 * (a + b) for a, b in intervals])
+    halves = np.array([0.5 * (b - a) for a, b in intervals])
+    stack = np.asarray(f((mids[:, None] + halves[:, None] * XK).ravel()), dtype=complex)
+    blocks = stack.reshape((len(intervals), 15, -1))
+    if not np.isfinite(blocks).all():
+        a, b = intervals[int(np.argmin(np.isfinite(blocks).all(axis=(1, 2))))]
+        raise QuadratureFailure(f"non-finite integrand value on panel [{a!r}, {b!r}]")
+    out = []
+    for half, block in zip(halves, blocks):
+        # complex values as interleaved (re, im) floats: one real product for both rows
+        sums = half * (_PANEL_WEIGHTS @ np.ascontiguousarray(block).view(np.float64))
+        out.append((sums[0].view(complex).reshape(stack.shape[1:])[()], _norm(sums[1])))
+    return out
+
+
 def _panel(f, a: float, b: float):
     """One K15/G7 evaluation on [a, b]: (kronrod, |kronrod - gauss|)."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    stack = np.asarray(f(mid + half * XK), dtype=complex)
-    if not np.isfinite(stack).all():
-        raise QuadratureFailure(f"non-finite integrand value on panel [{a!r}, {b!r}]")
-    # complex values as interleaved (re, im) floats: one real product for both rows
-    sums = half * (_PANEL_WEIGHTS @ np.ascontiguousarray(stack.reshape(15, -1)).view(np.float64))
-    return sums[0].view(complex).reshape(stack.shape[1:])[()], _norm(sums[1])
+    return _panels(f, [(a, b)])[0]
 
 
 def adaptive_quad(f, a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL,
@@ -92,11 +113,16 @@ def adaptive_quad(f, a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL,
                   breakpoints=None) -> QuadratureResult:
     """Integrate f over [a, b] to max(abs_tol, rel_tol*|result|).
 
-    f maps the array of a panel's 15 nodes to their values, stacked on axis 0
-    (complex scalars or ndarrays). `breakpoints` seeds the initial subdivision
-    (useful when the integrand has a known boundary layer; repeats count once). Raises
-    QuadratureFailure, with the nodes used and the error so far, where the
-    next panel would take it past `node_cap` integrand evaluations.
+    The work goes in rounds, one call of f each. The first evaluates every
+    seeded panel: [a, b], cut at the `breakpoints` inside it (useful when the
+    integrand has a known boundary layer; repeats count once). Each later round
+    takes the worst panels until the error left fits the tolerance and bisects
+    them all. f maps the 15 Kronrod nodes of each panel of the round, joined
+    panel after panel, to their values stacked on axis 0 (complex scalars or
+    ndarrays). Raises QuadratureFailure, with the nodes used and the error so
+    far, when a round would take it past `node_cap` integrand evaluations: the
+    panels of that round that fit (whole bisections, after the first) are
+    evaluated first.
     """
     sign = 1.0
     if b < a:
@@ -116,29 +142,33 @@ def adaptive_quad(f, a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL,
 
     pending = list(zip(edges[:-1], edges[1:]))
     while True:
-        for lo, hi in pending:
-            if nodes + 15 > node_cap:            # breakpoints may seed more than the cap
-                raise exhausted()
-            kron, err = _panel(f, lo, hi)
+        fit = pending[:(node_cap - nodes) // 15]     # breakpoints may seed more than the cap
+        for (lo, hi), (kron, err) in zip(fit, _panels(f, fit) if fit else ()):
             nodes += 15
             err_sum += err
             value_sum = value_sum + kron
             heapq.heappush(heap, (-err, nodes, lo, hi, kron))
-        # running sums decide when to stop; the result is summed afresh below
-        if err_sum <= max(abs_tol, rel_tol * _norm(value_sum)):
-            break
-        if nodes + 30 > node_cap:                # a bisection needs both halves
+        if len(fit) < len(pending):
             raise exhausted()
-        neg_err, _, lo, hi, kron = heapq.heappop(heap)
-        err_sum += neg_err
-        value_sum = value_sum - kron
-        mid = 0.5 * (lo + hi)
-        pending = ((lo, mid), (mid, hi))
+        # running sums decide when to stop; the result is summed afresh below
+        tol = max(abs_tol, rel_tol * _norm(value_sum))
+        if err_sum <= tol:
+            break
+        pairs = (node_cap - nodes) // 30             # a bisection needs both halves
+        if not pairs:
+            raise exhausted()
+        pending = []
+        while err_sum > tol and heap and len(pending) < 2 * pairs:
+            neg_err, _, lo, hi, kron = heapq.heappop(heap)
+            err_sum += neg_err
+            value_sum = value_sum - kron
+            mid = 0.5 * (lo + hi)
+            pending += [(lo, mid), (mid, hi)]
 
     pieces = sorted(heap, key=lambda item: item[2])
     cumulative = [np.zeros_like(pieces[0][4])]
     for item in pieces:
         cumulative.append(cumulative[-1] + item[4])
-    return QuadratureResult(sign * cumulative[-1], sum(-item[0] for item in heap), nodes,
+    return QuadratureResult(sign * cumulative[-1], sum(-item[0] for item in pieces), nodes,
                             tuple((item[2], item[3], item[4]) for item in pieces),
                             tuple(cumulative))

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wavefield import green
+from wavefield import green, kernels
 from wavefield.errors import QuadratureFailure, RangeError, StepCalibrationFailure
 from wavefield.fields import (CircularProfile, FieldConfig, PlaneWaveProfile, PulseProfile,
                               TabulatedProfile, ZeroProfile)
@@ -303,3 +303,29 @@ def test_dirac_runs_one_phase_pass_per_stencil_phase(monkeypatch):
     # 7 phases in exact arithmetic; rounding splits some of them
     assert min(distinct) == 7 and max(distinct) > 7
     assert len(set(nodes)) == 1, nodes
+
+
+def test_ray_and_phase_pass_call_their_integrands_once_per_round(monkeypatch):
+    # counted by wrapping each integrand; a circular point whose ray takes 9
+    # panels in 3 rounds: a return to one call per panel would make 9 ray calls,
+    # and 7 pass calls for dirac's 7 breakpoint panels
+    calls = {"ray": 0, "pass": 0}
+
+    def counted(name):
+        def quad(f, *args, **kwargs):
+            def integrand(x):
+                calls[name] += 1
+                return f(x)
+            return adaptive_quad(integrand, *args, **kwargs)
+        return quad
+
+    monkeypatch.setattr(green, "adaptive_quad", counted("ray"))
+    monkeypatch.setattr(kernels, "adaptive_quad", counted("pass"))
+    ctx = _ctx(cfg=FieldConfig(g=0.9, B=0.6, profile=CircularProfile(amplitude=0.3, frequency=1.0)),
+               x_a=np.array([0.1, -0.2, 0.3, 0.05]), x_b=np.array([0.7, 0.4, 0.9, 0.2]),
+               pL=np.array([0.0, 0.0, 0.3, 1.6]))
+    green_function(ctx)
+    assert calls["ray"] <= 3 and calls["pass"] == 1
+    calls.update({"ray": 0, "pass": 0})
+    dirac_apply(ctx)
+    assert calls["ray"] <= 3 and calls["pass"] == 1

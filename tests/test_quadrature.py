@@ -97,6 +97,19 @@ def test_node_cap_holds_when_the_breakpoint_panels_alone_exceed_it():
     assert adaptive_quad(np.cos, 0.0, 7.0, breakpoints=knots, node_cap=105).nodes == 105
 
 
+def test_node_cap_in_a_later_round_evaluates_the_bisections_that_fit():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.sin(1.0 / x) / x
+
+    with pytest.raises(QuadratureFailure) as failure:
+        adaptive_quad(f, 1e-9, 1.0, abs_tol=1e-14, rel_tol=1e-14, node_cap=600)
+    assert sum(calls) == failure.value.nodes
+    assert 600 - 30 < failure.value.nodes <= 600     # one more bisection would not fit
+
+
 def test_nonfinite_integrand_raises():
     # the midpoint of [0, 1] is a K15 node, so the pole is actually sampled
     with np.errstate(divide="ignore"), pytest.raises(QuadratureFailure):
@@ -112,17 +125,20 @@ def test_bit_determinism():
     assert a.nodes == b.nodes
 
 
-def test_integrand_is_called_once_per_panel():
+def test_integrand_is_called_once_per_round():
+    # the first call takes every seeded panel, each later one the halves of
+    # every panel bisected in that round: 15 nodes per panel, joined
     calls = []
 
     def f(x):
-        calls.append(x.shape)
+        calls.append(x.size)
         return np.exp(1j * 9.0 * x) / (1.0 + x * x)
 
-    res = adaptive_quad(f, 0.0, 4.0, abs_tol=1e-12, rel_tol=1e-12, breakpoints=[1.0])
-    assert res.nodes > 30
-    assert calls == [(15,)] * (res.nodes // 15)
-    assert len(res.panels) == len(calls) - (len(calls) - 2) // 2
+    res = adaptive_quad(f, 0.0, 4.0, abs_tol=1e-12, rel_tol=1e-12, breakpoints=[1.0, 2.5])
+    assert all(size % 15 == 0 for size in calls)
+    assert sum(calls) == res.nodes
+    assert calls[0] == 3 * 15
+    assert 1 < len(calls) < len(res.panels)
 
 
 def test_panels_tile_the_interval_left_to_right():
@@ -184,3 +200,13 @@ def test_panel_raises_on_one_non_finite_node(bad):
 
         with pytest.raises(QuadratureFailure):
             _panel(f, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPED_INTEGRANDS))
+def test_batched_panels_have_the_bits_of_panels_evaluated_alone(shape):
+    # a round's panels share one integrand call but no arithmetic
+    f = _SHAPED_INTEGRANDS[shape]
+    res = adaptive_quad(f, -1.0, 4.0, abs_tol=1e-13, rel_tol=1e-13, breakpoints=[0.5, 2.0])
+    assert len(res.panels) > 3
+    for lo, hi, value in res.panels:
+        assert np.array_equal(value, _panel(f, lo, hi)[0])
