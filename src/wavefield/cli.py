@@ -176,6 +176,8 @@ def parse_config(text: str) -> RunConfig:
 # -- output helpers -------------------------------------------------------
 
 def _fmt(value) -> str:
+    if type(value) is float:        # most cells: test for them first
+        return format(value, ".17g")
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -216,11 +218,8 @@ def _matrix_columns(prefix: str) -> list:
 
 
 def _matrix_row(matrix: np.ndarray) -> list:
-    out = []
-    for i in range(4):
-        for j in range(4):
-            out.extend([matrix[i, j].real, matrix[i, j].imag])
-    return out
+    """(re, im) of each entry, row by row, as Python floats."""
+    return np.ascontiguousarray(matrix, dtype=complex).view(np.float64).ravel().tolist()
 
 
 def _grid_contexts(rc: RunConfig):

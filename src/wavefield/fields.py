@@ -10,6 +10,7 @@ nothing else (the phase pass integrates K by parts, so no slope is needed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,14 @@ def _real(name: str, value, shape=(), error=InvalidProfile):
     """`value` as a float, or as a float array of `shape` (None: any length on
     that axis); `error` unless it holds finite real numbers only (no strings,
     booleans, None, NaN or infinity)."""
+    # fast path for what the package passes on itself (every context build and
+    # replace): a finite float, or a finite float64 array of the shape, copied
+    if not shape:
+        if type(value) is float and math.isfinite(value):
+            return value
+    elif type(value) is np.ndarray and value.dtype == np.float64 and value.ndim == len(shape) \
+            and (None in shape or value.shape == shape) and np.isfinite(value).all():
+        return value.copy()
     try:
         array = np.asarray(value)
     except ValueError:          # ragged nesting

@@ -43,7 +43,8 @@ from .errors import QuadratureFailure, RangeError, StepCalibrationFailure
 from .fields import FieldConfig, ZeroProfile, _real
 from .kernels import KernelDiagnostics, PhasePass, folded_kernel, phase_pass
 from .minkowski import (GAMMA, IDENTITY4, P_MINUS, P_PLUS, SLASH_EPS,
-                        SLASH_EPS_CONJ, SLASH_K, UNIT_FIELD, WAVE_K, dot)
+                        SLASH_EPS_CONJ, SLASH_K, UNIT_FIELD, WAVE_K, dot, light_cone,
+                        longitudinal_dot)
 from .quadrature import adaptive_quad
 
 
@@ -80,15 +81,15 @@ class EvalContext:
 
     @property
     def phi_a(self) -> float:
-        return dot(WAVE_K, self.x_a).real
+        return float(light_cone(self.x_a))
 
     @property
     def phi_b(self) -> float:
-        return dot(WAVE_K, self.x_b).real
+        return float(light_cone(self.x_b))
 
     @property
     def mass_gap(self) -> float:
-        return dot(self.pL, self.pL).real - self.m ** 2
+        return float(longitudinal_dot(self.pL, self.pL)) - self.m ** 2
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ def _prepare(ctx: EvalContext, points) -> _Prepared:
     (shape (n, 4)) at the context's tolerances, which the pass splits between
     its columns; braces and their norms, rho^2 and constant exponent per point."""
     points = np.asarray(points, dtype=float).reshape(-1, 4)
-    run = phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, dot(WAVE_K, points).real,
+    run = phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, light_cone(points),
                      sign=ctx.volkov_sign, abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol)
     plus = (IDENTITY4 - np.multiply.outer(run.kernel_b, SLASH_K @ SLASH_EPS_CONJ)) @ P_PLUS
     minus = (IDENTITY4 - np.multiply.outer(run.kernel_b.conjugate(), SLASH_K @ SLASH_EPS)) \
@@ -129,7 +130,7 @@ def _prepare(ctx: EvalContext, points) -> _Prepared:
     rho2 = (far[:, 0] - ctx.x_a[0]) ** 2 + (far[:, 1] - ctx.x_a[1]) ** 2
     # pL has no transverse slots (EvalContext), so the first term is i pL.dx^L;
     # the last is the action's boundary term and the magnetic gauge phase in one
-    constant = 1j * dot(ctx.pL, points - ctx.x_a) - 0.5j * ctx.cfg.g * run.action \
+    constant = 1j * longitudinal_dot(ctx.pL, points - ctx.x_a) - 0.5j * ctx.cfg.g * run.action \
         + 0.5j * ctx.cfg.g * ctx.cfg.B * (far[:, 0] * near[:, 1] - far[:, 1] * near[:, 0])
     return _Prepared(rho2=rho2, constant=constant, plus=plus, minus=minus,
                      weight=weight, run=run)
@@ -151,26 +152,30 @@ def _green_batch(ctx: EvalContext, points):
     Per endpoint the integrand is (|M+| f e^{+iw}, |M-| f e^{-iw}), f e^{+-iw} =
     k q or k (`folded_kernel`) times (-i/2) exp(i (e0/2) gap + constant); M+ and
     M- fill disjoint columns, so its norm is that of G (jointly sqrt(sum |G_n|^2))."""
-    if ctx.mass_gap <= 0.0:
+    gap = ctx.mass_gap
+    if gap <= 0.0:
         raise QuadratureFailure(
             f"proper-time integrand does not decay at large s: need dot(pL, pL) > m^2 "
-            f"(gap {ctx.mass_gap!r})")
+            f"(gap {gap!r})")
     pre = _prepare(ctx, points)
     if np.any(pre.rho2 == 0.0):
         raise QuadratureFailure(
             "coincident transverse endpoints: the short-time end of the ray is log-divergent")
-    rate = 0.5j * ctx.mass_gap          # the e0-dependent part of the longitudinal phase
+    rate = 0.5j * gap  # the e0-dependent part of the longitudinal phase
     b = ctx.cfg.g * ctx.cfg.B
     ray = np.exp(1j * ctx.theta)
-    scale = 2.0 / (ctx.mass_gap * np.sin(ctx.theta))
+    scale = 2.0 / (gap * np.sin(ctx.theta))
 
     def integrand(u):
-        e0 = (scale * u / (1.0 - u) * ray)[:, None]
+        rest = 1.0 - u
+        e0 = (scale * u / rest * ray)[:, None]
         k, q = folded_kernel(e0, pre.rho2, b)
         f = -0.5j * k * np.exp(rate * e0 + pre.constant)
-        both = np.stack([f * q, f] if b > 0.0 else [f, f * q], axis=-1)
-        jacobian = ray * scale / (1.0 - u) ** 2
-        return both * pre.weight * jacobian[:, None, None]
+        both = np.empty(f.shape + (2,), complex)
+        both[..., 0], both[..., 1] = (f * q, f) if b > 0.0 else (f, f * q)
+        both *= pre.weight
+        both *= (ray * scale / rest ** 2)[:, None, None]
+        return both
 
     # the short-time boundary layer of the kernel, at fixed s
     breaks = [s / (s + scale) for s in (0.02, 0.1, 0.5, 2.5)]

@@ -60,7 +60,7 @@ import numpy as np
 from .conventions import DEFAULT_ABS_TOL, DEFAULT_REL_TOL
 from .errors import DivisionByZero, KernelSingularity
 from .fields import FieldConfig
-from .minkowski import SQRT2, WAVE_K, dot
+from .minkowski import SQRT2, light_cone
 from .quadrature import CUMULATIVE, XK, adaptive_quad
 
 #: |sin(e0 g B / 2)| below this raises KernelSingularity.
@@ -147,6 +147,12 @@ class PhasePass:
     error_estimate: float
 
 
+def _nothing(shape) -> PhasePass:
+    """The pass of a zero profile or an empty hull, shaped like phi_b."""
+    return PhasePass(np.zeros(shape)[()], np.zeros(shape + (2,)), np.zeros(shape, complex)[()],
+                     0, 0.0)
+
+
 def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, sign: int = +1,
                abs_tol: float = DEFAULT_ABS_TOL, rel_tol: float = DEFAULT_REL_TOL) -> PhasePass:
     """One adaptive quadrature on the hull of phi_a and every phi_b (one phase
@@ -162,6 +168,8 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, sign: int 
     share with the action column weighted by it."""
     phi_b = np.asarray(phi_b)
     shape, ends = phi_b.shape, phi_b.ravel().tolist()
+    if cfg.profile.is_zero:
+        return _nothing(shape)
     # phases a few roundings apart, as (x2 + h) - x3 and x2 - (x3 - h) in a
     # dirac stencil, share one breakpoint and are read at it
     merged, edge = {}, None
@@ -170,16 +178,12 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, sign: int 
             edge = phi
         merged[phi] = edge
     ends = [merged[phi] for phi in ends]
-    nothing = PhasePass(np.zeros(shape)[()], np.zeros(shape + (2,)),
-                        np.zeros(shape, complex)[()], 0, 0.0)
-    if cfg.profile.is_zero:
-        return nothing
-    kp = float(dot(WAVE_K, pL).real)
+    kp = float(light_cone(pL))
     if kp == 0:
         raise DivisionByZero("dot(k, pL) = 0 with a non-zero profile")
     start, stop = min(phi_a, *ends), max(phi_a, *ends)
     if start == stop:
-        return nothing
+        return _nothing(shape)
     rate, beta = cfg.g / kp, cfg.g * cfg.B / kp          # beta = rate B turns the drift
     # K's boundary term e^{i sign beta phi} dot(eps, A^p(phi)) at phi_a and at each phi_b
     phases = np.array([phi_a, *ends])

@@ -6,9 +6,9 @@ and deterministic node accounting for bit-identical reruns.
 
 Rounds: the integrand is called once per subdivision round, on the 15 Kronrod
 nodes of every panel of the round joined panel after panel: first the seeded
-panels, then the halves of every panel that round bisects. Each panel's rule is
-still its own product, so a panel's value has the bits of that panel
-evaluated alone.
+panels, then the halves of every panel that round bisects. One stacked weights
+product per round applies the rule to all of them; it runs the same product
+per panel, so each panel's value keeps the bits of that panel evaluated alone.
 
 Determinism: the subdivision order is a pure function of the inputs (heap ties
 broken by insertion counter), and the value and the error estimate are plain
@@ -85,27 +85,30 @@ def _norm(v) -> float:
 
 def _panels(f, intervals):
     """K15/G7 evaluations on each (a, b) of `intervals` from one call of f on all
-    their nodes, joined panel after panel: [(kronrod, |kronrod - gauss|)] in order.
-    Each panel's weights product is its own, so its value has the bits of the
-    panel evaluated alone."""
-    mids = np.array([0.5 * (a + b) for a, b in intervals])
-    halves = np.array([0.5 * (b - a) for a, b in intervals])
+    their nodes, joined panel after panel: (kronrod values stacked on axis 0,
+    [|kronrod - gauss|]) in order. One stacked weights product serves the whole
+    round; it runs the same product per panel, so each panel's value has the
+    bits of that panel evaluated alone."""
+    bounds = np.array(intervals)
+    mids, halves = 0.5 * (bounds[:, 0] + bounds[:, 1]), 0.5 * (bounds[:, 1] - bounds[:, 0])
     stack = np.asarray(f((mids[:, None] + halves[:, None] * XK).ravel()), dtype=complex)
-    blocks = stack.reshape((len(intervals), 15, -1))
+    blocks = np.ascontiguousarray(stack.reshape((len(intervals), 15, -1)))
     if not np.isfinite(blocks).all():
         a, b = intervals[int(np.argmin(np.isfinite(blocks).all(axis=(1, 2))))]
         raise QuadratureFailure(f"non-finite integrand value on panel [{a!r}, {b!r}]")
-    out = []
-    for half, block in zip(halves, blocks):
-        # complex values as interleaved (re, im) floats: one real product for both rows
-        sums = half * (_PANEL_WEIGHTS @ np.ascontiguousarray(block).view(np.float64))
-        out.append((sums[0].view(complex).reshape(stack.shape[1:])[()], _norm(sums[1])))
-    return out
+    # complex values as interleaved (re, im) floats: one real product for both rows
+    sums = halves[:, None, None] * (_PANEL_WEIGHTS @ blocks.view(np.float64))
+    values = np.ascontiguousarray(sums[:, 0]).view(complex).reshape(
+        (len(intervals),) + stack.shape[1:])
+    # each panel's norm of kronrod - gauss as its own dot product, as `_norm` takes it
+    diffs = sums[:, 1]
+    return values, np.sqrt(diffs[:, None, :] @ diffs[:, :, None]).ravel().tolist()
 
 
 def _panel(f, a: float, b: float):
     """One K15/G7 evaluation on [a, b]: (kronrod, |kronrod - gauss|)."""
-    return _panels(f, [(a, b)])[0]
+    values, errors = _panels(f, [(a, b)])
+    return values[0], errors[0]
 
 
 def adaptive_quad(f, a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL,
@@ -143,7 +146,8 @@ def adaptive_quad(f, a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL,
     pending = list(zip(edges[:-1], edges[1:]))
     while True:
         fit = pending[:(node_cap - nodes) // 15]     # breakpoints may seed more than the cap
-        for (lo, hi), (kron, err) in zip(fit, _panels(f, fit) if fit else ()):
+        values, errors = _panels(f, fit) if fit else ((), ())
+        for (lo, hi), kron, err in zip(fit, values, errors):
             nodes += 15
             err_sum += err
             value_sum = value_sum + kron

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,3 +192,27 @@ def test_field_config_rejects_a_profile_that_is_not_a_profile(profile):
     # a RangeError when the config is built, not an AttributeError inside green_function
     with pytest.raises(RangeError):
         FieldConfig(g=0.9, B=0.5, profile=profile)
+
+
+def test_built_objects_keep_no_alias_of_the_callers_arrays():
+    # finite float64 arrays take `_real`'s fast path, which still copies them:
+    # writing to the caller's arrays afterwards changes no built object
+    x_a, x_b, pL = np.array([0.1, -0.2, 0.3, 0.0]), np.array([0.6, 0.4, -0.1, 0.5]), \
+        np.array([0.0, 0.0, 0.2, 2.0])
+    ctx = EvalContext(m=0.8, x_a=x_a, x_b=x_b, pL=pL, cfg=FieldConfig(g=0.9, B=0.5))
+    kept = [v.copy() for v in (x_a, x_b, pL)]
+    moved = ctx.x_b + 1.0
+    other = replace(ctx, x_b=moved)
+    for array in (x_a, x_b, pL, moved):
+        array[:] = 7.0
+    assert [v.tolist() for v in (ctx.x_a, ctx.x_b, ctx.pL)] == [v.tolist() for v in kept]
+    assert other.x_b.tolist() == (kept[1] + 1.0).tolist() and other.x_a.tolist() == kept[0].tolist()
+    assert other.x_a is not ctx.x_a
+    grid = np.linspace(-2.0, 2.0, 9)
+    a1, a2 = np.sin(grid), np.cos(grid)
+    profile = TabulatedProfile(phi_grid=grid, a1=a1, a2=a2)
+    before = np.array(profile.components(np.linspace(-1.9, 1.9, 7)))
+    for array in (grid, a1, a2):
+        array[:] = 0.0
+    assert profile.phi_grid.tolist() == np.linspace(-2.0, 2.0, 9).tolist()
+    assert np.array_equal(np.array(profile.components(np.linspace(-1.9, 1.9, 7))), before)

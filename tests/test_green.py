@@ -1,9 +1,10 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wavefield import green, kernels
+from wavefield import green, kernels, minkowski
 from wavefield.errors import QuadratureFailure, RangeError, StepCalibrationFailure
 from wavefield.fields import (CircularProfile, FieldConfig, PlaneWaveProfile, PulseProfile,
                               TabulatedProfile, ZeroProfile)
@@ -305,6 +306,37 @@ def test_dirac_runs_one_phase_pass_per_stencil_phase(monkeypatch):
     assert len(set(nodes)) == 1, nodes
 
 
+def _circular_point():
+    cfg = FieldConfig(g=0.9, B=0.6, profile=CircularProfile(amplitude=0.3, frequency=1.0))
+    return _ctx(cfg=cfg, x_a=np.array([0.1, -0.2, 0.3, 0.05]), x_b=np.array([0.7, 0.4, 0.9, 0.2]),
+                pL=np.array([0.0, 0.0, 0.3, 1.6]))
+
+
+def _python_calls(fn, functions):
+    """How often fn() calls each of `functions`, counted by sys.setprofile."""
+    counts = dict.fromkeys((f.__code__ for f in functions), 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in counts:
+            counts[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return list(counts.values())
+
+
+def test_green_function_pays_no_metric_sum_and_one_pass_record():
+    # the fixed costs of a gf, counted rather than timed: the context's scalars,
+    # the phases and i pL.dx^L come from the slots, and the pass builds its record once
+    ctx = _circular_point()
+    assert _python_calls(lambda: green_function(ctx), [minkowski.dot]) == [0]
+    assert _python_calls(lambda: phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, ctx.phi_b),
+                         [PhasePass.__init__]) == [1]
+
+
 def test_ray_and_phase_pass_call_their_integrands_once_per_round(monkeypatch):
     # counted by wrapping each integrand; a circular point whose ray takes 9
     # panels in 3 rounds: a return to one call per panel would make 9 ray calls,
@@ -321,9 +353,7 @@ def test_ray_and_phase_pass_call_their_integrands_once_per_round(monkeypatch):
 
     monkeypatch.setattr(green, "adaptive_quad", counted("ray"))
     monkeypatch.setattr(kernels, "adaptive_quad", counted("pass"))
-    ctx = _ctx(cfg=FieldConfig(g=0.9, B=0.6, profile=CircularProfile(amplitude=0.3, frequency=1.0)),
-               x_a=np.array([0.1, -0.2, 0.3, 0.05]), x_b=np.array([0.7, 0.4, 0.9, 0.2]),
-               pL=np.array([0.0, 0.0, 0.3, 1.6]))
+    ctx = _circular_point()
     green_function(ctx)
     assert calls["ray"] <= 3 and calls["pass"] == 1
     calls.update({"ray": 0, "pass": 0})

@@ -3,7 +3,8 @@
 The one pass along the wave phase (cross phase, K and K* from one panel set)
 is compared with the independent oracles and, over many far phases at once,
 with one pass per phase; the Green function with bumps added to the profile
-outside [phi_a, phi_b] with the one without them; the panel-at-once
+outside [phi_a, phi_b] with the one without them; the metric products the
+evaluation path reads from the slots with `minkowski.dot`, bit for bit; the panel-at-once
 quadrature with a per-point transcription of the classic adaptive K15/G7
 loop; and the Green function at any contour angle with the one on the
 Euclidean axis. A
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from wavefield.fields import CircularProfile, FieldConfig, LinearProfile, PulseProfile, ZeroProfile
 from wavefield.green import EvalContext, green_function
 from wavefield.kernels import phase_pass, schwinger_kernel
-from wavefield.minkowski import WAVE_K, dot
+from wavefield.minkowski import WAVE_K, dot, light_cone, longitudinal_dot
 from wavefield.oracles import cross_phase_nested, volkov_kernel_closed_form
 from wavefield.quadrature import WG, WK, XK, _G_IDX, adaptive_quad
 from wavefield.verification import _bumped_outside
@@ -148,6 +149,33 @@ def test_green_function_does_not_see_the_profile_outside_the_phase_interval(case
     value, moved = green_function(ctx), green_function(bumped)
     assert moved.matrix.tobytes() == value.matrix.tobytes()
     assert moved.diagnostics == value.diagnostics
+
+
+#: Finite slots of any sign and size short of overflow, with both zeros drawn often.
+_SLOTS = st.floats(-1e100, 1e100) | st.sampled_from([0.0, -0.0])
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).view(np.int64).tolist()
+
+
+@settings(max_examples=100, **_SETTINGS)
+@given(st.lists(_SLOTS, min_size=4, max_size=4), st.lists(_SLOTS, min_size=4, max_size=4),
+       st.sampled_from([0.0, -0.0]), st.sampled_from([0.0, -0.0]), _SLOTS, _SLOTS,
+       st.floats(-1e50, 1e50), st.lists(st.lists(_SLOTS, min_size=4, max_size=4),
+                                        min_size=1, max_size=8))
+def test_slot_products_have_the_bits_of_the_metric_sum(x_a, x_b, p0, p1, p2, p3, m, points):
+    # the context's phases and mass gap, the far phases and i pL.dx^L of
+    # green._prepare and kernels.phase_pass's k.pL, each against the
+    # minkowski.dot expression it replaces; zeros keep their sign
+    pL, points = np.array([p0, p1, p2, p3]), np.array(points)
+    ctx = EvalContext(m=m, x_a=x_a, x_b=x_b, pL=pL, cfg=FieldConfig(g=1.0, B=0.5))
+    assert _bits(ctx.phi_a) == _bits(dot(WAVE_K, ctx.x_a).real)
+    assert _bits(ctx.phi_b) == _bits(dot(WAVE_K, ctx.x_b).real)
+    assert _bits(ctx.mass_gap) == _bits(dot(pL, pL).real - ctx.m ** 2)
+    assert _bits(light_cone(points)) == _bits(dot(WAVE_K, points).real)
+    assert _bits(longitudinal_dot(pL, points - ctx.x_a)) == _bits(dot(pL, points - ctx.x_a))
+    assert _bits(light_cone(pL)) == _bits(dot(WAVE_K, pL).real)
 
 
 def _per_point_quad(f, a, b, abs_tol, rel_tol):
