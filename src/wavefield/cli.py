@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -176,8 +177,6 @@ def parse_config(text: str) -> RunConfig:
 # -- output helpers -------------------------------------------------------
 
 def _fmt(value) -> str:
-    if type(value) is float:        # most cells: test for them first
-        return format(value, ".17g")
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -191,8 +190,8 @@ def render_csv(header: list, rows: list) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    for row in rows:     # most cells are floats: format those inline
+        writer.writerow([format(v, ".17g") if type(v) is float else _fmt(v) for v in row])
     return buf.getvalue().encode("utf-8")
 
 
@@ -209,12 +208,10 @@ def render_sidecar(command: str, rc: RunConfig, n_rows: int, extra: dict | None 
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-def _matrix_columns(prefix: str) -> list:
-    cols = []
-    for i in range(4):
-        for j in range(4):
-            cols.extend([f"{prefix}{i}{j}_re", f"{prefix}{i}{j}_im"])
-    return cols
+@functools.cache
+def _matrix_columns(prefix: str) -> tuple:
+    return tuple(f"{prefix}{i}{j}_{part}" for i in range(4) for j in range(4)
+                 for part in ("re", "im"))
 
 
 def _matrix_row(matrix: np.ndarray) -> list:
@@ -296,7 +293,7 @@ def _cmd_spinfactor(rc: RunConfig):
     _require_grid(rc, "spinfactor", "e0")
     factors = spin_factor(np.array(rc.grid_values), rc.ctx)
     rows = [[e0] + _matrix_row(sf) for e0, sf in zip(rc.grid_values, factors)]
-    return ["e0"] + _matrix_columns("sf"), rows, None, 0
+    return ["e0", *_matrix_columns("sf")], rows, None, 0
 
 
 def _propagator_table(rc: RunConfig, evaluate):
@@ -308,14 +305,14 @@ def _propagator_table(rc: RunConfig, evaluate):
         return [grid_value] + _matrix_row(result.matrix) + [diag.error_estimate, diag.nodes, 0]
 
     rows = [one(pair) for pair in _grid_contexts(rc)]
-    header = (["grid_value"] + _matrix_columns("g")
-              + ["error_estimate", "nodes", "near_singularity"])
+    header = ["grid_value", *_matrix_columns("g"), "error_estimate", "nodes",
+              "near_singularity"]
     return header, rows, None, 0
 
 
 def _cmd_dirac(rc: RunConfig):
     rows = [[value] + _matrix_row(dirac_apply(ctx)) for value, ctx in _grid_contexts(rc)]
-    return ["grid_value"] + _matrix_columns("s"), rows, None, 0
+    return ["grid_value", *_matrix_columns("s")], rows, None, 0
 
 
 def _cmd_verify(rc: RunConfig):
@@ -352,6 +349,7 @@ _HANDLERS = {
 
 # -- entry point ----------------------------------------------------------
 
+@functools.cache    # parse_args keeps no state between calls: one parser per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavefield",

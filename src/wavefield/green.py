@@ -43,8 +43,7 @@ from .errors import QuadratureFailure, RangeError, StepCalibrationFailure
 from .fields import FieldConfig, ZeroProfile, _real
 from .kernels import KernelDiagnostics, PhasePass, folded_kernel, phase_pass
 from .minkowski import (GAMMA, IDENTITY4, P_MINUS, P_PLUS, SLASH_EPS,
-                        SLASH_EPS_CONJ, SLASH_K, UNIT_FIELD, WAVE_K, dot, light_cone,
-                        longitudinal_dot)
+                        SLASH_EPS_CONJ, SLASH_K, UNIT_FIELD, light_cone, longitudinal_dot)
 from .quadrature import adaptive_quad
 
 
@@ -202,7 +201,7 @@ def green_function_zero_k(ctx: EvalContext) -> PropagatorValue:
 def total_potential_lowered(ctx: EvalContext, x: np.ndarray) -> np.ndarray:
     """Lowered components of the total potential A_mu at the point x: the
     plane-wave part lowers to (a1, a2, 0, 0), its slots being transverse."""
-    a1, a2 = ctx.cfg.profile.components(dot(WAVE_K, x).real)
+    a1, a2 = ctx.cfg.profile.components(light_cone(x))
     return 0.5 * ((ctx.cfg.B * UNIT_FIELD) @ np.asarray(x, dtype=complex)) \
         + np.array([a1, a2, 0.0, 0.0])
 
@@ -223,26 +222,25 @@ def dirac_apply(ctx: EvalContext) -> np.ndarray:
     differences.
     """
     steps = (DIRAC_STEP, DIRAC_STEP / 2.0)
-    points = [ctx.x_b] + [ctx.x_b + (k * steps[1]) * unit for unit in np.eye(4)
-                          for k in (4, 2, 1, -1, -2, -4)]
-    values = _green_batch(ctx, np.array(points))[0]
-    base = values[0]
-    # per direction: G at x_b + (4, 2, 1, -1, -2, -4) h e_mu, h the fine step;
-    # the coarse stencil (2, 1, -1, -2) 2h is entries 0, 1, 4, 5, the fine one 1 to 4
-    shifted = values[1:].reshape(4, 6, 4, 4)
+    # per direction mu: x_b + (4, 2, 1, -1, -2, -4) h e_mu, h the fine step
+    offsets = np.array([4, 2, 1, -1, -2, -4])[:, None] * steps[1] * np.eye(4)[:, None]
+    points = np.concatenate([ctx.x_b[None], ctx.x_b + offsets.reshape(24, 4)])
+    values = _green_batch(ctx, points)[0]
+    base, shifted = values[0], values[1:].reshape(4, 6, 4, 4)
 
     def stencil(f, h):
-        return (-f[0] + 8 * f[1] - 8 * f[2] + f[3]) / (12 * h)
+        return (-f[:, 0] + 8 * f[:, 1] - 8 * f[:, 2] + f[:, 3]) / (12 * h)
 
+    # the coarse stencil (2, 1, -1, -2) 2h is entries 0, 1, 4, 5, the fine one 1 to 4
+    coarse = stencil(shifted[:, [0, 1, 4, 5]], steps[0])
+    fine = stencil(shifted[:, 1:5], steps[1])
+    scale = np.maximum(np.linalg.norm(fine, axis=(1, 2)), 1e-300)
+    failed = np.flatnonzero(np.linalg.norm(coarse - fine, axis=(1, 2)) > 0.1 * scale)
+    if failed.size:
+        raise StepCalibrationFailure(
+            f"direction {failed[0]}: steps {steps[0]} and {steps[1]} disagree beyond 10%")
     a_low = total_potential_lowered(ctx, ctx.x_b)
     out = ctx.m * base
-    for mu in range(4):
-        f = shifted[mu]
-        coarse, fine = stencil(f[[0, 1, 4, 5]], steps[0]), stencil(f[1:5], steps[1])
-        scale = max(float(np.linalg.norm(fine)), 1e-300)
-        if float(np.linalg.norm(coarse - fine)) > 0.1 * scale:
-            raise StepCalibrationFailure(
-                f"direction {mu}: steps {steps[0]} and {steps[1]} disagree beyond 10%")
-        out = out + 1j * GAMMA[mu] @ (fine - ctx.cfg.g * a_low[mu] * base)
+    for term in 1j * GAMMA @ (fine - (ctx.cfg.g * a_low)[:, None, None] * base):
+        out = out + term        # in mu order, as the sum is written
     return out
-

@@ -161,8 +161,9 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, sign: int 
     and the real action density with C counted from the panel's left edge.
     The quadrature's running sums of the panel integrals give C and K at the
     panel edges and so the rest; K adds its boundary term, from one read of the
-    profile at phi_a and every phi_b, which raises RangeError for a tabulated
-    profile whose grid does not hold them all. Nothing outside the hull is sampled.
+    profile at phi_a and every distinct phi_b, which raises RangeError for a
+    tabulated profile whose grid does not hold them all. Nothing outside the hull
+    is sampled.
     abs_tol and rel_tol are the evaluation's: the action meets them and the
     drift and K meet _SUB_TOLERANCE of them, as the quadrature runs at that
     share with the action column weighted by it."""
@@ -171,22 +172,22 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, sign: int 
     if cfg.profile.is_zero:
         return _nothing(shape)
     # phases a few roundings apart, as (x2 + h) - x3 and x2 - (x3 - h) in a
-    # dirac stencil, share one breakpoint and are read at it
-    merged, edge = {}, None
+    # dirac stencil, share one breakpoint and are read at it: everything below
+    # is worked out once per distinct read, then indexed out to every endpoint
+    reads, slot = [], {}
     for phi in sorted(set(ends)):
-        if edge is None or phi - edge > 4.0 * math.ulp(edge):
-            edge = phi
-        merged[phi] = edge
-    ends = [merged[phi] for phi in ends]
+        if not reads or phi - reads[-1] > 4.0 * math.ulp(reads[-1]):
+            reads.append(phi)
+        slot[phi] = len(reads) - 1
     kp = float(light_cone(pL))
     if kp == 0:
         raise DivisionByZero("dot(k, pL) = 0 with a non-zero profile")
-    start, stop = min(phi_a, *ends), max(phi_a, *ends)
+    start, stop = min(phi_a, *reads), max(phi_a, *reads)
     if start == stop:
         return _nothing(shape)
     rate, beta = cfg.g / kp, cfg.g * cfg.B / kp          # beta = rate B turns the drift
-    # K's boundary term e^{i sign beta phi} dot(eps, A^p(phi)) at phi_a and at each phi_b
-    phases = np.array([phi_a, *ends])
+    # K's boundary term e^{i sign beta phi} dot(eps, A^p(phi)) at phi_a and at each read
+    phases = np.array([phi_a, *reads])
     a1, a2 = cfg.profile.components(phases)
     boundary = (np.exp(1j * sign * beta * phases) * (a1 + 1j * a2) / SQRT2).tolist()
 
@@ -203,7 +204,7 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, sign: int 
                          _SUB_TOLERANCE * action], axis=1)
 
     quad = adaptive_quad(columns, start, stop, abs_tol=abs_tol * _SUB_TOLERANCE,
-                         rel_tol=rel_tol * _SUB_TOLERANCE, breakpoints=[phi_a, *ends])
+                         rel_tol=rel_tol * _SUB_TOLERANCE, breakpoints=[phi_a, *reads])
     # a handful of panels and endpoints: the bookkeeping runs on Python scalars
     edges = [panel[0] for panel in quad.panels] + [stop]
     values = [panel[2].tolist() for panel in quad.panels]
@@ -217,7 +218,7 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, sign: int 
         area.append(area[-1] + (value[0] * (c[0] - at_a[0]).conjugate()).imag)
     scale, turn = cfg.g / (2.0 * kp), SQRT2 * rate
     actions, drifts, kernels = [], [], []
-    for phi, at_phi in zip(ends, boundary[1:]):
+    for phi, at_phi in zip(reads, boundary[1:]):
         ib = bisect_left(edges, phi)
         at_b = cumulative[ib]
         actions.append((at_b[2] - at_a[2]).real / _SUB_TOLERANCE
@@ -226,5 +227,7 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, sign: int 
         drifts.append((turn * w.real, turn * -w.imag))
         kernels.append(scale * cmath.exp(1j * beta * phi)
                        * (at_phi - boundary[0] - 1j * sign * (at_b[1] - at_a[1])))
-    return PhasePass(np.array(actions).reshape(shape)[()], np.array(drifts).reshape(shape + (2,)),
-                     np.array(kernels).reshape(shape)[()], quad.nodes, quad.error_estimate)
+    index = [slot[phi] for phi in ends]
+    return PhasePass(np.array(actions)[index].reshape(shape)[()],
+                     np.array(drifts)[index].reshape(shape + (2,)),
+                     np.array(kernels)[index].reshape(shape)[()], quad.nodes, quad.error_estimate)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import functools
 import json
@@ -244,6 +245,29 @@ def test_angle_override_lands_in_sidecar(tmp_path):
     assert "timestamp" not in json.dumps(sidecar).lower()
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path, monkeypatch):
+    # the parser is built once per process; an --angle on one call must not
+    # leak into the next through it
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    status, angled = _invoke(tmp_path, "gf", _config(), "--angle", "0.5", name="angled.csv")
+    status2, plain = _invoke(tmp_path, "gf", _config(), name="plain.csv")
+    status3, _ = _invoke(tmp_path, "gf", _config(), "--profile-sign-toggle", name="toggled.csv")
+    assert status == status2 == status3 == 0
+    assert len(built) <= 1
+    assert json.loads(Path(str(angled) + ".json").read_text())["config"]["eval"]["theta"] == 0.5
+    sidecar = json.loads(Path(str(plain) + ".json").read_text())
+    assert sidecar["config"]["eval"]["theta"] == math.pi / 2
+    assert sidecar["ledger"]["contour_angle"] == math.pi / 2
+    assert sidecar["config"]["volkov_sign"] == 1
+
+
 def test_angle_outside_the_contour_range_exits_2(tmp_path):
     for angle in ("2.0", "0", "nan"):
         status, out = _invoke(tmp_path, "gf", _config(), "--angle", angle)
@@ -393,8 +417,8 @@ def test_gf_outputs_carry_only_the_frozen_columns(tmp_path):
         diag = result.diagnostics
         assert diag.prepare_nodes > 0
         rows.append([value] + _matrix_row(result.matrix) + [diag.error_estimate, diag.nodes, 0])
-    header = (["grid_value"] + _matrix_columns("g")
-              + ["error_estimate", "nodes", "near_singularity"])
+    header = ["grid_value", *_matrix_columns("g"), "error_estimate", "nodes",
+              "near_singularity"]
     assert out.read_bytes() == render_csv(header, rows)
     sidecar = Path(str(out) + ".json").read_bytes()
     assert sidecar == render_sidecar("gf", rc, len(rows))

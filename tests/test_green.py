@@ -164,6 +164,18 @@ def test_dirac_step_calibration_guard(monkeypatch):
         dirac_apply(_ctx())
 
 
+def test_dirac_step_calibration_names_the_first_failing_direction(monkeypatch):
+    # smooth along x0 and x1, kinked along x2 and x3: direction 2 fails first
+    def kinked(points):
+        t = points[:, 2:] - XB[2:]
+        kinks = (t * t * np.sign(t)).sum(axis=1)
+        return (np.exp(points[:, :2] @ [0.3, -0.2]) * (1.0 + kinks))[:, None, None] * IDENTITY4
+
+    monkeypatch.setattr(green, "_green_batch", _batch_of(kinked))
+    with pytest.raises(StepCalibrationFailure, match="^direction 2:"):
+        dirac_apply(_ctx())
+
+
 def test_dirac_assembly_on_smooth_evaluator(monkeypatch):
     ctx = _ctx(cfg=WCFG)
     c = np.array([0.3, -0.2, 0.1, -0.1])
@@ -330,9 +342,11 @@ def _python_calls(fn, functions):
 
 def test_green_function_pays_no_metric_sum_and_one_pass_record():
     # the fixed costs of a gf, counted rather than timed: the context's scalars,
-    # the phases and i pL.dx^L come from the slots, and the pass builds its record once
+    # the phases and i pL.dx^L come from the slots (dirac's A_mu too), and the
+    # pass builds its record once
     ctx = _circular_point()
     assert _python_calls(lambda: green_function(ctx), [minkowski.dot]) == [0]
+    assert _python_calls(lambda: dirac_apply(ctx), [minkowski.dot]) == [0]
     assert _python_calls(lambda: phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, ctx.phi_b),
                          [PhasePass.__init__]) == [1]
 

@@ -9,13 +9,18 @@ value does not drift, the node count must repeat exactly, and the error
 estimate to rounding. The error estimate is a difference of the Kronrod and
 Gauss rules that agree to ~1e-10 of each panel's value, so rounding of
 1e-16 in that value shows there at ~1e-7 relative.
+
+`dirac_apply` is pinned at the README context too. Its differences of 25
+nearby G lose about two digits to cancellation, so a change of G by one
+rounding moves it by about 1.2e-14 relative; the 1e-13 bound sits above that
+floor, so only a larger move of the route fails it.
 """
 
 import numpy as np
 import pytest
 
 from wavefield.fields import CircularProfile, FieldConfig
-from wavefield.green import EvalContext, green_function
+from wavefield.green import EvalContext, dirac_apply, green_function
 
 XA = np.array([0.1, -0.2, 0.3, 0.0])
 XB = np.array([0.6, 0.4, -0.1, 0.5])
@@ -54,3 +59,19 @@ def test_green_function_matches_pinned_values(name):
     assert np.linalg.norm(value.matrix - expected) <= 1e-13 * np.linalg.norm(expected)
     assert value.diagnostics.nodes == pin["nodes"]
     assert value.diagnostics.error_estimate == pytest.approx(pin["error_estimate"], rel=1e-6)
+
+
+# S = (i D-slash + m) G at the README context, as `dirac_apply` gives it
+PINNED_DIRAC = [
+    [complex(0.00820692357436252, 0.04298371320156374), complex(-0.0013682446257939108, -0.009830061008769358), complex(0.07290230787654728, -0.05241847879628288), complex(0.1122416208041883, 0.012479544994243554)],
+    [complex(-0.0007349184531062168, -0.007853961604279534), complex(0.023761546994588056, 0.04526496317273849), complex(-0.035010835673223745, 0.10741191152462289), complex(-0.07828807949205376, 0.05713555165601326)],
+    [complex(-0.07290230787654728, 0.05241847879628288), complex(-0.10539646045983962, -0.016738056293418287), complex(0.025553886899830035, 0.014108577833899773), complex(0.008213404970142592, 0.0055715497095946385)],
+    [complex(0.029423538347858706, -0.10427540723832417), complex(0.07828807949205376, -0.05713555165601326), complex(0.006322215778471255, 0.004717457317980818), complex(0.018715468672648592, 0.02656714354299399)],
+]
+
+
+def test_dirac_apply_matches_pinned_value():
+    cfg = FieldConfig(g=0.9, B=0.5, profile=CircularProfile(amplitude=0.4, frequency=1.1))
+    value = dirac_apply(EvalContext(m=0.8, x_a=XA, x_b=XB, pL=PL, cfg=cfg))
+    expected = np.array(PINNED_DIRAC)
+    assert np.linalg.norm(value - expected) <= 1e-13 * np.linalg.norm(expected)

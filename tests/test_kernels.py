@@ -165,6 +165,36 @@ def test_phase_pass_kernels_equal_the_single_kernel_views():
     assert 0.0 < run.error_estimate < 1e-11
 
 
+def test_phase_pass_reads_repeated_phases_once():
+    # exact repeats and phases one to three ulps apart, as a dirac stencil's
+    # (x2 + h) - x3 and x2 - (x3 - h) give, are read at the smallest of them:
+    # every entry has the bits of the pass over the distinct phases
+    cfg = FieldConfig(g=0.9, B=0.5, profile=CircularProfile(amplitude=0.4, frequency=1.1))
+    pL = np.array([0.0, 0.0, 0.2, 2.0])
+    distinct = np.array([-0.7, 0.35, 1.2])
+    near = [np.nextafter(phi, np.inf) for phi in distinct]
+    phases = np.array([distinct[1], near[1], distinct[0], distinct[1],
+                       np.nextafter(near[1], np.inf), distinct[2], near[0], distinct[2],
+                       np.nextafter(np.nextafter(near[2], np.inf), np.inf)])
+    slots = [1, 1, 0, 1, 1, 2, 0, 2, 2]
+    ref = phase_pass(cfg, pL, 0.4, distinct)
+
+    def bits(run):
+        return [np.asarray(a).tobytes() for a in (run.action, run.drift, run.kernel_b)]
+
+    for shape in ((9,), (3, 3)):
+        run = phase_pass(cfg, pL, 0.4, phases.reshape(shape))
+        assert (np.shape(run.action), run.drift.shape, np.shape(run.kernel_b)) \
+            == (shape, shape + (2,), shape)
+        assert (run.nodes, run.error_estimate) == (ref.nodes, ref.error_estimate)
+        assert bits(run) == [np.asarray(a)[slots].tobytes()
+                             for a in (ref.action, ref.drift, ref.kernel_b)]
+    one, pair = (phase_pass(cfg, pL, 0.4, phi) for phi in (distinct[2], [distinct[2], near[2]]))
+    assert (np.ndim(one.action), one.drift.shape, np.ndim(one.kernel_b)) == (0, (2,), 0)
+    assert bits(pair) == [np.stack([a, a]).tobytes()
+                          for a in (one.action, one.drift, one.kernel_b)]
+
+
 def _circular_drift_oracle(phi, phi_a, u_a, g, B, kp, a, nu):
     """u(phi) = Y0 + i Y1 for dY/dphi = (g/kp)(A - fY), A circular.
 
