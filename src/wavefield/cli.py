@@ -267,9 +267,9 @@ def _cmd_identities(rc: RunConfig):
 def _cmd_kernel(rc: RunConfig):
     _require_grid(rc, "kernel", "e0")
     ctx = rc.ctx
-    values = schwinger_kernel(np.array(rc.grid_values), ctx.x_a, ctx.x_b, ctx.cfg)
-    rows = [[e0, value.real, value.imag, near_caustic(e0, ctx.cfg)]
-            for e0, value in zip(rc.grid_values, values)]
+    grid = np.array(rc.grid_values)
+    values, flags = schwinger_kernel(grid, ctx.x_a, ctx.x_b, ctx.cfg), near_caustic(grid, ctx.cfg)
+    rows = [[e0, v.real, v.imag, flag] for e0, v, flag in zip(rc.grid_values, values, flags)]
     return ["e0", "kernel_re", "kernel_im", "near_singularity"], rows, None, 0
 
 

@@ -5,9 +5,10 @@
     [i g B / (4 pi sin(e0 g B / 2))]
       * exp{ i (g B / 2) [ (Xb1 Xa2 - Xb2 Xa1) - (1/2) cot(e0 g B / 2) |DX|^2 ] }
 
-with caustics at e0 g B in 2 pi Z. Its e0-dependent part, `folded_kernel`,
-written through q = exp(i |g B| e0), sees the endpoints only through
-rho^2 = |DX|^2; the gauge phase i (g B / 2)(Xb1 Xa2 - Xb2 Xa1) is a constant.
+with caustics at e0 g B in 2 pi Z. Its e0-dependent part, `folded_kernel`, the
+bare formula the ray calls, is written through q = exp(i |g B| e0) and sees the
+endpoints only through rho^2 = |DX|^2; the gauge phase i (g B / 2)(Xb1 Xa2 - Xb2 Xa1)
+is a constant.
 Everything the wave phase contributes comes from one pass along it,
 `phase_pass`, to one phi_b or to an array of them, whose `PhasePass` is a
 plain record of:
@@ -63,7 +64,7 @@ from .fields import FieldConfig
 from .minkowski import SQRT2, light_cone
 from .quadrature import CUMULATIVE, XK, adaptive_quad
 
-#: |sin(e0 g B / 2)| below this raises KernelSingularity.
+#: |sin(e0 g B / 2)| below this makes `schwinger_kernel` raise KernelSingularity.
 CAUSTIC_TOLERANCE = 1e-10
 
 #: |sin(e0 g B / 2)| below this sets the near-caustic flag of the `kernel` command.
@@ -87,25 +88,23 @@ def folded_kernel(e0, rho2, b: float):
         i b / (4 pi sin(e0 b / 2)) = h q^{1/2} / (2 pi),   (b/2) cot(e0 b / 2) = -(i/2) h (1 + q),
 
     so k = h / (2 pi) exp(-(h/4)(1 + q) rho2), and |q| <= 1 on the upper half plane:
-    nothing overflows however far out e0 lies. Raises KernelSingularity at e0 = 0
-    and on caustics: |sin(e0 b / 2)| = |1 - q| / (2 |q|^{1/2}) < 1e-10 away from the
-    short-time end (|e0 b / 2| >= 1).
+    nothing overflows however far out e0 lies. No domain check: the ray's nodes
+    (Im e0 > 0) never reach e0 = 0 or a caustic, and `schwinger_kernel` checks any other.
     """
-    if np.any(np.asarray(e0) == 0):
-        raise KernelSingularity("e0 = 0 is the short-time endpoint")
     if b == 0.0:
         h, q = 1j / e0, 1.0
     else:
         z = 1j * abs(b) * e0
         q = np.exp(z)
-        one_minus_q = -np.expm1(z)
-        caustic = (np.abs(one_minus_q) < 2.0 * CAUSTIC_TOLERANCE * np.sqrt(np.abs(q))) \
-            & (np.abs(z) >= 2.0)
-        if np.any(caustic):
-            raise KernelSingularity(f"caustic: |sin(e0 g B / 2)| < {CAUSTIC_TOLERANCE:g} "
-                                    f"at e0={np.asarray(e0)[caustic]!r}")
-        h = abs(b) / one_minus_q
+        h = abs(b) / -np.expm1(z)
     return h / (2.0 * np.pi) * np.exp(-0.25 * h * (1.0 + q) * rho2), q
+
+
+def _sin_below(e0, b: float, bound: float):
+    """Where |sin(e0 b / 2)| = |1 - q| / (2 |q|^{1/2}) < bound and |e0 b / 2| >= 1, with
+    |q| <= 1 (e0 or its conjugate) and no division: nothing overflows anywhere."""
+    z = abs(b) * (1j * np.real(e0) - abs(np.imag(e0)))
+    return (np.abs(np.expm1(z)) < 2.0 * bound * np.sqrt(np.abs(np.exp(z)))) & (np.abs(z) >= 2.0)
 
 
 def schwinger_kernel(e0, x_a: np.ndarray, x_b: np.ndarray, cfg: FieldConfig):
@@ -114,18 +113,24 @@ def schwinger_kernel(e0, x_a: np.ndarray, x_b: np.ndarray, cfg: FieldConfig):
     e0 (complex result) or at each of an array of them.
 
     Tends to [i/(2 pi e0)] exp(-i |DX|^2 / (2 e0)) as B -> 0 (and is that at
-    B = 0); raises KernelSingularity on caustics (|sin(e0 g B / 2)| < 1e-10).
+    B = 0); raises KernelSingularity at e0 = 0 and on caustics (`_sin_below`).
     """
     b = cfg.g * cfg.B
+    if np.any(np.asarray(e0) == 0):
+        raise KernelSingularity("e0 = 0 is the short-time endpoint")
+    if np.any(caustic := _sin_below(e0, b, CAUSTIC_TOLERANCE)):
+        raise KernelSingularity(f"caustic: |sin(e0 g B / 2)| < {CAUSTIC_TOLERANCE:g} "
+                                f"at e0={np.asarray(e0)[caustic]!r}")
     rho2 = (x_b[0] - x_a[0]) ** 2 + (x_b[1] - x_a[1]) ** 2
     k, _ = folded_kernel(e0, rho2, b)
     value = k * np.exp(0.5j * b * (x_b[0] * x_a[1] - x_b[1] * x_a[0]) + 0.5j * abs(b) * e0)
     return complex(value) if np.ndim(value) == 0 else value
 
 
-def near_caustic(e0: complex, cfg: FieldConfig) -> bool:
-    half = e0 * cfg.g * cfg.B / 2.0
-    return bool(abs(half) >= 1.0 and abs(np.sin(half)) < NEAR_CAUSTIC_THRESHOLD)
+def near_caustic(e0, cfg: FieldConfig):
+    """The `kernel` command's flag at one e0 (a bool) or elementwise on an array."""
+    flag = _sin_below(e0, cfg.g * cfg.B, NEAR_CAUSTIC_THRESHOLD)
+    return bool(flag) if flag.ndim == 0 else flag
 
 
 #: The drift and phase-integral columns of `phase_pass` meet this share of

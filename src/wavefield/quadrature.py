@@ -105,12 +105,6 @@ def _panels(f, intervals):
     return values, np.sqrt(diffs[:, None, :] @ diffs[:, :, None]).ravel().tolist()
 
 
-def _panel(f, a: float, b: float):
-    """One K15/G7 evaluation on [a, b]: (kronrod, |kronrod - gauss|)."""
-    values, errors = _panels(f, [(a, b)])
-    return values[0], errors[0]
-
-
 def adaptive_quad(f, a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL,
                   rel_tol: float = DEFAULT_REL_TOL, node_cap: int = NODE_CAP,
                   breakpoints=None) -> QuadratureResult:

@@ -139,6 +139,21 @@ def _swap_projectors(monkeypatch):
     monkeypatch.setattr(green, "P_MINUS", minkowski.P_PLUS)
 
 
+def _swap_eps_in_braces(monkeypatch):
+    monkeypatch.setattr(green, "SLASH_EPS", minkowski.SLASH_EPS_CONJ)
+    monkeypatch.setattr(green, "SLASH_EPS_CONJ", minkowski.SLASH_EPS)
+
+
+def _drop_ray_jacobian(monkeypatch):
+    # the ray integrand times (1 - u): ds/du = L / (1 - u)^2 loses one power
+    quad = green.adaptive_quad
+
+    def dropped(f, *args, **kwargs):
+        return quad(lambda u: f(u) * (1.0 - u)[:, None, None], *args, **kwargs)
+
+    monkeypatch.setattr(green, "adaptive_quad", dropped)
+
+
 def _drop_gauge_term(monkeypatch):
     # `dirac_apply`'s binding only; criterion 11's analytic side keeps its own
     potential = green.total_potential_lowered
@@ -169,6 +184,11 @@ _MUTATIONS = {
     "k-scaled-1e-6": (_scale_pass("kernel_b", 1.0 + 1e-6), {"dressed-braces-closed-form"}),
     "drift-scaled-1e-6": (_scale_pass("drift", 1.0 + 1e-6), {"classical-action-exponent"}),
     "action-scaled-1e-6": (_scale_pass("action", 1.0 + 1e-6), {"classical-action-exponent"}),
+    "eps-swapped-in-braces": (_swap_eps_in_braces, {"dressed-braces-closed-form"}),
+    "ray-jacobian-dropped": (_drop_ray_jacobian,
+                             {"zero-profile-route-equivalence", "contour-angle-invariance",
+                              "free-field-reduction", "derivative-consistency-free",
+                              "derivative-consistency-constant-field"}),
 }
 
 #: The check that holds each row a mutation names.
@@ -177,6 +197,8 @@ _ROW_CHECKS = {
     "dressed-braces-closed-form": verification.check_phase_integral_oracles,
     "phase-locality": verification.check_phase_locality,
     "zero-profile-route-equivalence": verification.check_zero_wave_vector_equivalence,
+    "contour-angle-invariance": verification.check_contour_invariance,
+    "free-field-reduction": verification.check_free_field_reduction,
     "derivative-consistency-free": verification.check_derivative_consistency,
     "derivative-consistency-constant-field": verification.check_derivative_consistency,
 }

@@ -18,6 +18,7 @@ import wavefield
 from wavefield import green, verification
 from wavefield.cli import (_matrix_columns, _matrix_row, main, parse_config, render_csv,
                           render_sidecar)
+from wavefield.conventions import NODE_CAP
 from wavefield.errors import RangeError, SchemaError
 from wavefield.fields import CircularProfile, FieldConfig
 from wavefield.green import EvalContext, green_function
@@ -176,6 +177,15 @@ def test_quadrature_failure_reports_its_nodes_and_error(tmp_path, monkeypatch, c
     detail = re.search(r"after (\d+) nodes with error estimate (\S+)", capsys.readouterr().err)
     assert 0 < int(detail.group(1)) <= 60
     assert float(detail.group(2)) > 0.0
+
+
+def test_nearly_real_ray_exhausts_the_node_budget(tmp_path, capsys):
+    # at angle 1e-12 the ray's nodes pass within rounding of the real axis and
+    # its caustics; the ray checks no caustic, and the node budget ends it
+    status, out = _invoke(tmp_path, "gf", _config(), "--angle", "1e-12")
+    assert status == 4
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(f"error: node budget {NODE_CAP} exhausted")
 
 
 def test_non_finite_field_values_exit_2(tmp_path):

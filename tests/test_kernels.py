@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,10 +46,14 @@ def test_kernel_exact_zero_field_branch():
 
 def test_kernel_caustic_raises_but_short_time_does_not():
     caustic_e0 = 2.0 * np.pi / 0.6
+    # one bad e0 refuses a whole array, as it refuses a scalar
+    for bad in (0.0, caustic_e0, -2.0 * caustic_e0):
+        with pytest.raises(KernelSingularity):
+            schwinger_kernel(bad, XA, XB, ZCFG)
+        with pytest.raises(KernelSingularity):
+            schwinger_kernel(np.array([0.5, bad, 1.5]), XA, XB, ZCFG)
     with pytest.raises(KernelSingularity):
-        schwinger_kernel(caustic_e0, XA, XB, ZCFG)
-    with pytest.raises(KernelSingularity):
-        schwinger_kernel(0.0, XA, XB, ZCFG)
+        schwinger_kernel(np.array([0.0, 1.0]), XA, XB, FieldConfig(g=1.0, B=0.0))
     # sin(e0 g B / 2) is also tiny at small e0, which must stay evaluable;
     # only the magnitude matches the free kernel there (the magnetic one
     # keeps its e0-independent gauge phase on the cross term)
@@ -62,6 +68,28 @@ def test_near_caustic_flag_location():
     assert not near_caustic(caustic_e0 * 0.8, ZCFG)
     assert not near_caustic(1e-6, ZCFG)   # short-time end is not a caustic
     assert 0.0 < NEAR_CAUSTIC_THRESHOLD < 1.0
+
+
+def test_near_caustic_far_up_the_imaginary_axis_overflows_nothing():
+    # sin(e0 g B / 2) itself overflows there; the flag's q-form does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e0 in (3000j, -3000j, 1e300j, 5.0 + 3000j):
+            assert near_caustic(e0, FieldConfig(1.0, 0.6)) is False
+
+
+def test_near_caustic_on_an_array_is_the_scalar_flag_elementwise():
+    # real e0 through the caustics at 2 pi / 0.6 and 4 pi / 0.6, both signs
+    grid = np.linspace(-25.0, 25.0, 2001)
+    flags = near_caustic(grid, ZCFG)
+    assert flags.shape == grid.shape and flags.dtype == bool
+    assert flags.tolist() == [near_caustic(e0, ZCFG) for e0 in grid.tolist()]
+    assert 10 < flags.sum() < 200
+    # and it is the |sin| test it stands for, wherever the margin exceeds rounding
+    half = grid * 0.6 / 2.0
+    clear = np.abs(np.abs(np.sin(half)) - NEAR_CAUSTIC_THRESHOLD) > 1e-12
+    reference = (np.abs(half) >= 1.0) & (np.abs(np.sin(half)) < NEAR_CAUSTIC_THRESHOLD)
+    assert np.array_equal(flags[clear], reference[clear])
 
 
 def test_kernel_on_rotated_ray_decays_at_origin():

@@ -7,7 +7,8 @@ outside [phi_a, phi_b] with the one without them; the metric products the
 evaluation path reads from the slots with `minkowski.dot`, bit for bit; the panel-at-once
 quadrature with a per-point transcription of the classic adaptive K15/G7
 loop; and the Green function at any contour angle with the one on the
-Euclidean axis. A
+Euclidean axis. The ray's proper-time nodes, at any angle, gap and field,
+never reach e0 = 0 or a caustic of the kernel. A
 transverse translation of both endpoints changes the Schwinger kernel and the
 zero-profile Green function by the gauge phase alone, and so does a rotation
 of x_b's transverse part about x_a's.
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 from wavefield.fields import CircularProfile, FieldConfig, LinearProfile, PulseProfile, ZeroProfile
 from wavefield.green import EvalContext, green_function
-from wavefield.kernels import phase_pass, schwinger_kernel
+from wavefield.kernels import CAUSTIC_TOLERANCE, phase_pass, schwinger_kernel
 from wavefield.minkowski import WAVE_K, dot, light_cone, longitudinal_dot
 from wavefield.oracles import cross_phase_nested, volkov_kernel_closed_form
 from wavefield.quadrature import WG, WK, XK, _G_IDX, adaptive_quad
@@ -229,6 +230,32 @@ def test_panel_at_once_quadrature_matches_per_point_evaluation(terms, a, length,
     # |kronrod - gauss| cancels ~10 digits, so last-bit differences between
     # scalar and array evaluation of the integrand show at ~1e-7 there
     assert res.error_estimate == pytest.approx(error, rel=1e-6)
+
+
+@settings(max_examples=300, **_SETTINGS)
+@given(st.just(0.0) | st.floats(-5.0, 5.0), st.floats(1e-3, 1e3), st.floats(1e-6, np.pi / 2.0),
+       st.integers(0, 4), st.integers(0, 200), st.integers(0, 2 ** 200 - 1))
+def test_ray_nodes_meet_no_kernel_singularity(b, gap, theta, seed, depth, bits):
+    # the domain check `folded_kernel` no longer makes, on the ray's own nodes:
+    # the Kronrod nodes of a panel adaptive_quad can make on (0, 1), one of
+    # `_green_batch`'s seeded panels bisected `depth` times, mapped to e0 as it maps them
+    scale = 2.0 / (gap * np.sin(theta))
+    edges = [0.0, *(s / (s + scale) for s in (0.02, 0.1, 0.5, 2.5)), 1.0]
+    lo, hi = edges[seed], edges[seed + 1]
+    for level in range(depth):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if bits >> level & 1 else (lo, mid)
+    u = 0.5 * (lo + hi) + 0.5 * (hi - lo) * XK
+    # a node rounded onto u = 1 is s = infinity, where `_panels` refuses the
+    # non-finite value; the integrand is negligible there, and no ray bisects so deep
+    assume(u[-1] < 1.0)
+    e0 = scale * u / (1.0 - u) * np.exp(1j * theta)
+    assert np.all(e0 != 0)
+    # |sin(e0 b / 2)| = |1 - q| / (2 |q|^{1/2}) >= CAUSTIC_TOLERANCE where |e0 b / 2| >= 1
+    z = 1j * abs(b) * e0
+    caustic = (np.abs(np.expm1(z)) < 2.0 * CAUSTIC_TOLERANCE * np.sqrt(np.abs(np.exp(z)))) \
+        & (np.abs(z) >= 2.0)
+    assert not caustic.any()
 
 
 @settings(max_examples=15, **_SETTINGS)

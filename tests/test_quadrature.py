@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wavefield.errors import QuadratureFailure
-from wavefield.quadrature import WG, WK, XK, _G_IDX, _panel, adaptive_quad
+from wavefield.quadrature import WG, WK, XK, _G_IDX, _panels, adaptive_quad
 
 
 def test_polynomial_is_exact():
@@ -159,7 +159,7 @@ def test_panels_tile_the_interval_left_to_right():
 
 
 def _separate_sums(f, a, b):
-    """K15 and G7 summed separately, then differenced (reference for `_panel`),
+    """K15 and G7 summed separately, then differenced (reference for `_panels`),
     and the norm of the K15 sum of |f|, the scale of the sums' rounding."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     stack = np.asarray(f(mid + half * XK), dtype=complex)
@@ -183,7 +183,7 @@ def test_panel_matches_separate_kronrod_and_gauss_sums(shape):
     # relative to the size of the terms summed: oscillating panels cancel
     f = _SHAPED_INTEGRANDS[shape]
     for a, b in ((0.0, 0.4), (-1.0, 1.0), (2.5, 4.0), (2.5, 9.0)):
-        kron, err = _panel(f, a, b)
+        (kron,), (err,) = _panels(f, [(a, b)])
         ref_kron, ref_err, magnitude = _separate_sums(f, a, b)
         assert np.shape(kron) == np.shape(ref_kron)
         assert np.linalg.norm(np.ravel(kron - ref_kron)) <= 1e-15 * magnitude
@@ -199,7 +199,7 @@ def test_panel_raises_on_one_non_finite_node(bad):
             return values
 
         with pytest.raises(QuadratureFailure):
-            _panel(f, 0.0, 1.0)
+            _panels(f, [(0.0, 1.0)])
 
 
 @pytest.mark.parametrize("shape", sorted(_SHAPED_INTEGRANDS))
@@ -209,4 +209,4 @@ def test_batched_panels_have_the_bits_of_panels_evaluated_alone(shape):
     res = adaptive_quad(f, -1.0, 4.0, abs_tol=1e-13, rel_tol=1e-13, breakpoints=[0.5, 2.0])
     assert len(res.panels) > 3
     for lo, hi, value in res.panels:
-        assert np.array_equal(value, _panel(f, lo, hi)[0])
+        assert np.array_equal(value, _panels(f, [(lo, hi)])[0][0])
