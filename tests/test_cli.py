@@ -180,8 +180,8 @@ def test_quadrature_failure_reports_its_nodes_and_error(tmp_path, monkeypatch, c
 
 
 def test_nearly_real_ray_exhausts_the_node_budget(tmp_path, capsys):
-    # at angle 1e-12 the ray's nodes pass within rounding of the real axis and
-    # its caustics; the ray checks no caustic, and the node budget ends it
+    # a ray all but on the real axis runs past the kernel's caustics, which the
+    # ray does not check for: the node budget ends it (exit 4, not 3)
     status, out = _invoke(tmp_path, "gf", _config(), "--angle", "1e-12")
     assert status == 4
     assert not out.exists()
