@@ -4,8 +4,11 @@ The constant part is the number B: its tensor f_mn = iB (eps_m eps*_n - eps_n ep
 is B times the fixed generator `minkowski.UNIT_FIELD`. The plane-wave
 part is a transverse potential A^p(phi) = a1 e1 + a2 e2 along the light-cone
 phase, in the real polarization pair e1, e2 (slots 0 and 1): a profile gives
-its two components, each shaped like phi, at a phase or an array of them, and
-nothing else (the phase pass integrates K by parts, so no slope is needed).
+its two components, each shaped like phi, at a phase or an array of them
+(the phase pass integrates K by parts, so no slope is needed). Each built-in
+kind also declares how fast it turns along phi (`turn_rate`) and where it is
+not smooth (`knots`), so the phase pass can seed its panels; a profile that
+declares neither is integrated from its hull breakpoints alone.
 """
 
 from __future__ import annotations
@@ -22,6 +25,13 @@ class PlaneWaveProfile:
     """Transverse potential A^p(phi); subclasses fill in the two components."""
 
     kind = "abstract"
+
+    #: The fastest rate, in radians per unit phi, at which the components turn
+    #: or vary between knots; None when unknown (the phase pass adds no seeds).
+    turn_rate: float | None = None
+
+    #: Phases where the components are not smooth; the phase pass cuts there.
+    knots: tuple | np.ndarray = ()
 
     def components(self, phi):
         raise NotImplementedError
@@ -75,6 +85,7 @@ class _Carrier(PlaneWaveProfile):
     def __init__(self, amplitude: float, frequency: float):
         self.amplitude = _real("profile amplitude", amplitude)
         self.frequency = _real("profile frequency", frequency)
+        self.turn_rate = abs(self.frequency)
 
     @property
     def is_zero(self):
@@ -114,6 +125,7 @@ class PulseProfile(_Carrier):
             raise InvalidProfile(f"pulse sigma must be positive, got {sigma!r}")
         super().__init__(amplitude, frequency)
         self.sigma = sigma
+        self.turn_rate = max(self.turn_rate, 1.0 / sigma)     # the envelope's own scale
 
     def _envelope(self, phi):
         return np.exp(-phi * phi / (2.0 * self.sigma ** 2))
@@ -135,6 +147,9 @@ class TabulatedProfile(PlaneWaveProfile):
 
     kind = "tabulated"
 
+    #: between knots each component is a cubic, which does not turn
+    turn_rate = 0.0
+
     def __init__(self, phi_grid, a1, a2):
         grid, a1, a2 = (_real(f"profile {name}", v, shape=(None,))
                         for name, v in (("phi", phi_grid), ("a1", a1), ("a2", a2)))
@@ -144,7 +159,7 @@ class TabulatedProfile(PlaneWaveProfile):
             raise InvalidProfile("tabulated phi grid must be strictly increasing")
         if a1.shape != grid.shape or a2.shape != grid.shape:
             raise InvalidProfile("tabulated component arrays must match the phi grid")
-        self.phi_grid = grid
+        self.phi_grid = self.knots = grid
         y = np.stack([a1, a2], axis=-1)
         curvature, h = _natural_curvature(grid, y), np.diff(grid)[:, None]
         # on interval i the spline is c0 + d (c1 + d (c2 + d c3)), d = phi - phi_i

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conventions import DEFAULT_ABS_TOL, DEFAULT_REL_TOL
+from .conventions import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, NODE_CAP
 from .errors import DivisionByZero, KernelSingularity
 from .fields import FieldConfig
 from .minkowski import SQRT2, light_cone
@@ -137,6 +137,14 @@ def near_caustic(e0, cfg: FieldConfig):
 #: the tolerances its action column meets.
 _SUB_TOLERANCE = 1e-2
 
+#: `phase_pass` seeds its panels so that none spans more than this many radians
+#: of its integrand's fastest rotation, |beta| plus the profile's turn rate. A
+#: K15 panel over 2 radians meets the sub-tolerance at once, so a long pass ends
+#: in its seeded round. Per gf of perfbench's span-pulse workload, 1 rad took 144
+#: pass nodes, 2 rad 77 and 3 rad 90, where wider panels get bisected again
+#: (unseeded: 124 nodes in 3-4 rounds).
+_SEED_RADIANS = 2.0
+
 
 @dataclass(frozen=True)
 class PhasePass:
@@ -158,10 +166,35 @@ def _nothing(shape) -> PhasePass:
                      0, 0.0)
 
 
+def _seeds(profile, edges: list, beta: float) -> list:
+    """The sorted hull breakpoints `edges` with the profile's knots between
+    them, each gap cut into equal panels spanning at most _SEED_RADIANS of the
+    rotation |beta| + turn rate (uncut if the profile declares no turn rate).
+    Seeds that alone would pass the node cap are dropped, knots too: the pass
+    then runs from `edges` as an unseeded one."""
+    start, stop = edges[0], edges[-1]
+    cuts = edges
+    if len(profile.knots):
+        knots = np.asarray(profile.knots, dtype=float)
+        cuts = sorted({*edges, *knots[(knots > start) & (knots < stop)].tolist()})
+    rotation = 0.0 if profile.turn_rate is None else (abs(beta) + profile.turn_rate) / _SEED_RADIANS
+    if cuts is edges and (stop - start) * rotation <= 1.0:      # nothing to cut
+        return edges
+    turns = [(hi - lo) * rotation for lo, hi in zip(cuts[:-1], cuts[1:])]
+    if len(turns) + sum(turns) > NODE_CAP // 15:
+        return edges
+    seeds = []
+    for lo, hi, turn in zip(cuts[:-1], cuts[1:], turns):
+        n = max(1, math.ceil(turn))
+        seeds += [lo + (hi - lo) * j / n for j in range(n)]
+    return seeds + [stop]
+
+
 def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, sign: int = +1,
                abs_tol: float = DEFAULT_ABS_TOL, rel_tol: float = DEFAULT_REL_TOL) -> PhasePass:
     """One adaptive quadrature on the hull of phi_a and every phi_b (one phase
-    or an array of them), breakpoints at each, of three columns: C's integrand
+    or an array of them), breakpoints at each, at the profile's knots and at
+    seeds no more than _SEED_RADIANS of rotation apart, of three columns: C's integrand
     d, the integrand of K by parts, beta exp(i sign beta x) dot(eps, A^p(x)),
     and the real action density with C counted from the panel's left edge.
     The quadrature's running sums of the panel integrals give C and K at the
@@ -201,15 +234,18 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, sign: int 
         # d: the eps component of rot(phi_a - x) A^p(x)
         a1, a2 = cfg.profile.components(x)
         d = np.exp(1j * beta * (x - phi_a)) * (a1 - 1j * a2) / SQRT2
-        # C - C(panel's left edge), one CUMULATIVE product per panel
-        c = np.concatenate([(nodes[-1] - nodes[0]) / (XK[-1] - XK[0]) * (CUMULATIVE @ block)
-                            for nodes, block in zip(x.reshape(-1, 15), d.reshape(-1, 15))])
+        # C - C(panel's left edge), one CUMULATIVE product per panel, on the
+        # panel's (re, im) pairs
+        halves = (x[14::15] - x[::15]) / (XK[-1] - XK[0])
+        c = (halves[:, None, None] * (CUMULATIVE @ d.view(np.float64).reshape(-1, 15, 2))
+             ).reshape(-1, 2).view(complex).ravel()
         action = 2.0 * rate * (abs(d) ** 2 - beta * (d * c.conj()).imag)
         return np.stack([d, beta * np.exp(1j * sign * beta * x) * (a1 + 1j * a2) / SQRT2,
                          _SUB_TOLERANCE * action], axis=1)
 
     quad = adaptive_quad(columns, start, stop, abs_tol=abs_tol * _SUB_TOLERANCE,
-                         rel_tol=rel_tol * _SUB_TOLERANCE, breakpoints=[phi_a, *reads])
+                         rel_tol=rel_tol * _SUB_TOLERANCE,
+                         breakpoints=_seeds(cfg.profile, sorted({phi_a, *reads}), beta))
     # a handful of panels and endpoints: the bookkeeping runs on Python scalars
     edges = [panel[0] for panel in quad.panels] + [stop]
     values = [panel[2].tolist() for panel in quad.panels]

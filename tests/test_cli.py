@@ -323,18 +323,23 @@ def test_phase_integral_conjugate_columns(tmp_path):
 
 
 def test_phase_integral_meets_the_config_tolerances(tmp_path):
-    # a pulse seen from phi_a = -6 to phi = 6: the pass meets 1e-2 of the
-    # config's tolerances, so looser ones take fewer nodes
+    # a pulse seen from phi_a = -6 to three phases up to 6: the pass meets 1e-2
+    # of the config's tolerances. Under a negligible rel_tol the bound is abs_tol,
+    # which every row's error estimate meets to 1e-2; a tighter abs_tol, or a
+    # tighter rel_tol under a negligible abs_tol, takes more nodes on every row
     field = _field({"kind": "pulse", "amplitude": 0.4, "frequency": 1.1, "sigma": 1.5})
-    grid = {"param": "phi", "values": [6.0]}
-    x_a = [0.1, -0.2, -6.0, 0.0]
-    nodes = []
-    for ev in (_eval(x_a=x_a), _eval(x_a=x_a, abs_tol=1e-4, rel_tol=1e-3)):
-        cfg = _config(field=field, eval=ev, grid=grid)
-        status, out = _invoke(tmp_path, "K", cfg)
+    grid = {"param": "phi", "values": [-2.0, 3.0, 6.0]}
+
+    def rows(abs_tol, rel_tol):
+        ev = _eval(x_a=[0.1, -0.2, -6.0, 0.0], abs_tol=abs_tol, rel_tol=rel_tol)
+        status, out = _invoke(tmp_path, "K", _config(field=field, eval=ev, grid=grid))
         assert status == 0
-        nodes.append(int(_rows(out)[0]["nodes"]))
-    assert nodes[1] < nodes[0]
+        return [(float(row["error_estimate"]), int(row["nodes"])) for row in _rows(out)]
+
+    for abs_tol in (1e-10, 1e-13):
+        assert all(error <= 1e-2 * abs_tol for error, _ in rows(abs_tol, 1e-300))
+    for loose, tight in (((1e-10, 1e-300), (1e-13, 1e-300)), ((1e-300, 1e-8), (1e-300, 1e-11))):
+        assert all(n < m for (_, n), (_, m) in zip(rows(*loose), rows(*tight)))
 
 
 def test_identities_command(tmp_path):

@@ -104,6 +104,23 @@ def test_zero_profile_flag_feeds_short_circuits():
     assert LinearProfile(amplitude=0.0, frequency=1.0).is_zero
 
 
+def test_profiles_declare_their_turn_rate_and_knots():
+    # the phase pass seeds its panels from these: a carrier turns at its
+    # frequency, a pulse's envelope at 1/sigma, a spline's cubic pieces not at
+    # all; only the spline has knots, and a profile that declares nothing gets
+    # no seeds
+    grid = np.linspace(-2.0, 2.0, 9)
+    spline = TabulatedProfile(phi_grid=grid, a1=np.sin(grid), a2=np.cos(grid))
+    for profile, rate in ((LinearProfile(amplitude=0.5, frequency=-1.2), 1.2),
+                          (CircularProfile(amplitude=0.4, frequency=1.1), 1.1),
+                          (PulseProfile(amplitude=0.4, frequency=1.1, sigma=1.5), 1.1),
+                          (PulseProfile(amplitude=0.4, frequency=0.5, sigma=0.8), 1.25),
+                          (spline, 0.0), (ZeroProfile(), None)):
+        assert profile.turn_rate == rate, profile.kind
+    assert spline.knots.tolist() == grid.tolist()
+    assert all(len(p.knots) == 0 for p in (ZeroProfile(), CircularProfile(0.4, 1.1)))
+
+
 def test_profiles_evaluate_arrays_of_phases():
     grid = np.linspace(-2.0, 2.0, 41)
     phis = np.array([-1.3, 0.0, 0.37, 1.9])

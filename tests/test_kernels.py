@@ -1,11 +1,14 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from wavefield import kernels
 from wavefield.errors import DivisionByZero, KernelSingularity
-from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, PulseProfile,
-                              TabulatedProfile, ZeroProfile)
+from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, PlaneWaveProfile,
+                              PulseProfile, TabulatedProfile, ZeroProfile)
+from wavefield.green import EvalContext, _prepare
 from wavefield.kernels import NEAR_CAUSTIC_THRESHOLD, near_caustic, phase_pass, schwinger_kernel
 from wavefield.minkowski import WAVE_K, dot
 from wavefield.oracles import (cross_phase_nested, drift_nested, free_kernel,
@@ -284,3 +287,112 @@ def test_drift_parameterizations_agree():
                 ref = drift_nested(profile.components, g, B, kp, phi_a, phi)
                 assert drift.shape == (2,) and drift.dtype == float
                 assert np.max(np.abs(drift - ref)) < 1e-10
+
+
+# -- seeded passes: long spans and tabulated knots ---------------------------
+
+def _seeded_context(profile, B, span, phi_a=0.1):
+    """A context from phi_a to phi_a + span, on g = 1.1."""
+    x_a = np.array([0.3, -0.4, phi_a + 0.1, 0.1])
+    x_b = np.array([-0.2, 0.5, phi_a + 0.1 + span, 0.1])
+    return EvalContext(m=0.7, x_a=x_a, x_b=x_b, pL=np.array([0.0, 0.0, 0.3, 1.9]),
+                       cfg=FieldConfig(g=1.1, B=B, profile=profile))
+
+
+def _exponent_error(ctx, knots=()):
+    """|`_prepare`'s e0-independent exponent - its terms from the oracles|: i pL.dx^L,
+    the nested mixing exponent and the magnetic gauge phase at the nested drift."""
+    cfg, x_a, x_b = ctx.cfg, ctx.x_a, ctx.x_b
+    wave = (cfg.profile.components, cfg.g, cfg.B, dot(WAVE_K, ctx.pL).real, ctx.phi_a, ctx.phi_b)
+    y1, y2 = drift_nested(*wave, knots=knots)
+    gauge = 0.5j * cfg.g * cfg.B * ((x_b[0] - y1) * x_a[1] - (x_b[1] - y2) * x_a[0])
+    ref = 1j * dot(ctx.pL, x_b - x_a) + cross_phase_nested(*wave, x_b[:2], knots=knots) + gauge
+    return abs(_prepare(ctx, x_b).constant[0] - ref)
+
+
+@pytest.mark.parametrize("span, B", [(5.0, 0.7), (-8.5, -0.6), (12.0, 0.4)])
+@pytest.mark.parametrize("profile", [CircularProfile(amplitude=0.5, frequency=1.3),
+                                     PulseProfile(amplitude=0.5, frequency=1.2, sigma=2.0)],
+                         ids=["circular", "pulse"])
+def test_seeded_pass_matches_the_oracles_on_long_spans(profile, span, B):
+    # spans of 5 to 12 rotate by several times _SEED_RADIANS, so the pass is
+    # seeded; the bounds are those of the classical-action-exponent and
+    # phase-integral-closed-forms rows
+    ctx = _seeded_context(profile, B, span)
+    assert ctx.phi_b - ctx.phi_a == pytest.approx(span)
+    kp, beta = dot(WAVE_K, ctx.pL).real, ctx.cfg.g * B / dot(WAVE_K, ctx.pL).real
+    run = phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, ctx.phi_b)
+    assert run.nodes >= 15 * math.ceil(abs(span) * (abs(beta) + profile.turn_rate) / 2.0) > 15
+    assert _exponent_error(ctx) <= 1e-10
+    if profile.kind == "circular":
+        ref = volkov_kernel_closed_form("circular_profile", dict(
+            g=ctx.cfg.g, kp=kp, phi0=ctx.phi_a, beta=beta, a=profile.amplitude,
+            nu=profile.frequency), ctx.phi_b)
+        assert abs(run.kernel_b - ref) <= 1e-8
+
+
+def _random_spline(seed, lo=-6.0, hi=6.0, points=25):
+    """A tabulated profile through random samples on an even grid from lo to hi."""
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(lo, hi, points)
+    return TabulatedProfile(grid, rng.uniform(-0.5, 0.5, points), rng.uniform(-0.5, 0.5, points))
+
+
+def test_seeded_pass_splits_a_tabulated_profile_at_its_knots():
+    # a non-linear spline crossing 15 of its knots, against the nested oracles
+    # split at the same knots
+    profile = _random_spline(7)
+    ctx = _seeded_context(profile, -0.8, 7.4, phi_a=-3.7)
+    crossed = np.sum((profile.knots > min(ctx.phi_a, ctx.phi_b))
+                     & (profile.knots < max(ctx.phi_a, ctx.phi_b)))
+    assert crossed >= 6
+    assert _exponent_error(ctx, knots=profile.knots) <= 1e-10
+
+
+def _seeded_panels(cfg, pL, phi_a, phi_b):
+    """Panels of the seeded round: each gap between phi_a, phi_b and the knots
+    between them, cut into equal panels of at most 2 radians of |beta| + turn rate."""
+    cuts = sorted({phi_a, phi_b, *(k for k in np.asarray(cfg.profile.knots).tolist()
+                                   if min(phi_a, phi_b) < k < max(phi_a, phi_b))})
+    rotation = abs(cfg.g * cfg.B / dot(WAVE_K, pL).real) + cfg.profile.turn_rate
+    return sum(max(1, math.ceil((hi - lo) * rotation / 2.0)) for lo, hi in zip(cuts, cuts[1:]))
+
+
+@pytest.mark.parametrize("profile, span", [
+    (PulseProfile(amplitude=0.4, frequency=1.1, sigma=1.5), 8.0),
+    (_random_spline(11), -10.0),
+], ids=["pulse-8", "tabulated-10"])
+def test_seeded_pass_ends_in_its_seeded_round(profile, span):
+    # a pulse on the README field over a span of 8, and a random spline with a
+    # knot every 0.5 over a span of 10: the seeded round meets the tolerances,
+    # so nothing is bisected
+    cfg, pL = FieldConfig(g=0.9, B=0.5, profile=profile), np.array([0.0, 0.0, 0.2, 2.0])
+    phi_a = 5.0 if span < 0 else -4.0
+    panels = _seeded_panels(cfg, pL, phi_a, phi_a + span)
+    assert panels > 1
+    for _ in range(2):
+        assert phase_pass(cfg, pL, phi_a, phi_a + span).nodes == 15 * panels
+
+
+def test_a_profile_declaring_no_turn_rate_is_not_seeded(monkeypatch):
+    # a user's profile without turn_rate or knots is cut at phi_a and phi_b
+    # alone, and so is one whose seeds alone would pass the node cap; the same
+    # components declared circular are seeded
+    class Plain(PlaneWaveProfile):
+        def components(self, phi):
+            return CircularProfile(amplitude=0.4, frequency=1.1).components(phi)
+
+    class Recorded(Exception):
+        pass
+
+    def recorded(f, a, b, **kwargs):
+        raise Recorded(sorted(kwargs["breakpoints"]))
+
+    monkeypatch.setattr(kernels, "adaptive_quad", recorded)
+    pL, cuts = np.array([0.0, 0.0, 0.2, 2.0]), []
+    for profile in (Plain(), CircularProfile(amplitude=0.4, frequency=1e5),
+                    CircularProfile(amplitude=0.4, frequency=1.1)):
+        with pytest.raises(Recorded) as caught:
+            phase_pass(FieldConfig(g=0.9, B=0.5, profile=profile), pL, -3.0, 6.0)
+        cuts.append(caught.value.args[0])
+    assert cuts[0] == cuts[1] == [-3.0, 6.0] and len(cuts[2]) > 2
