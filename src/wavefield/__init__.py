@@ -12,7 +12,7 @@ other name is imported from its module.
 from .errors import QuadratureFailure, RangeError, WavefieldError
 from .fields import (CircularProfile, FieldConfig, LinearProfile, PulseProfile,
                      TabulatedProfile, ZeroProfile)
-from .green import EvalContext, dirac_apply, green_function, green_function_zero_k, spin_factor
+from .green import EvalContext, dirac_apply, green_function, spin_factor
 from .kernels import schwinger_kernel
 from .quadrature import adaptive_quad
 
@@ -21,6 +21,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CircularProfile", "EvalContext", "FieldConfig", "LinearProfile", "PulseProfile",
     "QuadratureFailure", "RangeError", "TabulatedProfile", "WavefieldError", "ZeroProfile",
-    "adaptive_quad", "dirac_apply", "green_function", "green_function_zero_k",
-    "schwinger_kernel", "spin_factor", "__version__",
+    "adaptive_quad", "dirac_apply", "green_function", "schwinger_kernel", "spin_factor",
+    "__version__",
 ]

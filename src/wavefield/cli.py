@@ -2,11 +2,13 @@
 
     wavefield <command> --config <path> --out <path> [--angle <theta>] [--profile-sign-toggle]
 
-Commands: identities, kernel, K, spinfactor, gf, gf-k0, dirac, verify, limits.
+Commands: identities, kernel, K, spinfactor, gf, dirac, verify, limits.
 Each run writes a CSV table (one row per grid point, floats at 17 significant
-digits, frozen column order) and a JSON sidecar carrying the normalized
-config, the convention ledger and row counts. Outputs contain no timestamps:
-identical configs give bit-identical files.
+digits, frozen column order) and a one-line JSON sidecar carrying the
+normalized config (the run's contour angle and sign included), the fixed
+convention ledger and the row count. Outputs contain no timestamps: identical
+configs give bit-identical files. The zero-wave-vector limit is `gf` with
+`"profile": "zero"`.
 
 Exit codes: 0 ok, 2 config/schema, 3 numeric singularity, 4 quadrature or
 step-calibration failure, 5 verification failure.
@@ -31,7 +33,7 @@ from .errors import (DivisionByZero, InvalidProfile, KernelSingularity,
                      QuadratureFailure, RangeError, ResonantDenominator,
                      SchemaError, SingularForm, StepCalibrationFailure, WavefieldError)
 from .fields import FieldConfig, make_profile
-from .green import EvalContext, dirac_apply, green_function, green_function_zero_k, spin_factor
+from .green import EvalContext, dirac_apply, green_function, spin_factor
 from .kernels import near_caustic, phase_pass, schwinger_kernel
 
 _SCHEMA_EXIT, _SINGULAR_EXIT, _QUADRATURE_EXIT, _VERIFY_EXIT = 2, 3, 4, 5
@@ -200,12 +202,13 @@ def render_sidecar(command: str, rc: RunConfig, n_rows: int, extra: dict | None 
         "command": command,
         "package_version": __version__,
         "config": rc.normalized(),
-        "ledger": convention_ledger(rc.ctx.theta, rc.ctx.volkov_sign),
+        "ledger": convention_ledger(),
         "rows": n_rows,
     }
     if extra:
         payload.update(extra)
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    # no indent: that keeps json on its C encoder, which leaves no reference cycle
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
 
 
 @functools.cache
@@ -281,12 +284,11 @@ def _cmd_phase_integral(rc: RunConfig):
         # one pass per phase, so each row carries its own nodes and error
         run = phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, phi, sign=ctx.volkov_sign,
                          abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol)
-        k, k_conj = run.kernel_b, run.kernel_b.conjugate()
-        return [phi, k.real, k.imag, k_conj.real, k_conj.imag, run.error_estimate, run.nodes]
+        k = run.kernel_b
+        return [phi, k.real, k.imag, run.error_estimate, run.nodes]
 
     rows = [one(phi) for phi in rc.grid_values]
-    header = ["phi", "K_re", "K_im", "K_conj_re", "K_conj_im", "error_estimate", "nodes"]
-    return header, rows, None, 0
+    return ["phi", "K_re", "K_im", "error_estimate", "nodes"], rows, None, 0
 
 
 def _cmd_spinfactor(rc: RunConfig):
@@ -296,18 +298,15 @@ def _cmd_spinfactor(rc: RunConfig):
     return ["e0", *_matrix_columns("sf")], rows, None, 0
 
 
-def _propagator_table(rc: RunConfig, evaluate):
+def _cmd_gf(rc: RunConfig):
     def one(pair):
         grid_value, ctx = pair
-        result = evaluate(ctx)
+        result = green_function(ctx)
         diag = result.diagnostics
-        # the ray meets no caustic off the real axis; the frozen column stays
-        return [grid_value] + _matrix_row(result.matrix) + [diag.error_estimate, diag.nodes, 0]
+        return [grid_value] + _matrix_row(result.matrix) + [diag.error_estimate, diag.nodes]
 
     rows = [one(pair) for pair in _grid_contexts(rc)]
-    header = ["grid_value", *_matrix_columns("g"), "error_estimate", "nodes",
-              "near_singularity"]
-    return header, rows, None, 0
+    return ["grid_value", *_matrix_columns("g"), "error_estimate", "nodes"], rows, None, 0
 
 
 def _cmd_dirac(rc: RunConfig):
@@ -339,8 +338,7 @@ _HANDLERS = {
     "kernel": _cmd_kernel,
     "K": _cmd_phase_integral,
     "spinfactor": _cmd_spinfactor,
-    "gf": lambda rc: _propagator_table(rc, green_function),
-    "gf-k0": lambda rc: _propagator_table(rc, green_function_zero_k),
+    "gf": _cmd_gf,
     "dirac": _cmd_dirac,
     "verify": _cmd_verify,
     "limits": _cmd_limits,

@@ -1,13 +1,14 @@
-"""Frozen numerical conventions, embedded verbatim in every output file.
+"""Frozen numerical conventions, embedded verbatim in every output sidecar.
 
-The `verify` command cross-checks this dict against the constants actually
+The `verify` command cross-checks the ledger against the constants actually
 compiled into the numerical modules, so the emitted ledger cannot drift
-silently from the code.
+silently from the code. A run's own contour angle and sign sit in the
+sidecar's config, not here.
 """
 
 import math
 
-CSV_SCHEMA_VERSION = 2
+CSV_SCHEMA_VERSION = 3
 
 #: Diagonal of the fixed metric, in slot order (two transverse, two longitudinal).
 METRIC_DIAG = (1.0, 1.0, -1.0, 1.0)
@@ -25,15 +26,13 @@ NODE_CAP = 100_000
 DEFAULT_VOLKOV_SIGN = +1
 
 
-def convention_ledger(contour_angle=DEFAULT_CONTOUR_ANGLE, volkov_sign=DEFAULT_VOLKOV_SIGN):
-    """Dict embedded in output sidecars and the verification report."""
+def convention_ledger():
+    """Dict of the fixed conventions, embedded in every output sidecar."""
     return {
         "csv_schema_version": CSV_SCHEMA_VERSION,
         "metric_diag": list(METRIC_DIAG),
         "contour_rotation": "e0 = s*exp(+i*theta), s in [0, inf), theta in (0, pi/2]",
-        "contour_angle": contour_angle,
         "phi0_policy": "dot(k, x_a)",
         "normalization": "-i/2 per proper-time node; (2pi)^-2 reserved for the position-space transform",
-        "volkov_sign": volkov_sign,
         "convergence_domain": "dot(pL, pL) > m^2, the ray integrated to infinity",
     }

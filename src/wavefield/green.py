@@ -33,14 +33,14 @@ both are checked before the ray, and the first before the phase pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .conventions import (DEFAULT_ABS_TOL, DEFAULT_CONTOUR_ANGLE, DEFAULT_REL_TOL,
                           DEFAULT_VOLKOV_SIGN)
 from .errors import QuadratureFailure, RangeError, StepCalibrationFailure
-from .fields import FieldConfig, ZeroProfile, _real
+from .fields import FieldConfig, _real
 from .kernels import KernelDiagnostics, PhasePass, folded_kernel, phase_pass
 from .minkowski import (GAMMA, IDENTITY4, P_MINUS, P_PLUS, SLASH_EPS,
                         SLASH_EPS_CONJ, SLASH_K, UNIT_FIELD, light_cone, longitudinal_dot)
@@ -190,12 +190,6 @@ def green_function(ctx: EvalContext) -> PropagatorValue:
     """Mixed-representation Green function at fixed longitudinal momentum."""
     matrices, diag = _green_batch(ctx, ctx.x_b)
     return PropagatorValue(matrix=matrices[0], diagnostics=diag)
-
-
-def green_function_zero_k(ctx: EvalContext) -> PropagatorValue:
-    """Vanishing-wave-vector limit (magnetic field only): `green_function`
-    with the profile set to zero."""
-    return green_function(replace(ctx, cfg=replace(ctx.cfg, profile=ZeroProfile())))
 
 
 def total_potential_lowered(ctx: EvalContext, x: np.ndarray) -> np.ndarray:

@@ -21,7 +21,8 @@ there only. Criterion numbers have gaps.
 The limit checks that `limits` shares evaluate production first, so a point
 outside the domain raises the production error (exit 4), not an oracle's. `run_all` is what the
 `verify` CLI command executes; each check also has a focused unit test.
-Criterion 12 byte-compares two runs of the `gf` and `identities` commands, and
+Criterion 12 byte-compares two runs of the `gf` and `identities` commands (a
+run that exits non-zero fails the row, its status in the detail), and
 compares the seeded checks' reports (criterion 2 and criterion 7's
 `check_phase_integral_oracles`) across two runs: inside `run_all` the first run
 is the table's own, keyed by the check objects in `_CHECKS`, so each seeded
@@ -37,12 +38,10 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .conventions import (CSV_SCHEMA_VERSION, DEFAULT_CONTOUR_ANGLE, DEFAULT_VOLKOV_SIGN,
-                          METRIC_DIAG, convention_ledger)
+from .conventions import CSV_SCHEMA_VERSION, METRIC_DIAG, convention_ledger
 from .fields import (CircularProfile, FieldConfig, LinearProfile, PlaneWaveProfile,
                      PulseProfile, TabulatedProfile, ZeroProfile)
-from .green import (EvalContext, _prepare, dirac_apply, green_function,
-                    green_function_zero_k, total_potential_lowered)
+from .green import EvalContext, _prepare, dirac_apply, green_function, total_potential_lowered
 from .kernels import phase_pass, schwinger_kernel
 from .minkowski import (EPS, EPS_CONJ, GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS, SLASH_EPS,
                         SLASH_EPS_CONJ, SLASH_K, UNIT_FIELD_MIXED, WAVE_K, dot)
@@ -315,11 +314,12 @@ def weak_field_kernel_limit(cases, detail: str = "") -> CheckResult:
 
 
 def zero_profile_limit(contexts, detail: str = "") -> CheckResult:
-    """Each context's zero-profile Green function against Schwinger's closed form."""
+    """Each context with its profile set to zero against Schwinger's closed form."""
     dev = 0.0
     for ctx in contexts:
+        ctx = replace(ctx, cfg=replace(ctx.cfg, profile=ZeroProfile()))
         # production first: it raises the documented error outside the domain
-        value = green_function_zero_k(ctx).matrix
+        value = green_function(ctx).matrix
         ref = zero_profile_green(ctx.x_a, ctx.x_b, ctx.pL, ctx.m, ctx.cfg.g * ctx.cfg.B)
         dev = max(dev, _maxabs(value - ref))
     return _result(8, "zero-profile-route-equivalence", dev, 1e-10, detail)
@@ -425,7 +425,9 @@ _DETERMINISM_CONFIG = {
 }
 
 
-def _command_bytes(command: str, config: dict) -> bytes:
+def _command_bytes(command: str, config: dict) -> tuple[int, bytes]:
+    """(exit status, CSV bytes then sidecar bytes) of one CLI run; no bytes
+    when the run fails."""
     import tempfile
     from pathlib import Path
 
@@ -437,8 +439,8 @@ def _command_bytes(command: str, config: dict) -> bytes:
         cfg_path.write_text(json.dumps(config))
         status = cli.main([command, "--config", str(cfg_path), "--out", str(out_path)])
         if status != 0:
-            raise RuntimeError(f"{command} exited with {status} during determinism check")
-        return out_path.read_bytes() + Path(str(out_path) + ".json").read_bytes()
+            return status, b""
+        return status, out_path.read_bytes() + Path(str(out_path) + ".json").read_bytes()
 
 
 def _serialized(report) -> str:
@@ -452,9 +454,12 @@ def check_determinism(first=None) -> list[CheckResult]:
     already made (`run_all` passes the table's own), so that check runs once
     more here; a check it lacks runs twice."""
     first = first or {}
-    dev_cli = 0.0
+    dev_cli, failures = 0.0, []
     for command in ("gf", "identities"):
-        if _command_bytes(command, _DETERMINISM_CONFIG) != _command_bytes(command, _DETERMINISM_CONFIG):
+        runs = [_command_bytes(command, _DETERMINISM_CONFIG) for _ in range(2)]
+        # a failed run fails the row: it has no bytes to compare
+        failures += [f"{command} exited with {status}" for status, _ in runs if status != 0]
+        if failures or runs[0] != runs[1]:
             dev_cli = 1.0
     dev_checks = 0.0
     # looked up when called, so a wrapped check is the key `run_all` used
@@ -464,7 +469,8 @@ def check_determinism(first=None) -> list[CheckResult]:
             dev_checks = 1.0
     return [
         _result(12, "cli-output-bit-determinism", dev_cli, 0.0,
-                "gf and identities runs byte-compared across two invocations"),
+                "; ".join(["gf and identities runs byte-compared across two invocations",
+                           *failures])),
         _result(12, "check-suite-determinism", dev_checks, 0.0,
                 "criterion 2 and the criterion-7 phase integrals: two runs as "
                 "serialized reports (in verify, the table's own and one re-run)"),
@@ -474,12 +480,11 @@ def check_determinism(first=None) -> list[CheckResult]:
 # -- ledger consistency (runs with `verify` alongside the numbered checks) --
 
 def check_ledger_consistency() -> list[CheckResult]:
-    ledger = convention_ledger(DEFAULT_CONTOUR_ANGLE, DEFAULT_VOLKOV_SIGN)
+    ledger = convention_ledger()
     ok = (tuple(ledger["metric_diag"]) == tuple(METRIC_DIAG)
           and tuple(METRIC_DIAG) == tuple(float(v) for v in METRIC)
           and ledger["csv_schema_version"] == CSV_SCHEMA_VERSION
-          and "+i*theta" in ledger["contour_rotation"]
-          and ledger["volkov_sign"] == DEFAULT_VOLKOV_SIGN)
+          and "+i*theta" in ledger["contour_rotation"])
     return [_result(0, "convention-ledger-consistency", 0.0 if ok else 1.0, 0.0,
                     "published ledger values match compiled constants")]
 

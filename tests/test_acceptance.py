@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from wavefield import green, kernels, minkowski, verification
+from wavefield import conventions, green, kernels, minkowski, verification
 from wavefield.cli import main
 
 
@@ -39,6 +39,18 @@ def _report(results):
 
 def test_criterion_00_convention_ledger_consistency():
     _report(verification.check_ledger_consistency())
+
+
+def test_criterion_00_fails_when_the_declared_metric_is_not_the_compiled_one(monkeypatch):
+    # the ledger publishes conventions.METRIC_DIAG; minkowski.METRIC is what the
+    # numerical modules use. An edit to one alone fails the row
+    flipped = (1.0, 1.0, 1.0, -1.0)
+    assert flipped != tuple(float(v) for v in minkowski.METRIC)
+    monkeypatch.setattr(conventions, "METRIC_DIAG", flipped)
+    monkeypatch.setattr(verification, "METRIC_DIAG", flipped)
+    [row] = verification.check_ledger_consistency()
+    assert row.name == "convention-ledger-consistency"
+    assert row.max_deviation == 1.0 and not row.passed
 
 
 def test_criterion_01_clifford_and_projector_algebra():

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import functools
+import gc
 import json
 import math
 import os
@@ -15,13 +16,14 @@ import numpy as np
 import pytest
 
 import wavefield
-from wavefield import green, verification
+from wavefield import cli, green, verification
 from wavefield.cli import (_matrix_columns, _matrix_row, main, parse_config, render_csv,
                           render_sidecar)
-from wavefield.conventions import NODE_CAP
-from wavefield.errors import RangeError, SchemaError
+from wavefield.conventions import NODE_CAP, convention_ledger
+from wavefield.errors import QuadratureFailure, RangeError, SchemaError
 from wavefield.fields import CircularProfile, FieldConfig
 from wavefield.green import EvalContext, green_function
+from wavefield.kernels import phase_pass
 from wavefield.quadrature import adaptive_quad
 from wavefield.verification import CheckResult
 
@@ -108,7 +110,7 @@ def test_gf_grid_rows_and_frozen_header(tmp_path):
     for i in range(4):
         for j in range(4):
             expected += [f"g{i}{j}_re", f"g{i}{j}_im"]
-    expected += ["error_estimate", "nodes", "near_singularity"]
+    expected += ["error_estimate", "nodes"]
     assert table[0] == expected
     assert len(table) == 6
     assert [row[0] for row in table[1:]] == [format(v, ".17g") for v in grid["values"]]
@@ -123,12 +125,12 @@ def test_gf_byte_determinism(tmp_path):
     assert Path(str(out1) + ".json").read_bytes() == Path(str(out2) + ".json").read_bytes()
 
 
-def test_zero_profile_routes_give_identical_csv(tmp_path):
-    cfg = _config()
-    cfg["field"] = {"g": 1.0, "B": 0.6, "profile": "zero"}
-    _, full = _invoke(tmp_path, "gf", cfg, name="full.csv")
-    _, direct = _invoke(tmp_path, "gf-k0", cfg, name="direct.csv")
-    assert full.read_bytes() == direct.read_bytes()
+def test_zero_wave_vector_limit_is_an_input_not_a_command(tmp_path, capsys):
+    # the limit is `gf` with "profile": "zero"; argparse refuses a `gf-k0` command
+    with pytest.raises(SystemExit) as stop:
+        _invoke(tmp_path, "gf-k0", _config())
+    assert stop.value.code == 2
+    assert "invalid choice: 'gf-k0'" in capsys.readouterr().err
 
 
 def test_exit_code_schema(tmp_path):
@@ -232,6 +234,39 @@ def test_identities_exit_5_when_a_check_fails(tmp_path, monkeypatch):
     assert sidecar["all_passed"] is False
 
 
+def test_verify_fails_its_determinism_row_when_a_run_inside_it_fails(tmp_path, monkeypatch,
+                                                                      capsys):
+    # criterion 12 runs `gf` through the CLI: a failed run fails its row (exit
+    # 5), it does not escape `main` as a traceback
+    def failing(rc):
+        raise QuadratureFailure("budget exhausted")
+
+    monkeypatch.setitem(cli._HANDLERS, "gf", failing)
+    status, out = _invoke(tmp_path, "verify", _config())
+    assert status == 5
+    report = json.loads(Path(str(out) + ".json").read_text())["report"]
+    failed = [row for row in report if not row["passed"]]
+    assert [row["name"] for row in failed] == ["cli-output-bit-determinism"]
+    assert failed[0]["max_deviation"] == 1.0
+    assert "gf exited with 4" in failed[0]["detail"]
+    assert capsys.readouterr().err.endswith(f"error: verify reported failures (see {out})\n")
+
+
+@pytest.mark.parametrize("command", ["gf", "dirac"])
+def test_a_request_leaves_no_reference_cycle(tmp_path, command):
+    # garbage that only the cyclic collector frees grows a long-running
+    # process between collections; the collector is held off so that it
+    # cannot hide a cycle by running during the request
+    assert _invoke(tmp_path, command, _config(), name="warm.csv")[0] == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert _invoke(tmp_path, command, _config())[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_kernel_requires_matching_grid(tmp_path):
     status, _ = _invoke(tmp_path, "kernel", _config())
     assert status == 2
@@ -247,12 +282,15 @@ def test_unknown_grid_param_rejected(tmp_path):
 
 def test_angle_override_lands_in_sidecar(tmp_path):
     status, out = _invoke(tmp_path, "gf", _config(), "--angle", "0.9")
-    assert status == 0
+    status2, plain = _invoke(tmp_path, "gf", _config(), name="plain.csv")
+    assert status == status2 == 0
     sidecar = json.loads(Path(str(out) + ".json").read_text())
-    assert sidecar["ledger"]["contour_angle"] == 0.9
     assert sidecar["config"]["eval"]["theta"] == 0.9
     assert sidecar["rows"] == 1
     assert "timestamp" not in json.dumps(sidecar).lower()
+    # the angle is stated once, under config: the ledger holds the fixed conventions
+    assert sidecar["ledger"] == json.loads(Path(str(plain) + ".json").read_text())["ledger"]
+    assert sidecar["ledger"] == convention_ledger()
 
 
 def test_one_parser_serves_every_call_in_a_process(tmp_path, monkeypatch):
@@ -274,7 +312,6 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, monkeypatch):
     assert json.loads(Path(str(angled) + ".json").read_text())["config"]["eval"]["theta"] == 0.5
     sidecar = json.loads(Path(str(plain) + ".json").read_text())
     assert sidecar["config"]["eval"]["theta"] == math.pi / 2
-    assert sidecar["ledger"]["contour_angle"] == math.pi / 2
     assert sidecar["config"]["volkov_sign"] == 1
 
 
@@ -291,9 +328,11 @@ def test_sign_toggle_lands_in_sidecar_and_changes_values(tmp_path):
                                name="toggled.csv")
     assert status == status2 == 0
     sidecar = json.loads(Path(str(toggled) + ".json").read_text())
-    assert sidecar["ledger"]["volkov_sign"] == -1
     assert sidecar["config"]["volkov_sign"] == -1
     assert plain.read_bytes() != toggled.read_bytes()
+    # the sign is stated once, under config: the ledger holds the fixed conventions
+    assert sidecar["ledger"] == json.loads(Path(str(plain) + ".json").read_text())["ledger"]
+    assert sidecar["ledger"] == convention_ledger()
 
 
 def test_csv_floats_round_trip_exactly(tmp_path):
@@ -312,14 +351,17 @@ def test_csv_floats_round_trip_exactly(tmp_path):
             assert float(row[f"g{i}{j}_im"]) == matrix[i, j].imag
 
 
-def test_phase_integral_conjugate_columns(tmp_path):
+def test_phase_integral_rows_are_one_phase_pass_each(tmp_path):
+    # K* is K's conjugate for a real profile, so the table states K alone
     cfg = _config(grid={"param": "phi", "values": [-0.3, 0.2, 0.8]})
     status, out = _invoke(tmp_path, "K", cfg)
     assert status == 0
-    for row in _rows(out):
-        k = complex(float(row["K_re"]), float(row["K_im"]))
-        kc = complex(float(row["K_conj_re"]), float(row["K_conj_im"]))
-        assert kc == np.conj(k)       # real profiles: K* is the conjugate of K
+    ctx = parse_config(json.dumps(cfg)).ctx
+    rows = []
+    for phi in cfg["grid"]["values"]:
+        run = phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, phi)
+        rows.append([phi, run.kernel_b.real, run.kernel_b.imag, run.error_estimate, run.nodes])
+    assert out.read_bytes() == render_csv(["phi", "K_re", "K_im", "error_estimate", "nodes"], rows)
 
 
 def test_phase_integral_meets_the_config_tolerances(tmp_path):
@@ -376,8 +418,10 @@ def test_limits_outside_the_domain_exits_4(tmp_path, overrides):
     status, out = _invoke(tmp_path, "limits", cfg)
     assert status == 4
     assert not out.exists()
-    # the same points fail the same way through gf-k0, the route limits checks
-    assert _invoke(tmp_path, "gf-k0", cfg, name="k0.csv")[0] == 4
+    # the same points fail the same way through gf at the zero profile, the
+    # route limits checks
+    cfg["field"] = _field("zero")
+    assert _invoke(tmp_path, "gf", cfg, name="zero.csv")[0] == 4
 
 
 def test_dirac_command_single_point(tmp_path):
@@ -420,7 +464,7 @@ def test_tabulated_endpoint_just_past_the_grid_exits_2(tmp_path):
 def test_gf_outputs_carry_only_the_frozen_columns(tmp_path):
     # the extra diagnostics (phase-pass nodes and error) stay in the library:
     # the CSV and the sidecar are exactly what the frozen columns and the
-    # config give, and the ray meets no caustic, so near_singularity reads 0
+    # config give
     grid = {"param": "xb3", "values": [0.5, 2.0]}
     rc = parse_config(json.dumps(_config(grid=grid)))
     status, out = _invoke(tmp_path, "gf", _config(grid=grid))
@@ -431,12 +475,12 @@ def test_gf_outputs_carry_only_the_frozen_columns(tmp_path):
         result = green_function(replace(rc.ctx, x_b=x_b))
         diag = result.diagnostics
         assert diag.prepare_nodes > 0
-        rows.append([value] + _matrix_row(result.matrix) + [diag.error_estimate, diag.nodes, 0])
-    header = ["grid_value", *_matrix_columns("g"), "error_estimate", "nodes",
-              "near_singularity"]
+        rows.append([value] + _matrix_row(result.matrix) + [diag.error_estimate, diag.nodes])
+    header = ["grid_value", *_matrix_columns("g"), "error_estimate", "nodes"]
     assert out.read_bytes() == render_csv(header, rows)
     sidecar = Path(str(out) + ".json").read_bytes()
     assert sidecar == render_sidecar("gf", rc, len(rows))
+    assert sidecar.count(b"\n") == 1 and sidecar.endswith(b"\n")     # one line of JSON
     for name in ("prepare_nodes", "prepare_error", "e0_max"):
         assert name.encode() not in sidecar
 

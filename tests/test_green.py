@@ -4,12 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wavefield import green, kernels, minkowski
+from wavefield import green, kernels, minkowski, verification
 from wavefield.errors import QuadratureFailure, RangeError, StepCalibrationFailure
 from wavefield.fields import (CircularProfile, FieldConfig, PlaneWaveProfile, PulseProfile,
                               TabulatedProfile, ZeroProfile)
-from wavefield.green import (EvalContext, dirac_apply, green_function, green_function_zero_k,
-                             spin_factor, total_potential_lowered)
+from wavefield.green import (EvalContext, dirac_apply, green_function, spin_factor,
+                             total_potential_lowered)
 from wavefield.kernels import PhasePass, phase_pass
 from wavefield.minkowski import GAMMA, IDENTITY4, P_MINUS, P_PLUS, dot
 from wavefield.quadrature import adaptive_quad
@@ -67,8 +67,6 @@ def test_ray_domain_checks():
     same_t[2:] = (1.0, 0.7)
     with pytest.raises(QuadratureFailure):
         green_function(_ctx(x_b=same_t))
-    with pytest.raises(QuadratureFailure):
-        green_function_zero_k(_ctx(x_b=same_t))
 
 
 def test_mass_gap_is_checked_before_the_phase_pass(monkeypatch):
@@ -107,14 +105,26 @@ def test_spin_factor_over_an_array_of_nodes():
 
 
 def test_zero_k_limit_ignores_the_profile():
-    assert np.array_equal(green_function_zero_k(_ctx(cfg=WCFG)).matrix,
-                          green_function(_ctx(cfg=FieldConfig(g=WCFG.g, B=WCFG.B))).matrix)
+    # `limits` and criterion 8 set the profile to zero themselves
+    assert verification.zero_profile_limit([_ctx(cfg=WCFG)]) \
+        == verification.zero_profile_limit([_ctx(cfg=FieldConfig(g=WCFG.g, B=WCFG.B))])
 
 
-def test_zero_profile_routes_are_identical():
-    full = green_function(_ctx())
-    direct = green_function_zero_k(_ctx())
-    assert np.array_equal(full.matrix, direct.matrix)
+def test_zero_profile_routes_are_identical(monkeypatch):
+    # the matrix behind the zero-profile row is `green_function` on the
+    # context with ZeroProfile(), bit for bit
+    seen = []
+
+    def recorded(ctx):
+        seen.append((ctx, green_function(ctx)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(verification, "green_function", recorded)
+    verification.zero_profile_limit([_ctx(cfg=WCFG)])
+    [(ctx, value)] = seen
+    expected = green_function(_ctx(cfg=replace(WCFG, profile=ZeroProfile())))
+    assert ctx.cfg.profile.is_zero
+    assert np.array_equal(value.matrix, expected.matrix)
 
 
 def test_longitudinal_translation_covariance():

@@ -8,7 +8,7 @@ import pytest
 from wavefield.errors import QuadratureFailure, ResonantDenominator, SingularForm
 from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, PulseProfile,
                               TabulatedProfile, ZeroProfile)
-from wavefield.green import EvalContext, green_function_zero_k
+from wavefield.green import EvalContext, green_function
 from wavefield.kernels import schwinger_kernel
 from wavefield.minkowski import IDENTITY4, METRIC, P_MINUS, P_PLUS
 from wavefield.oracles import (SliceLattice, _interior_spectrum, _k0, cross_phase_nested,
@@ -219,8 +219,9 @@ def test_zero_profile_gradient_matches_finite_differences():
         assert np.array_equal(value, zero_profile_green(x_a, x_b, pL, m, b))
 
         def production(shift):
-            return green_function_zero_k(EvalContext(m=m, x_a=x_a, x_b=x_b + shift, pL=pL,
-                                                     cfg=FieldConfig(g=1.0, B=b))).matrix
+            return green_function(EvalContext(m=m, x_a=x_a, x_b=x_b + shift, pL=pL,
+                                              cfg=FieldConfig(g=1.0, B=b,
+                                                              profile=ZeroProfile()))).matrix
 
         for mu, unit in enumerate(np.eye(4)):
             fd = (-production(2 * h * unit) + 8 * production(h * unit)
