@@ -10,6 +10,9 @@ convention ledger and the row count. Outputs contain no timestamps: identical
 configs give bit-identical files. The zero-wave-vector limit is `gf` with
 `"profile": "zero"`.
 
+Every config number goes through `fields._real`, the library's own check, and
+a rejected one names its JSON path (`$`: a config that cannot be decoded).
+
 Exit codes: 0 ok, 2 config/schema, 3 numeric singularity, 4 quadrature or
 step-calibration failure, 5 verification failure.
 """
@@ -21,9 +24,8 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -32,8 +34,8 @@ from .conventions import DEFAULT_VOLKOV_SIGN, convention_ledger
 from .errors import (DivisionByZero, InvalidProfile, KernelSingularity,
                      QuadratureFailure, RangeError, ResonantDenominator,
                      SchemaError, SingularForm, StepCalibrationFailure, WavefieldError)
-from .fields import FieldConfig, make_profile
-from .green import EvalContext, dirac_apply, green_function, spin_factor
+from .fields import FieldConfig, _real, make_profile
+from .green import EVAL_INPUTS, EvalContext, dirac_apply, green_function, spin_factor
 from .kernels import near_caustic, phase_pass, schwinger_kernel
 
 _SCHEMA_EXIT, _SINGULAR_EXIT, _QUADRATURE_EXIT, _VERIFY_EXIT = 2, 3, 4, 5
@@ -44,6 +46,8 @@ _EXIT_CODES = (
     ((WavefieldError,), _VERIFY_EXIT),
 )
 _GRID_COMPONENTS = {"xb0": 0, "xb1": 1, "xb2": 2, "xb3": 3, "pL2": 2, "pL3": 3}
+#: The `eval` keys a config must set: those whose context field has no default.
+_REQUIRED_INPUTS = {f.name for f in fields(EvalContext) if f.default is MISSING} & set(EVAL_INPUTS)
 
 
 @dataclass(frozen=True)
@@ -58,9 +62,8 @@ class RunConfig:
         return {
             "field": {"g": cfg.g, "B": cfg.B,
                       "profile": {"kind": cfg.profile.kind, **cfg.profile.params()}},
-            "eval": {"m": ctx.m, "x_a": list(ctx.x_a), "x_b": list(ctx.x_b),
-                     "pL": list(ctx.pL), "theta": ctx.theta,
-                     "abs_tol": ctx.abs_tol, "rel_tol": ctx.rel_tol},
+            "eval": {key: getattr(ctx, key).tolist() if shape else getattr(ctx, key)
+                     for key, shape in EVAL_INPUTS.items()},
             "grid": None if self.grid_param is None
                     else {"param": self.grid_param, "values": list(self.grid_values)},
             "volkov_sign": ctx.volkov_sign,
@@ -81,27 +84,15 @@ def _reject_unknown(block: dict, allowed, path: str):
             raise SchemaError(f"{path}.{key}", "unknown field")
 
 
-def _finite(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(path, f"expected a number, got {type(value).__name__}")
-    if not math.isfinite(value):
-        raise RangeError(f"{path} must be finite, got {value!r}")
-    return float(value)
-
-
-def _number(block: dict, key: str, path: str) -> float:
+def _required(block: dict, key: str, path: str):
     if key not in block:
         raise SchemaError(f"{path}.{key}", "required field is missing")
-    return _finite(block[key], f"{path}.{key}")
+    return block[key]
 
 
-def _vector4(block: dict, key: str, path: str) -> np.ndarray:
-    if key not in block:
-        raise SchemaError(f"{path}.{key}", "required field is missing")
-    value = block[key]
-    if not isinstance(value, list) or len(value) != 4:
-        raise SchemaError(f"{path}.{key}", "expected a list of 4 numbers")
-    return np.array([_finite(item, f"{path}.{key}[{i}]") for i, item in enumerate(value)])
+def _real_at(path: str, value, shape=()):
+    """`fields._real`, the library constructors' own check, raising SchemaError at `path`."""
+    return _real(path, value, shape, lambda text: SchemaError(path, text.removeprefix(path + " ")))
 
 
 def _parse_profile(raw, path: str):
@@ -109,9 +100,7 @@ def _parse_profile(raw, path: str):
         kind, params = raw, {}
     else:
         block = _expect_mapping(raw, path)
-        if "kind" not in block:
-            raise SchemaError(f"{path}.kind", "required field is missing")
-        kind = block["kind"]
+        kind = _required(block, "kind", path)
         if not isinstance(kind, str):
             raise SchemaError(f"{path}.kind", "expected a string")
         params = {k: v for k, v in block.items() if k != "kind"}
@@ -124,26 +113,33 @@ def _parse_profile(raw, path: str):
 def _parse_grid(raw, path: str):
     block = _expect_mapping(raw, path)
     _reject_unknown(block, {"param", "values"}, path)
-    if "param" not in block:
-        raise SchemaError(f"{path}.param", "required field is missing")
-    param = block["param"]
+    param = _required(block, "param", path)
     if not isinstance(param, str):
         raise SchemaError(f"{path}.param", "expected a string")
     values = block.get("values")
     if not isinstance(values, list) or not values:
         raise SchemaError(f"{path}.values", "expected a non-empty list of numbers")
-    out = [_finite(item, f"{path}.values[{i}]") for i, item in enumerate(values)]
+    out = [_real_at(f"{path}.values[{i}]", item) for i, item in enumerate(values)]
     diffs = np.diff(out)
     if len(out) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise RangeError(f"{path}.values must be strictly monotone")
     return param, tuple(out)
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str | bytes) -> RunConfig:
+    """The run config in JSON `text` (bytes in UTF-8, -16 or -32); SchemaError
+    at the path of the first value that does not fit the schema."""
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"config is not valid JSON: {exc}") from exc
+        try:
+            raw = json.loads(text)
+        except ValueError as exc:      # JSONDecodeError and UnicodeDecodeError included
+            raise SchemaError("$", f"config is not valid JSON: {exc}") from exc
+        return _parse_document(raw)
+    except RecursionError as exc:      # in the decoder, or in an error's repr of a deep value
+        raise SchemaError("$", "config is nested too deeply") from exc
+
+
+def _parse_document(raw) -> RunConfig:
     root = _expect_mapping(raw, "$")
     _reject_unknown(root, {"field", "eval", "grid"}, "$")
     if "field" not in root:
@@ -153,22 +149,16 @@ def parse_config(text: str) -> RunConfig:
 
     field_block = _expect_mapping(root["field"], "field")
     _reject_unknown(field_block, {"g", "B", "profile"}, "field")
-    g = _number(field_block, "g", "field")
-    b = _number(field_block, "B", "field")
-    if "profile" not in field_block:
-        raise SchemaError("field.profile", "required field is missing")
-    profile = _parse_profile(field_block["profile"], "field.profile")
+    cfg = FieldConfig(g=_real_at("field.g", _required(field_block, "g", "field")),
+                      B=_real_at("field.B", _required(field_block, "B", "field")),
+                      profile=_parse_profile(_required(field_block, "profile", "field"),
+                                             "field.profile"))
 
     eval_block = _expect_mapping(root["eval"], "eval")
-    optional = ("theta", "abs_tol", "rel_tol")     # EvalContext defaults the rest
-    _reject_unknown(eval_block, {"m", "x_a", "x_b", "pL", *optional}, "eval")
-    settings = {key: _finite(eval_block[key], f"eval.{key}")
-                for key in optional if key in eval_block}
-    ctx = EvalContext(m=_number(eval_block, "m", "eval"),
-                      x_a=_vector4(eval_block, "x_a", "eval"),
-                      x_b=_vector4(eval_block, "x_b", "eval"),
-                      pL=_vector4(eval_block, "pL", "eval"),
-                      cfg=FieldConfig(g=g, B=b, profile=profile), **settings)
+    _reject_unknown(eval_block, EVAL_INPUTS, "eval")
+    ctx = EvalContext(cfg=cfg, **{
+        key: _real_at(f"eval.{key}", _required(eval_block, key, "eval"), shape)
+        for key, shape in EVAL_INPUTS.items() if key in eval_block or key in _REQUIRED_INPUTS})
 
     grid_param, grid_values = None, ()
     if "grid" in root and root["grid"] is not None:
@@ -380,7 +370,7 @@ def run(command: str, rc: RunConfig, out_path: str) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "rb") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)

@@ -12,7 +12,8 @@ class WavefieldError(Exception):
 
 
 class SchemaError(WavefieldError):
-    """Config does not match the documented schema. Carries the field path."""
+    """Config does not match the documented schema, a value fails `fields._real`, or the
+    text cannot be decoded. Carries the value's JSON path, `$` for the whole document."""
 
     def __init__(self, path, message=""):
         self.path = path

@@ -71,6 +71,8 @@ def _real(name: str, value, shape=(), error=InvalidProfile):
         array = np.asarray(value)
     except ValueError:          # ragged nesting
         array = np.asarray(None)
+    if shape and type(value) in (list, tuple) and any(type(v) in (bool, np.bool_) for v in value):
+        array = np.asarray(None)    # numpy reads a boolean among numbers as 0 or 1
     if array.dtype.kind not in "iuf" or array.ndim != len(shape) \
             or (None not in shape and array.shape != shape) or not np.isfinite(array).all():
         what = "a finite real number" if not shape else \
@@ -224,9 +226,7 @@ def make_profile(kind: str, **params) -> PlaneWaveProfile:
     extra = [n for n in params if n not in names]
     if extra:
         raise InvalidProfile(f"profile {kind!r} got unexpected parameter(s) {extra}")
-    if kind == "tabulated":
-        return TabulatedProfile(params["phi"], params["a1"], params["a2"])
-    return cls(**params)
+    return cls(*(params[name] for name in names))
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,12 @@ from .minkowski import (GAMMA, IDENTITY4, P_MINUS, P_PLUS, SLASH_EPS,
 from .quadrature import adaptive_quad
 
 
+#: The evaluation inputs and their shapes, in field order: the context checks each
+#: with `fields._real`, and the CLI reads `eval` and writes its sidecar from this.
+EVAL_INPUTS = {"m": (), "x_a": (4,), "x_b": (4,), "pL": (4,),
+               "theta": (), "abs_tol": (), "rel_tol": ()}
+
+
 @dataclass(frozen=True)
 class EvalContext:
     """One evaluation point: mass, endpoints, longitudinal momentum, field, contour."""
@@ -62,8 +68,7 @@ class EvalContext:
     volkov_sign: int = DEFAULT_VOLKOV_SIGN
 
     def __post_init__(self):
-        for name, shape in (("m", ()), ("x_a", (4,)), ("x_b", (4,)), ("pL", (4,)),
-                            ("theta", ()), ("abs_tol", ()), ("rel_tol", ())):
+        for name, shape in EVAL_INPUTS.items():
             object.__setattr__(self, name, _real(name, getattr(self, name), shape, RangeError))
         if not isinstance(self.cfg, FieldConfig):
             raise RangeError(f"cfg must be a FieldConfig, got {self.cfg!r}")
@@ -88,7 +93,8 @@ class EvalContext:
 
     @property
     def mass_gap(self) -> float:
-        return float(longitudinal_dot(self.pL, self.pL)) - self.m ** 2
+        # numpy's power, the same pow as float's, gives inf where float's raises OverflowError
+        return float(longitudinal_dot(self.pL, self.pL) - np.float64(self.m) ** 2)
 
 
 @dataclass(frozen=True)

@@ -51,13 +51,20 @@ def test_context_validation():
 @pytest.mark.parametrize("bad", [
     dict(m="0.8"), dict(m=True), dict(volkov_sign=True), dict(volkov_sign=1.0),
     dict(x_a=XA[:2]), dict(x_b=np.append(XB, 0.0)), dict(rel_tol=np.inf), dict(cfg=None),
+    dict(x_a=[0.1, True, 0.3, 0.0]), dict(m=2 ** 70),
 ], ids=["text-m", "boolean-m", "boolean-volkov-sign", "float-volkov-sign", "x_a-of-length-2",
-        "x_b-of-length-5", "infinite-rel-tol", "no-cfg"])
+        "x_b-of-length-5", "infinite-rel-tol", "no-cfg", "boolean-in-x_a", "m-beyond-64-bits"])
 def test_context_rejects_inputs_that_are_not_its_numbers(bad):
     # past the constructor, green_function would fail with a broadcast or
     # reshape ValueError, or at rel_tol = inf stop after a few ray nodes
     with pytest.raises(RangeError):
         _ctx(**bad)
+
+
+def test_a_mass_too_large_to_square_is_outside_the_ray_domain():
+    # m**2 overflows to inf: a QuadratureFailure (exit 4), not an OverflowError
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(QuadratureFailure):
+        green_function(_ctx(m=1e300))
 
 
 def test_ray_domain_checks():
