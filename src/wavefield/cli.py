@@ -3,12 +3,12 @@
     wavefield <command> --config <path> --out <path> [--angle <theta>] [--profile-sign-toggle]
 
 Commands: identities, kernel, K, spinfactor, gf, dirac, verify, limits.
-Each run writes a CSV table (one row per grid point, floats at 17 significant
-digits, frozen column order) and a one-line JSON sidecar carrying the
-normalized config (the run's contour angle and sign included), the fixed
-convention ledger and the row count. Outputs contain no timestamps: identical
-configs give bit-identical files. The zero-wave-vector limit is `gf` with
-`"profile": "zero"`.
+Each run writes a CSV table (one row per grid point, or per check: all of a
+`CheckResult`'s fields; floats at 17 significant digits, frozen column order)
+and a one-line JSON sidecar carrying the normalized config (the run's contour
+angle and sign included), the fixed convention ledger, the row count and, for a
+check table, `all_passed`. Outputs contain no timestamps: identical configs give
+bit-identical files. The zero-wave-vector limit is `gf` with `"profile": "zero"`.
 
 Every config number goes through `fields._real`, the library's own check, and
 a rejected one names its JSON path (`$`: a config that cannot be decoded).
@@ -25,7 +25,7 @@ import functools
 import io
 import json
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -156,9 +156,12 @@ def _parse_document(raw) -> RunConfig:
 
     eval_block = _expect_mapping(root["eval"], "eval")
     _reject_unknown(eval_block, EVAL_INPUTS, "eval")
-    ctx = EvalContext(cfg=cfg, **{
-        key: _real_at(f"eval.{key}", _required(eval_block, key, "eval"), shape)
-        for key, shape in EVAL_INPUTS.items() if key in eval_block or key in _REQUIRED_INPUTS})
+    try:
+        ctx = EvalContext(cfg=cfg, **{
+            key: _real_at(f"eval.{key}", _required(eval_block, key, "eval"), shape)
+            for key, shape in EVAL_INPUTS.items() if key in eval_block or key in _REQUIRED_INPUTS})
+    except RangeError as exc:       # the context's range checks open with the input's name
+        raise RangeError(f"eval.{exc}") from exc
 
     grid_param, grid_values = None, ()
     if "grid" in root and root["grid"] is not None:
@@ -187,7 +190,8 @@ def render_csv(header: list, rows: list) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def render_sidecar(command: str, rc: RunConfig, n_rows: int, extra: dict | None = None) -> bytes:
+def render_sidecar(command: str, rc: RunConfig, n_rows: int,
+                   all_passed: bool | None = None) -> bytes:
     payload = {
         "command": command,
         "package_version": __version__,
@@ -195,8 +199,8 @@ def render_sidecar(command: str, rc: RunConfig, n_rows: int, extra: dict | None 
         "ledger": convention_ledger(),
         "rows": n_rows,
     }
-    if extra:
-        payload.update(extra)
+    if all_passed is not None:      # the check commands' verdict on their table
+        payload["all_passed"] = all_passed
     # no indent: that keeps json on its C encoder, which leaves no reference cycle
     return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
 
@@ -240,21 +244,18 @@ def _require_grid(rc: RunConfig, command: str, param: str):
 
 # -- command bodies -------------------------------------------------------
 
-_CHECK_HEADER = ["criterion", "name", "max_deviation", "tolerance", "passed"]
-
-
-def _check_rows(results, header=_CHECK_HEADER):
-    """(header, one row of the header's CheckResult fields per result, all passed)."""
-    rows = [[getattr(r, field) for field in header] for r in results]
+def _check_table(results):
+    """(CheckResult's fields as the header, one row of them per result, all passed)."""
+    header = [f.name for f in fields(results[0])]
+    rows = [[getattr(r, name) for name in header] for r in results]
     return header, rows, all(r.passed for r in results)
 
 
 def _cmd_identities(rc: RunConfig):
     from . import verification
-    header, rows, all_passed = _check_rows(verification.check_ledger_consistency()
-                                           + verification.check_clifford_algebra()
-                                           + verification.check_basis_identities())
-    return header, rows, {"all_passed": all_passed}, (0 if all_passed else _VERIFY_EXIT)
+    return _check_table(verification.check_ledger_consistency()
+                        + verification.check_clifford_algebra()
+                        + verification.check_basis_identities())
 
 
 def _cmd_kernel(rc: RunConfig):
@@ -263,7 +264,7 @@ def _cmd_kernel(rc: RunConfig):
     grid = np.array(rc.grid_values)
     values, flags = schwinger_kernel(grid, ctx.x_a, ctx.x_b, ctx.cfg), near_caustic(grid, ctx.cfg)
     rows = [[e0, v.real, v.imag, flag] for e0, v, flag in zip(rc.grid_values, values, flags)]
-    return ["e0", "kernel_re", "kernel_im", "near_singularity"], rows, None, 0
+    return ["e0", "kernel_re", "kernel_im", "near_singularity"], rows, None
 
 
 def _cmd_phase_integral(rc: RunConfig):
@@ -278,14 +279,14 @@ def _cmd_phase_integral(rc: RunConfig):
         return [phi, k.real, k.imag, run.error_estimate, run.nodes]
 
     rows = [one(phi) for phi in rc.grid_values]
-    return ["phi", "K_re", "K_im", "error_estimate", "nodes"], rows, None, 0
+    return ["phi", "K_re", "K_im", "error_estimate", "nodes"], rows, None
 
 
 def _cmd_spinfactor(rc: RunConfig):
     _require_grid(rc, "spinfactor", "e0")
     factors = spin_factor(np.array(rc.grid_values), rc.ctx)
     rows = [[e0] + _matrix_row(sf) for e0, sf in zip(rc.grid_values, factors)]
-    return ["e0", *_matrix_columns("sf")], rows, None, 0
+    return ["e0", *_matrix_columns("sf")], rows, None
 
 
 def _cmd_gf(rc: RunConfig):
@@ -296,31 +297,27 @@ def _cmd_gf(rc: RunConfig):
         return [grid_value] + _matrix_row(result.matrix) + [diag.error_estimate, diag.nodes]
 
     rows = [one(pair) for pair in _grid_contexts(rc)]
-    return ["grid_value", *_matrix_columns("g"), "error_estimate", "nodes"], rows, None, 0
+    return ["grid_value", *_matrix_columns("g"), "error_estimate", "nodes"], rows, None
 
 
 def _cmd_dirac(rc: RunConfig):
     rows = [[value] + _matrix_row(dirac_apply(ctx)) for value, ctx in _grid_contexts(rc)]
-    return ["grid_value", *_matrix_columns("s")], rows, None, 0
+    return ["grid_value", *_matrix_columns("s")], rows, None
 
 
 def _cmd_verify(rc: RunConfig):
     from . import verification
-    results = verification.run_all()
-    header, rows, all_passed = _check_rows(results)
-    extra = {"all_passed": all_passed, "report": [asdict(r) for r in results]}
-    return header, rows, extra, (0 if all_passed else _VERIFY_EXIT)
+    return _check_table(verification.run_all())
 
 
 def _cmd_limits(rc: RunConfig):
     from . import verification
     xa, xb = np.array([0.4, 0.0]), np.array([1.2, 0.0])
-    header, rows, all_passed = _check_rows([
+    return _check_table([
         verification.zero_profile_limit([rc.ctx]),
         verification.free_field_limit([rc.ctx]),
         verification.weak_field_kernel_limit((e0, 1.0, xa, xb) for e0 in (0.4, 0.9, 1.4)),
-    ], _CHECK_HEADER[1:])
-    return header, rows, {"all_passed": all_passed}, (0 if all_passed else _VERIFY_EXIT)
+    ])
 
 
 _HANDLERS = {
@@ -353,9 +350,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(command: str, rc: RunConfig, out_path: str) -> int:
-    header, rows, extra, status = _HANDLERS[command](rc)
+    """Write the command's table and sidecar; exit 5 when a check table has a failed row."""
+    header, rows, all_passed = _HANDLERS[command](rc)
     csv_bytes = render_csv(header, rows)
-    sidecar = render_sidecar(command, rc, len(rows), extra)
+    sidecar = render_sidecar(command, rc, len(rows), all_passed)
     try:
         with open(out_path, "wb") as fh:
             fh.write(csv_bytes)
@@ -364,7 +362,7 @@ def run(command: str, rc: RunConfig, out_path: str) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return _SCHEMA_EXIT
-    return status
+    return _VERIFY_EXIT if all_passed is False else 0
 
 
 def main(argv=None) -> int:

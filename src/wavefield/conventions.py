@@ -8,7 +8,7 @@ sidecar's config, not here.
 
 import math
 
-CSV_SCHEMA_VERSION = 3
+CSV_SCHEMA_VERSION = 4
 
 #: Diagonal of the fixed metric, in slot order (two transverse, two longitudinal).
 METRIC_DIAG = (1.0, 1.0, -1.0, 1.0)

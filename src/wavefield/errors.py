@@ -3,7 +3,7 @@
 Exit-code mapping used by the CLI: configuration problems -> 2,
 numeric singularities -> 3 (caustic, vanishing light-cone or resonant
 denominator, singular time-sliced form), quadrature/calibration failures -> 4,
-failed verification checks -> 5 (from the command's status, not an exception).
+a failed row of a check table -> 5 (its `all_passed`, not an exception).
 """
 
 

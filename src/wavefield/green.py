@@ -73,12 +73,12 @@ class EvalContext:
         if not isinstance(self.cfg, FieldConfig):
             raise RangeError(f"cfg must be a FieldConfig, got {self.cfg!r}")
         if not 0.0 < self.theta <= np.pi / 2.0:
-            raise RangeError(f"contour angle must lie in (0, pi/2], got {self.theta!r}")
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise RangeError(f"abs_tol and rel_tol must be positive, "
-                             f"got {self.abs_tol!r} and {self.rel_tol!r}")
+            raise RangeError(f"theta must lie in (0, pi/2], got {self.theta!r}")
+        for name in ("abs_tol", "rel_tol"):
+            if not getattr(self, name) > 0.0:
+                raise RangeError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.pL[0] != 0.0 or self.pL[1] != 0.0:
-            raise RangeError(f"pL must be longitudinal (transverse slots zero), got {self.pL!r}")
+            raise RangeError(f"pL must be longitudinal (transverse slots zero), got {self.pL.tolist()}")
         # an int, not a bool or a float: the sidecar prints it
         if type(self.volkov_sign) is not int or self.volkov_sign not in (+1, -1):
             raise RangeError(f"volkov_sign must be the integer +1 or -1, got {self.volkov_sign!r}")

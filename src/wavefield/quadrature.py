@@ -93,9 +93,6 @@ def _panels(f, intervals):
     mids, halves = 0.5 * (bounds[:, 0] + bounds[:, 1]), 0.5 * (bounds[:, 1] - bounds[:, 0])
     stack = np.asarray(f((mids[:, None] + halves[:, None] * XK).ravel()), dtype=complex)
     blocks = np.ascontiguousarray(stack.reshape((len(intervals), 15, -1)))
-    if not np.isfinite(blocks).all():
-        a, b = intervals[int(np.argmin(np.isfinite(blocks).all(axis=(1, 2))))]
-        raise QuadratureFailure(f"non-finite integrand value on panel [{a!r}, {b!r}]")
     # complex values as interleaved (re, im) floats: one real product for both rows
     sums = halves[:, None, None] * (_PANEL_WEIGHTS @ blocks.view(np.float64))
     values = np.ascontiguousarray(sums[:, 0]).view(complex).reshape(
@@ -117,9 +114,9 @@ def adaptive_quad(f, a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL,
     them all. f maps the 15 Kronrod nodes of each panel of the round, joined
     panel after panel, to their values stacked on axis 0 (complex scalars or
     ndarrays). Raises QuadratureFailure, with the nodes used and the error so
-    far, when a round would take it past `node_cap` integrand evaluations: the
-    panels of that round that fit (whole bisections, after the first) are
-    evaluated first.
+    far, when a value, the error or the value's norm is not finite, or when a
+    round would take it past `node_cap` integrand evaluations: the panels of
+    that round that fit (whole bisections, after the first) are evaluated first.
     """
     sign = 1.0
     if b < a:
@@ -132,36 +129,40 @@ def adaptive_quad(f, a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL,
 
     heap, nodes, err_sum, value_sum = [], 0, 0.0, 0.0
 
-    def exhausted():
-        return QuadratureFailure(
-            f"node budget {node_cap} exhausted (error estimate {err_sum:.3e})",
-            error_estimate=err_sum, nodes=nodes)
+    def failure(reason):
+        return QuadratureFailure(f"{reason} (error estimate {err_sum:.3e})",
+                                 error_estimate=err_sum, nodes=nodes)
 
     pending = list(zip(edges[:-1], edges[1:]))
-    while True:
-        fit = pending[:(node_cap - nodes) // 15]     # breakpoints may seed more than the cap
-        values, errors = _panels(f, fit) if fit else ((), ())
-        for (lo, hi), kron, err in zip(fit, values, errors):
-            nodes += 15
-            err_sum += err
-            value_sum = value_sum + kron
-            heapq.heappush(heap, (-err, nodes, lo, hi, kron))
-        if len(fit) < len(pending):
-            raise exhausted()
-        # running sums decide when to stop; the result is summed afresh below
-        tol = max(abs_tol, rel_tol * _norm(value_sum))
-        if err_sum <= tol:
-            break
-        pairs = (node_cap - nodes) // 30             # a bisection needs both halves
-        if not pairs:
-            raise exhausted()
-        pending = []
-        while err_sum > tol and heap and len(pending) < 2 * pairs:
-            neg_err, _, lo, hi, kron = heapq.heappop(heap)
-            err_sum += neg_err
-            value_sum = value_sum - kron
-            mid = 0.5 * (lo + hi)
-            pending += [(lo, mid), (mid, hi)]
+    # non-finite values, and sums or norms past the float range, are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            fit = pending[:(node_cap - nodes) // 15]     # breakpoints may seed more than the cap
+            values, errors = _panels(f, fit) if fit else ((), ())
+            for (lo, hi), kron, err in zip(fit, values, errors):
+                nodes += 15
+                err_sum += err
+                value_sum = value_sum + kron
+                heapq.heappush(heap, (-err, nodes, lo, hi, kron))
+            if len(fit) < len(pending):
+                raise failure(f"node budget {node_cap} exhausted")
+            norm = _norm(value_sum)
+            if not (math.isfinite(err_sum) and math.isfinite(norm)):    # inf <= inf would stop
+                raise failure(f"value norm {norm!r} or error estimate is not finite")
+            # running sums decide when to stop; the result is summed afresh below
+            tol = max(abs_tol, rel_tol * norm)
+            if err_sum <= tol:
+                break
+            pairs = (node_cap - nodes) // 30             # a bisection needs both halves
+            if not pairs:
+                raise failure(f"node budget {node_cap} exhausted")
+            pending = []
+            while err_sum > tol and heap and len(pending) < 2 * pairs:
+                neg_err, _, lo, hi, kron = heapq.heappop(heap)
+                err_sum += neg_err
+                value_sum = value_sum - kron
+                mid = 0.5 * (lo + hi)
+                pending += [(lo, mid), (mid, hi)]
 
     pieces = sorted(heap, key=lambda item: item[2])
     cumulative = [np.zeros_like(pieces[0][4])]

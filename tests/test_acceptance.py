@@ -14,8 +14,10 @@ also run with every check behind a nameless wrapper, as a tracer installs
 them, and its work is counted: criterion 12 re-runs each seeded check once.
 """
 
+import inspect
 import json
 import tempfile
+import textwrap
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -172,6 +174,19 @@ def _drop_gauge_term(monkeypatch):
     monkeypatch.setattr(green, "total_potential_lowered", lambda ctx, x: 0.0 * potential(ctx, x))
 
 
+def _edit_source(module, name, old, new):
+    """Mutation: `module.<name>` compiled again with the one `old` in its source
+    replaced by `new`, and bound in `green` only, so the oracles' own phase
+    passes (through `verification.phase_pass`) stay intact."""
+    def mutate(monkeypatch):
+        source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+        assert source.count(old) == 1
+        scope = {}
+        exec(compile(source.replace(old, new), module.__file__, "exec"), vars(module), scope)
+        monkeypatch.setattr(green, name, scope[name])
+    return mutate
+
+
 #: Each mutation of production with the verify rows it must fail, and no others
 #: among the checks that hold them. The oracle sides re-solve the action by
 #: nested quadrature, build M+- from the closed-form K (for both volkov_sign
@@ -201,6 +216,19 @@ _MUTATIONS = {
                              {"zero-profile-route-equivalence", "contour-angle-invariance",
                               "free-field-reduction", "derivative-consistency-free",
                               "derivative-consistency-constant-field"}),
+    "q-swapped-between-projector-signs": (
+        _edit_source(green, "_green_batch", "(f * q, f) if b > 0.0 else (f, f * q)",
+                     "(f, f * q) if b > 0.0 else (f * q, f)"),
+        {"zero-profile-route-equivalence", "derivative-consistency-constant-field"}),
+    "k-boundary-term-dropped": (
+        _edit_source(kernels, "phase_pass",
+                     "(at_phi - boundary[0] - 1j * sign * (at_b[1] - at_a[1]))",
+                     "(-1j * sign * (at_b[1] - at_a[1]))"),
+        {"dressed-braces-closed-form"}),
+    "constant-boundary-and-gauge-term-dropped": (
+        _edit_source(green, "_prepare", "+ 0.5j * ctx.cfg.g * ctx.cfg.B * (far[:, 0] * near[:, 1]"
+                                        " - far[:, 1] * near[:, 0])", "+ 0.0"),
+        {"zero-profile-route-equivalence", "derivative-consistency-constant-field"}),
 }
 
 #: The check that holds each row a mutation names.

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import functools
 import gc
 import json
@@ -94,11 +95,22 @@ def test_schema_error_paths():
         assert err.value.path == path
 
 
-def test_range_rejections():
+def test_range_rejections(tmp_path, capsys):
     with pytest.raises(RangeError):
         parse_config(json.dumps({"field": _field(), "eval": _eval(theta=2.0)}))
     with pytest.raises(RangeError):
         parse_config(json.dumps(_config(grid={"param": "pL3", "values": [1.8, 2.2, 2.0]})))
+    # a context out of range names the input's JSON path and its value
+    cases = [({"theta": 2.0}, "eval.theta must lie in (0, pi/2], got 2.0"),
+             ({"abs_tol": 0.0}, "eval.abs_tol must be positive, got 0.0"),
+             ({"rel_tol": -1e-08}, "eval.rel_tol must be positive, got -1e-08"),
+             ({"pL": [0.1, 0.0, 0.2, 2.0]},
+              "eval.pL must be longitudinal (transverse slots zero), got [0.1, 0.0, 0.2, 2.0]")]
+    for overrides, message in cases:
+        status, out = _invoke(tmp_path, "gf", _config(eval=_eval(**overrides)))
+        assert status == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_gf_grid_rows_and_frozen_header(tmp_path):
@@ -182,6 +194,17 @@ def test_quadrature_failure_reports_its_nodes_and_error(tmp_path, monkeypatch, c
     assert float(detail.group(2)) > 0.0
 
 
+@pytest.mark.parametrize("angle", ["1e-200", "1e-300"])
+def test_overflowing_error_estimate_exits_4(tmp_path, capsys, angle):
+    # on a ray this close to the real axis the K15 - G7 norms overflow to inf;
+    # inf <= inf used to read as converged and write G of about 1e197
+    status, out = _invoke(tmp_path, "gf", _config(), "--angle", angle)
+    assert status == 4
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: value norm inf or error estimate is not "
+                                              "finite (error estimate inf)")
+
+
 def test_nearly_real_ray_exhausts_the_node_budget(tmp_path, capsys):
     # a ray all but on the real axis runs past the kernel's caustics, which the
     # ray does not check for: the node budget ends it (exit 4, not 3)
@@ -223,16 +246,43 @@ def test_malformed_profile_parameters_exit_2(tmp_path, profile):
     assert not out.exists()
 
 
-def test_identities_exit_5_when_a_check_fails(tmp_path, monkeypatch):
-    def failing():
-        return [CheckResult(criterion=1, name="clifford-algebra", max_deviation=1.0,
-                            tolerance=1e-14, passed=False)]
+_FAILED = CheckResult(criterion=1, name="clifford-algebra", max_deviation=1.0, tolerance=1e-14,
+                      passed=False, detail="patched to fail")
 
-    monkeypatch.setattr(verification, "check_clifford_algebra", failing)
-    status, out = _invoke(tmp_path, "identities", _config())
+
+@pytest.mark.parametrize("command, check, failing", [
+    ("identities", "check_clifford_algebra", lambda: [_FAILED]),
+    ("verify", "run_all", lambda: [_FAILED]),
+    ("limits", "free_field_limit", lambda contexts: _FAILED),
+], ids=["identities", "verify", "limits"])
+def test_a_failed_check_table_exits_5(tmp_path, monkeypatch, capsys, command, check, failing):
+    # the three check commands share one table and one verdict: a failed row
+    # is written like any other, and `run` exits 5
+    monkeypatch.setattr(verification, check, failing)
+    status, out = _invoke(tmp_path, command, _config())
     assert status == 5
+    failed = [row for row in _rows(out) if row["passed"] == "0"]
+    assert failed == [{"criterion": "1", "name": "clifford-algebra", "max_deviation": "1",
+                       "tolerance": "1e-14", "passed": "0", "detail": "patched to fail"}]
     sidecar = json.loads(Path(str(out) + ".json").read_text())
-    assert sidecar["all_passed"] is False
+    assert sidecar["all_passed"] is False and "report" not in sidecar
+    assert capsys.readouterr().err == f"error: {command} reported failures (see {out})\n"
+
+
+@pytest.mark.parametrize("command", ["identities", "verify", "limits"])
+def test_check_tables_state_each_check_result_once(tmp_path, command):
+    # CheckResult's own fields head the table, detail included; the sidecar
+    # adds only the verdict
+    status, out = _invoke(tmp_path, command, _config())
+    assert status == 0
+    with open(out, newline="") as fh:
+        table = list(csv.reader(fh))
+    assert table[0] == [f.name for f in dataclasses.fields(CheckResult)] == [
+        "criterion", "name", "max_deviation", "tolerance", "passed", "detail"]
+    sidecar = json.loads(Path(str(out) + ".json").read_text())
+    assert sidecar["rows"] == len(table) - 1 > 0
+    assert sidecar["all_passed"] is True
+    assert set(sidecar) == {"all_passed", "command", "config", "ledger", "package_version", "rows"}
 
 
 def test_verify_fails_its_determinism_row_when_a_run_inside_it_fails(tmp_path, monkeypatch,
@@ -245,10 +295,9 @@ def test_verify_fails_its_determinism_row_when_a_run_inside_it_fails(tmp_path, m
     monkeypatch.setitem(cli._HANDLERS, "gf", failing)
     status, out = _invoke(tmp_path, "verify", _config())
     assert status == 5
-    report = json.loads(Path(str(out) + ".json").read_text())["report"]
-    failed = [row for row in report if not row["passed"]]
+    failed = [row for row in _rows(out) if row["passed"] == "0"]
     assert [row["name"] for row in failed] == ["cli-output-bit-determinism"]
-    assert failed[0]["max_deviation"] == 1.0
+    assert float(failed[0]["max_deviation"]) == 1.0
     assert "gf exited with 4" in failed[0]["detail"]
     assert capsys.readouterr().err.endswith(f"error: verify reported failures (see {out})\n")
 

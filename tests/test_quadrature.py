@@ -116,6 +116,20 @@ def test_nonfinite_integrand_raises():
         adaptive_quad(lambda x: np.float64(1.0) / (x - 0.5), 0.0, 1.0)
 
 
+def test_overflowing_error_estimate_raises():
+    # K15 - G7 of a step of height 1e300 squares past the float range: its norm
+    # is inf, which must fail the quadrature, not read as converged (inf <= inf)
+    def step(x):
+        return np.where(x < 0.3, 1e300, 0.0).astype(complex)
+
+    with np.errstate(over="ignore"):
+        values, errors = _panels(step, [(0.0, 1.0)])
+    assert np.isfinite(values).all() and errors == [np.inf]
+    with pytest.raises(QuadratureFailure) as failure:
+        adaptive_quad(step, 0.0, 1.0)
+    assert failure.value.error_estimate == np.inf and failure.value.nodes == 15
+
+
 def test_bit_determinism():
     f = lambda x: np.exp(1j * 11.0 * x) / (1.0 + x * x)
     a = adaptive_quad(f, 0.0, 3.0, abs_tol=1e-12, rel_tol=1e-12)
@@ -191,15 +205,15 @@ def test_panel_matches_separate_kronrod_and_gauss_sums(shape):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
-def test_panel_raises_on_one_non_finite_node(bad):
+def test_one_non_finite_node_fails_the_quadrature(bad):
     for node in range(15):
         def f(x, node=node):
             values = np.exp(1j * x)[:, None] * np.ones(2)
             values[node, 1] = bad
             return values
 
-        with pytest.raises(QuadratureFailure):
-            _panels(f, [(0.0, 1.0)])
+        with pytest.raises(QuadratureFailure, match="or error estimate is not finite"):
+            adaptive_quad(f, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("shape", sorted(_SHAPED_INTEGRANDS))
