@@ -13,8 +13,9 @@ bit-identical files. The zero-wave-vector limit is `gf` with `"profile": "zero"`
 Every config number goes through `fields._real`, the library's own check, and
 a rejected one names its JSON path (`$`: a config that cannot be decoded).
 
-Exit codes: 0 ok, 2 config/schema, 3 numeric singularity, 4 quadrature or
-step-calibration failure, 5 verification failure.
+`run` checks the grid against the one `_COMMANDS` declares for the command.
+Exit codes, each declared as `exit_code` on its `errors` class: 0 ok, 2 config/schema,
+3 numeric singularity, 4 quadrature or step-calibration failure, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -31,20 +32,11 @@ import numpy as np
 
 from . import __version__
 from .conventions import DEFAULT_VOLKOV_SIGN, convention_ledger
-from .errors import (DivisionByZero, InvalidProfile, KernelSingularity,
-                     QuadratureFailure, RangeError, ResonantDenominator,
-                     SchemaError, SingularForm, StepCalibrationFailure, WavefieldError)
+from .errors import InvalidProfile, QuadratureFailure, RangeError, SchemaError, WavefieldError
 from .fields import FieldConfig, _real, make_profile
 from .green import EVAL_INPUTS, EvalContext, dirac_apply, green_function, spin_factor
 from .kernels import near_caustic, phase_pass, schwinger_kernel
 
-_SCHEMA_EXIT, _SINGULAR_EXIT, _QUADRATURE_EXIT, _VERIFY_EXIT = 2, 3, 4, 5
-_EXIT_CODES = (
-    ((SchemaError, RangeError, InvalidProfile), _SCHEMA_EXIT),
-    ((KernelSingularity, DivisionByZero, ResonantDenominator, SingularForm), _SINGULAR_EXIT),
-    ((QuadratureFailure, StepCalibrationFailure), _QUADRATURE_EXIT),
-    ((WavefieldError,), _VERIFY_EXIT),
-)
 _GRID_COMPONENTS = {"xb0": 0, "xb1": 1, "xb2": 2, "xb3": 3, "pL2": 2, "pL3": 3}
 #: The `eval` keys a config must set: those whose context field has no default.
 _REQUIRED_INPUTS = {f.name for f in fields(EvalContext) if f.default is MISSING} & set(EVAL_INPUTS)
@@ -221,9 +213,6 @@ def _grid_contexts(rc: RunConfig):
     base = rc.ctx
     if rc.grid_param is None:
         return [(0.0, base)]
-    if rc.grid_param not in _GRID_COMPONENTS:
-        raise SchemaError("grid.param",
-                          f"expected one of {sorted(_GRID_COMPONENTS)}, got {rc.grid_param!r}")
     idx = _GRID_COMPONENTS[rc.grid_param]
     name = "x_b" if rc.grid_param.startswith("xb") else "pL"
     pairs = []
@@ -232,14 +221,6 @@ def _grid_contexts(rc: RunConfig):
         vec[idx] = value
         pairs.append((value, replace(base, **{name: vec})))
     return pairs
-
-
-def _require_grid(rc: RunConfig, command: str, param: str):
-    if rc.grid_param is None:
-        raise SchemaError("grid", f"command {command!r} needs a grid over {param!r}")
-    if rc.grid_param != param:
-        raise SchemaError("grid.param", f"command {command!r} grids over {param!r}, "
-                                        f"got {rc.grid_param!r}")
 
 
 # -- command bodies -------------------------------------------------------
@@ -259,7 +240,6 @@ def _cmd_identities(rc: RunConfig):
 
 
 def _cmd_kernel(rc: RunConfig):
-    _require_grid(rc, "kernel", "e0")
     ctx = rc.ctx
     grid = np.array(rc.grid_values)
     values, flags = schwinger_kernel(grid, ctx.x_a, ctx.x_b, ctx.cfg), near_caustic(grid, ctx.cfg)
@@ -268,35 +248,26 @@ def _cmd_kernel(rc: RunConfig):
 
 
 def _cmd_phase_integral(rc: RunConfig):
-    _require_grid(rc, "K", "phi")
-    ctx = rc.ctx
-
-    def one(phi):
-        # one pass per phase, so each row carries its own nodes and error
+    ctx, rows = rc.ctx, []
+    for phi in rc.grid_values:      # one pass per phase: each row has its own nodes and error
         run = phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, phi, sign=ctx.volkov_sign,
                          abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol)
-        k = run.kernel_b
-        return [phi, k.real, k.imag, run.error_estimate, run.nodes]
-
-    rows = [one(phi) for phi in rc.grid_values]
+        rows.append([phi, run.kernel_b.real, run.kernel_b.imag, run.error_estimate, run.nodes])
     return ["phi", "K_re", "K_im", "error_estimate", "nodes"], rows, None
 
 
 def _cmd_spinfactor(rc: RunConfig):
-    _require_grid(rc, "spinfactor", "e0")
     factors = spin_factor(np.array(rc.grid_values), rc.ctx)
     rows = [[e0] + _matrix_row(sf) for e0, sf in zip(rc.grid_values, factors)]
     return ["e0", *_matrix_columns("sf")], rows, None
 
 
 def _cmd_gf(rc: RunConfig):
-    def one(pair):
-        grid_value, ctx = pair
+    rows = []
+    for grid_value, ctx in _grid_contexts(rc):
         result = green_function(ctx)
         diag = result.diagnostics
-        return [grid_value] + _matrix_row(result.matrix) + [diag.error_estimate, diag.nodes]
-
-    rows = [one(pair) for pair in _grid_contexts(rc)]
+        rows.append([grid_value] + _matrix_row(result.matrix) + [diag.error_estimate, diag.nodes])
     return ["grid_value", *_matrix_columns("g"), "error_estimate", "nodes"], rows, None
 
 
@@ -320,15 +291,18 @@ def _cmd_limits(rc: RunConfig):
     ])
 
 
-_HANDLERS = {
-    "identities": _cmd_identities,
-    "kernel": _cmd_kernel,
-    "K": _cmd_phase_integral,
-    "spinfactor": _cmd_spinfactor,
-    "gf": _cmd_gf,
-    "dirac": _cmd_dirac,
-    "verify": _cmd_verify,
-    "limits": _cmd_limits,
+_POINT_GRIDS = (None, *_GRID_COMPONENTS)
+#: Each command's handler and the `grid.param` values it takes (None: no grid
+#: block); None in place of those values: the command ignores the grid.
+_COMMANDS = {
+    "identities": (_cmd_identities, None),
+    "kernel": (_cmd_kernel, ("e0",)),
+    "K": (_cmd_phase_integral, ("phi",)),
+    "spinfactor": (_cmd_spinfactor, ("e0",)),
+    "gf": (_cmd_gf, _POINT_GRIDS),
+    "dirac": (_cmd_dirac, _POINT_GRIDS),
+    "verify": (_cmd_verify, None),
+    "limits": (_cmd_limits, None),
 }
 
 
@@ -339,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavefield",
         description="Dirac Green function in a plane-wave plus constant-magnetic background")
-    parser.add_argument("command", choices=_HANDLERS)
+    parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", required=True, help="CSV output path (JSON sidecar at <out>.json)")
     parser.add_argument("--angle", type=float, default=None,
@@ -350,8 +324,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(command: str, rc: RunConfig, out_path: str) -> int:
-    """Write the command's table and sidecar; exit 5 when a check table has a failed row."""
-    header, rows, all_passed = _HANDLERS[command](rc)
+    """Write the command's table and sidecar, if it takes the config's grid; exit 5
+    when a check table has a failed row."""
+    handler, grids = _COMMANDS[command]
+    if grids is not None and rc.grid_param not in grids:
+        raise SchemaError("grid.param", f"{command} takes one of {json.dumps(grids)}, "
+                                        f"got {json.dumps(rc.grid_param)}")
+    header, rows, all_passed = handler(rc)
     csv_bytes = render_csv(header, rows)
     sidecar = render_sidecar(command, rc, len(rows), all_passed)
     try:
@@ -361,8 +340,11 @@ def run(command: str, rc: RunConfig, out_path: str) -> int:
             fh.write(sidecar)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return _SCHEMA_EXIT
-    return _VERIFY_EXIT if all_passed is False else 0
+        return SchemaError.exit_code
+    if all_passed is False:
+        print(f"error: {command} reported failures (see {out_path})", file=sys.stderr)
+        return WavefieldError.exit_code
+    return 0
 
 
 def main(argv=None) -> int:
@@ -372,23 +354,23 @@ def main(argv=None) -> int:
             text = fh.read()
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return _SCHEMA_EXIT
+        return SchemaError.exit_code
     try:
         rc = parse_config(text)
         if args.angle is not None:
-            rc = replace(rc, ctx=replace(rc.ctx, theta=args.angle))
+            try:
+                rc = replace(rc, ctx=replace(rc.ctx, theta=args.angle))
+            except RangeError as exc:
+                raise RangeError(f"--angle: {exc}") from exc
         if args.profile_sign_toggle:
             rc = replace(rc, ctx=replace(rc.ctx, volkov_sign=-DEFAULT_VOLKOV_SIGN))
-        status = run(args.command, rc, args.out)
+        return run(args.command, rc, args.out)
     except WavefieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, QuadratureFailure) and exc.nodes is not None:
             print(f"error: quadrature stopped after {exc.nodes} nodes with error estimate "
                   f"{exc.error_estimate!r}", file=sys.stderr)
-        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
-    if status == _VERIFY_EXIT:
-        print(f"error: {args.command} reported failures (see {args.out})", file=sys.stderr)
-    return status
+        return exc.exit_code
 
 
 if __name__ == "__main__":

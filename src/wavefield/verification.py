@@ -59,11 +59,11 @@ class CheckResult:
     max_deviation: float
     tolerance: float
     passed: bool
-    detail: str = ""
+    detail: str
 
 
 def _result(criterion: int, name: str, deviation: float, tolerance: float,
-            detail: str = "") -> CheckResult:
+            detail: str) -> CheckResult:
     deviation = float(deviation)
     return CheckResult(criterion=criterion, name=name, max_deviation=deviation,
                        tolerance=float(tolerance), passed=bool(deviation <= tolerance),
@@ -87,9 +87,11 @@ def check_clifford_algebra() -> list[CheckResult]:
     dev_proj = max(_maxabs(P_PLUS @ P_PLUS - P_PLUS), _maxabs(P_MINUS @ P_MINUS - P_MINUS),
                    _maxabs(P_PLUS @ P_MINUS), _maxabs(P_MINUS @ P_PLUS))
     return [
-        _result(1, "clifford-anticommutators", dev_anti, 1e-12),
-        _result(1, "projector-completeness", dev_sum, 1e-15),
-        _result(1, "projector-idempotence-orthogonality", dev_proj, 1e-12),
+        _result(1, "clifford-anticommutators", dev_anti, 1e-12,
+                "{gamma^mu, gamma^nu} vs 2 g^mu nu times the identity, all 16 pairs"),
+        _result(1, "projector-completeness", dev_sum, 1e-15, "P+ + P- vs the identity"),
+        _result(1, "projector-idempotence-orthogonality", dev_proj, 1e-12,
+                "P+ P+ vs P+, P- P- vs P-, P+ P- and P- P+ vs zero"),
     ]
 
 
@@ -145,7 +147,7 @@ def check_sliced_oracle_agreement() -> list[CheckResult]:
     return [
         _result(5, "time-sliced-kernel-agreement", dev_rel, 1e-3,
                 f"Richardson over N=8..64, observed order >= {worst_order:.2f}"),
-        weak_field_kernel_limit(cases, "B = 1e-4, radial separation"),
+        weak_field_kernel_limit(cases),
     ]
 
 
@@ -224,7 +226,8 @@ def check_phase_integral_oracles() -> list[CheckResult]:
         _result(7, "phase-integral-closed-forms", dev, 1e-8, "50 random draws, 3 profile kinds"),
         _result(7, "dressed-braces-closed-form", _dressed_braces_deviation(), 1e-12,
                 "10 circular contexts (B, volkov_sign of both signs) vs the printed M+-"),
-        _result(7, "phase-integral-zero-profile-exact", abs(zero_val), 0.0),
+        _result(7, "phase-integral-zero-profile-exact", abs(zero_val), 0.0,
+                "K at the zero profile (g = 1, B = 0.5) is exactly zero"),
     ]
 
 
@@ -301,40 +304,43 @@ def check_phase_locality() -> list[CheckResult]:
 FREE_FIELD = FieldConfig(g=1.0, B=0.0, profile=ZeroProfile())
 
 
-def weak_field_kernel_limit(cases, detail: str = "") -> CheckResult:
+def weak_field_kernel_limit(cases) -> CheckResult:
     """Magnetic kernel at B = 1e-4 against the free kernel over (e0, g, xa, xb)
     cases; with both endpoints on the 1-axis the gauge (rotation) phase of the
     magnetic kernel vanishes and the genuine B -> 0 limit is exposed."""
-    dev = 0.0
-    for e0, g, xa, xb in cases:
+    dev, n = 0.0, 0
+    for n, (e0, g, xa, xb) in enumerate(cases, 1):
         ref = free_kernel(e0, xa, xb)
         cfg = FieldConfig(g=g, B=1e-4, profile=ZeroProfile())
         dev = max(dev, abs(schwinger_kernel(e0, xa, xb, cfg) - ref) / abs(ref))
-    return _result(5, "small-field-free-kernel-limit", dev, 1e-6, detail)
+    return _result(5, "small-field-free-kernel-limit", dev, 1e-6,
+                   f"{n} (e0, g, x_a, x_b) cases at B = 1e-4, zero profile, vs the free kernel")
 
 
-def zero_profile_limit(contexts, detail: str = "") -> CheckResult:
+def zero_profile_limit(contexts) -> CheckResult:
     """Each context with its profile set to zero against Schwinger's closed form."""
-    dev = 0.0
-    for ctx in contexts:
+    dev, n = 0.0, 0
+    for n, ctx in enumerate(contexts, 1):
         ctx = replace(ctx, cfg=replace(ctx.cfg, profile=ZeroProfile()))
         # production first: it raises the documented error outside the domain
         value = green_function(ctx).matrix
         ref = zero_profile_green(ctx.x_a, ctx.x_b, ctx.pL, ctx.m, ctx.cfg.g * ctx.cfg.B)
         dev = max(dev, _maxabs(value - ref))
-    return _result(8, "zero-profile-route-equivalence", dev, 1e-10, detail)
+    return _result(8, "zero-profile-route-equivalence", dev, 1e-10,
+                   f"{n} context(s), profile set to zero, entrywise vs Schwinger's closed form")
 
 
-def free_field_limit(contexts, detail: str = "") -> CheckResult:
+def free_field_limit(contexts) -> CheckResult:
     """Each context's endpoints and momentum in FREE_FIELD against the scalar
     free propagator times the identity."""
-    dev = 0.0
-    for ctx in contexts:
+    dev, n = 0.0, 0
+    for n, ctx in enumerate(contexts, 1):
         ctx = replace(ctx, cfg=FREE_FIELD)
         value = green_function(ctx).matrix
         ref = free_propagator(ctx.x_a, ctx.x_b, ctx.pL, ctx.m)
         dev = max(dev, _maxabs(value - ref * IDENTITY4) / abs(ref))
-    return _result(10, "free-field-reduction", dev, 1e-5, detail)
+    return _result(10, "free-field-reduction", dev, 1e-5,
+                   f"{n} context(s) at B = 0, zero profile, vs the scalar free propagator times 1")
 
 
 # -- criteria 8-10: random evaluation contexts ---------------------------
@@ -355,8 +361,7 @@ def check_zero_wave_vector_equivalence() -> list[CheckResult]:
     contexts = (_random_context(rng, FieldConfig(g=rng.uniform(0.4, 1.2), B=rng.uniform(0.3, 1.0),
                                                  profile=ZeroProfile()))
                 for _ in range(10))
-    return [zero_profile_limit(contexts,
-                               "10 random contexts, entrywise, vs the Euclidean-axis oracle")]
+    return [zero_profile_limit(contexts)]
 
 
 def check_contour_invariance() -> list[CheckResult]:
@@ -382,8 +387,7 @@ def check_contour_invariance() -> list[CheckResult]:
 def check_free_field_reduction() -> list[CheckResult]:
     rng = np.random.default_rng(110)
     contexts = (_random_context(rng, FREE_FIELD) for _ in range(3))
-    return [free_field_limit(contexts,
-                             "B = 0, zero profile, vs scalar free propagator times identity")]
+    return [free_field_limit(contexts)]
 
 
 # -- criterion 11 --------------------------------------------------------

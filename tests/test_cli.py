@@ -17,14 +17,14 @@ import numpy as np
 import pytest
 
 import wavefield
-from wavefield import cli, green, verification
+from wavefield import cli, errors, green, verification
 from wavefield.cli import (_matrix_columns, _matrix_row, main, parse_config, render_csv,
                           render_sidecar)
 from wavefield.conventions import NODE_CAP, convention_ledger
 from wavefield.errors import QuadratureFailure, RangeError, SchemaError
 from wavefield.fields import CircularProfile, FieldConfig
-from wavefield.green import EvalContext, green_function
-from wavefield.kernels import phase_pass
+from wavefield.green import EvalContext, green_function, spin_factor
+from wavefield.kernels import near_caustic, phase_pass, schwinger_kernel
 from wavefield.quadrature import adaptive_quad
 from wavefield.verification import CheckResult
 
@@ -46,6 +46,10 @@ def _config(**overrides):
     cfg = {"field": _field(), "eval": _eval()}
     cfg.update(overrides)
     return cfg
+
+
+#: With this grid, `_config()` is the README's example config.
+_README_GRID = {"param": "pL3", "values": [1.8, 1.9, 2.0]}
 
 
 def _invoke(tmp_path, command, cfg, *extra, name="out.csv"):
@@ -111,6 +115,12 @@ def test_range_rejections(tmp_path, capsys):
         assert status == 2
         assert not out.exists()
         assert capsys.readouterr().err == f"error: {message}\n"
+    # the same check on the flag names the flag
+    for angle, got in (("2", "2.0"), ("0", "0.0")):
+        status, out = _invoke(tmp_path, "gf", _config(), "--angle", angle)
+        assert status == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: --angle: theta must lie in (0, pi/2], got {got}\n"
 
 
 def test_gf_grid_rows_and_frozen_header(tmp_path):
@@ -144,6 +154,32 @@ def test_zero_wave_vector_limit_is_an_input_not_a_command(tmp_path, capsys):
         _invoke(tmp_path, "gf-k0", _config())
     assert stop.value.code == 2
     assert "invalid choice: 'gf-k0'" in capsys.readouterr().err
+
+
+#: Each error class and the exit code `main` returns for it: a class whose code
+#: changes edits this pin.
+_EXIT_CODE_OF = {
+    errors.WavefieldError: 5, SchemaError: 2, RangeError: 2, errors.InvalidProfile: 2,
+    errors.DivisionByZero: 3, errors.KernelSingularity: 3, errors.ResonantDenominator: 3,
+    errors.SingularForm: 3, QuadratureFailure: 4, errors.StepCalibrationFailure: 4,
+}
+
+
+def test_the_exit_code_table_names_every_error_class():
+    assert set(_EXIT_CODE_OF) == {cls for cls in vars(errors).values()
+                                  if isinstance(cls, type) and issubclass(cls, errors.WavefieldError)}
+
+
+@pytest.mark.parametrize("error", list(_EXIT_CODE_OF), ids=lambda cls: cls.__name__)
+def test_an_error_exits_with_its_class_code(tmp_path, monkeypatch, capsys, error):
+    def failing(rc):
+        raise error("raised")
+
+    monkeypatch.setitem(cli._COMMANDS, "gf", (failing, cli._COMMANDS["gf"][1]))
+    status, out = _invoke(tmp_path, "gf", _config())
+    assert status == error.exit_code == _EXIT_CODE_OF[error]
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: raised\n"
 
 
 def test_exit_code_schema(tmp_path):
@@ -272,13 +308,14 @@ def test_a_failed_check_table_exits_5(tmp_path, monkeypatch, capsys, command, ch
 @pytest.mark.parametrize("command", ["identities", "verify", "limits"])
 def test_check_tables_state_each_check_result_once(tmp_path, command):
     # CheckResult's own fields head the table, detail included; the sidecar
-    # adds only the verdict
-    status, out = _invoke(tmp_path, command, _config())
+    # adds only the verdict. Every row says in its detail what it compared
+    status, out = _invoke(tmp_path, command, _config(grid=_README_GRID))
     assert status == 0
     with open(out, newline="") as fh:
         table = list(csv.reader(fh))
     assert table[0] == [f.name for f in dataclasses.fields(CheckResult)] == [
         "criterion", "name", "max_deviation", "tolerance", "passed", "detail"]
+    assert [row[1] for row in table[1:] if not row[-1]] == []
     sidecar = json.loads(Path(str(out) + ".json").read_text())
     assert sidecar["rows"] == len(table) - 1 > 0
     assert sidecar["all_passed"] is True
@@ -292,7 +329,7 @@ def test_verify_fails_its_determinism_row_when_a_run_inside_it_fails(tmp_path, m
     def failing(rc):
         raise QuadratureFailure("budget exhausted")
 
-    monkeypatch.setitem(cli._HANDLERS, "gf", failing)
+    monkeypatch.setitem(cli._COMMANDS, "gf", (failing, cli._COMMANDS["gf"][1]))
     status, out = _invoke(tmp_path, "verify", _config())
     assert status == 5
     failed = [row for row in _rows(out) if row["passed"] == "0"]
@@ -302,32 +339,88 @@ def test_verify_fails_its_determinism_row_when_a_run_inside_it_fails(tmp_path, m
     assert capsys.readouterr().err.endswith(f"error: verify reported failures (see {out})\n")
 
 
-@pytest.mark.parametrize("command", ["gf", "dirac"])
+#: A config each command takes: the README's for all but those that need a grid of their own.
+_COMMAND_CONFIGS = {
+    "identities": _config(), "kernel": _config(grid={"param": "e0", "values": [0.5, 7.0]}),
+    "K": _config(grid={"param": "phi", "values": [-0.3, 0.8]}),
+    "spinfactor": _config(grid={"param": "e0", "values": [0.5, 7.0]}),
+    "gf": _config(), "dirac": _config(), "verify": _config(), "limits": _config(),
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_CONFIGS))
 def test_a_request_leaves_no_reference_cycle(tmp_path, command):
     # garbage that only the cyclic collector frees grows a long-running
     # process between collections; the collector is held off so that it
     # cannot hide a cycle by running during the request
-    assert _invoke(tmp_path, command, _config(), name="warm.csv")[0] == 0
+    assert set(_COMMAND_CONFIGS) == set(cli._COMMANDS)
+    cfg = _COMMAND_CONFIGS[command]
+    assert _invoke(tmp_path, command, cfg, name="warm.csv")[0] == 0
     gc.collect()
     gc.disable()
     try:
-        assert _invoke(tmp_path, command, _config())[0] == 0
+        assert _invoke(tmp_path, command, cfg)[0] == 0
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
-def test_kernel_requires_matching_grid(tmp_path):
-    status, _ = _invoke(tmp_path, "kernel", _config())
+@pytest.mark.parametrize("command, grid, message", [
+    ("kernel", None, 'kernel takes one of ["e0"], got null'),
+    ("kernel", {"param": "phi", "values": [0.1]}, 'kernel takes one of ["e0"], got "phi"'),
+    ("K", {"param": "e0", "values": [0.1]}, 'K takes one of ["phi"], got "e0"'),
+    ("spinfactor", None, 'spinfactor takes one of ["e0"], got null'),
+    ("gf", {"param": "zeta", "values": [1.0]},
+     'gf takes one of [null, "xb0", "xb1", "xb2", "xb3", "pL2", "pL3"], got "zeta"'),
+    ("dirac", {"param": "e0", "values": [1.0]},
+     'dirac takes one of [null, "xb0", "xb1", "xb2", "xb3", "pL2", "pL3"], got "e0"'),
+], ids=["kernel-none", "kernel-phi", "K-e0", "spinfactor-none", "gf-zeta", "dirac-e0"])
+def test_a_grid_the_command_does_not_take_exits_2(tmp_path, capsys, command, grid, message):
+    # one check against the command table, one message for every command
+    status, out = _invoke(tmp_path, command, _config(grid=grid))
     assert status == 2
-    status, _ = _invoke(tmp_path, "kernel",
-                        _config(grid={"param": "phi", "values": [0.1]}))
-    assert status == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: grid.param: {message}\n"
 
 
-def test_unknown_grid_param_rejected(tmp_path):
-    status, _ = _invoke(tmp_path, "gf", _config(grid={"param": "zeta", "values": [1.0]}))
-    assert status == 2
+@pytest.mark.parametrize("command", ["identities", "verify", "limits"])
+def test_check_commands_ignore_the_grid(tmp_path, command, monkeypatch):
+    monkeypatch.setattr(verification, "run_all", verification.check_clifford_algebra)
+    status, out = _invoke(tmp_path, command, _config(grid={"param": "zeta", "values": [1.0]}))
+    assert status == 0
+    assert _rows(out) and all(row["passed"] == "1" for row in _rows(out))
+
+
+def test_kernel_rows_are_the_library_kernel(tmp_path):
+    # 13.95 lies within NEAR_CAUSTIC_THRESHOLD of the caustic at 2 pi / (g B) = 13.96
+    cfg = _config(grid={"param": "e0", "values": [0.5, 7.0, 13.95]})
+    status, out = _invoke(tmp_path, "kernel", cfg)
+    assert status == 0
+    ctx = parse_config(json.dumps(cfg)).ctx
+    e0 = np.array(cfg["grid"]["values"])
+    values, flags = schwinger_kernel(e0, ctx.x_a, ctx.x_b, ctx.cfg), near_caustic(e0, ctx.cfg)
+    assert flags.tolist() == [False, False, True]
+    rows = _rows(out)
+    assert list(rows[0]) == ["e0", "kernel_re", "kernel_im", "near_singularity"]
+    assert [(float(row["e0"]), complex(float(row["kernel_re"]), float(row["kernel_im"])),
+             row["near_singularity"]) for row in rows] \
+        == [(e, v, "1" if flag else "0") for e, v, flag in zip(e0.tolist(), values, flags)]
+
+
+def test_spinfactor_rows_are_the_library_braces(tmp_path):
+    cfg = _config(grid={"param": "e0", "values": [0.5, 1.5, 4.0]})
+    status, out = _invoke(tmp_path, "spinfactor", cfg)
+    assert status == 0
+    ctx = parse_config(json.dumps(cfg)).ctx
+    factors = spin_factor(np.array(cfg["grid"]["values"]), ctx)
+    rows = _rows(out)
+    assert list(rows[0]) == ["e0", *_matrix_columns("sf")]
+    assert len(rows) == 3
+    for row, e0, factor in zip(rows, cfg["grid"]["values"], factors):
+        assert float(row["e0"]) == e0
+        cells = np.array([complex(float(row[f"sf{i}{j}_re"]), float(row[f"sf{i}{j}_im"]))
+                          for i in range(4) for j in range(4)])
+        assert np.array_equal(cells, factor.ravel())
 
 
 def test_angle_override_lands_in_sidecar(tmp_path):
