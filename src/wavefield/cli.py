@@ -11,7 +11,8 @@ check table, `all_passed`. Outputs contain no timestamps: identical configs give
 bit-identical files. The zero-wave-vector limit is `gf` with `"profile": "zero"`.
 
 Every config number goes through `fields._real`, the library's own check, and
-a rejected one names its JSON path (`$`: a config that cannot be decoded).
+a rejected one names its JSON path (`field`, `eval.x_a`, `grid.values[1]`;
+`$`: a config that cannot be decoded or is not an object).
 
 `run` checks the grid against the one `_COMMANDS` declares for the command.
 Exit codes, each declared as `exit_code` on its `errors` class: 0 ok, 2 config/schema,
@@ -71,9 +72,11 @@ def _expect_mapping(value, path: str) -> dict:
 
 
 def _reject_unknown(block: dict, allowed, path: str):
+    """SchemaError at the first key of `block` not in `allowed`; `path` is the
+    block's own, empty at the document's root, whose keys are named bare."""
     for key in block:
         if key not in allowed:
-            raise SchemaError(f"{path}.{key}", "unknown field")
+            raise SchemaError(f"{path}.{key}" if path else key, "unknown field")
 
 
 def _required(block: dict, key: str, path: str):
@@ -133,7 +136,7 @@ def parse_config(text: str | bytes) -> RunConfig:
 
 def _parse_document(raw) -> RunConfig:
     root = _expect_mapping(raw, "$")
-    _reject_unknown(root, {"field", "eval", "grid"}, "$")
+    _reject_unknown(root, {"field", "eval", "grid"}, "")
     if "field" not in root:
         raise SchemaError("field", "required block is missing")
     if "eval" not in root:

@@ -144,8 +144,8 @@ class PulseProfile(_Carrier):
 class TabulatedProfile(PlaneWaveProfile):
     """Natural cubic spline through sampled components: one spline over the
     stacked (a1, a2), defined on the grid only (a phase outside it raises
-    RangeError). Built here with numpy: scipy.interpolate
-    would cost about 50 MB and 0.5 s at import for a tridiagonal solve."""
+    RangeError). Built here: scipy.interpolate would cost about 50 MB and
+    0.5 s at import for a tridiagonal solve."""
 
     kind = "tabulated"
 
@@ -157,17 +157,17 @@ class TabulatedProfile(PlaneWaveProfile):
                         for name, v in (("phi", phi_grid), ("a1", a1), ("a2", a2)))
         if grid.size < 4:
             raise InvalidProfile("tabulated profile needs at least 4 grid points")
-        if not np.all(np.diff(grid) > 0):
+        knots = grid.tolist()
+        h = [right - left for left, right in zip(knots, knots[1:])]
+        if not all(step > 0 for step in h):
             raise InvalidProfile("tabulated phi grid must be strictly increasing")
         if a1.shape != grid.shape or a2.shape != grid.shape:
             raise InvalidProfile("tabulated component arrays must match the phi grid")
         self.phi_grid = self.knots = grid
-        y = np.stack([a1, a2], axis=-1)
-        curvature, h = _natural_curvature(grid, y), np.diff(grid)[:, None]
-        # on interval i the spline is c0 + d (c1 + d (c2 + d c3)), d = phi - phi_i
-        self._cubic = np.stack([
-            y[:-1], np.diff(y, axis=0) / h - h * (2.0 * curvature[:-1] + curvature[1:]) / 6.0,
-            curvature[:-1] / 2.0, np.diff(curvature, axis=0) / (6.0 * h)])
+        # on interval i the spline is c0 + d (c1 + d (c2 + d c3)), d = phi - phi_i;
+        # axes: coefficient, interval, component
+        self._cubic = np.stack([_natural_cubic(h, a1.tolist()), _natural_cubic(h, a2.tolist())],
+                               axis=-1)
 
     def components(self, phi):
         if np.min(phi) < self.phi_grid[0] or np.max(phi) > self.phi_grid[-1]:
@@ -184,25 +184,30 @@ class TabulatedProfile(PlaneWaveProfile):
                 "phi_min": float(self.phi_grid[0]), "phi_max": float(self.phi_grid[-1])}
 
 
-def _natural_curvature(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Second derivatives M of the natural cubic spline through (grid, values),
-    one column per component, M = 0 at both ends: the interior rows
+def _natural_cubic(h: list, values: list) -> list:
+    """Coefficients [c0, c1, c2, c3] on each interval of the natural cubic
+    spline through `values` at knots h apart. Its second derivatives M, zero
+    at both ends, solve the interior rows
     h_{i-1} M_{i-1} + 2 (h_{i-1} + h_i) M_i + h_i M_{i+1} = 6 (s_i - s_{i-1}),
     s_i the secant slopes, by one forward sweep and back substitution
-    (diagonally dominant, so no pivoting)."""
-    h = np.diff(grid)
-    secant = np.diff(values, axis=0) / h[:, None]
-    rhs = 6.0 * np.diff(secant, axis=0)
-    diagonal = 2.0 * (h[:-1] + h[1:])
-    for k in range(1, diagonal.size):
+    (diagonally dominant, so no pivoting). A grid holds a handful of points,
+    so this runs on Python floats, which round as numpy's do."""
+    secant = [(right - left) / step for left, right, step in zip(values, values[1:], h)]
+    rhs = [6.0 * (right - left) for left, right in zip(secant, secant[1:])]
+    diagonal = [2.0 * (left + right) for left, right in zip(h, h[1:])]
+    for k in range(1, len(diagonal)):
         ratio = h[k] / diagonal[k - 1]
         diagonal[k] -= ratio * h[k]
         rhs[k] -= ratio * rhs[k - 1]
-    curvature = np.zeros_like(values)
-    curvature[-2] = rhs[-1] / diagonal[-1]
-    for k in range(diagonal.size - 2, -1, -1):
-        curvature[k + 1] = (rhs[k] - h[k + 1] * curvature[k + 2]) / diagonal[k]
-    return curvature
+    m = [0.0] * len(values)
+    m[-2] = rhs[-1] / diagonal[-1]
+    for k in range(len(diagonal) - 2, -1, -1):
+        m[k + 1] = (rhs[k] - h[k + 1] * m[k + 2]) / diagonal[k]
+    return [values[:-1],
+            [s - step * (2.0 * left + right) / 6.0
+             for s, step, left, right in zip(secant, h, m, m[1:])],
+            [left / 2.0 for left in m[:-1]],
+            [(right - left) / (6.0 * step) for step, left, right in zip(h, m, m[1:])]]
 
 
 _PROFILE_KINDS = {

@@ -32,7 +32,8 @@ does not matter. The interior solve runs on T alone.
 (Phys. Rev. 82, 664 (1951)) rotated onto the Euclidean proper-time axis
 e0 = i tau, where its integrand is real, positive and free of caustics,
 integrated by an exp-sinh rule (below); `zero_profile_gradient` adds its four
-x_b derivatives, for the transverse slots by one more weight per projector sign.
+x_b derivatives, for the transverse slots by one more weight per projector sign,
+integrated in the same rule call.
 `free_propagator`'s K0 is the trapezoid sum of int_0^inf exp(-z cosh t) dt.
 
 `landau_green` is the same proper-time integral in closed form: at the
@@ -44,16 +45,21 @@ real transverse coordinates: every node of the outer action integral solves
 for the drift (`drift_nested`) by its own inner integrals, all nodes of a level
 at once as one 2-D array.
 
-The integrals are double-exponential (Takahasi-Mori) rules written here and
-vectorized over their nodes: tanh-sinh on finite pieces, split at a profile's
-knots, and exp-sinh on [0, inf) scaled to the saddle of the Euclidean weight.
-The trapezoid step in the map variable halves until two levels agree to the
-requested tolerance, or the rule raises QuadratureFailure. No scipy: the oracles
-cost `verify` no import beyond numpy.
+The integrals are double-exponential rules (Takahasi and Mori, Publ. RIMS 9,
+721 (1974)) written here and vectorized over their nodes: tanh-sinh on finite
+pieces, split at a profile's knots, and exp-sinh on [0, inf) scaled to the
+saddle of the Euclidean weight. The trapezoid step in the map variable halves
+until two levels agree to the requested tolerance, or the rule raises
+QuadratureFailure. Each level's nodes and weights, but for a factor set by the
+endpoints, are tables built when this module is imported, so a level costs one
+broadcast of its endpoints and one product of the integrand with a table; the
+first two levels are one call, as the first comparison needs both. No scipy:
+the oracles cost `verify` no import beyond numpy.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -62,7 +68,7 @@ import numpy as np
 from .errors import QuadratureFailure, ResonantDenominator, SingularForm
 from .minkowski import METRIC, P_MINUS, P_PLUS
 
-_SQRT2 = np.sqrt(2.0)
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -99,25 +105,28 @@ def sliced_kernel(lat: SliceLattice) -> complex:
     # components each; A has blocks 2i kappa on its diagonal, -(i kappa + mu sigma_y)
     # above it and -(i kappa - mu sigma_y) below. On sigma_y's eigenvectors
     # (1, +-i)/sqrt2 it splits into T (sigma_y = +1) and T^T (sigma_y = -1), and
-    # b into the components b_+ and b_-.
-    off = np.full(n - 2, 1j * kappa)
-    t = np.diag(np.full(n - 1, 2j * kappa)) - np.diag(off + mu, 1) - np.diag(off - mu, -1)
+    # b, which the end sites alone carry, into b_+ and b_- (times sqrt2 here)
+    up, down = 1j * kappa - mu, 1j * kappa + mu
+    t = np.zeros((n - 1, n - 1), dtype=complex)
+    t.flat[::n] = 2j * kappa
+    t.flat[1::n] = -down
+    t.flat[n - 1::n] = -up
 
-    xa = np.asarray(lat.xa, dtype=complex)
-    xb = np.asarray(lat.xb, dtype=complex)
-    b = np.zeros((n - 1, 2), dtype=complex)
-    b[0] = 1j * kappa * xa + 1j * mu * np.array([xa[1], -xa[0]])
-    b[-1] += 1j * kappa * xb + 1j * mu * np.array([-xb[1], xb[0]])
-    c = -0.5j * kappa * (xa @ xa + xb @ xb)
-    b_plus, b_minus = (b[:, 0] - 1j * b[:, 1]) / _SQRT2, (b[:, 0] + 1j * b[:, 1]) / _SQRT2
+    (xa1, xa2), (xb1, xb2) = ([complex(v) for v in x] for x in (lat.xa, lat.xb))
+    b_plus, b_minus = np.zeros(n - 1, dtype=complex), np.zeros(n - 1, dtype=complex)
+    b_plus[0], b_minus[0] = up * (xa1 - 1j * xa2), down * (xa1 + 1j * xa2)
+    b_plus[-1] += down * (xb1 - 1j * xb2)
+    b_minus[-1] += up * (xb1 + 1j * xb2)
+    c = -0.5j * kappa * (xa1 * xa1 + xa2 * xa2 + xb1 * xb1 + xb2 * xb2)
 
     lam = _interior_spectrum(n, kappa, mu)
-    if np.min(np.abs(lam)) < 1e-12 * np.max(np.abs(lam)):
+    magnitude = np.abs(lam)
+    if magnitude.min() < 1e-12 * magnitude.max():
         raise SingularForm(f"discrete Gaussian singular at e0={lat.e0!r}, N={n}")
     # A has each eigenvalue of T twice, so prod_A lam^(-1/2) = prod_T lam^(-1);
     # and (1/2) b^T A^(-1) b = (1/2)(b_-^T T^(-1) b_+ + b_+^T T^(-T) b_-) = b_-^T T^(-1) b_+
     root = np.prod(1.0 / lam)
-    exponent = b_minus @ np.linalg.solve(t, b_plus) + c
+    exponent = b_minus @ np.linalg.solve(t, b_plus) / 2.0 + c
     prefactor = (1j / (2.0 * np.pi * lat.e0 * delta)) ** n * (2.0 * np.pi) ** (n - 1)
     return complex(prefactor * root * np.exp(exponent))
 
@@ -151,20 +160,23 @@ def volkov_kernel_closed_form(kind: str, params: dict, phi: float) -> complex:
     sign = params.get("sign", +1)
     if kind == "B_zero":
         a, nu = params["a"], params["nu"]
-        return complex(g / (2.0 * kp) * (a / _SQRT2) * (np.exp(1j * nu * phi) - np.exp(1j * nu * phi0)))
+        return complex(g / (2.0 * kp) * (a / _SQRT2)
+                       * (cmath.exp(1j * nu * phi) - cmath.exp(1j * nu * phi0)))
     if kind == "constant_slope":
         beta, c = params["beta"], params["c"]
         if abs(beta) < 1e-12:
             raise ResonantDenominator("constant_slope closed form needs beta away from 0")
-        integral = c * (np.exp(1j * sign * beta * phi) - np.exp(1j * sign * beta * phi0)) / (1j * sign * beta)
-        return complex(g / (2.0 * kp) * np.exp(1j * beta * phi) * integral)
+        integral = (c * (cmath.exp(1j * sign * beta * phi) - cmath.exp(1j * sign * beta * phi0))
+                    / (1j * sign * beta))
+        return complex(g / (2.0 * kp) * cmath.exp(1j * beta * phi) * integral)
     if kind == "circular_profile":
         beta, a, nu = params["beta"], params["a"], params["nu"]
         denom = sign * beta + nu
         if abs(denom) < 1e-12:
             raise ResonantDenominator(f"resonant circular profile: sign*beta + nu = {denom!r}")
-        integral = (a * nu / _SQRT2) * (np.exp(1j * denom * phi) - np.exp(1j * denom * phi0)) / denom
-        return complex(g / (2.0 * kp) * np.exp(1j * beta * phi) * integral)
+        integral = ((a * nu / _SQRT2)
+                    * (cmath.exp(1j * denom * phi) - cmath.exp(1j * denom * phi0)) / denom)
+        return complex(g / (2.0 * kp) * cmath.exp(1j * beta * phi) * integral)
     raise ValueError(f"unknown closed-form kind {kind!r}")
 
 
@@ -201,12 +213,12 @@ def _k0(z: float) -> float:
 
 
 def _euclidean_axis(x_a, x_b, pL, m: float, b: float):
-    """(integrals, braces, dx) of `zero_profile_green`: integrals(spread) is its
-    weight integrated over tau by an exp-sinh rule, one entry per projector
-    sign (+, -), the entry of sign(b) times q = exp(-|b| tau), and both times
-    (b/2) coth(b tau/2) if `spread`; braces(I+, I-) is
-    (1/2) phase (I+ P+ + I- P-); dx = x_b - x_a. The rule is scaled to the
-    saddle sqrt(rho^2 / (2 gap)) of the free weight's exponent."""
+    """(integrals, braces, dx) of `zero_profile_green`: integrals(spread) is
+    2 pi times its weight integrated over tau by one exp-sinh rule, one entry
+    per projector sign (+, -), the entry of sign(b) times q = exp(-|b| tau);
+    with `spread`, a second row holds the same times (b/2) coth(b tau/2);
+    braces(I+, I-) is phase (I+ P+ + I- P-) / (4 pi); dx = x_b - x_a. The rule
+    is scaled to the saddle sqrt(rho^2 / (2 gap)) of the free weight's exponent."""
     x_a, x_b, pL = (np.asarray(v, dtype=float) for v in (x_a, x_b, pL))
     gap = float(np.sum(METRIC * pL * pL)) - m * m
     dx = x_b - x_a
@@ -216,12 +228,14 @@ def _euclidean_axis(x_a, x_b, pL, m: float, b: float):
     damped = np.array([[b > 0.0], [b < 0.0]])
 
     def weights(tau, spread):
+        # 2 pi times the weight: the braces carry the 1/(2 pi)
         x = abs(b) * tau
         q = np.exp(-x)
         h = np.divide(x, -np.expm1(-x), out=np.ones_like(x), where=x > 0.0)   # x / (1 - q)
-        w = h / (2.0 * np.pi * tau) * np.exp(-h * (1.0 + q) * rho2 / (4.0 * tau) - 0.5 * tau * gap)
+        coth = h * (1.0 + q) / (2.0 * tau)                  # (|b|/2) coth(|b| tau/2)
+        w = h / tau * np.exp(-0.5 * rho2 * coth - 0.5 * gap * tau)
         if spread:
-            w = w * h * (1.0 + q) / (2.0 * tau)
+            w = np.stack([w, w * coth])[:, None]
         return np.where(damped, w * q, w)
 
     def integrals(spread):
@@ -229,8 +243,8 @@ def _euclidean_axis(x_a, x_b, pL, m: float, b: float):
                                    _exp_sinh(math.sqrt(rho2 / (2.0 * gap))), 0.0, 1e-13)
 
     phase = np.exp(1j * (np.sum(METRIC[2:] * pL[2:] * dx[2:])
-                         + 0.5 * b * (x_b[0] * x_a[1] - x_b[1] * x_a[0])))
-    return integrals, lambda plus, minus: 0.5 * phase * (plus * P_PLUS + minus * P_MINUS), dx
+                         + 0.5 * b * (x_b[0] * x_a[1] - x_b[1] * x_a[0]))) / (4.0 * np.pi)
+    return integrals, lambda plus, minus: phase * (plus * P_PLUS + minus * P_MINUS), dx
 
 
 def zero_profile_green(x_a, x_b, pL, m: float, b: float) -> np.ndarray:
@@ -252,7 +266,7 @@ def zero_profile_gradient(x_a, x_b, pL, m: float, b: float) -> tuple:
     i (b/2) xa2 - (b/2) coth(b tau/2) DX1 (slot 2 likewise), one more weight per
     projector sign; a longitudinal slot mu gives i g_mumu pL^mu G."""
     integrals, braces, dx = _euclidean_axis(x_a, x_b, pL, m, b)
-    plain, spread = integrals(False), integrals(True)
+    plain, spread = integrals(True)
     gauge = 0.5j * b * np.array([x_a[1], -x_a[0]])
     value = braces(*plain)
     return value, ([braces(*(gauge[mu] * plain - dx[mu] * spread)) for mu in (0, 1)]
@@ -306,19 +320,20 @@ def drift_nested(components, g: float, B: float, kp: float, phi_a: float, phi: f
     with rate = g / kp, A = components(p) and F = B [[0, 1], [-1, 0]], a
     rotation by rate B (phi - p), by a tanh-sinh rule. `knots` are phases where
     the profile is not smooth: the rule runs on each piece between them."""
-    return tuple(float(y) for y in _drift(components, g / kp, B, phi_a, phi, knots))
+    y = complex(_drift(components, g / kp, B, phi_a, phi, knots))
+    return y.real, y.imag
 
 
 def _drift(components, rate: float, B: float, phi_a: float, phi, knots) -> np.ndarray:
-    """`drift_nested` at every phase of the array phi at once, shape
-    (2, *phi.shape): one 2-D array of inner nodes per piece."""
-    ends = np.asarray(phi, dtype=float)[..., None]
+    """`drift_nested` at every phase of the array phi at once, as Y1 + i Y2:
+    one 2-D array of inner nodes per piece, where the rotation of
+    A = a1 + i a2 by rate B (phi - p) is a product with its cos + i sin."""
+    ends = np.asarray(phi, dtype=float)
 
     def forced(p):
-        angle = rate * B * (ends - p)
+        angle = rate * B * (ends[..., None] - p)
         a1, a2 = components(p)
-        cos, sin = np.cos(angle), np.sin(angle)
-        return rate * np.stack([cos * a1 - sin * a2, sin * a1 + cos * a2])
+        return rate * (np.cos(angle) + 1j * np.sin(angle)) * (a1 + 1j * a2)
 
     return _piecewise(forced, phi_a, ends, knots)
 
@@ -339,8 +354,8 @@ def cross_phase_nested(components, g: float, B: float, kp: float, phi_a: float, 
 
     def density(phi):
         a1, a2 = components(phi)
-        y1, y2 = _drift(components, rate, B, phi_a, phi, knots)
-        return rate * (a1 * (a1 - B * y2) + a2 * (a2 + B * y1))
+        y = _drift(components, rate, B, phi_a, phi, knots)
+        return rate * (a1 * (a1 - B * y.imag) + a2 * (a2 + B * y.real))
 
     y1, y2 = drift_nested(components, g, B, kp, phi_a, phi_b, knots)
     boundary = (float(xb[0]) - y1) * B * y2 - (float(xb[1]) - y2) * B * y1
@@ -353,9 +368,12 @@ def _piecewise(fn, start: float, ends, knots):
     accuracy the nested oracles ask (abs 1e-13, rel 1e-12). A knot past an
     end clips onto it and leaves that end an empty piece."""
     ends = np.asarray(ends, dtype=float)
-    low, high = np.minimum(start, ends), np.maximum(start, ends)
-    inside = sorted((k for k in knots if low.min() < k < high.max()), key=lambda k: abs(k - start))
-    points = [np.full_like(ends, start)] + [np.clip(k, low, high) for k in inside] + [ends]
+    points = [start, ends]
+    if len(knots):
+        low, high = np.minimum(start, ends), np.maximum(start, ends)
+        inside = sorted((k for k in knots if low.min() < k < high.max()),
+                        key=lambda k: abs(k - start))
+        points[1:1] = [np.clip(k, low, high) for k in inside]
     return sum(_double_exponential(fn, _tanh_sinh(lo, hi), 1e-13, 1e-12)
                for lo, hi in zip(points[:-1], points[1:]))
 
@@ -367,49 +385,86 @@ _DE_SPAN = 3.5
 _DE_LEVELS = 10
 
 
-def _double_exponential(fn, nodes, epsabs: float, epsrel: float):
-    """Trapezoid sum over t of fn(x(t)) x'(t) for a double-exponential map
-    `nodes(t) -> (x, x')`. The step halves, each level adding the odd
-    multiples of the new step, until two levels agree within
-    max(epsabs, epsrel |sum|) at every entry; QuadratureFailure if they never
-    do. fn may return any leading shape: its last axis runs over the nodes."""
+def _stages(node_map) -> list:
+    """A rule's table: per stage, node_map(t) at the stage's abscissae t,
+    with its last entry, x'(t) over the endpoint-dependent scale, times the
+    trapezoid step: the stage's weights. Stage 0 holds levels 0 and 1
+    (steps 1/2 and 1/4), whose sums the first comparison needs, with a weight
+    column per level (level 0's is zero on level 1's nodes); stage k >= 1
+    holds level k + 1, the odd multiples of its step."""
+    half_span = round(2 * _DE_SPAN)             # multiples of 1/2 in half the span
+    level_0 = 0.5 * np.arange(-half_span, half_span + 1)
+    *data, jacobian = node_map(np.concatenate(
+        [level_0, 0.25 * np.arange(1 - 2 * half_span, 2 * half_span, 2)]))
+    coarse = np.where(np.arange(jacobian.size) < level_0.size, 0.5 * jacobian, 0.0)
+    stages = [(*data, np.stack([coarse, 0.25 * jacobian], axis=-1))]
+    for level in range(2, _DE_LEVELS):
+        step = 0.5 ** (level + 1)
+        steps = half_span << level
+        *data, jacobian = node_map(step * np.arange(1 - steps, steps, 2))
+        stages.append((*data, step * jacobian))
+    return stages
 
-    def level_sum(t):
-        x, jacobian = nodes(t)
-        return np.sum(fn(x) * jacobian, axis=-1)
 
-    steps = round(2 * _DE_SPAN)             # half-steps of the first level
-    total = 0.5 * level_sum(0.5 * np.arange(-steps, steps + 1))
-    for level in range(1, _DE_LEVELS):
-        step, steps = 0.5 ** (level + 1), 2 * steps
-        refined = 0.5 * total + step * level_sum(step * np.arange(1 - steps, steps, 2))
-        change = np.abs(refined - total)
-        if np.all(change <= np.maximum(epsabs, epsrel * np.abs(refined))):
-            return refined
-        total = refined
-    raise QuadratureFailure(f"double-exponential rule did not converge in {_DE_LEVELS} levels",
-                            error_estimate=float(np.max(change)))
+def _tanh_sinh_map(t) -> tuple:
+    """(upper, c, jacobian) of the tanh-sinh map at t: the nodes taken from
+    the upper end (t >= 0), c = 1 - tanh|u| signed so that each node is its
+    end plus half c, and x'(t) / half = (pi/2) cosh t sech^2 u, sech^2 u = c (2 - c)."""
+    c = 2.0 / (1.0 + np.exp(np.pi * np.abs(np.sinh(t))))
+    upper = t >= 0.0
+    return upper, np.where(upper, -c, c), (0.5 * np.pi) * np.cosh(t) * c * (2.0 - c)
+
+
+def _exp_sinh_map(t) -> tuple:
+    """(e, jacobian) of the exp-sinh map at t: x / scale = e = exp((pi/2) sinh t)
+    and x'(t) / scale = e (pi/2) cosh t."""
+    e = np.exp(0.5 * np.pi * np.sinh(t))
+    return e, e * (0.5 * np.pi) * np.cosh(t)
+
+
+#: The rules' tables, built once when the module is imported.
+_TANH_SINH = _stages(_tanh_sinh_map)
+_EXP_SINH = _stages(_exp_sinh_map)
+
+
+def _double_exponential(fn, rule, epsabs: float, epsrel: float):
+    """Trapezoid sum over t of fn(x(t)) x'(t) for a double-exponential rule
+    (scale, nodes, table): nodes(stage) gives a stage's nodes x, and x'(t)
+    times the step is scale times the stage's weights, the last entry of
+    table[stage], so each level costs one product of fn's values with a
+    table. The step halves, each level adding the odd multiples of the new
+    step, until two levels agree within max(epsabs, epsrel |sum|) at every
+    entry; QuadratureFailure if they never do. fn may return any leading
+    shape: its last axis runs over the nodes, and scale broadcasts against
+    the rest."""
+    scale, nodes, table = rule
+    first = fn(nodes(0)) @ table[0][-1]               # levels 0 and 1
+    total, refined = scale * first[..., 0], scale * first[..., 1]
+    stage = 1
+    while not np.all(np.abs(refined - total) <= np.maximum(epsabs, epsrel * np.abs(refined))):
+        if stage == len(table):
+            raise QuadratureFailure(
+                f"double-exponential rule did not converge in {_DE_LEVELS} levels",
+                error_estimate=float(np.max(np.abs(refined - total))))
+        total, refined = refined, 0.5 * refined + scale * (fn(nodes(stage)) @ table[stage][-1])
+        stage += 1
+    return refined
 
 
 def _tanh_sinh(lo, hi):
     """Nodes x(t) = mid + half tanh(u), u = (pi/2) sinh t, from lo to hi (arrays
-    broadcast), written through c = 1 - tanh|u| from the nearer end so that
-    nodes crowding an end keep their digits; sech^2 u = c (2 - c)."""
+    broadcast, the nodes on a new last axis), written through c = 1 - tanh|u|
+    from the nearer end so that nodes crowding an end keep their digits."""
+    lo, hi = np.asarray(lo, dtype=float)[..., None], np.asarray(hi, dtype=float)[..., None]
     half = 0.5 * (hi - lo)
 
-    def nodes(t):
-        c = 2.0 / (1.0 + np.exp(np.pi * np.abs(np.sinh(t))))
-        x = np.where(t < 0.0, lo + half * c, hi - half * c)
-        return x, half * (0.5 * np.pi) * np.cosh(t) * c * (2.0 - c)
+    def nodes(stage):
+        upper, c, _ = _TANH_SINH[stage]
+        return np.where(upper, hi, lo) + half * c
 
-    return nodes
+    return half[..., 0], nodes, _TANH_SINH
 
 
 def _exp_sinh(scale: float):
     """Nodes x(t) = scale exp((pi/2) sinh t) on [0, inf)."""
-
-    def nodes(t):
-        x = scale * np.exp(0.5 * np.pi * np.sinh(t))
-        return x, x * (0.5 * np.pi) * np.cosh(t)
-
-    return nodes
+    return scale, lambda stage: scale * _EXP_SINH[stage][0], _EXP_SINH

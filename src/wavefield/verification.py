@@ -22,18 +22,22 @@ The limit checks that `limits` shares evaluate production first, so a point
 outside the domain raises the production error (exit 4), not an oracle's. `run_all` is what the
 `verify` CLI command executes; each check also has a focused unit test.
 Criterion 12 byte-compares two runs of the `gf` and `identities` commands (a
-run that exits non-zero fails the row, its status in the detail), and
-compares the seeded checks' reports (criterion 2 and criterion 7's
+run that exits non-zero or writes no output fails the row, and the detail says
+which), and compares the seeded checks' reports (criterion 2 and criterion 7's
 `check_phase_integral_oracles`) across two runs: inside `run_all` the first run
 is the table's own, keyed by the check objects in `_CHECKS`, so each seeded
-check runs once more; `check_determinism()` called alone runs both.
+check runs once more; `check_determinism()` called alone runs both. The four
+CLI runs share one temporary directory and one config file; each writes and
+reads back output files of its own, so no run can pass on another's.
 
-All random draws use fixed seeds so the suite is deterministic run to run.
+Each seeded check draws from its own `random.Random(seed)`, so the suite is
+deterministic run to run and `verify` never loads `numpy.random`.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -74,14 +78,17 @@ def _maxabs(m) -> float:
     return float(np.max(np.abs(m)))
 
 
+def _uniforms(rng: random.Random, low: float, high: float, n: int) -> np.ndarray:
+    """n draws of rng.uniform(low, high), in order, as a float array."""
+    return np.array([rng.uniform(low, high) for _ in range(n)])
+
+
 # -- criterion 1 ---------------------------------------------------------
 
 def check_clifford_algebra() -> list[CheckResult]:
-    dev_anti = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            target = 2.0 * (METRIC[mu] if mu == nu else 0.0) * IDENTITY4
-            dev_anti = max(dev_anti, _maxabs(GAMMA[mu] @ GAMMA[nu] + GAMMA[nu] @ GAMMA[mu] - target))
+    products = GAMMA[:, None] @ GAMMA[None, :]          # gamma^mu gamma^nu, all 16 pairs
+    target = 2.0 * np.diag(METRIC)[:, :, None, None] * IDENTITY4
+    dev_anti = _maxabs(products + products.transpose(1, 0, 2, 3) - target)
 
     dev_sum = _maxabs(P_PLUS + P_MINUS - IDENTITY4)
     dev_proj = max(_maxabs(P_PLUS @ P_PLUS - P_PLUS), _maxabs(P_MINUS @ P_MINUS - P_MINUS),
@@ -102,13 +109,11 @@ def check_basis_identities() -> list[CheckResult]:
                    abs(dot(WAVE_K, EPS)), abs(dot(WAVE_K, EPS_CONJ)))
     dev_norm = abs(dot(EPS, EPS_CONJ) - 1.0)
 
-    rng = np.random.default_rng(102)
-    dev_eig = 0.0
-    for _ in range(10):
-        b = rng.uniform(-2.0, 2.0)
-        dev_eig = max(dev_eig,
-                      _maxabs(b * UNIT_FIELD_MIXED @ EPS - 1j * b * EPS),
-                      _maxabs(b * UNIT_FIELD_MIXED @ EPS_CONJ + 1j * b * EPS_CONJ))
+    rng = random.Random(102)
+    b = _uniforms(rng, -2.0, 2.0, 10)[:, None]
+    field = b[..., None] * UNIT_FIELD_MIXED
+    dev_eig = max(_maxabs(field @ EPS - 1j * b * EPS),
+                  _maxabs(field @ EPS_CONJ + 1j * b * EPS_CONJ))
     return [
         _result(2, "null-contractions-exact", dev_null, 0.0,
                 "eps.eps, k.k, k.eps, k.eps* are identically zero in floats"),
@@ -121,17 +126,17 @@ def check_basis_identities() -> list[CheckResult]:
 # -- criterion 5 ---------------------------------------------------------
 
 def check_sliced_oracle_agreement() -> list[CheckResult]:
-    rng = np.random.default_rng(105)
+    rng = random.Random(105)
     dev_rel = 0.0
     worst_order = np.inf
     for _ in range(5):
         e0 = rng.uniform(0.3, 1.2)
         g = rng.uniform(0.5, 1.5)
         b = rng.uniform(0.2, 1.0)
-        xa = rng.uniform(-1.0, 1.0, 2)
-        xb = rng.uniform(-1.0, 1.0, 2)
+        xa = _uniforms(rng, -1.0, 1.0, 2)
+        xb = _uniforms(rng, -1.0, 1.0, 2)
         while float(np.hypot(*(xb - xa))) < 0.3:
-            xb = rng.uniform(-1.0, 1.0, 2)
+            xb = _uniforms(rng, -1.0, 1.0, 2)
         cfg = FieldConfig(g=g, B=b, profile=ZeroProfile())
         exact = schwinger_kernel(e0, xa, xb, cfg)
         ns = [8, 16, 32, 64]
@@ -159,18 +164,18 @@ def _dressed_braces_deviation() -> float:
     its conjugate, over 10 circular contexts (B and volkov_sign of both signs).
     K vanishes at phi_a, so each brace's right-hand factor is the identity and
     only the left-hand one, at phi_b, is built."""
-    rng = np.random.default_rng(114)
+    rng = random.Random(114)
     dev = 0.0
     for i in range(10):
         g, a = rng.uniform(0.5, 1.5), rng.uniform(0.2, 1.0)
         b = rng.uniform(0.3, 1.0) * (1 if i % 2 else -1)
-        ctx = _random_context(rng, FieldConfig(g=g, B=b))
-        sign, kp = 1 if i % 4 < 2 else -1, dot(WAVE_K, ctx.pL).real
+        point = _random_point(rng)
+        sign, kp = 1 if i % 4 < 2 else -1, dot(WAVE_K, point["pL"]).real
         nu = rng.uniform(0.6, 2.0)
         while abs(sign * g * b / kp + nu) < 0.05:
             nu = rng.uniform(0.6, 2.0)
-        ctx = replace(ctx, volkov_sign=sign, cfg=FieldConfig(
-            g=g, B=b, profile=CircularProfile(amplitude=a, frequency=nu)))
+        ctx = EvalContext(volkov_sign=sign, cfg=FieldConfig(
+            g=g, B=b, profile=CircularProfile(amplitude=a, frequency=nu)), **point)
         params = dict(g=g, kp=kp, phi0=ctx.phi_a, beta=g * b / kp, a=a, nu=nu, sign=sign)
         k_b = volkov_kernel_closed_form("circular_profile", params, ctx.phi_b)
         plus = (IDENTITY4 - SLASH_K @ SLASH_EPS_CONJ * k_b) @ P_PLUS
@@ -181,7 +186,7 @@ def _dressed_braces_deviation() -> float:
 
 
 def check_phase_integral_oracles() -> list[CheckResult]:
-    rng = np.random.default_rng(107)
+    rng = random.Random(107)
     dev = 0.0
     for i in range(50):
         g = rng.uniform(0.5, 1.5)
@@ -235,7 +240,7 @@ def check_classical_action_exponent() -> list[CheckResult]:
     """The e0-independent exponent, formed in one expression by `green._prepare`,
     against its terms from the oracles: i pL.dx^L, the nested mixing exponent
     and the magnetic gauge phase at the nested drift."""
-    rng = np.random.default_rng(113)
+    rng = random.Random(113)
     dev = 0.0
     for make in (CircularProfile, lambda a, nu: PulseProfile(a, nu, sigma=1.5), LinearProfile):
         for sign in (1.0, -1.0):
@@ -284,7 +289,7 @@ def check_phase_locality() -> list[CheckResult]:
     """k.p is conserved, so the wave phase runs from phi_a to phi_b along the
     classical path: G must not see the profile outside [phi_a, phi_b]. Bumps
     below and above the interval leave G unchanged to max(abs_tol, rel_tol |G|)."""
-    rng = np.random.default_rng(115)
+    rng = random.Random(115)
     dev = 0.0
     for profile, sign in ((CircularProfile(0.4, 1.1), 1.0), (PulseProfile(0.5, 1.3, sigma=1.0), -1.0)):
         ctx = _random_context(rng, FieldConfig(g=rng.uniform(0.5, 1.5),
@@ -345,19 +350,25 @@ def free_field_limit(contexts) -> CheckResult:
 
 # -- criteria 8-10: random evaluation contexts ---------------------------
 
-def _random_context(rng, cfg: FieldConfig) -> EvalContext:
+def _random_point(rng: random.Random) -> dict:
+    """m, x_a, x_b and pL of a random context, the endpoints at least 0.3 apart
+    in the transverse plane."""
     m = rng.uniform(0.5, 1.0)
     p2 = rng.uniform(-0.4, 0.4)
-    p3 = rng.uniform(1.5, 2.5) * (1.0 if rng.uniform() < 0.5 else -1.0)
-    x_a = rng.uniform(-0.8, 0.8, 4)
-    x_b = rng.uniform(-0.8, 0.8, 4)
+    p3 = rng.uniform(1.5, 2.5) * (1.0 if rng.random() < 0.5 else -1.0)
+    x_a = _uniforms(rng, -0.8, 0.8, 4)
+    x_b = _uniforms(rng, -0.8, 0.8, 4)
     while float(np.hypot(x_b[0] - x_a[0], x_b[1] - x_a[1])) < 0.3:
-        x_b = rng.uniform(-0.8, 0.8, 4)
-    return EvalContext(m=m, x_a=x_a, x_b=x_b, pL=np.array([0.0, 0.0, p2, p3]), cfg=cfg)
+        x_b = _uniforms(rng, -0.8, 0.8, 4)
+    return dict(m=m, x_a=x_a, x_b=x_b, pL=np.array([0.0, 0.0, p2, p3]))
+
+
+def _random_context(rng: random.Random, cfg: FieldConfig) -> EvalContext:
+    return EvalContext(cfg=cfg, **_random_point(rng))
 
 
 def check_zero_wave_vector_equivalence() -> list[CheckResult]:
-    rng = np.random.default_rng(108)
+    rng = random.Random(108)
     contexts = (_random_context(rng, FieldConfig(g=rng.uniform(0.4, 1.2), B=rng.uniform(0.3, 1.0),
                                                  profile=ZeroProfile()))
                 for _ in range(10))
@@ -365,7 +376,7 @@ def check_zero_wave_vector_equivalence() -> list[CheckResult]:
 
 
 def check_contour_invariance() -> list[CheckResult]:
-    rng = np.random.default_rng(109)
+    rng = random.Random(109)
     profiles = [
         ZeroProfile(),
         ZeroProfile(),
@@ -385,7 +396,7 @@ def check_contour_invariance() -> list[CheckResult]:
 
 
 def check_free_field_reduction() -> list[CheckResult]:
-    rng = np.random.default_rng(110)
+    rng = random.Random(110)
     contexts = (_random_context(rng, FREE_FIELD) for _ in range(3))
     return [free_field_limit(contexts)]
 
@@ -403,7 +414,7 @@ def _analytic_dirac(ctx: EvalContext):
 
 
 def check_derivative_consistency() -> list[CheckResult]:
-    rng = np.random.default_rng(111)
+    rng = random.Random(111)
     results = []
     for label, b, tol in (("free", 0.0, 1e-4), ("constant-field", 0.7, 1e-3)):
         dev = 0.0
@@ -429,22 +440,28 @@ _DETERMINISM_CONFIG = {
 }
 
 
-def _command_bytes(command: str, config: dict) -> tuple[int, bytes]:
-    """(exit status, CSV bytes then sidecar bytes) of one CLI run; no bytes
-    when the run fails."""
+def _command_outputs(commands, config: dict) -> list:
+    """(exit status, CSV bytes then sidecar bytes) of one CLI run of each
+    command in turn. The runs share one temporary directory and one config
+    file, and each writes and reads back output files of its own, so no run
+    can pass on another's; the bytes are None for a run that exits non-zero
+    or writes no output."""
     import tempfile
     from pathlib import Path
 
     from . import cli
 
     with tempfile.TemporaryDirectory() as tmp:
-        cfg_path = Path(tmp) / "run.json"
-        out_path = Path(tmp) / "out.csv"
+        cfg_path = Path(tmp, "run.json")
         cfg_path.write_text(json.dumps(config))
-        status = cli.main([command, "--config", str(cfg_path), "--out", str(out_path)])
-        if status != 0:
-            return status, b""
-        return status, out_path.read_bytes() + Path(str(out_path) + ".json").read_bytes()
+        runs = []
+        for i, command in enumerate(commands):
+            out_path = Path(tmp, f"{i}-{command}.csv")
+            sidecar = Path(f"{out_path}.json")
+            status = cli.main([command, "--config", str(cfg_path), "--out", str(out_path)])
+            written = status == 0 and out_path.exists() and sidecar.exists()
+            runs.append((status, out_path.read_bytes() + sidecar.read_bytes() if written else None))
+        return runs
 
 
 def _serialized(report) -> str:
@@ -458,13 +475,12 @@ def check_determinism(first=None) -> list[CheckResult]:
     already made (`run_all` passes the table's own), so that check runs once
     more here; a check it lacks runs twice."""
     first = first or {}
-    dev_cli, failures = 0.0, []
-    for command in ("gf", "identities"):
-        runs = [_command_bytes(command, _DETERMINISM_CONFIG) for _ in range(2)]
-        # a failed run fails the row: it has no bytes to compare
-        failures += [f"{command} exited with {status}" for status, _ in runs if status != 0]
-        if failures or runs[0] != runs[1]:
-            dev_cli = 1.0
+    commands = ("gf", "gf", "identities", "identities")
+    runs = _command_outputs(commands, _DETERMINISM_CONFIG)
+    # a failed run fails the row: it has no bytes to compare
+    failures = [f"{command} exited with {status}" if status else f"{command} wrote no output"
+                for command, (status, output) in zip(commands, runs) if output is None]
+    dev_cli = 1.0 if failures or runs[0] != runs[1] or runs[2] != runs[3] else 0.0
     dev_checks = 0.0
     # looked up when called, so a wrapped check is the key `run_all` used
     for fn in (check_basis_identities, check_phase_integral_oracles):

@@ -7,9 +7,11 @@ gaps. A mutation table patches one physics defect per entry into `green` and
 requires exactly the listed rows of the checks that hold them to fail;
 `pytest -s` prints the rows each mutation fails. The criterion-12 test also
 exercises the `verify` command end to end, twice, and byte-compares its
-outputs. Criterion 12 has a mutation test too: a seeded check whose second
-report differs must fail `check-suite-determinism`, both inside `run_all` (which
-hands criterion 12 the table's own reports) and called alone. `run_all` is
+outputs. Criterion 12 has mutation tests too: a seeded check whose second
+report differs must fail `check-suite-determinism`, and a second `gf` run that
+writes other bytes, exits non-zero or writes nothing must fail
+`cli-output-bit-determinism`, both inside `run_all` (which hands criterion 12
+the table's own reports) and called alone. `run_all` is
 also run with every check behind a nameless wrapper, as a tracer installs
 them, and its work is counted: criterion 12 re-runs each seeded check once.
 """
@@ -24,7 +26,8 @@ from pathlib import Path
 
 import pytest
 
-from wavefield import conventions, green, kernels, minkowski, verification
+from wavefield import cli, conventions, green, kernels, minkowski, verification
+from wavefield.errors import QuadratureFailure
 from wavefield.cli import main
 
 
@@ -321,6 +324,49 @@ def test_criterion_12_fails_when_a_seeded_check_changes_between_runs(monkeypatch
     rows = [r for r in results if r.name == "check-suite-determinism"]
     assert len(calls) == 2
     assert len(rows) == 1 and rows[0].max_deviation == 1.0 and not rows[0].passed
+
+
+def _on_second_call(fn, second):
+    """fn, except that its second call returns second(fn, *args) instead."""
+    calls = []
+
+    def wrapper(*args):
+        calls.append(args)
+        return second(fn, *args) if len(calls) == 2 else fn(*args)
+
+    return wrapper
+
+
+def _raise(fn, rc):
+    raise QuadratureFailure("budget exhausted")
+
+
+#: Ways the second `gf` run of criterion 12 goes wrong: the `cli` attribute
+#: wrapped, what its second call does instead, and what the row's detail says.
+#: The runs share one directory and one config file, so a run must not pass on
+#: the files of the run before it, as "writes-nothing" would.
+_CLI_FAULTS = {
+    "different-bytes": ("render_csv", lambda fn, header, rows: fn(header, rows) + b"\n", ""),
+    "exits-non-zero": ("_COMMANDS", _raise, "gf exited with 4"),
+    "writes-nothing": ("main", lambda fn, argv: 0, "gf wrote no output"),
+}
+
+
+@pytest.mark.parametrize("route", ["run_all", "check_determinism"])
+@pytest.mark.parametrize("fault", _CLI_FAULTS)
+def test_criterion_12_fails_when_a_cli_run_differs_or_fails(monkeypatch, route, fault):
+    name, second, detail = _CLI_FAULTS[fault]
+    if name == "_COMMANDS":          # the gf handler, which `main` looks up per run
+        handler, grids = cli._COMMANDS["gf"]
+        monkeypatch.setitem(cli._COMMANDS, "gf", (_on_second_call(handler, second), grids))
+    else:
+        monkeypatch.setattr(cli, name, _on_second_call(getattr(cli, name), second))
+    results = verification.run_all() if route == "run_all" else verification.check_determinism()
+    rows = {r.name: r for r in results if r.criterion == 12}
+    bits = rows["cli-output-bit-determinism"]
+    assert bits.max_deviation == 1.0 and not bits.passed
+    assert detail in bits.detail
+    assert rows["check-suite-determinism"].passed
 
 
 def test_run_all_behind_nameless_wrappers_gives_the_same_table(monkeypatch):

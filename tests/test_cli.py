@@ -90,7 +90,8 @@ def test_schema_error_paths():
         ({"field": _field(), "eval": _eval(m=float("nan"))}, "eval.m"),
         ({"field": dict(_field(), g=2 ** 70), "eval": _eval()}, "field.g"),
         ({"field": _field(), "eval": _eval(x_a=[0.1, False, 0.3, 0.0])}, "eval.x_a"),
-        (_config(extra={}), "$.extra"),
+        (_config(extra={}), "extra"),
+        ([_config()], "$"),
         ({"eval": _eval()}, "field"),
     ]
     for cfg, path in cases:
@@ -645,10 +646,12 @@ def test_verify_does_not_import_mpmath(tmp_path):
 def test_gf_and_dirac_do_not_import_scipy(tmp_path):
     # the runtime needs numpy only: the oracles behind `verify` and `limits`
     # and the spline of tabulated profiles are written in-repo, and every
-    # command starts faster and smaller without scipy
+    # command starts faster and smaller without scipy; the seeded checks draw
+    # from the standard library, so numpy.random stays unloaded too
     code = ("import sys; from wavefield import cli; "
             "status = cli.main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]]); "
-            "print(status, any(name.split('.')[0] == 'scipy' for name in sys.modules))")
+            "print(status, any(name.split('.')[0] == 'scipy' for name in sys.modules), "
+            "'numpy.random' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(Path(wavefield.__file__).resolve().parents[1])}
     runs = [("gf", _config()), ("dirac", _config()), ("verify", _config()),
             ("limits", _config()), ("gf", _config(field=_field(_tabulated())))]
@@ -667,4 +670,5 @@ def test_gf_and_dirac_do_not_import_scipy(tmp_path):
         for proc, (command, cfg) in zip(procs, runs):
             stdout, stderr = proc.communicate(timeout=300)
             assert proc.returncode == 0, (command, stderr)
-            assert stdout.split() == ["0", "False"], (command, cfg["field"]["profile"]["kind"])
+            assert stdout.split() == ["0", "False", "False"], (command,
+                                                               cfg["field"]["profile"]["kind"])

@@ -11,10 +11,11 @@ from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, Pulse
 from wavefield.green import EvalContext, green_function
 from wavefield.kernels import schwinger_kernel
 from wavefield.minkowski import IDENTITY4, METRIC, P_MINUS, P_PLUS
-from wavefield.oracles import (SliceLattice, _interior_spectrum, _k0, cross_phase_nested,
-                               drift_nested, free_kernel, free_propagator, landau_green,
-                               richardson_extrapolate, sliced_kernel, volkov_kernel_closed_form,
-                               zero_profile_gradient, zero_profile_green)
+from wavefield.oracles import (_DE_LEVELS, SliceLattice, _exp_sinh, _interior_spectrum, _k0,
+                               _tanh_sinh, cross_phase_nested, drift_nested, free_kernel,
+                               free_propagator, landau_green, richardson_extrapolate,
+                               sliced_kernel, volkov_kernel_closed_form, zero_profile_gradient,
+                               zero_profile_green)
 
 XA = (0.2, -0.1)
 XB = (0.9, 0.4)
@@ -240,6 +241,88 @@ def test_nested_drift_on_a_span_of_a_few_hundred_ulps():
     # the forcing barely turns over the span: (g / kp) A at the midpoint times the width
     mid = np.array(profile.components(0.5 * (lo + hi)), dtype=float)
     np.testing.assert_allclose(drift, g / kp * (hi - lo) * mid, rtol=1e-9)
+
+
+def _stage_levels():
+    """Per stage of the double-exponential tables, (step, t) of each trapezoid
+    level it holds, written out: stage 0 holds levels 0 and 1, the multiples
+    of 1/2 in [-3.5, 3.5] and then the odd multiples of 1/4; stage k >= 1 holds
+    level k + 1, the odd multiples of 2^-(k+2)."""
+    yield [(0.5, 0.5 * np.arange(-7, 8)), (0.25, 0.25 * np.arange(-13, 14, 2))]
+    for level in range(2, _DE_LEVELS):
+        step = 0.5 ** (level + 1)
+        yield [(step, step * np.arange(1 - 7 * 2 ** level, 7 * 2 ** level, 2))]
+
+
+def _stage_weights(levels, jacobian):
+    """The weights a stage should hold, from x'(t) of each of its levels:
+    x'(t) times the step; at stage 0 one column per level, level 0's zero on
+    level 1's nodes (on the last axis, after the nodes)."""
+    if len(levels) == 1:
+        (step, t), = levels
+        return step * jacobian(t)
+    (coarse, t0), (fine, t1) = levels
+    level_0 = np.concatenate([coarse * jacobian(t0), np.zeros(np.shape(jacobian(t1)))], axis=-1)
+    return np.stack([level_0, fine * jacobian(np.concatenate([t0, t1]))], axis=-1)
+
+
+@pytest.mark.parametrize("lo, hi", [(-2.0, 3.0), (1.0, 1.0 + 1e-9), (0.7, -4.2),
+                                    (np.array([-1.0, 0.3, 2.0]), np.array([0.5, 0.30000001, -4.0])),
+                                    (0.25, np.array([1.5, -0.5, 0.25000000000000006]))],
+                         ids=["scalar", "narrow", "reversed", "broadcast", "scalar-to-array"])
+def test_tanh_sinh_tables_match_the_closed_form_map(lo, hi):
+    # x(t) = mid + half tanh(u), x'(t) = half (pi/2) cosh t / cosh^2 u, u = (pi/2) sinh t
+    scale, nodes, table = _tanh_sinh(lo, hi)
+    lo, hi = np.asarray(lo, dtype=float)[..., None], np.asarray(hi, dtype=float)[..., None]
+    half, ends = 0.5 * (hi - lo), np.maximum(np.abs(lo), np.abs(hi))
+    assert len(table) == _DE_LEVELS - 1
+
+    def jacobian(t):
+        return half * (0.5 * np.pi) * np.cosh(t) / np.cosh(0.5 * np.pi * np.sinh(t)) ** 2
+
+    for stage, levels in enumerate(_stage_levels()):
+        t = np.concatenate([t for _, t in levels])
+        # the closed form loses the digits near an end that the tables keep
+        x = 0.5 * (lo + hi) + half * np.tanh(0.5 * np.pi * np.sinh(t))
+        assert nodes(stage).shape == x.shape
+        assert np.all(np.abs(nodes(stage) - x) <= 4 * np.spacing(ends))
+        expected = _stage_weights(levels, jacobian)
+        weights = np.expand_dims(scale, tuple(range(-table[stage][-1].ndim, 0))) * table[stage][-1]
+        assert weights.shape == expected.shape
+        assert np.all(np.abs(weights - expected) <= 8 * np.spacing(np.abs(expected)))
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37, 12.5, 3e-4])
+def test_exp_sinh_tables_match_the_closed_form_map(scale):
+    # x(t) = scale exp((pi/2) sinh t), x'(t) = x (pi/2) cosh t
+    rule_scale, nodes, table = _exp_sinh(scale)
+    assert len(table) == _DE_LEVELS - 1
+
+    def x(t):
+        return scale * np.exp(0.5 * np.pi * np.sinh(t))
+
+    for stage, levels in enumerate(_stage_levels()):
+        t = np.concatenate([t for _, t in levels])
+        assert np.all(np.abs(nodes(stage) - x(t)) <= 2 * np.spacing(x(t)))
+        expected = _stage_weights(levels, lambda t: x(t) * (0.5 * np.pi) * np.cosh(t))
+        weights = rule_scale * table[stage][-1]
+        assert np.all(np.abs(weights - expected) <= 8 * np.spacing(np.abs(expected)))
+
+
+def test_zero_profile_gradient_value_is_the_zero_profile_green():
+    # the gradient integrates G's weights and the spread ones in one rule call,
+    # which may take a level more than G's alone: its G agrees to rounding
+    rng = np.random.default_rng(23)
+    m = 0.8
+    for draw in range(80):
+        gap = rng.uniform(0.05, 6.0)
+        pL = np.array([0.0, 0.0, rng.uniform(-0.4, 0.4), 0.0])
+        pL[3] = np.sqrt(gap + m * m + pL[2] ** 2)
+        b = 0.0 if draw % 5 == 0 else rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 5.0)
+        x_a, x_b = rng.uniform(-1.5, 1.5, 4), rng.uniform(-1.5, 1.5, 4)
+        value, _ = zero_profile_gradient(x_a, x_b, pL, m, b)
+        ref = zero_profile_green(x_a, x_b, pL, m, b)
+        assert np.max(np.abs(value - ref)) <= 1e-15 * np.max(np.abs(ref)), (gap, b)
 
 
 def test_k0_matches_scipy():
