@@ -3,8 +3,9 @@
 Everything here is algorithmically independent of the production formulas in
 `kernels`, `green`, `fields` and `quadrature`: from the package it imports only
 the error types and the basis constants (`errors`, `minkowski`), which an
-import-graph test enforces. The time-sliced oracle discretizes the transverse
-worldline action
+import-graph test enforces. Each oracle is a plain function of plain arguments.
+The time-sliced oracle `sliced_kernel` discretizes the transverse worldline
+action
 
     S = int_0^1 [ -Xdot^2/(2 e0) - (g/2) X . f Xdot ] dtau
       -> sum_j [ -|X_{j+1}-X_j|^2/(2 e0 D) - (g B/2)(X_j^1 X_{j+1}^2 - X_j^2 X_{j+1}^1) ]
@@ -40,10 +41,13 @@ integrated in the same rule call.
 drift-shifted far endpoint it is the constant-field (Landau) propagator,
 Gamma(nu) e^{-X/2} U(nu, 1, X), evaluated by mpmath at 30 digits.
 
-`cross_phase_nested` is the mixing exponent as the literal double integral in
-real transverse coordinates: every node of the outer action integral solves
-for the drift (`drift_nested`) by its own inner integrals, all nodes of a level
-at once as one 2-D array.
+`volkov_kernel_circular` and `volkov_kernel_constant_slope` are the phase
+integral K of two profiles by their antiderivatives; `dressed_braces` builds
+the printed braces M+- from K at phi_b. `cross_phase_nested` is the mixing
+exponent as the literal double integral in real transverse coordinates: every
+node of the outer action integral solves for the drift (`drift_nested`) by its
+own inner integrals, all nodes of a level at once as one 2-D array. It returns
+the drift at phi_b, which its boundary term solves for, with the exponent.
 
 The integrals are double-exponential rules (Takahasi and Mori, Publ. RIMS 9,
 721 (1974)) written here and vectorized over their nodes: tanh-sinh on finite
@@ -61,30 +65,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import QuadratureFailure, ResonantDenominator, SingularForm
-from .minkowski import METRIC, P_MINUS, P_PLUS
+from .minkowski import (IDENTITY4, METRIC, P_MINUS, P_PLUS, SLASH_EPS, SLASH_EPS_CONJ,
+                        SLASH_K)
 
 _SQRT2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class SliceLattice:
-    """Time-slicing data: N slices, transverse endpoints, proper time, field."""
-
-    n_slices: int
-    e0: complex
-    g: float
-    B: float
-    xa: tuple
-    xb: tuple
-
-    def __post_init__(self):
-        if self.n_slices < 2:
-            raise ValueError(f"need at least 2 slices, got {self.n_slices}")
 
 
 def _interior_spectrum(n: int, kappa: complex, mu: float) -> np.ndarray:
@@ -94,12 +82,15 @@ def _interior_spectrum(n: int, kappa: complex, mu: float) -> np.ndarray:
     return 2j * kappa - 2.0 * root * np.cos(np.arange(1, n) * (np.pi / n))
 
 
-def sliced_kernel(lat: SliceLattice) -> complex:
-    """Discretized transverse path integral on the lattice, evaluated exactly."""
-    n = lat.n_slices
+def sliced_kernel(n_slices: int, e0: complex, g: float, B: float, xa, xb) -> complex:
+    """Transverse path integral on N = n_slices time slices from the transverse
+    endpoint xa to xb, proper time e0 and field g B, evaluated exactly."""
+    n = n_slices
+    if n < 2:
+        raise ValueError(f"need at least 2 slices, got {n}")
     delta = 1.0 / n
-    kappa = 1.0 / (lat.e0 * delta)
-    mu = lat.g * lat.B / 2.0
+    kappa = 1.0 / (e0 * delta)
+    mu = g * B / 2.0
 
     # exponent = -(1/2) u^T A u + b^T u + c over the N-1 interior sites, two
     # components each; A has blocks 2i kappa on its diagonal, -(i kappa + mu sigma_y)
@@ -112,7 +103,7 @@ def sliced_kernel(lat: SliceLattice) -> complex:
     t.flat[1::n] = -down
     t.flat[n - 1::n] = -up
 
-    (xa1, xa2), (xb1, xb2) = ([complex(v) for v in x] for x in (lat.xa, lat.xb))
+    (xa1, xa2), (xb1, xb2) = ([complex(v) for v in x] for x in (xa, xb))
     b_plus, b_minus = np.zeros(n - 1, dtype=complex), np.zeros(n - 1, dtype=complex)
     b_plus[0], b_minus[0] = up * (xa1 - 1j * xa2), down * (xa1 + 1j * xa2)
     b_plus[-1] += down * (xb1 - 1j * xb2)
@@ -122,12 +113,12 @@ def sliced_kernel(lat: SliceLattice) -> complex:
     lam = _interior_spectrum(n, kappa, mu)
     magnitude = np.abs(lam)
     if magnitude.min() < 1e-12 * magnitude.max():
-        raise SingularForm(f"discrete Gaussian singular at e0={lat.e0!r}, N={n}")
+        raise SingularForm(f"discrete Gaussian singular at e0={e0!r}, N={n}")
     # A has each eigenvalue of T twice, so prod_A lam^(-1/2) = prod_T lam^(-1);
     # and (1/2) b^T A^(-1) b = (1/2)(b_-^T T^(-1) b_+ + b_+^T T^(-T) b_-) = b_-^T T^(-1) b_+
     root = np.prod(1.0 / lam)
     exponent = b_minus @ np.linalg.solve(t, b_plus) / 2.0 + c
-    prefactor = (1j / (2.0 * np.pi * lat.e0 * delta)) ** n * (2.0 * np.pi) ** (n - 1)
+    prefactor = (1j / (2.0 * np.pi * e0 * delta)) ** n * (2.0 * np.pi) ** (n - 1)
     return complex(prefactor * root * np.exp(exponent))
 
 
@@ -149,35 +140,37 @@ def richardson_extrapolate(ns, values):
     return v3 + (v3 - v2) / (2.0 ** order - 1.0), float(order)
 
 
-def volkov_kernel_closed_form(kind: str, params: dict, phi: float) -> complex:
-    """Antiderivative oracle for the phase-integral dressing.
+def volkov_kernel_circular(phi: float, *, g: float, kp: float, phi0: float, beta: float,
+                           a: float, nu: float, sign: int = +1) -> complex:
+    """K(phi) integrated from phi0 for the circular profile (amplitude a,
+    frequency nu), by its antiderivative, the resonant fraction
+    (g / 2 kp) e^{i beta phi} (a nu / sqrt2) (e^{i d phi} - e^{i d phi0}) / d,
+    d = sign beta + nu, beta = g B / kp; sign toggles the integrand exponential."""
+    denom = sign * beta + nu
+    if abs(denom) < 1e-12:
+        raise ResonantDenominator(f"resonant circular profile: sign*beta + nu = {denom!r}")
+    integral = ((a * nu / _SQRT2)
+                * (cmath.exp(1j * denom * phi) - cmath.exp(1j * denom * phi0)) / denom)
+    return complex(g / (2.0 * kp) * cmath.exp(1j * beta * phi) * integral)
 
-    Kinds: "B_zero" (beta = 0, circular profile, params a, nu), "constant_slope"
-    (constant dot(eps, A') = c), "circular_profile" (full resonant fraction).
-    Common params: g, kp, phi0; sign toggles the integrand exponential.
-    """
-    g, kp, phi0 = params["g"], params["kp"], params["phi0"]
-    sign = params.get("sign", +1)
-    if kind == "B_zero":
-        a, nu = params["a"], params["nu"]
-        return complex(g / (2.0 * kp) * (a / _SQRT2)
-                       * (cmath.exp(1j * nu * phi) - cmath.exp(1j * nu * phi0)))
-    if kind == "constant_slope":
-        beta, c = params["beta"], params["c"]
-        if abs(beta) < 1e-12:
-            raise ResonantDenominator("constant_slope closed form needs beta away from 0")
-        integral = (c * (cmath.exp(1j * sign * beta * phi) - cmath.exp(1j * sign * beta * phi0))
-                    / (1j * sign * beta))
-        return complex(g / (2.0 * kp) * cmath.exp(1j * beta * phi) * integral)
-    if kind == "circular_profile":
-        beta, a, nu = params["beta"], params["a"], params["nu"]
-        denom = sign * beta + nu
-        if abs(denom) < 1e-12:
-            raise ResonantDenominator(f"resonant circular profile: sign*beta + nu = {denom!r}")
-        integral = ((a * nu / _SQRT2)
-                    * (cmath.exp(1j * denom * phi) - cmath.exp(1j * denom * phi0)) / denom)
-        return complex(g / (2.0 * kp) * cmath.exp(1j * beta * phi) * integral)
-    raise ValueError(f"unknown closed-form kind {kind!r}")
+
+def volkov_kernel_constant_slope(phi: float, *, g: float, kp: float, phi0: float, beta: float,
+                                 c: complex, sign: int = +1) -> complex:
+    """K(phi) integrated from phi0 for a profile of constant slope dot(eps, A') = c,
+    by its antiderivative; beta = g B / kp, sign toggles the integrand exponential."""
+    if abs(beta) < 1e-12:
+        raise ResonantDenominator("constant_slope closed form needs beta away from 0")
+    integral = (c * (cmath.exp(1j * sign * beta * phi) - cmath.exp(1j * sign * beta * phi0))
+                / (1j * sign * beta))
+    return complex(g / (2.0 * kp) * cmath.exp(1j * beta * phi) * integral)
+
+
+def dressed_braces(k_b: complex) -> tuple:
+    """The printed braces (M+, M-) = ((1 - kslash epsslash* K) P+,
+    (1 - kslash epsslash K*) P-) at phi_b, where K is k_b, with K integrated
+    from phi_a, where it vanishes; for real data K* is K's complex conjugate."""
+    return ((IDENTITY4 - SLASH_K @ SLASH_EPS_CONJ * k_b) @ P_PLUS,
+            (IDENTITY4 - SLASH_K @ SLASH_EPS * np.conj(k_b)) @ P_MINUS)
 
 
 def free_propagator(x_a, x_b, pL, m: float) -> complex:
@@ -196,9 +189,13 @@ def free_propagator(x_a, x_b, pL, m: float) -> complex:
     rho = float(np.hypot(x_b[0] - x_a[0], x_b[1] - x_a[1]))
     if rho == 0.0:
         raise ValueError("free propagator closed form needs distinct transverse endpoints")
-    dx = x_b - x_a
-    phase = np.sum(METRIC[2:] * pL[2:] * dx[2:])
-    return complex(np.exp(1j * phase) * _k0(rho * np.sqrt(gap)) / (2.0 * np.pi))
+    phase = np.exp(1j * _longitudinal(pL, x_b - x_a))
+    return complex(phase * _k0(rho * np.sqrt(gap)) / (2.0 * np.pi))
+
+
+def _longitudinal(pL, dx) -> float:
+    """pL.dx^L: the metric product over the longitudinal slots 2 and 3."""
+    return np.sum(METRIC[2:] * pL[2:] * dx[2:])
 
 
 def _k0(z: float) -> float:
@@ -242,7 +239,7 @@ def _euclidean_axis(x_a, x_b, pL, m: float, b: float):
         return _double_exponential(lambda tau: weights(tau, spread),
                                    _exp_sinh(math.sqrt(rho2 / (2.0 * gap))), 0.0, 1e-13)
 
-    phase = np.exp(1j * (np.sum(METRIC[2:] * pL[2:] * dx[2:])
+    phase = np.exp(1j * (_longitudinal(pL, dx)
                          + 0.5 * b * (x_b[0] * x_a[1] - x_b[1] * x_a[0]))) / (4.0 * np.pi)
     return integrals, lambda plus, minus: phase * (plus * P_PLUS + minus * P_MINUS), dx
 
@@ -309,7 +306,7 @@ def landau_green(x_a, x_b, pL, m: float, b: float, drift=(0.0, 0.0), cross: comp
 
             j_plus, j_minus = j(+1), j(-1)
     chi = far[0] * x_a[1] - far[1] * x_a[0]
-    phase = np.exp(1j * np.sum(METRIC[2:] * pL[2:] * (x_b - x_a)[2:]) + cross + 0.5j * b * chi)
+    phase = np.exp(1j * _longitudinal(pL, x_b - x_a) + cross + 0.5j * b * chi)
     return 0.5 * phase * (j_plus * np.asarray(plus) + j_minus * np.asarray(minus))
 
 
@@ -339,8 +336,10 @@ def _drift(components, rate: float, B: float, phi_a: float, phi, knots) -> np.nd
 
 
 def cross_phase_nested(components, g: float, B: float, kp: float, phi_a: float, phi_b: float,
-                       xb, knots=()) -> complex:
-    """Mixing exponent -i (g/2) [int_{phi_a}^{phi_b} A . dY/dphi + (X_b - Y_b) . F Y_b].
+                       xb, knots=()) -> tuple:
+    """(exponent, (Y1, Y2)): the mixing exponent
+    -i (g/2) [int_{phi_a}^{phi_b} A . dY/dphi + (X_b - Y_b) . F Y_b] and the
+    drift Y_b at phi_b that its boundary term solves for, as `drift_nested`.
 
     Real transverse plane (metric +1, +1): A = components(phi) = (a1, a2),
     F = B [[0, 1], [-1, 0]] and, with rate = g / kp, the drift at rest at phi_a
@@ -359,7 +358,7 @@ def cross_phase_nested(components, g: float, B: float, kp: float, phi_a: float, 
 
     y1, y2 = drift_nested(components, g, B, kp, phi_a, phi_b, knots)
     boundary = (float(xb[0]) - y1) * B * y2 - (float(xb[1]) - y2) * B * y1
-    return -0.5j * g * (float(_piecewise(density, phi_a, phi_b, knots)) + boundary)
+    return -0.5j * g * (float(_piecewise(density, phi_a, phi_b, knots)) + boundary), (y1, y2)
 
 
 def _piecewise(fn, start: float, ends, knots):

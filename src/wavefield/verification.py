@@ -9,15 +9,15 @@ analytic side takes G and its x_b gradient from `oracles.zero_profile_gradient`,
 which integrates Schwinger's closed form on the Euclidean axis by an exp-sinh
 rule and shares no code with the production ray. Criterion 7's
 `classical-action-exponent` row takes the e0-independent exponent that
-`green._prepare` forms in one expression and rebuilds it from
-`oracles.cross_phase_nested` and the gauge phase at `oracles.drift_nested`'s
-endpoint, and its `dressed-braces-closed-form` row builds the braces M+- that
-`green._prepare` forms from the printed formula, with K from
-`oracles.volkov_kernel_closed_form` integrated from phi_a and K* its
-conjugate. Its `phase-locality` row adds bumps to the profile outside
-[phi_a, phi_b] and requires G unchanged: k.p is conserved, so the wave phase
-runs from phi_a to phi_b along the classical path and G sees the profile
-there only. Criterion numbers have gaps.
+`green._prepare` forms in one expression and rebuilds it (`_oracle_exponent`)
+from `oracles.cross_phase_nested`'s exponent and the gauge phase at the drift
+that it returns, and its `dressed-braces-closed-form` row compares the braces
+M+- that `green._prepare` forms with the printed ones, `oracles.dressed_braces`
+at K from `oracles.volkov_kernel_circular` integrated from phi_a. Its
+`phase-locality` row adds bumps to the profile outside [phi_a, phi_b] and
+requires G unchanged: k.p is conserved, so the wave phase runs from phi_a to
+phi_b along the classical path and G sees the profile there only. Criterion
+numbers have gaps.
 The limit checks that `limits` shares evaluate production first, so a point
 outside the domain raises the production error (exit 4), not an oracle's. `run_all` is what the
 `verify` CLI command executes; each check also has a focused unit test.
@@ -47,11 +47,11 @@ from .fields import (CircularProfile, FieldConfig, LinearProfile, PlaneWaveProfi
                      PulseProfile, TabulatedProfile, ZeroProfile)
 from .green import EvalContext, _prepare, dirac_apply, green_function, total_potential_lowered
 from .kernels import phase_pass, schwinger_kernel
-from .minkowski import (EPS, EPS_CONJ, GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS, SLASH_EPS,
-                        SLASH_EPS_CONJ, SLASH_K, UNIT_FIELD_MIXED, WAVE_K, dot)
-from .oracles import (SliceLattice, cross_phase_nested, drift_nested, free_kernel,
-                      free_propagator, richardson_extrapolate, sliced_kernel,
-                      volkov_kernel_closed_form, zero_profile_gradient, zero_profile_green)
+from .minkowski import (EPS, EPS_CONJ, GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS,
+                        UNIT_FIELD_MIXED, WAVE_K, dot)
+from .oracles import (cross_phase_nested, dressed_braces, free_kernel, free_propagator,
+                      richardson_extrapolate, sliced_kernel, volkov_kernel_circular,
+                      volkov_kernel_constant_slope, zero_profile_gradient, zero_profile_green)
 
 _EPS64 = float(np.finfo(float).eps)
 
@@ -140,8 +140,7 @@ def check_sliced_oracle_agreement() -> list[CheckResult]:
         cfg = FieldConfig(g=g, B=b, profile=ZeroProfile())
         exact = schwinger_kernel(e0, xa, xb, cfg)
         ns = [8, 16, 32, 64]
-        values = [sliced_kernel(SliceLattice(n_slices=n, e0=e0, g=g, B=b, xa=xa, xb=xb))
-                  for n in ns]
+        values = [sliced_kernel(n, e0, g, b, xa, xb) for n in ns]
         limit, order = richardson_extrapolate(ns, values)
         dev_rel = max(dev_rel, abs(limit - exact) / abs(exact))
         worst_order = min(worst_order, order)
@@ -160,10 +159,8 @@ def check_sliced_oracle_agreement() -> list[CheckResult]:
 
 def _dressed_braces_deviation() -> float:
     """Largest entry difference of `_prepare`'s braces M+- from the printed
-    formula, with K from the circular closed form integrated from phi_a and K*
-    its conjugate, over 10 circular contexts (B and volkov_sign of both signs).
-    K vanishes at phi_a, so each brace's right-hand factor is the identity and
-    only the left-hand one, at phi_b, is built."""
+    ones at K from the circular closed form integrated from phi_a, over 10
+    circular contexts (B and volkov_sign of both signs)."""
     rng = random.Random(114)
     dev = 0.0
     for i in range(10):
@@ -176,10 +173,8 @@ def _dressed_braces_deviation() -> float:
             nu = rng.uniform(0.6, 2.0)
         ctx = EvalContext(volkov_sign=sign, cfg=FieldConfig(
             g=g, B=b, profile=CircularProfile(amplitude=a, frequency=nu)), **point)
-        params = dict(g=g, kp=kp, phi0=ctx.phi_a, beta=g * b / kp, a=a, nu=nu, sign=sign)
-        k_b = volkov_kernel_closed_form("circular_profile", params, ctx.phi_b)
-        plus = (IDENTITY4 - SLASH_K @ SLASH_EPS_CONJ * k_b) @ P_PLUS
-        minus = (IDENTITY4 - SLASH_K @ SLASH_EPS * np.conj(k_b)) @ P_MINUS
+        plus, minus = dressed_braces(volkov_kernel_circular(
+            ctx.phi_b, g=g, kp=kp, phi0=ctx.phi_a, beta=g * b / kp, a=a, nu=nu, sign=sign))
         pre = _prepare(ctx, ctx.x_b)
         dev = max(dev, _maxabs(pre.plus[0] - plus), _maxabs(pre.minus[0] - minus))
     return dev
@@ -199,8 +194,7 @@ def check_phase_integral_oracles() -> list[CheckResult]:
         if kind == 0:
             a, nu = rng.uniform(0.2, 1.0), rng.uniform(0.5, 2.0)
             cfg = FieldConfig(g=g, B=0.0, profile=CircularProfile(amplitude=a, frequency=nu))
-            ref = volkov_kernel_closed_form(
-                "B_zero", dict(g=g, kp=kp, phi0=phi_a, a=a, nu=nu), phi)
+            ref = volkov_kernel_circular(phi, g=g, kp=kp, phi0=phi_a, beta=0.0, a=a, nu=nu)
         elif kind == 1:
             # constant-slope potential realized as a tabulated profile through
             # collinear samples (the natural spline reproduces a line exactly)
@@ -211,9 +205,8 @@ def check_phase_integral_oracles() -> list[CheckResult]:
             grid = np.linspace(min(phi_a, phi) - 0.5, max(phi_a, phi) + 0.5, 9)
             cfg = FieldConfig(g=g, B=b, profile=TabulatedProfile(
                 phi_grid=grid, a1=offset + slope * grid, a2=np.zeros(grid.size)))
-            ref = volkov_kernel_closed_form(
-                "constant_slope",
-                dict(g=g, kp=kp, phi0=phi_a, beta=beta, c=complex(slope / np.sqrt(2.0))), phi)
+            ref = volkov_kernel_constant_slope(phi, g=g, kp=kp, phi0=phi_a, beta=beta,
+                                               c=complex(slope / np.sqrt(2.0)))
         else:
             a, nu = rng.uniform(0.2, 1.0), rng.uniform(0.6, 2.0)
             b = rng.uniform(0.3, 1.0)
@@ -221,8 +214,7 @@ def check_phase_integral_oracles() -> list[CheckResult]:
             while abs(beta + nu) < 0.05:
                 nu = rng.uniform(0.6, 2.0)
             cfg = FieldConfig(g=g, B=b, profile=CircularProfile(amplitude=a, frequency=nu))
-            ref = volkov_kernel_closed_form(
-                "circular_profile", dict(g=g, kp=kp, phi0=phi_a, beta=beta, a=a, nu=nu), phi)
+            ref = volkov_kernel_circular(phi, g=g, kp=kp, phi0=phi_a, beta=beta, a=a, nu=nu)
         dev = max(dev, abs(phase_pass(cfg, pl, phi_a, phi).kernel_b - ref))
 
     zero_cfg = FieldConfig(g=1.0, B=0.5, profile=ZeroProfile())
@@ -236,10 +228,21 @@ def check_phase_integral_oracles() -> list[CheckResult]:
     ]
 
 
+def _oracle_exponent(ctx: EvalContext) -> complex:
+    """The e0-independent exponent that `green._prepare` forms in one
+    expression, from its terms by the oracles: i pL.dx^L, the nested mixing
+    exponent and the magnetic gauge phase at the nested drift, both rules
+    split at the profile's knots."""
+    cfg, x_a, x_b = ctx.cfg, ctx.x_a, ctx.x_b
+    cross, (y1, y2) = cross_phase_nested(cfg.profile.components, cfg.g, cfg.B,
+                                         dot(WAVE_K, ctx.pL).real, ctx.phi_a, ctx.phi_b,
+                                         x_b[:2], cfg.profile.knots)
+    gauge = 0.5j * cfg.g * cfg.B * ((x_b[0] - y1) * x_a[1] - (x_b[1] - y2) * x_a[0])
+    return 1j * dot(ctx.pL, x_b - x_a) + cross + gauge
+
+
 def check_classical_action_exponent() -> list[CheckResult]:
-    """The e0-independent exponent, formed in one expression by `green._prepare`,
-    against its terms from the oracles: i pL.dx^L, the nested mixing exponent
-    and the magnetic gauge phase at the nested drift."""
+    """`green._prepare`'s e0-independent exponent against `_oracle_exponent`."""
     rng = random.Random(113)
     dev = 0.0
     for make in (CircularProfile, lambda a, nu: PulseProfile(a, nu, sigma=1.5), LinearProfile):
@@ -248,13 +251,7 @@ def check_classical_action_exponent() -> list[CheckResult]:
             cfg = FieldConfig(g=rng.uniform(0.5, 1.5), B=sign * rng.uniform(0.3, 1.0),
                               profile=profile)
             ctx = _random_context(rng, cfg)
-            wave = (profile.components, cfg.g, cfg.B, dot(WAVE_K, ctx.pL).real, ctx.phi_a,
-                    ctx.phi_b)
-            y1, y2 = drift_nested(*wave)
-            x_a, x_b = ctx.x_a, ctx.x_b
-            gauge = 0.5j * cfg.g * cfg.B * ((x_b[0] - y1) * x_a[1] - (x_b[1] - y2) * x_a[0])
-            ref = 1j * dot(ctx.pL, x_b - x_a) + cross_phase_nested(*wave, x_b[:2]) + gauge
-            dev = max(dev, abs(_prepare(ctx, x_b).constant[0] - ref))
+            dev = max(dev, abs(_prepare(ctx, ctx.x_b).constant[0] - _oracle_exponent(ctx)))
     return [_result(7, "classical-action-exponent", dev, 1e-10,
                     "6 contexts (circular, pulse, linear; B of both signs) vs nested oracles")]
 

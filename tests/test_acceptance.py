@@ -5,7 +5,8 @@ stated tolerance and prints one PASS/FAIL line per check (visible with
 `pytest -s` or in the captured output of a failure). Criterion numbers have
 gaps. A mutation table patches one physics defect per entry into `green` and
 requires exactly the listed rows of the checks that hold them to fail;
-`pytest -s` prints the rows each mutation fails. The criterion-12 test also
+`pytest -s` prints the rows each mutation fails, and README's copy of the
+table must list the same entries in the same order. The criterion-12 test also
 exercises the `verify` command end to end, twice, and byte-compares its
 outputs. Criterion 12 has mutation tests too: a seeded check whose second
 report differs must fail `check-suite-determinism`, and a second `gf` run that
@@ -18,6 +19,7 @@ them, and its work is counted: criterion 12 re-runs each seeded check once.
 
 import inspect
 import json
+import re
 import tempfile
 import textwrap
 from collections import Counter
@@ -255,6 +257,17 @@ def test_mutation_fails_exactly_its_rows(monkeypatch, mutation):
     failed = {r.name for check in checks for r in check() if not r.passed}
     print(f"MUTATION {mutation}: fails {', '.join(sorted(failed)) or 'no row'}")
     assert failed == rows
+
+
+def test_readme_mutation_table_is_a_copy_of_the_mutations():
+    # one row per entry, in order: its key, then the rows it fails
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index("| entry | mutation | rows that fail |")
+    table = []
+    for row in text[start:text.index("\n\n", start)].splitlines()[2:]:
+        entry, _, failing = row.strip("|").split("|")
+        table.append((entry.strip().strip("`"), set(re.findall(r"`([^`]+)`", failing))))
+    assert table == [(name, rows) for name, (_, rows) in _MUTATIONS.items()]
 
 
 def test_criterion_12_bitwise_deterministic_outputs():

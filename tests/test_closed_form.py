@@ -1,10 +1,9 @@
 """`green_function` at default settings against the closed-form U-function
 oracle, `oracles.landau_green`, within max(abs_tol, rel_tol |G|).
 
-For a wave the oracle takes the drift, the cross phase and the kernels K, K*
-from `oracles` (the nested double-exponential drift and action, and the circular
-profile's antiderivative), never from `phase_pass`, and builds the braces
-M+- here from the printed formula.
+For a wave the oracle takes the drift, the cross phase and the braces M+-
+from `oracles` (the nested double-exponential drift and action, and the printed
+braces at the circular profile's antiderivative K), never from `phase_pass`.
 """
 
 import numpy as np
@@ -12,10 +11,9 @@ import pytest
 
 from wavefield.fields import CircularProfile, FieldConfig
 from wavefield.green import EvalContext, green_function
-from wavefield.minkowski import (IDENTITY4, P_MINUS, P_PLUS, SLASH_EPS, SLASH_EPS_CONJ, SLASH_K,
-                                 WAVE_K, dot)
-from wavefield.oracles import (cross_phase_nested, drift_nested, landau_green,
-                               volkov_kernel_closed_form)
+from wavefield.minkowski import WAVE_K, dot
+from wavefield.oracles import (cross_phase_nested, dressed_braces, landau_green,
+                               volkov_kernel_circular)
 
 XA = np.array([0.1, -0.2, 0.3, 0.0])
 XB = np.array([0.6, 0.4, -0.1, 0.5])
@@ -28,19 +26,13 @@ def _closed_form(ctx: EvalContext) -> np.ndarray:
     if cfg.profile.is_zero:
         return landau_green(ctx.x_a, ctx.x_b, ctx.pL, ctx.m, b)
     kp = dot(WAVE_K, ctx.pL).real
-    phi_a, phi_b = ctx.phi_a, ctx.phi_b
-    wave = (cfg.profile.components, cfg.g, cfg.B, kp, phi_a, phi_b)
-    params = dict(g=cfg.g, kp=kp, phi0=phi_a, beta=b / kp, a=cfg.profile.amplitude,
-                  nu=cfg.profile.frequency, sign=ctx.volkov_sign)
-    k_a, k_b = (volkov_kernel_closed_form("circular_profile", params, phi)
-                for phi in (phi_a, phi_b))
-    # real data: K* is the complex conjugate of K
-    plus = (IDENTITY4 - SLASH_K @ SLASH_EPS_CONJ * k_b) @ P_PLUS \
-        @ (IDENTITY4 + SLASH_K @ SLASH_EPS * np.conj(k_a))
-    minus = (IDENTITY4 - SLASH_K @ SLASH_EPS * np.conj(k_b)) @ P_MINUS \
-        @ (IDENTITY4 + SLASH_K @ SLASH_EPS_CONJ * k_a)
-    return landau_green(ctx.x_a, ctx.x_b, ctx.pL, ctx.m, b, drift=drift_nested(*wave),
-                        cross=cross_phase_nested(*wave, ctx.x_b[:2]), plus=plus, minus=minus)
+    cross, drift = cross_phase_nested(cfg.profile.components, cfg.g, cfg.B, kp, ctx.phi_a,
+                                      ctx.phi_b, ctx.x_b[:2])
+    plus, minus = dressed_braces(volkov_kernel_circular(
+        ctx.phi_b, g=cfg.g, kp=kp, phi0=ctx.phi_a, beta=b / kp, a=cfg.profile.amplitude,
+        nu=cfg.profile.frequency, sign=ctx.volkov_sign))
+    return landau_green(ctx.x_a, ctx.x_b, ctx.pL, ctx.m, b, drift=drift, cross=cross,
+                        plus=plus, minus=minus)
 
 
 @pytest.mark.parametrize("cfg, pL", [

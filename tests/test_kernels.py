@@ -12,7 +12,8 @@ from wavefield.green import EvalContext, _prepare
 from wavefield.kernels import NEAR_CAUSTIC_THRESHOLD, near_caustic, phase_pass, schwinger_kernel
 from wavefield.minkowski import WAVE_K, dot
 from wavefield.oracles import (cross_phase_nested, drift_nested, free_kernel,
-                               volkov_kernel_closed_form)
+                               volkov_kernel_circular)
+from wavefield.verification import _oracle_exponent
 
 XA, XB = np.array([0.2, -0.1]), np.array([0.9, 0.4])
 ZCFG = FieldConfig(g=1.0, B=0.6, profile=ZeroProfile())
@@ -118,7 +119,7 @@ def test_volkov_against_circular_closed_form():
     cfg = FieldConfig(g=g, B=b, profile=CircularProfile(amplitude=a, frequency=nu))
     params = dict(g=g, kp=kp, phi0=-0.4, beta=g * b / kp, a=a, nu=nu)
     for phi in (-0.1, 0.5, 1.8):
-        ref = volkov_kernel_closed_form("circular_profile", params, phi)
+        ref = volkov_kernel_circular(phi, **params)
         assert _kernel(phi, pL, cfg, -0.4) == pytest.approx(ref, abs=1e-12)
 
 
@@ -129,8 +130,7 @@ def test_volkov_sign_toggle_flips_integrand_only():
     cfg = FieldConfig(g=g, B=b, profile=CircularProfile(amplitude=a, frequency=nu))
     params = dict(g=g, kp=kp, phi0=-0.4, beta=g * b / kp, a=a, nu=nu, sign=-1)
     flipped = _kernel(0.8, pL, cfg, -0.4, sign=-1)
-    assert flipped == pytest.approx(volkov_kernel_closed_form("circular_profile", params, 0.8),
-                                    abs=1e-12)
+    assert flipped == pytest.approx(volkov_kernel_circular(0.8, **params), abs=1e-12)
     assert flipped != pytest.approx(_kernel(0.8, pL, cfg, -0.4), abs=1e-6)
 
 
@@ -181,8 +181,8 @@ def test_cross_phase_matches_nested_oracle(profile, span):
     assert phi_b - phi_a == pytest.approx(span)
     cfg = FieldConfig(g=g, B=b, profile=profile)
     knots = _GRID if isinstance(profile, TabulatedProfile) else ()
-    ref = cross_phase_nested(profile.components, g, b, dot(WAVE_K, pL).real, phi_a, phi_b,
-                             x_b[:2], knots=knots)
+    ref, _ = cross_phase_nested(profile.components, g, b, dot(WAVE_K, pL).real, phi_a, phi_b,
+                                x_b[:2], knots=knots)
     assert abs(_cross_phase(cfg, pL, x_a, x_b) - ref) <= 1e-12
 
 
@@ -299,15 +299,9 @@ def _seeded_context(profile, B, span, phi_a=0.1):
                        cfg=FieldConfig(g=1.1, B=B, profile=profile))
 
 
-def _exponent_error(ctx, knots=()):
-    """|`_prepare`'s e0-independent exponent - its terms from the oracles|: i pL.dx^L,
-    the nested mixing exponent and the magnetic gauge phase at the nested drift."""
-    cfg, x_a, x_b = ctx.cfg, ctx.x_a, ctx.x_b
-    wave = (cfg.profile.components, cfg.g, cfg.B, dot(WAVE_K, ctx.pL).real, ctx.phi_a, ctx.phi_b)
-    y1, y2 = drift_nested(*wave, knots=knots)
-    gauge = 0.5j * cfg.g * cfg.B * ((x_b[0] - y1) * x_a[1] - (x_b[1] - y2) * x_a[0])
-    ref = 1j * dot(ctx.pL, x_b - x_a) + cross_phase_nested(*wave, x_b[:2], knots=knots) + gauge
-    return abs(_prepare(ctx, x_b).constant[0] - ref)
+def _exponent_error(ctx):
+    """|`_prepare`'s e0-independent exponent - its terms from the oracles|."""
+    return abs(_prepare(ctx, ctx.x_b).constant[0] - _oracle_exponent(ctx))
 
 
 @pytest.mark.parametrize("span, B", [(5.0, 0.7), (-8.5, -0.6), (12.0, 0.4)])
@@ -325,9 +319,8 @@ def test_seeded_pass_matches_the_oracles_on_long_spans(profile, span, B):
     assert run.nodes >= 15 * math.ceil(abs(span) * (abs(beta) + profile.turn_rate) / 2.0) > 15
     assert _exponent_error(ctx) <= 1e-10
     if profile.kind == "circular":
-        ref = volkov_kernel_closed_form("circular_profile", dict(
-            g=ctx.cfg.g, kp=kp, phi0=ctx.phi_a, beta=beta, a=profile.amplitude,
-            nu=profile.frequency), ctx.phi_b)
+        ref = volkov_kernel_circular(ctx.phi_b, g=ctx.cfg.g, kp=kp, phi0=ctx.phi_a, beta=beta,
+                                     a=profile.amplitude, nu=profile.frequency)
         assert abs(run.kernel_b - ref) <= 1e-8
 
 
@@ -346,7 +339,7 @@ def test_seeded_pass_splits_a_tabulated_profile_at_its_knots():
     crossed = np.sum((profile.knots > min(ctx.phi_a, ctx.phi_b))
                      & (profile.knots < max(ctx.phi_a, ctx.phi_b)))
     assert crossed >= 6
-    assert _exponent_error(ctx, knots=profile.knots) <= 1e-10
+    assert _exponent_error(ctx) <= 1e-10
 
 
 def _seeded_panels(cfg, pL, phi_a, phi_b):

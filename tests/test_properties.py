@@ -27,9 +27,11 @@ from wavefield.fields import CircularProfile, FieldConfig, LinearProfile, PulseP
 from wavefield.green import EvalContext, green_function
 from wavefield.kernels import CAUSTIC_TOLERANCE, phase_pass, schwinger_kernel
 from wavefield.minkowski import WAVE_K, dot, light_cone, longitudinal_dot
-from wavefield.oracles import cross_phase_nested, volkov_kernel_closed_form
+from wavefield.oracles import cross_phase_nested, volkov_kernel_circular
 from wavefield.quadrature import WG, WK, XK, _G_IDX, adaptive_quad
 from wavefield.verification import _bumped_outside
+
+from test_kernels import _cross_phase
 
 _SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
@@ -68,18 +70,9 @@ def _eval_contexts(draw, kinds=("circular", "pulse")):
                        volkov_sign=sign)
 
 
-def _cross_phase(cfg, pL, x_a, x_b):
-    """Mixing exponent -i (g/2) (action + boundary term) of a path from x_a to
-    x_b, drift Y at rest at phi_a; the boundary term is B (X1 Y2 - X2 Y1), X = x_b - Y."""
-    phi_a = dot(WAVE_K, x_a).real
-    run = phase_pass(cfg, pL, phi_a, dot(WAVE_K, x_b).real)
-    (y1, y2), (x1, x2) = run.drift, x_b[:2] - run.drift
-    return -0.5j * cfg.g * (run.action + cfg.B * (x1 * y2 - x2 * y1))
-
-
 def _nested(cfg, pL, x_a, x_b):
     return cross_phase_nested(cfg.profile.components, cfg.g, cfg.B, dot(WAVE_K, pL).real,
-                              dot(WAVE_K, x_a).real, dot(WAVE_K, x_b).real, x_b[:2])
+                              dot(WAVE_K, x_a).real, dot(WAVE_K, x_b).real, x_b[:2])[0]
 
 
 @settings(max_examples=20, **_SETTINGS)
@@ -96,7 +89,7 @@ def test_one_pass_matches_oracles_for_circular_waves(context):
     params = dict(g=cfg.g, kp=kp, phi0=phi0, beta=beta, a=a, nu=nu, sign=sign)
     for phi in (phi_a, phi_b):
         k = phase_pass(cfg, pL, phi0, phi, sign=sign).kernel_b
-        assert abs(k - volkov_kernel_closed_form("circular_profile", params, phi)) <= 1e-11
+        assert abs(k - volkov_kernel_circular(phi, **params)) <= 1e-11
 
 
 @settings(max_examples=10, **_SETTINGS)
