@@ -5,8 +5,8 @@ Along the ray e0 = s exp(+i theta), s in [0, inf), theta in (0, pi/2] (by
 default pi/2: the Euclidean axis, where the integrand is real, positive and
 free of caustics), G is two scalar integrals times two fixed matrices:
 
-    G = I+ M+ + I- M-,
-    I+- = int de0 (-i/2) kernel(e0, rho^2) exp(i (e0/2)(pL^2 - m^2) + constant) exp(+-i e0 g B/2)
+    G = exp(constant) (I+ M+ + I- M-),
+    I+- = int de0 (-i/2) kernel(e0, rho^2) exp(i (e0/2)(pL^2 - m^2)) exp(+-i e0 g B/2)
 
 where the transverse kernel is a Gaussian in rho^2, the squared transverse
 distance from x_a to the drift-shifted endpoint X = x_b - Y, and `constant` is
@@ -15,10 +15,16 @@ the e0-independent exponent of the classical action,
     i pL.dx^L - i (g/2) action + i (g B/2) [X1 (xa2 - Y2) - X2 (xa1 - Y1)],
 
 the last term being the boundary term of the action and the magnetic gauge
-phase in one. M+- are the projector braces dressed by the phase-integral
-kernel K, integrated from phi_a: K(phi_a) = 0 makes each brace's right-hand
-factor the identity, so M+- = (1 - kslash epsslash^(*) K^(*)(phi_b)) P+- (P+-
-for a zero profile, the zero-k limit).
+phase in one. Every term is i times a real number, so exp(constant) is a pure
+phase, taken once per endpoint after the ray: the ray's integrand, and so its
+stopping rule, never sees it. The kernel's Gaussian and the longitudinal phase
+share one exponential per ray node and endpoint. M+- are the projector braces
+dressed by the phase-integral kernel K, integrated from phi_a: K(phi_a) = 0
+makes each brace's right-hand factor the identity, so
+M+- = (1 - kslash epsslash^(*) K^(*)(phi_b)) P+- = P+- - K^(*)(phi_b) D+-, with the
+fixed D+- = kslash epsslash^(*) P+- (P+- for a zero profile, the zero-k limit).
+P+- and D+- are orthogonal and each has one Frobenius norm for both signs, so
+both braces have the norm sqrt(|P|^2 + |D|^2 |K|^2).
 
 Far endpoints x_b that share the rest of a context share one phase pass over
 all their phases phi_b and one ray: only rho^2, the constant exponent and the
@@ -42,9 +48,17 @@ from .conventions import (DEFAULT_ABS_TOL, DEFAULT_CONTOUR_ANGLE, DEFAULT_REL_TO
 from .errors import QuadratureFailure, RangeError, StepCalibrationFailure
 from .fields import FieldConfig, _real
 from .kernels import KernelDiagnostics, PhasePass, folded_kernel, phase_pass
-from .minkowski import (GAMMA, IDENTITY4, P_MINUS, P_PLUS, SLASH_EPS,
-                        SLASH_EPS_CONJ, SLASH_K, UNIT_FIELD, light_cone, longitudinal_dot)
+from .minkowski import (GAMMA, P_MINUS, P_PLUS, SLASH_EPS, SLASH_EPS_CONJ, SLASH_K,
+                        UNIT_FIELD, light_cone, longitudinal_dot)
 from .quadrature import adaptive_quad
+
+#: D+- = kslash epsslash^(*) P+-, fixed: the braces are M+- = P+- - K^(*) D+-.
+D_PLUS = SLASH_K @ SLASH_EPS_CONJ @ P_PLUS
+D_MINUS = SLASH_K @ SLASH_EPS @ P_MINUS
+
+#: |P+|^2 = |P-|^2 and |D+|^2 = |D-|^2 (Frobenius), and <P+-, D+-> = 0: both braces
+#: have the squared norm _P2 + _D2 |K|^2.
+_P2, _D2 = (np.vdot(m, m).real for m in (P_PLUS, D_PLUS))
 
 
 #: The evaluation inputs and their shapes, in field order: the context checks each
@@ -105,32 +119,31 @@ class PropagatorValue:
 
 @dataclass(frozen=True)
 class _Prepared:
-    """The e0-independent pieces of the integrand at n far endpoints that share
-    the rest of one context: per endpoint rho^2, the constant exponent, the
-    braces M+- and their Frobenius norms (`weight`); `run` is the one phase
-    pass that serves them all."""
+    """The e0-independent pieces of G at n far endpoints that share the rest of
+    one context: per endpoint rho^2, the constant exponent, the braces
+    M+- = P+- - K^(*) D+- and their one Frobenius norm (`weight`, |M+| = |M-|);
+    `run` is the one phase pass that serves them all."""
 
     rho2: np.ndarray          # (n,) squared transverse distance, drift-shifted
     constant: np.ndarray      # (n,) e0-independent exponent of the classical action
     plus: np.ndarray          # (n, 4, 4)
     minus: np.ndarray         # (n, 4, 4)
-    weight: np.ndarray        # (n, 2): |M+|, |M-|
+    weight: np.ndarray        # (n,) |M+| = |M-| = sqrt(|P|^2 + |D|^2 |K|^2)
     run: PhasePass
 
 
 def _prepare(ctx: EvalContext, points) -> _Prepared:
     """One phase pass over the phases phi_b of all far endpoints `points`
     (shape (n, 4)) at the context's tolerances, which the pass splits between
-    its columns; braces and their norms, rho^2 and constant exponent per point."""
+    its columns; braces and their norm, rho^2 and constant exponent per point."""
     points = np.asarray(points, dtype=float).reshape(-1, 4)
     run = phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, light_cone(points),
                      sign=ctx.volkov_sign, abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol)
-    plus = (IDENTITY4 - np.multiply.outer(run.kernel_b, SLASH_K @ SLASH_EPS_CONJ)) @ P_PLUS
-    minus = (IDENTITY4 - np.multiply.outer(run.kernel_b.conjugate(), SLASH_K @ SLASH_EPS)) \
-        @ P_MINUS
+    plus = P_PLUS - np.multiply.outer(run.kernel_b, D_PLUS)
+    minus = P_MINUS - np.multiply.outer(run.kernel_b.conjugate(), D_MINUS)
     # P+ fills columns 0 and 2 only and P- columns 1 and 3, so M+ and M- are
-    # orthogonal and |I+ M+ + I- M-| = |(|M+| I+, |M-| I-)|
-    weight = np.stack([np.linalg.norm(plus, axis=(1, 2)), np.linalg.norm(minus, axis=(1, 2))], -1)
+    # orthogonal and |I+ M+ + I- M-| = w |(I+, I-)|
+    weight = np.sqrt(_P2 + _D2 * (run.kernel_b.real ** 2 + run.kernel_b.imag ** 2))
     far, near = points[:, :2] - run.drift, ctx.x_a[:2] - run.drift
     rho2 = (far[:, 0] - ctx.x_a[0]) ** 2 + (far[:, 1] - ctx.x_a[1]) ** 2
     # pL has no transverse slots (EvalContext), so the first term is i pL.dx^L;
@@ -154,9 +167,12 @@ def _green_batch(ctx: EvalContext, points):
     """(G at each far endpoint of `points`, shape (n, 4, 4), joint diagnostics):
     the context with x_b replaced, all points on one panel set of the ray
     e0 = s exp(i theta), s = L u / (1 - u), u in [0, 1), L = 2 / (gap sin theta).
-    Per endpoint the integrand is (|M+| f e^{+iw}, |M-| f e^{-iw}), f e^{+-iw} =
-    k q or k (`folded_kernel`) times (-i/2) exp(i (e0/2) gap + constant); M+ and
-    M- fill disjoint columns, so its norm is that of G (jointly sqrt(sum |G_n|^2))."""
+    Per endpoint the integrand is w f (q, 1), or w f (1, q) for g B <= 0, with
+    f = (-i/2) n exp(i (e0/2) gap + c rho^2) ds/du: n, c and q are `folded_kernel`'s
+    per-node factors and w the braces' one norm, so each node and endpoint takes
+    one exponential. M+ and M- fill disjoint columns, so the integrand's norm is
+    that of G (jointly sqrt(sum |G_n|^2)) and never sees the action's phase;
+    exp(constant) / w takes the integrals I+- to G once per endpoint, after the ray."""
     gap = ctx.mass_gap
     if gap <= 0.0:
         raise QuadratureFailure(
@@ -174,12 +190,12 @@ def _green_batch(ctx: EvalContext, points):
     def integrand(u):
         rest = 1.0 - u
         e0 = (scale * u / rest * ray)[:, None]
-        k, q = folded_kernel(e0, pre.rho2, b)
-        f = -0.5j * k * np.exp(rate * e0 + pre.constant)
+        n, c, q = folded_kernel(e0, b)
+        f = np.exp(rate * e0 + c * pre.rho2)
+        f *= -0.5j * n * (ray * scale / rest ** 2)[:, None]
+        f *= pre.weight
         both = np.empty(f.shape + (2,), complex)
         both[..., 0], both[..., 1] = (f * q, f) if b > 0.0 else (f, f * q)
-        both *= pre.weight
-        both *= (ray * scale / rest ** 2)[:, None, None]
         return both
 
     # the short-time boundary layer of the kernel, at fixed s
@@ -188,7 +204,7 @@ def _green_batch(ctx: EvalContext, points):
                            breakpoints=breaks)
     diag = KernelDiagnostics(error_estimate=result.error_estimate, nodes=result.nodes,
                              prepare_nodes=pre.run.nodes, prepare_error=pre.run.error_estimate)
-    i_plus, i_minus = (result.value / pre.weight).T
+    i_plus, i_minus = (result.value * (np.exp(pre.constant) / pre.weight)[:, None]).T
     return i_plus[:, None, None] * pre.plus + i_minus[:, None, None] * pre.minus, diag
 
 

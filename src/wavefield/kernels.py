@@ -6,9 +6,9 @@
       * exp{ i (g B / 2) [ (Xb1 Xa2 - Xb2 Xa1) - (1/2) cot(e0 g B / 2) |DX|^2 ] }
 
 with caustics at e0 g B in 2 pi Z. Its e0-dependent part, `folded_kernel`, the
-bare formula the ray calls, is written through q = exp(i |g B| e0) and sees the
-endpoints only through rho^2 = |DX|^2; the gauge phase i (g B / 2)(Xb1 Xa2 - Xb2 Xa1)
-is a constant.
+bare formula the ray calls, is written through q = exp(i |g B| e0) as a prefactor
+and the coefficient of rho^2 = |DX|^2 in a Gaussian, the only way it sees the
+endpoints; the gauge phase i (g B / 2)(Xb1 Xa2 - Xb2 Xa1) is a constant.
 Everything the wave phase contributes comes from one pass along it,
 `phase_pass`, to one phi_b or to an array of them, whose `PhasePass` is a
 plain record of:
@@ -79,16 +79,18 @@ class KernelDiagnostics:
     prepare_error: float      # its error estimate
 
 
-def folded_kernel(e0, rho2, b: float):
-    """(k, q) at one proper time e0 or at an array of them, b = g B: the transverse
-    kernel without its gauge phase is k q^{1/2}, q = exp(i |b| e0), with rho2 the
-    squared transverse distance of the endpoints; a caller's factor exp(+-i e0 b / 2)
-    makes it k q or k. With h = |b| / (1 - q), or its limit i / e0 at b = 0 (where q = 1),
+def folded_kernel(e0, b: float):
+    """(n, c, q) at one proper time e0 or at an array of them, b = g B: at squared
+    transverse distance rho2 of the endpoints, the transverse kernel without its
+    gauge phase is n exp(c rho2) q^{1/2}, q = exp(i |b| e0); a caller's factor
+    exp(+-i e0 b / 2) makes it n exp(c rho2) q or n exp(c rho2). With h = |b| / (1 - q),
+    or its limit i / e0 at b = 0 (where q = 1),
 
         i b / (4 pi sin(e0 b / 2)) = h q^{1/2} / (2 pi),   (b/2) cot(e0 b / 2) = -(i/2) h (1 + q),
 
-    so k = h / (2 pi) exp(-(h/4)(1 + q) rho2), and |q| <= 1 on the upper half plane:
-    nothing overflows however far out e0 lies. No domain check: the ray's nodes
+    so n = h / (2 pi) and c = -(h/4)(1 + q), and |q| <= 1 on the upper half plane:
+    nothing overflows however far out e0 lies. None depends on rho2, so a caller
+    with many endpoints forms them once per e0. No domain check: the ray's nodes
     (Im e0 > 0) never reach e0 = 0 or a caustic, and `schwinger_kernel` checks any other.
     """
     if b == 0.0:
@@ -97,7 +99,7 @@ def folded_kernel(e0, rho2, b: float):
         z = 1j * abs(b) * e0
         q = np.exp(z)
         h = abs(b) / -np.expm1(z)
-    return h / (2.0 * np.pi) * np.exp(-0.25 * h * (1.0 + q) * rho2), q
+    return h / (2.0 * np.pi), -0.25 * h * (1.0 + q), q
 
 
 def _sin_below(e0, b: float, bound: float):
@@ -122,8 +124,9 @@ def schwinger_kernel(e0, x_a: np.ndarray, x_b: np.ndarray, cfg: FieldConfig):
         raise KernelSingularity(f"caustic: |sin(e0 g B / 2)| < {CAUSTIC_TOLERANCE:g} "
                                 f"at e0={np.asarray(e0)[caustic]!r}")
     rho2 = (x_b[0] - x_a[0]) ** 2 + (x_b[1] - x_a[1]) ** 2
-    k, _ = folded_kernel(e0, rho2, b)
-    value = k * np.exp(0.5j * b * (x_b[0] * x_a[1] - x_b[1] * x_a[0]) + 0.5j * abs(b) * e0)
+    n, c, _ = folded_kernel(e0, b)
+    value = n * np.exp(c * rho2) \
+        * np.exp(0.5j * b * (x_b[0] * x_a[1] - x_b[1] * x_a[0]) + 0.5j * abs(b) * e0)
     return complex(value) if np.ndim(value) == 0 else value
 
 

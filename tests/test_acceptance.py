@@ -142,12 +142,13 @@ def _k_from_pinned_phase(monkeypatch):
 
 
 def _scale_folded_kernel(factor):
+    # the kernel's prefactor h / (2 pi), which the ray takes once per node
     def mutate(monkeypatch):
         kernel = green.folded_kernel
 
-        def scaled(e0, rho2, b):
-            k, q = kernel(e0, rho2, b)
-            return factor * k, q
+        def scaled(e0, b):
+            n, c, q = kernel(e0, b)
+            return factor * n, c, q
 
         monkeypatch.setattr(green, "folded_kernel", scaled)
     return mutate
@@ -159,8 +160,10 @@ def _swap_projectors(monkeypatch):
 
 
 def _swap_eps_in_braces(monkeypatch):
-    monkeypatch.setattr(green, "SLASH_EPS", minkowski.SLASH_EPS_CONJ)
-    monkeypatch.setattr(green, "SLASH_EPS_CONJ", minkowski.SLASH_EPS)
+    # D+- = kslash epsslash^(*) P+- with eps and eps* swapped
+    monkeypatch.setattr(green, "D_PLUS", minkowski.SLASH_K @ minkowski.SLASH_EPS @ minkowski.P_PLUS)
+    monkeypatch.setattr(green, "D_MINUS",
+                        minkowski.SLASH_K @ minkowski.SLASH_EPS_CONJ @ minkowski.P_MINUS)
 
 
 def _drop_ray_jacobian(monkeypatch):

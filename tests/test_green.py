@@ -12,6 +12,7 @@ from wavefield.green import (EvalContext, dirac_apply, green_function, spin_fact
                              total_potential_lowered)
 from wavefield.kernels import PhasePass, phase_pass
 from wavefield.minkowski import GAMMA, IDENTITY4, P_MINUS, P_PLUS, dot
+from wavefield.oracles import dressed_braces
 from wavefield.quadrature import adaptive_quad
 
 XA = np.array([0.1, -0.2, 0.3, 0.0])
@@ -244,17 +245,28 @@ def test_tabulated_endpoint_just_past_the_grid_raises():
 
 
 def test_ray_weight_is_the_norm_of_each_brace(monkeypatch):
-    # whatever K is, M+ fills columns 0 and 2 and M- columns 1 and 3, so the
-    # ray's weighted pair (|M+| I+, |M-| I-) has the Frobenius norm of G
+    # M+- = P+- - K^(*) D+- is the printed (1 - kslash epsslash^(*) K^(*)) P+-, P+-
+    # and D+- are orthogonal with one norm for both signs, so one weight is the norm
+    # of each brace; M+ fills columns 0 and 2 and M- columns 1 and 3, so the ray's
+    # weighted pair w (I+, I-) has the Frobenius norm of G
+    for projector, brace in ((P_PLUS, green.D_PLUS), (P_MINUS, green.D_MINUS)):
+        assert np.vdot(projector, brace) == 0.0
+    assert np.linalg.norm(P_PLUS) == np.linalg.norm(P_MINUS)
+    assert np.linalg.norm(green.D_PLUS) == np.linalg.norm(green.D_MINUS)
     rng = np.random.default_rng(20)
-    kernel = rng.normal(size=40) * 3.0 + 1j * rng.normal(size=40) * 3.0
-    run = PhasePass(np.zeros(40), np.zeros((40, 2)), kernel, 0, 0.0)
+    kernel = np.append(rng.uniform(0.0, 10.0, 40) * np.exp(2j * np.pi * rng.uniform(size=40)), 0.0)
+    run = PhasePass(np.zeros(41), np.zeros((41, 2)), kernel, 0, 0.0)
     monkeypatch.setattr(green, "phase_pass", lambda *args, **kwargs: run)
-    pre = green._prepare(_ctx(cfg=WCFG), np.tile(XB, (40, 1)))
-    assert pre.weight.shape == (40, 2)
+    pre = green._prepare(_ctx(cfg=WCFG), np.tile(XB, (41, 1)))
+    assert pre.weight.shape == (41,)
     assert not np.any(pre.plus[:, :, [1, 3]]) and not np.any(pre.minus[:, :, [0, 2]])
-    for i_pair, plus, minus, weight in zip(rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2)),
-                                           pre.plus, pre.minus, pre.weight):
+    pairs = rng.normal(size=(41, 2)) + 1j * rng.normal(size=(41, 2))
+    for i_pair, k, plus, minus, weight in zip(pairs, kernel, pre.plus, pre.minus, pre.weight):
+        printed_plus, printed_minus = dressed_braces(k)
+        assert np.abs(plus - printed_plus).max() <= 1e-15 * (1.0 + abs(k))
+        assert np.abs(minus - printed_minus).max() <= 1e-15 * (1.0 + abs(k))
+        assert weight == pytest.approx(np.linalg.norm(plus), rel=1e-15)
+        assert weight == pytest.approx(np.linalg.norm(minus), rel=1e-15)
         g = i_pair[0] * plus + i_pair[1] * minus
         assert np.linalg.norm(weight * i_pair) == pytest.approx(np.linalg.norm(g), rel=1e-14)
 
@@ -366,6 +378,53 @@ def test_green_function_pays_no_metric_sum_and_one_pass_record():
     assert _python_calls(lambda: dirac_apply(ctx), [minkowski.dot]) == [0]
     assert _python_calls(lambda: phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, ctx.phi_b),
                          [PhasePass.__init__]) == [1]
+
+
+def test_ray_takes_one_exponential_per_node_and_point(monkeypatch):
+    # counted rather than timed: in one dirac, each ray round takes one exp over
+    # its (nodes, 25) block, the kernel's Gaussian and the longitudinal phase
+    # together, and exp(constant) is taken once per point, after the ray
+    rounds, shapes = [], []
+    exp = np.exp
+
+    def counted_exp(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return exp(x, *args, **kwargs)
+
+    def ray(f, *args, **kwargs):
+        def integrand(u):
+            rounds.append(len(u))
+            return f(u)
+        return adaptive_quad(integrand, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted_exp)
+    monkeypatch.setattr(green, "adaptive_quad", ray)
+    dirac_apply(_circular_point())
+    assert [shape for shape in shapes if len(shape) == 2 and shape[1] == 25] \
+        == [(nodes, 25) for nodes in rounds]
+    assert shapes.count((25,)) == 1
+
+
+def test_the_action_phase_multiplies_g_after_the_ray(monkeypatch):
+    # a pure phase theta added to every point's constant exponent multiplies G by
+    # exp(i theta) and leaves the ray's stopping rule, and so its nodes and
+    # error estimate, bit for bit as they were
+    ctx = _circular_point()
+    points = ctx.x_b + np.linspace(-0.2, 0.2, 5)[:, None]
+    plain, plain_diag = green._green_batch(ctx, points)
+    prepare, theta = green._prepare, 0.7
+
+    def shifted(*args):
+        pre = prepare(*args)
+        return replace(pre, constant=pre.constant + 1j * theta)
+
+    monkeypatch.setattr(green, "_prepare", shifted)
+    turned, turned_diag = green._green_batch(ctx, points)
+    assert (turned_diag.nodes, turned_diag.error_estimate) \
+        == (plain_diag.nodes, plain_diag.error_estimate)
+    for g_turned, g_plain in zip(turned, plain):
+        assert np.linalg.norm(g_turned - np.exp(1j * theta) * g_plain) \
+            <= 1e-15 * np.linalg.norm(g_plain)
 
 
 def test_ray_and_phase_pass_call_their_integrands_once_per_round(monkeypatch):
