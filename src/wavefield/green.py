@@ -60,6 +60,13 @@ D_MINUS = SLASH_K @ SLASH_EPS @ P_MINUS
 #: have the squared norm _P2 + _D2 |K|^2.
 _P2, _D2 = (np.vdot(m, m).real for m in (P_PLUS, D_PLUS))
 
+#: Proper times s where `_green_batch` cuts its ray before the first round,
+#: 0.02 * 4^k: on the Euclidean axis the kernel's short-time boundary layer sits at
+#: s ~ rho^2 / 2 and the longitudinal decay at s ~ 2 / gap, and cuts a factor 4
+#: apart over the decades where either lies let most rays meet the tolerances in
+#: their seeded round. Fixed numbers, never scaled per context.
+RAY_SEEDS = (0.02, 0.08, 0.32, 1.28, 5.12)
+
 
 #: The evaluation inputs and their shapes, in field order: the context checks each
 #: with `fields._real`, and the CLI reads `eval` and writes its sidecar from this.
@@ -166,8 +173,9 @@ def spin_factor(e0, ctx: EvalContext) -> np.ndarray:
 def _green_batch(ctx: EvalContext, points):
     """(G at each far endpoint of `points`, shape (n, 4, 4), joint diagnostics):
     the context with x_b replaced, all points on one panel set of the ray
-    e0 = s exp(i theta), s = L u / (1 - u), u in [0, 1), L = 2 / (gap sin theta).
-    Per endpoint the integrand is w f (q, 1), or w f (1, q) for g B <= 0, with
+    e0 = s exp(i theta), s = L u / (1 - u), u in [0, 1), L = 2 / (gap sin theta),
+    cut before the first round at u = s / (s + L) for each s of RAY_SEEDS. Per
+    endpoint the integrand is w f (q, 1), or w f (1, q) for g B <= 0, with
     f = (-i/2) n exp(i (e0/2) gap + c rho^2) ds/du: n, c and q are `folded_kernel`'s
     per-node factors and w the braces' one norm, so each node and endpoint takes
     one exponential. M+ and M- fill disjoint columns, so the integrand's norm is
@@ -198,10 +206,8 @@ def _green_batch(ctx: EvalContext, points):
         both[..., 0], both[..., 1] = (f * q, f) if b > 0.0 else (f, f * q)
         return both
 
-    # the short-time boundary layer of the kernel, at fixed s
-    breaks = [s / (s + scale) for s in (0.02, 0.1, 0.5, 2.5)]
     result = adaptive_quad(integrand, 0.0, 1.0, abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol,
-                           breakpoints=breaks)
+                           breakpoints=[s / (s + scale) for s in RAY_SEEDS])
     diag = KernelDiagnostics(error_estimate=result.error_estimate, nodes=result.nodes,
                              prepare_nodes=pre.run.nodes, prepare_error=pre.run.error_estimate)
     i_plus, i_minus = (result.value * (np.exp(pre.constant) / pre.weight)[:, None]).T

@@ -24,7 +24,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wavefield.fields import CircularProfile, FieldConfig, LinearProfile, PulseProfile, ZeroProfile
-from wavefield.green import EvalContext, green_function
+from wavefield.green import RAY_SEEDS, EvalContext, green_function
 from wavefield.kernels import CAUSTIC_TOLERANCE, phase_pass, schwinger_kernel
 from wavefield.minkowski import WAVE_K, dot, light_cone, longitudinal_dot
 from wavefield.oracles import cross_phase_nested, volkov_kernel_circular
@@ -227,13 +227,13 @@ def test_panel_at_once_quadrature_matches_per_point_evaluation(terms, a, length,
 
 @settings(max_examples=300, **_SETTINGS)
 @given(st.just(0.0) | st.floats(-5.0, 5.0), st.floats(1e-3, 1e3), st.floats(1e-6, np.pi / 2.0),
-       st.integers(0, 4), st.integers(0, 200), st.integers(0, 2 ** 200 - 1))
+       st.integers(0, len(RAY_SEEDS)), st.integers(0, 200), st.integers(0, 2 ** 200 - 1))
 def test_ray_nodes_meet_no_kernel_singularity(b, gap, theta, seed, depth, bits):
     # the domain check `folded_kernel` no longer makes, on the ray's own nodes:
     # the Kronrod nodes of a panel adaptive_quad can make on (0, 1), one of
     # `_green_batch`'s seeded panels bisected `depth` times, mapped to e0 as it maps them
     scale = 2.0 / (gap * np.sin(theta))
-    edges = [0.0, *(s / (s + scale) for s in (0.02, 0.1, 0.5, 2.5)), 1.0]
+    edges = [0.0, *(s / (s + scale) for s in RAY_SEEDS), 1.0]
     lo, hi = edges[seed], edges[seed + 1]
     for level in range(depth):
         mid = 0.5 * (lo + hi)
