@@ -6,9 +6,11 @@ part is a transverse potential A^p(phi) = a1 e1 + a2 e2 along the light-cone
 phase, in the real polarization pair e1, e2 (slots 0 and 1): a profile gives
 its two components, each shaped like phi, at a phase or an array of them
 (the phase pass integrates K by parts, so no slope is needed). Each built-in
-kind also declares how fast it turns along phi (`turn_rate`) and where it is
-not smooth (`knots`), so the phase pass can seed its panels; a profile that
-declares neither is integrated from its hull breakpoints alone.
+kind also declares how fast it turns along phi (`turn_rate`, and on any
+interval `turn_rate_between`), where that rate changes (`rate_changes`) and
+where it is not smooth (`knots`), so the phase pass can seed its panels; a
+profile that declares none of these is integrated from its hull breakpoints
+alone.
 """
 
 from __future__ import annotations
@@ -33,8 +35,17 @@ class PlaneWaveProfile:
     #: Phases where the components are not smooth; the phase pass cuts there.
     knots: tuple | np.ndarray = ()
 
+    #: Phases where the turn rate changes; the phase pass cuts there where that
+    #: takes fewer seeded panels.
+    rate_changes: tuple = ()
+
     def components(self, phi):
         raise NotImplementedError
+
+    def turn_rate_between(self, lo: float, hi: float) -> float | None:
+        """The fastest turn rate on [lo, hi]: `turn_rate` unless the kind knows
+        a slower one there."""
+        return self.turn_rate
 
     @property
     def is_zero(self) -> bool:
@@ -121,13 +132,24 @@ class PulseProfile(_Carrier):
 
     kind = "pulse"
 
+    #: Past this many sigma from the centre the envelope, below exp(-32) = 1.3e-14,
+    #: is under any tolerance and only the carrier turns.
+    REACH = 8.0
+
     def __init__(self, amplitude: float, frequency: float, sigma: float):
         sigma = _real("profile sigma", sigma)
         if sigma <= 0:
             raise InvalidProfile(f"pulse sigma must be positive, got {sigma!r}")
         super().__init__(amplitude, frequency)
         self.sigma = sigma
-        self.turn_rate = max(self.turn_rate, 1.0 / sigma)     # the envelope's own scale
+        if 1.0 / sigma > self.turn_rate:      # the envelope's own scale is the faster
+            self.turn_rate = 1.0 / sigma
+            self.rate_changes = (-self.REACH * sigma, self.REACH * sigma)
+
+    def turn_rate_between(self, lo, hi):
+        if self.rate_changes and (hi <= self.rate_changes[0] or lo >= self.rate_changes[1]):
+            return abs(self.frequency)
+        return self.turn_rate
 
     def _envelope(self, phi):
         return np.exp(-phi * phi / (2.0 * self.sigma ** 2))

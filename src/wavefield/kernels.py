@@ -169,25 +169,36 @@ def _nothing(shape) -> PhasePass:
                      0, 0.0)
 
 
+def _turns(profile, lo: float, hi: float, beta: float) -> float:
+    """Seeded panels, unrounded, that [lo, hi] needs: its rotation |beta| + the
+    profile's turn rate there, over _SEED_RADIANS (none without a turn rate)."""
+    rate = profile.turn_rate_between(lo, hi)
+    return 0.0 if rate is None else (hi - lo) * ((abs(beta) + rate) / _SEED_RADIANS)
+
+
 def _seeds(profile, edges: list, beta: float) -> list:
     """The sorted hull breakpoints `edges` with the profile's knots between
-    them, each gap cut into equal panels spanning at most _SEED_RADIANS of the
-    rotation |beta| + turn rate (uncut if the profile declares no turn rate).
-    Seeds that alone would pass the node cap are dropped, knots too: the pass
-    then runs from `edges` as an unseeded one."""
+    them, and its rate changes where they cut a gap into fewer seeded panels,
+    each gap then cut into equal panels spanning at most _SEED_RADIANS of the
+    rotation |beta| + the profile's turn rate there. Seeds that alone would
+    pass the node cap are dropped, knots too: the pass then runs from `edges`
+    as an unseeded one."""
     start, stop = edges[0], edges[-1]
     cuts = edges
     if len(profile.knots):
         knots = np.asarray(profile.knots, dtype=float)
         cuts = sorted({*edges, *knots[(knots > start) & (knots < stop)].tolist()})
-    rotation = 0.0 if profile.turn_rate is None else (abs(beta) + profile.turn_rate) / _SEED_RADIANS
-    if cuts is edges and (stop - start) * rotation <= 1.0:      # nothing to cut
-        return edges
-    turns = [(hi - lo) * rotation for lo, hi in zip(cuts[:-1], cuts[1:])]
-    if len(turns) + sum(turns) > NODE_CAP // 15:
+    gaps = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        ends = [lo, *(c for c in profile.rate_changes if lo < c < hi), hi]
+        split = [(a, b, _turns(profile, a, b, beta)) for a, b in zip(ends[:-1], ends[1:])]
+        whole = (lo, hi, _turns(profile, lo, hi, beta))
+        fewer = sum(max(1, math.ceil(t)) for *_, t in split) < max(1, math.ceil(whole[2]))
+        gaps += split if fewer else [whole]
+    if len(gaps) + sum(turn for *_, turn in gaps) > NODE_CAP // 15:
         return edges
     seeds = []
-    for lo, hi, turn in zip(cuts[:-1], cuts[1:], turns):
+    for lo, hi, turn in gaps:
         n = max(1, math.ceil(turn))
         seeds += [lo + (hi - lo) * j / n for j in range(n)]
     return seeds + [stop]

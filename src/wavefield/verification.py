@@ -264,7 +264,10 @@ class _Bumped(PlaneWaveProfile):
 
     def __init__(self, base: PlaneWaveProfile, centres, width: float):
         self.base, self.centres, self.width = base, centres, width
-        self.turn_rate, self.knots = base.turn_rate, base.knots
+        self.turn_rate, self.knots, self.rate_changes = base.turn_rate, base.knots, base.rate_changes
+
+    def turn_rate_between(self, lo, hi):
+        return self.base.turn_rate_between(lo, hi)
 
     def components(self, phi):
         a1, a2 = self.base.components(phi)

@@ -121,6 +121,19 @@ def test_profiles_declare_their_turn_rate_and_knots():
     assert all(len(p.knots) == 0 for p in (ZeroProfile(), CircularProfile(0.4, 1.1)))
 
 
+def test_a_pulse_turns_at_its_envelope_rate_only_near_its_centre():
+    # where 1/sigma beats the carrier, the envelope sets the rate within 8 sigma
+    # of the centre, and the carrier alone outside; elsewhere one rate holds
+    narrow, wide = PulseProfile(0.4, 1.1, sigma=0.05), PulseProfile(0.4, 1.1, sigma=1.5)
+    assert narrow.rate_changes == (-0.4, 0.4) and wide.rate_changes == ()
+    assert narrow.turn_rate == 20.0
+    assert narrow.turn_rate_between(-5.0, 5.0) == narrow.turn_rate_between(-0.4, 0.4) == 20.0
+    assert narrow.turn_rate_between(-5.0, -0.4) == narrow.turn_rate_between(0.4, 5.0) == 1.1
+    assert wide.turn_rate_between(-5.0, 5.0) == wide.turn_rate_between(3.0, 5.0) == 1.1
+    assert CircularProfile(0.4, 1.1).turn_rate_between(-5.0, 5.0) == 1.1
+    assert ZeroProfile().turn_rate_between(-5.0, 5.0) is None
+
+
 def test_profiles_evaluate_arrays_of_phases():
     grid = np.linspace(-2.0, 2.0, 41)
     phis = np.array([-1.3, 0.0, 0.37, 1.9])

@@ -389,3 +389,19 @@ def test_a_profile_declaring_no_turn_rate_is_not_seeded(monkeypatch):
             phase_pass(FieldConfig(g=0.9, B=0.5, profile=profile), pL, -3.0, 6.0)
         cuts.append(caught.value.args[0])
     assert cuts[0] == cuts[1] == [-3.0, 6.0] and len(cuts[2]) > 2
+
+
+@pytest.mark.parametrize("sigma, frequency, seeded, today", [
+    (0.05, 1.1, 255, 1560), (0.02, 1.1, 255, 3810), (0.6, 0.3, 150, 150), (1.5, 0.3, 75, 75),
+    (1.5, 1.1, 105, 105)])
+def test_a_pulse_is_seeded_at_its_envelope_rate_only_near_its_centre(
+        monkeypatch, sigma, frequency, seeded, today):
+    # pass nodes from phi_a = -5 to 5; `today` is the count when the pulse was
+    # seeded at max(frequency, 1/sigma) over the whole span. Narrow pulses cut
+    # at +-8 sigma take fewer nodes than no seeds at all; where that cut would
+    # add panels, or 1/sigma is the slower rate, the seeds stay as they were
+    cfg = FieldConfig(g=0.9, B=0.5, profile=PulseProfile(0.4, frequency, sigma))
+    pL = np.array([0.0, 0.0, 0.2, 2.0])
+    nodes = phase_pass(cfg, pL, -5.0, 5.0).nodes
+    monkeypatch.setattr(kernels, "_seeds", lambda profile, edges, beta: edges)
+    assert nodes == seeded <= min(today, phase_pass(cfg, pL, -5.0, 5.0).nodes)
