@@ -259,8 +259,8 @@ def check_classical_action_exponent() -> list[CheckResult]:
 class _Bumped(PlaneWaveProfile):
     """`base` plus, on its first component, a bump (1 - t^2)^3 for |t| < 1 at
     each centre c, t = (phi - c) / width, and nothing elsewhere. Inside the
-    phase interval it is `base`, so it takes base's turn rate and knots: the
-    phase pass seeds the two alike."""
+    phase interval it is `base`, so it takes base's turn rates, rate changes
+    and knots: the phase pass seeds the two alike."""
 
     def __init__(self, base: PlaneWaveProfile, centres, width: float):
         self.base, self.centres, self.width = base, centres, width

@@ -455,7 +455,7 @@ def test_ray_and_phase_pass_call_their_integrands_once_per_round(monkeypatch):
 
 def _seeded_ray_contexts():
     """48 admissible contexts, 6 per profile kind and sign of B, drawn from one
-    seeded generator as `verify` draws its own (gap 1.1 to 6.2, transverse
+    seeded generator as `verify` draws its own (gap 1.1 to 6.0, transverse
     endpoints at least 0.3 apart)."""
     rng = random.Random(35)
     grid = np.linspace(-2.0, 2.0, 17)
@@ -473,8 +473,7 @@ def _seeded_ray_contexts():
 def test_most_seeded_rays_end_in_their_first_round(monkeypatch):
     # the ray's integrand calls, counted by wrapping it, are its rounds: cut at
     # RAY_SEEDS, 25 of these 48 rays meet the tolerances in the seeded round and
-    # the rays take 111.9 nodes on average (the earlier cuts at 0.02, 0.1, 0.5
-    # and 2.5 ended none of them in one round, at 148.1 nodes)
+    # the rays take 111.9 nodes on average
     rounds = []
 
     def counted(f, *args, **kwargs):

@@ -391,17 +391,17 @@ def test_a_profile_declaring_no_turn_rate_is_not_seeded(monkeypatch):
     assert cuts[0] == cuts[1] == [-3.0, 6.0] and len(cuts[2]) > 2
 
 
-@pytest.mark.parametrize("sigma, frequency, seeded, today", [
+@pytest.mark.parametrize("sigma, frequency, seeded, one_rate", [
     (0.05, 1.1, 255, 1560), (0.02, 1.1, 255, 3810), (0.6, 0.3, 150, 150), (1.5, 0.3, 75, 75),
     (1.5, 1.1, 105, 105)])
 def test_a_pulse_is_seeded_at_its_envelope_rate_only_near_its_centre(
-        monkeypatch, sigma, frequency, seeded, today):
-    # pass nodes from phi_a = -5 to 5; `today` is the count when the pulse was
-    # seeded at max(frequency, 1/sigma) over the whole span. Narrow pulses cut
-    # at +-8 sigma take fewer nodes than no seeds at all; where that cut would
-    # add panels, or 1/sigma is the slower rate, the seeds stay as they were
+        monkeypatch, sigma, frequency, seeded, one_rate):
+    # pass nodes from phi_a = -5 to 5; `one_rate` is the count with the whole
+    # span seeded at max(frequency, 1/sigma). Narrow pulses cut at +-8 sigma
+    # take fewer nodes than no seeds at all; where that cut would add panels,
+    # or 1/sigma is the slower rate, the span keeps one rate
     cfg = FieldConfig(g=0.9, B=0.5, profile=PulseProfile(0.4, frequency, sigma))
     pL = np.array([0.0, 0.0, 0.2, 2.0])
     nodes = phase_pass(cfg, pL, -5.0, 5.0).nodes
     monkeypatch.setattr(kernels, "_seeds", lambda profile, edges, beta: edges)
-    assert nodes == seeded <= min(today, phase_pass(cfg, pL, -5.0, 5.0).nodes)
+    assert nodes == seeded <= min(one_rate, phase_pass(cfg, pL, -5.0, 5.0).nodes)
