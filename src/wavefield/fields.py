@@ -6,11 +6,10 @@ part is a transverse potential A^p(phi) = a1 e1 + a2 e2 along the light-cone
 phase, in the real polarization pair e1, e2 (slots 0 and 1): a profile gives
 its two components, each shaped like phi, at a phase or an array of them
 (the phase pass integrates K by parts, so no slope is needed). Each built-in
-kind also declares how fast it turns along phi (`turn_rate`, and on any
-interval `turn_rate_between`), where that rate changes (`rate_changes`) and
-where it is not smooth (`knots`), so the phase pass can seed its panels; a
-profile that declares none of these is integrated from its hull breakpoints
-alone.
+kind also declares where it is not smooth (`knots`) and how fast it turns
+along phi, piece by piece on any interval (`turn_rates(lo, hi)`), so the
+phase pass can seed its panels; a profile that declares neither is
+integrated from its hull breakpoints alone.
 """
 
 from __future__ import annotations
@@ -28,24 +27,18 @@ class PlaneWaveProfile:
 
     kind = "abstract"
 
-    #: The fastest rate, in radians per unit phi, at which the components turn
-    #: or vary between knots; None when unknown (the phase pass adds no seeds).
-    turn_rate: float | None = None
-
     #: Phases where the components are not smooth; the phase pass cuts there.
     knots: tuple | np.ndarray = ()
-
-    #: Phases where the turn rate changes; the phase pass cuts there where that
-    #: takes fewer seeded panels.
-    rate_changes: tuple = ()
 
     def components(self, phi):
         raise NotImplementedError
 
-    def turn_rate_between(self, lo: float, hi: float) -> float | None:
-        """The fastest turn rate on [lo, hi]: `turn_rate` unless the kind knows
-        a slower one there."""
-        return self.turn_rate
+    def turn_rates(self, lo: float, hi: float) -> list:
+        """Pieces (a, b, rate) that tile [lo, hi] in order, each with the
+        fastest rate, in radians per unit phi, at which the components turn or
+        vary on it between knots; here one piece at None, the rate unknown (the
+        phase pass adds no seeds)."""
+        return [(lo, hi, None)]
 
     @property
     def is_zero(self) -> bool:
@@ -98,7 +91,9 @@ class _Carrier(PlaneWaveProfile):
     def __init__(self, amplitude: float, frequency: float):
         self.amplitude = _real("profile amplitude", amplitude)
         self.frequency = _real("profile frequency", frequency)
-        self.turn_rate = abs(self.frequency)
+
+    def turn_rates(self, lo, hi):
+        return [(lo, hi, abs(self.frequency))]
 
     @property
     def is_zero(self):
@@ -142,17 +137,18 @@ class PulseProfile(_Carrier):
             raise InvalidProfile(f"pulse sigma must be positive, got {sigma!r}")
         super().__init__(amplitude, frequency)
         self.sigma = sigma
-        if 1.0 / sigma > self.turn_rate:      # the envelope's own scale is the faster
-            self.turn_rate = 1.0 / sigma
-            self.rate_changes = (-self.REACH * sigma, self.REACH * sigma)
 
-    def turn_rate_between(self, lo, hi):
-        if self.rate_changes and (hi <= self.rate_changes[0] or lo >= self.rate_changes[1]):
-            return abs(self.frequency)
-        return self.turn_rate
+    def turn_rates(self, lo, hi):
+        carrier, envelope, reach = abs(self.frequency), 1.0 / self.sigma, self.REACH * self.sigma
+        if envelope <= carrier:     # the envelope's own scale is the slower everywhere
+            return [(lo, hi, carrier)]
+        ends = [lo, *(c for c in (-reach, reach) if lo < c < hi), hi]
+        return [(a, b, carrier if b <= -reach or a >= reach else envelope)
+                for a, b in zip(ends, ends[1:])]
 
     def _envelope(self, phi):
-        return np.exp(-phi * phi / (2.0 * self.sigma ** 2))
+        # numpy's power, the same pow as float's, gives inf where float's raises OverflowError
+        return np.exp(-phi * phi / (2.0 * np.float64(self.sigma) ** 2))
 
     def components(self, phi):
         c = self.frequency * phi
@@ -171,9 +167,6 @@ class TabulatedProfile(PlaneWaveProfile):
 
     kind = "tabulated"
 
-    #: between knots each component is a cubic, which does not turn
-    turn_rate = 0.0
-
     def __init__(self, phi_grid, a1, a2):
         grid, a1, a2 = (_real(f"profile {name}", v, shape=(None,))
                         for name, v in (("phi", phi_grid), ("a1", a1), ("a2", a2)))
@@ -190,6 +183,9 @@ class TabulatedProfile(PlaneWaveProfile):
         # axes: coefficient, interval, component
         self._cubic = np.stack([_natural_cubic(h, a1.tolist()), _natural_cubic(h, a2.tolist())],
                                axis=-1)
+
+    def turn_rates(self, lo, hi):
+        return [(lo, hi, 0.0)]      # between knots each component is a cubic, which does not turn
 
     def components(self, phi):
         if np.min(phi) < self.phi_grid[0] or np.max(phi) > self.phi_grid[-1]:

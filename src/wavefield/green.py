@@ -182,10 +182,10 @@ def _green_batch(ctx: EvalContext, points):
     that of G (jointly sqrt(sum |G_n|^2)) and never sees the action's phase;
     exp(constant) / w takes the integrals I+- to G once per endpoint, after the ray."""
     gap = ctx.mass_gap
-    if gap <= 0.0:
+    if not 0.0 < gap < np.inf:
         raise QuadratureFailure(
-            f"proper-time integrand does not decay at large s: need dot(pL, pL) > m^2 "
-            f"(gap {gap!r})")
+            f"proper-time integrand needs a finite mass gap dot(pL, pL) - m^2 > 0, "
+            f"got gap {gap!r}")
     pre = _prepare(ctx, points)
     if np.any(pre.rho2 == 0.0):
         raise QuadratureFailure(

@@ -169,33 +169,38 @@ def _nothing(shape) -> PhasePass:
                      0, 0.0)
 
 
-def _turns(profile, lo: float, hi: float, beta: float) -> float:
+def _turns(rate: float | None, lo: float, hi: float, beta: float) -> float:
     """Seeded panels, unrounded, that [lo, hi] needs: its rotation |beta| + the
-    profile's turn rate there, over _SEED_RADIANS (none without a turn rate)."""
-    rate = profile.turn_rate_between(lo, hi)
+    turn rate `rate` there, over _SEED_RADIANS (none when the rate is None)."""
     return 0.0 if rate is None else (hi - lo) * ((abs(beta) + rate) / _SEED_RADIANS)
 
 
 def _seeds(profile, edges: list, beta: float) -> list:
     """The sorted hull breakpoints `edges` with the profile's knots between
-    them, and its rate changes where they cut a gap into fewer seeded panels,
-    each gap then cut into equal panels spanning at most _SEED_RADIANS of the
-    rotation |beta| + the profile's turn rate there. Seeds that alone would
-    pass the node cap are dropped, knots too: the pass then runs from `edges`
-    as an unseeded one."""
+    them, each gap then cut into equal panels spanning at most _SEED_RADIANS
+    of the rotation |beta| + turn rate: the whole gap at the rate of its
+    fastest piece of `turn_rates`, or each piece at its own where that takes
+    fewer panels. Seeds that alone would pass the node cap are dropped, knots
+    too: the pass then runs from `edges` as an unseeded one. The cap is
+    applied before any count is rounded, so an infinite or nan count falls
+    back the same way."""
     start, stop = edges[0], edges[-1]
     cuts = edges
     if len(profile.knots):
         knots = np.asarray(profile.knots, dtype=float)
         cuts = sorted({*edges, *knots[(knots > start) & (knots < stop)].tolist()})
-    gaps = []
+    limit, gaps = NODE_CAP // 15, []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        ends = [lo, *(c for c in profile.rate_changes if lo < c < hi), hi]
-        split = [(a, b, _turns(profile, a, b, beta)) for a, b in zip(ends[:-1], ends[1:])]
-        whole = (lo, hi, _turns(profile, lo, hi, beta))
-        fewer = sum(max(1, math.ceil(t)) for *_, t in split) < max(1, math.ceil(whole[2]))
-        gaps += split if fewer else [whole]
-    if len(gaps) + sum(turn for *_, turn in gaps) > NODE_CAP // 15:
+        pieces = profile.turn_rates(lo, hi)
+        rates = [rate for *_, rate in pieces]
+        split = [(a, b, _turns(rate, a, b, beta)) for a, b, rate in pieces]
+        whole = _turns(None if None in rates else max(rates), lo, hi, beta)
+        # a whole gap past the cap (inf, nan) is never rounded: its pieces, which
+        # take no more turns, are kept, for the cap below to drop if they pass it
+        fewer = not whole <= limit \
+            or sum(max(1, math.ceil(t)) for *_, t in split) < max(1, math.ceil(whole))
+        gaps += split if fewer else [(lo, hi, whole)]
+    if not len(gaps) + sum(turn for *_, turn in gaps) <= limit:
         return edges
     seeds = []
     for lo, hi, turn in gaps:

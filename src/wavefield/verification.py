@@ -259,15 +259,14 @@ def check_classical_action_exponent() -> list[CheckResult]:
 class _Bumped(PlaneWaveProfile):
     """`base` plus, on its first component, a bump (1 - t^2)^3 for |t| < 1 at
     each centre c, t = (phi - c) / width, and nothing elsewhere. Inside the
-    phase interval it is `base`, so it takes base's turn rates, rate changes
-    and knots: the phase pass seeds the two alike."""
+    phase interval it is `base`, so it takes base's `knots` and `turn_rates`:
+    the phase pass seeds the two alike."""
 
     def __init__(self, base: PlaneWaveProfile, centres, width: float):
-        self.base, self.centres, self.width = base, centres, width
-        self.turn_rate, self.knots, self.rate_changes = base.turn_rate, base.knots, base.rate_changes
+        self.base, self.centres, self.width, self.knots = base, centres, width, base.knots
 
-    def turn_rate_between(self, lo, hi):
-        return self.base.turn_rate_between(lo, hi)
+    def turn_rates(self, lo, hi):
+        return self.base.turn_rates(lo, hi)
 
     def components(self, phi):
         a1, a2 = self.base.components(phi)

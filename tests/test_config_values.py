@@ -74,17 +74,19 @@ SLOTS = [path for path, _ in NUMERIC_SLOTS.values()] + [
     ("grid", "values")]
 
 
-def _config(path: tuple, value):
-    """VALID (the tabulated profile for its own slots) with `value` at `path`."""
-    config = copy.deepcopy(VALID)
-    if path[:3] == ("field", "profile", "a1"):
+def _config(*changes, base=VALID):
+    """`base` (the tabulated profile for its own slots) with the value of each
+    (path, value) of `changes` at its path, in turn."""
+    config = copy.deepcopy(base)
+    if any(path[:3] == ("field", "profile", "a1") for path, _ in changes):
         config["field"]["profile"] = copy.deepcopy(TABULATED)
-    if not path:
-        return value
-    holder = config
-    for key in path[:-1]:
-        holder = holder[key]
-    holder[path[-1]] = value
+    for path, value in changes:
+        if not path:
+            return value
+        holder = config
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
     return config
 
 
@@ -96,11 +98,21 @@ def _accepts(build) -> bool:
     return True
 
 
-def _gf(directory: Path, content: bytes):
-    """(exit status, CSV path) of `gf` on a config file holding `content`."""
+def _gf(directory: Path, content: bytes, command: str = "gf"):
+    """(exit status, CSV path) of `gf`, or of `command`, on a config file
+    holding `content`."""
     config_path, out = directory / "config.json", directory / "out.csv"
     config_path.write_bytes(content)
-    return main(["gf", "--config", str(config_path), "--out", str(out)]), out
+    return main([command, "--config", str(config_path), "--out", str(out)]), out
+
+
+def _exits_as_documented(directory: Path, config, command: str = "gf") -> bool:
+    """Whether `command` on `config` exits with a documented code."""
+    # the CLI runs under the default warning filters: an overflow warns, it does not raise
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        status, _ = _gf(directory, json.dumps(config).encode(), command)
+    return status in (0, 2, 3, 4, 5)
 
 
 @pytest.mark.parametrize("value", [2 ** 70, 10 ** 400, True, "1", None, float("nan"), 0.5, 3],
@@ -108,7 +120,7 @@ def _gf(directory: Path, content: bytes):
 @pytest.mark.parametrize("slot", NUMERIC_SLOTS)
 def test_the_cli_accepts_a_value_exactly_when_the_library_does(slot, value):
     path, build = NUMERIC_SLOTS[slot]
-    text = json.dumps(_config(path, value))
+    text = json.dumps(_config((path, value)))
     assert _accepts(lambda: parse_config(text)) == _accepts(lambda: build(value))
 
 
@@ -116,7 +128,7 @@ def test_the_cli_accepts_a_value_exactly_when_the_library_does(slot, value):
                                   "eval.rel_tol", "eval.x_a[1]", "eval.pL[3]", "grid.values[0]"])
 def test_an_integer_too_large_for_a_float_exits_2_naming_its_path_once(tmp_path, capsys, slot):
     path, _ = NUMERIC_SLOTS[slot]
-    status, out = _gf(tmp_path, json.dumps(_config(path, 10 ** 400)).encode())
+    status, out = _gf(tmp_path, json.dumps(_config((path, 10 ** 400))).encode())
     assert status == 2 and not out.exists()
     named = slot.split("[")[0] if slot.startswith("eval.") else slot    # a vector names itself
     err = capsys.readouterr().err
@@ -146,13 +158,40 @@ _JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=5)
 @given(st.sampled_from(SLOTS), _JSON)
 def test_any_json_value_in_any_slot_gives_a_package_error_or_a_documented_exit(
         tmp_path_factory, path, value):
-    text = json.dumps(_config(path, value))
+    config = _config((path, value))
     try:
-        parse_config(text)
+        parse_config(json.dumps(config))
     except WavefieldError:
         pass
-    # the CLI runs under the default warning filters: an overflow warns, it does not raise
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        status, _ = _gf(tmp_path_factory.mktemp("slot"), text.encode())
-    assert status in (0, 2, 3, 4, 5)
+    assert _exits_as_documented(tmp_path_factory.mktemp("slot"), config)
+
+
+#: README's example config: the circular field at its endpoints, one grid point.
+CIRCULAR = {**VALID, "field": {"g": 0.9, "B": 0.5, "profile": {
+    "kind": "circular", "amplitude": 0.4, "frequency": 1.1}}}
+_FAR = (("eval", "x_b"), [0.6, 0.4, -5.0, 5.0])
+_NARROW = (("field", "profile"), {"kind": "pulse", "amplitude": 0.4, "frequency": 1.1,
+                                  "sigma": 5e-324})
+
+
+@pytest.mark.parametrize("command, changes", [
+    ("gf", [_NARROW]), ("K", [_NARROW, (("grid",), {"param": "phi", "values": [-0.6]})]),
+    ("gf", [(("field", "profile", "frequency"), 1e308), _FAR]), ("gf", [(("field", "B"), 1e308), _FAR])],
+    ids=["gf-sigma-5e-324", "K-sigma-5e-324", "gf-frequency-1e308", "gf-B-1e308"])
+def test_a_turn_count_past_the_largest_float_gives_a_documented_exit(tmp_path, command, changes):
+    # 1/sigma or the rotation |beta| + frequency is inf, and so is the phase
+    # pass's count of seeded panels: the pass runs unseeded
+    assert _exits_as_documented(tmp_path, _config(*changes, base=CIRCULAR), command)
+
+
+_EXTREMES = st.sampled_from([1e308, -1e308, 5e-324, 1e200])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from([path for path, _ in NUMERIC_SLOTS.values()]),
+                min_size=2, max_size=2, unique=True), _EXTREMES, _EXTREMES)
+def test_extreme_values_in_two_slots_at_once_give_a_documented_exit(
+        tmp_path_factory, paths, first, second):
+    # an overflow may need two large values at once, as a frequency times a span
+    config = _config((paths[0], first), (paths[1], second))
+    assert _exits_as_documented(tmp_path_factory.mktemp("slots"), config)

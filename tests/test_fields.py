@@ -116,7 +116,7 @@ def test_profiles_declare_their_turn_rate_and_knots():
                           (PulseProfile(amplitude=0.4, frequency=1.1, sigma=1.5), 1.1),
                           (PulseProfile(amplitude=0.4, frequency=0.5, sigma=0.8), 1.25),
                           (spline, 0.0), (ZeroProfile(), None)):
-        assert profile.turn_rate == rate, profile.kind
+        assert profile.turn_rates(-2.0, 2.0) == [(-2.0, 2.0, rate)], profile.kind
     assert spline.knots.tolist() == grid.tolist()
     assert all(len(p.knots) == 0 for p in (ZeroProfile(), CircularProfile(0.4, 1.1)))
 
@@ -125,13 +125,31 @@ def test_a_pulse_turns_at_its_envelope_rate_only_near_its_centre():
     # where 1/sigma beats the carrier, the envelope sets the rate within 8 sigma
     # of the centre, and the carrier alone outside; elsewhere one rate holds
     narrow, wide = PulseProfile(0.4, 1.1, sigma=0.05), PulseProfile(0.4, 1.1, sigma=1.5)
-    assert narrow.rate_changes == (-0.4, 0.4) and wide.rate_changes == ()
-    assert narrow.turn_rate == 20.0
-    assert narrow.turn_rate_between(-5.0, 5.0) == narrow.turn_rate_between(-0.4, 0.4) == 20.0
-    assert narrow.turn_rate_between(-5.0, -0.4) == narrow.turn_rate_between(0.4, 5.0) == 1.1
-    assert wide.turn_rate_between(-5.0, 5.0) == wide.turn_rate_between(3.0, 5.0) == 1.1
-    assert CircularProfile(0.4, 1.1).turn_rate_between(-5.0, 5.0) == 1.1
-    assert ZeroProfile().turn_rate_between(-5.0, 5.0) is None
+    assert narrow.turn_rates(-5.0, 5.0) == [(-5.0, -0.4, 1.1), (-0.4, 0.4, 20.0), (0.4, 5.0, 1.1)]
+    assert narrow.turn_rates(-0.4, 0.4) == [(-0.4, 0.4, 20.0)]
+    assert narrow.turn_rates(-0.1, 5.0) == [(-0.1, 0.4, 20.0), (0.4, 5.0, 1.1)]
+    assert narrow.turn_rates(-5.0, -0.4) == [(-5.0, -0.4, 1.1)]
+    assert narrow.turn_rates(0.4, 5.0) == [(0.4, 5.0, 1.1)]
+    assert wide.turn_rates(-5.0, 5.0) == [(-5.0, 5.0, 1.1)]
+    assert wide.turn_rates(3.0, 5.0) == [(3.0, 5.0, 1.1)]
+    assert CircularProfile(0.4, 1.1).turn_rates(-5.0, 5.0) == [(-5.0, 5.0, 1.1)]
+    assert ZeroProfile().turn_rates(-5.0, 5.0) == [(-5.0, 5.0, None)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.floats(-3.0, 3.0), st.floats(1e-3, 2.0), st.floats(-20.0, 20.0), st.floats(1e-6, 40.0))
+def test_turn_rates_tile_any_interval_in_order(frequency, sigma, lo, width):
+    # whatever the kind and the interval, the pieces start at lo, end at hi and
+    # meet end to end, each a non-empty interval with a rate of its own
+    hi, grid = lo + width, np.linspace(-2.0, 2.0, 9)
+    for profile in (ZeroProfile(), LinearProfile(0.4, frequency), CircularProfile(0.4, frequency),
+                    PulseProfile(0.4, frequency, sigma),
+                    TabulatedProfile(grid, np.sin(grid), np.cos(grid))):
+        pieces = profile.turn_rates(lo, hi)
+        assert pieces[0][0] == lo and pieces[-1][1] == hi, profile.kind
+        assert all(a < b for a, b, _ in pieces), profile.kind
+        assert all(left[1] == right[0] for left, right in zip(pieces, pieces[1:])), profile.kind
+        assert all(rate is None or rate >= 0.0 for *_, rate in pieces), profile.kind
 
 
 def test_profiles_evaluate_arrays_of_phases():

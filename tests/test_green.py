@@ -89,8 +89,13 @@ def test_mass_gap_is_checked_before_the_phase_pass(monkeypatch):
     monkeypatch.setattr(green, "phase_pass", counted)
     ctx = _ctx(cfg=WCFG, pL=np.array([0.0, 0.0, 0.2, 0.7]))
     assert ctx.mass_gap <= 0.0
-    with pytest.raises(QuadratureFailure):
+    with pytest.raises(QuadratureFailure, match="gap"):
         green_function(ctx)
+    # dot(pL, pL) overflows: inf - inf is a nan gap, inf - 0.04 an infinite one
+    for pL, gap in (([0.0, 0.0, 1e200, 2e200], "nan"), ([0.0, 0.0, 0.2, 1e200], "inf")):
+        with pytest.warns(RuntimeWarning, match="overflow|invalid"), \
+                pytest.raises(QuadratureFailure, match=f"gap {gap}"):
+            green_function(_ctx(cfg=WCFG, pL=np.array(pL)))
     assert passes == []
 
 

@@ -299,6 +299,11 @@ def _seeded_context(profile, B, span, phi_a=0.1):
                        cfg=FieldConfig(g=1.1, B=B, profile=profile))
 
 
+def _fastest(profile, lo, hi):
+    """The fastest turn rate the profile declares on [lo, hi]."""
+    return max(rate for *_, rate in profile.turn_rates(lo, hi))
+
+
 def _exponent_error(ctx):
     """|`_prepare`'s e0-independent exponent - its terms from the oracles|."""
     return abs(_prepare(ctx, ctx.x_b).constant[0] - _oracle_exponent(ctx))
@@ -316,7 +321,8 @@ def test_seeded_pass_matches_the_oracles_on_long_spans(profile, span, B):
     assert ctx.phi_b - ctx.phi_a == pytest.approx(span)
     kp, beta = dot(WAVE_K, ctx.pL).real, ctx.cfg.g * B / dot(WAVE_K, ctx.pL).real
     run = phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, ctx.phi_b)
-    assert run.nodes >= 15 * math.ceil(abs(span) * (abs(beta) + profile.turn_rate) / 2.0) > 15
+    rate = _fastest(profile, *sorted((ctx.phi_a, ctx.phi_b)))
+    assert run.nodes >= 15 * math.ceil(abs(span) * (abs(beta) + rate) / 2.0) > 15
     assert _exponent_error(ctx) <= 1e-10
     if profile.kind == "circular":
         ref = volkov_kernel_circular(ctx.phi_b, g=ctx.cfg.g, kp=kp, phi0=ctx.phi_a, beta=beta,
@@ -347,8 +353,9 @@ def _seeded_panels(cfg, pL, phi_a, phi_b):
     between them, cut into equal panels of at most 2 radians of |beta| + turn rate."""
     cuts = sorted({phi_a, phi_b, *(k for k in np.asarray(cfg.profile.knots).tolist()
                                    if min(phi_a, phi_b) < k < max(phi_a, phi_b))})
-    rotation = abs(cfg.g * cfg.B / dot(WAVE_K, pL).real) + cfg.profile.turn_rate
-    return sum(max(1, math.ceil((hi - lo) * rotation / 2.0)) for lo, hi in zip(cuts, cuts[1:]))
+    beta = abs(cfg.g * cfg.B / dot(WAVE_K, pL).real)
+    return sum(max(1, math.ceil((hi - lo) * (beta + _fastest(cfg.profile, lo, hi)) / 2.0))
+               for lo, hi in zip(cuts, cuts[1:]))
 
 
 @pytest.mark.parametrize("profile, span", [
@@ -368,7 +375,7 @@ def test_seeded_pass_ends_in_its_seeded_round(profile, span):
 
 
 def test_a_profile_declaring_no_turn_rate_is_not_seeded(monkeypatch):
-    # a user's profile without turn_rate or knots is cut at phi_a and phi_b
+    # a user's profile without turn rates or knots is cut at phi_a and phi_b
     # alone, and so is one whose seeds alone would pass the node cap; the same
     # components declared circular are seeded
     class Plain(PlaneWaveProfile):
@@ -405,3 +412,19 @@ def test_a_pulse_is_seeded_at_its_envelope_rate_only_near_its_centre(
     nodes = phase_pass(cfg, pL, -5.0, 5.0).nodes
     monkeypatch.setattr(kernels, "_seeds", lambda profile, edges, beta: edges)
     assert nodes == seeded <= min(one_rate, phase_pass(cfg, pL, -5.0, 5.0).nodes)
+
+
+def test_seeds_with_an_infinite_turn_count_fall_back_to_the_edges():
+    # a turn count of inf, as 1/sigma at a subnormal sigma or a rotation past
+    # the largest float gives, passes the node cap before it is rounded: the
+    # pass is left unseeded instead of raising OverflowError
+    edges = [-0.6, 0.0, 5.0]
+    for profile, beta in ((PulseProfile(0.4, 1.1, sigma=5e-324), 0.5),
+                          (CircularProfile(0.4, 1e308), 1e308),
+                          (CircularProfile(0.4, 1.1), float("inf"))):
+        assert math.isinf(kernels._turns(profile.turn_rates(-0.6, 0.0)[-1][2], -0.6, 0.0, beta))
+        assert kernels._seeds(profile, edges, beta) == edges
+    # a gap whose whole count is inf still takes its pieces where they count:
+    # a pulse without a carrier, at B = 0, turns within +-8 sigma only, in 8 panels
+    seeds = kernels._seeds(PulseProfile(0.4, 0.0, sigma=1e-300), [-1e300, 1e300], 0.0)
+    assert len(seeds) == 11 and seeds[1] == -8e-300 and seeds[-2] == 8e-300
