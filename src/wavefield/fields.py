@@ -9,7 +9,8 @@ its two components, each shaped like phi, at a phase or an array of them
 kind also declares where it is not smooth (`knots`) and how fast it turns
 along phi, piece by piece on any interval (`turn_rates(lo, hi)`), so the
 phase pass can seed its panels; a profile that declares neither is
-integrated from its hull breakpoints alone.
+integrated from its hull breakpoints alone. Each kind names itself (`kind`)
+and its config parameters in constructor order (`config_keys`) on its class.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ class PlaneWaveProfile:
     """Transverse potential A^p(phi); subclasses fill in the two components."""
 
     kind = "abstract"
+
+    #: Config parameters in constructor order: `make_profile` takes these, `params()` reads them.
+    config_keys: tuple = ()
 
     #: Phases where the components are not smooth; the phase pass cuts there.
     knots: tuple | np.ndarray = ()
@@ -45,7 +49,7 @@ class PlaneWaveProfile:
         return False
 
     def params(self) -> dict:
-        return {}
+        return {key: getattr(self, key) for key in self.config_keys}
 
 
 class ZeroProfile(PlaneWaveProfile):
@@ -88,6 +92,8 @@ def _real(name: str, value, shape=(), error=InvalidProfile):
 class _Carrier(PlaneWaveProfile):
     """Profiles with an amplitude a and a carrier frequency nu."""
 
+    config_keys = ("amplitude", "frequency")
+
     def __init__(self, amplitude: float, frequency: float):
         self.amplitude = _real("profile amplitude", amplitude)
         self.frequency = _real("profile frequency", frequency)
@@ -98,9 +104,6 @@ class _Carrier(PlaneWaveProfile):
     @property
     def is_zero(self):
         return self.amplitude == 0.0
-
-    def params(self):
-        return {"amplitude": self.amplitude, "frequency": self.frequency}
 
 
 class LinearProfile(_Carrier):
@@ -126,6 +129,7 @@ class PulseProfile(_Carrier):
     """Circular carrier under a Gaussian envelope exp(-phi^2 / (2 sigma^2))."""
 
     kind = "pulse"
+    config_keys = ("amplitude", "frequency", "sigma")
 
     #: Past this many sigma from the centre the envelope, below exp(-32) = 1.3e-14,
     #: is under any tolerance and only the carrier turns.
@@ -155,9 +159,6 @@ class PulseProfile(_Carrier):
         env = self.amplitude * self._envelope(phi)
         return env * np.cos(c), env * np.sin(c)
 
-    def params(self):
-        return {**super().params(), "sigma": self.sigma}
-
 
 class TabulatedProfile(PlaneWaveProfile):
     """Natural cubic spline through sampled components: one spline over the
@@ -166,6 +167,7 @@ class TabulatedProfile(PlaneWaveProfile):
     0.5 s at import for a tridiagonal solve."""
 
     kind = "tabulated"
+    config_keys = ("phi", "a1", "a2")
 
     def __init__(self, phi_grid, a1, a2):
         grid, a1, a2 = (_real(f"profile {name}", v, shape=(None,))
@@ -197,7 +199,7 @@ class TabulatedProfile(PlaneWaveProfile):
         values = c0 + d * (c1 + d * (c2 + d * c3))
         return values[..., 0], values[..., 1]
 
-    def params(self):
+    def params(self):       # a summary: the samples are not kept
         return {"points": int(self.phi_grid.size),
                 "phi_min": float(self.phi_grid[0]), "phi_max": float(self.phi_grid[-1])}
 
@@ -228,28 +230,23 @@ def _natural_cubic(h: list, values: list) -> list:
             [(right - left) / (6.0 * step) for step, left, right in zip(h, m, m[1:])]]
 
 
-_PROFILE_KINDS = {
-    "zero": (ZeroProfile, ()),
-    "linear": (LinearProfile, ("amplitude", "frequency")),
-    "circular": (CircularProfile, ("amplitude", "frequency")),
-    "pulse": (PulseProfile, ("amplitude", "frequency", "sigma")),
-    "tabulated": (TabulatedProfile, ("phi", "a1", "a2")),
-}
+_PROFILE_KINDS = {cls.kind: cls for cls in
+                  (ZeroProfile, LinearProfile, CircularProfile, PulseProfile, TabulatedProfile)}
 
 
 def make_profile(kind: str, **params) -> PlaneWaveProfile:
     """Profile factory; raises InvalidProfile on unknown kinds or bad params."""
     try:
-        cls, names = _PROFILE_KINDS[kind]
+        cls = _PROFILE_KINDS[kind]
     except KeyError:
         raise InvalidProfile(f"unknown profile kind {kind!r}; expected one of {sorted(_PROFILE_KINDS)}") from None
-    missing = [n for n in names if n not in params]
+    missing = [n for n in cls.config_keys if n not in params]
     if missing:
         raise InvalidProfile(f"profile {kind!r} missing parameter(s) {missing}")
-    extra = [n for n in params if n not in names]
+    extra = [n for n in params if n not in cls.config_keys]
     if extra:
         raise InvalidProfile(f"profile {kind!r} got unexpected parameter(s) {extra}")
-    return cls(*(params[name] for name in names))
+    return cls(*(params[name] for name in cls.config_keys))
 
 
 @dataclass(frozen=True)

@@ -53,13 +53,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conventions import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, NODE_CAP
-from .errors import DivisionByZero, KernelSingularity
+from .conventions import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, DEFAULT_VOLKOV_SIGN, NODE_CAP
+from .errors import DivisionByZero, KernelSingularity, RangeError
 from .fields import FieldConfig
 from .minkowski import SQRT2, light_cone
 from .quadrature import CUMULATIVE, XK, adaptive_quad
@@ -109,15 +109,24 @@ def _sin_below(e0, b: float, bound: float):
     return (np.abs(np.expm1(z)) < 2.0 * bound * np.sqrt(np.abs(np.exp(z)))) & (np.abs(z) >= 2.0)
 
 
+def check_finite_e0(e0):
+    """RangeError unless the proper time e0, or every entry of an array of
+    them, is finite."""
+    if not np.isfinite(e0).all():
+        raise RangeError(f"e0 must be finite, got {e0!r}")
+
+
 def schwinger_kernel(e0, x_a: np.ndarray, x_b: np.ndarray, cfg: FieldConfig):
     """Transverse proper-time kernel of the constant magnetic background
-    between the transverse slots (0 and 1) of the endpoints x_a and x_b, at one
-    e0 (complex result) or at each of an array of them.
+    between the transverse coordinates (0 and 1) of the endpoints x_a and x_b,
+    at one e0 (complex result) or at each of an array of them.
 
     Tends to [i/(2 pi e0)] exp(-i |DX|^2 / (2 e0)) as B -> 0 (and is that at
-    B = 0); raises KernelSingularity at e0 = 0 and on caustics (`_sin_below`).
+    B = 0); raises RangeError at a non-finite e0, and KernelSingularity at
+    e0 = 0 and on caustics (`_sin_below`).
     """
     b = cfg.g * cfg.B
+    check_finite_e0(e0)
     if np.any(np.asarray(e0) == 0):
         raise KernelSingularity("e0 = 0 is the short-time endpoint")
     if np.any(caustic := _sin_below(e0, b, CAUSTIC_TOLERANCE)):
@@ -209,8 +218,9 @@ def _seeds(profile, edges: list, beta: float) -> list:
     return seeds + [stop]
 
 
-def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, sign: int = +1,
-               abs_tol: float = DEFAULT_ABS_TOL, rel_tol: float = DEFAULT_REL_TOL) -> PhasePass:
+def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b,
+               sign: int = DEFAULT_VOLKOV_SIGN, abs_tol: float = DEFAULT_ABS_TOL,
+               rel_tol: float = DEFAULT_REL_TOL) -> PhasePass:
     """One adaptive quadrature on the hull of phi_a and every phi_b (one phase
     or an array of them), breakpoints at each, at the profile's knots and at
     seeds no more than _SEED_RADIANS of rotation apart, of three columns: C's integrand
@@ -226,16 +236,16 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, sign: int 
     share with the action column weighted by it."""
     phi_b = np.asarray(phi_b)
     shape, ends = phi_b.shape, phi_b.ravel().tolist()
-    if cfg.profile.is_zero:
+    if cfg.profile.is_zero or not ends:
         return _nothing(shape)
     # phases a few roundings apart, as (x2 + h) - x3 and x2 - (x3 - h) in a
     # dirac stencil, share one breakpoint and are read at it: everything below
     # is worked out once per distinct read, then indexed out to every endpoint
-    reads, slot = [], {}
+    # at the last read at or below it
+    reads = []
     for phi in sorted(set(ends)):
         if not reads or phi - reads[-1] > 4.0 * math.ulp(reads[-1]):
             reads.append(phi)
-        slot[phi] = len(reads) - 1
     kp = float(light_cone(pL))
     if kp == 0:
         raise DivisionByZero("dot(k, pL) = 0 with a non-zero profile")
@@ -287,7 +297,7 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b, sign: int 
         drifts.append((turn * w.real, turn * -w.imag))
         kernels.append(scale * cmath.exp(1j * beta * phi)
                        * (at_phi - boundary[0] - 1j * sign * (at_b[1] - at_a[1])))
-    index = [slot[phi] for phi in ends]
+    index = [bisect_right(reads, phi) - 1 for phi in ends]
     return PhasePass(np.array(actions)[index].reshape(shape)[()],
                      np.array(drifts)[index].reshape(shape + (2,)),
                      np.array(kernels)[index].reshape(shape)[()], quad.nodes, quad.error_estimate)

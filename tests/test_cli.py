@@ -7,11 +7,13 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -540,6 +542,23 @@ def test_identities_command(tmp_path):
         "convention-ledger-consistency", "clifford-anticommutators", "projector-completeness",
         "projector-idempotence-orthogonality", "null-contractions-exact",
         "normalization-within-rounding", "field-tensor-eigenvectors"]
+
+
+def _run_package(argv):
+    """`python -m wavefield <argv>` in-process: the exit status it raises."""
+    with patch.object(sys, "argv", ["wavefield", *argv]), pytest.raises(SystemExit) as exited:
+        runpy.run_module("wavefield", run_name="__main__")
+    return exited.value.code
+
+
+def test_python_m_wavefield_runs_the_cli(tmp_path):
+    status, out = _invoke(tmp_path, "identities", _config())
+    cfg_path, again = tmp_path / "out.csv.config.json", tmp_path / "again.csv"
+    assert status == 0 == _run_package(["identities", "--config", str(cfg_path), "--out", str(again)])
+    for suffix in ("", ".json"):
+        assert Path(f"{again}{suffix}").read_bytes() == Path(f"{out}{suffix}").read_bytes()
+    missing = ["identities", "--config", str(tmp_path / "missing.json"), "--out", str(again)]
+    assert _run_package(missing) == SchemaError.exit_code == 2
 
 
 def test_limits_command(tmp_path):

@@ -1,18 +1,19 @@
 import math
+import random
 import warnings
 
 import numpy as np
 import pytest
 
 from wavefield import kernels
-from wavefield.errors import DivisionByZero, KernelSingularity
+from wavefield.errors import DivisionByZero, KernelSingularity, RangeError
 from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, PlaneWaveProfile,
                               PulseProfile, TabulatedProfile, ZeroProfile)
-from wavefield.green import EvalContext, _prepare
+from wavefield.green import EvalContext, _green_batch, _prepare, spin_factor
 from wavefield.kernels import NEAR_CAUSTIC_THRESHOLD, near_caustic, phase_pass, schwinger_kernel
 from wavefield.minkowski import WAVE_K, dot
 from wavefield.oracles import (cross_phase_nested, drift_nested, free_kernel,
-                               volkov_kernel_circular)
+                               volkov_kernel_circular, volkov_kernel_constant_slope)
 from wavefield.verification import _oracle_exponent
 
 XA, XB = np.array([0.2, -0.1]), np.array([0.9, 0.4])
@@ -46,6 +47,17 @@ def test_kernel_exact_zero_field_branch():
     # same closed formula on both sides; scalar vs array arithmetic may
     # differ in the last bit
     assert schwinger_kernel(0.8, XA, XB, none) == pytest.approx(free, rel=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan), np.array([0.5, np.nan, 1.5])],
+                         ids=["nan", "inf", "complex-nan", "array-with-nan"])
+def test_a_non_finite_e0_is_refused(bad):
+    # a RangeError naming e0, not nan values with RuntimeWarnings
+    ctx = EvalContext(m=0.8, x_a=np.array([0.2, -0.1, 0.3, 0.0]), x_b=np.array([0.9, 0.4, -0.1, 0.5]),
+                      pL=np.array([0.0, 0.0, 0.2, 2.0]), cfg=ZCFG)
+    for call in (lambda: schwinger_kernel(bad, XA, XB, ZCFG), lambda: spin_factor(bad, ctx)):
+        with pytest.raises(RangeError, match="e0"):
+            call()
 
 
 def test_kernel_caustic_raises_but_short_time_does_not():
@@ -132,6 +144,22 @@ def test_volkov_sign_toggle_flips_integrand_only():
     flipped = _kernel(0.8, pL, cfg, -0.4, sign=-1)
     assert flipped == pytest.approx(volkov_kernel_circular(0.8, **params), abs=1e-12)
     assert flipped != pytest.approx(_kernel(0.8, pL, cfg, -0.4), abs=1e-6)
+    # a tabulated line, which the natural spline reproduces exactly, against
+    # the constant-slope closed form
+    rng = random.Random(37)
+    for _ in range(10):
+        g, b, slope = rng.uniform(0.5, 1.5), rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0)
+        pL = np.array([0.0, 0.0, rng.uniform(-0.4, 0.4), rng.choice((-1, 1)) * rng.uniform(1.2, 2.5)])
+        kp = dot(WAVE_K, pL).real
+        phi_a, phi = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        grid = np.linspace(min(phi_a, phi) - 0.5, max(phi_a, phi) + 0.5, 9)
+        cfg = FieldConfig(g=g, B=b, profile=TabulatedProfile(
+            phi_grid=grid, a1=rng.uniform(-0.5, 0.5) + slope * grid, a2=np.zeros(grid.size)))
+        flipped = _kernel(phi, pL, cfg, phi_a, sign=-1)
+        ref = volkov_kernel_constant_slope(phi, g=g, kp=kp, phi0=phi_a, beta=g * b / kp,
+                                           c=complex(slope / math.sqrt(2.0)), sign=-1)
+        assert flipped == pytest.approx(ref, abs=1e-12)
+        assert flipped != pytest.approx(_kernel(phi, pL, cfg, phi_a), abs=1e-6)
 
 
 def test_volkov_needs_longitudinal_momentum():
@@ -194,6 +222,21 @@ def test_phase_pass_kernels_equal_the_single_kernel_views():
         assert k == pytest.approx(_kernel(phi, pL, cfg, 0.4), abs=1e-13)
     assert run.nodes % 15 == 0 and run.nodes > 0
     assert 0.0 < run.error_estimate < 1e-11
+
+
+@pytest.mark.parametrize("profile", [
+    CircularProfile(amplitude=0.3, frequency=1.0),
+    TabulatedProfile(phi_grid=np.linspace(-2.0, 2.0, 9), a1=np.linspace(-2.0, 2.0, 9) ** 2,
+                     a2=np.zeros(9))], ids=["circular", "tabulated"])
+def test_an_empty_set_of_phases_gives_empty_fields(profile):
+    # as a zero profile does, instead of a TypeError from the hull of no phases
+    pL = np.array([0.0, 0.0, 0.3, 1.6])
+    cfg = FieldConfig(g=0.9, B=0.6, profile=profile)
+    run = phase_pass(cfg, pL, 0.1, np.array([]))
+    assert (np.shape(run.action), run.drift.shape, np.shape(run.kernel_b)) == ((0,), (0, 2), (0,))
+    ctx = EvalContext(m=0.8, x_a=np.array([0.1, -0.2, 0.3, 0.05]),
+                      x_b=np.array([0.7, 0.4, 0.9, 0.2]), pL=pL, cfg=cfg)
+    assert _green_batch(ctx, np.empty((0, 4)))[0].shape == (0, 4, 4)
 
 
 def test_phase_pass_reads_repeated_phases_once():

@@ -1,7 +1,7 @@
 """The README's "Config schema" section against the code: its JSON example sets
 exactly the `eval` keys of `green.EVAL_INPUTS` and the `field` keys of
 `FieldConfig`, and its profile-kind bullets name exactly the kinds of
-`fields._PROFILE_KINDS` with their parameters in order, so a key cannot be
+`fields._PROFILE_KINDS` with their `config_keys` in order, so a key cannot be
 added in one place only."""
 
 import dataclasses
@@ -52,4 +52,4 @@ def test_readme_example_is_a_valid_config():
 
 
 def test_readme_profile_bullets_name_exactly_the_kinds_and_their_parameters():
-    assert _kind_bullets() == {kind: names for kind, (_, names) in _PROFILE_KINDS.items()}
+    assert _kind_bullets() == {kind: cls.config_keys for kind, cls in _PROFILE_KINDS.items()}
