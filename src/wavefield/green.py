@@ -193,6 +193,10 @@ def _green_batch(ctx: EvalContext, points):
     if np.any(pre.rho2 == 0.0):
         raise QuadratureFailure(
             "coincident transverse endpoints: the short-time end of the ray is log-divergent")
+    if not pre.rho2.size:       # no endpoint: no ray to integrate
+        return np.empty((0, 4, 4), complex), KernelDiagnostics(
+            error_estimate=0.0, nodes=0, prepare_nodes=pre.run.nodes,
+            prepare_error=pre.run.error_estimate)
     rate = 0.5j * gap  # the e0-dependent part of the longitudinal phase
     b = ctx.cfg.g * ctx.cfg.B
     ray = np.exp(1j * ctx.theta)

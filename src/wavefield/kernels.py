@@ -157,6 +157,9 @@ _SUB_TOLERANCE = 1e-2
 #: (unseeded: 124 nodes in 3-4 rounds).
 _SEED_RADIANS = 2.0
 
+#: XK[-1] - XK[0]: a panel's half-width is its outer nodes' distance over this.
+_NODE_SPAN = float(XK[-1] - XK[0])
+
 
 @dataclass(frozen=True)
 class PhasePass:
@@ -201,14 +204,16 @@ def _seeds(profile, edges: list, beta: float) -> list:
     limit, gaps = NODE_CAP // 15, []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         pieces = profile.turn_rates(lo, hi)
-        rates = [rate for *_, rate in pieces]
         split = [(a, b, _turns(rate, a, b, beta)) for a, b, rate in pieces]
-        whole = _turns(None if None in rates else max(rates), lo, hi, beta)
-        # a whole gap past the cap (inf, nan) is never rounded: its pieces, which
-        # take no more turns, are kept, for the cap below to drop if they pass it
-        fewer = not whole <= limit \
-            or sum(max(1, math.ceil(t)) for *_, t in split) < max(1, math.ceil(whole))
-        gaps += split if fewer else [(lo, hi, whole)]
+        if len(split) > 1:      # one piece is its own whole gap
+            rates = [rate for *_, rate in pieces]
+            whole = _turns(None if None in rates else max(rates), lo, hi, beta)
+            # a whole gap past the cap (inf, nan) is never rounded: its pieces, which
+            # take no more turns, are kept, for the cap below to drop if they pass it
+            if whole <= limit and sum(max(1, math.ceil(t)) for *_, t in split) \
+                    >= max(1, math.ceil(whole)):
+                split = [(lo, hi, whole)]
+        gaps += split
     if not len(gaps) + sum(turn for *_, turn in gaps) <= limit:
         return edges
     seeds = []
@@ -236,7 +241,8 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b,
     share with the action column weighted by it."""
     phi_b = np.asarray(phi_b)
     shape, ends = phi_b.shape, phi_b.ravel().tolist()
-    if cfg.profile.is_zero or not ends:
+    profile = cfg.profile
+    if profile.is_zero or not ends:
         return _nothing(shape)
     # phases a few roundings apart, as (x2 + h) - x3 and x2 - (x3 - h) in a
     # dirac stencil, share one breakpoint and are read at it: everything below
@@ -249,55 +255,63 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b,
     kp = float(light_cone(pL))
     if kp == 0:
         raise DivisionByZero("dot(k, pL) = 0 with a non-zero profile")
-    start, stop = min(phi_a, *reads), max(phi_a, *reads)
+    hull = sorted({phi_a, *reads})
+    start, stop = hull[0], hull[-1]
     if start == stop:
         return _nothing(shape)
     rate, beta = cfg.g / kp, cfg.g * cfg.B / kp          # beta = rate B turns the drift
-    # K's boundary term e^{i sign beta phi} dot(eps, A^p(phi)) at phi_a and at each read
-    phases = np.array([phi_a, *reads])
-    a1, a2 = cfg.profile.components(phases)
-    boundary = (np.exp(1j * sign * beta * phases) * (a1 + 1j * a2) / SQRT2).tolist()
+    # the turns of d's exponential and of K's, and the action's factor
+    turn_d, turn_k, density = 1j * beta, 1j * sign * beta, 2.0 * rate
+    # K's boundary term e^{i sign beta phi} dot(eps, A^p(phi)) at phi_a and at each
+    # read, from the profile read that each call of the integrand makes
+    phases, boundary = np.array([phi_a, *reads]), []
 
     def columns(x):
-        # x holds a round's panels, 15 Kronrod nodes each;
+        # x holds a round's panels, 15 Kronrod nodes each, read together with
+        # the boundary phases after them
+        n, read = x.size, np.concatenate((x, phases))
+        a1, a2 = profile.components(read)
+        ia2 = 1j * a2
+        turned, dotted = np.exp(turn_k * read), a1 + ia2
+        boundary[:] = (turned[n:] * dotted[n:] / SQRT2).tolist()
         # d: the eps component of rot(phi_a - x) A^p(x)
-        a1, a2 = cfg.profile.components(x)
-        d = np.exp(1j * beta * (x - phi_a)) * (a1 - 1j * a2) / SQRT2
+        d = np.exp(turn_d * (x - phi_a)) * (a1[:n] - ia2[:n]) / SQRT2
         # C - C(panel's left edge), one CUMULATIVE product per panel, on the
         # panel's (re, im) pairs
-        halves = (x[14::15] - x[::15]) / (XK[-1] - XK[0])
-        c = (halves[:, None, None] * (CUMULATIVE @ d.view(np.float64).reshape(-1, 15, 2))
-             ).reshape(-1, 2).view(complex).ravel()
-        action = 2.0 * rate * (abs(d) ** 2 - beta * (d * c.conj()).imag)
-        return np.stack([d, beta * np.exp(1j * sign * beta * x) * (a1 + 1j * a2) / SQRT2,
-                         _SUB_TOLERANCE * action], axis=1)
+        panels = x.reshape(-1, 15, 1)
+        halves = (panels[:, 14:] - panels[:, :1]) / _NODE_SPAN
+        c = (halves * (CUMULATIVE @ d.view(np.float64).reshape(-1, 15, 2))).view(complex).ravel()
+        out = np.empty((n, 3), complex)
+        out[:, 0] = d
+        out[:, 1] = beta * turned[:n] * dotted[:n] / SQRT2
+        out[:, 2] = _SUB_TOLERANCE * (density * (abs(d) ** 2 - beta * (d * c.conj()).imag))
+        return out
 
     quad = adaptive_quad(columns, start, stop, abs_tol=abs_tol * _SUB_TOLERANCE,
                          rel_tol=rel_tol * _SUB_TOLERANCE,
-                         breakpoints=_seeds(cfg.profile, sorted({phi_a, *reads}), beta))
+                         breakpoints=_seeds(profile, hull, beta))
     # a handful of panels and endpoints: the bookkeeping runs on Python scalars
-    edges = [panel[0] for panel in quad.panels] + [stop]
-    values = [panel[2].tolist() for panel in quad.panels]
-    cumulative = [c.tolist() for c in quad.cumulative]
-    ia = bisect_left(edges, phi_a)
+    lefts = [lo for lo, _, _ in quad.panels] + [stop]
+    cumulative = quad.cumulative.tolist()
+    ia = bisect_left(lefts, phi_a)
     at_a = cumulative[ia]
     # the action's cross-panel part: a running sum of each panel's integral of d
     # times conj(C) at its left edge
     area = [0.0]
-    for value, c in zip(values, cumulative):
-        area.append(area[-1] + (value[0] * (c[0] - at_a[0]).conjugate()).imag)
+    for (_, _, value), c in zip(quad.panels, cumulative):
+        area.append(area[-1] + (complex(value[0]) * (c[0] - at_a[0]).conjugate()).imag)
     scale, turn = cfg.g / (2.0 * kp), SQRT2 * rate
-    actions, drifts, kernels = [], [], []
+    slots = []
     for phi, at_phi in zip(reads, boundary[1:]):
-        ib = bisect_left(edges, phi)
+        ib = bisect_left(lefts, phi)
         at_b = cumulative[ib]
-        actions.append((at_b[2] - at_a[2]).real / _SUB_TOLERANCE
-                       - 2.0 * rate * beta * (area[ib] - area[ia]))
         w = (at_b[0] - at_a[0]) * cmath.exp(-1j * beta * (phi - phi_a))
-        drifts.append((turn * w.real, turn * -w.imag))
-        kernels.append(scale * cmath.exp(1j * beta * phi)
-                       * (at_phi - boundary[0] - 1j * sign * (at_b[1] - at_a[1])))
-    index = [bisect_right(reads, phi) - 1 for phi in ends]
-    return PhasePass(np.array(actions)[index].reshape(shape)[()],
-                     np.array(drifts)[index].reshape(shape + (2,)),
-                     np.array(kernels)[index].reshape(shape)[()], quad.nodes, quad.error_estimate)
+        slots.append(((at_b[2] - at_a[2]).real / _SUB_TOLERANCE
+                      - density * beta * (area[ib] - area[ia]),
+                      (turn * w.real, turn * -w.imag),
+                      scale * cmath.exp(1j * beta * phi)
+                      * (at_phi - boundary[0] - 1j * sign * (at_b[1] - at_a[1]))))
+    actions, drifts, kernels = zip(*(slots[bisect_right(reads, phi) - 1] for phi in ends))
+    return PhasePass(np.array(actions).reshape(shape)[()],
+                     np.array(drifts).reshape(shape + (2,)),
+                     np.array(kernels).reshape(shape)[()], quad.nodes, quad.error_estimate)

@@ -75,12 +75,10 @@ class QuadratureResult:
 
 
 def _norm(v) -> float:
-    """Euclidean norm of a real or complex scalar or array (np.linalg.norm's
-    value, without its dispatch)."""
-    flat = np.ascontiguousarray(v).reshape(-1)
-    if flat.dtype.kind == "c":
-        flat = flat.view(np.float64)
-    return math.sqrt(flat @ flat)
+    """Euclidean norm of a complex scalar or array (np.linalg.norm's value,
+    without its dispatch)."""
+    flat = v.ravel().view(np.float64)
+    return math.sqrt(flat.dot(flat))
 
 
 def _panels(f, intervals):
@@ -89,17 +87,19 @@ def _panels(f, intervals):
     [|kronrod - gauss|]) in order. One stacked weights product serves the whole
     round; it runs the same product per panel, so each panel's value has the
     bits of that panel evaluated alone."""
-    bounds = np.array(intervals)
-    mids, halves = 0.5 * (bounds[:, 0] + bounds[:, 1]), 0.5 * (bounds[:, 1] - bounds[:, 0])
-    stack = np.asarray(f((mids[:, None] + halves[:, None] * XK).ravel()), dtype=complex)
+    # (midpoint, half-width) of each panel, in Python floats, which round as numpy's do
+    mids, halves = np.array([(0.5 * (lo + hi), 0.5 * (hi - lo))
+                             for lo, hi in intervals]).T[..., None]
+    nodes = halves * XK
+    nodes += mids
+    stack = np.asarray(f(nodes.ravel()), dtype=complex)
     blocks = np.ascontiguousarray(stack.reshape((len(intervals), 15, -1)))
     # complex values as interleaved (re, im) floats: one real product for both rows
-    sums = halves[:, None, None] * (_PANEL_WEIGHTS @ blocks.view(np.float64))
-    values = np.ascontiguousarray(sums[:, 0]).view(complex).reshape(
-        (len(intervals),) + stack.shape[1:])
+    sums = halves[..., None] * (_PANEL_WEIGHTS @ blocks.view(np.float64))
+    values = sums[:, 0].view(complex).reshape((len(intervals),) + stack.shape[1:])
     # each panel's norm of kronrod - gauss as its own dot product, as `_norm` takes it
     diffs = sums[:, 1]
-    return values, np.sqrt(diffs[:, None, :] @ diffs[:, :, None]).ravel().tolist()
+    return values, np.sqrt(np.vecdot(diffs, diffs)).tolist()
 
 
 def adaptive_quad(f, a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL,
@@ -165,9 +165,9 @@ def adaptive_quad(f, a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL,
                 pending += [(lo, mid), (mid, hi)]
 
     pieces = sorted(heap, key=lambda item: item[2])
-    cumulative = [np.zeros_like(pieces[0][4])]
-    for item in pieces:
-        cumulative.append(cumulative[-1] + item[4])
+    # the running sums, one row each: zero, then each panel's value added in turn
+    cumulative = np.zeros((len(pieces) + 1,) + np.shape(pieces[0][4]), complex)
+    cumulative[1:] = [item[4] for item in pieces]
+    np.add.accumulate(cumulative, axis=0, out=cumulative)
     return QuadratureResult(sign * cumulative[-1], sum(-item[0] for item in pieces), nodes,
-                            tuple((item[2], item[3], item[4]) for item in pieces),
-                            tuple(cumulative))
+                            tuple((item[2], item[3], item[4]) for item in pieces), cumulative)

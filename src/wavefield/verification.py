@@ -180,6 +180,12 @@ def _dressed_braces_deviation() -> float:
     return dev
 
 
+#: Zero everywhere but not flagged `is_zero`: the phase pass integrates it, so
+#: the zero-profile row sees the K that its quadrature and boundary term give.
+_ZERO_SAMPLES = FieldConfig(g=1.0, B=0.5, profile=TabulatedProfile(
+    phi_grid=np.linspace(-1.0, 1.0, 5), a1=np.zeros(5), a2=np.zeros(5)))
+
+
 def check_phase_integral_oracles() -> list[CheckResult]:
     rng = random.Random(107)
     dev = 0.0
@@ -217,14 +223,14 @@ def check_phase_integral_oracles() -> list[CheckResult]:
             ref = volkov_kernel_circular(phi, g=g, kp=kp, phi0=phi_a, beta=beta, a=a, nu=nu)
         dev = max(dev, abs(phase_pass(cfg, pl, phi_a, phi).kernel_b - ref))
 
-    zero_cfg = FieldConfig(g=1.0, B=0.5, profile=ZeroProfile())
-    zero_val = phase_pass(zero_cfg, np.array([0.0, 0.0, 0.1, 2.0]), -0.3, 0.7).kernel_b
+    zero_val = phase_pass(_ZERO_SAMPLES, np.array([0.0, 0.0, 0.1, 2.0]), -0.3, 0.7).kernel_b
     return [
         _result(7, "phase-integral-closed-forms", dev, 1e-8, "50 random draws, 3 profile kinds"),
         _result(7, "dressed-braces-closed-form", _dressed_braces_deviation(), 1e-12,
                 "10 circular contexts (B, volkov_sign of both signs) vs the printed M+-"),
         _result(7, "phase-integral-zero-profile-exact", abs(zero_val), 0.0,
-                "K at the zero profile (g = 1, B = 0.5) is exactly zero"),
+                "K at a tabulated profile of zero samples (g = 1, B = 0.5), through the "
+                "phase pass's quadrature, is exactly zero"),
     ]
 
 

@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gate
 import workloads
 
-from wavefield import cli
+from wavefield import cli, green, kernels
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
@@ -28,3 +28,21 @@ def test_first_request_of_each_workload_passes_the_gate(tmp_path, workload):
         cli.main, command, config, workloads.DEFAULT_SEED, gate.load_frozen(workload),
         config_path, tmp_path / "reference.csv")
     assert gate.check(command, config, out, ref) == []
+
+
+def test_a_gf_calls_each_traced_quadrature_binding_once(tmp_path, monkeypatch):
+    # the tracer wraps `adaptive_quad` where `green` binds it (its quadrature.ray_*
+    # metrics) and where `kernels` binds it (quadrature.sub_*): one gf point with a
+    # wave integrates one ray and one phase pass, each through its module's binding
+    calls = {}
+    for module in (green, kernels):
+        def counted(*args, name=module.__name__, quad=module.adaptive_quad, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(module, "adaptive_quad", counted)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(workloads.config_text(
+        {"field": workloads.README_FIELD, "eval": workloads.README_EVAL}))
+    assert cli.main(["gf", "--config", str(config_path), "--out", str(tmp_path / "out.csv")]) == 0
+    assert calls == {"wavefield.green": 1, "wavefield.kernels": 1}

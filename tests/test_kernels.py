@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wavefield import kernels
+from wavefield import kernels, verification
 from wavefield.errors import DivisionByZero, KernelSingularity, RangeError
 from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, PlaneWaveProfile,
                               PulseProfile, TabulatedProfile, ZeroProfile)
@@ -234,9 +234,13 @@ def test_an_empty_set_of_phases_gives_empty_fields(profile):
     cfg = FieldConfig(g=0.9, B=0.6, profile=profile)
     run = phase_pass(cfg, pL, 0.1, np.array([]))
     assert (np.shape(run.action), run.drift.shape, np.shape(run.kernel_b)) == ((0,), (0, 2), (0,))
+    assert run.nodes == 0
     ctx = EvalContext(m=0.8, x_a=np.array([0.1, -0.2, 0.3, 0.05]),
                       x_b=np.array([0.7, 0.4, 0.9, 0.2]), pL=pL, cfg=cfg)
-    assert _green_batch(ctx, np.empty((0, 4)))[0].shape == (0, 4, 4)
+    # and no endpoint integrates no ray
+    matrices, diag = _green_batch(ctx, np.empty((0, 4)))
+    assert matrices.shape == (0, 4, 4)
+    assert (diag.nodes, diag.prepare_nodes) == (0, 0)
 
 
 def test_phase_pass_reads_repeated_phases_once():
@@ -471,3 +475,99 @@ def test_seeds_with_an_infinite_turn_count_fall_back_to_the_edges():
     # a pulse without a carrier, at B = 0, turns within +-8 sigma only, in 8 panels
     seeds = kernels._seeds(PulseProfile(0.4, 0.0, sigma=1e-300), [-1e300, 1e300], 0.0)
     assert len(seeds) == 11 and seeds[1] == -8e-300 and seeds[-2] == 8e-300
+
+
+def test_the_zero_profile_row_integrates_its_pass(monkeypatch):
+    # the row's profile is zero but not flagged so: its K comes out of the
+    # quadrature and the boundary term, not from the zero profile's shortcut
+    runs = []
+
+    def spy(cfg, *args, **kwargs):
+        runs.append((cfg, phase_pass(cfg, *args, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(verification, "phase_pass", spy)
+    (row,) = [r for r in verification.check_phase_integral_oracles()
+              if r.name == "phase-integral-zero-profile-exact"]
+    (run,) = [run for cfg, run in runs if cfg is verification._ZERO_SAMPLES]
+    assert row.passed and row.max_deviation == 0.0 and row.tolerance == 0.0
+    assert run.nodes > 0 and run.kernel_b == 0
+
+
+_PIN_PL = np.array([0.0, 0.0, 0.2, 2.0])
+_PIN_CIRCULAR = FieldConfig(g=0.9, B=0.5, profile=CircularProfile(amplitude=0.4, frequency=1.1))
+_PIN_PULSE = FieldConfig(g=0.9, B=0.5, profile=PulseProfile(amplitude=0.4, frequency=1.1, sigma=1.5))
+_PIN_TABULATED = FieldConfig(g=0.9, B=0.5, profile=TabulatedProfile(
+    np.linspace(-2.0, 2.0, 9), np.array([0.1, 0.3, -0.2, 0.5, 0.0, 0.2, -0.4, 0.1, 0.05]),
+    np.array([0.0, 0.2, 0.1, -0.3, 0.4, 0.0, 0.1, -0.2, 0.0])))
+
+#: (field, phi_a, phi_b, tolerances) of five passes: the README context's one
+#: read, a dirac stencil's seven phases, a 9-knot tabulated profile, the
+#: span-pulse pulse over a span of 8.5, and that pulse at rel_tol 1e-13, which
+#: takes it past its seeded round (120 nodes against 90).
+_PIN_CASES = {
+    "one-read": (_PIN_CIRCULAR, 0.3, -0.6, {}),
+    "stencil": (_PIN_CIRCULAR, 0.3,
+                -0.6 + np.array([0.0, 0.01, -0.01, 0.02, -0.02, 0.04, -0.04]), {}),
+    "tabulated": (_PIN_TABULATED, 0.3, -1.7, {}),
+    "pulse-span": (_PIN_PULSE, 0.3, 0.3 - 8.5, {}),
+    "rounds": (_PIN_PULSE, 0.3, 0.3 - 8.5, {"rel_tol": 1e-13}),
+}
+
+#: Each field of those passes as (type, shape, repr of each entry), with the
+#: node count and the repr of the error estimate, recorded before the pass's
+#: per-call overhead was cut: that work changed no arithmetic, so no bit moved.
+_PINNED_PASSES = {
+    'one-read': {
+        'action': ('float64', (), ['0.06895329927055435']),
+        'drift': ('ndarray', (2,), ['0.16889780032247922', '-0.008875290188513551']),
+        'kernel_b': ('complex128', (), ['(-0.0015368233129618991+0.06829173178998875j)']),
+        'nodes': 15, 'error_estimate': '2.9450041233697075e-17'},
+    'stencil': {
+        'action': ('ndarray', (7,), ['0.06895329927055434', '0.06824890616023417',
+                                     '0.06965581767055488', '0.06754264791509329',
+                                     '0.07035645212639766', '0.0661245760201163',
+                                     '0.07175203398859542']),
+        'drift': ('ndarray', (7, 2), ['0.16889780032247922', '-0.008875290188513551',
+                                      '0.16728991468088092', '-0.008078008059042694',
+                                      '0.17049420747741842', '-0.0096859465729731',
+                                      '0.16567070895648273', '-0.007294219004404426',
+                                      '0.172078979074735', '-0.010509856684007975',
+                                      '0.16239897742539972', '-0.0057675867692626726',
+                                      '0.17521299408964083', '-0.012196947517852712']),
+        'kernel_b': ('ndarray', (7,), ['(-0.0015368233129619008+0.06829173178998875j)',
+                                       '(-0.0016388192433553547+0.06756692734213761j)',
+                                       '(-0.0014322699372848417+0.0690151504004432j)',
+                                       '(-0.0017382513828006537+0.06684075689112652j)',
+                                       '(-0.0013251655696946089+0.06973716338245003j)',
+                                       '(-0.0019293994461858045+0.06538439752845014j)',
+                                       '(-0.0011033302092878956+0.07117689351688565j)']),
+        'nodes': 105, 'error_estimate': '2.7603501909714242e-17'},
+    'tabulated': {
+        'action': ('float64', (), ['0.11721749369097825']),
+        'drift': ('ndarray', (2,), ['0.11744755759321913', '0.12222147112196033']),
+        'kernel_b': ('complex128', (), ['(-0.02442462037164805-0.011699343458374025j)']),
+        'nodes': 75, 'error_estimate': '4.9170493009661864e-17'},
+    'pulse-span': {
+        'action': ('float64', (), ['0.10508203579826042']),
+        'drift': ('ndarray', (2,), ['0.10892076618238371', '0.17648228052330853']),
+        'kernel_b': ('complex128', (), ['(-0.07318734985586742+0.0596569799207686j)']),
+        'nodes': 90, 'error_estimate': '1.190108808962869e-12'},
+    'rounds': {
+        'action': ('float64', (), ['0.10508203579826043']),
+        'drift': ('ndarray', (2,), ['0.10892076618238376', '0.17648228052330844']),
+        'kernel_b': ('complex128', (), ['(-0.07318734985586742+0.0596569799207686j)']),
+        'nodes': 120, 'error_estimate': '5.789005845790392e-13'},
+}
+
+
+@pytest.mark.parametrize("case", list(_PIN_CASES))
+def test_phase_pass_keeps_its_pinned_bits(case):
+    cfg, phi_a, phi_b, tolerances = _PIN_CASES[case]
+    run = phase_pass(cfg, _PIN_PL, phi_a, phi_b, **tolerances)
+    pinned = _PINNED_PASSES[case]
+    for name in ("action", "drift", "kernel_b"):
+        value = getattr(run, name)
+        assert (type(value).__name__, np.shape(value),
+                [repr(v) for v in np.ravel(value).tolist()]) == pinned[name], name
+    assert (run.nodes, repr(run.error_estimate)) == (pinned["nodes"], pinned["error_estimate"])
