@@ -232,10 +232,10 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b,
     d, the integrand of K by parts, beta exp(i sign beta x) dot(eps, A^p(x)),
     and the real action density with C counted from the panel's left edge.
     The quadrature's running sums of the panel integrals give C and K at the
-    panel edges and so the rest; K adds its boundary term, from one read of the
-    profile at phi_a and every distinct phi_b, which raises RangeError for a
-    tabulated profile whose grid does not hold them all. Nothing outside the hull
-    is sampled.
+    panel edges and so the rest; K adds its boundary term, from the profile at
+    phi_a and every distinct phi_b, read with each round's nodes, which raises
+    RangeError for a tabulated profile whose grid does not hold them all.
+    Nothing outside the hull is sampled.
     abs_tol and rel_tol are the evaluation's: the action meets them and the
     drift and K meet _SUB_TOLERANCE of them, as the quadrature runs at that
     share with the action column weighted by it."""
@@ -275,7 +275,7 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b,
         turned, dotted = np.exp(turn_k * read), a1 + ia2
         boundary[:] = (turned[n:] * dotted[n:] / SQRT2).tolist()
         # d: the eps component of rot(phi_a - x) A^p(x)
-        d = np.exp(turn_d * (x - phi_a)) * (a1[:n] - ia2[:n]) / SQRT2
+        d = np.exp(turn_d * (x - phi_a)) * (a1 - ia2)[:n] / SQRT2
         # C - C(panel's left edge), one CUMULATIVE product per panel, on the
         # panel's (re, im) pairs
         panels = x.reshape(-1, 15, 1)
@@ -283,7 +283,7 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b,
         c = (halves * (CUMULATIVE @ d.view(np.float64).reshape(-1, 15, 2))).view(complex).ravel()
         out = np.empty((n, 3), complex)
         out[:, 0] = d
-        out[:, 1] = beta * turned[:n] * dotted[:n] / SQRT2
+        out[:, 1] = (beta * turned * dotted / SQRT2)[:n]
         out[:, 2] = _SUB_TOLERANCE * (density * (abs(d) ** 2 - beta * (d * c.conj()).imag))
         return out
 
@@ -300,7 +300,7 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b,
     area = [0.0]
     for (_, _, value), c in zip(quad.panels, cumulative):
         area.append(area[-1] + (complex(value[0]) * (c[0] - at_a[0]).conjugate()).imag)
-    scale, turn = cfg.g / (2.0 * kp), SQRT2 * rate
+    scale, turn = cfg.g / (2.0 * kp), float(SQRT2) * rate
     slots = []
     for phi, at_phi in zip(reads, boundary[1:]):
         ib = bisect_left(lefts, phi)
@@ -309,7 +309,7 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b,
         slots.append(((at_b[2] - at_a[2]).real / _SUB_TOLERANCE
                       - density * beta * (area[ib] - area[ia]),
                       (turn * w.real, turn * -w.imag),
-                      scale * cmath.exp(1j * beta * phi)
+                      scale * cmath.exp(turn_d * phi)
                       * (at_phi - boundary[0] - 1j * sign * (at_b[1] - at_a[1]))))
     actions, drifts, kernels = zip(*(slots[bisect_right(reads, phi) - 1] for phi in ends))
     return PhasePass(np.array(actions).reshape(shape)[()],

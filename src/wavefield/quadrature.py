@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,18 +66,17 @@ CUMULATIVE = _HALF[:, None] * np.einsum("m,imj->ij", WK, np.stack(
      for j in range(15)], axis=-1))
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: object            # complex scalar or ndarray, matching the integrand
     error_estimate: float
     nodes: int
     panels: tuple = ()       # (left, right, value) per panel, ascending, never sign-flipped
-    cumulative: tuple = ()   # 0, then the running sum of the panel values; never sign-flipped
+    cumulative: object = ()  # rows: 0, then the running sum of the panel values; never sign-flipped
 
 
 def _norm(v) -> float:
-    """Euclidean norm of a complex scalar or array (np.linalg.norm's value,
-    without its dispatch)."""
+    """Euclidean norm of a real or complex scalar or array (np.linalg.norm's
+    value, without its dispatch)."""
     flat = v.ravel().view(np.float64)
     return math.sqrt(flat.dot(flat))
 
@@ -88,14 +88,14 @@ def _panels(f, intervals):
     round; it runs the same product per panel, so each panel's value has the
     bits of that panel evaluated alone."""
     # (midpoint, half-width) of each panel, in Python floats, which round as numpy's do
-    mids, halves = np.array([(0.5 * (lo + hi), 0.5 * (hi - lo))
-                             for lo, hi in intervals]).T[..., None]
+    spans = np.array([(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in intervals])
+    halves = spans[:, 1:]
     nodes = halves * XK
-    nodes += mids
-    stack = np.asarray(f(nodes.ravel()), dtype=complex)
-    blocks = np.ascontiguousarray(stack.reshape((len(intervals), 15, -1)))
+    nodes += spans[:, :1]
+    stack = np.ascontiguousarray(f(nodes.ravel()), dtype=complex)
     # complex values as interleaved (re, im) floats: one real product for both rows
-    sums = halves[..., None] * (_PANEL_WEIGHTS @ blocks.view(np.float64))
+    blocks = stack.view(np.float64).reshape(len(intervals), 15, -1)
+    sums = halves[..., None] * (_PANEL_WEIGHTS @ blocks)
     values = sums[:, 0].view(complex).reshape((len(intervals),) + stack.shape[1:])
     # each panel's norm of kronrod - gauss as its own dot product, as `_norm` takes it
     diffs = sums[:, 1]
@@ -164,9 +164,9 @@ def adaptive_quad(f, a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL,
                 mid = 0.5 * (lo + hi)
                 pending += [(lo, mid), (mid, hi)]
 
-    pieces = sorted(heap, key=lambda item: item[2])
+    pieces = sorted(heap, key=itemgetter(2))
     # the running sums, one row each: zero, then each panel's value added in turn
-    cumulative = np.zeros((len(pieces) + 1,) + np.shape(pieces[0][4]), complex)
+    cumulative = np.zeros((len(pieces) + 1,) + values.shape[1:], complex)
     cumulative[1:] = [item[4] for item in pieces]
     np.add.accumulate(cumulative, axis=0, out=cumulative)
     return QuadratureResult(sign * cumulative[-1], sum(-item[0] for item in pieces), nodes,
