@@ -190,9 +190,11 @@ class TabulatedProfile(PlaneWaveProfile):
         return [(lo, hi, 0.0)]      # between knots each component is a cubic, which does not turn
 
     def components(self, phi):
-        if np.min(phi) < self.phi_grid[0] or np.max(phi) > self.phi_grid[-1]:
+        lo, hi = self.phi_grid[0], self.phi_grid[-1]
+        # false for a NaN phase too; numpy's bools have .all() for a scalar phi
+        if not ((phi >= lo) & (phi <= hi)).all():
             raise RangeError(f"tabulated profile evaluated outside its grid "
-                             f"[{float(self.phi_grid[0])!r}, {float(self.phi_grid[-1])!r}]")
+                             f"[{float(lo)!r}, {float(hi)!r}]")
         i = np.searchsorted(self.phi_grid[1:-1], phi, side="right")     # the interval of phi
         d = (phi - self.phi_grid[i])[..., None]
         c0, c1, c2, c3 = self._cubic[:, i]

@@ -4,6 +4,11 @@ Everything here is algorithmically independent of the production formulas in
 `kernels`, `green`, `fields` and `quadrature`: from the package it imports only
 the error types and the basis constants (`errors`, `minkowski`), which an
 import-graph test enforces. Each oracle is a plain function of plain arguments.
+The oracles that verification calls per random draw (`zero_profile_green`,
+`zero_profile_gradient`, `sliced_kernel` at one N, `volkov_kernel_circular`,
+`volkov_kernel_constant_slope`, `dressed_braces`) take one context or a stack
+of them on a leading axis, so that each check calls each oracle once: one
+context is a stack of one, through the same code.
 The time-sliced oracle `sliced_kernel` discretizes the transverse worldline
 action
 
@@ -27,14 +32,20 @@ N/e0, mu = g B/2), so its spectrum is known in closed form:
 
 (the eigenvectors are sines, scaled geometrically by the ratio of the two
 off-diagonals). The cosines come in +- pairs, so the branch of the square root
-does not matter. The interior solve runs on T alone.
+does not matter. The spectrum feeds the guard against a singular form; det T
+and the four corners of T^(-1), all that the Gaussian's exponent reads (the
+end sites alone carry its linear term), are Chebyshev closed forms in
+theta = arctan(mu / kappa), so no lattice is solved.
 
 `zero_profile_green` is Schwinger's closed-form constant-field propagator
 (Phys. Rev. 82, 664 (1951)) rotated onto the Euclidean proper-time axis
 e0 = i tau, where its integrand is real, positive and free of caustics,
 integrated by an exp-sinh rule (below); `zero_profile_gradient` adds its four
 x_b derivatives, for the transverse slots by one more weight per projector sign,
-integrated in the same rule call.
+integrated in the same rule call. A stack of contexts is one rule call too,
+each context scaled to its own saddle; the rule refines until every context's
+levels agree, so a context may take a level more in a stack than alone, and
+where it takes the same levels it has the same bits.
 `free_propagator`'s K0 is the trapezoid sum of int_0^inf exp(-z cosh t) dt.
 
 `landau_green` is the same proper-time integral in closed form: at the
@@ -63,7 +74,6 @@ the oracles cost `verify` no import beyond numpy.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -75,19 +85,26 @@ from .minkowski import (IDENTITY4, METRIC, P_MINUS, P_PLUS, SLASH_EPS, SLASH_EPS
 _SQRT2 = math.sqrt(2.0)
 
 
-def _interior_spectrum(n: int, kappa: complex, mu: float) -> np.ndarray:
+def _interior_spectrum(n: int, kappa, mu) -> np.ndarray:
     """The N-1 eigenvalues of the tridiagonal Toeplitz block T of `sliced_kernel`,
-    in closed form (module docstring): no eigensolver."""
-    root = np.sqrt((1j * kappa + mu) * (1j * kappa - mu))
-    return 2j * kappa - 2.0 * root * np.cos(np.arange(1, n) * (np.pi / n))
+    in closed form (module docstring): no eigensolver. kappa and mu may be
+    arrays, the eigenvalues on a new last axis."""
+    root = np.sqrt((1j * kappa + mu) * (1j * kappa - mu))[..., None]
+    return 2j * np.asarray(kappa)[..., None] - 2.0 * root * np.cos(np.arange(1, n) * (np.pi / n))
 
 
-def sliced_kernel(n_slices: int, e0: complex, g: float, B: float, xa, xb) -> complex:
+def sliced_kernel(n_slices: int, e0, g, B, xa, xb):
     """Transverse path integral on N = n_slices time slices from the transverse
-    endpoint xa to xb, proper time e0 and field g B, evaluated exactly."""
+    endpoint xa to xb, proper time e0 and field g B, evaluated exactly. A stack
+    of lattices at one N (e0, g, B of shape (k,), xa and xb of shape (k, 2))
+    gives k kernels from one call. One lattice (scalars and two
+    2-vectors) is a stack of one and gives a complex: the arithmetic runs on
+    arrays either way, so each kernel of a stack has the bits it has alone."""
     n = n_slices
     if n < 2:
         raise ValueError(f"need at least 2 slices, got {n}")
+    single = np.ndim(e0) == 0
+    e0, g, B = (np.atleast_1d(v) for v in (e0, g, B))
     delta = 1.0 / n
     kappa = 1.0 / (e0 * delta)
     mu = g * B / 2.0
@@ -98,28 +115,38 @@ def sliced_kernel(n_slices: int, e0: complex, g: float, B: float, xa, xb) -> com
     # (1, +-i)/sqrt2 it splits into T (sigma_y = +1) and T^T (sigma_y = -1), and
     # b, which the end sites alone carry, into b_+ and b_- (times sqrt2 here)
     up, down = 1j * kappa - mu, 1j * kappa + mu
-    t = np.zeros((n - 1, n - 1), dtype=complex)
-    t.flat[::n] = 2j * kappa
-    t.flat[1::n] = -down
-    t.flat[n - 1::n] = -up
-
-    (xa1, xa2), (xb1, xb2) = ([complex(v) for v in x] for x in (xa, xb))
-    b_plus, b_minus = np.zeros(n - 1, dtype=complex), np.zeros(n - 1, dtype=complex)
-    b_plus[0], b_minus[0] = up * (xa1 - 1j * xa2), down * (xa1 + 1j * xa2)
-    b_plus[-1] += down * (xb1 - 1j * xb2)
-    b_minus[-1] += up * (xb1 + 1j * xb2)
+    (xa1, xa2), (xb1, xb2) = (np.atleast_2d(np.asarray(x, dtype=float)).T for x in (xa, xb))
+    plus = up * (xa1 - 1j * xa2), down * (xb1 - 1j * xb2)      # b_+ at the first and last site
+    minus = down * (xa1 + 1j * xa2), up * (xb1 + 1j * xb2)     # b_-
     c = -0.5j * kappa * (xa1 * xa1 + xa2 * xa2 + xb1 * xb1 + xb2 * xb2)
 
     lam = _interior_spectrum(n, kappa, mu)
     magnitude = np.abs(lam)
-    if magnitude.min() < 1e-12 * magnitude.max():
+    if np.any(magnitude.min(axis=-1) < 1e-12 * magnitude.max(axis=-1)):
         raise SingularForm(f"discrete Gaussian singular at e0={e0!r}, N={n}")
-    # A has each eigenvalue of T twice, so prod_A lam^(-1/2) = prod_T lam^(-1);
-    # and (1/2) b^T A^(-1) b = (1/2)(b_-^T T^(-1) b_+ + b_+^T T^(-T) b_-) = b_-^T T^(-1) b_+
-    root = np.prod(1.0 / lam)
-    exponent = b_minus @ np.linalg.solve(t, b_plus) / 2.0 + c
+    # A has each eigenvalue of T twice, so prod_A lam^(-1/2) = prod_T lam^(-1) = 1/det T;
+    # and (1/2) b^T A^(-1) b = (1/2)(b_-^T T^(-1) b_+ + b_+^T T^(-T) b_-) = b_-^T T^(-1) b_+,
+    # which reads T^(-1) at its four corners only. With tan(theta) = mu / kappa and
+    # rho = i kappa / cos(theta), T's off-diagonals are -rho e^(-+i theta) and the
+    # determinant of its leading k x k block is rho^k S(k + 1), S(k) = sin(k theta) /
+    # sin(theta) (Chebyshev's U_{k-1}); so, M = N - 1, det T = rho^M S(N), both
+    # diagonal corners of T^(-1) are S(M) / (rho S(N)) and the top right and bottom
+    # left ones e^(-+i (M-1) theta) / (rho S(N))
+    theta = np.arctan(mu / kappa)
+    rho = 1j * kappa / np.cos(theta)
+
+    def chebyshev(k):
+        return np.divide(np.sin(k * theta), np.sin(theta), out=np.full_like(theta, k),
+                         where=theta != 0.0)
+
+    edge = rho * chebyshev(n)
+    turn = np.exp(1j * (n - 2) * theta)
+    exponent = ((minus[0] * plus[0] + minus[1] * plus[1]) * chebyshev(n - 1)
+                + minus[0] * plus[1] / turn + minus[1] * plus[0] * turn) / (2.0 * edge) + c
+    root = 1.0 / (rho ** (n - 2) * edge)
     prefactor = (1j / (2.0 * np.pi * e0 * delta)) ** n * (2.0 * np.pi) ** (n - 1)
-    return complex(prefactor * root * np.exp(exponent))
+    value = prefactor * root * np.exp(exponent)
+    return complex(value[0]) if single else value
 
 
 def free_kernel(e0: complex, xa, xb) -> complex:
@@ -133,42 +160,45 @@ def free_kernel(e0: complex, xa, xb) -> complex:
 def richardson_extrapolate(ns, values):
     """Extrapolate a 1/N^p sequence from its last three doublings.
 
-    Returns (limit, observed_order). ns must double between samples.
+    Returns (limit, observed_order). ns must double between samples. Each
+    value may be an array (a stack of lattices), extrapolated entry by entry;
+    the order is then an array too.
     """
     v1, v2, v3 = values[-3], values[-2], values[-1]
-    order = np.log2(abs(v1 - v2) / abs(v2 - v3))
-    return v3 + (v3 - v2) / (2.0 ** order - 1.0), float(order)
+    order = np.log2(np.abs(v1 - v2) / np.abs(v2 - v3))
+    return v3 + (v3 - v2) / (2.0 ** order - 1.0), order
 
 
-def volkov_kernel_circular(phi: float, *, g: float, kp: float, phi0: float, beta: float,
-                           a: float, nu: float, sign: int = +1) -> complex:
+def volkov_kernel_circular(phi, *, g, kp, phi0, beta, a, nu, sign=+1):
     """K(phi) integrated from phi0 for the circular profile (amplitude a,
     frequency nu), by its antiderivative, the resonant fraction
     (g / 2 kp) e^{i beta phi} (a nu / sqrt2) (e^{i d phi} - e^{i d phi0}) / d,
-    d = sign beta + nu, beta = g B / kp; sign toggles the integrand exponential."""
-    denom = sign * beta + nu
-    if abs(denom) < 1e-12:
+    d = sign beta + nu, beta = g B / kp; sign toggles the integrand exponential.
+    Arrays of arguments broadcast to an array of K, one per context."""
+    denom = sign * np.asarray(beta) + nu
+    if np.any(np.abs(denom) < 1e-12):
         raise ResonantDenominator(f"resonant circular profile: sign*beta + nu = {denom!r}")
-    integral = ((a * nu / _SQRT2)
-                * (cmath.exp(1j * denom * phi) - cmath.exp(1j * denom * phi0)) / denom)
-    return complex(g / (2.0 * kp) * cmath.exp(1j * beta * phi) * integral)
+    integral = (a * nu / _SQRT2) * (np.exp(1j * denom * phi) - np.exp(1j * denom * phi0)) / denom
+    return g / (2.0 * kp) * np.exp(1j * beta * phi) * integral
 
 
-def volkov_kernel_constant_slope(phi: float, *, g: float, kp: float, phi0: float, beta: float,
-                                 c: complex, sign: int = +1) -> complex:
+def volkov_kernel_constant_slope(phi, *, g, kp, phi0, beta, c, sign=+1):
     """K(phi) integrated from phi0 for a profile of constant slope dot(eps, A') = c,
-    by its antiderivative; beta = g B / kp, sign toggles the integrand exponential."""
-    if abs(beta) < 1e-12:
+    by its antiderivative; beta = g B / kp, sign toggles the integrand exponential.
+    Arrays of arguments broadcast to an array of K, one per context."""
+    if np.any(np.abs(beta) < 1e-12):
         raise ResonantDenominator("constant_slope closed form needs beta away from 0")
-    integral = (c * (cmath.exp(1j * sign * beta * phi) - cmath.exp(1j * sign * beta * phi0))
-                / (1j * sign * beta))
-    return complex(g / (2.0 * kp) * cmath.exp(1j * beta * phi) * integral)
+    turn = 1j * sign * np.asarray(beta)
+    integral = c * (np.exp(turn * phi) - np.exp(turn * phi0)) / turn
+    return g / (2.0 * kp) * np.exp(1j * beta * phi) * integral
 
 
-def dressed_braces(k_b: complex) -> tuple:
+def dressed_braces(k_b) -> tuple:
     """The printed braces (M+, M-) = ((1 - kslash epsslash* K) P+,
     (1 - kslash epsslash K*) P-) at phi_b, where K is k_b, with K integrated
-    from phi_a, where it vanishes; for real data K* is K's complex conjugate."""
+    from phi_a, where it vanishes; for real data K* is K's complex conjugate.
+    An array of k_b gives stacks of braces on its leading axes."""
+    k_b = np.asarray(k_b)[..., None, None]
     return ((IDENTITY4 - SLASH_K @ SLASH_EPS_CONJ * k_b) @ P_PLUS,
             (IDENTITY4 - SLASH_K @ SLASH_EPS * np.conj(k_b)) @ P_MINUS)
 
@@ -193,9 +223,10 @@ def free_propagator(x_a, x_b, pL, m: float) -> complex:
     return complex(phase * _k0(rho * np.sqrt(gap)) / (2.0 * np.pi))
 
 
-def _longitudinal(pL, dx) -> float:
-    """pL.dx^L: the metric product over the longitudinal slots 2 and 3."""
-    return np.sum(METRIC[2:] * pL[2:] * dx[2:])
+def _longitudinal(pL, dx):
+    """pL.dx^L: the metric product over the longitudinal slots 2 and 3, of
+    one pair of four-vectors or of each pair of a stack."""
+    return np.sum(METRIC[2:] * pL[..., 2:] * dx[..., 2:], axis=-1)
 
 
 def _k0(z: float) -> float:
@@ -209,65 +240,83 @@ def _k0(z: float) -> float:
     return math.exp(-z) * step * (float(np.sum(terms)) - 0.5)
 
 
-def _euclidean_axis(x_a, x_b, pL, m: float, b: float):
-    """(integrals, braces, dx) of `zero_profile_green`: integrals(spread) is
-    2 pi times its weight integrated over tau by one exp-sinh rule, one entry
-    per projector sign (+, -), the entry of sign(b) times q = exp(-|b| tau);
-    with `spread`, a second row holds the same times (b/2) coth(b tau/2);
-    braces(I+, I-) is phase (I+ P+ + I- P-) / (4 pi); dx = x_b - x_a. The rule
-    is scaled to the saddle sqrt(rho^2 / (2 gap)) of the free weight's exponent."""
-    x_a, x_b, pL = (np.asarray(v, dtype=float) for v in (x_a, x_b, pL))
-    gap = float(np.sum(METRIC * pL * pL)) - m * m
+def _euclidean_axis(x_a, x_b, pL, m, b):
+    """(integrals, braces, dx) of `zero_profile_green`, for one context or a
+    stack of them on the leading axes (each four-vector on the last axis):
+    integrals(spread) is 2 pi times its weight integrated over tau by one
+    exp-sinh rule for the whole stack, per context one entry per projector
+    sign (+, -) on the last axis, the entry of sign(b) times q = exp(-|b| tau);
+    with `spread`, a leading row holds the same times (b/2) coth(b tau/2);
+    braces(I), I holding (I+, I-) on its last axis, is
+    phase (I+ P+ + I- P-) / (4 pi); dx = x_b - x_a. The rule is scaled per
+    context to the saddle sqrt(rho^2 / (2 gap)) of the free weight's exponent."""
+    x_a, x_b, pL, m, b = (np.asarray(v, dtype=float) for v in (x_a, x_b, pL, m, b))
+    gap = np.sum(METRIC * pL * pL, axis=-1) - m * m
     dx = x_b - x_a
-    rho2 = float(dx[0] ** 2 + dx[1] ** 2)
-    if gap <= 0 or rho2 == 0.0:
+    rho2 = dx[..., 0] ** 2 + dx[..., 1] ** 2
+    if np.any(gap <= 0) or np.any(rho2 == 0.0):
         raise ValueError(f"oracle needs gap > 0 and |DX| > 0, got gap {gap!r}, |DX|^2 {rho2!r}")
-    damped = np.array([[b > 0.0], [b < 0.0]])
+    # the sign axis sits next to the nodes: each context's sums are then the
+    # product of its own (2, nodes) block with the table, which has the same
+    # bits in a stack of any size as alone
+    damped = np.stack([b > 0.0, b < 0.0], axis=-1)[..., None]
+    abs_b, rho2_n, gap_n = (v[..., None, None] for v in (np.abs(b), rho2, gap))
 
     def weights(tau, spread):
         # 2 pi times the weight: the braces carry the 1/(2 pi)
-        x = abs(b) * tau
+        x = abs_b * tau
         q = np.exp(-x)
         h = np.divide(x, -np.expm1(-x), out=np.ones_like(x), where=x > 0.0)   # x / (1 - q)
         coth = h * (1.0 + q) / (2.0 * tau)                  # (|b|/2) coth(|b| tau/2)
-        w = h / tau * np.exp(-0.5 * rho2 * coth - 0.5 * gap * tau)
+        w = h / tau * np.exp(-0.5 * rho2_n * coth - 0.5 * gap_n * tau)
         if spread:
-            w = np.stack([w, w * coth])[:, None]
+            w = np.stack([w, w * coth])
         return np.where(damped, w * q, w)
 
     def integrals(spread):
         return _double_exponential(lambda tau: weights(tau, spread),
-                                   _exp_sinh(math.sqrt(rho2 / (2.0 * gap))), 0.0, 1e-13)
+                                   _exp_sinh(np.sqrt(rho2 / (2.0 * gap))[..., None]), 0.0, 1e-13)
 
-    phase = np.exp(1j * (_longitudinal(pL, dx)
-                         + 0.5 * b * (x_b[0] * x_a[1] - x_b[1] * x_a[0]))) / (4.0 * np.pi)
-    return integrals, lambda plus, minus: phase * (plus * P_PLUS + minus * P_MINUS), dx
+    phase = (np.exp(1j * (_longitudinal(pL, dx)
+                          + 0.5 * b * (x_b[..., 0] * x_a[..., 1] - x_b[..., 1] * x_a[..., 0])))
+             / (4.0 * np.pi))[..., None, None]
+
+    def braces(signs):
+        return phase * (signs[..., 0, None, None] * P_PLUS + signs[..., 1, None, None] * P_MINUS)
+
+    return integrals, braces, dx
 
 
-def zero_profile_green(x_a, x_b, pL, m: float, b: float) -> np.ndarray:
+def zero_profile_green(x_a, x_b, pL, m, b) -> np.ndarray:
     """Constant-field (zero-profile) Green function on the Euclidean axis e0 = i tau.
 
     G = exp(i pL.dx^L) exp(i (b/2)(xb1 xa2 - xb2 xa1)) (1/2) int_0^inf dtau
         [b / (4 pi sinh(b tau/2))] exp(-(b/4) coth(b tau/2) |DX|^2 - tau gap/2)
         (exp(-b tau/2) P+ + exp(+b tau/2) P-),  b = g B, gap = pL^2 - m^2,
     with sinh and coth written through q = exp(-|b| tau) so that nothing
-    overflows at large tau (b = 0 is the free limit).
+    overflows at large tau (b = 0 is the free limit). A stack of contexts
+    (x_a, x_b, pL of shape (..., 4), m and b of shape (...)) gives a stack of
+    G of shape (..., 4, 4) from one rule call, which refines until every
+    context's levels agree.
     """
     integrals, braces, _ = _euclidean_axis(x_a, x_b, pL, m, b)
-    return braces(*integrals(False))
+    return braces(integrals(False))
 
 
-def zero_profile_gradient(x_a, x_b, pL, m: float, b: float) -> tuple:
-    """(G, [dG/dx_b^mu]) of `zero_profile_green`, differentiated under the
-    integral: d/dxb1 of i (b/2) xb1 xa2 - (b/4) coth(b tau/2) |DX|^2 is
-    i (b/2) xa2 - (b/2) coth(b tau/2) DX1 (slot 2 likewise), one more weight per
-    projector sign; a longitudinal slot mu gives i g_mumu pL^mu G."""
+def zero_profile_gradient(x_a, x_b, pL, m, b) -> tuple:
+    """(G, [dG/dx_b^mu]) of `zero_profile_green`, one context or a stack,
+    differentiated under the integral: d/dxb1 of i (b/2) xb1 xa2
+    - (b/4) coth(b tau/2) |DX|^2 is i (b/2) xa2 - (b/2) coth(b tau/2) DX1
+    (slot 2 likewise), one more weight per projector sign; a longitudinal slot
+    mu gives i g_mumu pL^mu G."""
     integrals, braces, dx = _euclidean_axis(x_a, x_b, pL, m, b)
+    x_a, pL, b = (np.asarray(v, dtype=float) for v in (x_a, pL, b))
     plain, spread = integrals(True)
-    gauge = 0.5j * b * np.array([x_a[1], -x_a[0]])
-    value = braces(*plain)
-    return value, ([braces(*(gauge[mu] * plain - dx[mu] * spread)) for mu in (0, 1)]
-                   + [1j * METRIC[mu] * pL[mu] * value for mu in (2, 3)])
+    gauge = 0.5j * b * np.stack([x_a[..., 1], -x_a[..., 0]])
+    value = braces(plain)
+    return value, ([braces(gauge[mu][..., None] * plain - dx[..., mu, None] * spread)
+                    for mu in (0, 1)]
+                   + [1j * METRIC[mu] * pL[..., mu, None, None] * value for mu in (2, 3)])
 
 
 def landau_green(x_a, x_b, pL, m: float, b: float, drift=(0.0, 0.0), cross: complex = 0.0,
@@ -464,6 +513,7 @@ def _tanh_sinh(lo, hi):
     return half[..., 0], nodes, _TANH_SINH
 
 
-def _exp_sinh(scale: float):
-    """Nodes x(t) = scale exp((pi/2) sinh t) on [0, inf)."""
-    return scale, lambda stage: scale * _EXP_SINH[stage][0], _EXP_SINH
+def _exp_sinh(scale):
+    """Nodes x(t) = scale exp((pi/2) sinh t) on [0, inf), for every entry of
+    scale (an array) at once, the nodes on a new last axis."""
+    return scale, lambda stage: np.asarray(scale)[..., None] * _EXP_SINH[stage][0], _EXP_SINH

@@ -18,9 +18,12 @@ at K from `oracles.volkov_kernel_circular` integrated from phi_a. Its
 requires G unchanged: k.p is conserved, so the wave phase runs from phi_a to
 phi_b along the classical path and G sees the profile there only. Criterion
 numbers have gaps.
-The limit checks that `limits` shares evaluate production first, so a point
-outside the domain raises the production error (exit 4), not an oracle's. `run_all` is what the
-`verify` CLI command executes; each check also has a focused unit test.
+A check that compares production with an oracle evaluates production at all
+of its random draws first, so a point outside the domain raises the
+production error (exit 4 from `limits`), not an oracle's; then it calls each
+oracle once, with all of its draws stacked (`sliced_kernel` once per N).
+`run_all` is what the `verify` CLI command executes; each check also has a
+focused unit test.
 Criterion 12 byte-compares two runs of the `gf` and `identities` commands (a
 run that exits non-zero or writes no output fails the row, and the detail says
 which), and compares the seeded checks' reports (criterion 2 and criterion 7's
@@ -48,7 +51,7 @@ from .fields import (CircularProfile, FieldConfig, LinearProfile, PlaneWaveProfi
 from .green import EvalContext, _prepare, dirac_apply, green_function, total_potential_lowered
 from .kernels import phase_pass, schwinger_kernel
 from .minkowski import (EPS, EPS_CONJ, GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS,
-                        UNIT_FIELD_MIXED, WAVE_K, dot)
+                        UNIT_FIELD_MIXED, WAVE_K, dot, light_cone)
 from .oracles import (cross_phase_nested, dressed_braces, free_kernel, free_propagator,
                       richardson_extrapolate, sliced_kernel, volkov_kernel_circular,
                       volkov_kernel_constant_slope, zero_profile_gradient, zero_profile_green)
@@ -127,8 +130,7 @@ def check_basis_identities() -> list[CheckResult]:
 
 def check_sliced_oracle_agreement() -> list[CheckResult]:
     rng = random.Random(105)
-    dev_rel = 0.0
-    worst_order = np.inf
+    draws, exact = [], []
     for _ in range(5):
         e0 = rng.uniform(0.3, 1.2)
         g = rng.uniform(0.5, 1.5)
@@ -137,13 +139,14 @@ def check_sliced_oracle_agreement() -> list[CheckResult]:
         xb = _uniforms(rng, -1.0, 1.0, 2)
         while float(np.hypot(*(xb - xa))) < 0.3:
             xb = _uniforms(rng, -1.0, 1.0, 2)
-        cfg = FieldConfig(g=g, B=b, profile=ZeroProfile())
-        exact = schwinger_kernel(e0, xa, xb, cfg)
-        ns = [8, 16, 32, 64]
-        values = [sliced_kernel(n, e0, g, b, xa, xb) for n in ns]
-        limit, order = richardson_extrapolate(ns, values)
-        dev_rel = max(dev_rel, abs(limit - exact) / abs(exact))
-        worst_order = min(worst_order, order)
+        draws.append((e0, g, b, xa, xb))
+        exact.append(schwinger_kernel(e0, xa, xb, FieldConfig(g=g, B=b, profile=ZeroProfile())))
+    # one lattice call per N, all five draws stacked
+    lattices = [np.array(column) for column in zip(*draws)]
+    ns = [8, 16, 32, 64]
+    limit, order = richardson_extrapolate(ns, [sliced_kernel(n, *lattices) for n in ns])
+    dev_rel = np.max(np.abs(limit - exact) / np.abs(exact))
+    worst_order = np.min(order)
 
     # both endpoints on the 1-axis (see weak_field_kernel_limit)
     cases = ((rng.uniform(0.3, 1.5), rng.uniform(0.5, 1.5), np.array([rng.uniform(0.2, 0.6), 0.0]),
@@ -157,27 +160,30 @@ def check_sliced_oracle_agreement() -> list[CheckResult]:
 
 # -- criterion 7 ---------------------------------------------------------
 
-def _dressed_braces_deviation() -> float:
-    """Largest entry difference of `_prepare`'s braces M+- from the printed
-    ones at K from the circular closed form integrated from phi_a, over 10
-    circular contexts (B and volkov_sign of both signs)."""
+def _dressed_braces_draws() -> list:
+    """The 10 circular contexts (B and volkov_sign of both signs) of the
+    dressed-braces row, each with the arguments of the circular closed form
+    of K at phi_b, integrated from phi_a."""
     rng = random.Random(114)
-    dev = 0.0
+    draws = []
     for i in range(10):
         g, a = rng.uniform(0.5, 1.5), rng.uniform(0.2, 1.0)
         b = rng.uniform(0.3, 1.0) * (1 if i % 2 else -1)
         point = _random_point(rng)
-        sign, kp = 1 if i % 4 < 2 else -1, dot(WAVE_K, point["pL"]).real
+        sign, kp = 1 if i % 4 < 2 else -1, light_cone(point["pL"])
         nu = rng.uniform(0.6, 2.0)
         while abs(sign * g * b / kp + nu) < 0.05:
             nu = rng.uniform(0.6, 2.0)
         ctx = EvalContext(volkov_sign=sign, cfg=FieldConfig(
             g=g, B=b, profile=CircularProfile(amplitude=a, frequency=nu)), **point)
-        plus, minus = dressed_braces(volkov_kernel_circular(
-            ctx.phi_b, g=g, kp=kp, phi0=ctx.phi_a, beta=g * b / kp, a=a, nu=nu, sign=sign))
-        pre = _prepare(ctx, ctx.x_b)
-        dev = max(dev, _maxabs(pre.plus[0] - plus), _maxabs(pre.minus[0] - minus))
-    return dev
+        draws.append((ctx, dict(phi=ctx.phi_b, g=g, kp=kp, phi0=ctx.phi_a, beta=g * b / kp,
+                                a=a, nu=nu, sign=sign)))
+    return draws
+
+
+def _stacked(draws: list) -> dict:
+    """Keyword arguments of one call per draw as one call's arrays."""
+    return {key: np.array([draw[key] for draw in draws]) for key in draws[0]}
 
 
 #: Zero everywhere but not flagged `is_zero`: the phase pass integrates it, so
@@ -188,31 +194,30 @@ _ZERO_SAMPLES = FieldConfig(g=1.0, B=0.5, profile=TabulatedProfile(
 
 def check_phase_integral_oracles() -> list[CheckResult]:
     rng = random.Random(107)
-    dev = 0.0
+    kernels = {"circular": [], "slope": []}     # the phase pass's K, per closed form
+    closed = {"circular": [], "slope": []}      # that form's arguments
     for i in range(50):
         g = rng.uniform(0.5, 1.5)
         pl = np.array([0.0, 0.0, rng.uniform(-0.4, 0.4),
                        rng.uniform(1.2, 2.5) * (1 if i % 2 else -1)])
-        kp = dot(WAVE_K, pl).real
+        kp = light_cone(pl)
         phi_a = rng.uniform(-1.0, 1.0)
         phi = rng.uniform(-1.0, 1.0)
         kind = i % 3
         if kind == 0:
             a, nu = rng.uniform(0.2, 1.0), rng.uniform(0.5, 2.0)
             cfg = FieldConfig(g=g, B=0.0, profile=CircularProfile(amplitude=a, frequency=nu))
-            ref = volkov_kernel_circular(phi, g=g, kp=kp, phi0=phi_a, beta=0.0, a=a, nu=nu)
+            form, args = "circular", dict(beta=0.0, a=a, nu=nu, sign=1)
         elif kind == 1:
             # constant-slope potential realized as a tabulated profile through
             # collinear samples (the natural spline reproduces a line exactly)
             slope = rng.uniform(0.3, 1.0)
             offset = rng.uniform(-0.5, 0.5)
             b = rng.uniform(0.3, 1.0)
-            beta = g * b / kp
             grid = np.linspace(min(phi_a, phi) - 0.5, max(phi_a, phi) + 0.5, 9)
             cfg = FieldConfig(g=g, B=b, profile=TabulatedProfile(
                 phi_grid=grid, a1=offset + slope * grid, a2=np.zeros(grid.size)))
-            ref = volkov_kernel_constant_slope(phi, g=g, kp=kp, phi0=phi_a, beta=beta,
-                                               c=complex(slope / np.sqrt(2.0)))
+            form, args = "slope", dict(beta=g * b / kp, c=complex(slope / np.sqrt(2.0)))
         else:
             a, nu = rng.uniform(0.2, 1.0), rng.uniform(0.6, 2.0)
             b = rng.uniform(0.3, 1.0)
@@ -220,13 +225,27 @@ def check_phase_integral_oracles() -> list[CheckResult]:
             while abs(beta + nu) < 0.05:
                 nu = rng.uniform(0.6, 2.0)
             cfg = FieldConfig(g=g, B=b, profile=CircularProfile(amplitude=a, frequency=nu))
-            ref = volkov_kernel_circular(phi, g=g, kp=kp, phi0=phi_a, beta=beta, a=a, nu=nu)
-        dev = max(dev, abs(phase_pass(cfg, pl, phi_a, phi).kernel_b - ref))
+            form, args = "circular", dict(beta=beta, a=a, nu=nu, sign=1)
+        kernels[form].append(phase_pass(cfg, pl, phi_a, phi).kernel_b)
+        closed[form].append(dict(phi=phi, g=g, kp=kp, phi0=phi_a, **args))
+    braces = _dressed_braces_draws()
+    prepared = [_prepare(ctx, ctx.x_b) for ctx, _ in braces]
+
+    # each closed form once, the circular one for both rows
+    circular = volkov_kernel_circular(**_stacked(closed["circular"] + [kw for _, kw in braces]))
+    split = len(closed["circular"])
+    dev = max(_maxabs(np.array(kernels["circular"]) - circular[:split]),
+              _maxabs(np.array(kernels["slope"])
+                      - volkov_kernel_constant_slope(**_stacked(closed["slope"]))))
+    # _prepare's braces M+- against the printed ones at the closed-form K
+    plus, minus = dressed_braces(circular[split:])
+    dev_braces = max(_maxabs(np.array([pre.plus[0] for pre in prepared]) - plus),
+                     _maxabs(np.array([pre.minus[0] for pre in prepared]) - minus))
 
     zero_val = phase_pass(_ZERO_SAMPLES, np.array([0.0, 0.0, 0.1, 2.0]), -0.3, 0.7).kernel_b
     return [
         _result(7, "phase-integral-closed-forms", dev, 1e-8, "50 random draws, 3 profile kinds"),
-        _result(7, "dressed-braces-closed-form", _dressed_braces_deviation(), 1e-12,
+        _result(7, "dressed-braces-closed-form", dev_braces, 1e-12,
                 "10 circular contexts (B, volkov_sign of both signs) vs the printed M+-"),
         _result(7, "phase-integral-zero-profile-exact", abs(zero_val), 0.0,
                 "K at a tabulated profile of zero samples (g = 1, B = 0.5), through the "
@@ -241,7 +260,7 @@ def _oracle_exponent(ctx: EvalContext) -> complex:
     split at the profile's knots."""
     cfg, x_a, x_b = ctx.cfg, ctx.x_a, ctx.x_b
     cross, (y1, y2) = cross_phase_nested(cfg.profile.components, cfg.g, cfg.B,
-                                         dot(WAVE_K, ctx.pL).real, ctx.phi_a, ctx.phi_b,
+                                         light_cone(ctx.pL), ctx.phi_a, ctx.phi_b,
                                          x_b[:2], cfg.profile.knots)
     gauge = 0.5j * cfg.g * cfg.B * ((x_b[0] - y1) * x_a[1] - (x_b[1] - y2) * x_a[0])
     return 1j * dot(ctx.pL, x_b - x_a) + cross + gauge
@@ -327,30 +346,37 @@ def weak_field_kernel_limit(cases) -> CheckResult:
                    f"{n} (e0, g, x_a, x_b) cases at B = 1e-4, zero profile, vs the free kernel")
 
 
+def _stacked_points(contexts: list) -> tuple:
+    """(x_a, x_b, pL, m, g B) of the contexts as arrays, one row per context:
+    the arguments of one zero-profile oracle call for all of them."""
+    return tuple(np.array(column) for column in zip(
+        *((ctx.x_a, ctx.x_b, ctx.pL, ctx.m, ctx.cfg.g * ctx.cfg.B) for ctx in contexts)))
+
+
 def zero_profile_limit(contexts) -> CheckResult:
     """Each context with its profile set to zero against Schwinger's closed form."""
-    dev, n = 0.0, 0
-    for n, ctx in enumerate(contexts, 1):
-        ctx = replace(ctx, cfg=replace(ctx.cfg, profile=ZeroProfile()))
-        # production first: it raises the documented error outside the domain
-        value = green_function(ctx).matrix
-        ref = zero_profile_green(ctx.x_a, ctx.x_b, ctx.pL, ctx.m, ctx.cfg.g * ctx.cfg.B)
-        dev = max(dev, _maxabs(value - ref))
+    contexts = [replace(ctx, cfg=replace(ctx.cfg, profile=ZeroProfile())) for ctx in contexts]
+    # production first, for every context: it raises the documented error
+    # outside the domain before any oracle runs
+    values = np.array([green_function(ctx).matrix for ctx in contexts])
+    dev = _maxabs(values - zero_profile_green(*_stacked_points(contexts)))
     return _result(8, "zero-profile-route-equivalence", dev, 1e-10,
-                   f"{n} context(s), profile set to zero, entrywise vs Schwinger's closed form")
+                   f"{len(contexts)} context(s), profile set to zero, entrywise vs Schwinger's "
+                   f"closed form")
 
 
 def free_field_limit(contexts) -> CheckResult:
     """Each context's endpoints and momentum in FREE_FIELD against the scalar
     free propagator times the identity."""
-    dev, n = 0.0, 0
-    for n, ctx in enumerate(contexts, 1):
-        ctx = replace(ctx, cfg=FREE_FIELD)
-        value = green_function(ctx).matrix
+    contexts = [replace(ctx, cfg=FREE_FIELD) for ctx in contexts]
+    values = [green_function(ctx).matrix for ctx in contexts]     # production first
+    dev = 0.0
+    for ctx, value in zip(contexts, values):
         ref = free_propagator(ctx.x_a, ctx.x_b, ctx.pL, ctx.m)
         dev = max(dev, _maxabs(value - ref * IDENTITY4) / abs(ref))
     return _result(10, "free-field-reduction", dev, 1e-5,
-                   f"{n} context(s) at B = 0, zero profile, vs the scalar free propagator times 1")
+                   f"{len(contexts)} context(s) at B = 0, zero profile, vs the scalar free "
+                   f"propagator times 1")
 
 
 # -- criteria 8-10: random evaluation contexts ---------------------------
@@ -408,30 +434,33 @@ def check_free_field_reduction() -> list[CheckResult]:
 
 # -- criterion 11 --------------------------------------------------------
 
-def _analytic_dirac(ctx: EvalContext):
-    value, grads = zero_profile_gradient(ctx.x_a, ctx.x_b, ctx.pL, ctx.m, ctx.cfg.g * ctx.cfg.B)
-    a_low = total_potential_lowered(ctx, ctx.x_b)
-    out = ctx.m * value
+def _analytic_dirac(contexts: list, potentials: np.ndarray) -> tuple:
+    """(D G, scale) per context: the Dirac operator applied to the zero-profile
+    G through its analytic x_b gradient, from one oracle call for all the
+    contexts, with each context's lowered potential at x_b; scale is the
+    largest Frobenius norm of its four derivatives."""
+    points = _stacked_points(contexts)
+    value, grads = zero_profile_gradient(*points)
+    m, g = points[3][:, None, None], np.array([ctx.cfg.g for ctx in contexts])[:, None, None]
+    out = m * value
     for mu in range(4):
-        out = out + 1j * GAMMA[mu] @ (grads[mu] - ctx.cfg.g * a_low[mu] * value)
-    scale = max(float(np.linalg.norm(g)) for g in grads)
-    return out, scale
+        out = out + 1j * GAMMA[mu] @ (grads[mu] - g * potentials[:, mu, None, None] * value)
+    return out, np.max(np.linalg.norm(np.array(grads), axis=(-2, -1)), axis=0)
 
 
 def check_derivative_consistency() -> list[CheckResult]:
     rng = random.Random(111)
-    results = []
-    for label, b, tol in (("free", 0.0, 1e-4), ("constant-field", 0.7, 1e-3)):
-        dev = 0.0
-        for _ in range(3):
-            cfg = FieldConfig(g=1.0, B=b, profile=ZeroProfile())
-            ctx = _random_context(rng, cfg)
-            analytic, scale = _analytic_dirac(ctx)
-            fd = dirac_apply(ctx)
-            dev = max(dev, float(np.linalg.norm(fd - analytic)) / scale)
-        results.append(_result(11, f"derivative-consistency-{label}", dev, tol,
-                               "finite-difference operator application vs analytic gradient"))
-    return results
+    rows = (("free", 0.0, 1e-4), ("constant-field", 0.7, 1e-3))
+    contexts = [_random_context(rng, FieldConfig(g=1.0, B=b, profile=ZeroProfile()))
+                for _, b, _ in rows for _ in range(3)]
+    # production first: the finite-difference side and the potential
+    fd = np.array([dirac_apply(ctx) for ctx in contexts])
+    potentials = np.array([total_potential_lowered(ctx, ctx.x_b) for ctx in contexts])
+    analytic, scale = _analytic_dirac(contexts, potentials)
+    dev = np.linalg.norm(fd - analytic, axis=(-2, -1)) / scale
+    return [_result(11, f"derivative-consistency-{label}", np.max(dev[3 * i:3 * i + 3]), tol,
+                    "finite-difference operator application vs analytic gradient")
+            for i, (label, _, tol) in enumerate(rows)]
 
 
 # -- criterion 12 --------------------------------------------------------

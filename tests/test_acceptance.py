@@ -14,7 +14,10 @@ writes other bytes, exits non-zero or writes nothing must fail
 `cli-output-bit-determinism`, both inside `run_all` (which hands criterion 12
 the table's own reports) and called alone. `run_all` is
 also run with every check behind a nameless wrapper, as a tracer installs
-them, and its work is counted: criterion 12 re-runs each seeded check once.
+them, and its work is counted: criterion 12 re-runs each seeded check once,
+and each run of a check calls each oracle it stacks its draws for once (the
+lattice once per N). The limit checks run production at every context before
+any oracle, so an out-of-domain context raises the production error.
 """
 
 import inspect
@@ -31,6 +34,8 @@ import pytest
 from wavefield import cli, conventions, green, kernels, minkowski, verification
 from wavefield.errors import QuadratureFailure
 from wavefield.cli import main
+from wavefield.fields import CircularProfile, FieldConfig
+from wavefield.green import EvalContext
 
 
 def _report(results):
@@ -419,3 +424,58 @@ def test_run_all_runs_each_seeded_check_twice_and_the_rest_once(monkeypatch):
                      for fn in checks}
     # phase-locality adds 4 green_function calls, a phase pass and a ray each
     assert quadratures["adaptive_quad"] <= 175 + 8
+
+
+#: The oracles a check would otherwise call once per random draw.
+_STACKED_ORACLES = ("zero_profile_green", "zero_profile_gradient", "volkov_kernel_circular",
+                    "volkov_kernel_constant_slope", "dressed_braces", "sliced_kernel")
+
+
+def test_run_all_calls_each_oracle_once_per_check(monkeypatch):
+    # each check hands an oracle all of its draws as one stack: one call per
+    # run of the check (criterion 12's re-run is a run of its own), and the
+    # lattice one call per N
+    running, runs = [], []
+
+    def wrap(fn):
+        def tracked(*args, **kwargs):
+            running.append(Counter())
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                runs.append((fn.__name__, running.pop()))
+
+        return tracked
+
+    _wrap_checks(monkeypatch, wrap)
+    for name in _STACKED_ORACLES:
+        def spy(*args, _name=name, _oracle=getattr(verification, name), **kwargs):
+            running[-1][_name, args[0] if _name == "sliced_kernel" else None] += 1
+            return _oracle(*args, **kwargs)
+
+        monkeypatch.setattr(verification, name, spy)
+    assert all(r.passed for r in verification.run_all())
+    for check, counts in runs:
+        assert set(counts.values()) <= {1}, (check, counts)
+    calls = [key for _, counts in runs for key in counts]
+    assert {name for name, _ in calls} == set(_STACKED_ORACLES)
+    assert sorted(n for name, n in calls if name == "sliced_kernel") == [8, 16, 32, 64]
+
+
+@pytest.mark.parametrize("limit, oracle", [("zero_profile_limit", "zero_profile_green"),
+                                           ("free_field_limit", "free_propagator")])
+def test_a_limit_evaluates_production_at_every_context_before_any_oracle(monkeypatch, limit,
+                                                                         oracle):
+    # the second context lies below threshold (gap <= 0): the production
+    # error (exit 4 from `limits`) comes before the first oracle call
+    calls = []
+    real = getattr(verification, oracle)
+    monkeypatch.setattr(verification, oracle, lambda *args: calls.append(args) or real(*args))
+    admissible = EvalContext(m=0.8, x_a=[0.1, -0.2, 0.3, 0.0], x_b=[0.6, 0.4, -0.1, 0.5],
+                             pL=[0.0, 0.0, 0.2, 2.0],
+                             cfg=FieldConfig(g=0.9, B=0.5, profile=CircularProfile(0.4, 1.1)))
+    with pytest.raises(QuadratureFailure):
+        getattr(verification, limit)([admissible, replace(admissible, m=2.5)])
+    assert calls == []
+    getattr(verification, limit)([admissible])
+    assert len(calls) == 1

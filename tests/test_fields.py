@@ -172,6 +172,10 @@ def test_tabulated_profile_refuses_to_extrapolate():
     p.components(2.0)
     with pytest.raises(RangeError):
         p.components(10.0)                  # the spline would give a1 = -142.8 here
+    # a NaN phase is outside too: the spline would give NaN components
+    for phases in (np.array([0.1, np.nan]), np.nan):
+        with pytest.raises(RangeError):
+            p.components(phases)
 
 
 def test_tabulated_stacked_spline_matches_per_component_splines():

@@ -1,11 +1,14 @@
 import ast
 import math
+import random
 import warnings
 from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavefield.errors import QuadratureFailure, ResonantDenominator, SingularForm
 from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, PulseProfile,
@@ -13,11 +16,14 @@ from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, Pulse
 from wavefield.green import EvalContext, green_function
 from wavefield.kernels import schwinger_kernel
 from wavefield.minkowski import IDENTITY4, METRIC, P_MINUS, P_PLUS
-from wavefield.oracles import (_DE_LEVELS, _exp_sinh, _interior_spectrum, _k0, _tanh_sinh,
-                               cross_phase_nested, drift_nested, free_kernel, free_propagator,
-                               landau_green, richardson_extrapolate, sliced_kernel,
-                               volkov_kernel_circular, volkov_kernel_constant_slope,
-                               zero_profile_gradient, zero_profile_green)
+from wavefield import oracles
+from wavefield.oracles import (_DE_LEVELS, _euclidean_axis, _exp_sinh, _interior_spectrum, _k0,
+                               _tanh_sinh, cross_phase_nested, drift_nested, free_kernel,
+                               free_propagator, landau_green, richardson_extrapolate,
+                               sliced_kernel, volkov_kernel_circular,
+                               volkov_kernel_constant_slope, zero_profile_gradient,
+                               zero_profile_green)
+from wavefield.verification import _random_point
 
 XA = (0.2, -0.1)
 XB = (0.9, 0.4)
@@ -222,6 +228,75 @@ def test_zero_profile_gradient_matches_finite_differences():
             fd = (-production(2 * h * unit) + 8 * production(h * unit)
                   - 8 * production(-h * unit) + production(-2 * h * unit)) / (12 * h)
             assert np.linalg.norm(grads[mu] - fd) <= 1e-8 * np.linalg.norm(fd)
+
+
+def _rule_stages(call):
+    """(call(), the number of stages each double-exponential rule call in it ran)."""
+    rule, stages = oracles._double_exponential, []
+
+    def counted(fn, *args):
+        calls = []
+        try:
+            return rule(lambda x: calls.append(None) or fn(x), *args)
+        finally:
+            stages.append(len(calls))
+
+    oracles._double_exponential = counted
+    try:
+        return call(), stages
+    finally:
+        oracles._double_exponential = rule
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+def test_a_stack_of_contexts_gives_each_context_its_own_value(size, seed):
+    # contexts drawn as verification draws them, b > 0, b < 0 and b = 0 mixed;
+    # every oracle that a check calls per draw takes them as one stack
+    rng = random.Random(seed)
+    points = [_random_point(rng) for _ in range(size)]
+    b = np.array([rng.choice([1.0, -1.0, 0.0]) * rng.uniform(0.2, 1.5) for _ in range(size)])
+    contexts = [(p["x_a"], p["x_b"], p["pL"], p["m"], bk) for p, bk in zip(points, b)]
+    stacked = [np.array(column) for column in zip(*contexts)]
+
+    (green, (value, grads)), (stack_green, stack_gradient) = _rule_stages(
+        lambda: (zero_profile_green(*stacked), zero_profile_gradient(*stacked)))
+    integrals = [_euclidean_axis(*stacked)[0](spread) for spread in (False, True)]
+    for k, context in enumerate(contexts):
+        (alone, (alone_value, alone_grads)), (green_stages, gradient_stages) = _rule_stages(
+            lambda: (zero_profile_green(*context), zero_profile_gradient(*context)))
+        # the same levels give the same bits; more levels agree within the
+        # rule's own tolerance, max(0, 1e-13 |I|), on each integral
+        if green_stages == stack_green:
+            assert np.array_equal(green[k], alone)
+        if gradient_stages == stack_gradient:
+            assert np.array_equal(value[k], alone_value)
+            assert all(np.array_equal(grad[k], a) for grad, a in zip(grads, alone_grads))
+        for spread, stack in enumerate(integrals):
+            single = _euclidean_axis(*context)[0](bool(spread))
+            entry = stack[:, k] if spread else stack[k]
+            assert np.all(np.abs(entry - single) <= 1e-13 * np.abs(single))
+
+    # the lattice at one N: the same arithmetic for a stack as for one lattice
+    e0 = np.array([rng.uniform(0.3, 1.2) * np.exp(1j * rng.choice([0.0, np.pi / 6, np.pi / 2]))
+                   for _ in range(size)])
+    g = np.array([rng.uniform(0.5, 1.5) for _ in range(size)])
+    lattices = (e0, g, b, stacked[0][:, :2], stacked[1][:, :2])
+    for n in (2, 8, 64):
+        kernels = sliced_kernel(n, *lattices)
+        assert kernels.shape == (size,)
+        for k, lattice in enumerate(zip(*lattices)):
+            assert kernels[k] == sliced_kernel(n, *lattice)
+
+    # a stack of one is the one-context call
+    first = [column[:1] for column in stacked]
+    assert np.array_equal(zero_profile_green(*first)[0], zero_profile_green(*contexts[0]))
+    one_value, one_grads = zero_profile_gradient(*first)
+    assert np.array_equal(one_value[0], zero_profile_gradient(*contexts[0])[0])
+    assert all(np.array_equal(grad[0], alone) for grad, alone in
+               zip(one_grads, zero_profile_gradient(*contexts[0])[1]))
+    assert sliced_kernel(8, *(v[:1] for v in lattices))[0] \
+        == sliced_kernel(8, *(v[0] for v in lattices))
 
 
 def test_nested_drift_on_a_span_of_a_few_hundred_ulps():
