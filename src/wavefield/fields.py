@@ -174,17 +174,17 @@ class TabulatedProfile(PlaneWaveProfile):
                         for name, v in (("phi", phi_grid), ("a1", a1), ("a2", a2)))
         if grid.size < 4:
             raise InvalidProfile("tabulated profile needs at least 4 grid points")
-        knots = grid.tolist()
-        h = [right - left for left, right in zip(knots, knots[1:])]
-        if not all(step > 0 for step in h):
+        h = grid[1:] - grid[:-1]
+        if not (h > 0.0).all():
             raise InvalidProfile("tabulated phi grid must be strictly increasing")
         if a1.shape != grid.shape or a2.shape != grid.shape:
             raise InvalidProfile("tabulated component arrays must match the phi grid")
         self.phi_grid = self.knots = grid
-        # on interval i the spline is c0 + d (c1 + d (c2 + d c3)), d = phi - phi_i;
-        # axes: coefficient, interval, component
-        self._cubic = np.stack([_natural_cubic(h, a1.tolist()), _natural_cubic(h, a2.tolist())],
-                               axis=-1)
+        # on interval i the spline is c0 + d (c1 + d (c2 + d c3)), d = phi - phi_i,
+        # each coefficient a contiguous (interval, component) table
+        samples = np.empty((grid.size, 2))
+        samples[:, 0], samples[:, 1] = a1, a2
+        self._tables = _natural_cubic(h, samples)
 
     def turn_rates(self, lo, hi):
         return [(lo, hi, 0.0)]      # between knots each component is a cubic, which does not turn
@@ -197,7 +197,7 @@ class TabulatedProfile(PlaneWaveProfile):
                              f"[{float(lo)!r}, {float(hi)!r}]")
         i = np.searchsorted(self.phi_grid[1:-1], phi, side="right")     # the interval of phi
         d = (phi - self.phi_grid[i])[..., None]
-        c0, c1, c2, c3 = self._cubic[:, i]
+        c0, c1, c2, c3 = (table.take(i, axis=0) for table in self._tables)
         values = c0 + d * (c1 + d * (c2 + d * c3))
         return values[..., 0], values[..., 1]
 
@@ -206,30 +206,35 @@ class TabulatedProfile(PlaneWaveProfile):
                 "phi_min": float(self.phi_grid[0]), "phi_max": float(self.phi_grid[-1])}
 
 
-def _natural_cubic(h: list, values: list) -> list:
-    """Coefficients [c0, c1, c2, c3] on each interval of the natural cubic
-    spline through `values` at knots h apart. Its second derivatives M, zero
-    at both ends, solve the interior rows
+def _natural_cubic(h: np.ndarray, values: np.ndarray) -> tuple:
+    """Coefficient tables (c0, c1, c2, c3), each (interval, component), of the
+    natural cubic spline through the rows of `values` at knots h apart. Its
+    second derivatives M, zero at both ends, solve the interior rows
     h_{i-1} M_{i-1} + 2 (h_{i-1} + h_i) M_i + h_i M_{i+1} = 6 (s_i - s_{i-1}),
     s_i the secant slopes, by one forward sweep and back substitution
-    (diagonally dominant, so no pivoting). A grid holds a handful of points,
-    so this runs on Python floats, which round as numpy's do."""
-    secant = [(right - left) / step for left, right, step in zip(values, values[1:], h)]
-    rhs = [6.0 * (right - left) for left, right in zip(secant, secant[1:])]
-    diagonal = [2.0 * (left + right) for left, right in zip(h, h[1:])]
+    (diagonally dominant, so no pivoting). The sweep's ratios and pivots
+    depend on h only; it runs once for both components, on Python floats,
+    which round as numpy's do (a grid holds a handful of points)."""
+    secant = (values[1:] - values[:-1]) / h[:, None]
+    rhs = 6.0 * (secant[1:] - secant[:-1])
+    steps = h.tolist()
+    diagonal = (2.0 * (h[:-1] + h[1:])).tolist()
+    first, second = rhs.T.tolist()
     for k in range(1, len(diagonal)):
-        ratio = h[k] / diagonal[k - 1]
-        diagonal[k] -= ratio * h[k]
-        rhs[k] -= ratio * rhs[k - 1]
-    m = [0.0] * len(values)
-    m[-2] = rhs[-1] / diagonal[-1]
+        ratio = steps[k] / diagonal[k - 1]
+        diagonal[k] -= ratio * steps[k]
+        first[k] -= ratio * first[k - 1]
+        second[k] -= ratio * second[k - 1]
+    m1, m2 = [0.0] * len(values), [0.0] * len(values)
+    m1[-2], m2[-2] = first[-1] / diagonal[-1], second[-1] / diagonal[-1]
     for k in range(len(diagonal) - 2, -1, -1):
-        m[k + 1] = (rhs[k] - h[k + 1] * m[k + 2]) / diagonal[k]
-    return [values[:-1],
-            [s - step * (2.0 * left + right) / 6.0
-             for s, step, left, right in zip(secant, h, m, m[1:])],
-            [left / 2.0 for left in m[:-1]],
-            [(right - left) / (6.0 * step) for step, left, right in zip(h, m, m[1:])]]
+        m1[k + 1] = (first[k] - steps[k + 1] * m1[k + 2]) / diagonal[k]
+        m2[k + 1] = (second[k] - steps[k + 1] * m2[k + 2]) / diagonal[k]
+    m = np.empty(values.shape)
+    m[:, 0], m[:, 1] = m1, m2
+    h = h[:, None]
+    return (values[:-1], secant - h * (2.0 * m[:-1] + m[1:]) / 6.0, m[:-1] / 2.0,
+            (m[1:] - m[:-1]) / (6.0 * h))
 
 
 _PROFILE_KINDS = {cls.kind: cls for cls in

@@ -6,9 +6,9 @@ the error types and the basis constants (`errors`, `minkowski`), which an
 import-graph test enforces. Each oracle is a plain function of plain arguments.
 The oracles that verification calls per random draw (`zero_profile_green`,
 `zero_profile_gradient`, `sliced_kernel` at one N, `volkov_kernel_circular`,
-`volkov_kernel_constant_slope`, `dressed_braces`) take one context or a stack
-of them on a leading axis, so that each check calls each oracle once: one
-context is a stack of one, through the same code.
+`volkov_kernel_constant_slope`, `dressed_braces`, `cross_phase_closed`) take
+one context or a stack of them on a leading axis, so that each check calls
+each oracle once: one context is a stack of one, through the same code.
 The time-sliced oracle `sliced_kernel` discretizes the transverse worldline
 action
 
@@ -58,7 +58,13 @@ the printed braces M+- from K at phi_b. `cross_phase_nested` is the mixing
 exponent as the literal double integral in real transverse coordinates: every
 node of the outer action integral solves for the drift (`drift_nested`) by its
 own inner integrals, all nodes of a level at once as one 2-D array. It returns
-the drift at phi_b, which its boundary term solves for, with the exponent.
+the drift at phi_b, which its boundary term solves for, with the exponent, and
+takes any profile. `cross_phase_closed` returns the same two for a profile
+that is a sum of carriers, A_c = a1 + i a2 = sum_k c_k e^{i w_k phi} (circular:
+one term, linear: two), along the classical (Volkov) path: the drift and the
+action are sums of elementary exponential integrals, and the cross term's
+double integral is a divided difference of exp, evaluated so that it keeps its
+digits as a frequency w_k approaches the cyclotron rate beta = g B / kp.
 
 The integrals are double-exponential rules (Takahasi and Mori, Publ. RIMS 9,
 721 (1974)) written here and vectorized over their nodes: tanh-sinh on finite
@@ -408,6 +414,105 @@ def cross_phase_nested(components, g: float, B: float, kp: float, phi_a: float, 
     y1, y2 = drift_nested(components, g, B, kp, phi_a, phi_b, knots)
     boundary = (float(xb[0]) - y1) * B * y2 - (float(xb[1]) - y2) * B * y1
     return -0.5j * g * (float(_piecewise(density, phi_a, phi_b, knots)) + boundary), (y1, y2)
+
+
+def cross_phase_closed(amplitudes, frequencies, g, B, kp, phi_a, phi_b, xb) -> tuple:
+    """(exponent, (Y1, Y2)) of `cross_phase_nested` in closed form, for a
+    profile A_c = a1 + i a2 = sum_k c_k e^{i w_k phi}: `amplitudes` holds the
+    c_k (complex) and `frequencies` the w_k on its last axis. A circular
+    profile is one term (a, nu), a linear one two, (a/2, +-nu).
+
+    With rate = g / kp, beta = rate B, t = phi - phi_a and
+    E(w, t) = int_0^t e^{i w s} ds, the drift at rest at phi_a is the sum
+    Y1 + i Y2 = rate sum_k c_k e^{i w_k phi_a} e^{i beta t} E(w_k - beta, t),
+    and the action rate int_0^D [|A_c|^2 - B Im(conj(A_c) Y_c)] ds,
+    D = phi_b - phi_a, holds besides E only
+    F(al, ga, D) = int_0^D e^{i al s} E(ga, s) ds, the divided difference
+    D^2 exp[0, i al D, i (al + ga) D] (`_exp_divided`), which keeps its digits
+    as a frequency difference goes to 0. A stack of contexts (g, B, kp,
+    phi_a, phi_b of shape (n,), xb of shape (n, 2), the terms of shape
+    (n, K)) gives n exponents and drifts from one call; one context (the
+    terms of shape (K,)) is a stack of one, so each context of a stack has
+    the bits it has alone."""
+    single = np.ndim(amplitudes) == 1
+    c = np.atleast_2d(np.asarray(amplitudes, dtype=complex))
+    w = np.atleast_2d(np.asarray(frequencies, dtype=float))
+    g, B, kp, phi_a, phi_b = (np.atleast_1d(np.asarray(v, dtype=float))
+                              for v in (g, B, kp, phi_a, phi_b))
+    xb = np.atleast_2d(np.asarray(xb, dtype=float))
+    rate = g / kp
+    beta, span = rate * B, phi_b - phi_a
+    at_a = c * np.exp(1j * (w * phi_a[:, None]))        # each term at phi_a
+    drift = _terms(at_a * _integral_e(w - beta[:, None], span[:, None]))
+    drift = rate * np.exp(1j * (beta * span)) * drift
+    # pairs (j, k) of terms on the last two axes
+    wj, wk, cj, ck = w[:, :, None], w[:, None, :], at_a[:, :, None], at_a[:, None, :]
+    beta, span = beta[:, None, None], span[:, None, None]
+    square = _terms(_terms(cj * np.conj(ck) * _integral_e(wj - wk, span)))
+    cross = _terms(_terms(np.conj(cj) * ck * span ** 2
+                          * _exp_divided(1j * ((beta - wj) * span), 1j * ((wk - wj) * span))))
+    action = rate * (square.real - B * (rate * cross).imag)
+    y1, y2 = drift.real, drift.imag
+    boundary = (xb[:, 0] - y1) * B * y2 - (xb[:, 1] - y2) * B * y1
+    exponent = -0.5j * g * (action + boundary)
+    if single:
+        return complex(exponent[0]), (float(y1[0]), float(y2[0]))
+    return exponent, (y1, y2)
+
+
+def _terms(values):
+    """The sum over the last axis, in order: a stack of any size adds each
+    context's terms alike."""
+    total = values[..., 0]
+    for k in range(1, values.shape[-1]):
+        total = total + values[..., k]
+    return total
+
+
+def _phi1(z):
+    """(e^z - 1) / z, 1 at z = 0, through expm1, which keeps its digits as z -> 0."""
+    return np.divide(np.expm1(z), z, out=np.ones(z.shape, complex), where=z != 0.0)
+
+
+def _integral_e(w, t):
+    """E(w, t) = int_0^t e^{i w s} ds = t (e^{i w t} - 1) / (i w t)."""
+    return t * _phi1(1j * (w * t))
+
+
+#: The series of `_exp_divided`, sum_{i, j} x^i z^j / (i + j + 2)! over
+#: i + j <= 18: at |x|, |z| < 1 the first terms left out, i + j = 19, are
+#: below 1e-18 of the sum's first.
+_SERIES_POWERS = np.arange(19)
+_SERIES = np.array([[1.0 / math.factorial(i + j + 2) if i + j <= 18 else 0.0
+                     for j in _SERIES_POWERS] for i in _SERIES_POWERS])
+
+
+def _exp_divided(x, z):
+    """The divided difference exp[0, x, z] = int over the triangle
+    0 <= v <= s <= 1 of exp(x s + (z - x) v). Of the three points' distances
+    |x|, |z| and |z - x| the largest divides the difference of two first
+    divided differences, exp[0, x] = phi1(x), exp[0, z] = phi1(z) and
+    exp[x, z] = e^x phi1(z - x), each accurate to rounding, so the result
+    keeps its digits where that distance is 1 or more; below, every point
+    lies within 1 of 0 and the double series `_SERIES` converges fast."""
+    x, z = np.broadcast_arrays(x, z)
+    y = z - x
+    far_x, far_z, far_y = abs(x), abs(z), abs(y)
+    span = np.maximum(np.maximum(far_x, far_z), far_y)
+    first_x, first_z, first_y = _phi1(np.stack([x, z, y]))
+    shifted = np.exp(x) * first_y
+    by_y, by_x = far_y == span, far_x == span
+    numerator = np.where(by_y, first_z - first_x,
+                         np.where(by_x, shifted - first_z, shifted - first_x))
+    denominator = np.where(by_y, y, np.where(by_x, x, z))
+    value = np.divide(numerator, denominator, out=np.zeros_like(numerator),
+                      where=span >= 1.0)
+    near = span < 1.0
+    if near.any():
+        powers_x, powers_z = (v[..., None] ** _SERIES_POWERS for v in (x, z))
+        series = ((powers_z @ _SERIES) * powers_x).sum(axis=-1)
+        value = np.where(near, series, value)
+    return value
 
 
 def _piecewise(fn, start: float, ends, knots):

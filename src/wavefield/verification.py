@@ -9,9 +9,12 @@ analytic side takes G and its x_b gradient from `oracles.zero_profile_gradient`,
 which integrates Schwinger's closed form on the Euclidean axis by an exp-sinh
 rule and shares no code with the production ray. Criterion 7's
 `classical-action-exponent` row takes the e0-independent exponent that
-`green._prepare` forms in one expression and rebuilds it (`_oracle_exponent`)
-from `oracles.cross_phase_nested`'s exponent and the gauge phase at the drift
-that it returns, and its `dressed-braces-closed-form` row compares the braces
+`green._prepare` forms in one expression and rebuilds it (`_oracle_exponents`)
+from an oracle's mixing exponent and the gauge phase at the drift that it
+returns: `oracles.cross_phase_closed`, the classical path by elementary
+exponential integrals, for its circular and linear contexts, all in one call,
+and `oracles.cross_phase_nested`, the literal double integral, for its pulse
+contexts. Its `dressed-braces-closed-form` row compares the braces
 M+- that `green._prepare` forms with the printed ones, `oracles.dressed_braces`
 at K from `oracles.volkov_kernel_circular` integrated from phi_a. Its
 `phase-locality` row adds bumps to the profile outside [phi_a, phi_b] and
@@ -52,9 +55,10 @@ from .green import EvalContext, _prepare, dirac_apply, green_function, total_pot
 from .kernels import phase_pass, schwinger_kernel
 from .minkowski import (EPS, EPS_CONJ, GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS,
                         UNIT_FIELD_MIXED, WAVE_K, dot, light_cone)
-from .oracles import (cross_phase_nested, dressed_braces, free_kernel, free_propagator,
-                      richardson_extrapolate, sliced_kernel, volkov_kernel_circular,
-                      volkov_kernel_constant_slope, zero_profile_gradient, zero_profile_green)
+from .oracles import (cross_phase_closed, cross_phase_nested, dressed_braces, free_kernel,
+                      free_propagator, richardson_extrapolate, sliced_kernel,
+                      volkov_kernel_circular, volkov_kernel_constant_slope,
+                      zero_profile_gradient, zero_profile_green)
 
 _EPS64 = float(np.finfo(float).eps)
 
@@ -253,32 +257,63 @@ def check_phase_integral_oracles() -> list[CheckResult]:
     ]
 
 
-def _oracle_exponent(ctx: EvalContext) -> complex:
+def _wave_terms(profile: PlaneWaveProfile):
+    """(c, w) with A_c = a1 + i a2 = sum_k c_k e^{i w_k phi}, two terms, for
+    the profiles that are such sums, else None: a linear profile is
+    (a/2, +-nu), a circular one (a, nu) and a zero term."""
+    if type(profile) is CircularProfile:
+        return (profile.amplitude, 0.0), (profile.frequency, 0.0)
+    if type(profile) is LinearProfile:
+        half = 0.5 * profile.amplitude
+        return (half, half), (profile.frequency, -profile.frequency)
+    return None
+
+
+def _oracle_exponents(contexts: list) -> list:
     """The e0-independent exponent that `green._prepare` forms in one
-    expression, from its terms by the oracles: i pL.dx^L, the nested mixing
-    exponent and the magnetic gauge phase at the nested drift, both rules
-    split at the profile's knots."""
-    cfg, x_a, x_b = ctx.cfg, ctx.x_a, ctx.x_b
-    cross, (y1, y2) = cross_phase_nested(cfg.profile.components, cfg.g, cfg.B,
-                                         light_cone(ctx.pL), ctx.phi_a, ctx.phi_b,
-                                         x_b[:2], cfg.profile.knots)
-    gauge = 0.5j * cfg.g * cfg.B * ((x_b[0] - y1) * x_a[1] - (x_b[1] - y2) * x_a[0])
-    return 1j * dot(ctx.pL, x_b - x_a) + cross + gauge
+    expression, per context, from its terms by the oracles: i pL.dx^L, the
+    mixing exponent and the magnetic gauge phase at the oracle's drift. The
+    contexts whose profile is a sum of carriers (`_wave_terms`) take
+    `cross_phase_closed`, all in one call; the rest take `cross_phase_nested`,
+    both rules split at the profile's knots."""
+    terms = [_wave_terms(ctx.cfg.profile) for ctx in contexts]
+    carriers = [i for i, wave in enumerate(terms) if wave is not None]
+    paths = [None] * len(contexts)
+    if carriers:
+        stack = [contexts[i] for i in carriers]
+        waves = (np.array(column) for column in zip(*(terms[i] for i in carriers)))
+        scalars = (np.array(column) for column in zip(*(
+            (ctx.cfg.g, ctx.cfg.B, light_cone(ctx.pL), ctx.phi_a, ctx.phi_b) for ctx in stack)))
+        exponents, (y1, y2) = cross_phase_closed(*waves, *scalars,
+                                                 np.array([ctx.x_b[:2] for ctx in stack]))
+        for j, i in enumerate(carriers):
+            paths[i] = exponents[j], (y1[j], y2[j])
+    values = []
+    for ctx, path in zip(contexts, paths):
+        cfg, x_a, x_b = ctx.cfg, ctx.x_a, ctx.x_b
+        cross, (y1, y2) = path or cross_phase_nested(
+            cfg.profile.components, cfg.g, cfg.B, light_cone(ctx.pL), ctx.phi_a, ctx.phi_b,
+            x_b[:2], cfg.profile.knots)
+        gauge = 0.5j * cfg.g * cfg.B * ((x_b[0] - y1) * x_a[1] - (x_b[1] - y2) * x_a[0])
+        values.append(1j * dot(ctx.pL, x_b - x_a) + cross + gauge)
+    return values
 
 
 def check_classical_action_exponent() -> list[CheckResult]:
-    """`green._prepare`'s e0-independent exponent against `_oracle_exponent`."""
+    """`green._prepare`'s e0-independent exponent against `_oracle_exponents`."""
     rng = random.Random(113)
-    dev = 0.0
+    contexts = []
     for make in (CircularProfile, lambda a, nu: PulseProfile(a, nu, sigma=1.5), LinearProfile):
         for sign in (1.0, -1.0):
             profile = make(rng.uniform(0.2, 0.8), rng.uniform(0.6, 1.8))
             cfg = FieldConfig(g=rng.uniform(0.5, 1.5), B=sign * rng.uniform(0.3, 1.0),
                               profile=profile)
-            ctx = _random_context(rng, cfg)
-            dev = max(dev, abs(_prepare(ctx, ctx.x_b).constant[0] - _oracle_exponent(ctx)))
+            contexts.append(_random_context(rng, cfg))
+    shipped = [_prepare(ctx, ctx.x_b).constant[0] for ctx in contexts]
+    dev = max(abs(value - oracle) for value, oracle in zip(shipped, _oracle_exponents(contexts)))
     return [_result(7, "classical-action-exponent", dev, 1e-10,
-                    "6 contexts (circular, pulse, linear; B of both signs) vs nested oracles")]
+                    "6 contexts (circular, pulse, linear; B of both signs): circular and "
+                    "linear vs the closed-form classical path, pulse vs nested oracles")]
 
 
 class _Bumped(PlaneWaveProfile):

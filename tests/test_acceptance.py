@@ -428,7 +428,8 @@ def test_run_all_runs_each_seeded_check_twice_and_the_rest_once(monkeypatch):
 
 #: The oracles a check would otherwise call once per random draw.
 _STACKED_ORACLES = ("zero_profile_green", "zero_profile_gradient", "volkov_kernel_circular",
-                    "volkov_kernel_constant_slope", "dressed_braces", "sliced_kernel")
+                    "volkov_kernel_constant_slope", "dressed_braces", "sliced_kernel",
+                    "cross_phase_closed")
 
 
 def test_run_all_calls_each_oracle_once_per_check(monkeypatch):
@@ -460,6 +461,21 @@ def test_run_all_calls_each_oracle_once_per_check(monkeypatch):
     calls = [key for _, counts in runs for key in counts]
     assert {name for name, _ in calls} == set(_STACKED_ORACLES)
     assert sorted(n for name, n in calls if name == "sliced_kernel") == [8, 16, 32, 64]
+
+
+def test_run_all_calls_the_nested_action_oracle_for_the_pulse_contexts_only(monkeypatch):
+    # criterion 7's circular and linear contexts take the closed-form
+    # classical path; the nested double integral stays the reference for its
+    # two pulse contexts
+    kinds = []
+
+    def spy(components, *args, _oracle=verification.cross_phase_nested, **kwargs):
+        kinds.append(components.__self__.kind)
+        return _oracle(components, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "cross_phase_nested", spy)
+    verification.run_all()
+    assert kinds == ["pulse", "pulse"]
 
 
 @pytest.mark.parametrize("limit, oracle", [("zero_profile_limit", "zero_profile_green"),

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 
@@ -85,6 +86,55 @@ def test_tabulated_profile_validation():
         TabulatedProfile(phi_grid=[0.0, 1.0, 0.5, 2.0], a1=np.zeros(4), a2=np.zeros(4))
     with pytest.raises(InvalidProfile):
         TabulatedProfile(phi_grid=[0.0, 1.0, 2.0, 3.0], a1=np.zeros(3), a2=np.zeros(4))
+
+
+def _pinned_splines():
+    """Seeded tabulated profiles on 4 to 40 uneven knots, and one whose a1
+    samples alternate +0.0 and -0.0: (name, profile, grid)."""
+    rng = np.random.default_rng(4040)
+    for n in (4, 5, 6, 7, 9, 12, 16, 23, 31, 40):
+        grid = np.cumsum(rng.uniform(0.05, 1.0, n)) - rng.uniform(0.0, 8.0)
+        yield n, TabulatedProfile(grid, *rng.uniform(-1.0, 1.0, (2, n))), grid
+    grid = np.linspace(-1.0, 1.5, 6)
+    yield "signed-zeros", TabulatedProfile(grid, np.array([0.0, -0.0] * 3), -0.25 * grid), grid
+
+
+def _spline_digest(profile, grid, rng):
+    """sha256 of the reprs of `components` at an array of phases (both grid
+    ends, the inner knots and 20 random phases), at its first four as floats
+    and as numpy scalars, and of the coefficient tables c0 ... c3."""
+    phases = np.concatenate([[grid[0], grid[-1]], grid[1:-1], rng.uniform(grid[0], grid[-1], 20)])
+    reprs = []
+    for phi in [phases, *phases[:4].tolist(), *phases[:4]]:
+        for value in profile.components(phi):
+            reprs += [repr(np.shape(value))] + [repr(v) for v in np.ravel(value).tolist()]
+    reprs += [repr(v) for table in profile._tables for v in np.ravel(table).tolist()]
+    return hashlib.sha256(" ".join(reprs).encode()).hexdigest()[:16]
+
+
+#: `_spline_digest` of each `_pinned_splines` profile: the spline's values and
+#: coefficients are pinned bit for bit, signed zeros included, so a faster way
+#: to build or read the spline must keep its arithmetic.
+_SPLINE_DIGESTS = {
+    4: "f73b82cc1449ed41", 5: "2a8d5345051cb379", 6: "2af43f248297ab8c",
+    7: "2dfe2f6c755fb0b9", 9: "9cddac38fa717748", 12: "595c6b784e05b291",
+    16: "b6cb57fcc87cb244", 23: "58b18d9b792de036", 31: "77a80307c82b068d",
+    40: "928b251237e68c11", "signed-zeros": "1642426423dca366",
+}
+
+
+def test_tabulated_spline_keeps_its_pinned_bits():
+    rng = np.random.default_rng(4041)
+    assert {name: _spline_digest(profile, grid, rng)
+            for name, profile, grid in _pinned_splines()} == _SPLINE_DIGESTS
+
+
+def test_tabulated_spline_refuses_nan_and_out_of_grid_phases():
+    _, profile, grid = next(_pinned_splines())
+    for phi in (np.nan, grid[0] - 1e-12, grid[-1] + 1e-12, np.array([grid[0], np.nan]),
+                np.array([0.5 * (grid[0] + grid[1]), grid[-1] + 1.0])):
+        with pytest.raises(RangeError):
+            profile.components(phi)
 
 
 def test_make_profile_factory():

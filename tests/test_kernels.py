@@ -14,7 +14,7 @@ from wavefield.kernels import NEAR_CAUSTIC_THRESHOLD, near_caustic, phase_pass, 
 from wavefield.minkowski import WAVE_K, dot
 from wavefield.oracles import (cross_phase_nested, drift_nested, free_kernel,
                                volkov_kernel_circular, volkov_kernel_constant_slope)
-from wavefield.verification import _oracle_exponent
+from wavefield.verification import _oracle_exponents
 
 XA, XB = np.array([0.2, -0.1]), np.array([0.9, 0.4])
 ZCFG = FieldConfig(g=1.0, B=0.6, profile=ZeroProfile())
@@ -353,7 +353,7 @@ def _fastest(profile, lo, hi):
 
 def _exponent_error(ctx):
     """|`_prepare`'s e0-independent exponent - its terms from the oracles|."""
-    return abs(_prepare(ctx, ctx.x_b).constant[0] - _oracle_exponent(ctx))
+    return abs(_prepare(ctx, ctx.x_b).constant[0] - _oracle_exponents([ctx])[0])
 
 
 @pytest.mark.parametrize("span, B", [(5.0, 0.7), (-8.5, -0.6), (12.0, 0.4)])

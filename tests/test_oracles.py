@@ -18,7 +18,8 @@ from wavefield.kernels import schwinger_kernel
 from wavefield.minkowski import IDENTITY4, METRIC, P_MINUS, P_PLUS
 from wavefield import oracles
 from wavefield.oracles import (_DE_LEVELS, _euclidean_axis, _exp_sinh, _interior_spectrum, _k0,
-                               _tanh_sinh, cross_phase_nested, drift_nested, free_kernel,
+                               _tanh_sinh, cross_phase_closed, cross_phase_nested,
+                               drift_nested, free_kernel,
                                free_propagator, landau_green, richardson_extrapolate,
                                sliced_kernel, volkov_kernel_circular,
                                volkov_kernel_constant_slope, zero_profile_gradient,
@@ -514,6 +515,61 @@ def test_nested_oracles_match_nested_quadpack(profile, knots, spans):
             exponent, drift_b = cross_phase_nested(*wave, xb, knots)
             assert np.max(np.abs(np.array(drift_b) - drift)) <= 1e-12
             assert abs(exponent - cross) <= 1e-12
+
+
+def _carrier_contexts(seed: int, count: int) -> list:
+    """Seeded circular and linear contexts for `cross_phase_closed`: (profile,
+    its terms (c, w), (g, B, kp, phi_a, phi_b), xb), with B = 0 and B in
+    +-[0.3, 1], kp of both signs, two in five of those at B != 0 with a term
+    within 1e-9 to 1e-1 of resonance, w_k = beta, and every seventh
+    phi_b = phi_a."""
+    rng = random.Random(seed)
+    contexts = []
+    for i in range(count):
+        g, kp = rng.uniform(0.5, 1.5), rng.uniform(0.5, 2.5) * (1 if i % 2 else -1)
+        B = (0.0, rng.uniform(0.3, 1.0), -rng.uniform(0.3, 1.0))[i % 3]
+        beta = g * B / kp
+        a, nu = rng.uniform(0.2, 0.8), rng.uniform(0.6, 1.8)
+        if B and i % 5 < 2:
+            nu = beta + rng.choice((-1, 1)) * 10.0 ** rng.uniform(-9, -1)
+        phi_a = rng.uniform(-2.0, 2.0)
+        phi_b = phi_a if i % 7 == 0 else rng.uniform(-3.0, 3.0)
+        xb = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        if i % 4 < 2:
+            profile, terms = CircularProfile(a, nu), ([a], [nu])
+        else:
+            profile, terms = LinearProfile(a, nu), ([a / 2, a / 2], [nu, -nu])
+        contexts.append((profile, terms, (g, B, kp, phi_a, phi_b), xb))
+    return contexts
+
+
+def test_closed_form_classical_path_matches_the_nested_oracle():
+    # the elementary exponential integrals against the literal double
+    # integral, down to |w_k - beta| = 1e-9 where E and F keep their digits
+    # only through expm1 and the series of _exp_divided
+    contexts = _carrier_contexts(41, 210)
+    nearest = min(abs(w - p[1] * p[0] / p[2]) for _, (_, ws), p, _ in contexts for w in ws
+                  if p[1] != 0.0)
+    assert nearest < 1e-8
+    for profile, terms, wave, xb in contexts:
+        exponent, drift = cross_phase_closed(*terms, *wave, xb)
+        ref, ref_drift = cross_phase_nested(profile.components, *wave, xb)
+        assert abs(exponent - ref) <= 1e-13
+        assert max(abs(y - r) for y, r in zip(drift, ref_drift)) <= 1e-13
+        if wave[3] == wave[4]:
+            assert exponent == 0.0 and drift == (0.0, 0.0)
+
+
+def test_closed_form_stack_has_the_bits_of_its_contexts_alone():
+    contexts = _carrier_contexts(43, 24)
+    for count in (1, 2):        # circular, then linear: one term count per stack
+        group = [c for c in contexts if len(c[1][0]) == count]
+        alone = [cross_phase_closed(*terms, *wave, xb) for _, terms, wave, xb in group]
+        exponents, (y1, y2) = cross_phase_closed(
+            *(np.array(column) for column in zip(*(terms for _, terms, _, _ in group))),
+            *(np.array(column) for column in zip(*(wave for _, _, wave, _ in group))),
+            np.array([xb for *_, xb in group]))
+        assert [(complex(e), (float(a), float(b))) for e, a, b in zip(exponents, y1, y2)] == alone
 
 
 def test_nested_rule_raises_when_its_levels_never_agree():
