@@ -2,8 +2,8 @@
 
 Each class declares the exit code `cli.main` returns for it as `exit_code`:
 configuration problems -> 2, numeric singularities -> 3 (caustic, vanishing
-light-cone or resonant denominator, singular time-sliced form), quadrature or
-calibration failures -> 4; the base class's 5 is also a failed check table's.
+light-cone denominator, singular time-sliced form), quadrature or calibration
+failures -> 4; the base class's 5 is also a failed check table's.
 """
 
 
@@ -39,11 +39,6 @@ class DivisionByZero(WavefieldError):
 
 class KernelSingularity(WavefieldError):
     """Proper-time kernel evaluated on (or too close to) a caustic."""
-    exit_code = 3
-
-
-class ResonantDenominator(WavefieldError):
-    """Closed-form phase-integral denominator vanished (resonant profile)."""
     exit_code = 3
 
 

@@ -5,10 +5,10 @@ Everything here is algorithmically independent of the production formulas in
 the error types and the basis constants (`errors`, `minkowski`), which an
 import-graph test enforces. Each oracle is a plain function of plain arguments.
 The oracles that verification calls per random draw (`zero_profile_green`,
-`zero_profile_gradient`, `sliced_kernel` at one N, `volkov_kernel_circular`,
-`volkov_kernel_constant_slope`, `dressed_braces`, `cross_phase_closed`) take
-one context or a stack of them on a leading axis, so that each check calls
-each oracle once: one context is a stack of one, through the same code.
+`zero_profile_gradient`, `sliced_kernel` at one N, `carrier_kernel`,
+`dressed_braces`, `cross_phase_closed`) take one context or a stack of them
+on a leading axis, so that each check calls each oracle once: one context is
+a stack of one, through the same code.
 The time-sliced oracle `sliced_kernel` discretizes the transverse worldline
 action
 
@@ -52,19 +52,20 @@ where it takes the same levels it has the same bits.
 drift-shifted far endpoint it is the constant-field (Landau) propagator,
 Gamma(nu) e^{-X/2} U(nu, 1, X), evaluated by mpmath at 30 digits.
 
-`volkov_kernel_circular` and `volkov_kernel_constant_slope` are the phase
-integral K of two profiles by their antiderivatives; `dressed_braces` builds
-the printed braces M+- from K at phi_b. `cross_phase_nested` is the mixing
-exponent as the literal double integral in real transverse coordinates: every
-node of the outer action integral solves for the drift (`drift_nested`) by its
-own inner integrals, all nodes of a level at once as one 2-D array. It returns
-the drift at phi_b, which its boundary term solves for, with the exponent, and
-takes any profile. `cross_phase_closed` returns the same two for a profile
-that is a sum of carriers, A_c = a1 + i a2 = sum_k c_k e^{i w_k phi} (circular:
-one term, linear: two), along the classical (Volkov) path: the drift and the
-action are sums of elementary exponential integrals, and the cross term's
-double integral is a divided difference of exp, evaluated so that it keeps its
-digits as a frequency w_k approaches the cyclotron rate beta = g B / kp.
+`carrier_kernel` is the phase integral K of a profile whose slope is a sum of
+carriers, as a sum of the E(w, t) of `cross_phase_closed`, finite at every
+frequency; `dressed_braces` builds the printed braces M+- from K at phi_b.
+`cross_phase_nested` is the mixing exponent as the literal double integral in
+real transverse coordinates: every node of the outer action integral solves
+for the drift (`drift_nested`) by its own inner integrals, all nodes of a
+level at once as one 2-D array. It returns the drift at phi_b, which its
+boundary term solves for, with the exponent, and takes any profile.
+`cross_phase_closed` returns the same two for a profile that is a sum of
+carriers, A_c = a1 + i a2 = sum_k c_k e^{i w_k phi} (circular: one term,
+linear: two), along the classical (Volkov) path: the drift and the action are
+sums of elementary exponential integrals, and the cross term's double integral
+is a divided difference of exp, evaluated so that it keeps its digits as a
+frequency w_k approaches the cyclotron rate beta = g B / kp.
 
 The integrals are double-exponential rules (Takahasi and Mori, Publ. RIMS 9,
 721 (1974)) written here and vectorized over their nodes: tanh-sinh on finite
@@ -84,11 +85,9 @@ import math
 
 import numpy as np
 
-from .errors import QuadratureFailure, ResonantDenominator, SingularForm
+from .errors import QuadratureFailure, SingularForm
 from .minkowski import (IDENTITY4, METRIC, P_MINUS, P_PLUS, SLASH_EPS, SLASH_EPS_CONJ,
                         SLASH_K)
-
-_SQRT2 = math.sqrt(2.0)
 
 
 def _interior_spectrum(n: int, kappa, mu) -> np.ndarray:
@@ -175,28 +174,28 @@ def richardson_extrapolate(ns, values):
     return v3 + (v3 - v2) / (2.0 ** order - 1.0), order
 
 
-def volkov_kernel_circular(phi, *, g, kp, phi0, beta, a, nu, sign=+1):
-    """K(phi) integrated from phi0 for the circular profile (amplitude a,
-    frequency nu), by its antiderivative, the resonant fraction
-    (g / 2 kp) e^{i beta phi} (a nu / sqrt2) (e^{i d phi} - e^{i d phi0}) / d,
-    d = sign beta + nu, beta = g B / kp; sign toggles the integrand exponential.
-    Arrays of arguments broadcast to an array of K, one per context."""
-    denom = sign * np.asarray(beta) + nu
-    if np.any(np.abs(denom) < 1e-12):
-        raise ResonantDenominator(f"resonant circular profile: sign*beta + nu = {denom!r}")
-    integral = (a * nu / _SQRT2) * (np.exp(1j * denom * phi) - np.exp(1j * denom * phi0)) / denom
-    return g / (2.0 * kp) * np.exp(1j * beta * phi) * integral
-
-
-def volkov_kernel_constant_slope(phi, *, g, kp, phi0, beta, c, sign=+1):
-    """K(phi) integrated from phi0 for a profile of constant slope dot(eps, A') = c,
-    by its antiderivative; beta = g B / kp, sign toggles the integrand exponential.
-    Arrays of arguments broadcast to an array of K, one per context."""
-    if np.any(np.abs(beta) < 1e-12):
-        raise ResonantDenominator("constant_slope closed form needs beta away from 0")
-    turn = 1j * sign * np.asarray(beta)
-    integral = c * (np.exp(turn * phi) - np.exp(turn * phi0)) / turn
-    return g / (2.0 * kp) * np.exp(1j * beta * phi) * integral
+def carrier_kernel(amplitudes, frequencies, g, kp, phi0, phi, beta, sign):
+    """K(phi) integrated from phi0 for a profile whose slope is a sum of
+    carriers, dot(eps, A') = sum_k c_k e^{i w_k phi} (`amplitudes` holds the
+    complex c_k and `frequencies` the w_k on the last axis): with s = sign,
+    which toggles the integrand exponential, beta = g B / kp and E as in
+    `cross_phase_closed`, K = (g / 2 kp) e^{i beta phi}
+    sum_k c_k e^{i (s beta + w_k) phi0} E(s beta + w_k, phi - phi0), which
+    grows linearly in phi - phi0 at resonance, s beta + w_k = 0. A circular
+    profile (a, nu) is one carrier (i a nu / sqrt2, nu), a linear one two,
+    (+-i a nu / (2 sqrt2), +-nu), and a line a1 = slope phi one, (slope / sqrt2, 0).
+    A stack of contexts (the scalars of shape (n,), the carriers of shape
+    (n, K)) gives n kernels from one call, each with the bits it has alone."""
+    single = np.ndim(amplitudes) == 1
+    c = np.atleast_2d(np.asarray(amplitudes, dtype=complex))
+    w = np.atleast_2d(np.asarray(frequencies, dtype=float))
+    g, kp, phi0, phi, beta, sign = (np.atleast_1d(np.asarray(v, dtype=float))
+                                    for v in (g, kp, phi0, phi, beta, sign))
+    turn = (sign * beta)[:, None] + w
+    integral = _terms(c * np.exp(1j * (turn * phi0[:, None]))
+                      * _integral_e(turn, (phi - phi0)[:, None]))
+    kernel = g / (2.0 * kp) * np.exp(1j * (beta * phi)) * integral
+    return complex(kernel[0]) if single else kernel
 
 
 def dressed_braces(k_b) -> tuple:

@@ -14,9 +14,13 @@ from an oracle's mixing exponent and the gauge phase at the drift that it
 returns: `oracles.cross_phase_closed`, the classical path by elementary
 exponential integrals, for its circular and linear contexts, all in one call,
 and `oracles.cross_phase_nested`, the literal double integral, for its pulse
-contexts. Its `dressed-braces-closed-form` row compares the braces
-M+- that `green._prepare` forms with the printed ones, `oracles.dressed_braces`
-at K from `oracles.volkov_kernel_circular` integrated from phi_a. Its
+contexts. Its `phase-integral-closed-forms` row compares the phase pass's K
+with `oracles.carrier_kernel`, K from the carriers of dot(eps, A'), on four
+kinds of profile (circular at B = 0 and at B != 0, a tabulated line, linear),
+drawn without avoiding resonance, where the closed form grows linearly. Its
+`dressed-braces-closed-form` row compares the braces M+- that `green._prepare`
+forms with the printed ones, `oracles.dressed_braces` at K from the same
+`carrier_kernel` call, integrated from phi_a. Its
 `phase-locality` row adds bumps to the profile outside [phi_a, phi_b] and
 requires G unchanged: k.p is conserved, so the wave phase runs from phi_a to
 phi_b along the classical path and G sees the profile there only. Criterion
@@ -53,11 +57,10 @@ from .fields import (CircularProfile, FieldConfig, LinearProfile, PlaneWaveProfi
                      PulseProfile, TabulatedProfile, ZeroProfile)
 from .green import EvalContext, _prepare, dirac_apply, green_function, total_potential_lowered
 from .kernels import phase_pass, schwinger_kernel
-from .minkowski import (EPS, EPS_CONJ, GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS,
+from .minkowski import (EPS, EPS_CONJ, GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS, SQRT2,
                         UNIT_FIELD_MIXED, WAVE_K, dot, light_cone)
-from .oracles import (cross_phase_closed, cross_phase_nested, dressed_braces, free_kernel,
-                      free_propagator, richardson_extrapolate, sliced_kernel,
-                      volkov_kernel_circular, volkov_kernel_constant_slope,
+from .oracles import (carrier_kernel, cross_phase_closed, cross_phase_nested, dressed_braces,
+                      free_kernel, free_propagator, richardson_extrapolate, sliced_kernel,
                       zero_profile_gradient, zero_profile_green)
 
 _EPS64 = float(np.finfo(float).eps)
@@ -146,7 +149,7 @@ def check_sliced_oracle_agreement() -> list[CheckResult]:
         draws.append((e0, g, b, xa, xb))
         exact.append(schwinger_kernel(e0, xa, xb, FieldConfig(g=g, B=b, profile=ZeroProfile())))
     # one lattice call per N, all five draws stacked
-    lattices = [np.array(column) for column in zip(*draws)]
+    lattices = _columns(draws)
     ns = [8, 16, 32, 64]
     limit, order = richardson_extrapolate(ns, [sliced_kernel(n, *lattices) for n in ns])
     dev_rel = np.max(np.abs(limit - exact) / np.abs(exact))
@@ -166,8 +169,8 @@ def check_sliced_oracle_agreement() -> list[CheckResult]:
 
 def _dressed_braces_draws() -> list:
     """The 10 circular contexts (B and volkov_sign of both signs) of the
-    dressed-braces row, each with the arguments of the circular closed form
-    of K at phi_b, integrated from phi_a."""
+    dressed-braces row, each with the arguments of `carrier_kernel` for K at
+    phi_b, integrated from phi_a."""
     rng = random.Random(114)
     draws = []
     for i in range(10):
@@ -175,19 +178,16 @@ def _dressed_braces_draws() -> list:
         b = rng.uniform(0.3, 1.0) * (1 if i % 2 else -1)
         point = _random_point(rng)
         sign, kp = 1 if i % 4 < 2 else -1, light_cone(point["pL"])
-        nu = rng.uniform(0.6, 2.0)
-        while abs(sign * g * b / kp + nu) < 0.05:
-            nu = rng.uniform(0.6, 2.0)
-        ctx = EvalContext(volkov_sign=sign, cfg=FieldConfig(
-            g=g, B=b, profile=CircularProfile(amplitude=a, frequency=nu)), **point)
-        draws.append((ctx, dict(phi=ctx.phi_b, g=g, kp=kp, phi0=ctx.phi_a, beta=g * b / kp,
-                                a=a, nu=nu, sign=sign)))
+        profile = CircularProfile(amplitude=a, frequency=rng.uniform(0.6, 2.0))
+        ctx = EvalContext(volkov_sign=sign, cfg=FieldConfig(g=g, B=b, profile=profile), **point)
+        draws.append((ctx, (*_slope_terms(profile), g, kp, ctx.phi_a, ctx.phi_b, g * b / kp, sign)))
     return draws
 
 
-def _stacked(draws: list) -> dict:
-    """Keyword arguments of one call per draw as one call's arrays."""
-    return {key: np.array([draw[key] for draw in draws]) for key in draws[0]}
+def _columns(rows) -> tuple:
+    """The columns of equal-length rows, each as one array: the arguments of
+    one oracle call for all the rows."""
+    return tuple(np.array(column) for column in zip(*rows))
 
 
 #: Zero everywhere but not flagged `is_zero`: the phase pass integrates it, so
@@ -198,57 +198,49 @@ _ZERO_SAMPLES = FieldConfig(g=1.0, B=0.5, profile=TabulatedProfile(
 
 def check_phase_integral_oracles() -> list[CheckResult]:
     rng = random.Random(107)
-    kernels = {"circular": [], "slope": []}     # the phase pass's K, per closed form
-    closed = {"circular": [], "slope": []}      # that form's arguments
+    kernels, closed = [], []        # the phase pass's K, and `carrier_kernel`'s arguments
     for i in range(50):
         g = rng.uniform(0.5, 1.5)
         pl = np.array([0.0, 0.0, rng.uniform(-0.4, 0.4),
-                       rng.uniform(1.2, 2.5) * (1 if i % 2 else -1)])
+                       rng.uniform(1.2, 2.5) * (1 if i % 8 < 4 else -1)])
         kp = light_cone(pl)
         phi_a = rng.uniform(-1.0, 1.0)
         phi = rng.uniform(-1.0, 1.0)
-        kind = i % 3
-        if kind == 0:
-            a, nu = rng.uniform(0.2, 1.0), rng.uniform(0.5, 2.0)
-            cfg = FieldConfig(g=g, B=0.0, profile=CircularProfile(amplitude=a, frequency=nu))
-            form, args = "circular", dict(beta=0.0, a=a, nu=nu, sign=1)
-        elif kind == 1:
-            # constant-slope potential realized as a tabulated profile through
-            # collinear samples (the natural spline reproduces a line exactly)
+        kind = i % 4
+        if kind == 1:
+            # a line realized as a tabulated profile through collinear samples
+            # (the natural spline reproduces a line exactly): one carrier at 0
             slope = rng.uniform(0.3, 1.0)
             offset = rng.uniform(-0.5, 0.5)
             b = rng.uniform(0.3, 1.0)
             grid = np.linspace(min(phi_a, phi) - 0.5, max(phi_a, phi) + 0.5, 9)
             cfg = FieldConfig(g=g, B=b, profile=TabulatedProfile(
                 phi_grid=grid, a1=offset + slope * grid, a2=np.zeros(grid.size)))
-            form, args = "slope", dict(beta=g * b / kp, c=complex(slope / np.sqrt(2.0)))
+            terms = (slope / SQRT2, 0.0), (0.0, 0.0)
         else:
-            a, nu = rng.uniform(0.2, 1.0), rng.uniform(0.6, 2.0)
-            b = rng.uniform(0.3, 1.0)
-            beta = g * b / kp
-            while abs(beta + nu) < 0.05:
-                nu = rng.uniform(0.6, 2.0)
-            cfg = FieldConfig(g=g, B=b, profile=CircularProfile(amplitude=a, frequency=nu))
-            form, args = "circular", dict(beta=beta, a=a, nu=nu, sign=1)
-        kernels[form].append(phase_pass(cfg, pl, phi_a, phi).kernel_b)
-        closed[form].append(dict(phi=phi, g=g, kp=kp, phi0=phi_a, **args))
+            a, nu = rng.uniform(0.2, 1.0), rng.uniform(0.5, 2.0)
+            b = 0.0 if kind == 0 else rng.uniform(0.3, 1.0)
+            profile = (LinearProfile if kind == 3 else CircularProfile)(a, nu)
+            cfg = FieldConfig(g=g, B=b, profile=profile)
+            terms = _slope_terms(profile)
+        kernels.append(phase_pass(cfg, pl, phi_a, phi).kernel_b)
+        closed.append((*terms, g, kp, phi_a, phi, g * b / kp, 1))
     braces = _dressed_braces_draws()
     prepared = [_prepare(ctx, ctx.x_b) for ctx, _ in braces]
 
-    # each closed form once, the circular one for both rows
-    circular = volkov_kernel_circular(**_stacked(closed["circular"] + [kw for _, kw in braces]))
-    split = len(closed["circular"])
-    dev = max(_maxabs(np.array(kernels["circular"]) - circular[:split]),
-              _maxabs(np.array(kernels["slope"])
-                      - volkov_kernel_constant_slope(**_stacked(closed["slope"]))))
+    # one closed-form call for both rows
+    closed_form = carrier_kernel(*_columns(closed + [args for _, args in braces]))
+    dev = _maxabs(np.array(kernels) - closed_form[:len(kernels)])
     # _prepare's braces M+- against the printed ones at the closed-form K
-    plus, minus = dressed_braces(circular[split:])
+    plus, minus = dressed_braces(closed_form[len(kernels):])
     dev_braces = max(_maxabs(np.array([pre.plus[0] for pre in prepared]) - plus),
                      _maxabs(np.array([pre.minus[0] for pre in prepared]) - minus))
 
     zero_val = phase_pass(_ZERO_SAMPLES, np.array([0.0, 0.0, 0.1, 2.0]), -0.3, 0.7).kernel_b
     return [
-        _result(7, "phase-integral-closed-forms", dev, 1e-8, "50 random draws, 3 profile kinds"),
+        _result(7, "phase-integral-closed-forms", dev, 1e-8,
+                "50 random draws, 4 profile kinds: circular at B = 0, tabulated line, "
+                "circular at B != 0, linear"),
         _result(7, "dressed-braces-closed-form", dev_braces, 1e-12,
                 "10 circular contexts (B, volkov_sign of both signs) vs the printed M+-"),
         _result(7, "phase-integral-zero-profile-exact", abs(zero_val), 0.0,
@@ -269,6 +261,14 @@ def _wave_terms(profile: PlaneWaveProfile):
     return None
 
 
+def _slope_terms(profile: PlaneWaveProfile):
+    """(c, w) with dot(eps, A') = sum_k c_k e^{i w_k phi}, the carriers of
+    `carrier_kernel`, from the terms of A_c (`_wave_terms`): each
+    differentiated, i w_k c_k, over sqrt2."""
+    amplitudes, frequencies = _wave_terms(profile)
+    return tuple(1j * w * c / SQRT2 for c, w in zip(amplitudes, frequencies)), frequencies
+
+
 def _oracle_exponents(contexts: list) -> list:
     """The e0-independent exponent that `green._prepare` forms in one
     expression, per context, from its terms by the oracles: i pL.dx^L, the
@@ -281,11 +281,9 @@ def _oracle_exponents(contexts: list) -> list:
     paths = [None] * len(contexts)
     if carriers:
         stack = [contexts[i] for i in carriers]
-        waves = (np.array(column) for column in zip(*(terms[i] for i in carriers)))
-        scalars = (np.array(column) for column in zip(*(
-            (ctx.cfg.g, ctx.cfg.B, light_cone(ctx.pL), ctx.phi_a, ctx.phi_b) for ctx in stack)))
-        exponents, (y1, y2) = cross_phase_closed(*waves, *scalars,
-                                                 np.array([ctx.x_b[:2] for ctx in stack]))
+        exponents, (y1, y2) = cross_phase_closed(*_columns(
+            (*terms[i], ctx.cfg.g, ctx.cfg.B, light_cone(ctx.pL), ctx.phi_a, ctx.phi_b,
+             ctx.x_b[:2]) for i, ctx in zip(carriers, stack)))
         for j, i in enumerate(carriers):
             paths[i] = exponents[j], (y1[j], y2[j])
     values = []
@@ -384,8 +382,7 @@ def weak_field_kernel_limit(cases) -> CheckResult:
 def _stacked_points(contexts: list) -> tuple:
     """(x_a, x_b, pL, m, g B) of the contexts as arrays, one row per context:
     the arguments of one zero-profile oracle call for all of them."""
-    return tuple(np.array(column) for column in zip(
-        *((ctx.x_a, ctx.x_b, ctx.pL, ctx.m, ctx.cfg.g * ctx.cfg.B) for ctx in contexts)))
+    return _columns((ctx.x_a, ctx.x_b, ctx.pL, ctx.m, ctx.cfg.g * ctx.cfg.B) for ctx in contexts)
 
 
 def zero_profile_limit(contexts) -> CheckResult:

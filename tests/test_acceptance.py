@@ -146,14 +146,16 @@ def _k_from_pinned_phase(monkeypatch):
     monkeypatch.setattr(green, "phase_pass", pinned)
 
 
-def _scale_folded_kernel(factor):
-    # the kernel's prefactor h / (2 pi), which the ray takes once per node
+def _scale_folded_kernel(factor, slot=0):
+    # one of the factors (n, c, q) that the ray takes once per node: by
+    # default the prefactor n = h / (2 pi), at slot 1 the coefficient c of rho^2
     def mutate(monkeypatch):
         kernel = green.folded_kernel
 
         def scaled(e0, b):
-            n, c, q = kernel(e0, b)
-            return factor * n, c, q
+            factors = list(kernel(e0, b))
+            factors[slot] = factor * factors[slot]
+            return tuple(factors)
 
         monkeypatch.setattr(green, "folded_kernel", scaled)
     return mutate
@@ -221,6 +223,8 @@ _MUTATIONS = {
     "drift-sign-flipped": (_scale_pass("drift", -1.0), {"classical-action-exponent"}),
     "ray-kernel-scaled-1e-6": (_scale_folded_kernel(1.0 + 1e-6),
                                {"zero-profile-route-equivalence"}),
+    "kernel-coefficient-scaled-1e-6": (_scale_folded_kernel(1.0 + 1e-6, slot=1),
+                                       {"zero-profile-route-equivalence"}),
     "k-scaled-1e-6": (_scale_pass("kernel_b", 1.0 + 1e-6), {"dressed-braces-closed-form"}),
     "drift-scaled-1e-6": (_scale_pass("drift", 1.0 + 1e-6), {"classical-action-exponent"}),
     "action-scaled-1e-6": (_scale_pass("action", 1.0 + 1e-6), {"classical-action-exponent"}),
@@ -427,9 +431,8 @@ def test_run_all_runs_each_seeded_check_twice_and_the_rest_once(monkeypatch):
 
 
 #: The oracles a check would otherwise call once per random draw.
-_STACKED_ORACLES = ("zero_profile_green", "zero_profile_gradient", "volkov_kernel_circular",
-                    "volkov_kernel_constant_slope", "dressed_braces", "sliced_kernel",
-                    "cross_phase_closed")
+_STACKED_ORACLES = ("zero_profile_green", "zero_profile_gradient", "carrier_kernel",
+                    "dressed_braces", "sliced_kernel", "cross_phase_closed")
 
 
 def test_run_all_calls_each_oracle_once_per_check(monkeypatch):

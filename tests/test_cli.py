@@ -163,8 +163,8 @@ def test_zero_wave_vector_limit_is_an_input_not_a_command(tmp_path, capsys):
 #: changes edits this pin.
 _EXIT_CODE_OF = {
     errors.WavefieldError: 5, SchemaError: 2, RangeError: 2, errors.InvalidProfile: 2,
-    errors.DivisionByZero: 3, errors.KernelSingularity: 3, errors.ResonantDenominator: 3,
-    errors.SingularForm: 3, QuadratureFailure: 4, errors.StepCalibrationFailure: 4,
+    errors.DivisionByZero: 3, errors.KernelSingularity: 3, errors.SingularForm: 3,
+    QuadratureFailure: 4, errors.StepCalibrationFailure: 4,
 }
 
 

@@ -3,7 +3,8 @@ oracle, `oracles.landau_green`, within max(abs_tol, rel_tol |G|).
 
 For a wave the oracle takes the drift, the cross phase and the braces M+-
 from `oracles` (the nested double-exponential drift and action, and the printed
-braces at the circular profile's antiderivative K), never from `phase_pass`.
+braces at the closed-form K of the circular profile's carrier), never from
+`phase_pass`.
 """
 
 import numpy as np
@@ -12,8 +13,8 @@ import pytest
 from wavefield.fields import CircularProfile, FieldConfig
 from wavefield.green import EvalContext, green_function
 from wavefield.minkowski import WAVE_K, dot
-from wavefield.oracles import (cross_phase_nested, dressed_braces, landau_green,
-                               volkov_kernel_circular)
+from wavefield.oracles import carrier_kernel, cross_phase_nested, dressed_braces, landau_green
+from wavefield.verification import _slope_terms
 
 XA = np.array([0.1, -0.2, 0.3, 0.0])
 XB = np.array([0.6, 0.4, -0.1, 0.5])
@@ -28,9 +29,8 @@ def _closed_form(ctx: EvalContext) -> np.ndarray:
     kp = dot(WAVE_K, ctx.pL).real
     cross, drift = cross_phase_nested(cfg.profile.components, cfg.g, cfg.B, kp, ctx.phi_a,
                                       ctx.phi_b, ctx.x_b[:2])
-    plus, minus = dressed_braces(volkov_kernel_circular(
-        ctx.phi_b, g=cfg.g, kp=kp, phi0=ctx.phi_a, beta=b / kp, a=cfg.profile.amplitude,
-        nu=cfg.profile.frequency, sign=ctx.volkov_sign))
+    plus, minus = dressed_braces(carrier_kernel(
+        *_slope_terms(cfg.profile), cfg.g, kp, ctx.phi_a, ctx.phi_b, b / kp, ctx.volkov_sign))
     return landau_green(ctx.x_a, ctx.x_b, ctx.pL, ctx.m, b, drift=drift, cross=cross,
                         plus=plus, minus=minus)
 

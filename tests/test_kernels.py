@@ -12,9 +12,8 @@ from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, Plane
 from wavefield.green import EvalContext, _green_batch, _prepare, spin_factor
 from wavefield.kernels import NEAR_CAUSTIC_THRESHOLD, near_caustic, phase_pass, schwinger_kernel
 from wavefield.minkowski import WAVE_K, dot
-from wavefield.oracles import (cross_phase_nested, drift_nested, free_kernel,
-                               volkov_kernel_circular, volkov_kernel_constant_slope)
-from wavefield.verification import _oracle_exponents
+from wavefield.oracles import carrier_kernel, cross_phase_nested, drift_nested, free_kernel
+from wavefield.verification import _oracle_exponents, _slope_terms
 
 XA, XB = np.array([0.2, -0.1]), np.array([0.9, 0.4])
 ZCFG = FieldConfig(g=1.0, B=0.6, profile=ZeroProfile())
@@ -23,6 +22,14 @@ ZCFG = FieldConfig(g=1.0, B=0.6, profile=ZeroProfile())
 def _kernel(phi, pL, cfg, phi0, sign=+1):
     """K(phi) integrated from phi0: the kernel of a pass from phi0 to phi."""
     return phase_pass(cfg, pL, phi0, phi, sign=sign).kernel_b
+
+
+def _closed_kernel(phi, pL, cfg, phi0, sign=+1):
+    """K(phi) integrated from phi0 for a circular or linear wave, by
+    `oracles.carrier_kernel` on the carriers of its slope."""
+    kp = dot(WAVE_K, pL).real
+    return carrier_kernel(*_slope_terms(cfg.profile), cfg.g, kp, phi0, phi,
+                          cfg.g * cfg.B / kp, sign)
 
 
 def _cross_phase(cfg, pL, x_a, x_b):
@@ -127,25 +134,21 @@ def test_volkov_zero_profile_is_exact_zero():
 def test_volkov_against_circular_closed_form():
     g, b, a, nu = 0.9, 0.5, 0.6, 1.3
     pL = np.array([0.0, 0.0, 0.2, 2.0])
-    kp = dot(WAVE_K, pL).real
     cfg = FieldConfig(g=g, B=b, profile=CircularProfile(amplitude=a, frequency=nu))
-    params = dict(g=g, kp=kp, phi0=-0.4, beta=g * b / kp, a=a, nu=nu)
     for phi in (-0.1, 0.5, 1.8):
-        ref = volkov_kernel_circular(phi, **params)
+        ref = _closed_kernel(phi, pL, cfg, -0.4)
         assert _kernel(phi, pL, cfg, -0.4) == pytest.approx(ref, abs=1e-12)
 
 
 def test_volkov_sign_toggle_flips_integrand_only():
     g, b, a, nu = 0.9, 0.5, 0.6, 1.3
     pL = np.array([0.0, 0.0, 0.2, 2.0])
-    kp = dot(WAVE_K, pL).real
     cfg = FieldConfig(g=g, B=b, profile=CircularProfile(amplitude=a, frequency=nu))
-    params = dict(g=g, kp=kp, phi0=-0.4, beta=g * b / kp, a=a, nu=nu, sign=-1)
     flipped = _kernel(0.8, pL, cfg, -0.4, sign=-1)
-    assert flipped == pytest.approx(volkov_kernel_circular(0.8, **params), abs=1e-12)
+    assert flipped == pytest.approx(_closed_kernel(0.8, pL, cfg, -0.4, sign=-1), abs=1e-12)
     assert flipped != pytest.approx(_kernel(0.8, pL, cfg, -0.4), abs=1e-6)
     # a tabulated line, which the natural spline reproduces exactly, against
-    # the constant-slope closed form
+    # its one carrier, slope / sqrt2 at frequency 0
     rng = random.Random(37)
     for _ in range(10):
         g, b, slope = rng.uniform(0.5, 1.5), rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0)
@@ -156,8 +159,7 @@ def test_volkov_sign_toggle_flips_integrand_only():
         cfg = FieldConfig(g=g, B=b, profile=TabulatedProfile(
             phi_grid=grid, a1=rng.uniform(-0.5, 0.5) + slope * grid, a2=np.zeros(grid.size)))
         flipped = _kernel(phi, pL, cfg, phi_a, sign=-1)
-        ref = volkov_kernel_constant_slope(phi, g=g, kp=kp, phi0=phi_a, beta=g * b / kp,
-                                           c=complex(slope / math.sqrt(2.0)), sign=-1)
+        ref = carrier_kernel([slope / math.sqrt(2.0)], [0.0], g, kp, phi_a, phi, g * b / kp, -1)
         assert flipped == pytest.approx(ref, abs=1e-12)
         assert flipped != pytest.approx(_kernel(phi, pL, cfg, phi_a), abs=1e-6)
 
@@ -366,15 +368,13 @@ def test_seeded_pass_matches_the_oracles_on_long_spans(profile, span, B):
     # phase-integral-closed-forms rows
     ctx = _seeded_context(profile, B, span)
     assert ctx.phi_b - ctx.phi_a == pytest.approx(span)
-    kp, beta = dot(WAVE_K, ctx.pL).real, ctx.cfg.g * B / dot(WAVE_K, ctx.pL).real
+    beta = ctx.cfg.g * B / dot(WAVE_K, ctx.pL).real
     run = phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, ctx.phi_b)
     rate = _fastest(profile, *sorted((ctx.phi_a, ctx.phi_b)))
     assert run.nodes >= 15 * math.ceil(abs(span) * (abs(beta) + rate) / 2.0) > 15
     assert _exponent_error(ctx) <= 1e-10
     if profile.kind == "circular":
-        ref = volkov_kernel_circular(ctx.phi_b, g=ctx.cfg.g, kp=kp, phi0=ctx.phi_a, beta=beta,
-                                     a=profile.amplitude, nu=profile.frequency)
-        assert abs(run.kernel_b - ref) <= 1e-8
+        assert abs(run.kernel_b - _closed_kernel(ctx.phi_b, ctx.pL, ctx.cfg, ctx.phi_a)) <= 1e-8
 
 
 def _random_spline(seed, lo=-6.0, hi=6.0, points=25):

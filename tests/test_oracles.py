@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavefield.errors import QuadratureFailure, ResonantDenominator, SingularForm
+from wavefield.errors import QuadratureFailure, SingularForm
 from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, PulseProfile,
                               TabulatedProfile, ZeroProfile)
 from wavefield.green import EvalContext, green_function
@@ -18,11 +18,10 @@ from wavefield.kernels import schwinger_kernel
 from wavefield.minkowski import IDENTITY4, METRIC, P_MINUS, P_PLUS
 from wavefield import oracles
 from wavefield.oracles import (_DE_LEVELS, _euclidean_axis, _exp_sinh, _interior_spectrum, _k0,
-                               _tanh_sinh, cross_phase_closed, cross_phase_nested,
+                               _tanh_sinh, carrier_kernel, cross_phase_closed, cross_phase_nested,
                                drift_nested, free_kernel,
                                free_propagator, landau_green, richardson_extrapolate,
-                               sliced_kernel, volkov_kernel_circular,
-                               volkov_kernel_constant_slope, zero_profile_gradient,
+                               sliced_kernel, zero_profile_gradient,
                                zero_profile_green)
 from wavefield.verification import _random_point
 
@@ -138,14 +137,72 @@ def test_lattice_needs_two_slices():
         sliced_kernel(1, 0.5, 1.0, 0.0, XA, XB)
 
 
-def test_closed_form_resonances_raise():
-    base = dict(g=1.0, kp=-1.8, phi0=0.0)
-    with pytest.raises(ResonantDenominator):
-        volkov_kernel_constant_slope(0.5, **base, beta=0.0, c=0.3 + 0j)
-    with pytest.raises(ResonantDenominator):
-        volkov_kernel_circular(0.5, **base, beta=1.3, a=0.5, nu=1.3, sign=-1)
-    # off resonance the same parameters evaluate fine
-    assert np.isfinite(abs(volkov_kernel_circular(0.5, **base, beta=1.3, a=0.5, nu=1.3)))
+def _circular_fraction(phi, g, kp, phi0, beta, a, nu, sign):
+    """K of a circular profile as the resonant fraction that was its oracle,
+    (g / 2 kp) e^{i beta phi} (a nu / sqrt2) (e^{i d phi} - e^{i d phi0}) / d,
+    d = sign beta + nu."""
+    d = sign * beta + nu
+    return (g / (2.0 * kp) * np.exp(1j * beta * phi) * (a * nu / math.sqrt(2.0))
+            * (np.exp(1j * d * phi) - np.exp(1j * d * phi0)) / d)
+
+
+def _slope_fraction(phi, g, kp, phi0, beta, c, sign):
+    """K of a profile of constant slope dot(eps, A') = c as the fraction that
+    was its oracle."""
+    turn = 1j * sign * beta
+    return (g / (2.0 * kp) * np.exp(1j * beta * phi)
+            * c * (np.exp(turn * phi) - np.exp(turn * phi0)) / turn)
+
+
+def _fraction_draws(seed: int, count: int) -> list:
+    """Seeded contexts away from resonance, circular and constant slope in
+    turn: (carrier (c, w), (g, kp, phi0, phi, beta, sign), the fraction's K),
+    with kp, B and sign of both signs and every third circular one at B = 0."""
+    rng = random.Random(seed)
+    draws = []
+    for i in range(count):
+        g, kp = rng.uniform(0.5, 1.5), rng.uniform(0.5, 2.5) * rng.choice((-1, 1))
+        B = 0.0 if i % 6 == 0 else rng.uniform(0.3, 1.0) * rng.choice((-1, 1))
+        beta, sign = g * B / kp, rng.choice((-1, 1))
+        phi0, phi = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+        scalars = (g, kp, phi0, phi, beta, sign)
+        if i % 2:
+            c = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) / math.sqrt(2.0)
+            draws.append(((c, 0.0), scalars, _slope_fraction(phi, g, kp, phi0, beta, c, sign)))
+        else:
+            a, nu = rng.uniform(0.2, 1.0), rng.uniform(0.5, 2.0)
+            while abs(sign * beta + nu) < 0.05:
+                nu = rng.uniform(0.5, 2.0)
+            draws.append(((1j * a * nu / math.sqrt(2.0), nu), scalars,
+                          _circular_fraction(phi, g, kp, phi0, beta, a, nu, sign)))
+    return draws
+
+
+def test_carrier_kernel_matches_the_resonant_fractions():
+    # away from resonance, the sum of exponential integrals is the circular
+    # and constant-slope fractions it replaced; a stack has each entry's bits
+    draws = _fraction_draws(47, 200)
+    alone = [carrier_kernel([c], [w], *scalars) for (c, w), scalars, _ in draws]
+    assert max(abs(k - value) for k, (*_, value) in zip(alone, draws)) <= 1e-13
+    carriers, scalars, _ = zip(*draws)
+    stack = carrier_kernel(*(np.array(column)[:, None] for column in zip(*carriers)),
+                           *(np.array(column) for column in zip(*scalars)))
+    assert [complex(k) for k in stack] == alone
+
+
+def test_carrier_kernel_at_resonance_is_its_linear_growth_limit():
+    # sign beta + w = 0 exactly: the carrier's integrand is constant, so K
+    # grows linearly in phi - phi0 (at beta = 0 for the slope carrier)
+    g, kp, phi0, phi = 1.0, -1.8, 0.2, 0.5
+    limit = g / (2.0 * kp) * (phi - phi0)
+    circular = 1j * 0.5 * 1.3 / math.sqrt(2.0)
+    value = carrier_kernel([circular], [1.3], g, kp, phi0, phi, 1.3, -1)
+    assert value == pytest.approx(np.exp(1.3j * phi) * circular * limit, rel=1e-15)
+    slope = carrier_kernel([0.3 + 0j], [0.0], g, kp, phi0, phi, 0.0, 1)
+    assert slope == pytest.approx(0.3 * limit, rel=1e-15)
+    # off resonance by 1e-9 the same carrier differs by O(1e-9)
+    near = carrier_kernel([circular], [1.3 + 1e-9], g, kp, phi0, phi, 1.3, -1)
+    assert 0.0 < abs(near - value) <= 1e-9
 
 
 def test_free_propagator_domain_checks():

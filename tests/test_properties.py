@@ -20,18 +20,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wavefield.fields import CircularProfile, FieldConfig, LinearProfile, PulseProfile, ZeroProfile
 from wavefield.green import RAY_SEEDS, EvalContext, green_function
 from wavefield.kernels import CAUSTIC_TOLERANCE, phase_pass, schwinger_kernel
 from wavefield.minkowski import WAVE_K, dot, light_cone, longitudinal_dot
-from wavefield.oracles import cross_phase_nested, volkov_kernel_circular
+from wavefield.oracles import cross_phase_nested
 from wavefield.quadrature import WG, WK, XK, _G_IDX, adaptive_quad
 from wavefield.verification import _bumped_outside
 
-from test_kernels import _cross_phase
+from test_kernels import _closed_kernel, _cross_phase
 
 _SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
@@ -75,21 +75,26 @@ def _nested(cfg, pL, x_a, x_b):
                               dot(WAVE_K, x_a).real, dot(WAVE_K, x_b).real, x_b[:2])[0]
 
 
+#: A linear wave with its carrier at -nu exactly at resonance: beta = g B / kp
+#: = 0.25 = nu, where the closed form of K grows linearly.
+_RESONANT_LINEAR = (FieldConfig(g=1.0, B=0.5, profile=LinearProfile(0.6, 0.25)),
+                    np.array([0.0, 0.0, 0.0, -2.0]), np.array([0.3, -0.2, 0.4, 0.0]),
+                    np.array([-0.5, 0.6, 2.9, 0.0]), -1.2, 1)
+
+
 @settings(max_examples=20, **_SETTINGS)
-@given(_contexts("circular"))
-def test_one_pass_matches_oracles_for_circular_waves(context):
+@given(st.sampled_from(["circular", "linear"]).flatmap(_contexts))
+@example(_RESONANT_LINEAR)
+def test_one_pass_matches_oracles_for_circular_and_linear_waves(context):
+    # drawn without avoiding resonance, sign beta + w_k = 0, which the closed
+    # form of K meets as linear growth
     cfg, pL, x_a, x_b, phi0, sign = context
-    kp = dot(WAVE_K, pL).real
-    beta = cfg.g * cfg.B / kp
-    a, nu = cfg.profile.amplitude, cfg.profile.frequency
-    assume(abs(sign * beta + nu) > 0.05)       # away from the resonant closed form
     assert abs(_cross_phase(cfg, pL, x_a, x_b) - _nested(cfg, pL, x_a, x_b)) <= 1e-12
 
     phi_a, phi_b = dot(WAVE_K, x_a).real, dot(WAVE_K, x_b).real
-    params = dict(g=cfg.g, kp=kp, phi0=phi0, beta=beta, a=a, nu=nu, sign=sign)
     for phi in (phi_a, phi_b):
         k = phase_pass(cfg, pL, phi0, phi, sign=sign).kernel_b
-        assert abs(k - volkov_kernel_circular(phi, **params)) <= 1e-11
+        assert abs(k - _closed_kernel(phi, pL, cfg, phi0, sign)) <= 1e-11
 
 
 @settings(max_examples=10, **_SETTINGS)
