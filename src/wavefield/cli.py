@@ -2,7 +2,7 @@
 
     wavefield <command> --config <path> --out <path> [--angle <theta>] [--profile-sign-toggle]
 
-Commands: identities, kernel, K, spinfactor, gf, dirac, verify, limits.
+Commands: identities, K, spinfactor, gf, dirac, verify, limits.
 Each run writes a CSV table (one row per grid point, or per check: all of a
 `CheckResult`'s fields; floats at 17 significant digits, frozen column order)
 and a one-line JSON sidecar carrying the normalized config (the run's contour
@@ -36,7 +36,7 @@ from .conventions import DEFAULT_VOLKOV_SIGN, convention_ledger
 from .errors import InvalidProfile, QuadratureFailure, RangeError, SchemaError, WavefieldError
 from .fields import FieldConfig, _real, make_profile
 from .green import EVAL_INPUTS, EvalContext, dirac_apply, green_function, spin_factor
-from .kernels import near_caustic, phase_pass, schwinger_kernel
+from .kernels import phase_pass
 
 _GRID_COMPONENTS = {"xb0": 0, "xb1": 1, "xb2": 2, "xb3": 3, "pL2": 2, "pL3": 3}
 #: The `eval` keys a config must set: those whose context field has no default.
@@ -242,14 +242,6 @@ def _cmd_identities(rc: RunConfig):
                         + verification.check_basis_identities())
 
 
-def _cmd_kernel(rc: RunConfig):
-    ctx = rc.ctx
-    grid = np.array(rc.grid_values)
-    values, flags = schwinger_kernel(grid, ctx.x_a, ctx.x_b, ctx.cfg), near_caustic(grid, ctx.cfg)
-    rows = [[e0, v.real, v.imag, flag] for e0, v, flag in zip(rc.grid_values, values, flags)]
-    return ["e0", "kernel_re", "kernel_im", "near_singularity"], rows, None
-
-
 def _cmd_phase_integral(rc: RunConfig):
     ctx, rows = rc.ctx, []
     for phi in rc.grid_values:      # one pass per phase: each row has its own nodes and error
@@ -299,7 +291,6 @@ _POINT_GRIDS = (None, *_GRID_COMPONENTS)
 #: block); None in place of those values: the command ignores the grid.
 _COMMANDS = {
     "identities": (_cmd_identities, None),
-    "kernel": (_cmd_kernel, ("e0",)),
     "K": (_cmd_phase_integral, ("phi",)),
     "spinfactor": (_cmd_spinfactor, ("e0",)),
     "gf": (_cmd_gf, _POINT_GRIDS),

@@ -1,9 +1,10 @@
 """Exception types raised by the numerical layers.
 
 Each class declares the exit code `cli.main` returns for it as `exit_code`:
-configuration problems -> 2, numeric singularities -> 3 (caustic, vanishing
-light-cone denominator, singular time-sliced form), quadrature or calibration
-failures -> 4; the base class's 5 is also a failed check table's.
+configuration problems -> 2, numeric singularities -> 3 (vanishing light-cone
+denominator, singular time-sliced form), quadrature or calibration failures -> 4;
+the base class's 5 is also a failed check table's. Every subclass is raised
+somewhere in the package.
 """
 
 
@@ -34,11 +35,6 @@ class InvalidProfile(WavefieldError):
 
 class DivisionByZero(WavefieldError):
     """A light-cone denominator dot(k, pL) vanished where it must not."""
-    exit_code = 3
-
-
-class KernelSingularity(WavefieldError):
-    """Proper-time kernel evaluated on (or too close to) a caustic."""
     exit_code = 3
 
 

@@ -47,8 +47,7 @@ from .conventions import (DEFAULT_ABS_TOL, DEFAULT_CONTOUR_ANGLE, DEFAULT_REL_TO
                           DEFAULT_VOLKOV_SIGN)
 from .errors import QuadratureFailure, RangeError, StepCalibrationFailure
 from .fields import FieldConfig, _real
-from .kernels import (KernelDiagnostics, PhasePass, check_finite_e0, folded_kernel,
-                      phase_pass)
+from .kernels import KernelDiagnostics, PhasePass, folded_kernel, phase_pass
 from .minkowski import (GAMMA, P_MINUS, P_PLUS, SLASH_EPS, SLASH_EPS_CONJ, SLASH_K,
                         UNIT_FIELD, light_cone, longitudinal_dot)
 from .quadrature import adaptive_quad
@@ -165,10 +164,13 @@ def _prepare(ctx: EvalContext, points) -> _Prepared:
 def spin_factor(e0, ctx: EvalContext) -> np.ndarray:
     """Dressed projector braces exp(+i w) M+ + exp(-i w) M-, w = e0 g B / 2,
     at one proper-time node or at each node of an array (set-up runs once);
-    RangeError at a non-finite e0."""
-    check_finite_e0(e0)
+    RangeError where e0 or w is not finite, before the phase pass."""
+    # a non-finite e0 makes w non-finite too, and an overflow in w is refused with it
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.asarray(e0) * ctx.cfg.g * ctx.cfg.B / 2.0
+    if not np.isfinite(w).all():
+        raise RangeError(f"e0 and w = e0 g B / 2 must be finite, got e0 = {e0!r}")
     pre = _prepare(ctx, ctx.x_b)
-    w = np.asarray(e0) * ctx.cfg.g * ctx.cfg.B / 2.0
     return np.multiply.outer(np.exp(1j * w), pre.plus[0]) \
         + np.multiply.outer(np.exp(-1j * w), pre.minus[0])
 

@@ -1,14 +1,13 @@
 """Closed-form kernels and phases of the proper-time representation.
 
-`schwinger_kernel` is the transverse constant-field kernel
+`folded_kernel` is the e0-dependent part of the transverse constant-field kernel
 
     [i g B / (4 pi sin(e0 g B / 2))]
-      * exp{ i (g B / 2) [ (Xb1 Xa2 - Xb2 Xa1) - (1/2) cot(e0 g B / 2) |DX|^2 ] }
+      * exp{ i (g B / 2) [ (Xb1 Xa2 - Xb2 Xa1) - (1/2) cot(e0 g B / 2) |DX|^2 ] },
 
-with caustics at e0 g B in 2 pi Z. Its e0-dependent part, `folded_kernel`, the
-bare formula the ray calls, is written through q = exp(i |g B| e0) as a prefactor
-and the coefficient of rho^2 = |DX|^2 in a Gaussian, the only way it sees the
-endpoints; the gauge phase i (g B / 2)(Xb1 Xa2 - Xb2 Xa1) is a constant.
+the bare formula the ray calls, written through q = exp(i |g B| e0) as a
+prefactor and the coefficient of rho^2 = |DX|^2 in a Gaussian, the only way it
+sees the endpoints; the gauge phase i (g B / 2)(Xb1 Xa2 - Xb2 Xa1) is a constant.
 Everything the wave phase contributes comes from one pass along it,
 `phase_pass`, to one phi_b or to an array of them, whose `PhasePass` is a
 plain record of:
@@ -59,15 +58,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conventions import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, DEFAULT_VOLKOV_SIGN, NODE_CAP
-from .errors import DivisionByZero, KernelSingularity, RangeError
+from .errors import DivisionByZero
 from .fields import FieldConfig
 from .minkowski import SQRT2, light_cone
 from .quadrature import CUMULATIVE, XK, adaptive_quad
 
-#: |sin(e0 g B / 2)| below this makes `schwinger_kernel` raise KernelSingularity.
-CAUSTIC_TOLERANCE = 1e-10
-
-#: |sin(e0 g B / 2)| below this sets the near-caustic flag of the `kernel` command.
+#: |sin(e0 g B / 2)| that perfbench's admissibility check requires along the
+#: default ray; nothing in the package reads it.
 NEAR_CAUSTIC_THRESHOLD = 0.05
 
 
@@ -91,7 +88,7 @@ def folded_kernel(e0, b: float):
     so n = h / (2 pi) and c = -(h/4)(1 + q), and |q| <= 1 on the upper half plane:
     nothing overflows however far out e0 lies. None depends on rho2, so a caller
     with many endpoints forms them once per e0. No domain check: the ray's nodes
-    (Im e0 > 0) never reach e0 = 0 or a caustic, and `schwinger_kernel` checks any other.
+    (Im e0 > 0) never reach e0 = 0 or a caustic.
     """
     if b == 0.0:
         h, q = 1j / e0, 1.0
@@ -100,49 +97,6 @@ def folded_kernel(e0, b: float):
         q = np.exp(z)
         h = abs(b) / -np.expm1(z)
     return h / (2.0 * np.pi), -0.25 * h * (1.0 + q), q
-
-
-def _sin_below(e0, b: float, bound: float):
-    """Where |sin(e0 b / 2)| = |1 - q| / (2 |q|^{1/2}) < bound and |e0 b / 2| >= 1, with
-    |q| <= 1 (e0 or its conjugate) and no division: nothing overflows anywhere."""
-    z = abs(b) * (1j * np.real(e0) - abs(np.imag(e0)))
-    return (np.abs(np.expm1(z)) < 2.0 * bound * np.sqrt(np.abs(np.exp(z)))) & (np.abs(z) >= 2.0)
-
-
-def check_finite_e0(e0):
-    """RangeError unless the proper time e0, or every entry of an array of
-    them, is finite."""
-    if not np.isfinite(e0).all():
-        raise RangeError(f"e0 must be finite, got {e0!r}")
-
-
-def schwinger_kernel(e0, x_a: np.ndarray, x_b: np.ndarray, cfg: FieldConfig):
-    """Transverse proper-time kernel of the constant magnetic background
-    between the transverse coordinates (0 and 1) of the endpoints x_a and x_b,
-    at one e0 (complex result) or at each of an array of them.
-
-    Tends to [i/(2 pi e0)] exp(-i |DX|^2 / (2 e0)) as B -> 0 (and is that at
-    B = 0); raises RangeError at a non-finite e0, and KernelSingularity at
-    e0 = 0 and on caustics (`_sin_below`).
-    """
-    b = cfg.g * cfg.B
-    check_finite_e0(e0)
-    if np.any(np.asarray(e0) == 0):
-        raise KernelSingularity("e0 = 0 is the short-time endpoint")
-    if np.any(caustic := _sin_below(e0, b, CAUSTIC_TOLERANCE)):
-        raise KernelSingularity(f"caustic: |sin(e0 g B / 2)| < {CAUSTIC_TOLERANCE:g} "
-                                f"at e0={np.asarray(e0)[caustic]!r}")
-    rho2 = (x_b[0] - x_a[0]) ** 2 + (x_b[1] - x_a[1]) ** 2
-    n, c, _ = folded_kernel(e0, b)
-    value = n * np.exp(c * rho2) \
-        * np.exp(0.5j * b * (x_b[0] * x_a[1] - x_b[1] * x_a[0]) + 0.5j * abs(b) * e0)
-    return complex(value) if np.ndim(value) == 0 else value
-
-
-def near_caustic(e0, cfg: FieldConfig):
-    """The `kernel` command's flag at one e0 (a bool) or elementwise on an array."""
-    flag = _sin_below(e0, cfg.g * cfg.B, NEAR_CAUSTIC_THRESHOLD)
-    return bool(flag) if flag.ndim == 0 else flag
 
 
 #: The drift and phase-integral columns of `phase_pass` meet this share of

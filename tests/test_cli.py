@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import dataclasses
 import functools
@@ -10,6 +11,7 @@ import re
 import runpy
 import subprocess
 import sys
+import warnings
 from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
@@ -26,7 +28,7 @@ from wavefield.conventions import NODE_CAP, convention_ledger
 from wavefield.errors import QuadratureFailure, RangeError, SchemaError
 from wavefield.fields import CircularProfile, FieldConfig
 from wavefield.green import EvalContext, green_function, spin_factor
-from wavefield.kernels import near_caustic, phase_pass, schwinger_kernel
+from wavefield.kernels import phase_pass
 from wavefield.quadrature import adaptive_quad
 from wavefield.verification import CheckResult
 
@@ -163,7 +165,7 @@ def test_zero_wave_vector_limit_is_an_input_not_a_command(tmp_path, capsys):
 #: changes edits this pin.
 _EXIT_CODE_OF = {
     errors.WavefieldError: 5, SchemaError: 2, RangeError: 2, errors.InvalidProfile: 2,
-    errors.DivisionByZero: 3, errors.KernelSingularity: 3, errors.SingularForm: 3,
+    errors.DivisionByZero: 3, errors.SingularForm: 3,
     QuadratureFailure: 4, errors.StepCalibrationFailure: 4,
 }
 
@@ -171,6 +173,19 @@ _EXIT_CODE_OF = {
 def test_the_exit_code_table_names_every_error_class():
     assert set(_EXIT_CODE_OF) == {cls for cls in vars(errors).values()
                                   if isinstance(cls, type) and issubclass(cls, errors.WavefieldError)}
+
+
+def test_every_error_class_is_raised_somewhere_under_src():
+    # a class that no `raise` names outlives the code that raised it
+    raised = set()
+    for path in (Path(__file__).resolve().parents[1] / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    subclasses = {name for name, cls in vars(errors).items() if isinstance(cls, type)
+                  and issubclass(cls, errors.WavefieldError) and cls is not errors.WavefieldError}
+    assert subclasses <= raised
 
 
 @pytest.mark.parametrize("error", list(_EXIT_CODE_OF), ids=lambda cls: cls.__name__)
@@ -208,11 +223,13 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert err.startswith("error: cannot write output: ") and err.count("error:") == 1
 
 
-def test_exit_code_singularity(tmp_path):
-    cfg = _config(grid={"param": "e0", "values": [3.141592653589793]})
-    cfg["field"] = {"g": 1.0, "B": 2.0, "profile": "zero"}
-    status, _ = _invoke(tmp_path, "kernel", cfg)
+def test_exit_code_singularity(tmp_path, capsys):
+    # dot(k, pL) = pL2 - pL3 vanishes under a circular wave: the CLI's one exit-3 route
+    cfg = _config(eval=_eval(pL=[0.0, 0.0, 2.0, 2.0]), grid={"param": "phi", "values": [0.8]})
+    status, out = _invoke(tmp_path, "K", cfg)
     assert status == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: dot(k, pL) = 0 with a non-zero profile\n"
 
 
 def test_exit_code_quadrature(tmp_path):
@@ -344,7 +361,7 @@ def test_verify_fails_its_determinism_row_when_a_run_inside_it_fails(tmp_path, m
 
 #: A config each command takes: the README's for all but those that need a grid of their own.
 _COMMAND_CONFIGS = {
-    "identities": _config(), "kernel": _config(grid={"param": "e0", "values": [0.5, 7.0]}),
+    "identities": _config(),
     "K": _config(grid={"param": "phi", "values": [-0.3, 0.8]}),
     "spinfactor": _config(grid={"param": "e0", "values": [0.5, 7.0]}),
     "gf": _config(), "dirac": _config(), "verify": _config(), "limits": _config(),
@@ -369,15 +386,13 @@ def test_a_request_leaves_no_reference_cycle(tmp_path, command):
 
 
 @pytest.mark.parametrize("command, grid, message", [
-    ("kernel", None, 'kernel takes one of ["e0"], got null'),
-    ("kernel", {"param": "phi", "values": [0.1]}, 'kernel takes one of ["e0"], got "phi"'),
     ("K", {"param": "e0", "values": [0.1]}, 'K takes one of ["phi"], got "e0"'),
     ("spinfactor", None, 'spinfactor takes one of ["e0"], got null'),
     ("gf", {"param": "zeta", "values": [1.0]},
      'gf takes one of [null, "xb0", "xb1", "xb2", "xb3", "pL2", "pL3"], got "zeta"'),
     ("dirac", {"param": "e0", "values": [1.0]},
      'dirac takes one of [null, "xb0", "xb1", "xb2", "xb3", "pL2", "pL3"], got "e0"'),
-], ids=["kernel-none", "kernel-phi", "K-e0", "spinfactor-none", "gf-zeta", "dirac-e0"])
+], ids=["K-e0", "spinfactor-none", "gf-zeta", "dirac-e0"])
 def test_a_grid_the_command_does_not_take_exits_2(tmp_path, capsys, command, grid, message):
     # one check against the command table, one message for every command
     status, out = _invoke(tmp_path, command, _config(grid=grid))
@@ -394,22 +409,6 @@ def test_check_commands_ignore_the_grid(tmp_path, command, monkeypatch):
     assert _rows(out) and all(row["passed"] == "1" for row in _rows(out))
 
 
-def test_kernel_rows_are_the_library_kernel(tmp_path):
-    # 13.95 lies within NEAR_CAUSTIC_THRESHOLD of the caustic at 2 pi / (g B) = 13.96
-    cfg = _config(grid={"param": "e0", "values": [0.5, 7.0, 13.95]})
-    status, out = _invoke(tmp_path, "kernel", cfg)
-    assert status == 0
-    ctx = parse_config(json.dumps(cfg)).ctx
-    e0 = np.array(cfg["grid"]["values"])
-    values, flags = schwinger_kernel(e0, ctx.x_a, ctx.x_b, ctx.cfg), near_caustic(e0, ctx.cfg)
-    assert flags.tolist() == [False, False, True]
-    rows = _rows(out)
-    assert list(rows[0]) == ["e0", "kernel_re", "kernel_im", "near_singularity"]
-    assert [(float(row["e0"]), complex(float(row["kernel_re"]), float(row["kernel_im"])),
-             row["near_singularity"]) for row in rows] \
-        == [(e, v, "1" if flag else "0") for e, v, flag in zip(e0.tolist(), values, flags)]
-
-
 def test_spinfactor_rows_are_the_library_braces(tmp_path):
     cfg = _config(grid={"param": "e0", "values": [0.5, 1.5, 4.0]})
     status, out = _invoke(tmp_path, "spinfactor", cfg)
@@ -424,6 +423,18 @@ def test_spinfactor_rows_are_the_library_braces(tmp_path):
         cells = np.array([complex(float(row[f"sf{i}{j}_re"]), float(row[f"sf{i}{j}_im"]))
                           for i in range(4) for j in range(4)])
         assert np.array_equal(cells, factor.ravel())
+
+
+def test_spinfactor_refuses_an_e0_whose_phase_overflows(tmp_path, capsys):
+    # w = e0 g B / 2 = 1e308 * 0.9 * 5 / 2 is inf: exit 2 and no file, not nan columns
+    cfg = _config(field=dict(_field(), B=5.0), grid={"param": "e0", "values": [1e308]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status, out = _invoke(tmp_path, "spinfactor", cfg)
+    assert status == 2 and caught == []
+    assert not out.exists() and not Path(str(out) + ".json").exists()
+    assert capsys.readouterr().err == \
+        "error: e0 and w = e0 g B / 2 must be finite, got e0 = array([1.e+308])\n"
 
 
 def test_angle_override_lands_in_sidecar(tmp_path):

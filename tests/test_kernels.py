@@ -1,19 +1,18 @@
 import math
 import random
-import warnings
 
 import numpy as np
 import pytest
 
 from wavefield import kernels, verification
-from wavefield.errors import DivisionByZero, KernelSingularity, RangeError
+from wavefield.errors import DivisionByZero, RangeError
 from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, PlaneWaveProfile,
                               PulseProfile, TabulatedProfile, ZeroProfile)
 from wavefield.green import EvalContext, _green_batch, _prepare, spin_factor
-from wavefield.kernels import NEAR_CAUSTIC_THRESHOLD, near_caustic, phase_pass, schwinger_kernel
+from wavefield.kernels import phase_pass
 from wavefield.minkowski import WAVE_K, dot
 from wavefield.oracles import carrier_kernel, cross_phase_nested, drift_nested, free_kernel
-from wavefield.verification import _oracle_exponents, _slope_terms
+from wavefield.verification import _oracle_exponents, _ray_kernel, _slope_terms
 
 XA, XB = np.array([0.2, -0.1]), np.array([0.9, 0.4])
 ZCFG = FieldConfig(g=1.0, B=0.6, profile=ZeroProfile())
@@ -42,18 +41,16 @@ def _cross_phase(cfg, pL, x_a, x_b):
 
 
 def test_kernel_free_limit_small_field():
-    tiny = FieldConfig(g=1.0, B=1e-9, profile=ZeroProfile())
     free = free_kernel(0.8, XA, XB)
     # rotation (gauge) phase ~ B; well inside 1e-8 at B = 1e-9
-    assert schwinger_kernel(0.8, XA, XB, tiny) == pytest.approx(free, rel=1e-8)
+    assert _ray_kernel(0.8, 1e-9, XA, XB) == pytest.approx(free, rel=1e-8)
 
 
 def test_kernel_exact_zero_field_branch():
-    none = FieldConfig(g=1.0, B=0.0, profile=ZeroProfile())
     free = free_kernel(0.8, XA, XB)
     # same closed formula on both sides; scalar vs array arithmetic may
     # differ in the last bit
-    assert schwinger_kernel(0.8, XA, XB, none) == pytest.approx(free, rel=1e-15)
+    assert _ray_kernel(0.8, 0.0, XA, XB) == pytest.approx(free, rel=1e-15)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan), np.array([0.5, np.nan, 1.5])],
@@ -62,65 +59,16 @@ def test_a_non_finite_e0_is_refused(bad):
     # a RangeError naming e0, not nan values with RuntimeWarnings
     ctx = EvalContext(m=0.8, x_a=np.array([0.2, -0.1, 0.3, 0.0]), x_b=np.array([0.9, 0.4, -0.1, 0.5]),
                       pL=np.array([0.0, 0.0, 0.2, 2.0]), cfg=ZCFG)
-    for call in (lambda: schwinger_kernel(bad, XA, XB, ZCFG), lambda: spin_factor(bad, ctx)):
-        with pytest.raises(RangeError, match="e0"):
-            call()
-
-
-def test_kernel_caustic_raises_but_short_time_does_not():
-    caustic_e0 = 2.0 * np.pi / 0.6
-    # one bad e0 refuses a whole array, as it refuses a scalar
-    for bad in (0.0, caustic_e0, -2.0 * caustic_e0):
-        with pytest.raises(KernelSingularity):
-            schwinger_kernel(bad, XA, XB, ZCFG)
-        with pytest.raises(KernelSingularity):
-            schwinger_kernel(np.array([0.5, bad, 1.5]), XA, XB, ZCFG)
-    with pytest.raises(KernelSingularity):
-        schwinger_kernel(np.array([0.0, 1.0]), XA, XB, FieldConfig(g=1.0, B=0.0))
-    # sin(e0 g B / 2) is also tiny at small e0, which must stay evaluable;
-    # only the magnitude matches the free kernel there (the magnetic one
-    # keeps its e0-independent gauge phase on the cross term)
-    value = schwinger_kernel(1e-7, XA, XB, ZCFG)
-    assert np.isfinite(value.real) and np.isfinite(value.imag)
-    assert abs(value) == pytest.approx(1.0 / (2.0 * np.pi * 1e-7), rel=1e-6)
-
-
-def test_near_caustic_flag_location():
-    caustic_e0 = 2.0 * np.pi / 0.6
-    assert near_caustic(caustic_e0 * 0.999, ZCFG)
-    assert not near_caustic(caustic_e0 * 0.8, ZCFG)
-    assert not near_caustic(1e-6, ZCFG)   # short-time end is not a caustic
-    assert 0.0 < NEAR_CAUSTIC_THRESHOLD < 1.0
-
-
-def test_near_caustic_far_up_the_imaginary_axis_overflows_nothing():
-    # sin(e0 g B / 2) itself overflows there; the flag's q-form does not
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for e0 in (3000j, -3000j, 1e300j, 5.0 + 3000j):
-            assert near_caustic(e0, FieldConfig(1.0, 0.6)) is False
-
-
-def test_near_caustic_on_an_array_is_the_scalar_flag_elementwise():
-    # real e0 through the caustics at 2 pi / 0.6 and 4 pi / 0.6, both signs
-    grid = np.linspace(-25.0, 25.0, 2001)
-    flags = near_caustic(grid, ZCFG)
-    assert flags.shape == grid.shape and flags.dtype == bool
-    assert flags.tolist() == [near_caustic(e0, ZCFG) for e0 in grid.tolist()]
-    assert 10 < flags.sum() < 200
-    # and it is the |sin| test it stands for, wherever the margin exceeds rounding
-    half = grid * 0.6 / 2.0
-    clear = np.abs(np.abs(np.sin(half)) - NEAR_CAUSTIC_THRESHOLD) > 1e-12
-    reference = (np.abs(half) >= 1.0) & (np.abs(np.sin(half)) < NEAR_CAUSTIC_THRESHOLD)
-    assert np.array_equal(flags[clear], reference[clear])
+    with pytest.raises(RangeError, match="e0"):
+        spin_factor(bad, ctx)
 
 
 def test_kernel_on_rotated_ray_decays_at_origin():
     # upper-half-plane e0: the transverse Gaussian suppresses the 1/e0 pole
     for s in (1e-3, 1e-2, 1e-1):
-        value = schwinger_kernel(s * np.exp(1j * np.pi / 4), XA, XB, ZCFG)
+        value = _ray_kernel(s * np.exp(1j * np.pi / 4), 0.6, XA, XB)
         assert np.isfinite(abs(value))
-    tiny = abs(schwinger_kernel(1e-3 * np.exp(1j * np.pi / 4), XA, XB, ZCFG))
+    tiny = abs(_ray_kernel(1e-3 * np.exp(1j * np.pi / 4), 0.6, XA, XB))
     assert tiny < 1e-30
 
 

@@ -14,7 +14,6 @@ from wavefield.errors import QuadratureFailure, SingularForm
 from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, PulseProfile,
                               TabulatedProfile, ZeroProfile)
 from wavefield.green import EvalContext, green_function
-from wavefield.kernels import schwinger_kernel
 from wavefield.minkowski import IDENTITY4, METRIC, P_MINUS, P_PLUS
 from wavefield import oracles
 from wavefield.oracles import (_DE_LEVELS, _euclidean_axis, _exp_sinh, _interior_spectrum, _k0,
@@ -23,7 +22,7 @@ from wavefield.oracles import (_DE_LEVELS, _euclidean_axis, _exp_sinh, _interior
                                free_propagator, landau_green, richardson_extrapolate,
                                sliced_kernel, zero_profile_gradient,
                                zero_profile_green)
-from wavefield.verification import _random_point
+from wavefield.verification import _random_point, _ray_kernel
 
 XA = (0.2, -0.1)
 XB = (0.9, 0.4)
@@ -39,8 +38,7 @@ def test_sliced_free_field_composes_exactly():
 
 def test_sliced_kernel_converges_to_magnetic_kernel():
     e0 = 0.7 * np.exp(1j * np.pi / 4)
-    cfg = FieldConfig(g=1.0, B=0.6, profile=ZeroProfile())
-    target = schwinger_kernel(e0, XA, XB, cfg)
+    target = _ray_kernel(e0, 0.6, XA, XB)
     ns = [8, 16, 32]
     vals = [sliced_kernel(n, e0, 1.0, 0.6, XA, XB) for n in ns]
     errs = [abs(v - target) for v in vals]

@@ -9,7 +9,7 @@ quadrature with a per-point transcription of the classic adaptive K15/G7
 loop; and the Green function at any contour angle with the one on the
 Euclidean axis. The ray's proper-time nodes, at any angle, gap and field,
 never reach e0 = 0 or a caustic of the kernel. A
-transverse translation of both endpoints changes the Schwinger kernel and the
+transverse translation of both endpoints changes the ray's kernel and the
 zero-profile Green function by the gauge phase alone, and so does a rotation
 of x_b's transverse part about x_a's.
 Examples are derandomized so that every run draws the same cases.
@@ -25,11 +25,11 @@ from hypothesis import strategies as st
 
 from wavefield.fields import CircularProfile, FieldConfig, LinearProfile, PulseProfile, ZeroProfile
 from wavefield.green import RAY_SEEDS, EvalContext, green_function
-from wavefield.kernels import CAUSTIC_TOLERANCE, phase_pass, schwinger_kernel
+from wavefield.kernels import phase_pass
 from wavefield.minkowski import WAVE_K, dot, light_cone, longitudinal_dot
 from wavefield.oracles import cross_phase_nested
 from wavefield.quadrature import WG, WK, XK, _G_IDX, adaptive_quad
-from wavefield.verification import _bumped_outside
+from wavefield.verification import _bumped_outside, _ray_kernel
 
 from test_kernels import _closed_kernel, _cross_phase
 
@@ -234,7 +234,7 @@ def test_panel_at_once_quadrature_matches_per_point_evaluation(terms, a, length,
 @given(st.just(0.0) | st.floats(-5.0, 5.0), st.floats(1e-3, 1e3), st.floats(1e-6, np.pi / 2.0),
        st.integers(0, len(RAY_SEEDS)), st.integers(0, 200), st.integers(0, 2 ** 200 - 1))
 def test_ray_nodes_meet_no_kernel_singularity(b, gap, theta, seed, depth, bits):
-    # the domain check `folded_kernel` no longer makes, on the ray's own nodes:
+    # the caustic check that `folded_kernel` does not make, on the ray's own nodes:
     # the Kronrod nodes of a panel adaptive_quad can make on (0, 1), one of
     # `_green_batch`'s seeded panels bisected `depth` times, mapped to e0 as it maps them
     scale = 2.0 / (gap * np.sin(theta))
@@ -249,9 +249,10 @@ def test_ray_nodes_meet_no_kernel_singularity(b, gap, theta, seed, depth, bits):
     assume(u[-1] < 1.0)
     e0 = scale * u / (1.0 - u) * np.exp(1j * theta)
     assert np.all(e0 != 0)
-    # |sin(e0 b / 2)| = |1 - q| / (2 |q|^{1/2}) >= CAUSTIC_TOLERANCE where |e0 b / 2| >= 1
+    # |sin(e0 b / 2)| = |1 - q| / (2 |q|^{1/2}) >= tolerance where |e0 b / 2| >= 1
+    tolerance = 1e-10
     z = 1j * abs(b) * e0
-    caustic = (np.abs(np.expm1(z)) < 2.0 * CAUSTIC_TOLERANCE * np.sqrt(np.abs(np.exp(z)))) \
+    caustic = (np.abs(np.expm1(z)) < 2.0 * tolerance * np.sqrt(np.abs(np.exp(z)))) \
         & (np.abs(z) >= 2.0)
     assert not caustic.any()
 
@@ -294,11 +295,11 @@ def _gauge_phase(ctx, shift):
 
 @settings(max_examples=20, **_SETTINGS)
 @given(_translations(), st.floats(0.1, 3.0), st.floats(0.3, np.pi / 2.0))
-def test_schwinger_kernel_picks_up_the_gauge_phase_under_translation(case, s, theta):
+def test_ray_kernel_picks_up_the_gauge_phase_under_translation(case, s, theta):
     ctx, shift = case
     e0 = s * np.exp(1j * theta)
     moved = replace(ctx, x_a=ctx.x_a + shift, x_b=ctx.x_b + shift)
-    kernel, kernel_moved = (schwinger_kernel(e0, c.x_a, c.x_b, c.cfg) for c in (ctx, moved))
+    kernel, kernel_moved = (_ray_kernel(e0, c.cfg.g * c.cfg.B, c.x_a, c.x_b) for c in (ctx, moved))
     assert abs(kernel_moved - kernel * _gauge_phase(ctx, shift)) <= 1e-13 * abs(kernel)
 
 
