@@ -161,6 +161,16 @@ def test_zero_wave_vector_limit_is_an_input_not_a_command(tmp_path, capsys):
     assert "invalid choice: 'gf-k0'" in capsys.readouterr().err
 
 
+def test_kernel_is_not_a_command(tmp_path, capsys):
+    # the real-e0 kernel is no piece of G; the seven commands that remain each show one or check them
+    assert list(cli._COMMANDS) == ["identities", "K", "spinfactor", "gf", "dirac", "verify", "limits"]
+    with pytest.raises(SystemExit) as stop:
+        _invoke(tmp_path, "kernel", _config(grid={"param": "e0", "values": [0.5]}))
+    assert stop.value.code == 2
+    assert "invalid choice: 'kernel'" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 #: Each error class and the exit code `main` returns for it: a class whose code
 #: changes edits this pin.
 _EXIT_CODE_OF = {
@@ -387,12 +397,14 @@ def test_a_request_leaves_no_reference_cycle(tmp_path, command):
 
 @pytest.mark.parametrize("command, grid, message", [
     ("K", {"param": "e0", "values": [0.1]}, 'K takes one of ["phi"], got "e0"'),
+    ("K", None, 'K takes one of ["phi"], got null'),
     ("spinfactor", None, 'spinfactor takes one of ["e0"], got null'),
+    ("spinfactor", {"param": "phi", "values": [0.1]}, 'spinfactor takes one of ["e0"], got "phi"'),
     ("gf", {"param": "zeta", "values": [1.0]},
      'gf takes one of [null, "xb0", "xb1", "xb2", "xb3", "pL2", "pL3"], got "zeta"'),
     ("dirac", {"param": "e0", "values": [1.0]},
      'dirac takes one of [null, "xb0", "xb1", "xb2", "xb3", "pL2", "pL3"], got "e0"'),
-], ids=["K-e0", "spinfactor-none", "gf-zeta", "dirac-e0"])
+], ids=["K-e0", "K-none", "spinfactor-none", "spinfactor-phi", "gf-zeta", "dirac-e0"])
 def test_a_grid_the_command_does_not_take_exits_2(tmp_path, capsys, command, grid, message):
     # one check against the command table, one message for every command
     status, out = _invoke(tmp_path, command, _config(grid=grid))

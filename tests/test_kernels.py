@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,38 @@ def test_a_non_finite_e0_is_refused(bad):
                       pL=np.array([0.0, 0.0, 0.2, 2.0]), cfg=ZCFG)
     with pytest.raises(RangeError, match="e0"):
         spin_factor(bad, ctx)
+
+
+@pytest.mark.parametrize("e0", [1e308, -1e308, np.array([0.5, 1e308])],
+                         ids=["positive", "negative", "array"])
+def test_spin_factor_refuses_a_phase_that_overflows(e0):
+    # e0 is finite but w = e0 g B / 2 is not: a RangeError, not nan braces with RuntimeWarnings
+    ctx = EvalContext(m=0.8, x_a=np.array([0.2, -0.1, 0.3, 0.0]), x_b=np.array([0.9, 0.4, -0.1, 0.5]),
+                      pL=np.array([0.0, 0.0, 0.2, 2.0]), cfg=FieldConfig(g=0.9, B=5.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match="w = e0 g B / 2 must be finite"):
+            spin_factor(e0, ctx)
+
+
+def test_ray_kernel_at_short_time_has_the_free_kernel_magnitude():
+    # sin(e0 g B / 2) is tiny at small e0 but no caustic: the kernel stays finite
+    # and only its magnitude matches the free kernel (the magnetic one keeps its
+    # e0-independent gauge phase on the cross term)
+    value = _ray_kernel(1e-7, 0.6, XA, XB)
+    assert np.isfinite(value.real) and np.isfinite(value.imag)
+    assert abs(value) == pytest.approx(1.0 / (2.0 * np.pi * 1e-7), rel=1e-6)
+
+
+def test_ray_kernel_far_up_the_upper_half_plane_overflows_nothing():
+    # sin(e0 g B / 2) itself overflows there; the q-form, |q| <= 1, does not
+    e0 = np.array([3000j, 5.0 + 3000j, 1e300j, 1e3 * np.exp(0.1j)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b in (0.6, -0.6):
+            values = _ray_kernel(e0, b, XA, XB)
+            assert np.isfinite(values).all()
+            assert values.tolist() == [_ray_kernel(e, b, XA, XB) for e in e0.tolist()]
 
 
 def test_kernel_on_rotated_ray_decays_at_origin():
