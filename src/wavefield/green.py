@@ -47,10 +47,10 @@ from .conventions import (DEFAULT_ABS_TOL, DEFAULT_CONTOUR_ANGLE, DEFAULT_REL_TO
                           DEFAULT_VOLKOV_SIGN)
 from .errors import QuadratureFailure, RangeError, StepCalibrationFailure
 from .fields import FieldConfig, _real
-from .kernels import KernelDiagnostics, PhasePass, folded_kernel, phase_pass
+from .kernels import KernelDiagnostics, PhasePass, _phase_passes, folded_kernel
 from .minkowski import (GAMMA, P_MINUS, P_PLUS, SLASH_EPS, SLASH_EPS_CONJ, SLASH_K,
                         UNIT_FIELD, light_cone, longitudinal_dot)
-from .quadrature import adaptive_quad
+from .quadrature import BLOCK, adaptive_quad, settled, stacked
 
 #: D+- = kslash epsslash^(*) P+-, fixed: the braces are M+- = P+- - K^(*) D+-.
 D_PLUS = SLASH_K @ SLASH_EPS_CONJ @ P_PLUS
@@ -139,94 +139,189 @@ class _Prepared:
     run: PhasePass
 
 
-def _prepare(ctx: EvalContext, points) -> _Prepared:
-    """One phase pass over the phases phi_b of all far endpoints `points`
-    (shape (n, 4)) at the context's tolerances, which the pass splits between
-    its columns; braces and their norm, rho^2 and constant exponent per point."""
-    points = np.asarray(points, dtype=float).reshape(-1, 4)
-    run = phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, light_cone(points),
-                     sign=ctx.volkov_sign, abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol)
-    plus = P_PLUS - np.multiply.outer(run.kernel_b, D_PLUS)
-    minus = P_MINUS - np.multiply.outer(run.kernel_b.conjugate(), D_MINUS)
+def _prepare(items) -> tuple:
+    """`_Prepared` for each (context, far endpoints `points`, shape (n, 4)) of
+    `items`: one stacked phase pass over the phases phi_b of each context's
+    points at the context's tolerances, which the pass splits between its
+    columns; braces and their norm, rho^2 and constant exponent per point, the
+    arithmetic joined across the contexts. Returns (prepared, failure) as
+    `kernels._phase_passes` does."""
+    items = [(ctx, np.asarray(points, dtype=float).reshape(-1, 4)) for ctx, points in items]
+    runs, failure = _phase_passes([(ctx.cfg, ctx.pL, ctx.phi_a, light_cone(points),
+                                    ctx.volkov_sign, ctx.abs_tol, ctx.rel_tol)
+                                   for ctx, points in items])
+    rows = [(points, run.kernel_b, run.drift, run.action, ctx.x_a, ctx.pL, ctx.cfg.g, ctx.cfg.B)
+            for (ctx, points), run in zip(items, runs)]
+    if len(rows) == 1:      # one context: its own arrays and numbers
+        points, kernel, drift, action, x_a, pL, g, B = rows[0]
+    elif rows:              # joined, each context's numbers repeated over its points
+        columns, counts = list(zip(*rows)), [len(row[0]) for row in rows]
+        points, kernel, drift, action = (np.concatenate(column) for column in columns[:4])
+        x_a, pL, g, B = (np.repeat(column, counts, axis=0) for column in columns[4:])
+    else:
+        return [], failure
+    plus = P_PLUS - np.multiply.outer(kernel, D_PLUS)
+    minus = P_MINUS - np.multiply.outer(kernel.conjugate(), D_MINUS)
     # P+ fills columns 0 and 2 only and P- columns 1 and 3, so M+ and M- are
     # orthogonal and |I+ M+ + I- M-| = w |(I+, I-)|
-    weight = np.sqrt(_P2 + _D2 * (run.kernel_b.real ** 2 + run.kernel_b.imag ** 2))
-    far, near = points[:, :2] - run.drift, ctx.x_a[:2] - run.drift
-    rho2 = (far[:, 0] - ctx.x_a[0]) ** 2 + (far[:, 1] - ctx.x_a[1]) ** 2
+    weight = np.sqrt(_P2 + _D2 * (kernel.real ** 2 + kernel.imag ** 2))
+    far, near = points[:, :2] - drift, x_a[..., :2] - drift
+    rho2 = (far[:, 0] - x_a[..., 0]) ** 2 + (far[:, 1] - x_a[..., 1]) ** 2
     # pL has no transverse slots (EvalContext), so the first term is i pL.dx^L;
     # the last is the action's boundary term and the magnetic gauge phase in one
-    constant = 1j * longitudinal_dot(ctx.pL, points - ctx.x_a) - 0.5j * ctx.cfg.g * run.action \
-        + 0.5j * ctx.cfg.g * ctx.cfg.B * (far[:, 0] * near[:, 1] - far[:, 1] * near[:, 0])
-    return _Prepared(rho2=rho2, constant=constant, plus=plus, minus=minus,
-                     weight=weight, run=run)
+    constant = 1j * longitudinal_dot(pL, points - x_a) - 0.5j * g * action \
+        + 0.5j * g * B * (far[:, 0] * near[:, 1] - far[:, 1] * near[:, 0])
+    prepared, start = [], 0
+    for run, (rows, *_) in zip(runs, rows):
+        end = start + len(rows)
+        prepared.append(_Prepared(rho2=rho2[start:end], constant=constant[start:end],
+                                  plus=plus[start:end], minus=minus[start:end],
+                                  weight=weight[start:end], run=run))
+        start = end
+    return prepared, failure
 
 
 def spin_factor(e0, ctx: EvalContext) -> np.ndarray:
     """Dressed projector braces exp(+i w) M+ + exp(-i w) M-, w = e0 g B / 2,
     at one proper-time node or at each node of an array (set-up runs once);
-    RangeError where e0 or w is not finite, before the phase pass."""
-    # a non-finite e0 makes w non-finite too, and an overflow in w is refused with it
+    RangeError where e0, w or exp(+-i w) is not finite, before the phase pass."""
+    # a non-finite e0 makes w non-finite too, and an overflow in w or in
+    # exp(+-i w) is refused with it
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.asarray(e0) * ctx.cfg.g * ctx.cfg.B / 2.0
+        turns = np.exp(1j * w), np.exp(-1j * w)
     if not np.isfinite(w).all():
         raise RangeError(f"e0 and w = e0 g B / 2 must be finite, got e0 = {e0!r}")
-    pre = _prepare(ctx, ctx.x_b)
-    return np.multiply.outer(np.exp(1j * w), pre.plus[0]) \
-        + np.multiply.outer(np.exp(-1j * w), pre.minus[0])
+    if not (np.isfinite(turns[0]).all() and np.isfinite(turns[1]).all()):
+        raise RangeError(f"exp(+-i w), w = e0 g B / 2, must be finite, got e0 = {e0!r}")
+    pre = settled(_prepare([(ctx, ctx.x_b)]))[0]
+    return np.multiply.outer(turns[0], pre.plus[0]) + np.multiply.outer(turns[1], pre.minus[0])
 
 
-def _green_batch(ctx: EvalContext, points):
-    """(G at each far endpoint of `points`, shape (n, 4, 4), joint diagnostics):
-    the context with x_b replaced, all points on one panel set of the ray
-    e0 = s exp(i theta), s = L u / (1 - u), u in [0, 1), L = 2 / (gap sin theta),
-    cut before the first round at u = s / (s + L) for each s of RAY_SEEDS. Per
-    endpoint the integrand is w f (q, 1), or w f (1, q) for g B <= 0, with
+class _Ray:
+    """A context of `_green_batch` that integrates a ray: its prepared
+    endpoints and the ray's numbers."""
+
+    def __init__(self, ctx: EvalContext, pre: _Prepared, gap: float):
+        b = ctx.cfg.g * ctx.cfg.B
+        scale = 2.0 / (gap * np.sin(ctx.theta))
+        # e0 = scale u / (1 - u) ray; 0.5j gap is the e0-dependent part of the
+        # longitudinal phase
+        self.numbers = np.exp(1j * ctx.theta), scale, b, 0.5j * gap, pre.rho2, pre.weight
+        # contexts with as many endpoints and the same sign of g B share a block
+        self.key = pre.rho2.size, b > 0.0
+        self.problem = (0.0, 1.0, dict(abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol,
+                                       breakpoints=[s / (s + scale) for s in RAY_SEEDS]))
+
+
+def _ray_integrand(rays):
+    """The stacked integrand of `_lockstep_quad` for the contexts `rays`: per
+    context with nodes u and n endpoints, the (nodes, n, 2) values w f (q, 1),
+    or w f (1, q) for g B <= 0 (see `_green_batch`), the arithmetic joined
+    across the contexts with as many endpoints and the same sign of g B > 0,
+    in blocks of at most `quadrature.BLOCK` (node, endpoint) pairs."""
+    def integrand(u, counts):
+        out, groups, blocks, start = [None] * len(rays), {}, [], 0
+        for j, size in enumerate(counts):
+            if size:
+                width, up = key = rays[j].key
+                block = groups.get(key)
+                if block is None or block[1] + size * width > BLOCK:
+                    block = groups[key] = [up, 0]
+                    blocks.append(block)
+                block[1] += size * width
+                block.append((j, start, start + size))
+                start += size
+        for up, _, *members in blocks:
+            if len(members) == 1:
+                [(j, lo, hi)] = members
+                x = u[lo:hi, None]
+                ray, scale, b, rate, rho2, weight = rays[j].numbers
+            else:           # one row per node
+                sizes = [hi - lo for _, lo, hi in members]
+                x = np.concatenate([u[lo:hi] for _, lo, hi in members])[:, None]
+                ray, scale, b, rate, rho2, weight = (
+                    np.repeat(column, sizes, axis=0).reshape(x.size, -1)
+                    for column in zip(*(rays[j].numbers for j, _, _ in members)))
+            rest = 1.0 - x
+            e0 = scale * x / rest * ray
+            n, c, q = folded_kernel(e0, b)
+            f = np.exp(rate * e0 + c * rho2)
+            f *= -0.5j * n * (ray * scale / rest ** 2)
+            f *= weight
+            both = np.empty(f.shape + (2,), complex)
+            both[..., 0], both[..., 1] = (f * q, f) if up else (f, f * q)
+            first = 0
+            for j, lo, hi in members:
+                out[j], first = both[first:first + hi - lo], first + hi - lo
+        return out
+
+    return integrand
+
+
+def _green_batch(items) -> tuple:
+    """(G at each far endpoint of `points`, shape (n, 4, 4), joint diagnostics)
+    for each (context, points) of `items`: the context with x_b replaced, all
+    its points on one panel set of the ray e0 = s exp(i theta), s = L u / (1 - u),
+    u in [0, 1), L = 2 / (gap sin theta), cut before the first round at
+    u = s / (s + L) for each s of RAY_SEEDS; the contexts' rays and phase
+    passes in lockstep, each with the bits of its own alone. Per endpoint the
+    integrand is w f (q, 1), or w f (1, q) for g B <= 0, with
     f = (-i/2) n exp(i (e0/2) gap + c rho^2) ds/du: n, c and q are `folded_kernel`'s
     per-node factors and w the braces' one norm, so each node and endpoint takes
     one exponential. M+ and M- fill disjoint columns, so the integrand's norm is
     that of G (jointly sqrt(sum |G_n|^2)) and never sees the action's phase;
-    exp(constant) / w takes the integrals I+- to G once per endpoint, after the ray."""
-    gap = ctx.mass_gap
-    if not 0.0 < gap < np.inf:
-        raise QuadratureFailure(
-            f"proper-time integrand needs a finite mass gap dot(pL, pL) - m^2 > 0, "
-            f"got gap {gap!r}")
-    pre = _prepare(ctx, points)
-    if np.any(pre.rho2 == 0.0):
-        raise QuadratureFailure(
-            "coincident transverse endpoints: the short-time end of the ray is log-divergent")
-    if not pre.rho2.size:       # no endpoint: no ray to integrate
-        return np.empty((0, 4, 4), complex), KernelDiagnostics(
-            error_estimate=0.0, nodes=0, prepare_nodes=pre.run.nodes,
-            prepare_error=pre.run.error_estimate)
-    rate = 0.5j * gap  # the e0-dependent part of the longitudinal phase
-    b = ctx.cfg.g * ctx.cfg.B
-    ray = np.exp(1j * ctx.theta)
-    scale = 2.0 / (gap * np.sin(ctx.theta))
-
-    def integrand(u):
-        rest = 1.0 - u
-        e0 = (scale * u / rest * ray)[:, None]
-        n, c, q = folded_kernel(e0, b)
-        f = np.exp(rate * e0 + c * pre.rho2)
-        f *= -0.5j * n * (ray * scale / rest ** 2)[:, None]
-        f *= pre.weight
-        both = np.empty(f.shape + (2,), complex)
-        both[..., 0], both[..., 1] = (f * q, f) if b > 0.0 else (f, f * q)
-        return both
-
-    result = adaptive_quad(integrand, 0.0, 1.0, abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol,
-                           breakpoints=[s / (s + scale) for s in RAY_SEEDS])
-    diag = KernelDiagnostics(error_estimate=result.error_estimate, nodes=result.nodes,
-                             prepare_nodes=pre.run.nodes, prepare_error=pre.run.error_estimate)
-    i_plus, i_minus = (result.value * (np.exp(pre.constant) / pre.weight)[:, None]).T
-    return i_plus[:, None, None] * pre.plus + i_minus[:, None, None] * pre.minus, diag
+    exp(constant) / w takes the integrals I+- to G once per endpoint, after the ray.
+    Returns (values, failure) as `_prepare` does."""
+    failure, gaps = None, []
+    for i, (ctx, _) in enumerate(items):
+        gaps.append(ctx.mass_gap)
+        if not 0.0 < gaps[-1] < np.inf:
+            failure = QuadratureFailure(
+                f"proper-time integrand needs a finite mass gap dot(pL, pL) - m^2 > 0, "
+                f"got gap {gaps[-1]!r}")
+            items = items[:i]
+            break
+    prepared, later = _prepare(items)
+    failure = later or failure
+    for i, pre in enumerate(prepared):
+        if np.any(pre.rho2 == 0.0):
+            failure = QuadratureFailure(
+                "coincident transverse endpoints: the short-time end of the ray is "
+                "log-divergent")
+            prepared = prepared[:i]
+            break
+    rays = [_Ray(ctx, pre, gap) for (ctx, _), pre, gap in zip(items, prepared, gaps)
+            if pre.rho2.size]
+    results, later = stacked(adaptive_quad, _ray_integrand(rays), [ray.problem for ray in rays])
+    results, values = iter(results), []
+    for pre in prepared:
+        if not pre.rho2.size:       # no endpoint: no ray to integrate
+            values.append((np.empty((0, 4, 4), complex), KernelDiagnostics(
+                error_estimate=0.0, nodes=0, prepare_nodes=pre.run.nodes,
+                prepare_error=pre.run.error_estimate)))
+            continue
+        result = next(results, None)
+        if result is None:
+            break
+        i_plus, i_minus = (result.value * (np.exp(pre.constant) / pre.weight)[:, None]).T
+        values.append((i_plus[:, None, None] * pre.plus + i_minus[:, None, None] * pre.minus,
+                       KernelDiagnostics(error_estimate=result.error_estimate, nodes=result.nodes,
+                                         prepare_nodes=pre.run.nodes,
+                                         prepare_error=pre.run.error_estimate)))
+    return values, later or failure
 
 
 def green_function(ctx: EvalContext) -> PropagatorValue:
     """Mixed-representation Green function at fixed longitudinal momentum."""
-    matrices, diag = _green_batch(ctx, ctx.x_b)
-    return PropagatorValue(matrix=matrices[0], diagnostics=diag)
+    return _green_functions([ctx])[0]
+
+
+def _green_functions(contexts) -> list:
+    """`green_function` at each context, all in one `_green_batch`; raises the
+    error of the earliest context that fails."""
+    return [PropagatorValue(matrix=matrices[0], diagnostics=diag)
+            for matrices, diag in settled(_green_batch([(ctx, ctx.x_b) for ctx in contexts]))]
 
 
 def total_potential_lowered(ctx: EvalContext, x: np.ndarray) -> np.ndarray:
@@ -252,26 +347,37 @@ def dirac_apply(ctx: EvalContext) -> np.ndarray:
     shared ray, so their quadrature errors are common-mode and cancel in the
     differences.
     """
+    return _dirac_applies([ctx])[0]
+
+
+def _dirac_applies(contexts) -> list:
+    """`dirac_apply` at each context, every stencil in one `_green_batch`;
+    raises the error of the earliest context that fails."""
     steps = (DIRAC_STEP, DIRAC_STEP / 2.0)
     # per direction mu: x_b + (4, 2, 1, -1, -2, -4) h e_mu, h the fine step
-    offsets = np.array([4, 2, 1, -1, -2, -4])[:, None] * steps[1] * np.eye(4)[:, None]
-    points = np.concatenate([ctx.x_b[None], ctx.x_b + offsets.reshape(24, 4)])
-    values = _green_batch(ctx, points)[0]
-    base, shifted = values[0], values[1:].reshape(4, 6, 4, 4)
+    offsets = (np.array([4, 2, 1, -1, -2, -4])[:, None] * steps[1] * np.eye(4)[:, None]).reshape(24, 4)
+    values, failure = _green_batch([(ctx, np.concatenate([ctx.x_b[None], ctx.x_b + offsets]))
+                                    for ctx in contexts])
 
     def stencil(f, h):
         return (-f[:, 0] + 8 * f[:, 1] - 8 * f[:, 2] + f[:, 3]) / (12 * h)
 
-    # the coarse stencil (2, 1, -1, -2) 2h is entries 0, 1, 4, 5, the fine one 1 to 4
-    coarse = stencil(shifted[:, [0, 1, 4, 5]], steps[0])
-    fine = stencil(shifted[:, 1:5], steps[1])
-    scale = np.maximum(np.linalg.norm(fine, axis=(1, 2)), 1e-300)
-    failed = np.flatnonzero(np.linalg.norm(coarse - fine, axis=(1, 2)) > 0.1 * scale)
-    if failed.size:
-        raise StepCalibrationFailure(
-            f"direction {failed[0]}: steps {steps[0]} and {steps[1]} disagree beyond 10%")
-    a_low = total_potential_lowered(ctx, ctx.x_b)
-    out = ctx.m * base
-    for term in 1j * GAMMA @ (fine - (ctx.cfg.g * a_low)[:, None, None] * base):
-        out = out + term        # in mu order, as the sum is written
-    return out
+    applied = []
+    for ctx, (matrices, _) in zip(contexts, values):
+        base, shifted = matrices[0], matrices[1:].reshape(4, 6, 4, 4)
+        # the coarse stencil (2, 1, -1, -2) 2h is entries 0, 1, 4, 5, the fine one 1 to 4
+        coarse = stencil(shifted[:, [0, 1, 4, 5]], steps[0])
+        fine = stencil(shifted[:, 1:5], steps[1])
+        scale = np.maximum(np.linalg.norm(fine, axis=(1, 2)), 1e-300)
+        failed = np.flatnonzero(np.linalg.norm(coarse - fine, axis=(1, 2)) > 0.1 * scale)
+        if failed.size:
+            raise StepCalibrationFailure(
+                f"direction {failed[0]}: steps {steps[0]} and {steps[1]} disagree beyond 10%")
+        a_low = total_potential_lowered(ctx, ctx.x_b)
+        out = ctx.m * base
+        for term in 1j * GAMMA @ (fine - (ctx.cfg.g * a_low)[:, None, None] * base):
+            out = out + term        # in mu order, as the sum is written
+        applied.append(out)
+    if failure is not None:
+        raise failure
+    return applied

@@ -58,10 +58,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conventions import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, DEFAULT_VOLKOV_SIGN, NODE_CAP
-from .errors import DivisionByZero
+from .errors import DivisionByZero, WavefieldError
 from .fields import FieldConfig
 from .minkowski import SQRT2, light_cone
-from .quadrature import CUMULATIVE, XK, adaptive_quad
+from .quadrature import CUMULATIVE, XK, adaptive_quad, settled, stacked
 
 #: |sin(e0 g B / 2)| that perfbench's admissibility check requires along the
 #: default ray; nothing in the package reads it.
@@ -76,12 +76,13 @@ class KernelDiagnostics:
     prepare_error: float      # its error estimate
 
 
-def folded_kernel(e0, b: float):
-    """(n, c, q) at one proper time e0 or at an array of them, b = g B: at squared
-    transverse distance rho2 of the endpoints, the transverse kernel without its
-    gauge phase is n exp(c rho2) q^{1/2}, q = exp(i |b| e0); a caller's factor
-    exp(+-i e0 b / 2) makes it n exp(c rho2) q or n exp(c rho2). With h = |b| / (1 - q),
-    or its limit i / e0 at b = 0 (where q = 1),
+def folded_kernel(e0, b):
+    """(n, c, q) at one proper time e0 or at an array of them, b = g B (one
+    number, or one per e0): at squared transverse distance rho2 of the
+    endpoints, the transverse kernel without its gauge phase is
+    n exp(c rho2) q^{1/2}, q = exp(i |b| e0); a caller's factor
+    exp(+-i e0 b / 2) makes it n exp(c rho2) q or n exp(c rho2). With
+    h = |b| / (1 - q), or its limit i / e0 at b = 0 (where q = 1),
 
         i b / (4 pi sin(e0 b / 2)) = h q^{1/2} / (2 pi),   (b/2) cot(e0 b / 2) = -(i/2) h (1 + q),
 
@@ -90,12 +91,14 @@ def folded_kernel(e0, b: float):
     with many endpoints forms them once per e0. No domain check: the ray's nodes
     (Im e0 > 0) never reach e0 = 0 or a caustic.
     """
-    if b == 0.0:
-        h, q = 1j / e0, 1.0
-    else:
-        z = 1j * abs(b) * e0
-        q = np.exp(z)
-        h = abs(b) / -np.expm1(z)
+    b = np.abs(b)
+    free = b == 0.0
+    # |b| = 1 stands in where b = 0, keeping 1 - q off 0, and the limit replaces it
+    rate = b + free
+    z = 1j * rate * e0
+    q, h = np.exp(z), rate / -np.expm1(z)
+    if free.any():
+        q, h = np.where(free, 1.0, q), np.where(free, np.divide(1j, e0), h)
     return h / (2.0 * np.pi), -0.25 * h * (1.0 + q), q
 
 
@@ -192,12 +195,100 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b,
     Nothing outside the hull is sampled.
     abs_tol and rel_tol are the evaluation's: the action meets them and the
     drift and K meet _SUB_TOLERANCE of them, as the quadrature runs at that
-    share with the action column weighted by it."""
+    share with the action column weighted by it. The stack of one of
+    `_phase_passes`."""
+    return settled(_phase_passes([(cfg, pL, phi_a, phi_b, sign, abs_tol, rel_tol)]))[0]
+
+
+class _Pass:
+    """A context of `_phase_passes` that needs a quadrature: its profile,
+    phases, numbers, quadrature problem and the boundary terms its last
+    round read."""
+
+    def __init__(self, cfg, kp, phi_a, reads, ends, hull, sign, abs_tol, rel_tol):
+        rate, beta = cfg.g / kp, cfg.g * cfg.B / kp          # beta = rate B turns the drift
+        self.profile, self.phi_a, self.reads, self.ends, self.sign = \
+            cfg.profile, phi_a, reads, ends, sign
+        # the turns of d's exponential and of K's, and the action's factor
+        self.numbers = 1j * beta, 1j * sign * beta, beta, phi_a, 2.0 * rate
+        # K's scale and the drift's
+        self.scale, self.turn = cfg.g / (2.0 * kp), float(SQRT2) * rate
+        # K's boundary term e^{i sign beta phi} dot(eps, A^p(phi)) at phi_a and at each
+        # read, from the profile read that each round makes
+        self.phases, self.boundary = np.array([phi_a, *reads]), []
+        self.problem = (hull[0], hull[-1], dict(abs_tol=abs_tol * _SUB_TOLERANCE,
+                                                rel_tol=rel_tol * _SUB_TOLERANCE,
+                                                breakpoints=_seeds(cfg.profile, hull, beta)))
+
+
+def _columns(jobs):
+    """The stacked integrand of `_lockstep_quad` for the contexts `jobs`: per
+    context with nodes x, its profile read once at x and its boundary phases,
+    the three columns of `phase_pass` on x, the arithmetic joined across the
+    contexts (all their nodes, then all their boundary phases); a package
+    error of a profile read is that context's."""
+    def columns(x, counts):
+        out, taken, start = [None] * len(jobs), [], 0
+        for j, n in enumerate(counts):
+            if not n:
+                continue
+            read = np.concatenate((x[start:start + n], jobs[j].phases))
+            start += n
+            try:
+                taken.append((j, n, read, *jobs[j].profile.components(read)))
+            except WavefieldError as exc:
+                out[j] = exc
+        if len(taken) == 1:     # one context's read is its nodes, then its phases
+            [(j, n, read, a1, a2)] = taken
+            turn_d, turn_k, beta, phi_a, density = jobs[j].numbers
+            read_turn_k, read_beta = turn_k, beta
+        elif taken:
+            js, sizes, reads, a1s, a2s = zip(*taken)
+            per = [jobs[j] for j in js]
+            n, edges = sum(sizes), [job.phases.size for job in per]
+            read, a1, a2 = (np.concatenate([part[:size] for part, size in zip(parts, sizes)]
+                                           + [part[size:] for part, size in zip(parts, sizes)])
+                            for parts in (reads, a1s, a2s))
+            turn_d, turn_k, beta, phi_a, density = (
+                np.repeat(column, sizes) for column in zip(*(job.numbers for job in per)))
+            read_turn_k, read_beta = (np.repeat(column * 2, sizes + tuple(edges))
+                                      for column in zip(*(job.numbers[1:3] for job in per)))
+        else:
+            return out
+        x = read[:n]
+        ia2 = 1j * a2
+        turned, dotted = np.exp(read_turn_k * read), a1 + ia2
+        bound, first = (turned[n:] * dotted[n:] / SQRT2).tolist(), 0
+        for j, *_ in taken:
+            size = jobs[j].phases.size
+            jobs[j].boundary[:], first = bound[first:first + size], first + size
+        # d: the eps component of rot(phi_a - x) A^p(x)
+        d = np.exp(turn_d * (x - phi_a)) * (a1 - ia2)[:n] / SQRT2
+        # C - C(panel's left edge), one CUMULATIVE product per panel, on the
+        # panel's (re, im) pairs
+        panels = x.reshape(-1, 15, 1)
+        halves = (panels[:, 14:] - panels[:, :1]) / _NODE_SPAN
+        c = (halves * (CUMULATIVE @ d.view(np.float64).reshape(-1, 15, 2))).view(complex).ravel()
+        stack = np.empty((n, 3), complex)
+        stack[:, 0] = d
+        stack[:, 1] = (read_beta * turned * dotted / SQRT2)[:n]
+        stack[:, 2] = _SUB_TOLERANCE * (density * (abs(d) ** 2 - beta * (d * c.conj()).imag))
+        first = 0
+        for j, size, *_ in taken:
+            out[j], first = stack[first:first + size], first + size
+        return out
+
+    return columns
+
+
+def _setup(cfg, pL, phi_a, phi_b, sign, abs_tol, rel_tol) -> tuple:
+    """(shape of phi_b, and None where the pass is `_nothing`, else its
+    `_Pass`) of one request of `_phase_passes`; DivisionByZero where
+    dot(k, pL) = 0 with a non-zero profile."""
     phi_b = np.asarray(phi_b)
     shape, ends = phi_b.shape, phi_b.ravel().tolist()
-    profile = cfg.profile
-    if profile.is_zero or not ends:
-        return _nothing(shape)
+    if cfg.profile.is_zero or not ends:
+        return shape, None
     # phases a few roundings apart, as (x2 + h) - x3 and x2 - (x3 - h) in a
     # dirac stencil, share one breakpoint and are read at it: everything below
     # is worked out once per distinct read, then indexed out to every endpoint
@@ -210,62 +301,60 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b,
     if kp == 0:
         raise DivisionByZero("dot(k, pL) = 0 with a non-zero profile")
     hull = sorted({phi_a, *reads})
-    start, stop = hull[0], hull[-1]
-    if start == stop:
-        return _nothing(shape)
-    rate, beta = cfg.g / kp, cfg.g * cfg.B / kp          # beta = rate B turns the drift
-    # the turns of d's exponential and of K's, and the action's factor
-    turn_d, turn_k, density = 1j * beta, 1j * sign * beta, 2.0 * rate
-    # K's boundary term e^{i sign beta phi} dot(eps, A^p(phi)) at phi_a and at each
-    # read, from the profile read that each call of the integrand makes
-    phases, boundary = np.array([phi_a, *reads]), []
+    if hull[0] == hull[-1]:
+        return shape, None
+    return shape, _Pass(cfg, kp, phi_a, reads, ends, hull, sign, abs_tol, rel_tol)
 
-    def columns(x):
-        # x holds a round's panels, 15 Kronrod nodes each, read together with
-        # the boundary phases after them
-        n, read = x.size, np.concatenate((x, phases))
-        a1, a2 = profile.components(read)
-        ia2 = 1j * a2
-        turned, dotted = np.exp(turn_k * read), a1 + ia2
-        boundary[:] = (turned[n:] * dotted[n:] / SQRT2).tolist()
-        # d: the eps component of rot(phi_a - x) A^p(x)
-        d = np.exp(turn_d * (x - phi_a)) * (a1 - ia2)[:n] / SQRT2
-        # C - C(panel's left edge), one CUMULATIVE product per panel, on the
-        # panel's (re, im) pairs
-        panels = x.reshape(-1, 15, 1)
-        halves = (panels[:, 14:] - panels[:, :1]) / _NODE_SPAN
-        c = (halves * (CUMULATIVE @ d.view(np.float64).reshape(-1, 15, 2))).view(complex).ravel()
-        out = np.empty((n, 3), complex)
-        out[:, 0] = d
-        out[:, 1] = (beta * turned * dotted / SQRT2)[:n]
-        out[:, 2] = _SUB_TOLERANCE * (density * (abs(d) ** 2 - beta * (d * c.conj()).imag))
-        return out
 
-    quad = adaptive_quad(columns, start, stop, abs_tol=abs_tol * _SUB_TOLERANCE,
-                         rel_tol=rel_tol * _SUB_TOLERANCE,
-                         breakpoints=_seeds(profile, hull, beta))
-    # a handful of panels and endpoints: the bookkeeping runs on Python scalars
-    lefts = [lo for lo, _, _ in quad.panels] + [stop]
-    cumulative = quad.cumulative.tolist()
-    ia = bisect_left(lefts, phi_a)
-    at_a = cumulative[ia]
-    # the action's cross-panel part: a running sum of each panel's integral of d
-    # times conj(C) at its left edge
-    area = [0.0]
-    for (_, _, value), c in zip(quad.panels, cumulative):
-        area.append(area[-1] + (complex(value[0]) * (c[0] - at_a[0]).conjugate()).imag)
-    scale, turn = cfg.g / (2.0 * kp), float(SQRT2) * rate
-    slots = []
-    for phi, at_phi in zip(reads, boundary[1:]):
-        ib = bisect_left(lefts, phi)
-        at_b = cumulative[ib]
-        w = (at_b[0] - at_a[0]) * cmath.exp(-1j * beta * (phi - phi_a))
-        slots.append(((at_b[2] - at_a[2]).real / _SUB_TOLERANCE
-                      - density * beta * (area[ib] - area[ia]),
-                      (turn * w.real, turn * -w.imag),
-                      scale * cmath.exp(turn_d * phi)
-                      * (at_phi - boundary[0] - 1j * sign * (at_b[1] - at_a[1]))))
-    actions, drifts, kernels = zip(*(slots[bisect_right(reads, phi) - 1] for phi in ends))
-    return PhasePass(np.array(actions).reshape(shape)[()],
-                     np.array(drifts).reshape(shape + (2,)),
-                     np.array(kernels).reshape(shape)[()], quad.nodes, quad.error_estimate)
+def _phase_passes(requests) -> tuple:
+    """`phase_pass` on a stack of (cfg, pL, phi_a, phi_b, sign, abs_tol,
+    rel_tol) requests: one lockstep quadrature for all of them, each pass with
+    the bits of its own alone. Returns (passes, failure) as
+    `quadrature._lockstep_quad` does: failure is None, or the error of the
+    earliest request in stack order that fails, with the passes before it."""
+    setups, failure = [], None
+    for request in requests:
+        try:
+            setups.append(_setup(*request))
+        except WavefieldError as exc:
+            failure = exc
+            break
+    jobs = [job for _, job in setups if job]
+    quads, later = stacked(adaptive_quad, _columns(jobs), [job.problem for job in jobs])
+    quads, passes = iter(quads), []
+    for shape, job in setups:
+        if job is None:
+            passes.append(_nothing(shape))
+            continue
+        quad = next(quads, None)
+        if quad is None:
+            return passes, later        # the earliest failure
+        turn_d, _, beta, phi_a, density = job.numbers
+        reads, sign, boundary = job.reads, job.sign, job.boundary
+        # a handful of panels and endpoints: the bookkeeping runs on Python scalars
+        lefts = [lo for lo, _, _ in quad.panels] + [job.problem[1]]
+        cumulative = quad.cumulative.tolist()
+        ia = bisect_left(lefts, phi_a)
+        at_a = cumulative[ia]
+        # the action's cross-panel part: a running sum of each panel's integral of d
+        # times conj(C) at its left edge
+        area = [0.0]
+        for (_, _, value), c in zip(quad.panels, cumulative):
+            area.append(area[-1] + (complex(value[0]) * (c[0] - at_a[0]).conjugate()).imag)
+        scale, turn = job.scale, job.turn
+        slots = []
+        for phi, at_phi in zip(reads, boundary[1:]):
+            ib = bisect_left(lefts, phi)
+            at_b = cumulative[ib]
+            w = (at_b[0] - at_a[0]) * cmath.exp(-1j * beta * (phi - phi_a))
+            slots.append(((at_b[2] - at_a[2]).real / _SUB_TOLERANCE
+                          - density * beta * (area[ib] - area[ia]),
+                          (turn * w.real, turn * -w.imag),
+                          scale * cmath.exp(turn_d * phi)
+                          * (at_phi - boundary[0] - 1j * sign * (at_b[1] - at_a[1]))))
+        actions, drifts, kernels = zip(*(slots[bisect_right(reads, phi) - 1] for phi in job.ends))
+        passes.append(PhasePass(np.array(actions).reshape(shape)[()],
+                                np.array(drifts).reshape(shape + (2,)),
+                                np.array(kernels).reshape(shape)[()], quad.nodes,
+                                quad.error_estimate))
+    return passes, later or failure

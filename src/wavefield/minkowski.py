@@ -53,10 +53,9 @@ def light_cone(v: np.ndarray):
 
 def longitudinal_dot(p: np.ndarray, v: np.ndarray):
     """dot(p, v).real = p^3 v^3 - p^2 v^2 of a real four-vector p whose
-    transverse slots are zero (a longitudinal momentum) with a real v, or with
-    each row of a stack."""
-    _, _, p2, p3 = p.tolist()
-    return p3 * v[..., 3] - p2 * v[..., 2] + 0.0
+    transverse slots are zero (a longitudinal momentum) with a real v, or of
+    each row of a stack of p, of v or of both."""
+    return p[..., 3] * v[..., 3] - p[..., 2] * v[..., 2] + 0.0
 
 
 # --- gamma matrices -------------------------------------------------------

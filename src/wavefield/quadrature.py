@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from operator import itemgetter
+from operator import itemgetter, neg
 from typing import NamedTuple
 
 import numpy as np
 
 from .conventions import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, NODE_CAP
-from .errors import QuadratureFailure
+from .errors import QuadratureFailure, WavefieldError
 
 # Kronrod-15 abscissae (positive half) and weights; Gauss-7 weights on the
 # shared subset. Standard QUADPACK constants.
@@ -81,25 +81,205 @@ def _norm(v) -> float:
     return math.sqrt(flat.dot(flat))
 
 
-def _panels(f, intervals):
-    """K15/G7 evaluations on each (a, b) of `intervals` from one call of f on all
-    their nodes, joined panel after panel: (kronrod values stacked on axis 0,
-    [|kronrod - gauss|]) in order. One stacked weights product serves the whole
-    round; it runs the same product per panel, so each panel's value has the
-    bits of that panel evaluated alone."""
+def _nodes(intervals):
+    """(half-widths, shape (P, 1), and the 15 Kronrod nodes of each panel,
+    joined panel after panel) of the (a, b) panels `intervals`."""
     # (midpoint, half-width) of each panel, in Python floats, which round as numpy's do
     spans = np.array([(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in intervals])
     halves = spans[:, 1:]
     nodes = halves * XK
     nodes += spans[:, :1]
-    stack = np.ascontiguousarray(f(nodes.ravel()), dtype=complex)
+    return halves, nodes.ravel()
+
+
+def _panels(f, intervals):
+    """`_rule` on each (a, b) of `intervals` from one call of f on all their nodes."""
+    halves, nodes = _nodes(intervals)
+    return _rule(halves, np.ascontiguousarray(f(nodes), dtype=complex))
+
+
+def _rule(halves, stack):
+    """K15/G7 evaluations of panels of half-widths `halves` (shape (P, 1)) from
+    the values `stack` at their 15 Kronrod nodes each, joined panel after panel
+    (stacked on axis 0, complex, contiguous): (kronrod values stacked on axis 0,
+    [|kronrod - gauss|]) in order. One stacked weights product serves them all;
+    it runs the same product per panel, so each panel's value has the bits of
+    that panel evaluated alone."""
     # complex values as interleaved (re, im) floats: one real product for both rows
-    blocks = stack.view(np.float64).reshape(len(intervals), 15, -1)
+    blocks = stack.view(np.float64).reshape(len(halves), 15, -1)
     sums = halves[..., None] * (_PANEL_WEIGHTS @ blocks)
-    values = sums[:, 0].view(complex).reshape((len(intervals),) + stack.shape[1:])
+    values = sums[:, 0].view(complex).reshape((len(halves),) + stack.shape[1:])
     # each panel's norm of kronrod - gauss as its own dot product, as `_norm` takes it
     diffs = sums[:, 1]
     return values, np.sqrt(np.vecdot(diffs, diffs)).tolist()
+
+
+class _Problem:
+    """One integral of a lockstep stack: its place in the stack, tolerances,
+    node cap, panels (a heap by error), running sums, the panels its next
+    round evaluates and the rule's values and errors on them."""
+
+    __slots__ = ("index", "sign", "abs_tol", "rel_tol", "node_cap", "heap", "nodes", "err_sum",
+                 "value_sum", "pending", "shape", "fit", "rule")
+
+    def __init__(self, index, a, b, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL,
+                 node_cap=NODE_CAP, breakpoints=None):
+        self.index, self.sign = index, 1.0
+        if b < a:
+            a, b, self.sign = b, a, -1.0
+        edges = [a]
+        if breakpoints:
+            edges += [p for p in sorted(set(breakpoints)) if a < p < b]
+        edges.append(b)
+        self.abs_tol, self.rel_tol, self.node_cap = abs_tol, rel_tol, node_cap
+        self.heap, self.nodes, self.err_sum, self.value_sum = [], 0, 0.0, 0.0
+        self.pending = list(zip(edges[:-1], edges[1:]))
+        self.shape = ()
+
+    def failure(self, reason):
+        return QuadratureFailure(f"{reason} (error estimate {self.err_sum:.3e})",
+                                 error_estimate=self.err_sum, nodes=self.nodes)
+
+    def advance(self):
+        """Take the round's rule on `fit`; set the next round's panels (none
+        when done) and return None, or return the failure."""
+        fit, rule = self.fit, self.rule
+        if isinstance(rule, Exception):
+            return rule
+        values, errors = rule
+        if fit:
+            self.shape = values.shape[1:]
+        heap, nodes, err_sum, value_sum = self.heap, self.nodes, self.err_sum, self.value_sum
+        for (lo, hi), kron, err in zip(fit, values, errors):
+            nodes += 15
+            err_sum += err
+            value_sum = value_sum + kron
+            heapq.heappush(heap, (-err, nodes, lo, hi, kron))
+        self.nodes, self.err_sum, self.value_sum, pending = nodes, err_sum, value_sum, []
+        if len(fit) < len(self.pending):
+            return self.failure(f"node budget {self.node_cap} exhausted")
+        norm = _norm(value_sum)
+        if not (math.isfinite(err_sum) and math.isfinite(norm)):   # inf <= inf would stop
+            return self.failure(f"value norm {norm!r} or error estimate is not finite")
+        # running sums decide when to stop; the result is summed afresh below
+        tol = max(self.abs_tol, self.rel_tol * norm)
+        if err_sum > tol:
+            pairs = (self.node_cap - nodes) // 30      # a bisection needs both halves
+            if not pairs:
+                return self.failure(f"node budget {self.node_cap} exhausted")
+            while err_sum > tol and heap and len(pending) < 2 * pairs:
+                neg_err, _, lo, hi, kron = heapq.heappop(heap)
+                err_sum += neg_err
+                value_sum = value_sum - kron
+                mid = 0.5 * (lo + hi)
+                pending += [(lo, mid), (mid, hi)]
+            self.err_sum, self.value_sum = err_sum, value_sum
+        self.pending = pending
+        return None
+
+    def result(self) -> QuadratureResult:
+        pieces = sorted(self.heap, key=itemgetter(2))
+        # the running sums, one row each: zero, then each panel's value added in turn
+        cumulative = np.zeros((len(pieces) + 1,) + self.shape, complex)
+        cumulative[1:] = list(map(itemgetter(4), pieces))
+        np.add.accumulate(cumulative, axis=0, out=cumulative)
+        return QuadratureResult(self.sign * cumulative[-1], sum(map(neg, map(itemgetter(0), pieces))),
+                                self.nodes, tuple(map(itemgetter(slice(2, None)), pieces)),
+                                cumulative)
+
+
+def _lockstep_quad(f, problems) -> tuple:
+    """`adaptive_quad` on a stack of independent problems, each an (a, b,
+    options) tuple, options a dict of `adaptive_quad`'s keyword arguments, in
+    lockstep: every problem keeps its own panels, heap, running sums, node cap
+    and stopping rule, and each round makes one call f(x, counts), where x
+    joins, problem after problem, the nodes that `adaptive_quad` would hand
+    each problem's own integrand, and counts[i] is problem i's share of x (0
+    once it is done). f returns a list with, per problem, its values stacked
+    on axis 0 (None for a count of 0) or the exception that its integrand
+    raises alone. So each problem keeps the bits of its value, error estimate
+    and node count alone.
+
+    Returns (results, failure): failure is None and results has every
+    problem's QuadratureResult, or failure is the exception of the earliest
+    problem in stack order that fails, in whatever round, and results are
+    those of the problems before it. Problems after a failure are dropped,
+    as they cannot be the earliest."""
+    stack = [_Problem(i, a, b, **options) for i, (a, b, options) in enumerate(problems)]
+    live, failure = stack, None
+    # non-finite values, and sums or norms past the float range, are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live:
+            counts, intervals = [0] * len(stack), []
+            for problem in live:
+                # the pending panels that the node cap admits (breakpoints may seed more)
+                problem.fit = problem.pending[:(problem.node_cap - problem.nodes) // 15]
+                counts[problem.index] = 15 * len(problem.fit)
+                intervals += problem.fit
+            if intervals:
+                halves, nodes = _nodes(intervals)
+                _ruled(halves, live, f(nodes, counts))
+            else:
+                for problem in live:
+                    problem.rule = (), ()
+            for problem in live:
+                failed = problem.advance()
+                if failed:
+                    live, stack, failure = live[:live.index(problem)], stack[:problem.index], failed
+                    break
+            live = [problem for problem in live if problem.pending]
+    return [problem.result() for problem in stack], failure
+
+
+#: Complex values that one joined block of arithmetic holds at most: past
+#: about this many, the arrays of a round leave the processor's caches and a
+#: joined block runs slower than its pieces would alone.
+BLOCK = 1 << 13
+
+
+def _ruled(halves, live, outputs):
+    """Set the `rule` of each problem of `live`, whose `fit` panels are the
+    rows of `halves` in turn, from its integrand's output: (values, errors),
+    or the output itself where it is an exception. The rule runs once for
+    the problems whose values share a shape, in blocks of at most BLOCK values."""
+    if len(live) == 1:          # a stack of one, as `adaptive_quad` runs it
+        [problem] = live
+        output = outputs[problem.index]
+        problem.rule = output if isinstance(output, Exception) or not problem.fit else \
+            _rule(halves, np.ascontiguousarray(output, dtype=complex))
+        return
+    groups, blocks, first = {}, [], 0
+    for problem in live:
+        output, count = outputs[problem.index], len(problem.fit)
+        problem.rule = output if isinstance(output, Exception) else ((), ())
+        if count and not isinstance(output, Exception):
+            values = np.ascontiguousarray(output, dtype=complex)
+            block = groups.get(values.shape[1:])
+            if block is None or block[0] + values.size > BLOCK:
+                block = groups[values.shape[1:]] = [0]
+                blocks.append(block)
+            block[0] += values.size
+            block.append((problem, first, count, values))
+        first += count
+    for _, *members in blocks:
+        if len(members) == 1:
+            [(problem, first, count, values)] = members
+            problem.rule = _rule(halves[first:first + count], values)
+            continue
+        rows = [row for _, first, count, _ in members for row in range(first, first + count)]
+        values, errors = _rule(halves[rows], np.concatenate([values for *_, values in members]))
+        at = 0
+        for problem, _, count, _ in members:
+            problem.rule = values[at:at + count], errors[at:at + count]
+            at += count
+
+
+def settled(outcome):
+    """The results of a stack's (results, failure) outcome, or its failure raised."""
+    results, failure = outcome
+    if failure is not None:
+        raise failure
+    return results
 
 
 def adaptive_quad(f, a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL,
@@ -118,56 +298,25 @@ def adaptive_quad(f, a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL,
     round would take it past `node_cap` integrand evaluations: the panels of
     that round that fit (whole bisections, after the first) are evaluated first.
     """
-    sign = 1.0
-    if b < a:
-        a, b, sign = b, a, -1.0
+    options = dict(abs_tol=abs_tol, rel_tol=rel_tol, node_cap=node_cap, breakpoints=breakpoints)
+    return settled(_lockstep_quad(lambda x, counts: [f(x)], [(a, b, options)]))[0]
 
-    edges = [a]
-    if breakpoints:
-        edges += [p for p in sorted(set(breakpoints)) if a < p < b]
-    edges.append(b)
 
-    heap, nodes, err_sum, value_sum = [], 0, 0.0, 0.0
+def stacked(quad, f, problems) -> tuple:
+    """`_lockstep_quad(f, problems)`, except that a stack of one runs through
+    `quad`, the caller's binding of `adaptive_quad`, where a tracer has
+    wrapped it; a package error that its integrand raises alone is its failure."""
+    if len(problems) != 1 or quad is adaptive_quad:
+        return _lockstep_quad(f, problems)
 
-    def failure(reason):
-        return QuadratureFailure(f"{reason} (error estimate {err_sum:.3e})",
-                                 error_estimate=err_sum, nodes=nodes)
+    def alone(x):
+        [values] = f(x, [x.size])
+        if isinstance(values, Exception):
+            raise values
+        return values
 
-    pending = list(zip(edges[:-1], edges[1:]))
-    # non-finite values, and sums or norms past the float range, are refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            fit = pending[:(node_cap - nodes) // 15]     # breakpoints may seed more than the cap
-            values, errors = _panels(f, fit) if fit else ((), ())
-            for (lo, hi), kron, err in zip(fit, values, errors):
-                nodes += 15
-                err_sum += err
-                value_sum = value_sum + kron
-                heapq.heappush(heap, (-err, nodes, lo, hi, kron))
-            if len(fit) < len(pending):
-                raise failure(f"node budget {node_cap} exhausted")
-            norm = _norm(value_sum)
-            if not (math.isfinite(err_sum) and math.isfinite(norm)):    # inf <= inf would stop
-                raise failure(f"value norm {norm!r} or error estimate is not finite")
-            # running sums decide when to stop; the result is summed afresh below
-            tol = max(abs_tol, rel_tol * norm)
-            if err_sum <= tol:
-                break
-            pairs = (node_cap - nodes) // 30             # a bisection needs both halves
-            if not pairs:
-                raise failure(f"node budget {node_cap} exhausted")
-            pending = []
-            while err_sum > tol and heap and len(pending) < 2 * pairs:
-                neg_err, _, lo, hi, kron = heapq.heappop(heap)
-                err_sum += neg_err
-                value_sum = value_sum - kron
-                mid = 0.5 * (lo + hi)
-                pending += [(lo, mid), (mid, hi)]
-
-    pieces = sorted(heap, key=itemgetter(2))
-    # the running sums, one row each: zero, then each panel's value added in turn
-    cumulative = np.zeros((len(pieces) + 1,) + values.shape[1:], complex)
-    cumulative[1:] = [item[4] for item in pieces]
-    np.add.accumulate(cumulative, axis=0, out=cumulative)
-    return QuadratureResult(sign * cumulative[-1], sum(-item[0] for item in pieces), nodes,
-                            tuple((item[2], item[3], item[4]) for item in pieces), cumulative)
+    a, b, options = problems[0]
+    try:
+        return [quad(alone, a, b, **options)], None
+    except WavefieldError as exc:
+        return [], exc

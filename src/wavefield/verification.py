@@ -55,13 +55,16 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .conventions import CSV_SCHEMA_VERSION, METRIC_DIAG, convention_ledger
+from .conventions import (CSV_SCHEMA_VERSION, DEFAULT_ABS_TOL, DEFAULT_REL_TOL,
+                          DEFAULT_VOLKOV_SIGN, METRIC_DIAG, convention_ledger)
 from .fields import (CircularProfile, FieldConfig, LinearProfile, PlaneWaveProfile,
                      PulseProfile, TabulatedProfile, ZeroProfile)
-from .green import EvalContext, _prepare, dirac_apply, green_function, total_potential_lowered
-from .kernels import folded_kernel, phase_pass
+from .green import (EvalContext, _dirac_applies, _green_functions, _prepare,
+                    total_potential_lowered)
+from .kernels import _phase_passes, folded_kernel
 from .minkowski import (EPS, EPS_CONJ, GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS, SQRT2,
                         UNIT_FIELD_MIXED, WAVE_K, dot, light_cone)
+from .quadrature import settled
 from .oracles import (carrier_kernel, cross_phase_closed, cross_phase_nested, dressed_braces,
                       free_kernel, free_propagator, richardson_extrapolate, sliced_kernel,
                       zero_profile_gradient, zero_profile_green)
@@ -211,7 +214,7 @@ _ZERO_SAMPLES = FieldConfig(g=1.0, B=0.5, profile=TabulatedProfile(
 
 def check_phase_integral_oracles() -> list[CheckResult]:
     rng = random.Random(107)
-    kernels, closed = [], []        # the phase pass's K, and `carrier_kernel`'s arguments
+    requests, closed = [], []       # the phase passes, and `carrier_kernel`'s arguments
     for i in range(50):
         g = rng.uniform(0.5, 1.5)
         pl = np.array([0.0, 0.0, rng.uniform(-0.4, 0.4),
@@ -236,10 +239,16 @@ def check_phase_integral_oracles() -> list[CheckResult]:
             profile = (LinearProfile if kind == 3 else CircularProfile)(a, nu)
             cfg = FieldConfig(g=g, B=b, profile=profile)
             terms = _slope_terms(profile)
-        kernels.append(phase_pass(cfg, pl, phi_a, phi).kernel_b)
+        requests.append((cfg, pl, phi_a, phi))
         closed.append((*terms, g, kp, phi_a, phi, g * b / kp, 1))
+    # the zero-profile row's pass rides in the same stack, and every pass
+    # takes the default sign and tolerances
+    requests.append((_ZERO_SAMPLES, np.array([0.0, 0.0, 0.1, 2.0]), -0.3, 0.7))
+    *runs, zero_run = settled(_phase_passes(
+        [(*request, DEFAULT_VOLKOV_SIGN, DEFAULT_ABS_TOL, DEFAULT_REL_TOL) for request in requests]))
+    kernels = [run.kernel_b for run in runs]
     braces = _dressed_braces_draws()
-    prepared = [_prepare(ctx, ctx.x_b) for ctx, _ in braces]
+    prepared = settled(_prepare([(ctx, ctx.x_b) for ctx, _ in braces]))
 
     # one closed-form call for both rows
     closed_form = carrier_kernel(*_columns(closed + [args for _, args in braces]))
@@ -249,7 +258,7 @@ def check_phase_integral_oracles() -> list[CheckResult]:
     dev_braces = max(_maxabs(np.array([pre.plus[0] for pre in prepared]) - plus),
                      _maxabs(np.array([pre.minus[0] for pre in prepared]) - minus))
 
-    zero_val = phase_pass(_ZERO_SAMPLES, np.array([0.0, 0.0, 0.1, 2.0]), -0.3, 0.7).kernel_b
+    zero_val = zero_run.kernel_b
     return [
         _result(7, "phase-integral-closed-forms", dev, 1e-8,
                 "50 random draws, 4 profile kinds: circular at B = 0, tabulated line, "
@@ -320,7 +329,7 @@ def check_classical_action_exponent() -> list[CheckResult]:
             cfg = FieldConfig(g=rng.uniform(0.5, 1.5), B=sign * rng.uniform(0.3, 1.0),
                               profile=profile)
             contexts.append(_random_context(rng, cfg))
-    shipped = [_prepare(ctx, ctx.x_b).constant[0] for ctx in contexts]
+    shipped = [pre.constant[0] for pre in settled(_prepare([(ctx, ctx.x_b) for ctx in contexts]))]
     dev = max(abs(value - oracle) for value, oracle in zip(shipped, _oracle_exponents(contexts)))
     return [_result(7, "classical-action-exponent", dev, 1e-10,
                     "6 contexts (circular, pulse, linear; B of both signs): circular and "
@@ -360,12 +369,14 @@ def check_phase_locality() -> list[CheckResult]:
     classical path: G must not see the profile outside [phi_a, phi_b]. Bumps
     below and above the interval leave G unchanged to max(abs_tol, rel_tol |G|)."""
     rng = random.Random(115)
-    dev = 0.0
+    contexts = []
     for profile, sign in ((CircularProfile(0.4, 1.1), 1.0), (PulseProfile(0.5, 1.3, sigma=1.0), -1.0)):
         ctx = _random_context(rng, FieldConfig(g=rng.uniform(0.5, 1.5),
                                                B=sign * rng.uniform(0.3, 1.0), profile=profile))
-        value = green_function(ctx).matrix
-        bumped = green_function(_bumped_outside(ctx, 0.5, 1.0)).matrix
+        contexts += [ctx, _bumped_outside(ctx, 0.5, 1.0)]
+    values = [value.matrix for value in _green_functions(contexts)]
+    dev = 0.0
+    for ctx, value, bumped in zip(contexts[::2], values[::2], values[1::2]):
         bound = max(ctx.abs_tol, ctx.rel_tol * float(np.linalg.norm(value)))
         dev = max(dev, float(np.linalg.norm(bumped - value)) / bound)
     return [_result(7, "phase-locality", dev, 1.0,
@@ -402,7 +413,7 @@ def zero_profile_limit(contexts) -> CheckResult:
     contexts = [replace(ctx, cfg=replace(ctx.cfg, profile=ZeroProfile())) for ctx in contexts]
     # production first, for every context: it raises the documented error
     # outside the domain before any oracle runs
-    values = np.array([green_function(ctx).matrix for ctx in contexts])
+    values = np.array([value.matrix for value in _green_functions(contexts)])
     dev = _maxabs(values - zero_profile_green(*_stacked_points(contexts)))
     return _result(8, "zero-profile-route-equivalence", dev, 1e-10,
                    f"{len(contexts)} context(s), profile set to zero, entrywise vs Schwinger's "
@@ -413,7 +424,7 @@ def free_field_limit(contexts) -> CheckResult:
     """Each context's endpoints and momentum in FREE_FIELD against the scalar
     free propagator times the identity."""
     contexts = [replace(ctx, cfg=FREE_FIELD) for ctx in contexts]
-    values = [green_function(ctx).matrix for ctx in contexts]     # production first
+    values = [value.matrix for value in _green_functions(contexts)]     # production first
     dev = 0.0
     for ctx, value in zip(contexts, values):
         ref = free_propagator(ctx.x_a, ctx.x_b, ctx.pL, ctx.m)
@@ -459,12 +470,14 @@ def check_contour_invariance() -> list[CheckResult]:
         CircularProfile(amplitude=0.5, frequency=0.8),
         PulseProfile(amplitude=0.4, frequency=1.3, sigma=1.5),
     ]
-    dev = 0.0
+    contexts = []
     for profile in profiles:
         cfg = FieldConfig(g=rng.uniform(0.4, 1.2), B=rng.uniform(0.3, 1.0), profile=profile)
         ctx = _random_context(rng, cfg)
-        shipped = green_function(ctx).matrix
-        low = green_function(replace(ctx, theta=np.pi / 6.0)).matrix
+        contexts += [ctx, replace(ctx, theta=np.pi / 6.0)]
+    values = [value.matrix for value in _green_functions(contexts)]
+    dev = 0.0
+    for shipped, low in zip(values[::2], values[1::2]):
         dev = max(dev, _maxabs(low - shipped) / _maxabs(shipped))
     return [_result(9, "contour-angle-invariance", dev, 1e-4,
                     "theta = pi/6 vs the default pi/2, 5 contexts (3 with plane-wave profiles)")]
@@ -498,7 +511,7 @@ def check_derivative_consistency() -> list[CheckResult]:
     contexts = [_random_context(rng, FieldConfig(g=1.0, B=b, profile=ZeroProfile()))
                 for _, b, _ in rows for _ in range(3)]
     # production first: the finite-difference side and the potential
-    fd = np.array([dirac_apply(ctx) for ctx in contexts])
+    fd = np.array(_dirac_applies(contexts))
     potentials = np.array([total_potential_lowered(ctx, ctx.x_b) for ctx in contexts])
     analytic, scale = _analytic_dirac(contexts, potentials)
     dev = np.linalg.norm(fd - analytic, axis=(-2, -1)) / scale

@@ -108,27 +108,28 @@ def test_criterion_11_derivative_consistency():
 # -- mutation table ---------------------------------------------------------
 
 def _scale_pass(field, factor):
-    """Mutation: one `PhasePass` field of `green.phase_pass`'s result times
-    `factor`, so the oracles' own phase passes (through `verification.phase_pass`)
-    stay intact."""
+    """Mutation: one `PhasePass` field of each pass of `green._phase_passes`
+    times `factor`, so the oracles' own phase passes (through
+    `verification._phase_passes`) stay intact."""
     def mutate(monkeypatch):
-        phase_pass = green.phase_pass
+        passes = green._phase_passes
 
-        def scaled(*args, **kwargs):
-            run = phase_pass(*args, **kwargs)
-            return replace(run, **{field: factor * getattr(run, field)})
+        def scaled(requests):
+            runs, failure = passes(requests)
+            return [replace(run, **{field: factor * getattr(run, field)}) for run in runs], failure
 
-        monkeypatch.setattr(green, "phase_pass", scaled)
+        monkeypatch.setattr(green, "_phase_passes", scaled)
     return mutate
 
 
 def _flip_volkov_sign(monkeypatch):
-    phase_pass = green.phase_pass
+    passes = green._phase_passes
 
-    def flipped(*args, sign, **kwargs):
-        return phase_pass(*args, sign=-sign, **kwargs)
+    def flipped(requests):
+        return passes([(cfg, pL, phi_a, phi_b, -sign, *tolerances)
+                       for cfg, pL, phi_a, phi_b, sign, *tolerances in requests])
 
-    monkeypatch.setattr(green, "phase_pass", flipped)
+    monkeypatch.setattr(green, "_phase_passes", flipped)
 
 
 #: A phase below every endpoint phase of the checks, which all lie in [-2, 2].
@@ -137,13 +138,14 @@ _PINNED_PHASE = -10.0
 
 def _k_from_pinned_phase(monkeypatch):
     # K integrated from a fixed phase instead of phi_a, as a pinned origin did
-    phase_pass = green.phase_pass
+    passes = green._phase_passes
 
-    def pinned(cfg, pL, phi_a, phi_b, **kwargs):
-        run = phase_pass(cfg, pL, phi_a, phi_b, **kwargs)
-        return replace(run, kernel_b=phase_pass(cfg, pL, _PINNED_PHASE, phi_b, **kwargs).kernel_b)
+    def pinned(requests):
+        runs, failure = passes(requests)
+        origins, _ = passes([(cfg, pL, _PINNED_PHASE, *rest) for cfg, pL, _, *rest in requests])
+        return [replace(run, kernel_b=origin.kernel_b) for run, origin in zip(runs, origins)], failure
 
-    monkeypatch.setattr(green, "phase_pass", pinned)
+    monkeypatch.setattr(green, "_phase_passes", pinned)
 
 
 def _scale_folded_kernel(factor, slot=0, modules=(green,)):
@@ -175,16 +177,6 @@ def _swap_eps_in_braces(monkeypatch):
                         minkowski.SLASH_K @ minkowski.SLASH_EPS_CONJ @ minkowski.P_MINUS)
 
 
-def _drop_ray_jacobian(monkeypatch):
-    # the ray integrand times (1 - u): ds/du = L / (1 - u)^2 loses one power
-    quad = green.adaptive_quad
-
-    def dropped(f, *args, **kwargs):
-        return quad(lambda u: f(u) * (1.0 - u)[:, None, None], *args, **kwargs)
-
-    monkeypatch.setattr(green, "adaptive_quad", dropped)
-
-
 def _drop_gauge_term(monkeypatch):
     # `dirac_apply`'s binding only; criterion 11's analytic side keeps its own
     potential = green.total_potential_lowered
@@ -194,7 +186,7 @@ def _drop_gauge_term(monkeypatch):
 def _edit_source(module, name, old, new):
     """Mutation: `module.<name>` compiled again with the one `old` in its source
     replaced by `new`, and bound in `green` only, so the oracles' own phase
-    passes (through `verification.phase_pass`) stay intact."""
+    passes (through `verification._phase_passes`) stay intact."""
     def mutate(monkeypatch):
         source = textwrap.dedent(inspect.getsource(getattr(module, name)))
         assert source.count(old) == 1
@@ -237,21 +229,23 @@ _MUTATIONS = {
     "drift-scaled-1e-6": (_scale_pass("drift", 1.0 + 1e-6), {"classical-action-exponent"}),
     "action-scaled-1e-6": (_scale_pass("action", 1.0 + 1e-6), {"classical-action-exponent"}),
     "eps-swapped-in-braces": (_swap_eps_in_braces, {"dressed-braces-closed-form"}),
-    "ray-jacobian-dropped": (_drop_ray_jacobian,
+    "ray-jacobian-dropped": (
+        # ds/du = L / (1 - u)^2 loses one power
+        _edit_source(green, "_ray_integrand", "/ rest ** 2", "/ rest"),
                              {"zero-profile-route-equivalence", "contour-angle-invariance",
                               "free-field-reduction", "derivative-consistency-free",
                               "derivative-consistency-constant-field"}),
     "q-swapped-between-projector-signs": (
-        _edit_source(green, "_green_batch", "(f * q, f) if b > 0.0 else (f, f * q)",
-                     "(f, f * q) if b > 0.0 else (f * q, f)"),
+        _edit_source(green, "_ray_integrand", "(f * q, f) if up else (f, f * q)",
+                     "(f, f * q) if up else (f * q, f)"),
         {"zero-profile-route-equivalence", "derivative-consistency-constant-field"}),
     "k-boundary-term-dropped": (
-        _edit_source(kernels, "phase_pass",
+        _edit_source(kernels, "_phase_passes",
                      "(at_phi - boundary[0] - 1j * sign * (at_b[1] - at_a[1]))",
                      "(-1j * sign * (at_b[1] - at_a[1]))"),
         {"dressed-braces-closed-form"}),
     "constant-boundary-and-gauge-term-dropped": (
-        _edit_source(green, "_prepare", "+ 0.5j * ctx.cfg.g * ctx.cfg.B * (far[:, 0] * near[:, 1]"
+        _edit_source(green, "_prepare", "+ 0.5j * g * B * (far[:, 0] * near[:, 1]"
                                         " - far[:, 1] * near[:, 0])", "+ 0.0"),
         {"zero-profile-route-equivalence", "derivative-consistency-constant-field"}),
 }

@@ -11,10 +11,10 @@ from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, Plane
                               PulseProfile, TabulatedProfile, ZeroProfile)
 from wavefield.green import (EvalContext, dirac_apply, green_function, spin_factor,
                              total_potential_lowered)
-from wavefield.kernels import PhasePass, phase_pass
+from wavefield.kernels import PhasePass, _phase_passes, phase_pass
 from wavefield.minkowski import GAMMA, IDENTITY4, P_MINUS, P_PLUS, dot
 from wavefield.oracles import dressed_braces
-from wavefield.quadrature import adaptive_quad
+from wavefield.quadrature import adaptive_quad, settled
 
 XA = np.array([0.1, -0.2, 0.3, 0.0])
 XB = np.array([0.6, 0.4, -0.1, 0.5])
@@ -82,11 +82,11 @@ def test_mass_gap_is_checked_before_the_phase_pass(monkeypatch):
     # gap = 0.04 - 0.49 - 0.64 < 0 at the README field: no pass is made
     passes = []
 
-    def counted(*args, **kwargs):
-        passes.append(args)
-        return phase_pass(*args, **kwargs)
+    def counted(requests):
+        passes.extend(requests)
+        return _phase_passes(requests)
 
-    monkeypatch.setattr(green, "phase_pass", counted)
+    monkeypatch.setattr(green, "_phase_passes", counted)
     ctx = _ctx(cfg=WCFG, pL=np.array([0.0, 0.0, 0.2, 0.7]))
     assert ctx.mass_gap <= 0.0
     with pytest.raises(QuadratureFailure, match="gap"):
@@ -133,7 +133,8 @@ def test_zero_profile_routes_are_identical(monkeypatch):
         seen.append((ctx, green_function(ctx)))
         return seen[-1][1]
 
-    monkeypatch.setattr(verification, "green_function", recorded)
+    monkeypatch.setattr(verification, "_green_functions",
+                        lambda contexts: [recorded(ctx) for ctx in contexts])
     verification.zero_profile_limit([_ctx(cfg=WCFG)])
     [(ctx, value)] = seen
     expected = green_function(_ctx(cfg=replace(WCFG, profile=ZeroProfile())))
@@ -175,7 +176,7 @@ def test_sign_toggle_matters_only_with_a_profile():
 
 def _batch_of(values):
     """A `_green_batch` stand-in that returns values(points) at the far endpoints."""
-    return lambda ctx, points: (values(points), None)
+    return lambda items: ([(values(points), None) for _, points in items], None)
 
 
 def test_dirac_step_calibration_guard(monkeypatch):
@@ -262,8 +263,8 @@ def test_ray_weight_is_the_norm_of_each_brace(monkeypatch):
     rng = np.random.default_rng(20)
     kernel = np.append(rng.uniform(0.0, 10.0, 40) * np.exp(2j * np.pi * rng.uniform(size=40)), 0.0)
     run = PhasePass(np.zeros(41), np.zeros((41, 2)), kernel, 0, 0.0)
-    monkeypatch.setattr(green, "phase_pass", lambda *args, **kwargs: run)
-    pre = green._prepare(_ctx(cfg=WCFG), np.tile(XB, (41, 1)))
+    monkeypatch.setattr(green, "_phase_passes", lambda requests: ([run], None))
+    pre = settled(green._prepare([(_ctx(cfg=WCFG), np.tile(XB, (41, 1)))]))[0]
     assert pre.weight.shape == (41,)
     assert not np.any(pre.plus[:, :, [1, 3]]) and not np.any(pre.minus[:, :, [0, 2]])
     pairs = rng.normal(size=(41, 2)) + 1j * rng.normal(size=(41, 2))
@@ -280,8 +281,9 @@ def test_ray_weight_is_the_norm_of_each_brace(monkeypatch):
 def _per_point(batch):
     """The per-point route: one ray per far endpoint, as `green_function`
     integrates it, from the unpatched `batch`."""
-    def evaluate(ctx, points):
-        return np.stack([batch(replace(ctx, x_b=x), x)[0][0] for x in points]), None
+    def evaluate(items):
+        return [(np.stack([settled(batch([(replace(ctx, x_b=x), x)]))[0][0][0] for x in points]),
+                 None) for ctx, points in items], None
     return evaluate
 
 
@@ -308,19 +310,20 @@ def _count_dirac_work(monkeypatch):
         calls["ray"] += 1
         return adaptive_quad(*args, **kwargs)
 
-    def one_pass(cfg, pL, phi_a, phi_b, **kwargs):
-        calls["pass"].append(np.shape(phi_b))
-        distinct.append(len(set(phi_b.tolist())))
-        run = phase_pass(cfg, pL, phi_a, phi_b, **kwargs)
-        nodes.append(run.nodes)
-        return run
+    def passes(requests):
+        runs, failure = _phase_passes(requests)
+        for (_, _, _, phi_b, *_), run in zip(requests, runs):
+            calls["pass"].append(np.shape(phi_b))
+            distinct.append(len(set(phi_b.tolist())))
+            nodes.append(run.nodes)
+        return runs, failure
 
     def no_gf(ctx):
         calls["gf"] += 1
         return green_function(ctx)
 
     monkeypatch.setattr(green, "adaptive_quad", ray)
-    monkeypatch.setattr(green, "phase_pass", one_pass)
+    monkeypatch.setattr(green, "_phase_passes", passes)
     monkeypatch.setattr(green, "green_function", no_gf)
 
     def run(x_b):
@@ -417,15 +420,15 @@ def test_the_action_phase_multiplies_g_after_the_ray(monkeypatch):
     # error estimate, bit for bit as they were
     ctx = _circular_point()
     points = ctx.x_b + np.linspace(-0.2, 0.2, 5)[:, None]
-    plain, plain_diag = green._green_batch(ctx, points)
+    plain, plain_diag = settled(green._green_batch([(ctx, points)]))[0]
     prepare, theta = green._prepare, 0.7
 
-    def shifted(*args):
-        pre = prepare(*args)
-        return replace(pre, constant=pre.constant + 1j * theta)
+    def shifted(items):
+        prepared, failure = prepare(items)
+        return [replace(pre, constant=pre.constant + 1j * theta) for pre in prepared], failure
 
     monkeypatch.setattr(green, "_prepare", shifted)
-    turned, turned_diag = green._green_batch(ctx, points)
+    turned, turned_diag = settled(green._green_batch([(ctx, points)]))[0]
     assert (turned_diag.nodes, turned_diag.error_estimate) \
         == (plain_diag.nodes, plain_diag.error_estimate)
     for g_turned, g_plain in zip(turned, plain):
