@@ -30,7 +30,13 @@ Far endpoints x_b that share the rest of a context share one phase pass over
 all their phases phi_b and one ray: only rho^2, the constant exponent and the
 braces differ between them, so one adaptive quadrature integrates all of them
 (`dirac_apply` sends its 25 stencil points at once; `green_function` is the
-case of one).
+case of one). A stack of contexts (`_prepare`, `_green_batch`,
+`_green_functions`, `_dirac_applies`) runs their passes and then their rays
+in lockstep (`quadrature._lockstep_quad`), one integrand call per round for
+all of them, with the arithmetic of the braces, rho^2, the constant and the
+ray integrand joined across them; every context keeps the bits it has alone,
+and the earliest failing context in stack order raises what it raises alone.
+The public functions are stacks of one.
 
 Absolute convergence needs dot(pL, pL) > m^2 (the longitudinal phase decays
 at large s) and distinct transverse endpoints (the kernel decays at small s);

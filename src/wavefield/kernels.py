@@ -40,6 +40,11 @@ plain record of:
   e0-independent exponent as -i (g/2) action; `green._prepare` adds the
   boundary term and the gauge phase at X = x_b - Y in one expression.
 
+`_phase_passes` runs a stack of passes (each its own context, phi_a and
+phi_b) as one lockstep quadrature, one integrand call per round for all of
+them, the columns' arithmetic joined across the contexts; `phase_pass` is its
+stack of one, and every pass keeps the bits it has alone.
+
 rot(phi - p) = rot(phi - phi_a) rot(phi_a - p) makes Y = rate rot(phi - phi_a) C(phi),
 with C the integral from phi_a of d, the eps component of rot(phi_a - p) A^p(p)
 (its eps* component is conj(d)). With w = C(phi_b) exp(-i beta (phi_b - phi_a)),

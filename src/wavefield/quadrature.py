@@ -10,6 +10,15 @@ panels, then the halves of every panel that round bisects. One stacked weights
 product per round applies the rule to all of them; it runs the same product
 per panel, so each panel's value keeps the bits of that panel evaluated alone.
 
+Stacks: the private `_lockstep_quad` runs a stack of independent integrals in
+lockstep, each with its own panels, heap, running sums, node cap and
+stopping rule, and one integrand call per round takes the nodes of every
+integral still running. `adaptive_quad` is its stack of one, so there is one
+loop. Each integral keeps the bits of its value, error estimate and node
+count alone; of several failing integrals the earliest in stack order wins,
+whatever round it fails in. The phase passes and proper-time rays of a stack
+of contexts (`kernels._phase_passes`, `green._green_batch`) run on it.
+
 Determinism: the subdivision order is a pure function of the inputs (heap ties
 broken by insertion counter), and the value and the error estimate are plain
 running sums over the panels sorted by left endpoint. The panel order, not

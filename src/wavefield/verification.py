@@ -29,9 +29,13 @@ requires G unchanged: k.p is conserved, so the wave phase runs from phi_a to
 phi_b along the classical path and G sees the profile there only. Criterion
 numbers have gaps.
 A check that compares production with an oracle evaluates production at all
-of its random draws first, so a point outside the domain raises the
-production error (exit 4 from `limits`), not an oracle's; then it calls each
-oracle once, with all of its draws stacked (`sliced_kernel` once per N).
+of its random draws first, as one stack of contexts (criterion 7's 50 phase
+passes and its zero-profile pass, its 10 and its 6 `_prepare`s, the G of
+criteria 7 to 10 per check, criterion 11's 6 `dirac_apply`s), which runs
+each round of the quadratures once for all of them and gives every draw the
+bits it has alone; so a point outside the domain raises the production error
+(exit 4 from `limits`), not an oracle's; then it calls each oracle once,
+with all of its draws stacked (`sliced_kernel` once per N).
 `run_all` is what the `verify` CLI command executes; each check also has a
 focused unit test.
 Criterion 12 byte-compares two runs of the `gf` and `identities` commands (a
