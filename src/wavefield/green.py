@@ -56,7 +56,7 @@ from .fields import FieldConfig, _real
 from .kernels import KernelDiagnostics, PhasePass, _phase_passes, folded_kernel
 from .minkowski import (GAMMA, P_MINUS, P_PLUS, SLASH_EPS, SLASH_EPS_CONJ, SLASH_K,
                         UNIT_FIELD, light_cone, longitudinal_dot)
-from .quadrature import BLOCK, adaptive_quad, settled, stacked
+from .quadrature import BLOCK, _stacked, adaptive_quad, settled
 
 #: D+- = kslash epsslash^(*) P+-, fixed: the braces are M+- = P+- - K^(*) D+-.
 D_PLUS = SLASH_K @ SLASH_EPS_CONJ @ P_PLUS
@@ -177,9 +177,12 @@ def _prepare(items) -> tuple:
     # the last is the action's boundary term and the magnetic gauge phase in one
     constant = 1j * longitudinal_dot(pL, points - x_a) - 0.5j * g * action \
         + 0.5j * g * B * (far[:, 0] * near[:, 1] - far[:, 1] * near[:, 0])
+    if len(runs) == 1:
+        return [_Prepared(rho2=rho2, constant=constant, plus=plus, minus=minus, weight=weight,
+                          run=runs[0])], failure
     prepared, start = [], 0
-    for run, (rows, *_) in zip(runs, rows):
-        end = start + len(rows)
+    for run, row in zip(runs, rows):
+        end = start + len(row[0])
         prepared.append(_Prepared(rho2=rho2[start:end], constant=constant[start:end],
                                   plus=plus[start:end], minus=minus[start:end],
                                   weight=weight[start:end], run=run))
@@ -227,6 +230,8 @@ def _ray_integrand(rays):
     across the contexts with as many endpoints and the same sign of g B > 0,
     in blocks of at most `quadrature.BLOCK` (node, endpoint) pairs."""
     def integrand(u, counts):
+        if len(rays) == 1:      # one context, one block
+            return [_block(rays, u, [(0, 0, u.size)])]
         out, groups, blocks, start = [None] * len(rays), {}, [], 0
         for j, size in enumerate(counts):
             if size:
@@ -238,31 +243,38 @@ def _ray_integrand(rays):
                 block[1] += size * width
                 block.append((j, start, start + size))
                 start += size
-        for up, _, *members in blocks:
-            if len(members) == 1:
-                [(j, lo, hi)] = members
-                x = u[lo:hi, None]
-                ray, scale, b, rate, rho2, weight = rays[j].numbers
-            else:           # one row per node
-                sizes = [hi - lo for _, lo, hi in members]
-                x = np.concatenate([u[lo:hi] for _, lo, hi in members])[:, None]
-                ray, scale, b, rate, rho2, weight = (
-                    np.repeat(column, sizes, axis=0).reshape(x.size, -1)
-                    for column in zip(*(rays[j].numbers for j, _, _ in members)))
-            rest = 1.0 - x
-            e0 = scale * x / rest * ray
-            n, c, q = folded_kernel(e0, b)
-            f = np.exp(rate * e0 + c * rho2)
-            f *= -0.5j * n * (ray * scale / rest ** 2)
-            f *= weight
-            both = np.empty(f.shape + (2,), complex)
-            both[..., 0], both[..., 1] = (f * q, f) if up else (f, f * q)
-            first = 0
+        for _, _, *members in blocks:
+            both, first = _block(rays, u, members), 0
             for j, lo, hi in members:
                 out[j], first = both[first:first + hi - lo], first + hi - lo
         return out
 
     return integrand
+
+
+def _block(rays, u, members):
+    """The ray integrand's values on the nodes u[lo:hi] of each (j, lo, hi) of
+    `members`, joined: contexts rays[j] with as many endpoints and the same
+    sign of g B."""
+    if len(members) == 1:
+        [(j, lo, hi)] = members
+        x = u[lo:hi, None]
+        ray, scale, b, rate, rho2, weight = rays[j].numbers
+    else:           # one row per node
+        sizes = [hi - lo for _, lo, hi in members]
+        x = np.concatenate([u[lo:hi] for _, lo, hi in members])[:, None]
+        ray, scale, b, rate, rho2, weight = (
+            np.repeat(column, sizes, axis=0).reshape(x.size, -1)
+            for column in zip(*(rays[j].numbers for j, _, _ in members)))
+    rest = 1.0 - x
+    e0 = scale * x / rest * ray
+    n, c, q = folded_kernel(e0, b)
+    f = np.exp(rate * e0 + c * rho2)
+    f *= -0.5j * n * (ray * scale / rest ** 2)
+    f *= weight
+    both = np.empty(f.shape + (2,), complex)
+    both[..., 0], both[..., 1] = (f * q, f) if rays[members[0][0]].key[1] else (f, f * q)
+    return both
 
 
 def _green_batch(items) -> tuple:
@@ -299,7 +311,7 @@ def _green_batch(items) -> tuple:
             break
     rays = [_Ray(ctx, pre, gap) for (ctx, _), pre, gap in zip(items, prepared, gaps)
             if pre.rho2.size]
-    results, later = stacked(adaptive_quad, _ray_integrand(rays), [ray.problem for ray in rays])
+    results, later = _stacked(adaptive_quad, _ray_integrand(rays), [ray.problem for ray in rays])
     results, values = iter(results), []
     for pre in prepared:
         if not pre.rho2.size:       # no endpoint: no ray to integrate

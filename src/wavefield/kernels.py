@@ -66,7 +66,7 @@ from .conventions import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, DEFAULT_VOLKOV_SIGN, 
 from .errors import DivisionByZero, WavefieldError
 from .fields import FieldConfig
 from .minkowski import SQRT2, light_cone
-from .quadrature import CUMULATIVE, XK, adaptive_quad, settled, stacked
+from .quadrature import CUMULATIVE, XK, _stacked, adaptive_quad, settled
 
 #: |sin(e0 g B / 2)| that perfbench's admissibility check requires along the
 #: default ray; nothing in the package reads it.
@@ -212,8 +212,7 @@ class _Pass:
 
     def __init__(self, cfg, kp, phi_a, reads, ends, hull, sign, abs_tol, rel_tol):
         rate, beta = cfg.g / kp, cfg.g * cfg.B / kp          # beta = rate B turns the drift
-        self.profile, self.phi_a, self.reads, self.ends, self.sign = \
-            cfg.profile, phi_a, reads, ends, sign
+        self.profile, self.reads, self.ends, self.sign = cfg.profile, reads, ends, sign
         # the turns of d's exponential and of K's, and the action's factor
         self.numbers = 1j * beta, 1j * sign * beta, beta, phi_a, 2.0 * rate
         # K's scale and the drift's
@@ -325,7 +324,7 @@ def _phase_passes(requests) -> tuple:
             failure = exc
             break
     jobs = [job for _, job in setups if job]
-    quads, later = stacked(adaptive_quad, _columns(jobs), [job.problem for job in jobs])
+    quads, later = _stacked(adaptive_quad, _columns(jobs), [job.problem for job in jobs])
     quads, passes = iter(quads), []
     for shape, job in setups:
         if job is None:

@@ -311,7 +311,7 @@ def adaptive_quad(f, a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL,
     return settled(_lockstep_quad(lambda x, counts: [f(x)], [(a, b, options)]))[0]
 
 
-def stacked(quad, f, problems) -> tuple:
+def _stacked(quad, f, problems) -> tuple:
     """`_lockstep_quad(f, problems)`, except that a stack of one runs through
     `quad`, the caller's binding of `adaptive_quad`, where a tracer has
     wrapped it; a package error that its integrand raises alone is its failure."""

@@ -231,13 +231,13 @@ _MUTATIONS = {
     "eps-swapped-in-braces": (_swap_eps_in_braces, {"dressed-braces-closed-form"}),
     "ray-jacobian-dropped": (
         # ds/du = L / (1 - u)^2 loses one power
-        _edit_source(green, "_ray_integrand", "/ rest ** 2", "/ rest"),
+        _edit_source(green, "_block", "/ rest ** 2", "/ rest"),
                              {"zero-profile-route-equivalence", "contour-angle-invariance",
                               "free-field-reduction", "derivative-consistency-free",
                               "derivative-consistency-constant-field"}),
     "q-swapped-between-projector-signs": (
-        _edit_source(green, "_ray_integrand", "(f * q, f) if up else (f, f * q)",
-                     "(f, f * q) if up else (f * q, f)"),
+        _edit_source(green, "_block", "(f * q, f) if rays[members[0][0]].key[1] else (f, f * q)",
+                     "(f, f * q) if rays[members[0][0]].key[1] else (f * q, f)"),
         {"zero-profile-route-equivalence", "derivative-consistency-constant-field"}),
     "k-boundary-term-dropped": (
         _edit_source(kernels, "_phase_passes",

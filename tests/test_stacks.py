@@ -278,7 +278,7 @@ def test_criterion_7_runs_its_phase_passes_as_two_lockstep_stacks(monkeypatch):
     # seeded round: one integrand call each. One pass per draw made at least
     # 61 calls, one per pass and round
     calls = []
-    real = kernels.stacked
+    real = kernels._stacked
 
     def counted(quad, f, problems):
         def integrand(x, counts):
@@ -286,7 +286,7 @@ def test_criterion_7_runs_its_phase_passes_as_two_lockstep_stacks(monkeypatch):
             return f(x, counts)
         return real(quad, integrand, problems)
 
-    monkeypatch.setattr(kernels, "stacked", counted)
+    monkeypatch.setattr(kernels, "_stacked", counted)
     assert all(r.passed for r in verification.check_phase_integral_oracles())
     assert calls == [51, 10]
 
