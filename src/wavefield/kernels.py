@@ -96,13 +96,13 @@ def folded_kernel(e0, b):
     with many endpoints forms them once per e0. No domain check: the ray's nodes
     (Im e0 > 0) never reach e0 = 0 or a caustic.
     """
-    b = np.abs(b)
-    free = b == 0.0
+    b = abs(b)
+    free = b == 0.0             # a bool for one b, else an array
     # |b| = 1 stands in where b = 0, keeping 1 - q off 0, and the limit replaces it
     rate = b + free
     z = 1j * rate * e0
     q, h = np.exp(z), rate / -np.expm1(z)
-    if free.any():
+    if free is not False and np.any(free):
         q, h = np.where(free, 1.0, q), np.where(free, np.divide(1j, e0), h)
     return h / (2.0 * np.pi), -0.25 * h * (1.0 + q), q
 

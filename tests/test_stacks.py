@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wavefield import green, kernels, quadrature, verification
+from wavefield import green, kernels, verification
 from wavefield.errors import DivisionByZero, QuadratureFailure, RangeError
 from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, PulseProfile,
                               TabulatedProfile, ZeroProfile)
@@ -155,7 +155,7 @@ def test_of_two_failing_contexts_the_earlier_wins(first, second):
         == _outcome(lambda: green_function(_FAILING[first]))
 
 
-def _request(ctx, **kw):
+def _request(ctx):
     return (ctx.cfg, ctx.pL, ctx.phi_a, ctx.phi_b, ctx.volkov_sign, ctx.abs_tol, ctx.rel_tol)
 
 
@@ -167,6 +167,8 @@ _KP_ZERO = _request(_ctx(pL=np.array([0.0, 0.0, 2.0, 2.0])))
 def test_a_failing_pass_raises_in_a_stack_what_it_raises_alone(name):
     failing = _KP_ZERO if name == "kp-zero" else _request(_FAILING[name])
     alone = _outcome(lambda: phase_pass(*failing))
+    assert alone[0] is {"kp-zero": DivisionByZero, "grid-miss": RangeError,
+                        "node-cap": QuadratureFailure}[name]
     ok = _request(_ctx())
     runs, failure = _phase_passes([ok, failing, ok])
     assert len(runs) == 1
