@@ -56,7 +56,7 @@ from .fields import FieldConfig, _real
 from .kernels import KernelDiagnostics, PhasePass, _phase_passes, folded_kernel
 from .minkowski import (GAMMA, P_MINUS, P_PLUS, SLASH_EPS, SLASH_EPS_CONJ, SLASH_K,
                         UNIT_FIELD, light_cone, longitudinal_dot)
-from .quadrature import BLOCK, _stacked, adaptive_quad, settled
+from .quadrature import _stacked, adaptive_quad, settled
 
 #: D+- = kslash epsslash^(*) P+-, fixed: the braces are M+- = P+- - K^(*) D+-.
 D_PLUS = SLASH_K @ SLASH_EPS_CONJ @ P_PLUS
@@ -227,23 +227,16 @@ def _ray_integrand(rays):
     """The stacked integrand of `_lockstep_quad` for the contexts `rays`: per
     context with nodes u and n endpoints, the (nodes, n, 2) values w f (q, 1),
     or w f (1, q) for g B <= 0 (see `_green_batch`), the arithmetic joined
-    across the contexts with as many endpoints and the same sign of g B > 0,
-    in blocks of at most `quadrature.BLOCK` (node, endpoint) pairs."""
+    across the contexts with as many endpoints and the same sign of g B > 0."""
     def integrand(u, counts):
         if len(rays) == 1:      # one context, one block
             return [_block(rays, u, [(0, 0, u.size)])]
-        out, groups, blocks, start = [None] * len(rays), {}, [], 0
+        out, groups, start = [None] * len(rays), {}, 0
         for j, size in enumerate(counts):
             if size:
-                width, up = key = rays[j].key
-                block = groups.get(key)
-                if block is None or block[1] + size * width > BLOCK:
-                    block = groups[key] = [up, 0]
-                    blocks.append(block)
-                block[1] += size * width
-                block.append((j, start, start + size))
+                groups.setdefault(rays[j].key, []).append((j, start, start + size))
                 start += size
-        for _, _, *members in blocks:
+        for members in groups.values():
             both, first = _block(rays, u, members), 0
             for j, lo, hi in members:
                 out[j], first = both[first:first + hi - lo], first + hi - lo

@@ -240,37 +240,26 @@ def _lockstep_quad(f, problems) -> tuple:
     return [problem.result() for problem in stack], failure
 
 
-#: Complex values that one joined block of arithmetic holds at most: past
-#: about this many, the arrays of a round leave the processor's caches and a
-#: joined block runs slower than its pieces would alone.
-BLOCK = 1 << 13
-
-
 def _ruled(halves, live, outputs):
     """Set the `rule` of each problem of `live`, whose `fit` panels are the
     rows of `halves` in turn, from its integrand's output: (values, errors),
     or the output itself where it is an exception. The rule runs once for
-    the problems whose values share a shape, in blocks of at most BLOCK values."""
+    the problems whose values share a shape."""
     if len(live) == 1:          # a stack of one, as `adaptive_quad` runs it
         [problem] = live
         output = outputs[problem.index]
         problem.rule = output if isinstance(output, Exception) or not problem.fit else \
             _rule(halves, np.ascontiguousarray(output, dtype=complex))
         return
-    groups, blocks, first = {}, [], 0
+    groups, first = {}, 0
     for problem in live:
         output, count = outputs[problem.index], len(problem.fit)
         problem.rule = output if isinstance(output, Exception) else ((), ())
         if count and not isinstance(output, Exception):
             values = np.ascontiguousarray(output, dtype=complex)
-            block = groups.get(values.shape[1:])
-            if block is None or block[0] + values.size > BLOCK:
-                block = groups[values.shape[1:]] = [0]
-                blocks.append(block)
-            block[0] += values.size
-            block.append((problem, first, count, values))
+            groups.setdefault(values.shape[1:], []).append((problem, first, count, values))
         first += count
-    for _, *members in blocks:
+    for members in groups.values():
         if len(members) == 1:
             [(problem, first, count, values)] = members
             problem.rule = _rule(halves[first:first + count], values)
