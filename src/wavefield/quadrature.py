@@ -219,7 +219,7 @@ def _lockstep_quad(f, problems) -> tuple:
     # non-finite values, and sums or norms past the float range, are refused below
     with np.errstate(over="ignore", invalid="ignore"):
         while live:
-            counts, intervals = [0] * len(stack), []
+            counts, intervals = [0] * len(problems), []
             for problem in live:
                 # the pending panels that the node cap admits (breakpoints may seed more)
                 problem.fit = problem.pending[:(problem.node_cap - problem.nodes) // 15]
