@@ -37,7 +37,6 @@ from .errors import InvalidProfile, QuadratureFailure, RangeError, SchemaError, 
 from .fields import FieldConfig, _real, make_profile
 from .green import EVAL_INPUTS, EvalContext, dirac_apply, green_function, spin_factor
 from .kernels import _phase_passes
-from .quadrature import settled
 
 _GRID_COMPONENTS = {"xb0": 0, "xb1": 1, "xb2": 2, "xb3": 3, "pL2": 2, "pL3": 3}
 #: The `eval` keys a config must set: those whose context field has no default.
@@ -247,8 +246,8 @@ def _cmd_phase_integral(rc: RunConfig):
     ctx = rc.ctx
     # one pass per phase, all of them in one lockstep stack: each row has the
     # nodes and error of its own pass
-    runs = settled(_phase_passes([(ctx.cfg, ctx.pL, ctx.phi_a, phi, ctx.volkov_sign, ctx.abs_tol,
-                                   ctx.rel_tol) for phi in rc.grid_values]))
+    runs = _phase_passes([(ctx.cfg, ctx.pL, ctx.phi_a, phi, ctx.volkov_sign, ctx.abs_tol,
+                           ctx.rel_tol) for phi in rc.grid_values])
     rows = [[phi, run.kernel_b.real, run.kernel_b.imag, run.error_estimate, run.nodes]
             for phi, run in zip(rc.grid_values, runs)]
     return ["phi", "K_re", "K_im", "error_estimate", "nodes"], rows, None

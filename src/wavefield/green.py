@@ -34,9 +34,10 @@ case of one). A stack of contexts (`_prepare`, `_green_batch`,
 `_green_functions`, `_dirac_applies`) runs their passes and then their rays
 in lockstep (`quadrature._lockstep_quad`), one integrand call per round for
 all of them, with the arithmetic of the braces, rho^2, the constant and the
-ray integrand joined across them; every context keeps the bits it has alone,
-and the earliest failing context in stack order raises what it raises alone.
-The public functions are stacks of one.
+ray integrand joined across them; every context keeps the bits it has alone.
+Each of these stages returns one result per context or raises, and
+`quadrature.earliest_failure` makes a failing stack raise what its earliest
+failing context raises alone. The public functions are stacks of one.
 
 Absolute convergence needs dot(pL, pL) > m^2 (the longitudinal phase decays
 at large s) and distinct transverse endpoints (the kernel decays at small s);
@@ -56,7 +57,7 @@ from .fields import FieldConfig, _real
 from .kernels import KernelDiagnostics, PhasePass, _phase_passes, folded_kernel
 from .minkowski import (GAMMA, P_MINUS, P_PLUS, SLASH_EPS, SLASH_EPS_CONJ, SLASH_K,
                         UNIT_FIELD, light_cone, longitudinal_dot)
-from .quadrature import _stacked, adaptive_quad, settled
+from .quadrature import _stacked, adaptive_quad, earliest_failure
 
 #: D+- = kslash epsslash^(*) P+-, fixed: the braces are M+- = P+- - K^(*) D+-.
 D_PLUS = SLASH_K @ SLASH_EPS_CONJ @ P_PLUS
@@ -145,17 +146,16 @@ class _Prepared:
     run: PhasePass
 
 
-def _prepare(items) -> tuple:
+@earliest_failure
+def _prepare(items) -> list:
     """`_Prepared` for each (context, far endpoints `points`, shape (n, 4)) of
     `items`: one stacked phase pass over the phases phi_b of each context's
     points at the context's tolerances, which the pass splits between its
     columns; braces and their norm, rho^2 and constant exponent per point, the
-    arithmetic joined across the contexts. Returns (prepared, failure) as
-    `kernels._phase_passes` does."""
+    arithmetic joined across the contexts."""
     items = [(ctx, np.asarray(points, dtype=float).reshape(-1, 4)) for ctx, points in items]
-    runs, failure = _phase_passes([(ctx.cfg, ctx.pL, ctx.phi_a, light_cone(points),
-                                    ctx.volkov_sign, ctx.abs_tol, ctx.rel_tol)
-                                   for ctx, points in items])
+    runs = _phase_passes([(ctx.cfg, ctx.pL, ctx.phi_a, light_cone(points),
+                           ctx.volkov_sign, ctx.abs_tol, ctx.rel_tol) for ctx, points in items])
     rows = [(points, run.kernel_b, run.drift, run.action, ctx.x_a, ctx.pL, ctx.cfg.g, ctx.cfg.B)
             for (ctx, points), run in zip(items, runs)]
     if len(rows) == 1:      # one context: its own arrays and numbers
@@ -165,7 +165,7 @@ def _prepare(items) -> tuple:
         points, kernel, drift, action = (np.concatenate(column) for column in columns[:4])
         x_a, pL, g, B = (np.repeat(column, counts, axis=0) for column in columns[4:])
     else:
-        return [], failure
+        return []
     plus = P_PLUS - np.multiply.outer(kernel, D_PLUS)
     minus = P_MINUS - np.multiply.outer(kernel.conjugate(), D_MINUS)
     # P+ fills columns 0 and 2 only and P- columns 1 and 3, so M+ and M- are
@@ -177,9 +177,6 @@ def _prepare(items) -> tuple:
     # the last is the action's boundary term and the magnetic gauge phase in one
     constant = 1j * longitudinal_dot(pL, points - x_a) - 0.5j * g * action \
         + 0.5j * g * B * (far[:, 0] * near[:, 1] - far[:, 1] * near[:, 0])
-    if len(runs) == 1:
-        return [_Prepared(rho2=rho2, constant=constant, plus=plus, minus=minus, weight=weight,
-                          run=runs[0])], failure
     prepared, start = [], 0
     for run, row in zip(runs, rows):
         end = start + len(row[0])
@@ -187,7 +184,7 @@ def _prepare(items) -> tuple:
                                   plus=plus[start:end], minus=minus[start:end],
                                   weight=weight[start:end], run=run))
         start = end
-    return prepared, failure
+    return prepared
 
 
 def spin_factor(e0, ctx: EvalContext) -> np.ndarray:
@@ -203,7 +200,7 @@ def spin_factor(e0, ctx: EvalContext) -> np.ndarray:
         raise RangeError(f"e0 and w = e0 g B / 2 must be finite, got e0 = {e0!r}")
     if not (np.isfinite(turns[0]).all() and np.isfinite(turns[1]).all()):
         raise RangeError(f"exp(+-i w), w = e0 g B / 2, must be finite, got e0 = {e0!r}")
-    pre = settled(_prepare([(ctx, ctx.x_b)]))[0]
+    pre = _prepare([(ctx, ctx.x_b)])[0]
     return np.multiply.outer(turns[0], pre.plus[0]) + np.multiply.outer(turns[1], pre.minus[0])
 
 
@@ -270,7 +267,8 @@ def _block(rays, u, members):
     return both
 
 
-def _green_batch(items) -> tuple:
+@earliest_failure
+def _green_batch(items) -> list:
     """(G at each far endpoint of `points`, shape (n, 4, 4), joint diagnostics)
     for each (context, points) of `items`: the context with x_b replaced, all
     its points on one panel set of the ray e0 = s exp(i theta), s = L u / (1 - u),
@@ -282,45 +280,37 @@ def _green_batch(items) -> tuple:
     per-node factors and w the braces' one norm, so each node and endpoint takes
     one exponential. M+ and M- fill disjoint columns, so the integrand's norm is
     that of G (jointly sqrt(sum |G_n|^2)) and never sees the action's phase;
-    exp(constant) / w takes the integrals I+- to G once per endpoint, after the ray.
-    Returns (values, failure) as `_prepare` does."""
-    failure, gaps = None, []
-    for i, (ctx, _) in enumerate(items):
+    exp(constant) / w takes the integrals I+- to G once per endpoint, after the ray."""
+    gaps = []
+    for ctx, _ in items:
         gaps.append(ctx.mass_gap)
         if not 0.0 < gaps[-1] < np.inf:
-            failure = QuadratureFailure(
+            raise QuadratureFailure(
                 f"proper-time integrand needs a finite mass gap dot(pL, pL) - m^2 > 0, "
                 f"got gap {gaps[-1]!r}")
-            items = items[:i]
-            break
-    prepared, later = _prepare(items)
-    failure = later or failure
-    for i, pre in enumerate(prepared):
+    prepared = _prepare(items)
+    for pre in prepared:
         if np.any(pre.rho2 == 0.0):
-            failure = QuadratureFailure(
+            raise QuadratureFailure(
                 "coincident transverse endpoints: the short-time end of the ray is "
                 "log-divergent")
-            prepared = prepared[:i]
-            break
     rays = [_Ray(ctx, pre, gap) for (ctx, _), pre, gap in zip(items, prepared, gaps)
             if pre.rho2.size]
-    results, later = _stacked(adaptive_quad, _ray_integrand(rays), [ray.problem for ray in rays])
-    results, values = iter(results), []
+    results = iter(_stacked(adaptive_quad, _ray_integrand(rays), [ray.problem for ray in rays]))
+    values = []
     for pre in prepared:
         if not pre.rho2.size:       # no endpoint: no ray to integrate
             values.append((np.empty((0, 4, 4), complex), KernelDiagnostics(
                 error_estimate=0.0, nodes=0, prepare_nodes=pre.run.nodes,
                 prepare_error=pre.run.error_estimate)))
             continue
-        result = next(results, None)
-        if result is None:
-            break
+        result = next(results)
         i_plus, i_minus = (result.value * (np.exp(pre.constant) / pre.weight)[:, None]).T
         values.append((i_plus[:, None, None] * pre.plus + i_minus[:, None, None] * pre.minus,
                        KernelDiagnostics(error_estimate=result.error_estimate, nodes=result.nodes,
                                          prepare_nodes=pre.run.nodes,
                                          prepare_error=pre.run.error_estimate)))
-    return values, later or failure
+    return values
 
 
 def green_function(ctx: EvalContext) -> PropagatorValue:
@@ -332,7 +322,7 @@ def _green_functions(contexts) -> list:
     """`green_function` at each context, all in one `_green_batch`; raises the
     error of the earliest context that fails."""
     return [PropagatorValue(matrix=matrices[0], diagnostics=diag)
-            for matrices, diag in settled(_green_batch([(ctx, ctx.x_b) for ctx in contexts]))]
+            for matrices, diag in _green_batch([(ctx, ctx.x_b) for ctx in contexts])]
 
 
 def total_potential_lowered(ctx: EvalContext, x: np.ndarray) -> np.ndarray:
@@ -361,14 +351,15 @@ def dirac_apply(ctx: EvalContext) -> np.ndarray:
     return _dirac_applies([ctx])[0]
 
 
+@earliest_failure
 def _dirac_applies(contexts) -> list:
     """`dirac_apply` at each context, every stencil in one `_green_batch`;
     raises the error of the earliest context that fails."""
     steps = (DIRAC_STEP, DIRAC_STEP / 2.0)
     # per direction mu: x_b + (4, 2, 1, -1, -2, -4) h e_mu, h the fine step
     offsets = (np.array([4, 2, 1, -1, -2, -4])[:, None] * steps[1] * np.eye(4)[:, None]).reshape(24, 4)
-    values, failure = _green_batch([(ctx, np.concatenate([ctx.x_b[None], ctx.x_b + offsets]))
-                                    for ctx in contexts])
+    values = _green_batch([(ctx, np.concatenate([ctx.x_b[None], ctx.x_b + offsets]))
+                           for ctx in contexts])
 
     def stencil(f, h):
         return (-f[:, 0] + 8 * f[:, 1] - 8 * f[:, 2] + f[:, 3]) / (12 * h)
@@ -389,6 +380,4 @@ def _dirac_applies(contexts) -> list:
         for term in 1j * GAMMA @ (fine - (ctx.cfg.g * a_low)[:, None, None] * base):
             out = out + term        # in mu order, as the sum is written
         applied.append(out)
-    if failure is not None:
-        raise failure
     return applied

@@ -43,7 +43,9 @@ plain record of:
 `_phase_passes` runs a stack of passes (each its own context, phi_a and
 phi_b) as one lockstep quadrature, one integrand call per round for all of
 them, the columns' arithmetic joined across the contexts; `phase_pass` is its
-stack of one, and every pass keeps the bits it has alone.
+stack of one, and every pass keeps the bits it has alone. A failing stack
+raises what its earliest failing pass raises alone
+(`quadrature.earliest_failure`).
 
 rot(phi - p) = rot(phi - phi_a) rot(phi_a - p) makes Y = rate rot(phi - phi_a) C(phi),
 with C the integral from phi_a of d, the eps component of rot(phi_a - p) A^p(p)
@@ -63,10 +65,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conventions import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, DEFAULT_VOLKOV_SIGN, NODE_CAP
-from .errors import DivisionByZero, WavefieldError
+from .errors import DivisionByZero
 from .fields import FieldConfig
 from .minkowski import SQRT2, light_cone
-from .quadrature import CUMULATIVE, XK, _stacked, adaptive_quad, settled
+from .quadrature import CUMULATIVE, XK, _stacked, adaptive_quad, earliest_failure
 
 #: |sin(e0 g B / 2)| that perfbench's admissibility check requires along the
 #: default ray; nothing in the package reads it.
@@ -202,7 +204,7 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b,
     drift and K meet _SUB_TOLERANCE of them, as the quadrature runs at that
     share with the action column weighted by it. The stack of one of
     `_phase_passes`."""
-    return settled(_phase_passes([(cfg, pL, phi_a, phi_b, sign, abs_tol, rel_tol)]))[0]
+    return _phase_passes([(cfg, pL, phi_a, phi_b, sign, abs_tol, rel_tol)])[0]
 
 
 class _Pass:
@@ -229,24 +231,20 @@ def _columns(jobs):
     """The stacked integrand of `_lockstep_quad` for the contexts `jobs`: per
     context with nodes x, its profile read once at x and its boundary phases,
     the three columns of `phase_pass` on x, the arithmetic joined across the
-    contexts (all their nodes, then all their boundary phases); a package
-    error of a profile read is that context's."""
+    contexts (all their nodes, then all their boundary phases). A profile
+    read's RangeError propagates."""
     def columns(x, counts):
         out, taken, start = [None] * len(jobs), [], 0
         for j, n in enumerate(counts):
-            if not n:
-                continue
-            read = np.concatenate((x[start:start + n], jobs[j].phases))
-            start += n
-            try:
+            if n:
+                read = np.concatenate((x[start:start + n], jobs[j].phases))
+                start += n
                 taken.append((j, n, read, *jobs[j].profile.components(read)))
-            except WavefieldError as exc:
-                out[j] = exc
         if len(taken) == 1:     # one context's read is its nodes, then its phases
             [(j, n, read, a1, a2)] = taken
             turn_d, turn_k, beta, phi_a, density = jobs[j].numbers
             read_turn_k, read_beta = turn_k, beta
-        elif taken:
+        else:
             js, sizes, reads, a1s, a2s = zip(*taken)
             per = [jobs[j] for j in js]
             n, edges = sum(sizes), [job.phases.size for job in per]
@@ -257,8 +255,6 @@ def _columns(jobs):
                 np.repeat(column, sizes) for column in zip(*(job.numbers for job in per)))
             read_turn_k, read_beta = (np.repeat(column * 2, sizes + tuple(edges))
                                       for column in zip(*(job.numbers[1:3] for job in per)))
-        else:
-            return out
         x = read[:n]
         ia2 = 1j * a2
         turned, dotted = np.exp(read_turn_k * read), a1 + ia2
@@ -310,29 +306,19 @@ def _setup(cfg, pL, phi_a, phi_b, sign, abs_tol, rel_tol) -> tuple:
     return shape, _Pass(cfg, kp, phi_a, reads, ends, hull, sign, abs_tol, rel_tol)
 
 
-def _phase_passes(requests) -> tuple:
+@earliest_failure
+def _phase_passes(requests) -> list:
     """`phase_pass` on a stack of (cfg, pL, phi_a, phi_b, sign, abs_tol,
     rel_tol) requests: one lockstep quadrature for all of them, each pass with
-    the bits of its own alone. Returns (passes, failure) as
-    `quadrature._lockstep_quad` does: failure is None, or the error of the
-    earliest request in stack order that fails, with the passes before it."""
-    setups, failure = [], None
-    for request in requests:
-        try:
-            setups.append(_setup(*request))
-        except WavefieldError as exc:
-            failure = exc
-            break
+    the bits of its own alone."""
+    setups = [_setup(*request) for request in requests]
     jobs = [job for _, job in setups if job]
-    quads, later = _stacked(adaptive_quad, _columns(jobs), [job.problem for job in jobs])
-    quads, passes = iter(quads), []
+    quads, passes = iter(_stacked(adaptive_quad, _columns(jobs), [job.problem for job in jobs])), []
     for shape, job in setups:
         if job is None:
             passes.append(_nothing(shape))
             continue
-        quad = next(quads, None)
-        if quad is None:
-            return passes, later        # the earliest failure
+        quad = next(quads)
         turn_d, _, beta, phi_a, density = job.numbers
         reads, sign, boundary = job.reads, job.sign, job.boundary
         # a handful of panels and endpoints: the bookkeeping runs on Python scalars
@@ -361,4 +347,4 @@ def _phase_passes(requests) -> tuple:
                                 np.array(drifts).reshape(shape + (2,)),
                                 np.array(kernels).reshape(shape)[()], quad.nodes,
                                 quad.error_estimate))
-    return passes, later or failure
+    return passes

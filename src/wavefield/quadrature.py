@@ -15,9 +15,12 @@ lockstep, each with its own panels, heap, running sums, node cap and
 stopping rule, and one integrand call per round takes the nodes of every
 integral still running. `adaptive_quad` is its stack of one, so there is one
 loop. Each integral keeps the bits of its value, error estimate and node
-count alone; of several failing integrals the earliest in stack order wins,
-whatever round it fails in. The phase passes and proper-time rays of a stack
-of contexts (`kernels._phase_passes`, `green._green_batch`) run on it.
+count alone, and a round raises the first failure it meets. The stages that
+run a stack of contexts on it (`kernels._phase_passes`, `green._prepare`,
+`green._green_batch`, `green._dirac_applies`) return one result per context
+or raise; `earliest_failure` gives them one failure order, running a failing
+stack again item by item so that its earliest failing item raises exactly
+what it raises alone.
 
 Determinism: the subdivision order is a pure function of the inputs (heap ties
 broken by insertion counter), and the value and the error estimate are plain
@@ -28,6 +31,7 @@ its panel edges.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from operator import itemgetter, neg
@@ -101,12 +105,6 @@ def _nodes(intervals):
     return halves, nodes.ravel()
 
 
-def _panels(f, intervals):
-    """`_rule` on each (a, b) of `intervals` from one call of f on all their nodes."""
-    halves, nodes = _nodes(intervals)
-    return _rule(halves, np.ascontiguousarray(f(nodes), dtype=complex))
-
-
 def _rule(halves, stack):
     """K15/G7 evaluations of panels of half-widths `halves` (shape (P, 1)) from
     the values `stack` at their 15 Kronrod nodes each, joined panel after panel
@@ -150,12 +148,9 @@ class _Problem:
                                  error_estimate=self.err_sum, nodes=self.nodes)
 
     def advance(self):
-        """Take the round's rule on `fit`; set the next round's panels (none
-        when done) and return None, or return the failure."""
-        fit, rule = self.fit, self.rule
-        if isinstance(rule, Exception):
-            return rule
-        values, errors = rule
+        """Take the round's rule on `fit` and set the next round's panels (none
+        when done), or raise the failure."""
+        fit, (values, errors) = self.fit, self.rule
         if fit:
             self.shape = values.shape[1:]
         heap, nodes, err_sum, value_sum = self.heap, self.nodes, self.err_sum, self.value_sum
@@ -166,16 +161,16 @@ class _Problem:
             heapq.heappush(heap, (-err, nodes, lo, hi, kron))
         self.nodes, self.err_sum, self.value_sum, pending = nodes, err_sum, value_sum, []
         if len(fit) < len(self.pending):
-            return self.failure(f"node budget {self.node_cap} exhausted")
+            raise self.failure(f"node budget {self.node_cap} exhausted")
         norm = _norm(value_sum)
         if not (math.isfinite(err_sum) and math.isfinite(norm)):   # inf <= inf would stop
-            return self.failure(f"value norm {norm!r} or error estimate is not finite")
+            raise self.failure(f"value norm {norm!r} or error estimate is not finite")
         # running sums decide when to stop; the result is summed afresh below
         tol = max(self.abs_tol, self.rel_tol * norm)
         if err_sum > tol:
             pairs = (self.node_cap - nodes) // 30      # a bisection needs both halves
             if not pairs:
-                return self.failure(f"node budget {self.node_cap} exhausted")
+                raise self.failure(f"node budget {self.node_cap} exhausted")
             while err_sum > tol and heap and len(pending) < 2 * pairs:
                 neg_err, _, lo, hi, kron = heapq.heappop(heap)
                 err_sum += neg_err
@@ -184,7 +179,6 @@ class _Problem:
                 pending += [(lo, mid), (mid, hi)]
             self.err_sum, self.value_sum = err_sum, value_sum
         self.pending = pending
-        return None
 
     def result(self) -> QuadratureResult:
         pieces = sorted(self.heap, key=itemgetter(2))
@@ -197,7 +191,7 @@ class _Problem:
                                 cumulative)
 
 
-def _lockstep_quad(f, problems) -> tuple:
+def _lockstep_quad(f, problems) -> list:
     """`adaptive_quad` on a stack of independent problems, each an (a, b,
     options) tuple, options a dict of `adaptive_quad`'s keyword arguments, in
     lockstep: every problem keeps its own panels, heap, running sums, node cap
@@ -205,17 +199,12 @@ def _lockstep_quad(f, problems) -> tuple:
     joins, problem after problem, the nodes that `adaptive_quad` would hand
     each problem's own integrand, and counts[i] is problem i's share of x (0
     once it is done). f returns a list with, per problem, its values stacked
-    on axis 0 (None for a count of 0) or the exception that its integrand
-    raises alone. So each problem keeps the bits of its value, error estimate
-    and node count alone.
+    on axis 0 (None for a count of 0). So each problem keeps the bits of its
+    value, error estimate and node count alone.
 
-    Returns (results, failure): failure is None and results has every
-    problem's QuadratureResult, or failure is the exception of the earliest
-    problem in stack order that fails, in whatever round, and results are
-    those of the problems before it. Problems after a failure are dropped,
-    as they cannot be the earliest."""
-    stack = [_Problem(i, a, b, **options) for i, (a, b, options) in enumerate(problems)]
-    live, failure = stack, None
+    Returns every problem's QuadratureResult, or raises the first failure a
+    round meets (`earliest_failure` finds the earliest in stack order)."""
+    live = stack = [_Problem(i, a, b, **options) for i, (a, b, options) in enumerate(problems)]
     # non-finite values, and sums or norms past the float range, are refused below
     with np.errstate(over="ignore", invalid="ignore"):
         while live:
@@ -232,31 +221,25 @@ def _lockstep_quad(f, problems) -> tuple:
                 for problem in live:
                     problem.rule = (), ()
             for problem in live:
-                failed = problem.advance()
-                if failed:
-                    live, stack, failure = live[:live.index(problem)], stack[:problem.index], failed
-                    break
+                problem.advance()
             live = [problem for problem in live if problem.pending]
-    return [problem.result() for problem in stack], failure
+    return [problem.result() for problem in stack]
 
 
 def _ruled(halves, live, outputs):
-    """Set the `rule` of each problem of `live`, whose `fit` panels are the
-    rows of `halves` in turn, from its integrand's output: (values, errors),
-    or the output itself where it is an exception. The rule runs once for
-    the problems whose values share a shape."""
+    """Set the `rule` (values, errors) of each problem of `live`, whose `fit`
+    panels are the rows of `halves` in turn, from its integrand's output. The
+    rule runs once for the problems whose values share a shape."""
     if len(live) == 1:          # a stack of one, as `adaptive_quad` runs it
         [problem] = live
-        output = outputs[problem.index]
-        problem.rule = output if isinstance(output, Exception) or not problem.fit else \
-            _rule(halves, np.ascontiguousarray(output, dtype=complex))
+        problem.rule = _rule(halves, np.ascontiguousarray(outputs[problem.index], dtype=complex))
         return
     groups, first = {}, 0
     for problem in live:
-        output, count = outputs[problem.index], len(problem.fit)
-        problem.rule = output if isinstance(output, Exception) else ((), ())
-        if count and not isinstance(output, Exception):
-            values = np.ascontiguousarray(output, dtype=complex)
+        count = len(problem.fit)
+        problem.rule = (), ()
+        if count:
+            values = np.ascontiguousarray(outputs[problem.index], dtype=complex)
             groups.setdefault(values.shape[1:], []).append((problem, first, count, values))
         first += count
     for members in groups.values():
@@ -272,12 +255,25 @@ def _ruled(halves, live, outputs):
             at += count
 
 
-def settled(outcome):
-    """The results of a stack's (results, failure) outcome, or its failure raised."""
-    results, failure = outcome
-    if failure is not None:
-        raise failure
-    return results
+def earliest_failure(stage):
+    """`stage`, a function of a stack (a list of items) that returns one
+    result per item or raises, with the stacks' failure order: where the
+    whole stack raises a package error on two or more items, `stage` runs
+    again on each item alone in stack order, so the earliest failing item
+    raises exactly what it raises alone."""
+    @functools.wraps(stage)
+    def run(items):
+        try:
+            return stage(items)
+        except WavefieldError as exc:
+            if len(items) < 2:
+                raise
+            failure = exc
+        for item in items:
+            stage([item])
+        raise failure       # no item fails alone: the stack's own failure
+
+    return run
 
 
 def adaptive_quad(f, a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL,
@@ -297,24 +293,14 @@ def adaptive_quad(f, a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL,
     that round that fit (whole bisections, after the first) are evaluated first.
     """
     options = dict(abs_tol=abs_tol, rel_tol=rel_tol, node_cap=node_cap, breakpoints=breakpoints)
-    return settled(_lockstep_quad(lambda x, counts: [f(x)], [(a, b, options)]))[0]
+    return _lockstep_quad(lambda x, counts: [f(x)], [(a, b, options)])[0]
 
 
-def _stacked(quad, f, problems) -> tuple:
+def _stacked(quad, f, problems) -> list:
     """`_lockstep_quad(f, problems)`, except that a stack of one runs through
     `quad`, the caller's binding of `adaptive_quad`, where a tracer has
-    wrapped it; a package error that its integrand raises alone is its failure."""
+    wrapped it."""
     if len(problems) != 1 or quad is adaptive_quad:
         return _lockstep_quad(f, problems)
-
-    def alone(x):
-        [values] = f(x, [x.size])
-        if isinstance(values, Exception):
-            raise values
-        return values
-
     a, b, options = problems[0]
-    try:
-        return [quad(alone, a, b, **options)], None
-    except WavefieldError as exc:
-        return [], exc
+    return [quad(lambda x: f(x, [x.size])[0], a, b, **options)]

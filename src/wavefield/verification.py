@@ -68,7 +68,6 @@ from .green import (EvalContext, _dirac_applies, _green_functions, _prepare,
 from .kernels import _phase_passes, folded_kernel
 from .minkowski import (EPS, EPS_CONJ, GAMMA, IDENTITY4, METRIC, P_MINUS, P_PLUS, SQRT2,
                         UNIT_FIELD_MIXED, WAVE_K, dot, light_cone)
-from .quadrature import settled
 from .oracles import (carrier_kernel, cross_phase_closed, cross_phase_nested, dressed_braces,
                       free_kernel, free_propagator, richardson_extrapolate, sliced_kernel,
                       zero_profile_gradient, zero_profile_green)
@@ -248,11 +247,11 @@ def check_phase_integral_oracles() -> list[CheckResult]:
     # the zero-profile row's pass rides in the same stack, and every pass
     # takes the default sign and tolerances
     requests.append((_ZERO_SAMPLES, np.array([0.0, 0.0, 0.1, 2.0]), -0.3, 0.7))
-    *runs, zero_run = settled(_phase_passes(
-        [(*request, DEFAULT_VOLKOV_SIGN, DEFAULT_ABS_TOL, DEFAULT_REL_TOL) for request in requests]))
+    *runs, zero_run = _phase_passes(
+        [(*request, DEFAULT_VOLKOV_SIGN, DEFAULT_ABS_TOL, DEFAULT_REL_TOL) for request in requests])
     kernels = [run.kernel_b for run in runs]
     braces = _dressed_braces_draws()
-    prepared = settled(_prepare([(ctx, ctx.x_b) for ctx, _ in braces]))
+    prepared = _prepare([(ctx, ctx.x_b) for ctx, _ in braces])
 
     # one closed-form call for both rows
     closed_form = carrier_kernel(*_columns(closed + [args for _, args in braces]))
@@ -333,7 +332,7 @@ def check_classical_action_exponent() -> list[CheckResult]:
             cfg = FieldConfig(g=rng.uniform(0.5, 1.5), B=sign * rng.uniform(0.3, 1.0),
                               profile=profile)
             contexts.append(_random_context(rng, cfg))
-    shipped = [pre.constant[0] for pre in settled(_prepare([(ctx, ctx.x_b) for ctx in contexts]))]
+    shipped = [pre.constant[0] for pre in _prepare([(ctx, ctx.x_b) for ctx in contexts])]
     dev = max(abs(value - oracle) for value, oracle in zip(shipped, _oracle_exponents(contexts)))
     return [_result(7, "classical-action-exponent", dev, 1e-10,
                     "6 contexts (circular, pulse, linear; B of both signs): circular and "

@@ -115,8 +115,7 @@ def _scale_pass(field, factor):
         passes = green._phase_passes
 
         def scaled(requests):
-            runs, failure = passes(requests)
-            return [replace(run, **{field: factor * getattr(run, field)}) for run in runs], failure
+            return [replace(run, **{field: factor * getattr(run, field)}) for run in passes(requests)]
 
         monkeypatch.setattr(green, "_phase_passes", scaled)
     return mutate
@@ -141,9 +140,9 @@ def _k_from_pinned_phase(monkeypatch):
     passes = green._phase_passes
 
     def pinned(requests):
-        runs, failure = passes(requests)
-        origins, _ = passes([(cfg, pL, _PINNED_PHASE, *rest) for cfg, pL, _, *rest in requests])
-        return [replace(run, kernel_b=origin.kernel_b) for run, origin in zip(runs, origins)], failure
+        runs = passes(requests)
+        origins = passes([(cfg, pL, _PINNED_PHASE, *rest) for cfg, pL, _, *rest in requests])
+        return [replace(run, kernel_b=origin.kernel_b) for run, origin in zip(runs, origins)]
 
     monkeypatch.setattr(green, "_phase_passes", pinned)
 

@@ -647,6 +647,26 @@ def test_tabulated_endpoint_just_past_the_grid_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_k_stack_past_the_grid_prints_what_its_phase_raises_alone(tmp_path, capsys):
+    # K's rows are one stack of phase passes; its last phase reads the profile
+    # off its grid [-1, 1], so the stack fails and its rows run again one by one
+    grid = [-1.0 + 0.25 * i for i in range(9)]
+    profile = _tabulated(phi=grid, a1=[math.exp(-p * p) for p in grid], a2=[0.0] * len(grid))
+    ev = _eval(x_a=[0.1, -0.2, 0.3, 0.3])
+    phis = [-0.6, 0.2, 0.5, 1.001]
+    cfg = _config(field=_field(profile), eval=ev, grid={"param": "phi", "values": phis})
+    ctx = parse_config(json.dumps(cfg)).ctx
+    with pytest.raises(RangeError) as alone:
+        phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, phis[-1])
+    status, out = _invoke(tmp_path, "K", cfg)
+    assert status == 2
+    assert not out.exists() and not Path(str(out) + ".json").exists()
+    assert capsys.readouterr().err == f"error: {alone.value}\n"
+    cfg["grid"]["values"] = phis[:-1]
+    status, out = _invoke(tmp_path, "K", cfg)
+    assert status == 0 and out.exists()
+
+
 def test_gf_outputs_carry_only_the_frozen_columns(tmp_path):
     # the extra diagnostics (phase-pass nodes and error) stay in the library:
     # the CSV and the sidecar are exactly what the frozen columns and the

@@ -14,7 +14,7 @@ from wavefield.green import (EvalContext, dirac_apply, green_function, spin_fact
 from wavefield.kernels import PhasePass, _phase_passes, phase_pass
 from wavefield.minkowski import GAMMA, IDENTITY4, P_MINUS, P_PLUS, dot
 from wavefield.oracles import dressed_braces
-from wavefield.quadrature import adaptive_quad, settled
+from wavefield.quadrature import adaptive_quad
 
 XA = np.array([0.1, -0.2, 0.3, 0.0])
 XB = np.array([0.6, 0.4, -0.1, 0.5])
@@ -176,7 +176,7 @@ def test_sign_toggle_matters_only_with_a_profile():
 
 def _batch_of(values):
     """A `_green_batch` stand-in that returns values(points) at the far endpoints."""
-    return lambda items: ([(values(points), None) for _, points in items], None)
+    return lambda items: [(values(points), None) for _, points in items]
 
 
 def test_dirac_step_calibration_guard(monkeypatch):
@@ -263,8 +263,8 @@ def test_ray_weight_is_the_norm_of_each_brace(monkeypatch):
     rng = np.random.default_rng(20)
     kernel = np.append(rng.uniform(0.0, 10.0, 40) * np.exp(2j * np.pi * rng.uniform(size=40)), 0.0)
     run = PhasePass(np.zeros(41), np.zeros((41, 2)), kernel, 0, 0.0)
-    monkeypatch.setattr(green, "_phase_passes", lambda requests: ([run], None))
-    pre = settled(green._prepare([(_ctx(cfg=WCFG), np.tile(XB, (41, 1)))]))[0]
+    monkeypatch.setattr(green, "_phase_passes", lambda requests: [run])
+    pre = green._prepare([(_ctx(cfg=WCFG), np.tile(XB, (41, 1)))])[0]
     assert pre.weight.shape == (41,)
     assert not np.any(pre.plus[:, :, [1, 3]]) and not np.any(pre.minus[:, :, [0, 2]])
     pairs = rng.normal(size=(41, 2)) + 1j * rng.normal(size=(41, 2))
@@ -282,8 +282,8 @@ def _per_point(batch):
     """The per-point route: one ray per far endpoint, as `green_function`
     integrates it, from the unpatched `batch`."""
     def evaluate(items):
-        return [(np.stack([settled(batch([(replace(ctx, x_b=x), x)]))[0][0][0] for x in points]),
-                 None) for ctx, points in items], None
+        return [(np.stack([batch([(replace(ctx, x_b=x), x)])[0][0][0] for x in points]), None)
+                for ctx, points in items]
     return evaluate
 
 
@@ -311,12 +311,12 @@ def _count_dirac_work(monkeypatch):
         return adaptive_quad(*args, **kwargs)
 
     def passes(requests):
-        runs, failure = _phase_passes(requests)
+        runs = _phase_passes(requests)
         for (_, _, _, phi_b, *_), run in zip(requests, runs):
             calls["pass"].append(np.shape(phi_b))
             distinct.append(len(set(phi_b.tolist())))
             nodes.append(run.nodes)
-        return runs, failure
+        return runs
 
     def no_gf(ctx):
         calls["gf"] += 1
@@ -420,15 +420,14 @@ def test_the_action_phase_multiplies_g_after_the_ray(monkeypatch):
     # error estimate, bit for bit as they were
     ctx = _circular_point()
     points = ctx.x_b + np.linspace(-0.2, 0.2, 5)[:, None]
-    plain, plain_diag = settled(green._green_batch([(ctx, points)]))[0]
+    plain, plain_diag = green._green_batch([(ctx, points)])[0]
     prepare, theta = green._prepare, 0.7
 
     def shifted(items):
-        prepared, failure = prepare(items)
-        return [replace(pre, constant=pre.constant + 1j * theta) for pre in prepared], failure
+        return [replace(pre, constant=pre.constant + 1j * theta) for pre in prepare(items)]
 
     monkeypatch.setattr(green, "_prepare", shifted)
-    turned, turned_diag = settled(green._green_batch([(ctx, points)]))[0]
+    turned, turned_diag = green._green_batch([(ctx, points)])[0]
     assert (turned_diag.nodes, turned_diag.error_estimate) \
         == (plain_diag.nodes, plain_diag.error_estimate)
     for g_turned, g_plain in zip(turned, plain):

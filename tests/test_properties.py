@@ -244,7 +244,7 @@ def test_ray_nodes_meet_no_kernel_singularity(b, gap, theta, seed, depth, bits):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if bits >> level & 1 else (lo, mid)
     u = 0.5 * (lo + hi) + 0.5 * (hi - lo) * XK
-    # a node rounded onto u = 1 is s = infinity, where `_panels` refuses the
+    # a node rounded onto u = 1 is s = infinity, where the quadrature refuses the
     # non-finite value; the integrand is negligible there, and no ray bisects so deep
     assume(u[-1] < 1.0)
     e0 = scale * u / (1.0 - u) * np.exp(1j * theta)

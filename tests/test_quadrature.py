@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wavefield.errors import QuadratureFailure
-from wavefield.quadrature import WG, WK, XK, _G_IDX, _panels, adaptive_quad
+from wavefield.quadrature import WG, WK, XK, _G_IDX, _nodes, _rule, adaptive_quad
 
 
 def test_polynomial_is_exact():
@@ -122,8 +122,9 @@ def test_overflowing_error_estimate_raises():
     def step(x):
         return np.where(x < 0.3, 1e300, 0.0).astype(complex)
 
+    halves, nodes = _nodes([(0.0, 1.0)])
     with np.errstate(over="ignore"):
-        values, errors = _panels(step, [(0.0, 1.0)])
+        values, errors = _rule(halves, step(nodes))
     assert np.isfinite(values).all() and errors == [np.inf]
     with pytest.raises(QuadratureFailure) as failure:
         adaptive_quad(step, 0.0, 1.0)
@@ -173,7 +174,7 @@ def test_panels_tile_the_interval_left_to_right():
 
 
 def _separate_sums(f, a, b):
-    """K15 and G7 summed separately, then differenced (reference for `_panels`),
+    """K15 and G7 summed separately, then differenced (reference for `_rule`),
     and the norm of the K15 sum of |f|, the scale of the sums' rounding."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     stack = np.asarray(f(mid + half * XK), dtype=complex)
@@ -197,7 +198,8 @@ def test_panel_matches_separate_kronrod_and_gauss_sums(shape):
     # relative to the size of the terms summed: oscillating panels cancel
     f = _SHAPED_INTEGRANDS[shape]
     for a, b in ((0.0, 0.4), (-1.0, 1.0), (2.5, 4.0), (2.5, 9.0)):
-        (kron,), (err,) = _panels(f, [(a, b)])
+        halves, nodes = _nodes([(a, b)])
+        (kron,), (err,) = _rule(halves, np.ascontiguousarray(f(nodes), dtype=complex))
         ref_kron, ref_err, magnitude = _separate_sums(f, a, b)
         assert np.shape(kron) == np.shape(ref_kron)
         assert np.linalg.norm(np.ravel(kron - ref_kron)) <= 1e-15 * magnitude
@@ -223,7 +225,9 @@ def test_batched_panels_have_the_bits_of_panels_evaluated_alone(shape):
     res = adaptive_quad(f, -1.0, 4.0, abs_tol=1e-13, rel_tol=1e-13, breakpoints=[0.5, 2.0])
     assert len(res.panels) > 3
     for lo, hi, value in res.panels:
-        assert np.array_equal(value, _panels(f, [(lo, hi)])[0][0])
+        halves, nodes = _nodes([(lo, hi)])
+        (alone,), _ = _rule(halves, np.ascontiguousarray(f(nodes), dtype=complex))
+        assert np.array_equal(value, alone)
 
 
 #: A multi-round integrand's result, recorded before the quadrature's per-call

@@ -2,13 +2,17 @@
 
 `quadrature._lockstep_quad` runs a stack of independent integrals one round
 at a time, with one integrand call per round, and `kernels._phase_passes`,
-`green._prepare` and `green._green_batch` send a stack of contexts through
-it. Every context must keep the bits of what it gives alone: its value,
-error estimate and node count, its `PhasePass` fields, its matrices and its
-`KernelDiagnostics`. A failing context raises exactly what it raises alone,
-and of several failing contexts the earliest in stack order wins, whatever
-round each fails in. `verify` evaluates criterion 7's phase passes as two
-stacks, which the guard test counts by their integrand calls.
+`green._prepare`, `green._green_batch` and `green._dirac_applies` send a
+stack of contexts through it. Every context must keep the bits of what it
+gives alone: its value, error estimate and node count, its `PhasePass`
+fields, its matrices and its `KernelDiagnostics`. Each of these stages
+returns one result per context or raises, and one helper,
+`quadrature.earliest_failure`, gives them the failure order: a failing
+context raises exactly what it raises alone, and of several failing
+contexts the earliest in stack order wins, whatever round each fails in.
+The guard tests check that every stage carries that helper and that
+`verify` evaluates criterion 7's phase passes as two stacks, counted by
+their integrand calls.
 """
 
 import warnings
@@ -19,14 +23,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wavefield import green, kernels, verification
+from wavefield import green, kernels, quadrature, verification
 from wavefield.errors import DivisionByZero, QuadratureFailure, RangeError
 from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, PulseProfile,
                               TabulatedProfile, ZeroProfile)
 from wavefield.green import EvalContext, _dirac_applies, _green_functions, dirac_apply, green_function
 from wavefield.kernels import _phase_passes, phase_pass
 from wavefield.minkowski import light_cone
-from wavefield.quadrature import _lockstep_quad, adaptive_quad, settled
+from wavefield.quadrature import _lockstep_quad, adaptive_quad, earliest_failure
 
 _SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
@@ -70,8 +74,7 @@ def test_a_stack_has_the_bits_of_each_problem_alone():
         calls.append(counts)
         return _integrand(_FS)(x, counts)
 
-    results, failure = _lockstep_quad(counted, problems)
-    assert failure is None
+    results = _lockstep_quad(counted, problems)
     alone = [adaptive_quad(f, a, b, **opts) for f, (a, b, opts) in zip(_FS, problems)]
     for got, want in zip(results, alone):
         assert np.asarray(got.value).tobytes() == np.asarray(want.value).tobytes()
@@ -92,20 +95,47 @@ def _fails_at_once(x):
     return np.full(x.shape, np.nan + 0j)
 
 
+@earliest_failure
+def _quads(stack):
+    """A stack stage on `_lockstep_quad`: (integrand, problem) pairs in, results out."""
+    return _lockstep_quad(_integrand([f for f, _ in stack]), [p for _, p in stack])
+
+
+def _alone(item):
+    f, (a, b, opts) = item
+    return lambda: adaptive_quad(f, a, b, **opts)
+
+
 @pytest.mark.parametrize("order", ["late-first", "early-first"])
 def test_the_earliest_failure_in_stack_order_wins_whatever_its_round(order):
     late = (_fails_late, (0.0, 3.0, dict(abs_tol=1e-300, rel_tol=1e-300, node_cap=3000)))
     early = (_fails_at_once, (0.0, 1.0, {}))
     fine = (_FS[0], (0.0, 1.0, {}))
     stack = [fine, late, early] if order == "late-first" else [fine, early, late]
-    results, failure = _lockstep_quad(_integrand([f for f, _ in stack]), [p for _, p in stack])
-    f, (a, b, opts) = stack[1]
-    with pytest.raises(QuadratureFailure) as alone:
-        adaptive_quad(f, a, b, **opts)
-    assert type(failure) is QuadratureFailure
-    assert (str(failure), failure.nodes, repr(failure.error_estimate)) \
-        == (str(alone.value), alone.value.nodes, repr(alone.value.error_estimate))
-    assert len(results) == 1 and results[0].value == adaptive_quad(*fine[:1], *fine[1][:2]).value
+    alone = _outcome(_alone(stack[1]))
+    assert alone[0] is QuadratureFailure
+    assert _outcome(lambda: _quads(stack)) == alone
+    # the runner alone raises the first failure a round meets: the early one
+    assert _outcome(lambda: _quads.__wrapped__(stack)) == _outcome(_alone(early))
+
+
+def test_a_failing_stack_runs_again_item_by_item_up_to_the_first_failure():
+    calls = []
+
+    @earliest_failure
+    def stage(items):
+        calls.append(list(items))
+        if any(item < 0 for item in items):
+            raise QuadratureFailure(f"item {min(items)}")
+        return items
+
+    assert stage([1, 2, 3]) == [1, 2, 3] and calls == [[1, 2, 3]]
+    calls.clear()
+    assert _outcome(lambda: stage([1, -1, 2, -2])) == _outcome(lambda: stage([-1]))
+    assert calls == [[1, -1, 2, -2], [1], [-1], [-1]]
+    calls.clear()
+    assert _outcome(lambda: stage([-2])) == (QuadratureFailure, "item -2", None, "None")
+    assert calls == [[-2]]
 
 
 # -- contexts: every failure raises what it raises alone ----------------------
@@ -170,12 +200,10 @@ def test_a_failing_pass_raises_in_a_stack_what_it_raises_alone(name):
     assert alone[0] is {"kp-zero": DivisionByZero, "grid-miss": RangeError,
                         "node-cap": QuadratureFailure}[name]
     ok = _request(_ctx())
-    runs, failure = _phase_passes([ok, failing, ok])
-    assert len(runs) == 1
-    assert _outcome(lambda: settled((runs, failure))) == alone
+    assert _outcome(lambda: _phase_passes([ok, failing, ok])) == alone
     # before a context that fails in a later round, or fails before any
     for other in (_KP_ZERO, _request(_FAILING["grid-miss"]), _request(_FAILING["node-cap"])):
-        assert _outcome(lambda: settled(_phase_passes([failing, other]))) == alone
+        assert _outcome(lambda: _phase_passes([failing, other])) == alone
 
 
 def test_limits_exits_4_on_a_gap_below_threshold_before_any_oracle(tmp_path, monkeypatch):
@@ -251,11 +279,11 @@ def test_a_stack_of_contexts_has_the_bits_of_each_context_alone(stack):
                  ctx.rel_tol) for ctx, points in stack]
     requests += [(*request[:3], phi, *request[4:]) for request in requests[:2]
                  for phi in request[3].tolist()]
-    for got, request in zip(settled(_phase_passes(requests)), requests):
+    for got, request in zip(_phase_passes(requests), requests):
         _same_pass(got, phase_pass(*request))
-    batches = settled(green._green_batch(stack))
+    batches = green._green_batch(stack)
     for (matrices, diag), item in zip(batches, stack):
-        [(alone, alone_diag)] = settled(green._green_batch([item]))
+        [(alone, alone_diag)] = green._green_batch([item])
         assert matrices.tobytes() == alone.tobytes()
         assert diag == alone_diag
 
@@ -264,15 +292,25 @@ def test_k_rows_of_a_pulse_are_one_pass_per_phase():
     # K's table is one stack: each row keeps its own pass's nodes and error
     ctx = _ctx(cfg=replace(WCFG, profile=PulseProfile(0.5, 1.3, sigma=1.5)), volkov_sign=-1)
     phis = [-4.0, -0.5, 0.25, 0.2500000000000001, 3.0, 7.5]
-    runs = settled(_phase_passes([(ctx.cfg, ctx.pL, ctx.phi_a, phi, -1, 1e-11, 1e-9)
-                                  for phi in phis]))
+    runs = _phase_passes([(ctx.cfg, ctx.pL, ctx.phi_a, phi, -1, 1e-11, 1e-9) for phi in phis])
     for run, phi in zip(runs, phis):
         _same_pass(run, phase_pass(ctx.cfg, ctx.pL, ctx.phi_a, phi, sign=-1, abs_tol=1e-11,
                                    rel_tol=1e-9))
     assert len({run.nodes for run in runs}) > 1
 
 
-# -- the guard: verify's criterion-7 passes run in lockstep -------------------
+# -- the guards ----------------------------------------------------------------
+
+def test_every_stack_stage_carries_the_one_failure_order():
+    # the stages keep no failure bookkeeping of their own: each is wrapped by
+    # `earliest_failure`, and the (results, failure) protocol's `settled` is gone
+    helper = earliest_failure(list).__code__
+    for stage in (kernels._phase_passes, green._prepare, green._green_batch, green._dirac_applies):
+        assert stage.__code__ is helper
+        assert stage.__wrapped__.__name__ == stage.__name__
+    assert not hasattr(quadrature, "settled")
+
+
 
 def test_criterion_7_runs_its_phase_passes_as_two_lockstep_stacks(monkeypatch):
     # the 51 passes of the closed-form and zero-profile rows are one stack and
