@@ -33,8 +33,8 @@ braces differ between them, so one adaptive quadrature integrates all of them
 case of one). A stack of contexts (`_prepare`, `_green_batch`,
 `_green_functions`, `_dirac_applies`) runs their passes and then their rays
 in lockstep (`quadrature._lockstep_quad`), one integrand call per round for
-all of them, with the arithmetic of the braces, rho^2, the constant and the
-ray integrand joined across them; every context keeps the bits it has alone.
+all of them, each context's braces, rho^2, constant and ray integrand from
+its own arrays; every context keeps the bits it has alone.
 Each of these stages returns one result per context or raises, and
 `quadrature.earliest_failure` makes a failing stack raise what its earliest
 failing context raises alone. The public functions are stacks of one.
@@ -57,7 +57,7 @@ from .fields import FieldConfig, _real
 from .kernels import KernelDiagnostics, PhasePass, _phase_passes, folded_kernel
 from .minkowski import (GAMMA, P_MINUS, P_PLUS, SLASH_EPS, SLASH_EPS_CONJ, SLASH_K,
                         UNIT_FIELD, light_cone, longitudinal_dot)
-from .quadrature import _stacked, adaptive_quad, earliest_failure
+from .quadrature import _each, _stacked, adaptive_quad, earliest_failure
 
 #: D+- = kslash epsslash^(*) P+-, fixed: the braces are M+- = P+- - K^(*) D+-.
 D_PLUS = SLASH_K @ SLASH_EPS_CONJ @ P_PLUS
@@ -151,39 +151,26 @@ def _prepare(items) -> list:
     """`_Prepared` for each (context, far endpoints `points`, shape (n, 4)) of
     `items`: one stacked phase pass over the phases phi_b of each context's
     points at the context's tolerances, which the pass splits between its
-    columns; braces and their norm, rho^2 and constant exponent per point, the
-    arithmetic joined across the contexts."""
+    columns; braces and their norm, rho^2 and constant exponent per point,
+    context by context."""
     items = [(ctx, np.asarray(points, dtype=float).reshape(-1, 4)) for ctx, points in items]
     runs = _phase_passes([(ctx.cfg, ctx.pL, ctx.phi_a, light_cone(points),
                            ctx.volkov_sign, ctx.abs_tol, ctx.rel_tol) for ctx, points in items])
-    rows = [(points, run.kernel_b, run.drift, run.action, ctx.x_a, ctx.pL, ctx.cfg.g, ctx.cfg.B)
-            for (ctx, points), run in zip(items, runs)]
-    if len(rows) == 1:      # one context: its own arrays and numbers
-        points, kernel, drift, action, x_a, pL, g, B = rows[0]
-    elif rows:              # joined, each context's numbers repeated over its points
-        columns, counts = list(zip(*rows)), [len(row[0]) for row in rows]
-        points, kernel, drift, action = (np.concatenate(column) for column in columns[:4])
-        x_a, pL, g, B = (np.repeat(column, counts, axis=0) for column in columns[4:])
-    else:
-        return []
-    plus = P_PLUS - np.multiply.outer(kernel, D_PLUS)
-    minus = P_MINUS - np.multiply.outer(kernel.conjugate(), D_MINUS)
-    # P+ fills columns 0 and 2 only and P- columns 1 and 3, so M+ and M- are
-    # orthogonal and |I+ M+ + I- M-| = w |(I+, I-)|
-    weight = np.sqrt(_P2 + _D2 * (kernel.real ** 2 + kernel.imag ** 2))
-    far, near = points[:, :2] - drift, x_a[..., :2] - drift
-    rho2 = (far[:, 0] - x_a[..., 0]) ** 2 + (far[:, 1] - x_a[..., 1]) ** 2
-    # pL has no transverse slots (EvalContext), so the first term is i pL.dx^L;
-    # the last is the action's boundary term and the magnetic gauge phase in one
-    constant = 1j * longitudinal_dot(pL, points - x_a) - 0.5j * g * action \
-        + 0.5j * g * B * (far[:, 0] * near[:, 1] - far[:, 1] * near[:, 0])
-    prepared, start = [], 0
-    for run, row in zip(runs, rows):
-        end = start + len(row[0])
-        prepared.append(_Prepared(rho2=rho2[start:end], constant=constant[start:end],
-                                  plus=plus[start:end], minus=minus[start:end],
-                                  weight=weight[start:end], run=run))
-        start = end
+    prepared = []
+    for (ctx, points), run in zip(items, runs):
+        kernel, drift, x_a, g, B = run.kernel_b, run.drift, ctx.x_a, ctx.cfg.g, ctx.cfg.B
+        far, near = points[:, :2] - drift, x_a[:2] - drift
+        # pL has no transverse slots (EvalContext), so the first term is i pL.dx^L;
+        # the last is the action's boundary term and the magnetic gauge phase in one
+        constant = 1j * longitudinal_dot(ctx.pL, points - x_a) - 0.5j * g * run.action \
+            + 0.5j * g * B * (far[:, 0] * near[:, 1] - far[:, 1] * near[:, 0])
+        # P+ fills columns 0 and 2 only and P- columns 1 and 3, so M+ and M- are
+        # orthogonal and |I+ M+ + I- M-| = w |(I+, I-)|
+        prepared.append(_Prepared(
+            rho2=(far[:, 0] - x_a[0]) ** 2 + (far[:, 1] - x_a[1]) ** 2, constant=constant,
+            plus=P_PLUS - np.multiply.outer(kernel, D_PLUS),
+            minus=P_MINUS - np.multiply.outer(kernel.conjugate(), D_MINUS),
+            weight=np.sqrt(_P2 + _D2 * (kernel.real ** 2 + kernel.imag ** 2)), run=run))
     return prepared
 
 
@@ -214,56 +201,23 @@ class _Ray:
         # e0 = scale u / (1 - u) ray; 0.5j gap is the e0-dependent part of the
         # longitudinal phase
         self.numbers = np.exp(1j * ctx.theta), scale, b, 0.5j * gap, pre.rho2, pre.weight
-        # contexts with as many endpoints and the same sign of g B share a block
-        self.key = pre.rho2.size, b > 0.0
         self.problem = (0.0, 1.0, dict(abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol,
                                        breakpoints=[s / (s + scale) for s in RAY_SEEDS]))
 
 
-def _ray_integrand(rays):
-    """The stacked integrand of `_lockstep_quad` for the contexts `rays`: per
-    context with nodes u and n endpoints, the (nodes, n, 2) values w f (q, 1),
-    or w f (1, q) for g B <= 0 (see `_green_batch`), the arithmetic joined
-    across the contexts with as many endpoints and the same sign of g B > 0."""
-    def integrand(u, counts):
-        if len(rays) == 1:      # one context, one block
-            return [_block(rays, u, [(0, 0, u.size)])]
-        out, groups, start = [None] * len(rays), {}, 0
-        for j, size in enumerate(counts):
-            if size:
-                groups.setdefault(rays[j].key, []).append((j, start, start + size))
-                start += size
-        for members in groups.values():
-            both, first = _block(rays, u, members), 0
-            for j, lo, hi in members:
-                out[j], first = both[first:first + hi - lo], first + hi - lo
-        return out
-
-    return integrand
-
-
-def _block(rays, u, members):
-    """The ray integrand's values on the nodes u[lo:hi] of each (j, lo, hi) of
-    `members`, joined: contexts rays[j] with as many endpoints and the same
-    sign of g B."""
-    if len(members) == 1:
-        [(j, lo, hi)] = members
-        x = u[lo:hi, None]
-        ray, scale, b, rate, rho2, weight = rays[j].numbers
-    else:           # one row per node
-        sizes = [hi - lo for _, lo, hi in members]
-        x = np.concatenate([u[lo:hi] for _, lo, hi in members])[:, None]
-        ray, scale, b, rate, rho2, weight = (
-            np.repeat(column, sizes, axis=0).reshape(x.size, -1)
-            for column in zip(*(rays[j].numbers for j, _, _ in members)))
+def _block(ray, u):
+    """The ray integrand's (nodes, n, 2) values w f (q, 1), or w f (1, q) for
+    g B <= 0 (see `_green_batch`), on the nodes u of the context `ray`."""
+    x = u[:, None]
+    turn, scale, b, rate, rho2, weight = ray.numbers
     rest = 1.0 - x
-    e0 = scale * x / rest * ray
+    e0 = scale * x / rest * turn
     n, c, q = folded_kernel(e0, b)
     f = np.exp(rate * e0 + c * rho2)
-    f *= -0.5j * n * (ray * scale / rest ** 2)
+    f *= -0.5j * n * (turn * scale / rest ** 2)
     f *= weight
     both = np.empty(f.shape + (2,), complex)
-    both[..., 0], both[..., 1] = (f * q, f) if rays[members[0][0]].key[1] else (f, f * q)
+    both[..., 0], both[..., 1] = (f * q, f) if b > 0.0 else (f, f * q)
     return both
 
 
@@ -296,7 +250,7 @@ def _green_batch(items) -> list:
                 "log-divergent")
     rays = [_Ray(ctx, pre, gap) for (ctx, _), pre, gap in zip(items, prepared, gaps)
             if pre.rho2.size]
-    results = iter(_stacked(adaptive_quad, _ray_integrand(rays), [ray.problem for ray in rays]))
+    results = iter(_stacked(adaptive_quad, _each(_block, rays), [ray.problem for ray in rays]))
     values = []
     for pre in prepared:
         if not pre.rho2.size:       # no endpoint: no ray to integrate

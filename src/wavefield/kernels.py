@@ -42,9 +42,9 @@ plain record of:
 
 `_phase_passes` runs a stack of passes (each its own context, phi_a and
 phi_b) as one lockstep quadrature, one integrand call per round for all of
-them, the columns' arithmetic joined across the contexts; `phase_pass` is its
-stack of one, and every pass keeps the bits it has alone. A failing stack
-raises what its earliest failing pass raises alone
+them, each pass's columns from `_columns` on its own nodes; `phase_pass` is
+its stack of one, and every pass keeps the bits it has alone. A failing
+stack raises what its earliest failing pass raises alone
 (`quadrature.earliest_failure`).
 
 rot(phi - p) = rot(phi - phi_a) rot(phi_a - p) makes Y = rate rot(phi - phi_a) C(phi),
@@ -68,7 +68,7 @@ from .conventions import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, DEFAULT_VOLKOV_SIGN, 
 from .errors import DivisionByZero
 from .fields import FieldConfig
 from .minkowski import SQRT2, light_cone
-from .quadrature import CUMULATIVE, XK, _stacked, adaptive_quad, earliest_failure
+from .quadrature import CUMULATIVE, XK, _each, _stacked, adaptive_quad, earliest_failure
 
 #: |sin(e0 g B / 2)| that perfbench's admissibility check requires along the
 #: default ray; nothing in the package reads it.
@@ -83,13 +83,12 @@ class KernelDiagnostics:
     prepare_error: float      # its error estimate
 
 
-def folded_kernel(e0, b):
-    """(n, c, q) at one proper time e0 or at an array of them, b = g B (one
-    number, or one per e0): at squared transverse distance rho2 of the
-    endpoints, the transverse kernel without its gauge phase is
-    n exp(c rho2) q^{1/2}, q = exp(i |b| e0); a caller's factor
-    exp(+-i e0 b / 2) makes it n exp(c rho2) q or n exp(c rho2). With
-    h = |b| / (1 - q), or its limit i / e0 at b = 0 (where q = 1),
+def folded_kernel(e0, b: float):
+    """(n, c, q) at one proper time e0 or at an array of them, b = g B: at squared
+    transverse distance rho2 of the endpoints, the transverse kernel without its
+    gauge phase is n exp(c rho2) q^{1/2}, q = exp(i |b| e0); a caller's factor
+    exp(+-i e0 b / 2) makes it n exp(c rho2) q or n exp(c rho2). With h = |b| / (1 - q),
+    or its limit i / e0 at b = 0 (where q = 1),
 
         i b / (4 pi sin(e0 b / 2)) = h q^{1/2} / (2 pi),   (b/2) cot(e0 b / 2) = -(i/2) h (1 + q),
 
@@ -98,14 +97,12 @@ def folded_kernel(e0, b):
     with many endpoints forms them once per e0. No domain check: the ray's nodes
     (Im e0 > 0) never reach e0 = 0 or a caustic.
     """
-    b = abs(b)
-    free = b == 0.0             # a bool for one b, else an array
-    # |b| = 1 stands in where b = 0, keeping 1 - q off 0, and the limit replaces it
-    rate = b + free
-    z = 1j * rate * e0
-    q, h = np.exp(z), rate / -np.expm1(z)
-    if free is not False and np.any(free):
-        q, h = np.where(free, 1.0, q), np.where(free, np.divide(1j, e0), h)
+    if b == 0.0:
+        h, q = 1j / e0, 1.0
+    else:
+        z = 1j * abs(b) * e0
+        q = np.exp(z)
+        h = abs(b) / -np.expm1(z)
     return h / (2.0 * np.pi), -0.25 * h * (1.0 + q), q
 
 
@@ -227,58 +224,29 @@ class _Pass:
                                                 breakpoints=_seeds(cfg.profile, hull, beta)))
 
 
-def _columns(jobs):
-    """The stacked integrand of `_lockstep_quad` for the contexts `jobs`: per
-    context with nodes x, its profile read once at x and its boundary phases,
-    the three columns of `phase_pass` on x, the arithmetic joined across the
-    contexts (all their nodes, then all their boundary phases). A profile
-    read's RangeError propagates."""
-    def columns(x, counts):
-        out, taken, start = [None] * len(jobs), [], 0
-        for j, n in enumerate(counts):
-            if n:
-                read = np.concatenate((x[start:start + n], jobs[j].phases))
-                start += n
-                taken.append((j, n, read, *jobs[j].profile.components(read)))
-        if len(taken) == 1:     # one context's read is its nodes, then its phases
-            [(j, n, read, a1, a2)] = taken
-            turn_d, turn_k, beta, phi_a, density = jobs[j].numbers
-            read_turn_k, read_beta = turn_k, beta
-        else:
-            js, sizes, reads, a1s, a2s = zip(*taken)
-            per = [jobs[j] for j in js]
-            n, edges = sum(sizes), [job.phases.size for job in per]
-            read, a1, a2 = (np.concatenate([part[:size] for part, size in zip(parts, sizes)]
-                                           + [part[size:] for part, size in zip(parts, sizes)])
-                            for parts in (reads, a1s, a2s))
-            turn_d, turn_k, beta, phi_a, density = (
-                np.repeat(column, sizes) for column in zip(*(job.numbers for job in per)))
-            read_turn_k, read_beta = (np.repeat(column * 2, sizes + tuple(edges))
-                                      for column in zip(*(job.numbers[1:3] for job in per)))
-        x = read[:n]
-        ia2 = 1j * a2
-        turned, dotted = np.exp(read_turn_k * read), a1 + ia2
-        bound, first = (turned[n:] * dotted[n:] / SQRT2).tolist(), 0
-        for j, *_ in taken:
-            size = jobs[j].phases.size
-            jobs[j].boundary[:], first = bound[first:first + size], first + size
-        # d: the eps component of rot(phi_a - x) A^p(x)
-        d = np.exp(turn_d * (x - phi_a)) * (a1 - ia2)[:n] / SQRT2
-        # C - C(panel's left edge), one CUMULATIVE product per panel, on the
-        # panel's (re, im) pairs
-        panels = x.reshape(-1, 15, 1)
-        halves = (panels[:, 14:] - panels[:, :1]) / _NODE_SPAN
-        c = (halves * (CUMULATIVE @ d.view(np.float64).reshape(-1, 15, 2))).view(complex).ravel()
-        stack = np.empty((n, 3), complex)
-        stack[:, 0] = d
-        stack[:, 1] = (read_beta * turned * dotted / SQRT2)[:n]
-        stack[:, 2] = _SUB_TOLERANCE * (density * (abs(d) ** 2 - beta * (d * c.conj()).imag))
-        first = 0
-        for j, size, *_ in taken:
-            out[j], first = stack[first:first + size], first + size
-        return out
-
-    return columns
+def _columns(job, x):
+    """The three columns of `phase_pass` on the nodes x of the context `job`,
+    stacked on axis 0, from its profile read once at x and its boundary
+    phases; sets the job's boundary terms. A profile read's RangeError
+    propagates."""
+    n, read = x.size, np.concatenate((x, job.phases))
+    a1, a2 = job.profile.components(read)
+    turn_d, turn_k, beta, phi_a, density = job.numbers
+    ia2 = 1j * a2
+    turned, dotted = np.exp(turn_k * read), a1 + ia2
+    job.boundary[:] = (turned[n:] * dotted[n:] / SQRT2).tolist()
+    # d: the eps component of rot(phi_a - x) A^p(x)
+    d = np.exp(turn_d * (x - phi_a)) * (a1 - ia2)[:n] / SQRT2
+    # C - C(panel's left edge), one CUMULATIVE product per panel, on the
+    # panel's (re, im) pairs
+    panels = x.reshape(-1, 15, 1)
+    halves = (panels[:, 14:] - panels[:, :1]) / _NODE_SPAN
+    c = (halves * (CUMULATIVE @ d.view(np.float64).reshape(-1, 15, 2))).view(complex).ravel()
+    stack = np.empty((n, 3), complex)
+    stack[:, 0] = d
+    stack[:, 1] = (beta * turned * dotted / SQRT2)[:n]
+    stack[:, 2] = _SUB_TOLERANCE * (density * (abs(d) ** 2 - beta * (d * c.conj()).imag))
+    return stack
 
 
 def _setup(cfg, pL, phi_a, phi_b, sign, abs_tol, rel_tol) -> tuple:
@@ -313,7 +281,8 @@ def _phase_passes(requests) -> list:
     the bits of its own alone."""
     setups = [_setup(*request) for request in requests]
     jobs = [job for _, job in setups if job]
-    quads, passes = iter(_stacked(adaptive_quad, _columns(jobs), [job.problem for job in jobs])), []
+    quads, passes = iter(_stacked(adaptive_quad, _each(_columns, jobs),
+                                  [job.problem for job in jobs])), []
     for shape, job in setups:
         if job is None:
             passes.append(_nothing(shape))

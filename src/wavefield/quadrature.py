@@ -14,13 +14,14 @@ Stacks: the private `_lockstep_quad` runs a stack of independent integrals in
 lockstep, each with its own panels, heap, running sums, node cap and
 stopping rule, and one integrand call per round takes the nodes of every
 integral still running. `adaptive_quad` is its stack of one, so there is one
-loop. Each integral keeps the bits of its value, error estimate and node
+loop. The rule runs on each integral's own panels and `_each` hands each its
+own nodes, so each keeps the bits of its value, error estimate and node
 count alone, and a round raises the first failure it meets. The stages that
 run a stack of contexts on it (`kernels._phase_passes`, `green._prepare`,
 `green._green_batch`, `green._dirac_applies`) return one result per context
-or raise; `earliest_failure` gives them one failure order, running a failing
-stack again item by item so that its earliest failing item raises exactly
-what it raises alone.
+or raise; `earliest_failure` gives them one failure order, the outermost
+stage running a failing stack again item by item so that its earliest
+failing item raises exactly what it raises alone.
 
 Determinism: the subdivision order is a pure function of the inputs (heap ties
 broken by insertion counter), and the value and the error estimate are plain
@@ -34,6 +35,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import threading
 from operator import itemgetter, neg
 from typing import NamedTuple
 
@@ -214,12 +216,11 @@ def _lockstep_quad(f, problems) -> list:
                 problem.fit = problem.pending[:(problem.node_cap - problem.nodes) // 15]
                 counts[problem.index] = 15 * len(problem.fit)
                 intervals += problem.fit
+            halves = outputs = None     # no panel fits: the problems fail below
             if intervals:
                 halves, nodes = _nodes(intervals)
-                _ruled(halves, live, f(nodes, counts))
-            else:
-                for problem in live:
-                    problem.rule = (), ()
+                outputs = f(nodes, counts)
+            _ruled(halves, live, outputs)
             for problem in live:
                 problem.advance()
             live = [problem for problem in live if problem.pending]
@@ -228,49 +229,58 @@ def _lockstep_quad(f, problems) -> list:
 
 def _ruled(halves, live, outputs):
     """Set the `rule` (values, errors) of each problem of `live`, whose `fit`
-    panels are the rows of `halves` in turn, from its integrand's output. The
-    rule runs once for the problems whose values share a shape."""
-    if len(live) == 1:          # a stack of one, as `adaptive_quad` runs it
-        [problem] = live
-        problem.rule = _rule(halves, np.ascontiguousarray(outputs[problem.index], dtype=complex))
-        return
-    groups, first = {}, 0
+    panels are the rows of `halves` in turn, from its integrand's output."""
+    first = 0
     for problem in live:
         count = len(problem.fit)
-        problem.rule = (), ()
-        if count:
-            values = np.ascontiguousarray(outputs[problem.index], dtype=complex)
-            groups.setdefault(values.shape[1:], []).append((problem, first, count, values))
+        problem.rule = _rule(halves[first:first + count], np.ascontiguousarray(
+            outputs[problem.index], dtype=complex)) if count else ((), ())
         first += count
-    for members in groups.values():
-        if len(members) == 1:
-            [(problem, first, count, values)] = members
-            problem.rule = _rule(halves[first:first + count], values)
-            continue
-        rows = [row for _, first, count, _ in members for row in range(first, first + count)]
-        values, errors = _rule(halves[rows], np.concatenate([values for *_, values in members]))
-        at = 0
-        for problem, _, count, _ in members:
-            problem.rule = values[at:at + count], errors[at:at + count]
-            at += count
+
+
+def _each(f, items):
+    """The integrand of `_lockstep_quad` that gives problem i the values
+    f(items[i], x) on its own nodes x."""
+    def integrand(x, counts):
+        out, start = [], 0
+        for item, n in zip(items, counts):
+            out.append(f(item, x[start:start + n]) if n else None)
+            start += n
+        return out
+
+    return integrand
+
+
+class _Nesting(threading.local):
+    """How many stack stages run on this thread, each inside the one before."""
+
+    depth = 0
+
+
+_nesting = _Nesting()
 
 
 def earliest_failure(stage):
     """`stage`, a function of a stack (a list of items) that returns one
     result per item or raises, with the stacks' failure order: where the
-    whole stack raises a package error on two or more items, `stage` runs
-    again on each item alone in stack order, so the earliest failing item
-    raises exactly what it raises alone."""
+    whole stack raises a package error on two or more items, and no stack
+    stage encloses this one, `stage` runs again on each item alone in stack
+    order, so the earliest failing item raises exactly what it raises alone.
+    An enclosed stage raises its stack's failure as it is, so however deep
+    the stages nest, a failing stack runs again once."""
     @functools.wraps(stage)
     def run(items):
+        _nesting.depth += 1
         try:
             return stage(items)
         except WavefieldError as exc:
-            if len(items) < 2:
+            if _nesting.depth > 1 or len(items) < 2:
                 raise
             failure = exc
+        finally:
+            _nesting.depth -= 1
         for item in items:
-            stage([item])
+            run([item])
         raise failure       # no item fails alone: the stack's own failure
 
     return run

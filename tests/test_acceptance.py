@@ -235,8 +235,8 @@ _MUTATIONS = {
                               "free-field-reduction", "derivative-consistency-free",
                               "derivative-consistency-constant-field"}),
     "q-swapped-between-projector-signs": (
-        _edit_source(green, "_block", "(f * q, f) if rays[members[0][0]].key[1] else (f, f * q)",
-                     "(f, f * q) if rays[members[0][0]].key[1] else (f * q, f)"),
+        _edit_source(green, "_block", "(f * q, f) if b > 0.0 else (f, f * q)",
+                     "(f, f * q) if b > 0.0 else (f * q, f)"),
         {"zero-profile-route-equivalence", "derivative-consistency-constant-field"}),
     "k-boundary-term-dropped": (
         _edit_source(kernels, "_phase_passes",

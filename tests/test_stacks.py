@@ -3,16 +3,18 @@
 `quadrature._lockstep_quad` runs a stack of independent integrals one round
 at a time, with one integrand call per round, and `kernels._phase_passes`,
 `green._prepare`, `green._green_batch` and `green._dirac_applies` send a
-stack of contexts through it. Every context must keep the bits of what it
+stack of contexts through it. Each context is evaluated on its own nodes by
+the code that evaluates it alone, so it must keep the bits of what it
 gives alone: its value, error estimate and node count, its `PhasePass`
 fields, its matrices and its `KernelDiagnostics`. Each of these stages
 returns one result per context or raises, and one helper,
 `quadrature.earliest_failure`, gives them the failure order: a failing
 context raises exactly what it raises alone, and of several failing
 contexts the earliest in stack order wins, whatever round each fails in.
-The guard tests check that every stage carries that helper and that
-`verify` evaluates criterion 7's phase passes as two stacks, counted by
-their integrand calls.
+The stages nest, and only the outermost replays a failing stack. The guard
+tests check that every stage carries that helper and that `verify`
+evaluates criterion 7's phase passes as two stacks, counted by their
+integrand calls.
 """
 
 import warnings
@@ -30,7 +32,7 @@ from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, Pulse
 from wavefield.green import EvalContext, _dirac_applies, _green_functions, dirac_apply, green_function
 from wavefield.kernels import _phase_passes, phase_pass
 from wavefield.minkowski import light_cone
-from wavefield.quadrature import _lockstep_quad, adaptive_quad, earliest_failure
+from wavefield.quadrature import _each, _lockstep_quad, adaptive_quad, earliest_failure
 
 _SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
@@ -48,13 +50,7 @@ def _ctx(**kw):
 
 def _integrand(fs):
     """The stacked integrand of `_lockstep_quad` made of one plain integrand per problem."""
-    def f(x, counts):
-        out, start = [], 0
-        for g, n in zip(fs, counts):
-            out.append(g(x[start:start + n]) if n else None)
-            start += n
-        return out
-    return f
+    return _each(lambda g, x: g(x), fs)
 
 
 _FS = [lambda x: np.exp(1j * 11.0 * x) / (1.0 + x * x),
@@ -174,6 +170,23 @@ def test_a_failing_context_raises_in_a_stack_what_it_raises_alone(name):
     ok = _ctx(x_b=np.array([0.7, 0.1, 0.2, 0.4]))
     assert _outcome(lambda: _green_functions([ok, ctx, ok])) == alone
     assert _outcome(lambda: _dirac_applies([ok, ctx])) == _outcome(lambda: dirac_apply(ctx))
+
+
+def test_nested_stages_replay_a_failing_stack_once(monkeypatch):
+    # the pass of the node-cap context fails four stages deep: only the
+    # outermost stage replays, so the passes run as the stack, then the
+    # ok context alone, then the failing one alone
+    runs = []
+    real = kernels._stacked
+
+    def counted(quad, f, problems):
+        runs.append(len(problems))
+        return real(quad, f, problems)
+
+    monkeypatch.setattr(kernels, "_stacked", counted)
+    ok = _ctx(x_b=np.array([0.7, 0.1, 0.2, 0.4]))
+    assert _outcome(lambda: _dirac_applies([ok, _FAILING["node-cap"]]))[0] is QuadratureFailure
+    assert runs == [2, 1, 1]
 
 
 @pytest.mark.parametrize("first", _FAILING)
