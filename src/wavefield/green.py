@@ -32,9 +32,10 @@ braces differ between them, so one adaptive quadrature integrates all of them
 (`dirac_apply` sends its 25 stencil points at once; `green_function` is the
 case of one). A stack of contexts (`_prepare`, `_green_batch`,
 `_green_functions`, `_dirac_applies`) runs their passes and then their rays
-in lockstep (`quadrature._lockstep_quad`), one integrand call per round for
-all of them, each context's braces, rho^2, constant and ray integrand from
-its own arrays; every context keeps the bits it has alone.
+in lockstep (`quadrature._lockstep_quad`), whose rounds form the nodes of
+all of them at once; each context's braces, rho^2 and constant come from its
+own arrays, and its ray integrand is `_block` on its own `_Ray` and nodes.
+Every context keeps the bits it has alone.
 Each of these stages returns one result per context or raises, and
 `quadrature.earliest_failure` makes a failing stack raise what its earliest
 failing context raises alone. The public functions are stacks of one.
@@ -47,6 +48,7 @@ both are checked before the ray, and the first before the phase pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -57,7 +59,7 @@ from .fields import FieldConfig, _real
 from .kernels import KernelDiagnostics, PhasePass, _phase_passes, folded_kernel
 from .minkowski import (GAMMA, P_MINUS, P_PLUS, SLASH_EPS, SLASH_EPS_CONJ, SLASH_K,
                         UNIT_FIELD, light_cone, longitudinal_dot)
-from .quadrature import _each, _stacked, adaptive_quad, earliest_failure
+from .quadrature import _stacked, adaptive_quad, earliest_failure
 
 #: D+- = kslash epsslash^(*) P+-, fixed: the braces are M+- = P+- - K^(*) D+-.
 D_PLUS = SLASH_K @ SLASH_EPS_CONJ @ P_PLUS
@@ -250,7 +252,8 @@ def _green_batch(items) -> list:
                 "log-divergent")
     rays = [_Ray(ctx, pre, gap) for (ctx, _), pre, gap in zip(items, prepared, gaps)
             if pre.rho2.size]
-    results = iter(_stacked(adaptive_quad, _each(_block, rays), [ray.problem for ray in rays]))
+    # each integrand is bound here: kept on its `_Ray`, it would make a reference cycle
+    results = iter(_stacked(adaptive_quad, [(partial(_block, ray), *ray.problem) for ray in rays]))
     values = []
     for pre in prepared:
         if not pre.rho2.size:       # no endpoint: no ray to integrate

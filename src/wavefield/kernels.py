@@ -41,9 +41,10 @@ plain record of:
   boundary term and the gauge phase at X = x_b - Y in one expression.
 
 `_phase_passes` runs a stack of passes (each its own context, phi_a and
-phi_b) as one lockstep quadrature, one integrand call per round for all of
-them, each pass's columns from `_columns` on its own nodes; `phase_pass` is
-its stack of one, and every pass keeps the bits it has alone. A failing
+phi_b) as one lockstep quadrature, whose rounds form the nodes of all of
+them at once; each pass's integrand is `_columns` on its own `_Pass` and
+nodes. `phase_pass` is its stack of one, and every pass keeps the bits it
+has alone. A failing
 stack raises what its earliest failing pass raises alone
 (`quadrature.earliest_failure`).
 
@@ -51,8 +52,9 @@ rot(phi - p) = rot(phi - phi_a) rot(phi_a - p) makes Y = rate rot(phi - phi_a) C
 with C the integral from phi_a of d, the eps component of rot(phi_a - p) A^p(p)
 (its eps* component is conj(d)). With w = C(phi_b) exp(-i beta (phi_b - phi_a)),
 Y = sqrt2 rate (Re w, -Im w), and the action density is
-2 rate (|d|^2 - beta Im(d conj(C))), so one panel set and its cumulative sums,
-read at the panel edge of each phi_b, give all of these for every endpoint.
+2 rate (|d|^2 - beta Im(d conj(C))), so one panel set and the running sums of
+its panel values, read at the panel edge of each phi_b, give all of these for
+every endpoint.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ import cmath
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -68,7 +71,7 @@ from .conventions import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, DEFAULT_VOLKOV_SIGN, 
 from .errors import DivisionByZero
 from .fields import FieldConfig
 from .minkowski import SQRT2, light_cone
-from .quadrature import CUMULATIVE, XK, _each, _stacked, adaptive_quad, earliest_failure
+from .quadrature import CUMULATIVE, XK, _stacked, adaptive_quad, earliest_failure
 
 #: |sin(e0 g B / 2)| that perfbench's admissibility check requires along the
 #: default ray; nothing in the package reads it.
@@ -192,8 +195,8 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b,
     seeds no more than _SEED_RADIANS of rotation apart, of three columns: C's integrand
     d, the integrand of K by parts, beta exp(i sign beta x) dot(eps, A^p(x)),
     and the real action density with C counted from the panel's left edge.
-    The quadrature's running sums of the panel integrals give C and K at the
-    panel edges and so the rest; K adds its boundary term, from the profile at
+    The running sums of the panel integrals give C and K at the panel edges
+    and so the rest; K adds its boundary term, from the profile at
     phi_a and every distinct phi_b, read with each round's nodes, which raises
     RangeError for a tabulated profile whose grid does not hold them all.
     Nothing outside the hull is sampled.
@@ -281,8 +284,9 @@ def _phase_passes(requests) -> list:
     the bits of its own alone."""
     setups = [_setup(*request) for request in requests]
     jobs = [job for _, job in setups if job]
-    quads, passes = iter(_stacked(adaptive_quad, _each(_columns, jobs),
-                                  [job.problem for job in jobs])), []
+    # each integrand is bound here: kept on its `_Pass`, it would make a reference cycle
+    quads, passes = iter(_stacked(adaptive_quad, [(partial(_columns, job), *job.problem)
+                                                  for job in jobs])), []
     for shape, job in setups:
         if job is None:
             passes.append(_nothing(shape))
@@ -292,19 +296,22 @@ def _phase_passes(requests) -> list:
         reads, sign, boundary = job.reads, job.sign, job.boundary
         # a handful of panels and endpoints: the bookkeeping runs on Python scalars
         lefts = [lo for lo, _, _ in quad.panels] + [job.problem[1]]
-        cumulative = quad.cumulative.tolist()
+        # the running sums of the panel values at each panel edge, from zero
+        running = [[0j, 0j, 0j]]
+        for _, _, value in quad.panels:
+            running.append([s + v for s, v in zip(running[-1], value.tolist())])
         ia = bisect_left(lefts, phi_a)
-        at_a = cumulative[ia]
+        at_a = running[ia]
         # the action's cross-panel part: a running sum of each panel's integral of d
         # times conj(C) at its left edge
         area = [0.0]
-        for (_, _, value), c in zip(quad.panels, cumulative):
+        for (_, _, value), c in zip(quad.panels, running):
             area.append(area[-1] + (complex(value[0]) * (c[0] - at_a[0]).conjugate()).imag)
         scale, turn = job.scale, job.turn
         slots = []
         for phi, at_phi in zip(reads, boundary[1:]):
             ib = bisect_left(lefts, phi)
-            at_b = cumulative[ib]
+            at_b = running[ib]
             w = (at_b[0] - at_a[0]) * cmath.exp(-1j * beta * (phi - phi_a))
             slots.append(((at_b[2] - at_a[2]).real / _SUB_TOLERANCE
                           - density * beta * (area[ib] - area[ia]),

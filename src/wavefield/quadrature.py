@@ -11,23 +11,23 @@ product per round applies the rule to all of them; it runs the same product
 per panel, so each panel's value keeps the bits of that panel evaluated alone.
 
 Stacks: the private `_lockstep_quad` runs a stack of independent integrals in
-lockstep, each with its own panels, heap, running sums, node cap and
-stopping rule, and one integrand call per round takes the nodes of every
-integral still running. `adaptive_quad` is its stack of one, so there is one
-loop. The rule runs on each integral's own panels and `_each` hands each its
-own nodes, so each keeps the bits of its value, error estimate and node
-count alone, and a round raises the first failure it meets. The stages that
-run a stack of contexts on it (`kernels._phase_passes`, `green._prepare`,
-`green._green_batch`, `green._dirac_applies`) return one result per context
-or raise; `earliest_failure` gives them one failure order, the outermost
-stage running a failing stack again item by item so that its earliest
-failing item raises exactly what it raises alone.
+lockstep, each with its own integrand, panels, heap, running sums, node cap
+and stopping rule. One `_nodes` call per round forms the nodes of every
+integral still running; each integral's integrand takes its own slice of
+them and the rule runs on its own panels, so each keeps the bits of its
+value, error estimate and node count alone, and a round raises the first
+failure it meets. `adaptive_quad` is its stack of one, so there is one loop.
+The stages that run a stack of contexts on it (`kernels._phase_passes`,
+`green._prepare`, `green._green_batch`, `green._dirac_applies`) return one
+result per context or raise; `earliest_failure` gives them one failure
+order, the outermost stage running a failing stack again item by item so
+that its earliest failing item raises exactly what it raises alone.
 
 Determinism: the subdivision order is a pure function of the inputs (heap ties
 broken by insertion counter), and the value and the error estimate are plain
-running sums over the panels sorted by left endpoint. The panel order, not
-compensation, fixes the bits; the phase pass reads the same running sums at
-its panel edges.
+running sums over the panels sorted by left endpoint, the value's from 0j.
+The panel order, not compensation, fixes the bits; the phase pass forms the
+same running sums from the panels and reads them at its panel edges.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import functools
 import heapq
 import math
 import threading
-from operator import itemgetter, neg
+from operator import add, itemgetter, neg
 from typing import NamedTuple
 
 import numpy as np
@@ -86,7 +86,6 @@ class QuadratureResult(NamedTuple):
     error_estimate: float
     nodes: int
     panels: tuple = ()       # (left, right, value) per panel, ascending, never sign-flipped
-    cumulative: object = ()  # rows: 0, then the running sum of the panel values; never sign-flipped
 
 
 def _norm(v) -> float:
@@ -124,16 +123,16 @@ def _rule(halves, stack):
 
 
 class _Problem:
-    """One integral of a lockstep stack: its place in the stack, tolerances,
-    node cap, panels (a heap by error), running sums, the panels its next
-    round evaluates and the rule's values and errors on them."""
+    """One integral of a lockstep stack: its integrand, tolerances, node cap,
+    panels (a heap by error), running sums, the panels its next round
+    evaluates and the rule's values and errors on them."""
 
-    __slots__ = ("index", "sign", "abs_tol", "rel_tol", "node_cap", "heap", "nodes", "err_sum",
-                 "value_sum", "pending", "shape", "fit", "rule")
+    __slots__ = ("f", "sign", "abs_tol", "rel_tol", "node_cap", "heap", "nodes", "err_sum",
+                 "value_sum", "pending", "fit", "rule")
 
-    def __init__(self, index, a, b, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL,
+    def __init__(self, f, a, b, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL,
                  node_cap=NODE_CAP, breakpoints=None):
-        self.index, self.sign = index, 1.0
+        self.f, self.sign = f, 1.0
         if b < a:
             a, b, self.sign = b, a, -1.0
         edges = [a]
@@ -143,7 +142,6 @@ class _Problem:
         self.abs_tol, self.rel_tol, self.node_cap = abs_tol, rel_tol, node_cap
         self.heap, self.nodes, self.err_sum, self.value_sum = [], 0, 0.0, 0.0
         self.pending = list(zip(edges[:-1], edges[1:]))
-        self.shape = ()
 
     def failure(self, reason):
         return QuadratureFailure(f"{reason} (error estimate {self.err_sum:.3e})",
@@ -153,8 +151,6 @@ class _Problem:
         """Take the round's rule on `fit` and set the next round's panels (none
         when done), or raise the failure."""
         fit, (values, errors) = self.fit, self.rule
-        if fit:
-            self.shape = values.shape[1:]
         heap, nodes, err_sum, value_sum = self.heap, self.nodes, self.err_sum, self.value_sum
         for (lo, hi), kron, err in zip(fit, values, errors):
             nodes += 15
@@ -184,71 +180,48 @@ class _Problem:
 
     def result(self) -> QuadratureResult:
         pieces = sorted(self.heap, key=itemgetter(2))
-        # the running sums, one row each: zero, then each panel's value added in turn
-        cumulative = np.zeros((len(pieces) + 1,) + self.shape, complex)
-        cumulative[1:] = list(map(itemgetter(4), pieces))
-        np.add.accumulate(cumulative, axis=0, out=cumulative)
-        return QuadratureResult(self.sign * cumulative[-1], sum(map(neg, map(itemgetter(0), pieces))),
-                                self.nodes, tuple(map(itemgetter(slice(2, None)), pieces)),
-                                cumulative)
+        # the value: 0j, then each panel's value added in turn
+        return QuadratureResult(self.sign * functools.reduce(add, map(itemgetter(4), pieces), 0j),
+                                sum(map(neg, map(itemgetter(0), pieces))), self.nodes,
+                                tuple(map(itemgetter(slice(2, None)), pieces)))
 
 
-def _lockstep_quad(f, problems) -> list:
-    """`adaptive_quad` on a stack of independent problems, each an (a, b,
+def _lockstep_quad(problems) -> list:
+    """`adaptive_quad` on a stack of independent problems, each an (f, a, b,
     options) tuple, options a dict of `adaptive_quad`'s keyword arguments, in
-    lockstep: every problem keeps its own panels, heap, running sums, node cap
-    and stopping rule, and each round makes one call f(x, counts), where x
-    joins, problem after problem, the nodes that `adaptive_quad` would hand
-    each problem's own integrand, and counts[i] is problem i's share of x (0
-    once it is done). f returns a list with, per problem, its values stacked
-    on axis 0 (None for a count of 0). So each problem keeps the bits of its
-    value, error estimate and node count alone.
+    lockstep: every problem keeps its own integrand f, panels, heap, running
+    sums, node cap and stopping rule. Each round forms the nodes of every
+    running problem in one `_nodes` call; each problem's f maps its own slice
+    of them, the nodes `adaptive_quad` would hand it alone, to their values
+    stacked on axis 0, and the rule runs on that problem's panels. So each
+    problem keeps the bits of its value, error estimate and node count alone.
 
     Returns every problem's QuadratureResult, or raises the first failure a
     round meets (`earliest_failure` finds the earliest in stack order)."""
-    live = stack = [_Problem(i, a, b, **options) for i, (a, b, options) in enumerate(problems)]
+    live = stack = [_Problem(f, a, b, **options) for f, a, b, options in problems]
     # non-finite values, and sums or norms past the float range, are refused below
     with np.errstate(over="ignore", invalid="ignore"):
         while live:
-            counts, intervals = [0] * len(problems), []
+            intervals = []
             for problem in live:
                 # the pending panels that the node cap admits (breakpoints may seed more)
                 problem.fit = problem.pending[:(problem.node_cap - problem.nodes) // 15]
-                counts[problem.index] = 15 * len(problem.fit)
                 intervals += problem.fit
-            halves = outputs = None     # no panel fits: the problems fail below
-            if intervals:
-                halves, nodes = _nodes(intervals)
-                outputs = f(nodes, counts)
-            _ruled(halves, live, outputs)
+            halves, nodes = _nodes(intervals) if intervals else (None, None)
+            first = 0
+            for problem in live:
+                # its own rows of halves and its own slice of the nodes
+                last = first + len(problem.fit)
+                if problem.fit:
+                    problem.rule = _rule(halves[first:last], np.ascontiguousarray(
+                        problem.f(nodes[15 * first:15 * last]), dtype=complex))
+                else:       # no panel fits: it fails below
+                    problem.rule = (), ()
+                first = last
             for problem in live:
                 problem.advance()
             live = [problem for problem in live if problem.pending]
     return [problem.result() for problem in stack]
-
-
-def _ruled(halves, live, outputs):
-    """Set the `rule` (values, errors) of each problem of `live`, whose `fit`
-    panels are the rows of `halves` in turn, from its integrand's output."""
-    first = 0
-    for problem in live:
-        count = len(problem.fit)
-        problem.rule = _rule(halves[first:first + count], np.ascontiguousarray(
-            outputs[problem.index], dtype=complex)) if count else ((), ())
-        first += count
-
-
-def _each(f, items):
-    """The integrand of `_lockstep_quad` that gives problem i the values
-    f(items[i], x) on its own nodes x."""
-    def integrand(x, counts):
-        out, start = [], 0
-        for item, n in zip(items, counts):
-            out.append(f(item, x[start:start + n]) if n else None)
-            start += n
-        return out
-
-    return integrand
 
 
 class _Nesting(threading.local):
@@ -303,14 +276,14 @@ def adaptive_quad(f, a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL,
     that round that fit (whole bisections, after the first) are evaluated first.
     """
     options = dict(abs_tol=abs_tol, rel_tol=rel_tol, node_cap=node_cap, breakpoints=breakpoints)
-    return _lockstep_quad(lambda x, counts: [f(x)], [(a, b, options)])[0]
+    return _lockstep_quad([(f, a, b, options)])[0]
 
 
-def _stacked(quad, f, problems) -> list:
-    """`_lockstep_quad(f, problems)`, except that a stack of one runs through
+def _stacked(quad, problems) -> list:
+    """`_lockstep_quad(problems)`, except that a stack of one runs through
     `quad`, the caller's binding of `adaptive_quad`, where a tracer has
     wrapped it."""
     if len(problems) != 1 or quad is adaptive_quad:
-        return _lockstep_quad(f, problems)
-    a, b, options = problems[0]
-    return [quad(lambda x: f(x, [x.size])[0], a, b, **options)]
+        return _lockstep_quad(problems)
+    f, a, b, options = problems[0]
+    return [quad(f, a, b, **options)]

@@ -156,20 +156,25 @@ def test_integrand_is_called_once_per_round():
     assert 1 < len(calls) < len(res.panels)
 
 
+def _running_sums(panels):
+    """0j, then the running sum of the panel values, left to right."""
+    sums = [0j]
+    for _, _, value in panels:
+        sums.append(sums[-1] + value)
+    return sums
+
+
 def test_panels_tile_the_interval_left_to_right():
-    # the running sums are formed left to right and, like the panels, never
-    # sign-flipped: the reversed interval's value is minus the last of them
+    # the value is the running sum of the panels, formed left to right and,
+    # like the panels, never sign-flipped: the reversed interval's value is
+    # minus the last of them
     for f in (lambda x: np.exp(1j * 9.0 * x), _SHAPED_INTEGRANDS["4x4"]):
         res = adaptive_quad(f, 2.0, -1.0, breakpoints=[0.5])
         lefts = [p[0] for p in res.panels]
         rights = [p[1] for p in res.panels]
         assert lefts[0] == -1.0 and rights[-1] == 2.0 and 0.5 in lefts
         assert lefts[1:] == rights[:-1]
-        assert len(res.cumulative) == len(res.panels) + 1
-        assert np.all(res.cumulative[0] == 0)
-        for i, panel in enumerate(res.panels):
-            assert np.array_equal(res.cumulative[i + 1], res.cumulative[i] + panel[2])
-        assert np.array_equal(res.value, -res.cumulative[-1])
+        assert np.array_equal(res.value, -_running_sums(res.panels)[-1])
         assert np.shape(res.value) == np.shape(f(np.zeros(1))[0])
 
 
@@ -276,4 +281,4 @@ def test_adaptive_quad_keeps_its_pinned_bits():
         == (_PINNED_QUAD["value"], _PINNED_QUAD["error_estimate"], _PINNED_QUAD["nodes"])
     assert [(repr(lo), repr(hi), repr(complex(value))) for lo, hi, value in res.panels] \
         == _PINNED_QUAD["panels"]
-    assert [repr(complex(c)) for c in res.cumulative] == _PINNED_QUAD["cumulative"]
+    assert [repr(complex(c)) for c in _running_sums(res.panels)] == _PINNED_QUAD["cumulative"]

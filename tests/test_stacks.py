@@ -1,20 +1,22 @@
 """Stacks of contexts: the lockstep quadrature and what runs on it.
 
 `quadrature._lockstep_quad` runs a stack of independent integrals one round
-at a time, with one integrand call per round, and `kernels._phase_passes`,
-`green._prepare`, `green._green_batch` and `green._dirac_applies` send a
-stack of contexts through it. Each context is evaluated on its own nodes by
-the code that evaluates it alone, so it must keep the bits of what it
-gives alone: its value, error estimate and node count, its `PhasePass`
-fields, its matrices and its `KernelDiagnostics`. Each of these stages
+at a time, with one `_nodes` call per round that forms the nodes of every
+integral still running, and `kernels._phase_passes`, `green._prepare`,
+`green._green_batch` and `green._dirac_applies` send a stack of contexts
+through it. Each problem of a stack carries its own integrand, which
+evaluates it on its own slice of those nodes with the code that evaluates
+it alone, so it must keep the bits of what it gives alone: its value, error
+estimate and node count, its `PhasePass` fields, its matrices and its
+`KernelDiagnostics`. Each of these stages
 returns one result per context or raises, and one helper,
 `quadrature.earliest_failure`, gives them the failure order: a failing
 context raises exactly what it raises alone, and of several failing
 contexts the earliest in stack order wins, whatever round each fails in.
 The stages nest, and only the outermost replays a failing stack. The guard
 tests check that every stage carries that helper and that `verify`
-evaluates criterion 7's phase passes as two stacks, counted by their
-integrand calls.
+evaluates criterion 7's phase passes as two stacks of one round each,
+counted by their `_nodes` calls.
 """
 
 import warnings
@@ -22,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wavefield import green, kernels, quadrature, verification
@@ -32,7 +34,7 @@ from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, Pulse
 from wavefield.green import EvalContext, _dirac_applies, _green_functions, dirac_apply, green_function
 from wavefield.kernels import _phase_passes, phase_pass
 from wavefield.minkowski import light_cone
-from wavefield.quadrature import _each, _lockstep_quad, adaptive_quad, earliest_failure
+from wavefield.quadrature import _lockstep_quad, adaptive_quad, earliest_failure
 
 _SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
@@ -48,9 +50,23 @@ def _ctx(**kw):
 
 # -- the runner ---------------------------------------------------------------
 
-def _integrand(fs):
-    """The stacked integrand of `_lockstep_quad` made of one plain integrand per problem."""
-    return _each(lambda g, x: g(x), fs)
+def _rounds(monkeypatch):
+    """A list that records the panel count of each `quadrature._nodes` call
+    from now on: one call per round of a stack."""
+    calls, real = [], quadrature._nodes
+
+    def counted(intervals):
+        calls.append(len(intervals))
+        return real(intervals)
+
+    monkeypatch.setattr(quadrature, "_nodes", counted)
+    return calls
+
+
+def _bits(res):
+    """Everything a QuadratureResult holds, its values as bytes."""
+    return (np.asarray(res.value).tobytes(), res.error_estimate, res.nodes,
+            [(lo, hi, np.asarray(value).tobytes()) for lo, hi, value in res.panels])
 
 
 _FS = [lambda x: np.exp(1j * 11.0 * x) / (1.0 + x * x),
@@ -59,27 +75,74 @@ _FS = [lambda x: np.exp(1j * 11.0 * x) / (1.0 + x * x),
        lambda x: np.exp(2j * x)[:, None, None] * np.eye(2)]
 
 
-def test_a_stack_has_the_bits_of_each_problem_alone():
+def test_a_stack_has_the_bits_of_each_problem_alone(monkeypatch):
     options = [dict(abs_tol=1e-12, rel_tol=1e-12), dict(breakpoints=[0.5, 1.0]),
                dict(abs_tol=1e-9, rel_tol=1e-11), dict(node_cap=600)]
-    problems = [(0.0, 3.0, options[0]), (2.0, -1.0, options[1]), (0.0, 1.0, options[2]),
-                (-1.0, 4.0, options[3])]
-    calls = []
+    intervals = [(0.0, 3.0), (2.0, -1.0), (0.0, 1.0), (-1.0, 4.0)]
+    handed = [[] for _ in _FS]      # the node count of each call of each integrand
 
-    def counted(x, counts):
-        calls.append(counts)
-        return _integrand(_FS)(x, counts)
+    def counted(i):
+        def f(x):
+            handed[i].append(x.size)
+            return _FS[i](x)
+        return f
 
-    results = _lockstep_quad(counted, problems)
-    alone = [adaptive_quad(f, a, b, **opts) for f, (a, b, opts) in zip(_FS, problems)]
-    for got, want in zip(results, alone):
-        assert np.asarray(got.value).tobytes() == np.asarray(want.value).tobytes()
-        assert (got.error_estimate, got.nodes) == (want.error_estimate, want.nodes)
-        assert got.cumulative.tobytes() == want.cumulative.tobytes()
-        assert [(lo, hi) for lo, hi, _ in got.panels] == [(lo, hi) for lo, hi, _ in want.panels]
-    # one call per round: as many as the problem with the most rounds needs
-    assert len(calls) == max(sum(1 for c in calls if c[i]) for i in range(4)) > 1
-    assert [sum(c[i] for c in calls) for i in range(4)] == [r.nodes for r in alone]
+    rounds = _rounds(monkeypatch)
+    results = _lockstep_quad([(counted(i), a, b, opts)
+                              for i, ((a, b), opts) in enumerate(zip(intervals, options))])
+    stacked, alone, alone_rounds = len(rounds), [], []
+    for f, (a, b), opts in zip(_FS, intervals, options):
+        rounds.clear()
+        alone.append(adaptive_quad(f, a, b, **opts))
+        alone_rounds.append(len(rounds))
+    assert [_bits(got) for got in results] == [_bits(want) for want in alone]
+    # one `_nodes` call per round: as many as the problem with the most rounds needs
+    assert stacked == max(alone_rounds) > 1
+    assert [sum(sizes) for sizes in handed] == [r.nodes for r in alone]
+    assert [len(sizes) for sizes in handed] == alone_rounds
+
+
+def _run(fn):
+    """("ok", the bits of fn()'s result) or ("raised", what it raises)."""
+    try:
+        res = fn()
+    except Exception:
+        return "raised", _outcome(fn)
+    return "ok", _bits(res)
+
+
+@st.composite
+def _quad_stacks(draw):
+    """1 to 4 problems on `_FS`'s integrands with drawn intervals (reversed
+    or empty too), breakpoints, tolerances, and so round counts, and node
+    caps, the smallest of them too small for any panel."""
+    stack = []
+    for _ in range(draw(st.integers(1, 4))):
+        ends = st.floats(-2.0, 2.0)
+        options = dict(abs_tol=10.0 ** -draw(st.integers(3, 12)),
+                       rel_tol=10.0 ** -draw(st.integers(3, 12)),
+                       node_cap=draw(st.sampled_from([10, 45, 150, 600, 3000])),
+                       breakpoints=draw(st.lists(ends, max_size=3)))
+        stack.append((draw(st.sampled_from(_FS)), draw(ends), draw(ends), options))
+    return stack
+
+
+@settings(max_examples=60, **_SETTINGS)
+@given(_quad_stacks())
+@example([(_FS[0], 0.0, 3.0, dict(abs_tol=1e-12, rel_tol=1e-12)),
+          (_FS[1], 2.0, -1.0, dict(node_cap=10)),
+          (_FS[3], -1.0, 1.0, dict(breakpoints=[0.0, 0.5]))])
+def test_each_problem_of_a_stack_has_what_it_has_alone(stack):
+    # the runner's slicing: each problem keeps the bits of its value, error
+    # estimate, nodes and panels alone; a failing stack raises what one of
+    # its failing problems raises alone, and in failure order the earliest
+    alone = [_run(_alone(problem)) for problem in stack]
+    failures = [got for kind, got in alone if kind == "raised"]
+    if not failures:
+        assert [_bits(res) for res in _lockstep_quad(stack)] == [got for _, got in alone]
+        return
+    assert _outcome(lambda: _lockstep_quad(stack)) in failures
+    assert _outcome(lambda: _quads(stack)) == failures[0]
 
 
 def _fails_late(x):
@@ -91,22 +154,20 @@ def _fails_at_once(x):
     return np.full(x.shape, np.nan + 0j)
 
 
-@earliest_failure
-def _quads(stack):
-    """A stack stage on `_lockstep_quad`: (integrand, problem) pairs in, results out."""
-    return _lockstep_quad(_integrand([f for f, _ in stack]), [p for _, p in stack])
+#: The runner as a stack stage, with the stages' failure order.
+_quads = earliest_failure(_lockstep_quad)
 
 
-def _alone(item):
-    f, (a, b, opts) = item
+def _alone(problem):
+    f, a, b, opts = problem
     return lambda: adaptive_quad(f, a, b, **opts)
 
 
 @pytest.mark.parametrize("order", ["late-first", "early-first"])
 def test_the_earliest_failure_in_stack_order_wins_whatever_its_round(order):
-    late = (_fails_late, (0.0, 3.0, dict(abs_tol=1e-300, rel_tol=1e-300, node_cap=3000)))
-    early = (_fails_at_once, (0.0, 1.0, {}))
-    fine = (_FS[0], (0.0, 1.0, {}))
+    late = (_fails_late, 0.0, 3.0, dict(abs_tol=1e-300, rel_tol=1e-300, node_cap=3000))
+    early = (_fails_at_once, 0.0, 1.0, {})
+    fine = (_FS[0], 0.0, 1.0, {})
     stack = [fine, late, early] if order == "late-first" else [fine, early, late]
     alone = _outcome(_alone(stack[1]))
     assert alone[0] is QuadratureFailure
@@ -179,9 +240,9 @@ def test_nested_stages_replay_a_failing_stack_once(monkeypatch):
     runs = []
     real = kernels._stacked
 
-    def counted(quad, f, problems):
+    def counted(quad, problems):
         runs.append(len(problems))
-        return real(quad, f, problems)
+        return real(quad, problems)
 
     monkeypatch.setattr(kernels, "_stacked", counted)
     ok = _ctx(x_b=np.array([0.7, 0.1, 0.2, 0.4]))
@@ -328,20 +389,18 @@ def test_every_stack_stage_carries_the_one_failure_order():
 def test_criterion_7_runs_its_phase_passes_as_two_lockstep_stacks(monkeypatch):
     # the 51 passes of the closed-form and zero-profile rows are one stack and
     # the 10 of the dressed braces another, each meeting its tolerances in its
-    # seeded round: one integrand call each. One pass per draw made at least
-    # 61 calls, one per pass and round
-    calls = []
-    real = kernels._stacked
+    # seeded round: one `_nodes` call each, and none besides. One pass per draw
+    # made at least 61 rounds, one per pass and round
+    stacks, real = [], kernels._stacked
 
-    def counted(quad, f, problems):
-        def integrand(x, counts):
-            calls.append(len(problems))
-            return f(x, counts)
-        return real(quad, integrand, problems)
+    def counted(quad, problems):
+        stacks.append(len(problems))
+        return real(quad, problems)
 
     monkeypatch.setattr(kernels, "_stacked", counted)
+    rounds = _rounds(monkeypatch)
     assert all(r.passed for r in verification.check_phase_integral_oracles())
-    assert calls == [51, 10]
+    assert stacks == [51, 10] and len(rounds) == 2
 
 
 # -- spin_factor --------------------------------------------------------------
