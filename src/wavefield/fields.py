@@ -68,12 +68,14 @@ def _real(name: str, value, shape=(), error=InvalidProfile):
     that axis); `error` unless it holds finite real numbers only (no strings,
     booleans, None, NaN or infinity)."""
     # fast path for what the package passes on itself (every context build and
-    # replace): a finite float, or a finite float64 array of the shape, copied
+    # replace): a finite float, or a float64 vector of the shape, copied, whose
+    # sum is finite (a NaN or infinite entry makes it NaN or infinite; finite
+    # entries that overflow it take the full check below)
     if not shape:
         if type(value) is float and math.isfinite(value):
             return value
-    elif type(value) is np.ndarray and value.dtype == np.float64 and value.ndim == len(shape) \
-            and (None in shape or value.shape == shape) and np.isfinite(value).all():
+    elif type(value) is np.ndarray and value.dtype == np.float64 and value.ndim == 1 == len(shape) \
+            and (None in shape or value.shape == shape) and math.isfinite(sum(value.tolist())):
         return value.copy()
     try:
         array = np.asarray(value)
@@ -175,7 +177,8 @@ class TabulatedProfile(PlaneWaveProfile):
         if grid.size < 4:
             raise InvalidProfile("tabulated profile needs at least 4 grid points")
         h = grid[1:] - grid[:-1]
-        if not (h > 0.0).all():
+        # the grid is finite, so no step is NaN and its least one decides
+        if not min(h.tolist()) > 0.0:
             raise InvalidProfile("tabulated phi grid must be strictly increasing")
         if a1.shape != grid.shape or a2.shape != grid.shape:
             raise InvalidProfile("tabulated component arrays must match the phi grid")
@@ -265,8 +268,9 @@ class FieldConfig:
     profile: PlaneWaveProfile = field(default_factory=ZeroProfile)
 
     def __post_init__(self):
+        stored = vars(self)     # frozen to callers: the checked values go in directly
         for name in ("g", "B"):
-            object.__setattr__(self, name, _real(name, getattr(self, name), error=RangeError))
+            stored[name] = _real(name, stored[name], error=RangeError)
         if not isinstance(self.profile, PlaneWaveProfile):
             raise RangeError(f"profile must be a PlaneWaveProfile, got {self.profile!r}")
 

@@ -98,8 +98,9 @@ class EvalContext:
     volkov_sign: int = DEFAULT_VOLKOV_SIGN
 
     def __post_init__(self):
+        stored = vars(self)     # frozen to callers: the checked values go in directly
         for name, shape in EVAL_INPUTS.items():
-            object.__setattr__(self, name, _real(name, getattr(self, name), shape, RangeError))
+            stored[name] = _real(name, stored[name], shape, RangeError)
         if not isinstance(self.cfg, FieldConfig):
             raise RangeError(f"cfg must be a FieldConfig, got {self.cfg!r}")
         if not 0.0 < self.theta <= np.pi / 2.0:
@@ -294,6 +295,11 @@ def total_potential_lowered(ctx: EvalContext, x: np.ndarray) -> np.ndarray:
 #: the coarse stencil's inner points are the fine stencil's outer ones.
 DIRAC_STEP = 0.02
 
+#: The 24 stencil offsets of `dirac_apply` from x_b: per direction mu,
+#: (4, 2, 1, -1, -2, -4) h e_mu, h the fine step.
+_DIRAC_OFFSETS = (np.array([4, 2, 1, -1, -2, -4])[:, None] * (DIRAC_STEP / 2.0)
+                  * np.eye(4)[:, None]).reshape(24, 4)
+
 
 def dirac_apply(ctx: EvalContext) -> np.ndarray:
     """Apply the gauged Dirac operator (i gamma^mu (d_mu - g A_mu) + m) in x_b.
@@ -313,13 +319,14 @@ def _dirac_applies(contexts) -> list:
     """`dirac_apply` at each context, every stencil in one `_green_batch`;
     raises the error of the earliest context that fails."""
     steps = (DIRAC_STEP, DIRAC_STEP / 2.0)
-    # per direction mu: x_b + (4, 2, 1, -1, -2, -4) h e_mu, h the fine step
-    offsets = (np.array([4, 2, 1, -1, -2, -4])[:, None] * steps[1] * np.eye(4)[:, None]).reshape(24, 4)
-    values = _green_batch([(ctx, np.concatenate([ctx.x_b[None], ctx.x_b + offsets]))
+    values = _green_batch([(ctx, np.concatenate([ctx.x_b[None], ctx.x_b + _DIRAC_OFFSETS]))
                            for ctx in contexts])
 
     def stencil(f, h):
         return (-f[:, 0] + 8 * f[:, 1] - 8 * f[:, 2] + f[:, 3]) / (12 * h)
+
+    def norms(f):       # Frobenius, per direction, as np.linalg.norm's axis=(1, 2) forms them
+        return np.sqrt(np.add.reduce((f.conj() * f).real, axis=(1, 2)))
 
     applied = []
     for ctx, (matrices, _) in zip(contexts, values):
@@ -327,8 +334,8 @@ def _dirac_applies(contexts) -> list:
         # the coarse stencil (2, 1, -1, -2) 2h is entries 0, 1, 4, 5, the fine one 1 to 4
         coarse = stencil(shifted[:, [0, 1, 4, 5]], steps[0])
         fine = stencil(shifted[:, 1:5], steps[1])
-        scale = np.maximum(np.linalg.norm(fine, axis=(1, 2)), 1e-300)
-        failed = np.flatnonzero(np.linalg.norm(coarse - fine, axis=(1, 2)) > 0.1 * scale)
+        scale = np.maximum(norms(fine), 1e-300)
+        failed = np.flatnonzero(norms(coarse - fine) > 0.1 * scale)
         if failed.size:
             raise StepCalibrationFailure(
                 f"direction {failed[0]}: steps {steps[0]} and {steps[1]} disagree beyond 10%")

@@ -41,7 +41,8 @@ focused unit test.
 Criterion 12 byte-compares two runs of the `gf` and `identities` commands (a
 run that exits non-zero or writes no output fails the row, and the detail says
 which), and compares the seeded checks' reports (criterion 2 and criterion 7's
-`check_phase_integral_oracles`) across two runs: inside `run_all` the first run
+`check_phase_integral_oracles`) across two runs, as the reprs of their rows, so
+every field counts and two NaN deviations agree: inside `run_all` the first run
 is the table's own, keyed by the check objects in `_CHECKS`, so each seeded
 check runs once more; `check_determinism()` called alone runs both. The four
 CLI runs share one temporary directory and one config file; each writes and
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,12 +95,13 @@ def _result(criterion: int, name: str, deviation: float, tolerance: float,
 
 
 def _maxabs(m) -> float:
-    return float(np.max(np.abs(m)))
+    return float(np.abs(m).max())
 
 
 def _uniforms(rng: random.Random, low: float, high: float, n: int) -> np.ndarray:
-    """n draws of rng.uniform(low, high), in order, as a float array."""
-    return np.array([rng.uniform(low, high) for _ in range(n)])
+    """n draws of rng.uniform(low, high), in order, as a float array: uniform's
+    own low + (high - low) u on each of n rng.random() draws."""
+    return np.array([low + (high - low) * rng.random() for _ in range(n)])
 
 
 # -- criterion 1 ---------------------------------------------------------
@@ -220,21 +222,20 @@ def check_phase_integral_oracles() -> list[CheckResult]:
     requests, closed = [], []       # the phase passes, and `carrier_kernel`'s arguments
     for i in range(50):
         g = rng.uniform(0.5, 1.5)
-        pl = np.array([0.0, 0.0, rng.uniform(-0.4, 0.4),
-                       rng.uniform(1.2, 2.5) * (1 if i % 8 < 4 else -1)])
-        kp = light_cone(pl)
-        phi_a = rng.uniform(-1.0, 1.0)
-        phi = rng.uniform(-1.0, 1.0)
+        p2, p3 = rng.uniform(-0.4, 0.4), rng.uniform(1.2, 2.5) * (1 if i % 8 < 4 else -1)
+        pl, kp = np.array([0.0, 0.0, p2, p3]), p2 - p3          # kp = light_cone(pl)
+        phi_a, phi = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
         kind = i % 4
         if kind == 1:
             # a line realized as a tabulated profile through collinear samples
             # (the natural spline reproduces a line exactly): one carrier at 0
-            slope = rng.uniform(0.3, 1.0)
-            offset = rng.uniform(-0.5, 0.5)
-            b = rng.uniform(0.3, 1.0)
-            grid = np.linspace(min(phi_a, phi) - 0.5, max(phi_a, phi) + 0.5, 9)
+            slope, offset, b = rng.uniform(0.3, 1.0), rng.uniform(-0.5, 0.5), rng.uniform(0.3, 1.0)
+            lo, hi = min(phi_a, phi) - 0.5, max(phi_a, phi) + 0.5
+            # np.linspace(lo, hi, 9) by its own arithmetic: k (hi - lo) / 8 + lo, then hi
+            grid = [k * ((hi - lo) / 8) + lo for k in range(8)] + [hi]
             cfg = FieldConfig(g=g, B=b, profile=TabulatedProfile(
-                phi_grid=grid, a1=offset + slope * grid, a2=np.zeros(grid.size)))
+                phi_grid=np.array(grid), a1=np.array([offset + slope * p for p in grid]),
+                a2=np.zeros(9)))
             terms = (slope / SQRT2, 0.0), (0.0, 0.0)
         else:
             a, nu = rng.uniform(0.2, 1.0), rng.uniform(0.5, 2.0)
@@ -413,7 +414,8 @@ def _stacked_points(contexts: list) -> tuple:
 
 def zero_profile_limit(contexts) -> CheckResult:
     """Each context with its profile set to zero against Schwinger's closed form."""
-    contexts = [replace(ctx, cfg=replace(ctx.cfg, profile=ZeroProfile())) for ctx in contexts]
+    contexts = [ctx if type(ctx.cfg.profile) is ZeroProfile
+                else replace(ctx, cfg=replace(ctx.cfg, profile=ZeroProfile())) for ctx in contexts]
     # production first, for every context: it raises the documented error
     # outside the domain before any oracle runs
     values = np.array([value.matrix for value in _green_functions(contexts)])
@@ -426,7 +428,7 @@ def zero_profile_limit(contexts) -> CheckResult:
 def free_field_limit(contexts) -> CheckResult:
     """Each context's endpoints and momentum in FREE_FIELD against the scalar
     free propagator times the identity."""
-    contexts = [replace(ctx, cfg=FREE_FIELD) for ctx in contexts]
+    contexts = [ctx if ctx.cfg is FREE_FIELD else replace(ctx, cfg=FREE_FIELD) for ctx in contexts]
     values = [value.matrix for value in _green_functions(contexts)]     # production first
     dev = 0.0
     for ctx, value in zip(contexts, values):
@@ -442,14 +444,12 @@ def free_field_limit(contexts) -> CheckResult:
 def _random_point(rng: random.Random) -> dict:
     """m, x_a, x_b and pL of a random context, the endpoints at least 0.3 apart
     in the transverse plane."""
-    m = rng.uniform(0.5, 1.0)
-    p2 = rng.uniform(-0.4, 0.4)
-    p3 = rng.uniform(1.5, 2.5) * (1.0 if rng.random() < 0.5 else -1.0)
-    x_a = _uniforms(rng, -0.8, 0.8, 4)
-    x_b = _uniforms(rng, -0.8, 0.8, 4)
+    m, p2, p3 = rng.uniform(0.5, 1.0), rng.uniform(-0.4, 0.4), rng.uniform(1.5, 2.5)
+    pL = np.array([0.0, 0.0, p2, p3 if rng.random() < 0.5 else -p3])
+    x_a, x_b = _uniforms(rng, -0.8, 0.8, 8).reshape(2, 4)
     while float(np.hypot(x_b[0] - x_a[0], x_b[1] - x_a[1])) < 0.3:
         x_b = _uniforms(rng, -0.8, 0.8, 4)
-    return dict(m=m, x_a=x_a, x_b=x_b, pL=np.array([0.0, 0.0, p2, p3]))
+    return dict(m=m, x_a=x_a, x_b=x_b, pL=pL)
 
 
 def _random_context(rng: random.Random, cfg: FieldConfig) -> EvalContext:
@@ -541,30 +541,29 @@ def _command_outputs(commands, config: dict) -> list:
     can pass on another's; the bytes are None for a run that exits non-zero
     or writes no output."""
     import tempfile
-    from pathlib import Path
 
     from . import cli
 
     with tempfile.TemporaryDirectory() as tmp:
-        cfg_path = Path(tmp, "run.json")
-        cfg_path.write_text(json.dumps(config))
+        config_path = f"{tmp}/run.json"
+        with open(config_path, "w") as fh:
+            fh.write(json.dumps(config))
         runs = []
         for i, command in enumerate(commands):
-            out_path = Path(tmp, f"{i}-{command}.csv")
-            sidecar = Path(f"{out_path}.json")
-            status = cli.main([command, "--config", str(cfg_path), "--out", str(out_path)])
-            written = status == 0 and out_path.exists() and sidecar.exists()
-            runs.append((status, out_path.read_bytes() + sidecar.read_bytes() if written else None))
+            out = f"{tmp}/{i}.csv"
+            status = cli.main([command, "--config", config_path, "--out", out])
+            try:
+                with open(out, "rb") as table, open(f"{out}.json", "rb") as sidecar:
+                    runs.append((status, table.read() + sidecar.read() if status == 0 else None))
+            except FileNotFoundError:
+                runs.append((status, None))
         return runs
-
-
-def _serialized(report) -> str:
-    return json.dumps([asdict(r) for r in report], sort_keys=True)
 
 
 def check_determinism(first=None) -> list[CheckResult]:
     """Criterion 12: the `gf` and `identities` CLI outputs byte-compared across
-    two invocations, and the seeded checks' reports compared across two runs.
+    two invocations, and the seeded checks' reports compared, row by row and
+    field by field, across two runs.
     `first` maps a seeded check, as `_CHECKS` holds it, to the report of a run
     already made (`run_all` passes the table's own), so that check runs once
     more here; a check it lacks runs twice."""
@@ -579,7 +578,7 @@ def check_determinism(first=None) -> list[CheckResult]:
     # looked up when called, so a wrapped check is the key `run_all` used
     for fn in (check_basis_identities, check_phase_integral_oracles):
         earlier = first[fn] if fn in first else fn()
-        if _serialized(earlier) != _serialized(fn()):
+        if repr(earlier) != repr(fn()):
             dev_checks = 1.0
     return [
         _result(12, "cli-output-bit-determinism", dev_cli, 0.0,

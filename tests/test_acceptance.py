@@ -9,7 +9,8 @@ requires exactly the listed rows of the whole `verify` table to fail;
 table must list the same entries in the same order. The criterion-12 test also
 exercises the `verify` command end to end, twice, and byte-compares its
 outputs. Criterion 12 has mutation tests too: a seeded check whose second
-report differs must fail `check-suite-determinism`, and a second `gf` run that
+report differs, in any one field, must fail `check-suite-determinism` (two NaN
+deviations are the same outcome), and a second `gf` run that
 writes other bytes, exits non-zero or writes nothing must fail
 `cli-output-bit-determinism`, both inside `run_all` (which hands criterion 12
 the table's own reports) and called alone. `run_all` is
@@ -26,7 +27,7 @@ import re
 import tempfile
 import textwrap
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -336,6 +337,35 @@ def test_criterion_12_fails_when_a_seeded_check_changes_between_runs(monkeypatch
     rows = [r for r in results if r.name == "check-suite-determinism"]
     assert len(calls) == 2
     assert len(rows) == 1 and rows[0].max_deviation == 1.0 and not rows[0].passed
+
+
+def _nan_row(**changes):
+    """A row whose deviation is a NaN of its own, with `changes` applied."""
+    return verification.CheckResult(**{"criterion": 7, "name": "row",
+                                       "max_deviation": float("nan"), "tolerance": 1e-8,
+                                       "passed": False, "detail": "detail", **changes})
+
+
+#: Per `CheckResult` field, a value that `_nan_row()` does not hold there (a
+#: number where it has NaN).
+_OTHER_VALUES = {"criterion": 8, "name": "other-row", "max_deviation": 0.0, "tolerance": 1e-7,
+                 "passed": True, "detail": "other detail"}
+
+
+@pytest.mark.parametrize("field", [None, *_OTHER_VALUES])
+def test_criterion_12_compares_every_field_of_a_report(monkeypatch, field):
+    # the re-run's report differs from the first in `field` alone; two NaN
+    # deviations, distinct objects, are the same outcome: only a changed field
+    # fails the row
+    assert list(_OTHER_VALUES) == [f.name for f in fields(verification.CheckResult)]
+
+    def rerun():
+        return [_nan_row() if field is None else _nan_row(**{field: _OTHER_VALUES[field]})]
+
+    monkeypatch.setattr(verification, "check_phase_integral_oracles", rerun)
+    rows = {r.name: r for r in verification.check_determinism({rerun: [_nan_row()]})}
+    assert rows["cli-output-bit-determinism"].passed
+    assert rows["check-suite-determinism"].passed == (field is None)
 
 
 def _on_second_call(fn, second):

@@ -184,6 +184,31 @@ def test_a_turn_count_past_the_largest_float_gives_a_documented_exit(tmp_path, c
     assert _exits_as_documented(tmp_path, _config(*changes, base=CIRCULAR), command)
 
 
+def _pulse_of_width(sigma: float) -> tuple:
+    return (("field", "profile"), {"kind": "pulse", "amplitude": 0.4, "frequency": 1.1,
+                                   "sigma": sigma})
+
+
+#: Admissible values at the edge of the floats, by command: sigma^2 is
+#: subnormal at sigma = 1e-160 and underflows to 0 at 1e-300 in the pulse
+#: envelope, and g B = 1e600 overflows `_prepare`'s constant exponent.
+_EDGE_CASES = {
+    **{f"{command}-sigma-{sigma!r}": (command, [_pulse_of_width(sigma), *extra])
+       for sigma in (1e-160, 1e-300)
+       for command, extra in (("gf", []), ("dirac", []),
+                              ("K", [(("grid",), {"param": "phi", "values": [-0.6]})]))},
+    **{f"{command}-g-B-1e300-zero-profile": (
+        command, [(("field",), {"g": 1e300, "B": 1e300, "profile": "zero"})])
+       for command in ("gf", "dirac", "limits")},
+}
+
+
+@pytest.mark.parametrize("case", _EDGE_CASES)
+def test_an_admissible_value_at_the_edge_of_the_floats_gives_a_documented_exit(tmp_path, case):
+    command, changes = _EDGE_CASES[case]
+    assert _exits_as_documented(tmp_path, _config(*changes, base=CIRCULAR), command)
+
+
 _EXTREMES = st.sampled_from([1e308, -1e308, 5e-324, 1e200])
 
 

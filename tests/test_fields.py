@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -320,3 +321,25 @@ def test_built_objects_keep_no_alias_of_the_callers_arrays():
         array[:] = 0.0
     assert profile.phi_grid.tolist() == np.linspace(-2.0, 2.0, 9).tolist()
     assert np.array_equal(np.array(profile.components(np.linspace(-1.9, 1.9, 7))), before)
+
+
+@pytest.mark.parametrize("entries", [[np.nan, 0.0, 0.2, 2.0], [0.0, 0.1, np.inf, 2.0],
+                                     [-np.inf, np.inf, 0.2, 2.0], [1e308, 1e308, 0.2, 2.0],
+                                     [-1e308, -1e308, 0.2, 2.0]],
+                         ids=["nan", "inf", "infs-of-both-signs", "sum-overflows",
+                              "sum-overflows-below"])
+def test_a_float64_vector_is_refused_exactly_when_an_entry_is_not_finite(entries):
+    # `_real`'s fast path reads a vector's sum: a NaN or infinite entry takes
+    # the full check, which refuses it naming the array; finite entries whose
+    # sum overflows take it too, which accepts them
+    value = np.array(entries)
+    ctx = dict(m=0.8, x_b=[0.6, 0.4, -0.1, 0.5], pL=[0.0, 0.0, 0.2, 2.0],
+               cfg=FieldConfig(g=0.9, B=0.5))
+    if np.isfinite(value).all():
+        assert EvalContext(x_a=value, **ctx).x_a.tolist() == entries
+        grid = np.linspace(0.0, 5.5e307, 12)     # its sum overflows too
+        assert TabulatedProfile(grid, np.zeros(12), np.zeros(12)).phi_grid.tolist() == grid.tolist()
+    else:
+        with pytest.raises(RangeError, match=r"^x_a must be a list of 4 finite real numbers, got "
+                                             + re.escape(repr(value)) + "$"):
+            EvalContext(x_a=value, **ctx)
