@@ -23,6 +23,7 @@ any oracle, so an out-of-domain context raises the production error.
 
 import inspect
 import json
+import random
 import re
 import tempfile
 import textwrap
@@ -30,6 +31,7 @@ from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wavefield import cli, conventions, green, kernels, minkowski, verification
@@ -515,3 +517,22 @@ def test_a_limit_evaluates_production_at_every_context_before_any_oracle(monkeyp
     assert calls == []
     getattr(verification, limit)([admissible])
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_the_draw_helpers_draw_as_random_uniform_does(seed):
+    # `_uniforms` and `_random_point` fold `random.Random.uniform`'s arithmetic
+    # into their own: their draws must be rng.uniform's, in order, bit for bit
+    rng, ref = random.Random(seed), random.Random(seed)
+    assert verification._uniforms(rng, -2.0, 2.0, 10).tolist() == [ref.uniform(-2.0, 2.0)
+                                                                  for _ in range(10)]
+    point = verification._random_point(rng)
+    m, p2 = ref.uniform(0.5, 1.0), ref.uniform(-0.4, 0.4)
+    p3 = ref.uniform(1.5, 2.5) * (1.0 if ref.random() < 0.5 else -1.0)
+    x_a = np.array([ref.uniform(-0.8, 0.8) for _ in range(4)])
+    x_b = np.array([ref.uniform(-0.8, 0.8) for _ in range(4)])
+    while float(np.hypot(x_b[0] - x_a[0], x_b[1] - x_a[1])) < 0.3:
+        x_b = np.array([ref.uniform(-0.8, 0.8) for _ in range(4)])
+    assert [point[key].tobytes() for key in ("x_a", "x_b", "pL")] == [
+        x_a.tobytes(), x_b.tobytes(), np.array([0.0, 0.0, p2, p3]).tobytes()]
+    assert point["m"] == m and rng.random() == ref.random()

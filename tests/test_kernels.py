@@ -476,6 +476,24 @@ def test_the_zero_profile_row_integrates_its_pass(monkeypatch):
     assert run.nodes > 0 and run.kernel_b == 0
 
 
+def test_the_tabulated_lines_of_criterion_7_lie_on_linspace_grids(monkeypatch):
+    # the check builds each line's 9 knots by np.linspace's own arithmetic on
+    # Python floats: they must be np.linspace's knots, bit for bit
+    grids = []
+
+    def spy(requests):
+        grids.extend(cfg.profile.phi_grid for cfg, *_ in requests
+                     if cfg is not verification._ZERO_SAMPLES
+                     and type(cfg.profile) is TabulatedProfile)
+        return kernels._phase_passes(requests)
+
+    monkeypatch.setattr(verification, "_phase_passes", spy)
+    verification.check_phase_integral_oracles()
+    assert len(grids) == 13
+    for grid in grids:
+        assert grid.tobytes() == np.linspace(grid[0], grid[-1], 9).tobytes()
+
+
 _PIN_PL = np.array([0.0, 0.0, 0.2, 2.0])
 _PIN_CIRCULAR = FieldConfig(g=0.9, B=0.5, profile=CircularProfile(amplitude=0.4, frequency=1.1))
 _PIN_PULSE = FieldConfig(g=0.9, B=0.5, profile=PulseProfile(amplitude=0.4, frequency=1.1, sigma=1.5))
