@@ -34,11 +34,12 @@ case of one). A stack of contexts (`_prepare`, `_green_batch`,
 `_green_functions`, `_dirac_applies`) runs their passes and then their rays
 in lockstep (`quadrature._lockstep_quad`), whose rounds form the nodes of
 all of them at once; each context's braces, rho^2 and constant come from its
-own arrays, and its ray integrand is `_block` on its own `_Ray` and nodes.
-Every context keeps the bits it has alone.
-Each of these stages returns one result per context or raises, and
-`quadrature.earliest_failure` makes a failing stack raise what its earliest
-failing context raises alone. The public functions are stacks of one.
+own arrays, and its ray is the problem `_ray` forms, `_block` on its numbers.
+Every context keeps the bits it has alone. Each stage returns one result per
+context or raises; `_green_batch` and `_dirac_applies`, like
+`kernels._phase_passes`, carry `quadrature.earliest_failure`, so a failing
+stack raises what its earliest failing context raises alone, and `_prepare`
+raises what its passes raise. The public functions are stacks of one.
 
 Absolute convergence needs dot(pL, pL) > m^2 (the longitudinal phase decays
 at large s) and distinct transverse endpoints (the kernel decays at small s);
@@ -149,7 +150,6 @@ class _Prepared:
     run: PhasePass
 
 
-@earliest_failure
 def _prepare(items) -> list:
     """`_Prepared` for each (context, far endpoints `points`, shape (n, 4)) of
     `items`: one stacked phase pass over the phases phi_b of each context's
@@ -194,25 +194,27 @@ def spin_factor(e0, ctx: EvalContext) -> np.ndarray:
     return np.multiply.outer(turns[0], pre.plus[0]) + np.multiply.outer(turns[1], pre.minus[0])
 
 
-class _Ray:
-    """A context of `_green_batch` that integrates a ray: its prepared
-    endpoints and the ray's numbers."""
+def _ray(ctx: EvalContext, pre: _Prepared, gap: float) -> tuple:
+    """The stack problem (integrand, 0, 1, options) of the ray of the context
+    `ctx` of `_green_batch` over its prepared endpoints `pre`; QuadratureFailure
+    where two transverse endpoints coincide."""
+    if np.any(pre.rho2 == 0.0):
+        raise QuadratureFailure(
+            "coincident transverse endpoints: the short-time end of the ray is log-divergent")
+    b = ctx.cfg.g * ctx.cfg.B
+    scale = 2.0 / (gap * np.sin(ctx.theta))
+    # e0 = scale u / (1 - u) ray; 0.5j gap is the e0-dependent part of the
+    # longitudinal phase
+    numbers = np.exp(1j * ctx.theta), scale, b, 0.5j * gap, pre.rho2, pre.weight
+    return partial(_block, numbers), 0.0, 1.0, dict(
+        abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol, breakpoints=[s / (s + scale) for s in RAY_SEEDS])
 
-    def __init__(self, ctx: EvalContext, pre: _Prepared, gap: float):
-        b = ctx.cfg.g * ctx.cfg.B
-        scale = 2.0 / (gap * np.sin(ctx.theta))
-        # e0 = scale u / (1 - u) ray; 0.5j gap is the e0-dependent part of the
-        # longitudinal phase
-        self.numbers = np.exp(1j * ctx.theta), scale, b, 0.5j * gap, pre.rho2, pre.weight
-        self.problem = (0.0, 1.0, dict(abs_tol=ctx.abs_tol, rel_tol=ctx.rel_tol,
-                                       breakpoints=[s / (s + scale) for s in RAY_SEEDS]))
 
-
-def _block(ray, u):
+def _block(numbers, u):
     """The ray integrand's (nodes, n, 2) values w f (q, 1), or w f (1, q) for
-    g B <= 0 (see `_green_batch`), on the nodes u of the context `ray`."""
+    g B <= 0 (see `_green_batch`), on the nodes u of the ray of `numbers`."""
     x = u[:, None]
-    turn, scale, b, rate, rho2, weight = ray.numbers
+    turn, scale, b, rate, rho2, weight = numbers
     rest = 1.0 - x
     e0 = scale * x / rest * turn
     n, c, q = folded_kernel(e0, b)
@@ -237,7 +239,9 @@ def _green_batch(items) -> list:
     per-node factors and w the braces' one norm, so each node and endpoint takes
     one exponential. M+ and M- fill disjoint columns, so the integrand's norm is
     that of G (jointly sqrt(sum |G_n|^2)) and never sees the action's phase;
-    exp(constant) / w takes the integrals I+- to G once per endpoint, after the ray."""
+    exp(constant) / w takes the integrals I+- to G once per endpoint, after the
+    ray `_ray` forms. Like `kernels._phase_passes` and `_dirac_applies`, it carries
+    `earliest_failure`; `_prepare` raises what its passes raise."""
     gaps = []
     for ctx, _ in items:
         gaps.append(ctx.mass_gap)
@@ -246,23 +250,10 @@ def _green_batch(items) -> list:
                 f"proper-time integrand needs a finite mass gap dot(pL, pL) - m^2 > 0, "
                 f"got gap {gaps[-1]!r}")
     prepared = _prepare(items)
-    for pre in prepared:
-        if np.any(pre.rho2 == 0.0):
-            raise QuadratureFailure(
-                "coincident transverse endpoints: the short-time end of the ray is "
-                "log-divergent")
-    rays = [_Ray(ctx, pre, gap) for (ctx, _), pre, gap in zip(items, prepared, gaps)
-            if pre.rho2.size]
-    # each integrand is bound here: kept on its `_Ray`, it would make a reference cycle
-    results = iter(_stacked(adaptive_quad, [(partial(_block, ray), *ray.problem) for ray in rays]))
+    results = _stacked(adaptive_quad, [_ray(ctx, pre, gap)
+                                       for (ctx, _), pre, gap in zip(items, prepared, gaps)])
     values = []
-    for pre in prepared:
-        if not pre.rho2.size:       # no endpoint: no ray to integrate
-            values.append((np.empty((0, 4, 4), complex), KernelDiagnostics(
-                error_estimate=0.0, nodes=0, prepare_nodes=pre.run.nodes,
-                prepare_error=pre.run.error_estimate)))
-            continue
-        result = next(results)
+    for pre, result in zip(prepared, results):
         i_plus, i_minus = (result.value * (np.exp(pre.constant) / pre.weight)[:, None]).T
         values.append((i_plus[:, None, None] * pre.plus + i_minus[:, None, None] * pre.minus,
                        KernelDiagnostics(error_estimate=result.error_estimate, nodes=result.nodes,

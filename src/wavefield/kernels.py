@@ -44,9 +44,9 @@ plain record of:
 phi_b) as one lockstep quadrature, whose rounds form the nodes of all of
 them at once; each pass's integrand is `_columns` on its own `_Pass` and
 nodes. `phase_pass` is its stack of one, and every pass keeps the bits it
-has alone. A failing
-stack raises what its earliest failing pass raises alone
-(`quadrature.earliest_failure`).
+has alone. A failing stack raises what its earliest failing pass raises
+alone (`quadrature.earliest_failure`, carried by `green._green_batch` and
+`green._dirac_applies` too); `green._prepare` raises what its passes raise.
 
 rot(phi - p) = rot(phi - phi_a) rot(phi_a - p) makes Y = rate rot(phi - phi_a) C(phi),
 with C the integral from phi_a of d, the eps component of rot(phi_a - p) A^p(p)
@@ -258,7 +258,7 @@ def _setup(cfg, pL, phi_a, phi_b, sign, abs_tol, rel_tol) -> tuple:
     dot(k, pL) = 0 with a non-zero profile."""
     phi_b = np.asarray(phi_b)
     shape, ends = phi_b.shape, phi_b.ravel().tolist()
-    if cfg.profile.is_zero or not ends:
+    if cfg.profile.is_zero:
         return shape, None
     # phases a few roundings apart, as (x2 + h) - x3 and x2 - (x3 - h) in a
     # dirac stencil, share one breakpoint and are read at it: everything below

@@ -19,7 +19,8 @@ value, error estimate and node count alone, and a round raises the first
 failure it meets. `adaptive_quad` is its stack of one, so there is one loop.
 The stages that run a stack of contexts on it (`kernels._phase_passes`,
 `green._prepare`, `green._green_batch`, `green._dirac_applies`) return one
-result per context or raise; `earliest_failure` gives them one failure
+result per context or raise; all but `green._prepare`, which raises what
+its passes raise, carry `earliest_failure`, which gives them one failure
 order, the outermost stage running a failing stack again item by item so
 that its earliest failing item raises exactly what it raises alone.
 

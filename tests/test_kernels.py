@@ -9,7 +9,7 @@ from wavefield import kernels, verification
 from wavefield.errors import DivisionByZero, RangeError
 from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, PlaneWaveProfile,
                               PulseProfile, TabulatedProfile, ZeroProfile)
-from wavefield.green import EvalContext, _green_batch, _prepare, spin_factor
+from wavefield.green import EvalContext, _prepare, spin_factor
 from wavefield.kernels import phase_pass
 from wavefield.minkowski import WAVE_K, dot
 from wavefield.oracles import carrier_kernel, cross_phase_nested, drift_nested, free_kernel
@@ -218,12 +218,6 @@ def test_an_empty_set_of_phases_gives_empty_fields(profile):
     run = phase_pass(cfg, pL, 0.1, np.array([]))
     assert (np.shape(run.action), run.drift.shape, np.shape(run.kernel_b)) == ((0,), (0, 2), (0,))
     assert run.nodes == 0
-    ctx = EvalContext(m=0.8, x_a=np.array([0.1, -0.2, 0.3, 0.05]),
-                      x_b=np.array([0.7, 0.4, 0.9, 0.2]), pL=pL, cfg=cfg)
-    # and no endpoint integrates no ray
-    matrices, diag = _green_batch([(ctx, np.empty((0, 4)))])[0]
-    assert matrices.shape == (0, 4, 4)
-    assert (diag.nodes, diag.prepare_nodes) == (0, 0)
 
 
 def test_phase_pass_reads_repeated_phases_once():

@@ -6,17 +6,19 @@ integral still running, and `kernels._phase_passes`, `green._prepare`,
 `green._green_batch` and `green._dirac_applies` send a stack of contexts
 through it. Each problem of a stack carries its own integrand, which
 evaluates it on its own slice of those nodes with the code that evaluates
-it alone, so it must keep the bits of what it gives alone: its value, error
-estimate and node count, its `PhasePass` fields, its matrices and its
-`KernelDiagnostics`. Each of these stages
-returns one result per context or raises, and one helper,
-`quadrature.earliest_failure`, gives them the failure order: a failing
+it alone (a ray's problem is the one `green._ray` forms), so it must keep
+the bits of what it gives alone: its value, error estimate and node count,
+its `PhasePass` fields, its matrices and its `KernelDiagnostics`. Each of
+these stages returns one result per context or raises. Three of them,
+`_phase_passes`, `_green_batch` and `_dirac_applies`, carry one helper,
+`quadrature.earliest_failure`, which gives the failure order: a failing
 context raises exactly what it raises alone, and of several failing
 contexts the earliest in stack order wins, whatever round each fails in.
-The stages nest, and only the outermost replays a failing stack. The guard
-tests check that every stage carries that helper and that `verify`
-evaluates criterion 7's phase passes as two stacks of one round each,
-counted by their `_nodes` calls.
+`_prepare` adds only arithmetic to its stack of passes, so it raises what
+they raise. The stages nest, and only the outermost replays a failing
+stack. The guard tests check that exactly those three stages carry that
+helper and that `verify` evaluates criterion 7's phase passes as two
+stacks of one round each, counted by their `_nodes` calls.
 """
 
 import warnings
@@ -27,7 +29,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wavefield import green, kernels, quadrature, verification
+from wavefield import cli, fields, green, kernels, oracles, quadrature, verification
 from wavefield.errors import DivisionByZero, QuadratureFailure, RangeError
 from wavefield.fields import (CircularProfile, FieldConfig, LinearProfile, PulseProfile,
                               TabulatedProfile, ZeroProfile)
@@ -234,9 +236,10 @@ def test_a_failing_context_raises_in_a_stack_what_it_raises_alone(name):
 
 
 def test_nested_stages_replay_a_failing_stack_once(monkeypatch):
-    # the pass of the node-cap context fails four stages deep: only the
-    # outermost stage replays, so the passes run as the stack, then the
-    # ok context alone, then the failing one alone
+    # the pass of the node-cap context fails inside `_dirac_applies`,
+    # `_green_batch` and `_prepare`: only the outermost stage replays, so the
+    # passes run as the stack, then the ok context alone, then the failing
+    # one alone
     runs = []
     real = kernels._stacked
 
@@ -264,24 +267,28 @@ def _request(ctx):
 
 
 #: dot(k, pL) = 0 with a wave: the pass raises DivisionByZero before any round.
-_KP_ZERO = _request(_ctx(pL=np.array([0.0, 0.0, 2.0, 2.0])))
+_KP_ZERO = _ctx(pL=np.array([0.0, 0.0, 2.0, 2.0]))
 
 
+@pytest.mark.parametrize("stage", [_phase_passes, green._prepare], ids=["passes", "prepare"])
 @pytest.mark.parametrize("name", ["kp-zero", "grid-miss", "node-cap"])
-def test_a_failing_pass_raises_in_a_stack_what_it_raises_alone(name):
-    failing = _KP_ZERO if name == "kp-zero" else _request(_FAILING[name])
-    alone = _outcome(lambda: phase_pass(*failing))
+def test_a_failing_pass_raises_in_a_stack_what_it_raises_alone(name, stage):
+    # `_prepare` takes each context as (ctx, ctx.x_b) and raises what its passes raise
+    def item(ctx):
+        return _request(ctx) if stage is _phase_passes else (ctx, ctx.x_b)
+
+    failing = _KP_ZERO if name == "kp-zero" else _FAILING[name]
+    alone = _outcome(lambda: phase_pass(*_request(failing)))
     assert alone[0] is {"kp-zero": DivisionByZero, "grid-miss": RangeError,
                         "node-cap": QuadratureFailure}[name]
-    ok = _request(_ctx())
-    assert _outcome(lambda: _phase_passes([ok, failing, ok])) == alone
+    ok = item(_ctx())
+    assert _outcome(lambda: stage([ok, item(failing), ok])) == alone
     # before a context that fails in a later round, or fails before any
-    for other in (_KP_ZERO, _request(_FAILING["grid-miss"]), _request(_FAILING["node-cap"])):
-        assert _outcome(lambda: _phase_passes([failing, other])) == alone
+    for other in (_KP_ZERO, _FAILING["grid-miss"], _FAILING["node-cap"]):
+        assert _outcome(lambda: stage([item(failing), item(other)])) == alone
 
 
 def test_limits_exits_4_on_a_gap_below_threshold_before_any_oracle(tmp_path, monkeypatch):
-    from wavefield import cli
     calls = []
     for name in ("zero_profile_green", "free_propagator", "free_kernel"):
         real = getattr(verification, name)
@@ -379,9 +386,15 @@ def test_every_stack_stage_carries_the_one_failure_order():
     # the stages keep no failure bookkeeping of their own: each is wrapped by
     # `earliest_failure`, and the (results, failure) protocol's `settled` is gone
     helper = earliest_failure(list).__code__
-    for stage in (kernels._phase_passes, green._prepare, green._green_batch, green._dirac_applies):
+    for stage in (kernels._phase_passes, green._green_batch, green._dirac_applies):
         assert stage.__code__ is helper
         assert stage.__wrapped__.__name__ == stage.__name__
+    # and no other function of the package: `_prepare` raises what its passes raise
+    carriers = {(fn.__module__, fn.__name__)
+                for module in (cli, fields, green, kernels, oracles, quadrature, verification)
+                for fn in vars(module).values() if getattr(fn, "__code__", None) is helper}
+    assert carriers == {("wavefield.kernels", "_phase_passes"), ("wavefield.green", "_green_batch"),
+                        ("wavefield.green", "_dirac_applies")}
     assert not hasattr(quadrature, "settled")
 
 

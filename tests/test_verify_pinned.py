@@ -6,9 +6,20 @@ last bit) and detail. The values were recorded with numpy 2.4.6 on x86-64
 Linux. Each seeded check draws from its own `random.Random(seed)` and hands
 its draws to production and to its oracles in a fixed order, so a change that
 alters a draw, the order of an arithmetic step or a row's text moves a pin.
+
+A row's deviation can hold while a draw moves, so every argument that
+`run_all()` hands to production and to the oracles is pinned too, as one
+SHA-256 over their fields in call order.
 """
 
+import dataclasses
+import hashlib
+import types
+
+import numpy as np
+
 from wavefield import verification
+from wavefield.fields import PlaneWaveProfile
 
 #: (criterion, name, tolerance, passed, repr(max_deviation), detail), in table order.
 PINNED = [
@@ -68,3 +79,73 @@ def test_verify_table_matches_pinned_rows():
     assert [row[1] for row in rows] == [pin[1] for pin in PINNED]
     for row, pin in zip(rows, PINNED):
         assert row == pin, pin[1]
+
+
+#: The production and oracle functions that `verification` calls, by the names
+#: it binds them to.
+RECORDED = ("_phase_passes", "_prepare", "_green_functions", "_dirac_applies",
+            "total_potential_lowered", "folded_kernel",
+            "carrier_kernel", "cross_phase_closed", "cross_phase_nested", "dressed_braces",
+            "sliced_kernel", "free_kernel", "free_propagator", "zero_profile_green",
+            "zero_profile_gradient")
+
+#: SHA-256 of every recorded call of one `run_all()`, in call order.
+PINNED_DRAWS = "b4a0893992b730044dc0ec46d4a2931c2ba0deea0902aaa6244445305fdfcc2c"
+
+
+def _feed(digest, value):
+    """Feed `value` to `digest` field by field: arrays and numbers by dtype,
+    shape and bytes, profiles by kind and every field (knots included),
+    dataclasses by their fields, a bound method by its name and its object.
+    Anything else raises TypeError, so no value enters by its address."""
+    def tag(*words):
+        digest.update(repr(words).encode())
+
+    if isinstance(value, (bool, int, float, complex, np.generic, np.ndarray)):
+        array = np.asarray(value)
+        if array.dtype == object:
+            raise TypeError(f"object array {array!r}")
+        tag("array", array.dtype.str, array.shape)
+        digest.update(np.ascontiguousarray(array).tobytes())
+    elif isinstance(value, str):
+        tag("str", value)
+    elif isinstance(value, (list, tuple)):
+        tag(type(value).__name__, len(value))
+        for item in value:
+            _feed(digest, item)
+    elif isinstance(value, dict):
+        tag("dict", len(value))
+        for key, item in value.items():
+            _feed(digest, key)
+            _feed(digest, item)
+    elif isinstance(value, PlaneWaveProfile):
+        fields = {"knots": value.knots, **vars(value)}
+        tag("profile", value.kind, sorted(fields))
+        for name in sorted(fields):
+            _feed(digest, fields[name])
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        tag(type(value).__name__)
+        for field in dataclasses.fields(value):
+            _feed(digest, getattr(value, field.name))
+    elif isinstance(value, types.MethodType):
+        tag("method", value.__name__)
+        _feed(digest, value.__self__)
+    else:
+        raise TypeError(f"no field-by-field form for {type(value).__name__}")
+
+
+def test_every_draw_verify_hands_over_matches_its_pin(monkeypatch):
+    digest, calls = hashlib.sha256(), []
+
+    def recorded(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            _feed(digest, (name, args, kwargs))
+            return real(*args, **kwargs)
+        return call
+
+    for name in RECORDED:
+        monkeypatch.setattr(verification, name, recorded(name, getattr(verification, name)))
+    verification.run_all()
+    assert set(calls) == set(RECORDED)
+    assert digest.hexdigest() == PINNED_DRAWS
