@@ -115,8 +115,9 @@ def _parse_grid(raw, path: str):
     if not isinstance(values, list) or not values:
         raise SchemaError(f"{path}.values", "expected a non-empty list of numbers")
     out = [_real_at(f"{path}.values[{i}]", item) for i, item in enumerate(values)]
-    diffs = np.diff(out)
-    if len(out) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
+    # neighbours compared directly: a difference of two finite values may overflow
+    pairs = list(zip(out, out[1:]))
+    if pairs and not (all(a < b for a, b in pairs) or all(a > b for a, b in pairs)):
         raise RangeError(f"{path}.values must be strictly monotone")
     return param, tuple(out)
 

@@ -125,8 +125,10 @@ class EvalContext:
 
     @property
     def mass_gap(self) -> float:
-        # numpy's power, the same pow as float's, gives inf where float's raises OverflowError
-        return float(longitudinal_dot(self.pL, self.pL) - np.float64(self.m) ** 2)
+        # numpy's power, the same pow as float's, gives inf where float's raises
+        # OverflowError; an infinite or nan gap is refused before the phase pass
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(longitudinal_dot(self.pL, self.pL) - np.float64(self.m) ** 2)
 
 
 @dataclass(frozen=True)
@@ -160,20 +162,22 @@ def _prepare(items) -> list:
     runs = _phase_passes([(ctx.cfg, ctx.pL, ctx.phi_a, light_cone(points),
                            ctx.volkov_sign, ctx.abs_tol, ctx.rel_tol) for ctx, points in items])
     prepared = []
-    for (ctx, points), run in zip(items, runs):
-        kernel, drift, x_a, g, B = run.kernel_b, run.drift, ctx.x_a, ctx.cfg.g, ctx.cfg.B
-        far, near = points[:, :2] - drift, x_a[:2] - drift
-        # pL has no transverse slots (EvalContext), so the first term is i pL.dx^L;
-        # the last is the action's boundary term and the magnetic gauge phase in one
-        constant = 1j * longitudinal_dot(ctx.pL, points - x_a) - 0.5j * g * run.action \
-            + 0.5j * g * B * (far[:, 0] * near[:, 1] - far[:, 1] * near[:, 0])
-        # P+ fills columns 0 and 2 only and P- columns 1 and 3, so M+ and M- are
-        # orthogonal and |I+ M+ + I- M-| = w |(I+, I-)|
-        prepared.append(_Prepared(
-            rho2=(far[:, 0] - x_a[0]) ** 2 + (far[:, 1] - x_a[1]) ** 2, constant=constant,
-            plus=P_PLUS - np.multiply.outer(kernel, D_PLUS),
-            minus=P_MINUS - np.multiply.outer(kernel.conjugate(), D_MINUS),
-            weight=np.sqrt(_P2 + _D2 * (kernel.real ** 2 + kernel.imag ** 2)), run=run))
+    # a constant or a weight past the float range is refused before the ray (`_ray`)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (ctx, points), run in zip(items, runs):
+            kernel, drift, x_a, g, B = run.kernel_b, run.drift, ctx.x_a, ctx.cfg.g, ctx.cfg.B
+            far, near = points[:, :2] - drift, x_a[:2] - drift
+            # pL has no transverse slots (EvalContext), so the first term is i pL.dx^L;
+            # the last is the action's boundary term and the magnetic gauge phase in one
+            constant = 1j * longitudinal_dot(ctx.pL, points - x_a) - 0.5j * g * run.action \
+                + 0.5j * g * B * (far[:, 0] * near[:, 1] - far[:, 1] * near[:, 0])
+            # P+ fills columns 0 and 2 only and P- columns 1 and 3, so M+ and M- are
+            # orthogonal and |I+ M+ + I- M-| = w |(I+, I-)|
+            prepared.append(_Prepared(
+                rho2=(far[:, 0] - x_a[0]) ** 2 + (far[:, 1] - x_a[1]) ** 2, constant=constant,
+                plus=P_PLUS - np.multiply.outer(kernel, D_PLUS),
+                minus=P_MINUS - np.multiply.outer(kernel.conjugate(), D_MINUS),
+                weight=np.sqrt(_P2 + _D2 * (kernel.real ** 2 + kernel.imag ** 2)), run=run))
     return prepared
 
 
@@ -197,10 +201,14 @@ def spin_factor(e0, ctx: EvalContext) -> np.ndarray:
 def _ray(ctx: EvalContext, pre: _Prepared, gap: float) -> tuple:
     """The stack problem (integrand, 0, 1, options) of the ray of the context
     `ctx` of `_green_batch` over its prepared endpoints `pre`; QuadratureFailure
-    where two transverse endpoints coincide."""
+    where two transverse endpoints coincide, or where a constant exponent or a
+    brace norm is not finite, which would leave G not finite after the ray."""
     if np.any(pre.rho2 == 0.0):
         raise QuadratureFailure(
             "coincident transverse endpoints: the short-time end of the ray is log-divergent")
+    if not (np.isfinite(pre.constant).all() and np.isfinite(pre.weight).all()):
+        raise QuadratureFailure(
+            "the constant exponent of the classical action or the braces' norm is not finite")
     b = ctx.cfg.g * ctx.cfg.B
     scale = 2.0 / (gap * np.sin(ctx.theta))
     # e0 = scale u / (1 - u) ray; 0.5j gap is the e0-dependent part of the

@@ -42,11 +42,12 @@ plain record of:
 
 `_phase_passes` runs a stack of passes (each its own context, phi_a and
 phi_b) as one lockstep quadrature, whose rounds form the nodes of all of
-them at once; each pass's integrand is `_columns` on its own `_Pass` and
-nodes. `phase_pass` is its stack of one, and every pass keeps the bits it
-has alone. A failing stack raises what its earliest failing pass raises
-alone (`quadrature.earliest_failure`, carried by `green._green_batch` and
-`green._dirac_applies` too); `green._prepare` raises what its passes raise.
+them at once; each `_Pass` finishes its problem at set-up, `_columns` bound
+to what it reads and writes. `phase_pass` is its stack of one, and every
+pass keeps the bits it has alone. A failing stack raises what its earliest
+failing pass raises alone (`quadrature.earliest_failure`, carried by
+`green._green_batch` and `green._dirac_applies` too); `green._prepare`
+raises what its passes raise.
 
 rot(phi - p) = rot(phi - phi_a) rot(phi_a - p) makes Y = rate rot(phi - phi_a) C(phi),
 with C the integral from phi_a of d, the eps component of rot(phi_a - p) A^p(p)
@@ -208,36 +209,34 @@ def phase_pass(cfg: FieldConfig, pL: np.ndarray, phi_a: float, phi_b,
 
 
 class _Pass:
-    """A context of `_phase_passes` that needs a quadrature: its profile,
-    phases, numbers, quadrature problem and the boundary terms its last
-    round read."""
+    """A context of `_phase_passes` that needs a quadrature: its numbers, its
+    finished problem (f, a, b, options) and the boundary terms its last round read."""
 
     def __init__(self, cfg, kp, phi_a, reads, ends, hull, sign, abs_tol, rel_tol):
         rate, beta = cfg.g / kp, cfg.g * cfg.B / kp          # beta = rate B turns the drift
-        self.profile, self.reads, self.ends, self.sign = cfg.profile, reads, ends, sign
+        self.reads, self.ends, self.sign, self.boundary = reads, ends, sign, []
         # the turns of d's exponential and of K's, and the action's factor
         self.numbers = 1j * beta, 1j * sign * beta, beta, phi_a, 2.0 * rate
         # K's scale and the drift's
         self.scale, self.turn = cfg.g / (2.0 * kp), float(SQRT2) * rate
         # K's boundary term e^{i sign beta phi} dot(eps, A^p(phi)) at phi_a and at each
         # read, from the profile read that each round makes
-        self.phases, self.boundary = np.array([phi_a, *reads]), []
-        self.problem = (hull[0], hull[-1], dict(abs_tol=abs_tol * _SUB_TOLERANCE,
-                                                rel_tol=rel_tol * _SUB_TOLERANCE,
-                                                breakpoints=_seeds(cfg.profile, hull, beta)))
+        self.problem = (partial(_columns, cfg.profile, self.numbers, np.array([phi_a, *reads]),
+                                self.boundary), hull[0], hull[-1],
+                        dict(abs_tol=abs_tol * _SUB_TOLERANCE, rel_tol=rel_tol * _SUB_TOLERANCE,
+                             breakpoints=_seeds(cfg.profile, hull, beta)))
 
 
-def _columns(job, x):
-    """The three columns of `phase_pass` on the nodes x of the context `job`,
-    stacked on axis 0, from its profile read once at x and its boundary
-    phases; sets the job's boundary terms. A profile read's RangeError
-    propagates."""
-    n, read = x.size, np.concatenate((x, job.phases))
-    a1, a2 = job.profile.components(read)
-    turn_d, turn_k, beta, phi_a, density = job.numbers
+def _columns(profile, numbers, phases, boundary, x):
+    """The three columns of `phase_pass` on the nodes x, stacked on axis 0, from
+    `profile` read once at x and at the boundary `phases`; sets `boundary` to
+    the boundary terms read. A profile read's RangeError propagates."""
+    n, read = x.size, np.concatenate((x, phases))
+    a1, a2 = profile.components(read)
+    turn_d, turn_k, beta, phi_a, density = numbers
     ia2 = 1j * a2
     turned, dotted = np.exp(turn_k * read), a1 + ia2
-    job.boundary[:] = (turned[n:] * dotted[n:] / SQRT2).tolist()
+    boundary[:] = (turned[n:] * dotted[n:] / SQRT2).tolist()
     # d: the eps component of rot(phi_a - x) A^p(x)
     d = np.exp(turn_d * (x - phi_a)) * (a1 - ia2)[:n] / SQRT2
     # C - C(panel's left edge), one CUMULATIVE product per panel, on the
@@ -284,9 +283,7 @@ def _phase_passes(requests) -> list:
     the bits of its own alone."""
     setups = [_setup(*request) for request in requests]
     jobs = [job for _, job in setups if job]
-    # each integrand is bound here: kept on its `_Pass`, it would make a reference cycle
-    quads, passes = iter(_stacked(adaptive_quad, [(partial(_columns, job), *job.problem)
-                                                  for job in jobs])), []
+    quads, passes = iter(_stacked(adaptive_quad, [job.problem for job in jobs])), []
     for shape, job in setups:
         if job is None:
             passes.append(_nothing(shape))
@@ -295,7 +292,7 @@ def _phase_passes(requests) -> list:
         turn_d, _, beta, phi_a, density = job.numbers
         reads, sign, boundary = job.reads, job.sign, job.boundary
         # a handful of panels and endpoints: the bookkeeping runs on Python scalars
-        lefts = [lo for lo, _, _ in quad.panels] + [job.problem[1]]
+        lefts = [lo for lo, _, _ in quad.panels] + [job.problem[2]]
         # the running sums of the panel values at each panel edge, from zero
         running = [[0j, 0j, 0j]]
         for _, _, value in quad.panels:

@@ -8,15 +8,16 @@ Rounds: the integrand is called once per subdivision round, on the 15 Kronrod
 nodes of every panel of the round joined panel after panel: first the seeded
 panels, then the halves of every panel that round bisects. One stacked weights
 product per round applies the rule to all of them; it runs the same product
-per panel, so each panel's value keeps the bits of that panel evaluated alone.
+per panel, so each panel's value keeps the bits of that panel evaluated alone,
+and `_Problem.advance` takes the round's panels, values and errors at once.
 
 Stacks: the private `_lockstep_quad` runs a stack of independent integrals in
 lockstep, each with its own integrand, panels, heap, running sums, node cap
 and stopping rule. One `_nodes` call per round forms the nodes of every
-integral still running; each integral's integrand takes its own slice of
-them and the rule runs on its own panels, so each keeps the bits of its
-value, error estimate and node count alone, and a round raises the first
-failure it meets. `adaptive_quad` is its stack of one, so there is one loop.
+integral still running; one pass in stack order then runs each integrand on
+its own slice and the rule on its own panels and advances it, so each keeps
+the bits it has alone, and a round stops at its earliest failing integral.
+`adaptive_quad` is its stack of one, so there is one loop.
 The stages that run a stack of contexts on it (`kernels._phase_passes`,
 `green._prepare`, `green._green_batch`, `green._dirac_applies`) return one
 result per context or raise; all but `green._prepare`, which raises what
@@ -125,11 +126,11 @@ def _rule(halves, stack):
 
 class _Problem:
     """One integral of a lockstep stack: its integrand, tolerances, node cap,
-    panels (a heap by error), running sums, the panels its next round
-    evaluates and the rule's values and errors on them."""
+    panels (a heap by error), running sums and the panels its next round
+    evaluates."""
 
     __slots__ = ("f", "sign", "abs_tol", "rel_tol", "node_cap", "heap", "nodes", "err_sum",
-                 "value_sum", "pending", "fit", "rule")
+                 "value_sum", "pending")
 
     def __init__(self, f, a, b, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL,
                  node_cap=NODE_CAP, breakpoints=None):
@@ -148,10 +149,10 @@ class _Problem:
         return QuadratureFailure(f"{reason} (error estimate {self.err_sum:.3e})",
                                  error_estimate=self.err_sum, nodes=self.nodes)
 
-    def advance(self):
-        """Take the round's rule on `fit` and set the next round's panels (none
-        when done), or raise the failure."""
-        fit, (values, errors) = self.fit, self.rule
+    def advance(self, fit, values, errors):
+        """Take the rule's `values` and `errors` on `fit`, the pending panels
+        this round admitted, and set the next round's panels (none when done),
+        or raise the failure."""
         heap, nodes, err_sum, value_sum = self.heap, self.nodes, self.err_sum, self.value_sum
         for (lo, hi), kron, err in zip(fit, values, errors):
             nodes += 15
@@ -192,35 +193,31 @@ def _lockstep_quad(problems) -> list:
     options) tuple, options a dict of `adaptive_quad`'s keyword arguments, in
     lockstep: every problem keeps its own integrand f, panels, heap, running
     sums, node cap and stopping rule. Each round forms the nodes of every
-    running problem in one `_nodes` call; each problem's f maps its own slice
-    of them, the nodes `adaptive_quad` would hand it alone, to their values
-    stacked on axis 0, and the rule runs on that problem's panels. So each
-    problem keeps the bits of its value, error estimate and node count alone.
+    running problem in one `_nodes` call, then takes the problems in stack
+    order: f maps the problem's own slice of them, the nodes `adaptive_quad`
+    would hand it alone, to their values stacked on axis 0, and the problem
+    advances on the rule's values on its panels at once. So each problem keeps
+    the bits of its value, error estimate and node count alone.
 
-    Returns every problem's QuadratureResult, or raises the first failure a
-    round meets (`earliest_failure` finds the earliest in stack order)."""
+    Returns every problem's QuadratureResult, or raises the failure of the
+    round's earliest failing problem before the next integrand runs
+    (`earliest_failure` finds the earliest in stack order)."""
     live = stack = [_Problem(f, a, b, **options) for f, a, b, options in problems]
     # non-finite values, and sums or norms past the float range, are refused below
     with np.errstate(over="ignore", invalid="ignore"):
         while live:
-            intervals = []
-            for problem in live:
-                # the pending panels that the node cap admits (breakpoints may seed more)
-                problem.fit = problem.pending[:(problem.node_cap - problem.nodes) // 15]
-                intervals += problem.fit
+            # the pending panels that each node cap admits (breakpoints may seed more)
+            fits = [problem.pending[:(problem.node_cap - problem.nodes) // 15] for problem in live]
+            intervals = [panel for fit in fits for panel in fit]
             halves, nodes = _nodes(intervals) if intervals else (None, None)
             first = 0
-            for problem in live:
+            for problem, fit in zip(live, fits):
                 # its own rows of halves and its own slice of the nodes
-                last = first + len(problem.fit)
-                if problem.fit:
-                    problem.rule = _rule(halves[first:last], np.ascontiguousarray(
-                        problem.f(nodes[15 * first:15 * last]), dtype=complex))
-                else:       # no panel fits: it fails below
-                    problem.rule = (), ()
+                last = first + len(fit)
+                values, errors = _rule(halves[first:last], np.ascontiguousarray(
+                    problem.f(nodes[15 * first:15 * last]), dtype=complex)) if fit else ((), ())
+                problem.advance(fit, values, errors)        # no panel fits: it fails here
                 first = last
-            for problem in live:
-                problem.advance()
             live = [problem for problem in live if problem.pending]
     return [problem.result() for problem in stack]
 

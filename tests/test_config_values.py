@@ -107,11 +107,15 @@ def _gf(directory: Path, content: bytes, command: str = "gf"):
 
 
 def _exits_as_documented(directory: Path, config, command: str = "gf") -> bool:
-    """Whether `command` on `config` exits with a documented code."""
+    """Whether `command` on `config` exits with a documented code, a `gf` or
+    `dirac` that exits 0 having written only finite cells."""
     # the CLI runs under the default warning filters: an overflow warns, it does not raise
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        status, _ = _gf(directory, json.dumps(config).encode(), command)
+        status, out = _gf(directory, json.dumps(config).encode(), command)
+    if status == 0 and command in ("gf", "dirac"):
+        return all(math.isfinite(float(cell)) for line in out.read_text().splitlines()[1:]
+                   for cell in line.split(","))
     return status in (0, 2, 3, 4, 5)
 
 
@@ -220,3 +224,43 @@ def test_extreme_values_in_two_slots_at_once_give_a_documented_exit(
     # an overflow may need two large values at once, as a frequency times a span
     config = _config((paths[0], first), (paths[1], second))
     assert _exits_as_documented(tmp_path_factory.mktemp("slots"), config)
+
+
+#: A config without a grid block: its one point is `eval`'s own.
+_POINT = {key: value for key, value in CIRCULAR.items() if key != "grid"}
+
+#: Admissible points whose G is not finite: pL.dx^L, the gauge term or the
+#: drift's phase difference overflows in the constant exponent.
+_NOT_FINITE = {
+    "pL-dx-overflows": [(("field", "profile"), "zero"),
+                        (("eval", "x_b"), [0.6, 0.4, 1.7e308, 0.5]),
+                        (("eval", "pL"), [0.0, 0.0, 2.0, 3.0])],
+    "gauge-term-overflows": [(("eval", "x_a", 0), 1e308), (("eval", "x_b", 1), 1e308)],
+    "drift-phase-overflows": [(("field", "profile", "amplitude"), 5e-324),
+                              (("eval", "x_b", 3), 1e308)],
+}
+
+
+@pytest.mark.parametrize("command", ["gf", "dirac", "limits"])
+@pytest.mark.parametrize("case", _NOT_FINITE)
+def test_a_g_that_is_not_finite_exits_4_without_a_table(tmp_path, capsys, case, command):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, out = _gf(tmp_path, json.dumps(_config(*_NOT_FINITE[case], base=_POINT)).encode(),
+                          command)
+    assert status == 4 and not out.exists()
+    err = capsys.readouterr().err
+    assert err and all(line.startswith("error: ") for line in err.splitlines())
+
+
+@pytest.mark.parametrize("changes", [
+    [(("grid",), {"param": "pL3", "values": [-1.7e308, 1.7e308]})],
+    [(("eval", "pL"), [0.0, 0.0, 0.2, 1e200])]], ids=["pL3-grid", "pL-1e200"])
+def test_an_overflow_in_the_input_checks_exits_4_naming_the_gap(tmp_path, capsys, changes):
+    # the grid's monotonicity and the mass gap overflow: refused, not a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, out = _gf(tmp_path, json.dumps(_config(*changes, base=_POINT)).encode())
+    assert status == 4 and not out.exists()
+    assert capsys.readouterr().err == ("error: proper-time integrand needs a finite mass gap "
+                                       "dot(pL, pL) - m^2 > 0, got gap inf\n")

@@ -6,13 +6,16 @@ integral still running, and `kernels._phase_passes`, `green._prepare`,
 `green._green_batch` and `green._dirac_applies` send a stack of contexts
 through it. Each problem of a stack carries its own integrand, which
 evaluates it on its own slice of those nodes with the code that evaluates
-it alone (a ray's problem is the one `green._ray` forms), so it must keep
-the bits of what it gives alone: its value, error estimate and node count,
-its `PhasePass` fields, its matrices and its `KernelDiagnostics`. Each of
-these stages returns one result per context or raises. Three of them,
-`_phase_passes`, `_green_batch` and `_dirac_applies`, carry one helper,
-`quadrature.earliest_failure`, which gives the failure order: a failing
-context raises exactly what it raises alone, and of several failing
+it alone (a ray's problem is the one `green._ray` forms, a pass's the one
+its `kernels._Pass` finishes at set-up), so it must keep the bits of what
+it gives alone: its value, error estimate and node count, its `PhasePass`
+fields, its matrices and its `KernelDiagnostics`. One pass per round runs
+each problem's integrand and advances that problem, in stack order, so a
+round raises its earliest failing problem's failure and runs no integrand
+after it. Each of these stages returns one result per context or raises.
+Three of them, `_phase_passes`, `_green_batch` and `_dirac_applies`, carry
+one helper, `quadrature.earliest_failure`, which gives the failure order: a
+failing context raises exactly what it raises alone, and of several failing
 contexts the earliest in stack order wins, whatever round each fails in.
 `_prepare` adds only arithmetic to its stack of passes, so it raises what
 they raise. The stages nest, and only the outermost replays a failing
@@ -176,6 +179,23 @@ def test_the_earliest_failure_in_stack_order_wins_whatever_its_round(order):
     assert _outcome(lambda: _quads(stack)) == alone
     # the runner alone raises the first failure a round meets: the early one
     assert _outcome(lambda: _quads.__wrapped__(stack)) == _outcome(_alone(early))
+
+
+def test_a_round_stops_at_its_earliest_failing_problem():
+    # the first problem's cap admits one of its two seeded panels, so it fails
+    # in the first round; the round advances each problem right after its own
+    # integrand, so the second integrand never runs
+    calls = []
+
+    def refuses(x):
+        calls.append(x.size)
+        raise RangeError("a later integrand of the round ran")
+
+    first = (np.cos, 0.0, 1.0, dict(node_cap=15, breakpoints=[0.5]))
+    alone = _outcome(_alone(first))
+    assert alone[0] is QuadratureFailure and alone[1].startswith("node budget 15 exhausted")
+    assert _outcome(lambda: _lockstep_quad([first, (refuses, 0.0, 1.0, {})])) == alone
+    assert calls == []
 
 
 def test_a_failing_stack_runs_again_item_by_item_up_to_the_first_failure():
