@@ -13,13 +13,12 @@ from .errors import QuadratureFailure, RangeError, WavefieldError
 from .fields import (CircularProfile, FieldConfig, LinearProfile, PulseProfile,
                      TabulatedProfile, ZeroProfile)
 from .green import EvalContext, dirac_apply, green_function, spin_factor
-from .quadrature import adaptive_quad
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CircularProfile", "EvalContext", "FieldConfig", "LinearProfile", "PulseProfile",
     "QuadratureFailure", "RangeError", "TabulatedProfile", "WavefieldError", "ZeroProfile",
-    "adaptive_quad", "dirac_apply", "green_function", "spin_factor",
+    "dirac_apply", "green_function", "spin_factor",
     "__version__",
 ]

@@ -15,6 +15,9 @@ a rejected one names its JSON path (`field`, `eval.x_a`, `grid.values[1]`;
 `$`: a config that cannot be decoded or is not an object).
 
 `run` checks the grid against the one `_COMMANDS` declares for the command.
+`gf` and `dirac` evaluate their grid point by point, and `K` its phases as
+one stack of phase passes. Only the check commands import `verification`,
+and with it `oracles`, whose rule tables are built at import.
 Exit codes, each declared as `exit_code` on its `errors` class: 0 ok, 2 config/schema,
 3 numeric singularity, 4 quadrature or step-calibration failure, 5 verification failure.
 """

@@ -9,8 +9,20 @@ its two components, each shaped like phi, at a phase or an array of them
 kind also declares where it is not smooth (`knots`) and how fast it turns
 along phi, piece by piece on any interval (`turn_rates(lo, hi)`), so the
 phase pass can seed its panels; a profile that declares neither is
-integrated from its hull breakpoints alone. Each kind names itself (`kind`)
-and its config parameters in constructor order (`config_keys`) on its class.
+integrated from its hull breakpoints alone. The built-in kinds declare:
+
+    kind              turn_rates(lo, hi)                              knots
+    linear, circular  one piece at abs(frequency)                     none
+    pulse             where 1/sigma beats abs(frequency): cut at      none
+                      -REACH sigma and REACH sigma, 1/sigma between
+                      them and abs(frequency) outside, so a narrow
+                      pulse is seeded at 1/sigma near its centre
+                      alone; else one piece at abs(frequency)
+    tabulated         one piece at 0 (each piece of the spline is a   the phi grid
+                      cubic)
+
+Each kind names itself (`kind`) and its config parameters in constructor
+order (`config_keys`) on its class.
 """
 
 from __future__ import annotations

@@ -19,10 +19,11 @@ plain record of:
              * int_{phi_a}^{phi} exp(i beta phi') dot(eps, A'^p(phi')) dphi',
     beta = g B / dot(k, pL),
 
-  so K(phi_a) = 0 and G sees the profile between phi_a and phi_b only; a
-  sign toggle flips the integrand exponential only (`sign=-1`) for
-  sensitivity studies. It is integrated by parts, which is exact and needs
-  the potential only, never its slope: with s = sign and
+  so K(phi_a) = 0 and G sees the profile between phi_a and phi_b only.
+  `sign` (the context's `volkov_sign`) multiplies the exponent of the
+  integrand's exponential and nothing else; README's Limitations records
+  which sign solves the Dirac equation. K is integrated by parts, which is
+  exact and needs the potential only, never its slope: with s = sign and
   a(phi) = dot(eps, A^p(phi)) = (a1 + i a2) / sqrt2,
 
     K(phi) = [g / (2 dot(k, pL))] exp(i beta phi)
@@ -44,10 +45,7 @@ plain record of:
 phi_b) as one lockstep quadrature, whose rounds form the nodes of all of
 them at once; each `_Pass` finishes its problem at set-up, `_columns` bound
 to what it reads and writes. `phase_pass` is its stack of one, and every
-pass keeps the bits it has alone. A failing stack raises what its earliest
-failing pass raises alone (`quadrature.earliest_failure`, carried by
-`green._green_batch` and `green._dirac_applies` too); `green._prepare`
-raises what its passes raise.
+pass keeps the bits it has alone.
 
 rot(phi - p) = rot(phi - phi_a) rot(phi_a - p) makes Y = rate rot(phi - phi_a) C(phi),
 with C the integral from phi_a of d, the eps component of rot(phi_a - p) A^p(p)
@@ -119,7 +117,8 @@ _SUB_TOLERANCE = 1e-2
 #: K15 panel over 2 radians meets the sub-tolerance at once, so a long pass ends
 #: in its seeded round. Per gf of perfbench's span-pulse workload, 1 rad took 144
 #: pass nodes, 2 rad 77 and 3 rad 90, where wider panels get bisected again
-#: (unseeded: 124 nodes in 3-4 rounds).
+#: (unseeded: 124 nodes in 3-4 rounds). A gap that rotates by less takes one
+#: panel: it gets no seeds.
 _SEED_RADIANS = 2.0
 
 #: XK[-1] - XK[0]: a panel's half-width is its outer nodes' distance over this.
@@ -157,7 +156,8 @@ def _seeds(profile, edges: list, beta: float) -> list:
     them, each gap then cut into equal panels spanning at most _SEED_RADIANS
     of the rotation |beta| + turn rate: the whole gap at the rate of its
     fastest piece of `turn_rates`, or each piece at its own where that takes
-    fewer panels. Seeds that alone would pass the node cap are dropped, knots
+    fewer panels, so no pass takes more seeded panels than one rate would
+    give it. Seeds that alone would pass the node cap are dropped, knots
     too: the pass then runs from `edges` as an unseeded one. The cap is
     applied before any count is rounded, so an infinite or nan count falls
     back the same way."""

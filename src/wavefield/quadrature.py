@@ -2,7 +2,9 @@
 
 Written in-repo rather than wrapping scipy.integrate.quad because the contracts
 here need complex/matrix integrands, a hard node budget with structured failure,
-and deterministic node accounting for bit-identical reruns.
+and deterministic node accounting for bit-identical reruns. `adaptive_quad` is
+a general integrator, not part of the Green function's contract, so the
+package root does not export it: import it from this module.
 
 Rounds: the integrand is called once per subdivision round, on the 15 Kronrod
 nodes of every panel of the round joined panel after panel: first the seeded
@@ -16,14 +18,18 @@ lockstep, each with its own integrand, panels, heap, running sums, node cap
 and stopping rule. One `_nodes` call per round forms the nodes of every
 integral still running; one pass in stack order then runs each integrand on
 its own slice and the rule on its own panels and advances it, so each keeps
-the bits it has alone, and a round stops at its earliest failing integral.
-`adaptive_quad` is its stack of one, so there is one loop.
-The stages that run a stack of contexts on it (`kernels._phase_passes`,
-`green._prepare`, `green._green_batch`, `green._dirac_applies`) return one
-result per context or raise; all but `green._prepare`, which raises what
-its passes raise, carry `earliest_failure`, which gives them one failure
-order, the outermost stage running a failing stack again item by item so
-that its earliest failing item raises exactly what it raises alone.
+the bits it has alone. `adaptive_quad` is its stack of one, so there is one
+loop.
+
+Failure order: a stage of the package that runs a stack of contexts on the
+runner returns one result per context or raises. A round stops at its
+earliest failing integral and runs no integrand after it, but an integral
+earlier in the stack may still fail in a later round. `earliest_failure` is
+the one rule for which failure a stack raises: of several failing contexts
+the earliest in stack order wins, and it raises exactly what it raises
+alone, whatever round it fails in. The stages that carry the rule are
+decorated with it; the others only add arithmetic around one that does, so
+they raise what it raises.
 
 Determinism: the subdivision order is a pure function of the inputs (heap ties
 broken by insertion counter), and the value and the error estimate are plain
@@ -238,7 +244,9 @@ def earliest_failure(stage):
     stage encloses this one, `stage` runs again on each item alone in stack
     order, so the earliest failing item raises exactly what it raises alone.
     An enclosed stage raises its stack's failure as it is, so however deep
-    the stages nest, a failing stack runs again once."""
+    the stages nest, a failing stack runs again once. A stack that succeeds
+    pays nothing for this; a failing one pays its own run up to the failure,
+    then each item up to the first failing one once more, alone."""
     @functools.wraps(stage)
     def run(items):
         _nesting.depth += 1
@@ -267,11 +275,18 @@ def adaptive_quad(f, a: float, b: float, abs_tol: float = DEFAULT_ABS_TOL,
     integrand has a known boundary layer; repeats count once). Each later round
     takes the worst panels until the error left fits the tolerance and bisects
     them all. f maps the 15 Kronrod nodes of each panel of the round, joined
-    panel after panel, to their values stacked on axis 0 (complex scalars or
-    ndarrays). Raises QuadratureFailure, with the nodes used and the error so
-    far, when a value, the error or the value's norm is not finite, or when a
-    round would take it past `node_cap` integrand evaluations: the panels of
-    that round that fit (whole bisections, after the first) are evaluated first.
+    panel after panel (one array of length 15 n for n panels; never a single
+    point), to their values stacked on axis 0: shape (15 n,) for a scalar
+    integrand, (15 n, ...) for a vector or matrix one, complex or real.
+
+    The result's `panels` are the final panels (left, right, value), left to
+    right and never sign-flipped; `value` is their running sum, 0j and then
+    each panel's value in turn, negated on a reversed interval, and
+    `error_estimate` the sum of their errors in the same order. Raises
+    QuadratureFailure, with the nodes used and the error so far, when a value,
+    the error or the value's norm is not finite, or when a round would take it
+    past `node_cap` integrand evaluations: the panels of that round that fit
+    (whole bisections, after the first) are evaluated first.
     """
     options = dict(abs_tol=abs_tol, rel_tol=rel_tol, node_cap=node_cap, breakpoints=breakpoints)
     return _lockstep_quad([(f, a, b, options)])[0]
